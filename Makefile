@@ -6,8 +6,8 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: test lint verify chaos-smoke chaos-lossy-smoke strategy-smoke \
 	fleet-smoke workload-smoke store-chaos-smoke check-determinism \
-	bench bench-smoke benchmarks table4-parallel chaos-full fleet-large \
-	workload-soak nightly
+	bench bench-smoke repo-bench repo-bench-test benchmarks table4-parallel \
+	chaos-full fleet-large workload-soak nightly
 
 # Tier-1 verification: the full unit/integration suite.
 test:
@@ -89,6 +89,17 @@ bench:
 # fail.
 bench-smoke:
 	$(PYTHON) tools/bench.py --smoke --baseline BENCH_6.json
+
+# The repo benchmark declared in BENCHMARK.json: five campaign workloads,
+# calibrated end-to-end metrics and the per-layer ledger (bench/README.md).
+# A performance claim names a workload and a metric from this command.
+repo-bench:
+	python3 bench/run.py
+
+# Checks on the benchmark itself (schema, attribution, exact-repeat
+# counts; ~1.5 min, outside tier-1).
+repo-bench-test:
+	$(PYTHON) -m pytest bench -q
 
 # Full paper-reproduction suite (slow).  REPRO_BENCH_TRIALS/JOBS/CACHE
 # control fidelity, fan-out, and result caching.

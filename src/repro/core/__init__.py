@@ -15,8 +15,10 @@ nothing about ground stations.  It provides:
   oracles;
 * :mod:`repro.core.policy` — episode tracking, escalation up the tree, and
   restart budgets that stop infinite restarting of hard failures (§2.2);
-* :mod:`repro.core.recoverer` — REC: the behavior that executes restarts
-  and coordinates with the failure detector;
+* :mod:`repro.core.recovery_engine` — the one episode machine (decide,
+  restart, observe, escalate) both supervisors drive;
+* :mod:`repro.core.recoverer` — REC: the FD↔REC control-channel front end
+  that feeds the engine and coordinates with the failure detector;
 * :mod:`repro.core.analysis` — the analytic MTTF/MTTR reasoning of
   §3.2/§4.1 (group bounds, expected-MTTR sums, availability);
 * :mod:`repro.core.render` — ASCII rendering of restart trees in the style
@@ -56,6 +58,7 @@ from repro.core.procedures import (
     WarmRecoveryProcedure,
 )
 from repro.core.recoverer import RecoveryModule
+from repro.core.recovery_engine import RecoveryEngine
 from repro.core.rejuvenation import RejuvenationScheduler, no_pass_imminent
 from repro.core.analysis import (
     availability,
@@ -80,6 +83,7 @@ __all__ = [
     "Oracle",
     "PerfectOracle",
     "ProcedureMap",
+    "RecoveryEngine",
     "RecoveryModule",
     "RecoveryProcedure",
     "RestartProcedure",

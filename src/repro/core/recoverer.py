@@ -1,13 +1,15 @@
-"""REC: the recovery module (paper §2.2, §3.3).
+"""REC: the recovery module (paper §2.2, §3.3) — the FD↔REC front end.
 
 REC hosts the recoverer and the oracle (via the
-:class:`~repro.core.policy.RestartPolicy`).  It:
+:class:`~repro.core.policy.RestartPolicy`).  The episode machine itself —
+deciding, executing one restart action at a time, observing, escalating —
+is :class:`~repro.core.recovery_engine.RecoveryEngine`; this module is the
+transport around it.  It:
 
 * listens on a dedicated control address for the failure detector's
   :class:`~repro.xmlcmd.commands.FailureReport` messages (FD↔REC traffic is
-  deliberately *not* on the bus, "for improved isolation");
-* executes restart decisions through the process manager, one restart
-  action at a time (a real REC is a small single-threaded supervisor);
+  deliberately *not* on the bus, "for improved isolation") and feeds them
+  to the engine;
 * tells FD which components are being bounced (``RestartOrder`` with reason
   ``begin``) so FD does not report the restart's own fallout, and when the
   batch is back up (reason ``complete``) so FD resumes watching them;
@@ -15,29 +17,21 @@ REC hosts the recoverer and the oracle (via the
   — the REC half of the FD/REC mutual-recovery special case.
 
 REC is itself a supervised process: killing it drops all in-flight episode
-state, and a fresh REC process relearns the world from FD's re-reports.
+state.  A fresh classic REC relearns the world from FD's re-reports; a
+strategy-enabled one rebuilds crash-only (the engine's ``new_incarnation``).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Deque, FrozenSet, List, Optional, TYPE_CHECKING
-from collections import deque
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.components.base import Behavior
-from repro.core.oracle import LearningOracle
-from repro.core.policy import RestartDecision, RestartPolicy
+from repro.core.policy import RestartPolicy
 from repro.core.procedures import ProcedureMap
-from repro.core.recovery_strategies import (
-    RecoveryPlan,
-    RecoveryStrategy,
-    StrategyContext,
-    StrategyMap,
-    get_strategy,
-    observed_failure_kind,
-)
+from repro.core.recovery_engine import RecoveryEngine, TraceDialect
+from repro.core.recovery_strategies import StrategyMap
 from repro.errors import ChannelClosedError
-from repro.faults.store_faults import StoreError
 from repro.obs import events as ev
 from repro.types import Severity, SimTime
 from repro.xmlcmd.commands import (
@@ -57,6 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.process import SimProcess
     from repro.transport.channel import Endpoint
     from repro.transport.network import Network
+
+#: The trace items REC's golden traces pin and the abstract supervisor's
+#: do not (DESIGN.md §11).
+REC_DIALECT = TraceDialect(
+    decision_ignore=True, episode_closed=True, procedure=True, rekick_warns_first=True
+)
 
 
 class RecoveryModule(Behavior):
@@ -84,62 +84,40 @@ class RecoveryModule(Behavior):
         self.manager = manager
         self.policy = policy
         self.ctl_address = ctl_address
-        self.observation_window = observation_window
         self.fd_name = fd_name
         self.fd_ping_period = fd_ping_period
         self.fd_ping_timeout = fd_ping_timeout
         self.fd_grace = fd_grace
-        #: A restart action not complete after this long has lost a member
-        #: (e.g. a component killed mid-startup by a concurrent fault); the
-        #: watchdog re-kicks terminal members so the action cannot wedge.
-        self.restart_timeout = restart_timeout
-        #: Monotonic across incarnations (deliberately NOT reset in
-        #: ``on_start``): a later action always has a later seq, so stale
-        #: per-action watchdogs die on the seq check alone.
-        self._action_seq = 0
-        #: Incarnation counter (bumped every ``on_start``).  Scheduled
-        #: plan callbacks carry the generation that authored them; a
-        #: callback from a pre-crash incarnation is *fenced* — traced and
-        #: discarded — so a stale recovery plan can never execute after
-        #: its author was restarted.
-        self._generation = 0
-        #: Per-cell recovery procedures (§7 recursive recovery); pushing a
-        #: cell's button runs its procedure, restart being the default.
-        self.procedures = procedures or ProcedureMap()
-        #: Per-cell/per-failure-kind recovery strategies.  ``None`` means
-        #: the classic restart-only configuration: the default strategy is
-        #: forced, the oracle's strategy hint is never consulted, and the
-        #: trace stays bit-identical to the pre-registry recoverer.
-        self.strategies = strategies
-        #: Crash-only external session store shared with the components
-        #: (set on strategy-enabled stations; strategies read it via the
-        #: per-action context).
-        self.session_store = session_store
+        #: The crash-only plane is on exactly when strategies are configured
+        #: (classic boot seeds and golden traces stay byte-identical).
+        self.engine = RecoveryEngine(
+            self.kernel,
+            manager,
+            policy,
+            name=process.name,
+            crash_only=strategies is not None,
+            observation_window=observation_window,
+            restart_timeout=restart_timeout,
+            procedures=procedures,
+            strategies=strategies,
+            session_store=session_store,
+            announce=self._announce,
+            dialect=REC_DIALECT,
+        )
+        #: Per-cell recovery procedures (§7); pushing a cell's button runs
+        #: its procedure, restart being the default.
+        self.procedures = self.engine.procedures
+        #: Decisions executed, for tests and reports.
+        self.restart_log = self.engine.restart_log
+        #: ``request_restart(cell_id, reason)``: the rejuvenation entry point.
+        self.request_restart = self.engine.request_restart
 
-        self._alive = False
         self._listener = None
         self._fd_endpoint: Optional["Endpoint"] = None
-        self._pending_reports: Deque[str] = deque()
-        self._inflight_batch: Optional[FrozenSet[str]] = None
-        self._inflight_cell: Optional[str] = None
-        #: Expected members that completed their restart; the current step
-        #: finishes when all expected members have been ready once (gating
-        #: on "all currently running" would deadlock if a member fails
-        #: again while a slower member is still starting).
-        self._inflight_ready: set = set()
-        #: The members the current step actually bounces and waits for —
-        #: equals the batch for the restart strategy, a subset for
-        #: microreboot/bisect probes.
-        self._inflight_expecting: FrozenSet[str] = frozenset()
-        self._inflight_strategy: Optional[RecoveryStrategy] = None
-        self._inflight_ctx: Optional[StrategyContext] = None
-        self._inflight_plan: Optional[RecoveryPlan] = None
         self._ping_seq = 0
         self._outstanding_ping: Optional[int] = None
         self._fd_misses = 0
         self._fd_restart_inflight = False
-        #: Decisions executed, for tests and reports.
-        self.restart_log: List[RestartDecision] = []
         manager.subscribe(self._on_lifecycle)
 
     # ------------------------------------------------------------------
@@ -147,100 +125,34 @@ class RecoveryModule(Behavior):
     # ------------------------------------------------------------------
 
     def on_start(self) -> None:
-        self._alive = True
-        self._generation += 1
-        self._pending_reports.clear()
-        self._inflight_batch = None
-        self._inflight_cell = None
-        self._inflight_ready = set()
-        self._inflight_expecting = frozenset()
-        self._inflight_strategy = None
-        self._inflight_ctx = None
-        self._inflight_plan = None
         self._outstanding_ping = None
         self._fd_misses = 0
         self._fd_restart_inflight = False
         self._listener = self.network.listen(self.ctl_address, self._on_accept)
         self.trace(ev.REC_LISTENING, address=self.ctl_address)
-        if self.process.start_count > 1 and self.strategies is not None:
-            # Crash-only rebuild is part of the strategy-enabled recovery
-            # plane; the classic configuration keeps the original relearn-
-            # from-re-reports behavior (and its byte-identical trace).
-            self._rebuild_after_crash()
+        if self.process.start_count > 1 and self.engine.crash_only:
+            self.engine.new_incarnation()
+        else:
+            # First boot, or the classic relearn-from-re-reports restart.
+            self.engine.start()
         self._schedule_fd_ping()
 
-    def _rebuild_after_crash(self) -> None:
-        """Crash-only rebuild for a restarted REC incarnation.
-
-        The fresh incarnation trusts nothing the dead one left mid-flight:
-        it reconciles the station-owned policy against observable process
-        state (episodes wedged ``restarting``/``deciding`` either advance
-        to ``observing`` or are dropped for the detector to re-report),
-        re-arms every observation-expiry timer (the old incarnation's
-        timers died with it), and rebuilds the learning oracle's view
-        from the session store's snapshot rather than from process memory.
-        """
-        observing, dropped = self.policy.reconcile_after_supervisor_restart(
-            self.kernel.now,
-            lambda name: (p := self.manager.maybe_get(name)) is not None
-            and p.is_running,
-        )
-        self.trace(
-            ev.SUPERVISOR_RESTARTED,
-            severity=Severity.WARNING,
-            supervisor=self.name,
-            generation=self._generation,
-            reconciled=len(observing),
-            dropped=len(dropped),
-        )
-        for episode in self.policy.open_episodes():
-            if episode.state == "observing":
-                self.kernel.call_after(
-                    self.observation_window, self._expire_observation,
-                    episode.component,
-                )
-        self._rebuild_oracle()
-
-    def _rebuild_oracle(self) -> None:
-        """Restore the learning oracle from the store (or start naive)."""
-        oracle = self.policy.oracle
-        if not isinstance(oracle, LearningOracle):
-            return
-        # The oracle rode inside REC's process: its memory is gone.
-        oracle.crash()
-        origin, entries = "naive", 0
-        if self.session_store is not None:
-            try:
-                snapshot = self.session_store.load_snapshot("oracle")
-            except StoreError:
-                snapshot = None  # store down too: restart from naive
-            if snapshot is not None:
-                entries = oracle.restore_state(snapshot)
-                origin = "store"
-        self.trace(ev.ORACLE_REBUILT, origin=origin, entries=entries)
-
-    def _persist_oracle(self) -> None:
-        """Checkpoint the oracle's estimates so a crash cannot lose them."""
-        if self.session_store is None:
-            return
-        oracle = self.policy.oracle
-        if not isinstance(oracle, LearningOracle):
-            return
-        try:
-            self.session_store.save_snapshot(
-                "oracle", self.kernel.now, oracle.export_state()
-            )
-        except StoreError:
-            pass  # outage: estimates learned since the last snapshot are at risk
-
     def on_kill(self) -> None:
-        self._alive = False
+        self.engine.stop()
         if self._listener is not None:
             self._listener.close()
             self._listener = None
         if self._fd_endpoint is not None:
             self._fd_endpoint.close()
             self._fd_endpoint = None
+
+    def _on_lifecycle(self, process: "SimProcess", event: str) -> None:
+        if event != "ready" or not self.engine.alive:
+            return
+        if process.name == self.fd_name:
+            self._fd_restart_inflight = False
+            self._fd_misses = 0
+        self.engine.member_ready(process.name)
 
     # ------------------------------------------------------------------
     # control channel
@@ -270,8 +182,20 @@ class RecoveryModule(Behavior):
             return False
         return True
 
+    def _announce(self, cell_id: str, batch: Tuple[str, ...], reason: str) -> None:
+        """Tell FD a restart action begins/completed (suppression window)."""
+        self._ctl_send(
+            RestartOrder(
+                sender=self.name,
+                target=self.fd_name,
+                cell_id=cell_id,
+                components=batch,
+                reason=reason,
+            )
+        )
+
     def _on_ctl_raw(self, raw: str) -> None:
-        if not self._alive:
+        if not self.engine.alive:
             return
         # Watchdog traffic (FD's pings at us, its replies to ours) dominates
         # this channel; both directions ride the templated wire form, so
@@ -305,386 +229,29 @@ class RecoveryModule(Behavior):
 
     def _on_ctl_failure_report(self, message: FailureReport) -> None:
         for component in message.failed_components:
-            self._handle_failure(component)
+            self.trace(ev.FAILURE_REPORTED, component=component)
+            action = self.engine.action
+            if action is not None and component in action.batch:
+                continue  # fallout of our own restart; FD races are harmless
+            self.engine.report_failure(component)
 
     def _on_ctl_command(self, message: CommandMessage) -> None:
-        if message.verb != "retract-report":
-            return
         # FD's spurious-restart guard: the declared component answered
-        # again before we acted.  Drop any still-queued report; a
-        # restart already in flight is past retracting.
-        component = message.params.get("component", "")
-        if component and component in self._pending_reports:
-            self._pending_reports = deque(
-                name for name in self._pending_reports if name != component
-            )
-            self.trace(ev.REPORT_RETRACTED, component=component)
-
-    # ------------------------------------------------------------------
-    # recovery flow
-    # ------------------------------------------------------------------
-
-    def _handle_failure(self, component: str) -> None:
-        self.trace(ev.FAILURE_REPORTED, component=component)
-        if self._inflight_batch is not None:
-            if component in self._inflight_batch:
-                return  # fallout of our own restart; FD races are harmless
-            self._pending_reports.append(component)
-            return
-        self._decide_and_execute(component)
-
-    def _decide_and_execute(self, component: str) -> None:
-        decision = self.policy.report_failure(component, self.kernel.now)
-        self.restart_log.append(decision)
-        # An escalating re-report just fed the oracle a cured=False
-        # outcome; checkpoint the estimates before acting on them.
-        self._persist_oracle()
-        if decision.action == "ignore":
-            self.trace(ev.DECISION_IGNORE, component=component, reason=decision.reason)
-            return
-        if decision.action == "give_up":
-            self.trace(
-                ev.OPERATOR_ESCALATION,
-                severity=Severity.ERROR,
-                component=component,
-                reason=decision.reason,
-            )
-            return
-        assert decision.cell_id is not None
-        self._execute_restart(
-            decision.cell_id, decision.components, component,
-            oracle_cell=decision.oracle_cell,
-            strategy=decision.strategy,
-        )
-
-    def _resolve_strategy(
-        self, cell_id: str, trigger: str, requested: Optional[str]
-    ) -> RecoveryStrategy:
-        """Pick the strategy for this action.
-
-        A ``requested`` name (the policy pinning ``restart`` on
-        escalation) is a directive.  Otherwise the strategy map resolves
-        per cell and observed failure kind, with the oracle's advisory
-        hint as the lowest-priority input.  Without a map (the classic
-        configuration) the default restart strategy is forced and the
-        oracle is never consulted.
-        """
-        if requested is not None:
-            return get_strategy(requested)
-        if self.strategies is None:
-            return get_strategy("restart")
-        hint = self.policy.oracle.recommend_strategy(self.policy.tree, trigger)
-        name = self.strategies.select(
-            self.policy.tree,
-            cell_id,
-            failure_kind=observed_failure_kind(self.manager, trigger),
-            oracle_hint=hint,
-        )
-        return get_strategy(name)
-
-    def _execute_restart(
-        self,
-        cell_id: str,
-        components: FrozenSet[str],
-        trigger: str,
-        oracle_cell: Optional[str] = None,
-        strategy: Optional[str] = None,
-    ) -> None:
-        chosen = self._resolve_strategy(cell_id, trigger, strategy)
-        ctx = StrategyContext(
-            manager=self.manager,
-            kernel=self.kernel,
-            tree=self.policy.tree,
-            procedures=self.procedures,
-            cell_id=cell_id,
-            components=components,
-            trigger=trigger,
-            failure_kind=observed_failure_kind(self.manager, trigger),
-            session_store=self.session_store,
-        )
-        plan = chosen.plan(ctx)
-        ctx.planned_at = self.kernel.now
-        if plan.fallback_from is not None:
-            # The store probe failed inside plan(): the stateful strategy
-            # degrades to a plain cold restart, announced before the order
-            # so the trace reads cause-then-effect.
-            self.trace(
-                ev.STRATEGY_FALLBACK,
-                severity=Severity.WARNING,
-                cell=cell_id,
-                strategy=plan.fallback_from,
-                fallback="restart",
-                reason="store-unavailable",
-                waited=round(plan.decision_delay, 9),
-            )
-        self._inflight_cell = cell_id
-        self._inflight_batch = plan.batch
-        self._inflight_expecting = plan.gate
-        self._inflight_ready = set()
-        self._inflight_strategy = chosen
-        self._inflight_ctx = ctx
-        self._inflight_plan = plan
-        extra = {"oracle_cell": oracle_cell} if oracle_cell is not None else {}
-        if chosen.name != "restart":
-            extra["strategy"] = chosen.name
-        self.trace(
-            ev.RESTART_ORDERED,
-            cell=cell_id,
-            components=tuple(sorted(plan.batch)),
-            trigger=trigger,
-            procedure=plan.label,
-            **extra,
-        )
-        if chosen.name != "restart":
-            self.trace(
-                ev.STRATEGY_PLANNED,
-                cell=cell_id,
-                strategy=chosen.name,
-                batch=tuple(sorted(plan.batch)),
-                expecting=tuple(sorted(plan.gate)),
-                trigger=trigger,
-            )
-        self._ctl_send(
-            RestartOrder(
-                sender=self.name,
-                target=self.fd_name,
-                cell_id=cell_id,
-                components=tuple(sorted(plan.batch)),
-                reason="begin",
-            )
-        )
-        self.policy.restart_began(plan.batch, self.kernel.now)
-        self._action_seq += 1
-        self.kernel.call_after(
-            self.restart_timeout,
-            self._check_restart_progress,
-            self._generation,
-            self._action_seq,
-        )
-        if plan.decision_delay > 0.0:
-            # The ladder's timeout cost of discovering the outage delays
-            # the kill itself; suppression/budget are already in place, so
-            # the wait cannot race a ready event.
-            self.kernel.call_after(
-                plan.decision_delay,
-                self._execute_deferred,
-                self._generation,
-                self._action_seq,
-            )
-        else:
-            chosen.execute(ctx, plan)
-
-    def _execute_deferred(self, generation: int, action_seq: int) -> None:
-        """Run a plan whose decision was delayed by the store's ladder."""
-        if not self._alive or action_seq != self._action_seq:
-            return
-        if generation != self._generation:
-            self._fence(generation)
-            return
-        strategy = self._inflight_strategy
-        ctx = self._inflight_ctx
-        plan = self._inflight_plan
-        if strategy is None or ctx is None or plan is None:
-            return
-        strategy.execute(ctx, plan)
-
-    def _fence(self, stale_generation: int, cell: Optional[str] = None) -> None:
-        """Trace a pre-crash plan callback being discarded (the guard).
-
-        Silent in the classic configuration: there the stale callback
-        would have fallen through to the (reset) in-flight state and
-        returned without a trace, and that trace is golden-pinned.
-        """
-        if self.strategies is None:
-            return
-        data = {"generation": self._generation, "stale_generation": stale_generation}
-        if cell is not None:
-            data["cell"] = cell
-        self.trace(ev.PLAN_FENCED, severity=Severity.WARNING, **data)
-
-    def _check_restart_progress(self, generation: int, action_seq: int) -> None:
-        """Watchdog: re-kick batch members that died during the restart."""
-        if not self._alive or action_seq != self._action_seq:
-            return
-        if generation != self._generation:
-            self._fence(generation, cell=self._inflight_cell)
-            return
-        batch = self._inflight_batch
-        if batch is None:
-            return
-        expecting = self._inflight_expecting
-        stragglers = [
-            name
-            for name in sorted(expecting - self._inflight_ready)
-            if self.manager.get(name).state.is_terminal
-        ]
-        if stragglers:
-            self.trace(
-                ev.RESTART_REKICK,
-                severity=Severity.WARNING,
-                components=tuple(stragglers),
-            )
-            for name in stragglers:
-                self.manager.start(name, batch=expecting)
-        self.kernel.call_after(
-            self.restart_timeout, self._check_restart_progress, generation, action_seq
-        )
-
-    def request_restart(self, cell_id: str, reason: str = "") -> bool:
-        """Execute a proactive restart of ``cell_id`` (rejuvenation).
-
-        Accepted only when REC is alive and has no restart action in
-        flight; proactive rounds are skipped under load, never queued.  The
-        restart runs through the normal path, so FD suppression and action
-        serialization apply and no false failure reports arise.
-        """
-        if not self._alive or self._inflight_batch is not None:
-            return False
-        if not self.policy.tree.has_cell(cell_id):
-            return False
-        components = self.policy.tree.components_restarted_by(cell_id)
-        if not self.manager.all_running(components):
-            return False  # something is already down: leave it to recovery
-        self._execute_restart(cell_id, components, trigger=reason or "proactive")
-        return True
-
-    def _on_lifecycle(self, process: "SimProcess", event: str) -> None:
-        if not self._alive:
-            return
-        if process.name == self.fd_name and event == "ready":
-            self._fd_restart_inflight = False
-            self._fd_misses = 0
-        if event != "ready" or self._inflight_batch is None:
-            return
-        if process.name not in self._inflight_expecting:
-            return
-        self._inflight_ready.add(process.name)
-        if self._inflight_ready >= self._inflight_expecting:
-            self._step_completed()
-
-    def _step_completed(self) -> None:
-        """Every expected member is ready: verify now or after a delay."""
-        ctx = self._inflight_ctx
-        plan = self._inflight_plan
-        if ctx is not None:
-            ctx.gate_ready_at = self.kernel.now
-        if plan is not None and plan.verify_delay > 0.0:
-            self.kernel.call_after(
-                plan.verify_delay, self._verify_step, self._generation, self._action_seq
-            )
-            return
-        self._verify_step(self._generation, self._action_seq)
-
-    def _verify_step(self, generation: int, action_seq: int) -> None:
-        if not self._alive or action_seq != self._action_seq:
-            return
-        if generation != self._generation:
-            self._fence(generation, cell=self._inflight_cell)
-            return
-        if self._inflight_batch is None:
-            return
-        strategy = self._inflight_strategy
-        ctx = self._inflight_ctx
-        plan = self._inflight_plan
-        follow = None
-        if strategy is not None and ctx is not None and plan is not None:
-            follow = strategy.verify(ctx, plan)
-        if follow is None:
-            self._finish_restart()
-            return
-        # The strategy wants another step (bisect widening its probe):
-        # the action — and FD suppression — stays open.
-        ctx.rounds += 1
-        self._inflight_plan = follow
-        self._inflight_expecting = follow.gate
-        self._inflight_ready = set()
-        self.trace(
-            ev.BISECT_PROBE,
-            cell=self._inflight_cell,
-            components=tuple(sorted(follow.gate)),
-            round=ctx.rounds,
-        )
-        self._action_seq += 1
-        self.kernel.call_after(
-            self.restart_timeout,
-            self._check_restart_progress,
-            self._generation,
-            self._action_seq,
-        )
-        strategy.execute(ctx, follow)
-
-    def _finish_restart(self) -> None:
-        batch = self._inflight_batch
-        cell_id = self._inflight_cell
-        strategy = self._inflight_strategy
-        ctx = self._inflight_ctx
-        assert batch is not None
-        self._inflight_batch = None
-        self._inflight_cell = None
-        self._inflight_ready = set()
-        self._inflight_expecting = frozenset()
-        self._inflight_strategy = None
-        self._inflight_ctx = None
-        self._inflight_plan = None
-        self._action_seq += 1  # invalidate the progress watchdog
-        if strategy is not None and strategy.name != "restart" and ctx is not None:
-            now = self.kernel.now
-            self.trace(
-                ev.STRATEGY_VERIFIED,
-                cell=cell_id,
-                strategy=strategy.name,
-                plan_s=0.0,
-                execute_s=round(ctx.gate_ready_at - ctx.planned_at, 9),
-                verify_s=round(now - ctx.gate_ready_at, 9),
-                rounds=ctx.rounds,
-            )
-        now = self.kernel.now
-        self.policy.restart_completed(batch, now)
-        self.trace(ev.RESTART_COMPLETE, cell=cell_id, components=tuple(sorted(batch)))
-        self._ctl_send(
-            RestartOrder(
-                sender=self.name,
-                target=self.fd_name,
-                cell_id=cell_id or "",
-                components=tuple(sorted(batch)),
-                reason="complete",
-            )
-        )
-        for component in sorted(batch):
-            self.kernel.call_after(
-                self.observation_window, self._expire_observation, component
-            )
-        # Serve reports queued while the restart was in flight.  Reports
-        # about components the restart just covered are stale (FD will
-        # re-report if the failure actually persists).
-        pending, self._pending_reports = list(self._pending_reports), deque()
-        for component in pending:
-            process = self.manager.maybe_get(component)
-            if process is not None and process.is_running:
-                continue  # stale report: the completed restart covered it
-            if self._inflight_batch is None:
-                self._decide_and_execute(component)
-            else:
-                self._pending_reports.append(component)
-
-    def _expire_observation(self, component: str) -> None:
-        if not self._alive:
-            return
-        if self.policy.observation_expired(component, self.kernel.now):
-            self.trace(ev.EPISODE_CLOSED, component=component)
-            self._persist_oracle()
+        # again before we acted.
+        if message.verb == "retract-report":
+            self.engine.retract_report(message.params.get("component", ""))
 
     # ------------------------------------------------------------------
     # FD watchdog (the REC half of §2.2's mutual special case)
     # ------------------------------------------------------------------
 
     def _schedule_fd_ping(self) -> None:
-        if not self._alive:
+        if not self.engine.alive:
             return
         self.kernel.call_after(self.fd_ping_period, self._ping_fd)
 
     def _ping_fd(self) -> None:
-        if not self._alive:
+        if not self.engine.alive:
             return
         if self._fd_restart_inflight:
             self._schedule_fd_ping()
@@ -702,7 +269,7 @@ class RecoveryModule(Behavior):
         self._schedule_fd_ping()
 
     def _check_fd_ping(self, seq: int) -> None:
-        if not self._alive or self._outstanding_ping != seq:
+        if not self.engine.alive or self._outstanding_ping != seq:
             return
         self._outstanding_ping = None
         self._register_fd_miss()

@@ -8,14 +8,17 @@ recoverer into one object that:
 * observes process deaths directly from the process manager, but declares
   them only after a *sampled* detection latency — ``U(0, ping_period) +
   reply_timeout`` — matching the full detector's distribution;
-* drives the same :class:`~repro.core.policy.RestartPolicy` (episodes,
-  escalation, budgets, oracle feedback) as the real REC;
-* serialises restart actions and applies the same suppression rules.
+* feeds the same :class:`~repro.core.recovery_engine.RecoveryEngine`
+  (episodes, escalation, budgets, strategies, oracle feedback, action
+  serialisation) as the real REC — this module is only the lifecycle
+  front end around it;
+* filters the expected downtime of its own restarts, the way FD's
+  suppression window does.
 
-Because the policy object and the restart semantics are shared with the
-full stack, recovery-time distributions agree between the two supervisors
-(validated by a dedicated test), so availability numbers from this fast
-path are faithful.
+Because the engine and policy are shared with the full stack,
+recovery-time distributions agree between the two supervisors (validated
+by a dedicated test), so availability numbers from this fast path are
+faithful.
 
 **Precondition: no network faults.**  The abstract supervisor never routes
 a ping, so it cannot observe message loss, delay spikes, partitions, or a
@@ -32,23 +35,14 @@ both the refusal and the healthy-network parity.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, FrozenSet, List, Optional, Sequence, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
-from repro.core.oracle import LearningOracle
-from repro.core.policy import RestartDecision, RestartPolicy
+from repro.core.policy import RestartPolicy
 from repro.core.procedures import ProcedureMap
-from repro.core.recovery_strategies import (
-    RecoveryPlan,
-    RecoveryStrategy,
-    StrategyContext,
-    StrategyMap,
-    get_strategy,
-    observed_failure_kind,
-)
-from repro.faults.store_faults import StoreError
+from repro.core.recovery_engine import RecoveryEngine
+from repro.core.recovery_strategies import StrategyMap
 from repro.obs import events as ev
-from repro.types import Severity, SimTime
+from repro.types import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.manager import ProcessManager
@@ -57,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class AbstractSupervisor:
-    """Sampled-latency detector + inline recoverer."""
+    """Sampled-latency detector in front of the shared recovery engine."""
 
     def __init__(
         self,
@@ -80,43 +74,32 @@ class AbstractSupervisor:
         self.ping_period = ping_period
         self.reply_timeout = reply_timeout
         self.observation_window = observation_window
-        #: Watchdog deadline for a restart action; see the recoverer's
-        #: equivalent — a member killed mid-startup is re-kicked.
-        self.restart_timeout = restart_timeout
-        self._action_seq = 0
-        #: Per-cell recovery procedures (§7 recursive recovery).
-        self.procedures = procedures or ProcedureMap()
-        #: Strategy registry map; ``None`` forces the classic restart
-        #: strategy (bit-identical traces, oracle hint never consulted).
-        self.strategies = strategies
-        self.session_store = session_store
+        #: The supervisor's own crash-only lifecycle (:meth:`restart`) is
+        #: opt-in by whoever calls it, not gated on ``strategies``: its
+        #: engine always fences and drops stale timers.
+        self.engine = RecoveryEngine(
+            kernel,
+            manager,
+            policy,
+            name="supervisor",
+            crash_only=True,
+            observation_window=observation_window,
+            restart_timeout=restart_timeout,
+            procedures=procedures,
+            strategies=strategies,
+            session_store=session_store,
+        )
+        self.restart_log = self.engine.restart_log
+        #: ``request_restart(cell_id, reason)``: the rejuvenation entry point.
+        self.request_restart = self.engine.request_restart
         self._rng = kernel.rngs.stream("abstract_supervisor.detection")
-        self._inflight_batch: Optional[FrozenSet[str]] = None
-        self._inflight_cell: Optional[str] = None
-        #: Expected members that have completed their restart.  The step
-        #: finishes when every expected member has been ready *once* —
-        #: gating on "all currently running" would deadlock if a member
-        #: fails again while a slower member is still starting.
-        self._inflight_ready: set = set()
-        #: The members the current step bounces and waits for (equals the
-        #: batch for restart, a subset for microreboot/bisect probes).
-        self._inflight_expecting: FrozenSet[str] = frozenset()
-        self._inflight_strategy: Optional[RecoveryStrategy] = None
-        self._inflight_ctx: Optional[StrategyContext] = None
-        self._inflight_plan: Optional[RecoveryPlan] = None
-        self._pending: Deque[str] = deque()
         self.detections = 0
-        self.restart_log: List[RestartDecision] = []
-        #: Crash-only lifecycle: the supervisor itself is a restartable
-        #: node.  ``crash``/``hang`` take it down; a
-        #: :class:`SupervisorWatchdog` (or a test) calls :meth:`restart`.
-        self._alive = True
-        #: Incarnation counter; scheduled callbacks carry the generation
-        #: that authored them, and a stale generation is fenced so a
-        #: pre-crash recovery plan can never execute post-restart.
-        self._generation = 1
-        self._down_mode: Optional[str] = None
+        #: The supervisor itself is a restartable node: ``crash``/``hang``
+        #: take it down; a :class:`SupervisorWatchdog` (or a test) calls
+        #: :meth:`restart`.  Counts restarts, and stamps pending
+        #: detections so a dead incarnation's are dropped.
         self.restart_count = 0
+        self.engine.start()
         manager.subscribe(self._on_lifecycle)
 
     # ------------------------------------------------------------------
@@ -126,446 +109,69 @@ class AbstractSupervisor:
     @property
     def responsive(self) -> bool:
         """Heartbeat view: does the supervisor still answer its watchdog?"""
-        return self._alive
+        return self.engine.alive
 
     def crash(self) -> None:
         """The supervisor process dies: all in-flight plans are lost."""
-        self._alive = False
-        self._down_mode = "crash"
+        self.engine.stop()
 
     def hang(self) -> None:
         """The supervisor wedges: alive to the OS, dead to the system."""
-        self._alive = False
-        self._down_mode = "hang"
+        self.engine.stop()
 
     def restart(self) -> None:
         """Crash-only restart: rebuild the world view, trust nothing stale.
 
-        Mirrors the full REC's restarted-incarnation path: reconcile the
-        station-owned policy against observable process state, re-arm
-        observation expiries, rebuild the learning oracle from the store,
-        and rescan the monitored set for components that died while the
-        supervisor was down (their death events went unobserved).
+        The engine's fresh incarnation reconciles the policy, re-arms
+        observation expiries and rebuilds the oracle (as a restarted REC
+        does); then the monitored set is rescanned for components that
+        died while the supervisor was down — their death events went
+        unobserved — and each is declared after a fresh sampled latency.
         """
-        self._alive = True
-        self._down_mode = None
-        self._generation += 1
         self.restart_count += 1
-        self._inflight_batch = None
-        self._inflight_cell = None
-        self._inflight_ready = set()
-        self._inflight_expecting = frozenset()
-        self._inflight_strategy = None
-        self._inflight_ctx = None
-        self._inflight_plan = None
-        self._pending.clear()
-        now = self.kernel.now
-        observing, dropped = self.policy.reconcile_after_supervisor_restart(
-            now,
-            lambda name: (p := self.manager.maybe_get(name)) is not None
-            and p.is_running,
-        )
-        self.kernel.trace.emit(
-            "supervisor",
-            ev.SUPERVISOR_RESTARTED,
-            severity=Severity.WARNING,
-            supervisor="supervisor",
-            generation=self._generation,
-            reconciled=len(observing),
-            dropped=len(dropped),
-        )
-        for episode in self.policy.open_episodes():
-            if episode.state == "observing":
-                self.kernel.call_after(
-                    self.observation_window,
-                    self._expire_observation,
-                    self._generation,
-                    episode.component,
-                )
-        self._rebuild_oracle()
-        # Deaths during the outage were never observed: rescan and declare
-        # them with a fresh sampled detection latency.
+        self.engine.new_incarnation()
         for name in sorted(self.monitored):
             process = self.manager.maybe_get(name)
             if process is not None and not process.is_running:
-                delay = self._rng.uniform(0.0, self.ping_period) + self.reply_timeout
-                self.kernel.call_after(delay, self._declare, self._generation, name)
-
-    def _fence(self, stale_generation: int, cell: Optional[str] = None) -> None:
-        """Trace a pre-crash plan callback being discarded."""
-        data = {"generation": self._generation, "stale_generation": stale_generation}
-        if cell is not None:
-            data["cell"] = cell
-        self.kernel.trace.emit(
-            "supervisor", ev.PLAN_FENCED, severity=Severity.WARNING, **data
-        )
-
-    def _rebuild_oracle(self) -> None:
-        """Restore the learning oracle from the store (or start naive)."""
-        oracle = self.policy.oracle
-        if not isinstance(oracle, LearningOracle):
-            return
-        oracle.crash()  # its memory died with the supervisor process
-        origin, entries = "naive", 0
-        if self.session_store is not None:
-            try:
-                snapshot = self.session_store.load_snapshot("oracle")
-            except StoreError:
-                snapshot = None
-            if snapshot is not None:
-                entries = oracle.restore_state(snapshot)
-                origin = "store"
-        self.kernel.trace.emit(
-            "supervisor", ev.ORACLE_REBUILT, origin=origin, entries=entries
-        )
-
-    def _persist_oracle(self) -> None:
-        if self.session_store is None:
-            return
-        oracle = self.policy.oracle
-        if not isinstance(oracle, LearningOracle):
-            return
-        try:
-            self.session_store.save_snapshot(
-                "oracle", self.kernel.now, oracle.export_state()
-            )
-        except StoreError:
-            pass  # outage: estimates since the last snapshot are at risk
-
-    # ------------------------------------------------------------------
-    # proactive restarts (rejuvenation)
-    # ------------------------------------------------------------------
-
-    def request_restart(self, cell_id: str, reason: str = "") -> bool:
-        """Execute a proactive restart of ``cell_id`` (rejuvenation).
-
-        Same contract as the recoverer's: accepted only when idle and the
-        cell's components are all up; runs through the normal restart path.
-        """
-        if self._inflight_batch is not None:
-            return False
-        if not self.policy.tree.has_cell(cell_id):
-            return False
-        components = self.policy.tree.components_restarted_by(cell_id)
-        if not self.manager.all_running(components):
-            return False
-        self._begin_action(cell_id, components, reason or "proactive")
-        return True
+                self._schedule_declare(name)
 
     # ------------------------------------------------------------------
     # detection
     # ------------------------------------------------------------------
 
+    def _restarting(self, name: str) -> bool:
+        """Expected downtime: a member of our own restart not yet back."""
+        action = self.engine.action
+        return action is not None and name in action.batch and name not in action.ready
+
+    def _schedule_declare(self, name: str) -> None:
+        delay = self._rng.uniform(0.0, self.ping_period) + self.reply_timeout
+        self.kernel.call_after(delay, self._declare, self.restart_count, name)
+
     def _on_lifecycle(self, process: "SimProcess", event: str) -> None:
-        if not self._alive:
+        if not self.engine.alive:
             return  # a dead supervisor observes nothing
         name = process.name
-        if event.startswith("down:"):
-            if name not in self.monitored:
-                return
-            if self._inflight_batch is not None and name in self._inflight_batch:
-                if name not in self._inflight_ready:
-                    return  # expected downtime of our own restart
-                # The member completed its restart and then failed anew
-                # (fresh fault or re-manifestation); detect it normally.
-            delay = self._rng.uniform(0.0, self.ping_period) + self.reply_timeout
-            self.kernel.call_after(delay, self._declare, self._generation, name)
-            return
-        if event == "ready" and self._inflight_batch is not None:
-            if name in self._inflight_expecting:
-                self._inflight_ready.add(name)
-                if self._inflight_ready >= self._inflight_expecting:
-                    self._step_completed()
+        if event == "ready":
+            self.engine.member_ready(name)
+        elif event.startswith("down:") and name in self.monitored:
+            # A member that completed its restart and then failed anew
+            # (fresh fault or re-manifestation) is detected normally.
+            if not self._restarting(name):
+                self._schedule_declare(name)
 
-    def _declare(self, generation: int, component: str) -> None:
-        if not self._alive or generation != self._generation:
+    def _declare(self, incarnation: int, component: str) -> None:
+        if not self.engine.alive or incarnation != self.restart_count:
             # A dead incarnation's pending detection; the restart rescan
             # re-declares anything genuinely still down.
             return
-        process = self.manager.get(component)
-        if process.is_running:
+        if self.manager.get(component).is_running:
             return  # came back before we would have noticed
-        if (
-            self._inflight_batch is not None
-            and component in self._inflight_batch
-            and component not in self._inflight_ready
-        ):
+        if self._restarting(component):
             return  # still restarting as part of the in-flight batch
         self.detections += 1
         self.kernel.trace.emit("supervisor", ev.DETECTION, component=component)
-        if self._inflight_batch is not None:
-            self._pending.append(component)
-            return
-        self._decide(component)
-
-    # ------------------------------------------------------------------
-    # recovery
-    # ------------------------------------------------------------------
-
-    def _decide(self, component: str) -> None:
-        decision = self.policy.report_failure(component, self.kernel.now)
-        self.restart_log.append(decision)
-        self._persist_oracle()
-        if decision.action == "ignore":
-            return
-        if decision.action == "give_up":
-            self.kernel.trace.emit(
-                "supervisor",
-                ev.OPERATOR_ESCALATION,
-                severity=Severity.ERROR,
-                component=component,
-                reason=decision.reason,
-            )
-            return
-        assert decision.cell_id is not None
-        self._begin_action(
-            decision.cell_id,
-            decision.components,
-            component,
-            oracle_cell=decision.oracle_cell,
-            strategy=decision.strategy,
-        )
-
-    def _resolve_strategy(
-        self, cell_id: str, trigger: str, requested: Optional[str]
-    ) -> RecoveryStrategy:
-        """Same resolution as the recoverer's (see there)."""
-        if requested is not None:
-            return get_strategy(requested)
-        if self.strategies is None:
-            return get_strategy("restart")
-        hint = self.policy.oracle.recommend_strategy(self.policy.tree, trigger)
-        name = self.strategies.select(
-            self.policy.tree,
-            cell_id,
-            failure_kind=observed_failure_kind(self.manager, trigger),
-            oracle_hint=hint,
-        )
-        return get_strategy(name)
-
-    def _begin_action(
-        self,
-        cell_id: str,
-        components: FrozenSet[str],
-        trigger: str,
-        oracle_cell: Optional[str] = None,
-        strategy: Optional[str] = None,
-    ) -> None:
-        chosen = self._resolve_strategy(cell_id, trigger, strategy)
-        ctx = StrategyContext(
-            manager=self.manager,
-            kernel=self.kernel,
-            tree=self.policy.tree,
-            procedures=self.procedures,
-            cell_id=cell_id,
-            components=components,
-            trigger=trigger,
-            failure_kind=observed_failure_kind(self.manager, trigger),
-            session_store=self.session_store,
-        )
-        plan = chosen.plan(ctx)
-        ctx.planned_at = self.kernel.now
-        if plan.fallback_from is not None:
-            # Store probe failed inside plan(): degrade to a cold restart,
-            # announced before the order (cause-then-effect in the trace).
-            self.kernel.trace.emit(
-                "supervisor",
-                ev.STRATEGY_FALLBACK,
-                severity=Severity.WARNING,
-                cell=cell_id,
-                strategy=plan.fallback_from,
-                fallback="restart",
-                reason="store-unavailable",
-                waited=round(plan.decision_delay, 9),
-            )
-        self._inflight_cell = cell_id
-        self._inflight_batch = plan.batch
-        self._inflight_expecting = plan.gate
-        self._inflight_ready = set()
-        self._inflight_strategy = chosen
-        self._inflight_ctx = ctx
-        self._inflight_plan = plan
-        extra = {"oracle_cell": oracle_cell} if oracle_cell is not None else {}
-        if chosen.name != "restart":
-            extra["strategy"] = chosen.name
-        self.kernel.trace.emit(
-            "supervisor",
-            ev.RESTART_ORDERED,
-            cell=cell_id,
-            components=tuple(sorted(plan.batch)),
-            trigger=trigger,
-            **extra,
-        )
-        if chosen.name != "restart":
-            self.kernel.trace.emit(
-                "supervisor",
-                ev.STRATEGY_PLANNED,
-                cell=cell_id,
-                strategy=chosen.name,
-                batch=tuple(sorted(plan.batch)),
-                expecting=tuple(sorted(plan.gate)),
-                trigger=trigger,
-            )
-        self.policy.restart_began(plan.batch, self.kernel.now)
-        self._action_seq += 1
-        self.kernel.call_after(
-            self.restart_timeout,
-            self._check_restart_progress,
-            self._generation,
-            self._action_seq,
-        )
-        if plan.decision_delay > 0.0:
-            # The ladder's cost of discovering the outage delays the kill.
-            self.kernel.call_after(
-                plan.decision_delay,
-                self._execute_deferred,
-                self._generation,
-                self._action_seq,
-            )
-        else:
-            chosen.execute(ctx, plan)
-
-    def _execute_deferred(self, generation: int, action_seq: int) -> None:
-        """Run a plan whose decision was delayed by the store's ladder."""
-        if not self._alive or action_seq != self._action_seq:
-            return
-        if generation != self._generation:
-            self._fence(generation)
-            return
-        strategy = self._inflight_strategy
-        ctx = self._inflight_ctx
-        plan = self._inflight_plan
-        if strategy is None or ctx is None or plan is None:
-            return
-        strategy.execute(ctx, plan)
-
-    def _check_restart_progress(self, generation: int, action_seq: int) -> None:
-        """Watchdog: re-kick batch members that died during the restart."""
-        if not self._alive or action_seq != self._action_seq:
-            return
-        if generation != self._generation:
-            self._fence(generation, cell=self._inflight_cell)
-            return
-        if self._inflight_batch is None:
-            return
-        expecting = self._inflight_expecting
-        stragglers = [
-            name
-            for name in sorted(expecting - self._inflight_ready)
-            if self.manager.get(name).state.is_terminal
-        ]
-        for name in stragglers:
-            self.manager.start(name, batch=expecting)
-        if stragglers:
-            self.kernel.trace.emit(
-                "supervisor", ev.RESTART_REKICK, components=tuple(stragglers)
-            )
-        self.kernel.call_after(
-            self.restart_timeout, self._check_restart_progress, generation, action_seq
-        )
-
-    def _step_completed(self) -> None:
-        """Every expected member is ready: verify now or after a delay."""
-        ctx = self._inflight_ctx
-        plan = self._inflight_plan
-        if ctx is not None:
-            ctx.gate_ready_at = self.kernel.now
-        if plan is not None and plan.verify_delay > 0.0:
-            self.kernel.call_after(
-                plan.verify_delay, self._verify_step, self._generation, self._action_seq
-            )
-            return
-        self._verify_step(self._generation, self._action_seq)
-
-    def _verify_step(self, generation: int, action_seq: int) -> None:
-        if not self._alive or action_seq != self._action_seq:
-            return
-        if generation != self._generation:
-            self._fence(generation, cell=self._inflight_cell)
-            return
-        if self._inflight_batch is None:
-            return
-        strategy = self._inflight_strategy
-        ctx = self._inflight_ctx
-        plan = self._inflight_plan
-        follow = None
-        if strategy is not None and ctx is not None and plan is not None:
-            follow = strategy.verify(ctx, plan)
-        if follow is None:
-            self._finish_restart()
-            return
-        ctx.rounds += 1
-        self._inflight_plan = follow
-        self._inflight_expecting = follow.gate
-        self._inflight_ready = set()
-        self.kernel.trace.emit(
-            "supervisor",
-            ev.BISECT_PROBE,
-            cell=self._inflight_cell,
-            components=tuple(sorted(follow.gate)),
-            round=ctx.rounds,
-        )
-        self._action_seq += 1
-        self.kernel.call_after(
-            self.restart_timeout,
-            self._check_restart_progress,
-            self._generation,
-            self._action_seq,
-        )
-        strategy.execute(ctx, follow)
-
-    def _finish_restart(self) -> None:
-        batch = self._inflight_batch
-        assert batch is not None
-        cell_id = self._inflight_cell
-        strategy = self._inflight_strategy
-        ctx = self._inflight_ctx
-        self._inflight_batch = None
-        self._inflight_cell = None
-        self._inflight_ready = set()
-        self._inflight_expecting = frozenset()
-        self._inflight_strategy = None
-        self._inflight_ctx = None
-        self._inflight_plan = None
-        self._action_seq += 1  # invalidate the progress watchdog
-        if strategy is not None and strategy.name != "restart" and ctx is not None:
-            self.kernel.trace.emit(
-                "supervisor",
-                ev.STRATEGY_VERIFIED,
-                cell=cell_id,
-                strategy=strategy.name,
-                plan_s=0.0,
-                execute_s=round(ctx.gate_ready_at - ctx.planned_at, 9),
-                verify_s=round(self.kernel.now - ctx.gate_ready_at, 9),
-                rounds=ctx.rounds,
-            )
-        self.policy.restart_completed(batch, self.kernel.now)
-        self.kernel.trace.emit(
-            "supervisor", ev.RESTART_COMPLETE, cell=cell_id,
-            components=tuple(sorted(batch)),
-        )
-        for component in sorted(batch):
-            self.kernel.call_after(
-                self.observation_window,
-                self._expire_observation,
-                self._generation,
-                component,
-            )
-        pending, self._pending = list(self._pending), deque()
-        for component in pending:
-            process = self.manager.get(component)
-            if process.is_running:
-                continue  # stale report: the completed restart covered it
-            if self._inflight_batch is None:
-                self._decide(component)
-            else:
-                self._pending.append(component)
-
-    def _expire_observation(self, generation: int, component: str) -> None:
-        if not self._alive or generation != self._generation:
-            return  # died with its incarnation; restart() re-armed fresh ones
-        if self.policy.observation_expired(component, self.kernel.now):
-            self._persist_oracle()
+        self.engine.report_failure(component)
 
 
 class SupervisorWatchdog:

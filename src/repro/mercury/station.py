@@ -539,14 +539,8 @@ class MercuryStation:
 
     def supervisor_idle(self) -> bool:
         """Whether no restart action is currently in flight."""
-        if self.rec is not None and self.rec._inflight_batch is not None:
-            return False
-        if (
-            self.abstract_supervisor is not None
-            and self.abstract_supervisor._inflight_batch is not None
-        ):
-            return False
-        return True
+        supervisor = self.rec or self.abstract_supervisor
+        return supervisor is None or not supervisor.engine.busy
 
     @property
     def trace(self):

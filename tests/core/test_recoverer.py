@@ -66,6 +66,16 @@ def test_restart_log_records_decisions(station):
     assert restarts and restarts[0].cell_id == "R_mbus"
 
 
+def test_dead_rec_refuses_proactive_restart(station):
+    """The liveness check lives in the engine, once, for both front ends."""
+    station.manager.fail("rec")
+    assert station.rec.request_restart("R_rtu", "rejuvenation") is False
+    assert not station.trace.filter(kind="restart_ordered")
+    station.run_for(15.0)  # FD restarts REC
+    assert station.rec.request_restart("R_rtu", "rejuvenation") is True
+    assert station.trace.first("restart_ordered", trigger="rejuvenation")
+
+
 # ----------------------------------------------------------------------
 # FD/REC mutual recovery (§2.2's special cases)
 # ----------------------------------------------------------------------

@@ -2,22 +2,21 @@
 
 The supervisor itself is a restartable node: a :class:`SupervisorWatchdog`
 heartbeat restarts a crashed/hung supervisor, the fresh incarnation
-reconciles half-done episodes against observable process state, rebuilds
-the learning oracle from the session store, rescans for deaths it never
-observed — and the generation guard fences any pre-crash recovery plan
-callback so a stale plan can never execute after its author restarted.
+reconciles half-done episodes against observable process state, rescans
+for deaths it never observed — and the generation guard fences any
+pre-crash recovery plan callback so a stale plan can never execute after
+its author restarted.  What the engine does on its own (oracle persist and
+rebuild, store-outage fallback, guard order) is pinned without a front end
+in ``tests/core/test_recovery_engine.py``.
 """
 
 import pytest
 
-from repro.core.oracle import LearningOracle, PerfectOracle
+from repro.core.oracle import PerfectOracle
 from repro.core.policy import RestartPolicy
-from repro.core.recovery_strategies import StrategyMap
 from repro.core.tree import RestartTree, cell
 from repro.detection.abstract import AbstractSupervisor, SupervisorWatchdog
 from repro.faults.injector import FaultInjector
-from repro.faults.store_faults import StoreFaultModel
-from repro.mercury.session_store import SessionStore
 
 from tests.conftest import spawn_simple
 
@@ -32,17 +31,16 @@ def _tree():
     )
 
 
-def _rig(kernel, manager, *, oracle=None, store=None, strategies=None, **kwargs):
+def _rig(kernel, manager, **kwargs):
     for name in ("a", "b", "c"):
         spawn_simple(manager, name, work=1.0)
     manager.start_all()
     kernel.run()
     injector = FaultInjector(kernel, manager)
-    policy = RestartPolicy(_tree(), oracle or PerfectOracle(manager))
+    policy = RestartPolicy(_tree(), PerfectOracle(manager))
     supervisor = AbstractSupervisor(
         kernel, manager, policy, monitored=["a", "b", "c"],
-        observation_window=2.0, session_store=store, strategies=strategies,
-        **kwargs,
+        observation_window=2.0, **kwargs,
     )
     return injector, supervisor, policy
 
@@ -129,78 +127,18 @@ def test_restart_reconciles_open_episode_to_observing(kernel, manager):
     assert manager.all_running()
 
 
-def test_oracle_rebuilt_from_store_snapshot(kernel, manager):
-    oracle = LearningOracle(min_samples=1, confidence=0.5)
-    store = SessionStore()
-    _, supervisor, policy = _rig(kernel, manager, oracle=oracle, store=store)
-    SupervisorWatchdog(kernel, supervisor, period=1.0, grace=2.0)
-    oracle.notify_outcome(policy.tree, "b", "R_bc", cured=True)
-    store.save_snapshot("oracle", kernel.now, oracle.export_state())
-    kernel.run(until=1.0)
-    supervisor.crash()
-    kernel.run(until=10.0)
-    rebuilt = _kinds(kernel, "oracle_rebuilt")
-    assert len(rebuilt) == 1
-    assert rebuilt[0].data["origin"] == "store"
-    assert rebuilt[0].data["entries"] == 1
-    # The estimates survived the crash via the store.
-    assert oracle.recommend(policy.tree, "b") == "R_bc"
-
-
-def test_oracle_rebuilt_naive_when_store_down(kernel, manager):
-    oracle = LearningOracle(min_samples=1, confidence=0.5)
-    store = SessionStore()
-    faults = None
-    _, supervisor, policy = _rig(kernel, manager, oracle=oracle, store=store)
-    faults = StoreFaultModel(kernel)
-    store.attach_faults(faults)
-    SupervisorWatchdog(kernel, supervisor, period=1.0, grace=2.0)
-    oracle.notify_outcome(policy.tree, "b", "R_bc", cured=True)
-    store.save_snapshot("oracle", kernel.now, oracle.export_state())
-    kernel.run(until=1.0)
-    faults.crash(30.0)  # the snapshot exists but cannot be read
-    supervisor.crash()
-    kernel.run(until=10.0)
-    rebuilt = _kinds(kernel, "oracle_rebuilt")
-    assert len(rebuilt) == 1
-    assert rebuilt[0].data["origin"] == "naive"
-    # Amnesiac: back to the naive recommendation.
-    assert oracle.recommend(policy.tree, "b") == "R_b"
-
-
-def test_recovery_persists_oracle_snapshot(kernel, manager):
-    oracle = LearningOracle(min_samples=1, confidence=0.5)
-    store = SessionStore()
-    injector, supervisor, _ = _rig(kernel, manager, oracle=oracle, store=store)
-    failure = injector.inject_simple("a")
-    kernel.run(until=30.0)
-    assert not injector.is_active(failure.failure_id)
-    assert store.load_snapshot("oracle") is not None
-
-
-def test_microreboot_falls_back_to_restart_when_store_down(kernel, manager):
-    store = SessionStore()
-    faults = StoreFaultModel(kernel)
-    store.attach_faults(faults)
-    injector, supervisor, _ = _rig(
-        kernel, manager, store=store,
-        strategies=StrategyMap(default="microreboot"),
-    )
-    faults.crash(20.0)
-    failure = injector.inject_simple("a")
-    kernel.run(until=40.0)
-    fallbacks = _kinds(kernel, "strategy_fallback")
-    assert len(fallbacks) == 1
-    assert fallbacks[0].data["strategy"] == "microreboot"
-    assert fallbacks[0].data["fallback"] == "restart"
-    assert fallbacks[0].data["waited"] == pytest.approx(
-        sum(faults.retry_backoff)
-    )
-    # The fallback is announced before (or with) its order, never after.
-    order = _kinds(kernel, "restart_ordered")[0]
-    assert fallbacks[0].time == pytest.approx(order.time)
-    assert not injector.is_active(failure.failure_id)
-    assert manager.all_running()
+def test_dead_supervisor_refuses_proactive_restart(kernel, manager):
+    """Drift regression: an idle supervisor that crashed used to accept a
+    rejuvenation round, kill the cell, and then ignore every ``ready``."""
+    _, supervisor, _ = _rig(kernel, manager)
+    for down in (supervisor.crash, supervisor.hang):
+        down()
+        assert supervisor.request_restart("R_a", "rejuvenation") is False
+    kernel.run(until=5.0)
+    assert not _kinds(kernel, "restart_ordered")
+    assert manager.get("a").start_count == 1
+    supervisor.restart()
+    assert supervisor.request_restart("R_a", "rejuvenation") is True
 
 
 def test_watchdog_validation_and_stop(kernel, manager):

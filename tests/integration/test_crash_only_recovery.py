@@ -120,6 +120,34 @@ def test_rec_killed_mid_recovery_fences_stale_plan():
     assert not station.injector.is_active(failure.failure_id)
 
 
+def test_rec_killed_inside_observation_window_closes_episode_once():
+    """A restarted REC re-arms the observation expiry; the dead
+    incarnation's timer must not also fire and close the episode early
+    (``observation_expired`` does not check elapsed time itself)."""
+    station = MercuryStation(tree=tree_v(), seed=606, strategy="microreboot")
+    station.boot()
+    station.run_until_quiescent()
+    station.run_for(5.0)
+    failure = station.injector.inject_simple("rtu")
+    station.run_until_recovered(failure)
+    while not station.trace.filter(kind="restart_complete"):
+        assert station.kernel.step()
+    completed_at = station.kernel.now
+    window = station.config.observation_window
+    station.run_for(0.2 * window)
+    station.injector.inject_simple("rec", kind="flap")
+    station.run_for(4 * window + 30.0)
+
+    restarted = station.trace.filter(kind="supervisor_restarted")
+    assert len(restarted) == 1
+    rearmed_at = restarted[0].time
+    assert completed_at < rearmed_at
+    closed = station.trace.filter(kind="episode_closed", component="rtu")
+    assert len(closed) == 1
+    assert closed[0].time == pytest.approx(rearmed_at + window)
+    assert not station.policy.open_episodes()
+
+
 def test_rec_restart_rebuilds_learning_oracle_from_store():
     oracle = LearningOracle(min_samples=1, confidence=0.5)
     station = MercuryStation(
