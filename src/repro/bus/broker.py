@@ -23,7 +23,6 @@ message; the differential tests assert both modes are trace-identical.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from typing import Dict, List, Optional, TYPE_CHECKING
 
@@ -40,7 +39,12 @@ from repro.xmlcmd.commands import (
     TelemetryFrame,
     parse_message,
 )
-from repro.xmlcmd.fastpath import encode_ping_wire, scan_envelope, split_ping_wire
+from repro.xmlcmd.fastpath import (
+    encode_ping_wire,
+    fullparse_forced,
+    scan_envelope,
+    split_ping_wire,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.process import SimProcess
@@ -77,7 +81,7 @@ class BusBroker(Behavior):
         #: (snapshot/fork) where ``id()`` keys would dangle.
         self._endpoints: Dict["Endpoint", List[str]] = {}
         #: Legacy mode: full-parse every message instead of envelope routing.
-        self._fullparse = os.environ.get("REPRO_BUS_FULLPARSE", "") not in ("", "0")
+        self._fullparse = fullparse_forced()
         self.routed = 0
         self.dropped = 0
 

@@ -9,7 +9,6 @@ command language on the bus without being restartable components.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.errors import (
@@ -19,8 +18,14 @@ from repro.errors import (
     XmlError,
 )
 from repro.types import SimTime
-from repro.xmlcmd.commands import CommandMessage, Message, encode_message, parse_message
-from repro.xmlcmd.fastpath import LazyMessage, scan_envelope, split_ping_wire
+from repro.xmlcmd.commands import (
+    CommandMessage,
+    LazyMessage,
+    Message,
+    encode_message,
+    parse_message,
+)
+from repro.xmlcmd.fastpath import fullparse_forced, scan_envelope, split_ping_wire
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
@@ -57,7 +62,7 @@ class BusClient:
         self.received: List[Message] = []
         # Same escape hatch the broker honors: force eager full parsing for
         # differential runs against the lazy-decode fast path.
-        self._fullparse = os.environ.get("REPRO_BUS_FULLPARSE", "") == "1"
+        self._fullparse = fullparse_forced()
 
     # ------------------------------------------------------------------
     # connection
@@ -138,11 +143,15 @@ class BusClient:
         # messages never materializes a document at all.  Anything the scan
         # cannot vouch for takes the eager parse, so malformed traffic is
         # still dropped at delivery exactly as before.
-        if not self._fullparse and (
-            split_ping_wire(raw) is not None or scan_envelope(raw) is not None
-        ):
-            message: Message = LazyMessage(raw)  # type: ignore[assignment]
-        else:
+        message: Optional[Message] = None
+        if not self._fullparse:
+            if split_ping_wire(raw) is not None:
+                message = LazyMessage(raw)  # type: ignore[assignment]
+            else:
+                envelope = scan_envelope(raw)
+                if envelope is not None:
+                    message = LazyMessage(raw, envelope)  # type: ignore[assignment]
+        if message is None:
             try:
                 message = parse_message(raw)
             except XmlError:

@@ -15,7 +15,6 @@ begins from a fresh connection state because ``on_kill`` dropped everything.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.errors import ChannelClosedError, ConnectionRefusedError_, XmlError
@@ -24,6 +23,7 @@ from repro.obs import events as ev
 from repro.types import Severity, SimTime
 from repro.xmlcmd.commands import (
     CommandMessage,
+    LazyMessage,
     Message,
     PingReply,
     PingRequest,
@@ -31,8 +31,8 @@ from repro.xmlcmd.commands import (
     parse_message,
 )
 from repro.xmlcmd.fastpath import (
-    LazyMessage,
     encode_ping_wire,
+    fullparse_forced,
     scan_envelope,
     split_ping_wire,
 )
@@ -101,7 +101,7 @@ class BusAttachedBehavior(Behavior):
         self._replaying = False
         #: Eager-parse mode (differential runs): every inbound message goes
         #: through the full parser at delivery, as before the lazy client.
-        self._fullparse = os.environ.get("REPRO_BUS_FULLPARSE", "") == "1"
+        self._fullparse = fullparse_forced()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -250,7 +250,7 @@ class BusAttachedBehavior(Behavior):
                 return
             if self.process.degraded_mode == "zombie":
                 return  # real work silently dropped — only e2e probes see this
-            message = LazyMessage(raw)
+            message = LazyMessage(raw, env)
             if env.kind == "command" and env.verb == E2E_PROBE_VERB:
                 self._reply_probe(message)
                 return

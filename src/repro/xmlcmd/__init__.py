@@ -15,9 +15,10 @@ This package provides:
 * :mod:`repro.xmlcmd.serializer` — canonical serialization with escaping;
 * :mod:`repro.xmlcmd.commands` — the typed message schema (ping, ping reply,
   commands, telemetry, failure reports) used on the bus;
-* :mod:`repro.xmlcmd.fastpath` — wire-level fast paths (envelope scanning
-  for broker routing, templated ping encode, memoized ping decode) that are
-  bit-compatible with the full parse/serialize pipeline (DESIGN.md §8).
+* :mod:`repro.xmlcmd.fastpath` — the wire-level codec (envelope scanning
+  for broker routing, templated ping and command encode, regex-level ping
+  and command decode), bit-compatible with the full parse/serialize
+  pipeline, which remains the fallback and the test oracle (DESIGN.md §8).
 
 The point of carrying real (parsed, validated) XML through the simulated
 station — rather than passing Python objects — is fidelity to the paper's

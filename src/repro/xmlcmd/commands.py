@@ -6,6 +6,15 @@ one of the dataclasses below, serialized as a ``<msg type="...">`` document.
 schema and raises :class:`~repro.errors.CommandSchemaError` on violations, so
 components never dispatch on malformed input.
 
+Pings and commands — everything FD's liveness loop and the user-traffic
+plane put on the bus — are encoded and decoded at the wire level by
+:mod:`repro.xmlcmd.fastpath` without building an element tree.  The generic
+pipeline (``to_element`` → ``serialize_xml``, ``parse_xml`` →
+``message_from_element``) carries the other kinds, every non-canonical
+spelling, and is the oracle the codec tests compare against
+(:func:`parse_message_full`).  :class:`LazyMessage` lets a receiver defer
+even the wire-level decode until a field is read.
+
 Wire format examples::
 
     <msg type="ping" from="fd" to="ses" seq="17"/>
@@ -19,11 +28,18 @@ Wire format examples::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from repro.errors import CommandSchemaError
 from repro.xmlcmd.document import Element
-from repro.xmlcmd.fastpath import encode_ping_wire, split_ping_wire
+from repro.xmlcmd.fastpath import (
+    Envelope,
+    command_params,
+    encode_command_wire,
+    encode_ping_wire,
+    split_command_wire,
+    split_ping_wire,
+)
 from repro.xmlcmd.parser import parse_xml
 from repro.xmlcmd.serializer import serialize_xml
 
@@ -176,12 +192,17 @@ Message = Union[
 def encode_message(message: Message) -> str:
     """Serialize any schema message to its wire string.
 
-    Ping requests/replies — the bulk of bus traffic in availability runs —
-    take a templated fast path (:func:`repro.xmlcmd.fastpath.encode_ping_wire`)
-    that substitutes only ``seq`` into a cached prefix; its output is
+    Pings and commands — liveness traffic and every user request/reply —
+    are written from cached start-tag templates
+    (:func:`repro.xmlcmd.fastpath.encode_ping_wire` /
+    :func:`~repro.xmlcmd.fastpath.encode_command_wire`); their output is
     byte-identical to the generic element serialization below.
     """
     cls = message.__class__
+    if cls is CommandMessage:
+        return encode_command_wire(
+            message.sender, message.target, message.verb, message.params
+        )
     if cls is PingRequest:
         return encode_ping_wire("ping", message.sender, message.target, message.seq)
     if cls is PingReply:
@@ -212,11 +233,12 @@ def parse_message(text: str) -> Message:
     Raises :class:`~repro.errors.XmlParseError` for malformed XML and
     :class:`~repro.errors.CommandSchemaError` for schema violations.
 
-    Canonical ping requests/replies are decoded by a memoized wire-level
-    scan (:func:`repro.xmlcmd.fastpath.split_ping_wire`); everything else —
-    including schema-valid pings in a non-canonical spelling — goes through
-    :func:`parse_message_full` with identical results (equality is enforced
-    by the shared round-trip property tests).
+    Canonical pings and commands are decoded at the wire level
+    (:func:`repro.xmlcmd.fastpath.split_ping_wire` /
+    :func:`~repro.xmlcmd.fastpath.split_command_wire`); everything else —
+    including schema-valid messages in a non-canonical spelling — goes
+    through :func:`parse_message_full` with identical results (equality is
+    enforced by the shared round-trip property tests).
     """
     ping = split_ping_wire(text)
     if ping is not None:
@@ -224,6 +246,9 @@ def parse_message(text: str) -> Message:
         if kind == "ping":
             return PingRequest(sender, target, seq)
         return PingReply(sender, target, seq)
+    command = split_command_wire(text)
+    if command is not None:
+        return CommandMessage(*command)
     return parse_message_full(text)
 
 
@@ -284,3 +309,67 @@ def message_from_element(element: Element) -> Message:
             reason=element.get("reason", ""),
         )
     raise CommandSchemaError(f"unknown message type {kind!r}")
+
+
+class LazyMessage:
+    """A received bus message that defers decoding until first use.
+
+    Holds the wire string and, when the receiver's vouching scan produced
+    one, its :class:`~repro.xmlcmd.fastpath.Envelope`.  Any attribute access
+    delegates to the decoded message, produced exactly once and cached: a
+    vouched command is assembled from the envelope plus one ``findall`` for
+    its params, anything else goes through :func:`parse_message`.  The
+    ``__class__`` proxy makes ``isinstance(lazy, PingReply)`` (and dataclass
+    equality against a parsed message) behave as if the document had been
+    parsed eagerly — so consumers cannot tell the difference, except that a
+    consumer who looks at nothing pays for nothing.
+
+    Callers must only wrap strings the full parser is known to accept
+    (e.g. after a :func:`~repro.xmlcmd.fastpath.scan_envelope` or
+    :func:`~repro.xmlcmd.fastpath.split_ping_wire` hit), and only pass the
+    envelope scanned from that same string; wrapping garbage would surface
+    the parse error at first *access* instead of at delivery.
+    """
+
+    def __init__(self, raw: str, envelope: Optional[Envelope] = None) -> None:
+        self.raw = raw
+        self._envelope = envelope
+        self._msg: Optional[Message] = None
+
+    def _materialize(self) -> Message:
+        msg = self._msg
+        if msg is None:
+            envelope = self._envelope
+            if envelope is not None and envelope.kind == "command":
+                msg = CommandMessage(
+                    envelope.sender,
+                    envelope.target,
+                    envelope.verb,
+                    command_params(self.raw),
+                )
+            else:
+                msg = parse_message(self.raw)
+            self._msg = msg
+            # Adopt the decoded fields: every later ``lazy.verb`` is a plain
+            # attribute load, not a ``__getattr__`` round trip.
+            self.__dict__.update(msg.__dict__)
+        return msg
+
+    @property  # type: ignore[misc]
+    def __class__(self):
+        return self._materialize().__class__
+
+    def __getattr__(self, name: str):
+        return getattr(self._materialize(), name)
+
+    def __eq__(self, other: object) -> bool:
+        return self._materialize() == other
+
+    def __ne__(self, other: object) -> bool:
+        return self._materialize() != other
+
+    def __hash__(self) -> int:
+        return hash(self._materialize())
+
+    def __repr__(self) -> str:
+        return repr(self._materialize())

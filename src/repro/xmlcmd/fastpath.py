@@ -1,61 +1,72 @@
-"""Wire-level fast paths for the XML command language.
+"""Wire-level codec for the XML command language: strings in, tuples out.
 
-Three accelerations, all bit-compatible with the full parse/serialize pipe:
+Nothing here builds an :class:`~repro.xmlcmd.document.Element` or knows a
+message class; the typed layer (:mod:`repro.xmlcmd.commands`) dispatches to
+these functions first and keeps the element pipeline as the fallback.  Every
+function either produces exactly what the full pipeline
+(:func:`~repro.xmlcmd.parser.parse_xml` +
+:func:`~repro.xmlcmd.serializer.serialize_xml`) would, or returns ``None``
+so the caller takes the full pipeline and gets identical behavior —
+including identical error text in traces.
 
-* :func:`scan_envelope` — a single-pass scan of a message's *start tag*
-  (plus, for commands, a strict scan of the canonical ``<param>`` body) that
-  extracts only the fields the bus broker routes on (``type``/``from``/
-  ``to``/``verb``/``seq``) without building an element tree.  It is
-  deliberately conservative: it returns an :class:`Envelope` **only** when it
-  can guarantee that the full parser would accept the message and produce
-  the same routing fields; anything unusual (children, entity references,
-  whitespace oddities, schema violations) returns ``None`` so the caller
-  falls back to the full parser and gets identical behavior — including
-  identical error text in traces.
+Encode (byte-identical to ``serialize_xml(message.to_element())``):
 
-* :func:`encode_ping_wire` — ping request/reply serialization as a cached
-  template keyed by ``(kind, sender, target)`` with only ``seq``
-  substituted.  Pings are >90% of bus traffic in availability runs (FD's 1 s
-  liveness loop, §2.2), and their wire form differs only in the sequence
-  number.  Output is byte-identical to the canonical serializer.
+* :func:`encode_ping_wire` — cached ``(kind, sender, target)`` prefix, only
+  ``seq`` substituted.  Pings are >90% of bus traffic in availability runs
+  (FD's 1 s liveness loop, §2.2).
+* :func:`encode_command_wire` — cached ``(sender, target, verb)`` start
+  tag, ``<param>`` children joined per item.  Every user request and reply
+  is a command.
 
-* :func:`split_ping_wire` — the decode inverse: a memoized prefix cache
-  maps the constant ``<msg type="ping..." from="..." to="..." seq="`` head
-  of a canonical ping straight to its ``(kind, sender, target)`` triple, so
-  steady-state ping parsing is one ``find``, one dict hit, and one ``int()``.
+Decode (canonical spelling only — the serializer's own output):
 
-* :class:`LazyMessage` — a received wire string masquerading as its parsed
-  message.  Construction stores only the raw text; the first attribute
-  access (or ``isinstance`` check, via the ``__class__`` proxy) runs the
-  real parser once and caches the result.  An endpoint that never inspects
-  a message — a perf driver counting replies, a relay, a sink — therefore
-  never materializes a document at all.
+* :func:`split_ping_wire` — a memoized prefix cache maps the constant
+  ``<msg type="ping..." from="..." to="..." seq="`` head straight to its
+  triple: one ``find``, one dict hit, one ``int()``.
+* :func:`split_command_wire` — one anchored match of the whole canonical
+  command plus one ``findall`` for the params.  The same regex is the only
+  command recogniser: :func:`scan_envelope` tries it first, so a command in
+  any other spelling (reordered attributes, single quotes, whitespace,
+  entities, foreign children) is refused by both and judged by the parser.
+* :func:`scan_envelope` — the routing fields (``type``/``from``/``to``/
+  ``verb``/``seq``) of a canonical command or of a childless ping /
+  telemetry start tag in any spelling, for broker routing and receiver-side
+  vouching.  ``failure-report`` / ``restart-order`` always fall back: their
+  validity depends on children.
 
-The guarantee relied on throughout: these functions either produce exactly
-what the full pipeline (:func:`repro.xmlcmd.parser.parse_xml` +
-:func:`repro.xmlcmd.serializer.serialize_xml`) would, or signal the caller
-to take the full pipeline.  The differential tests in
-``tests/bus/test_fastpath_differential.py`` and
-``tests/xmlcmd/test_fastpath.py`` enforce this.
+:func:`fullparse_forced` is the one reader of ``REPRO_BUS_FULLPARSE``.
+
+The differential tests in ``tests/bus/test_fastpath_differential.py`` and
+``tests/xmlcmd/test_fastpath.py`` enforce the either-identical-or-refuse
+guarantee; DESIGN.md §8 has the per-hop table of who calls what.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from sys import intern as _intern
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
-from repro.xmlcmd.serializer import escape_attr
+from repro.xmlcmd.serializer import escape_attr, escape_text
 
-#: Message kinds whose routing decision is derivable from the start tag
-#: alone.  ``failure-report`` and ``restart-order`` are excluded: their
-#: schema validity depends on child elements, which an envelope scan cannot
-#: see, so they always take the full-parse fallback (they are rare on the
-#: bus — failure reports travel on the dedicated FD↔REC control channel).
-_ENVELOPE_KINDS = frozenset({"ping", "ping-reply", "command", "telemetry"})
+
+def fullparse_forced() -> bool:
+    """Whether ``REPRO_BUS_FULLPARSE`` asks for eager full parsing.
+
+    Broker, standalone client and component base all read the switch here,
+    so one value cannot run a full-parse broker against lazy clients.
+    """
+    return os.environ.get("REPRO_BUS_FULLPARSE", "") not in ("", "0")
+
+
+#: Childless kinds whose schema validity is decidable from the start tag in
+#: any spelling.  Commands have their own whole-document recogniser below.
+_ATTR_ONLY_KINDS = frozenset({"ping", "ping-reply", "telemetry"})
 
 # XML whitespace only (not Python's \s, which also matches \f\v and
 # Unicode spaces the parser rejects).
+_WS = " \t\r\n"
 _MSG_OPEN_RE = re.compile(r"<msg(?=[ \t\r\n/>])")
 # One attribute with a quoted value.  Values containing ``&`` (entities),
 # ``<`` (ill-formed) or the closing quote cannot match, which forces the
@@ -64,16 +75,19 @@ _ATTR_RE = re.compile(
     r"[ \t\r\n]+([A-Za-z_][A-Za-z0-9._-]*)=(?:\"([^\"&<]*)\"|'([^'&<]*)')"
 )
 
-# The canonical body of a command message: zero or more ``<param>``
-# children exactly as the compact serializer writes them (double quotes,
-# no inter-element whitespace, no entities — escaped text contains ``&``
-# and is excluded by the character classes), then the closing tag.
-# Anything else (other child tags, nesting, comments, hand-written
-# spacing) fails the match and falls back to the full parser, which by
-# construction judges those inputs correctly.
-_COMMAND_BODY_RE = re.compile(
-    r'(?:<param name="[^"&<>]*"(?:/>|>[^&<>]*</param>))*</msg>\Z'
+# The whole canonical command, exactly as the compact serializer writes it:
+# the start tag's four attributes in order with double quotes, then either
+# ``/>`` or zero or more ``<param>`` children and the closing tag.  No
+# inter-element whitespace, no entities (escaped text contains ``&`` and is
+# excluded by the character classes), nothing after the document.
+_COMMAND_RE = re.compile(
+    r'<msg type="command" from="([^"&<]*)" to="([^"&<]*)" verb="([^"&<]*)"'
+    r'(?:/>|>(?:<param name="[^"&<>]*"(?:/>|>[^&<>]*</param>))*</msg>)\Z'
 )
+# One canonical ``<param>``, with its name and (possibly absent) text
+# captured.  Run over a wire ``_COMMAND_RE`` accepted it finds exactly the
+# children: the start tag cannot contain ``<``.
+_PARAM_RE = re.compile(r'<param name="([^"&<>]*)"(?:/>|>([^&<>]*)</param>)')
 
 
 class Envelope(NamedTuple):
@@ -87,11 +101,16 @@ class Envelope(NamedTuple):
 
 
 def scan_envelope(raw: str) -> Optional[Envelope]:
-    """Extract routing fields from a self-closing ``<msg .../>`` start tag.
+    """Extract routing fields from a canonical command or a childless
+    ``<msg .../>`` start tag.
 
     Returns ``None`` whenever full parsing could behave differently —
     the caller must then run the full parser (and surface its errors).
     """
+    m = _COMMAND_RE.match(raw)
+    if m is not None:
+        sender, target, verb = m.groups()
+        return Envelope("command", _intern(sender), _intern(target), verb, None)
     m = _MSG_OPEN_RE.match(raw)
     if m is None:
         return None
@@ -109,31 +128,17 @@ def scan_envelope(raw: str) -> Optional[Envelope]:
             value = am.group(3)
         attrs[name] = value
         pos = am.end()
-    while pos < len(raw) and raw[pos] in " \t\r\n":
+    while pos < len(raw) and raw[pos] in _WS:
         pos += 1
-    # A complete, self-closing document is schema-checkable from the start
-    # tag alone.  Commands may additionally carry a canonical ``<param>``
-    # body (checked below); everything else with children — or trailing
-    # junk, which the full parser rejects — falls back.
-    if raw.startswith("/>", pos) and pos + 2 == len(raw):
-        body = None
-    elif pos < len(raw) and raw[pos] == ">":
-        body = raw[pos + 1 :]
-    else:
+    # Only a complete, self-closing document is schema-checkable from the
+    # start tag alone; children — or trailing junk, which the full parser
+    # rejects — fall back.
+    if not raw.startswith("/>", pos) or pos + 2 != len(raw):
         return None
     kind = attrs.get("type")
     sender = attrs.get("from")
     target = attrs.get("to")
-    if kind is None or sender is None or target is None or kind not in _ENVELOPE_KINDS:
-        return None
-    if kind == "command":
-        verb = attrs.get("verb")
-        if verb is None:
-            return None
-        if body is not None and _COMMAND_BODY_RE.match(body) is None:
-            return None
-        return Envelope(kind, _intern(sender), _intern(target), verb, None)
-    if body is not None:
+    if kind is None or sender is None or target is None or kind not in _ATTR_ONLY_KINDS:
         return None
     if kind == "ping" or kind == "ping-reply":
         seq_raw = attrs.get("seq")
@@ -155,10 +160,10 @@ def scan_envelope(raw: str) -> Optional[Envelope]:
 
 
 # ----------------------------------------------------------------------
-# ping templating
+# templated encode
 # ----------------------------------------------------------------------
 
-#: Bound on both caches.  Station component names are a small fixed set;
+#: Bound on every cache below.  Station component names are a small fixed set;
 #: the bound only guards pathological workloads (e.g. fuzzing) from
 #: unbounded growth — on overflow the cache is simply rebuilt.
 _CACHE_LIMIT = 4096
@@ -179,6 +184,36 @@ def encode_ping_wire(kind: str, sender: str, target: str, seq: int) -> str:
         )
         _encode_prefixes[key] = prefix
     return f'{prefix}{seq}"/>'
+
+
+_command_prefixes: Dict[Tuple[str, str, str], str] = {}
+
+
+def encode_command_wire(
+    sender: str, target: str, verb: str, params: Mapping[str, str]
+) -> str:
+    """Serialize a command, byte-identical to the canonical form."""
+    key = (sender, target, verb)
+    prefix = _command_prefixes.get(key)
+    if prefix is None:
+        if len(_command_prefixes) >= _CACHE_LIMIT:
+            _command_prefixes.clear()
+        prefix = (
+            f'<msg type="command" from="{escape_attr(sender)}"'
+            f' to="{escape_attr(target)}" verb="{escape_attr(verb)}"'
+        )
+        _command_prefixes[key] = prefix
+    if not params:
+        return prefix + "/>"
+    parts = [prefix, ">"]
+    for name, value in params.items():
+        text = escape_text(value)
+        if text:
+            parts.append(f'<param name="{escape_attr(name)}">{text}</param>')
+        else:
+            parts.append(f'<param name="{escape_attr(name)}"/>')
+    parts.append("</msg>")
+    return "".join(parts)
 
 
 # ----------------------------------------------------------------------
@@ -225,59 +260,27 @@ def split_ping_wire(raw: str) -> Optional[Tuple[str, str, str, int]]:
 
 
 # ----------------------------------------------------------------------
-# lazy decode
+# command decode
 # ----------------------------------------------------------------------
 
 
-class LazyMessage:
-    """A received bus message that defers parsing until first use.
+def command_params(raw: str) -> Dict[str, str]:
+    """The params of a wire :func:`scan_envelope` vouched for as a command.
 
-    Holds only the wire string.  Any attribute access delegates to the
-    parsed message, produced exactly once by
-    :func:`repro.xmlcmd.commands.parse_message` and cached.  The
-    ``__class__`` proxy makes ``isinstance(lazy, PingReply)`` (and dataclass
-    equality against a parsed message) behave as if the document had been
-    parsed eagerly — so consumers cannot tell the difference, except that a
-    consumer who looks at nothing pays for nothing.
-
-    Callers must only wrap strings the full parser is known to accept
-    (e.g. after a :func:`scan_envelope` or :func:`split_ping_wire` hit);
-    wrapping garbage would surface the parse error at first *access*
-    instead of at delivery.
+    Values are stripped of XML whitespace and a repeated name keeps its
+    last value, exactly as the parser and schema layer do.
     """
+    return {name: value.strip(_WS) for name, value in _PARAM_RE.findall(raw)}
 
-    __slots__ = ("raw", "_msg")
 
-    def __init__(self, raw: str) -> None:
-        self.raw = raw
-        self._msg = None
+def split_command_wire(raw: str) -> Optional[Tuple[str, str, str, Dict[str, str]]]:
+    """Decode a canonical command to ``(sender, target, verb, params)``.
 
-    def _materialize(self):
-        msg = self._msg
-        if msg is None:
-            # Imported here: commands.py imports this module's encoders, so
-            # a top-level import would be circular.
-            from repro.xmlcmd.commands import parse_message
-
-            msg = parse_message(self.raw)
-            self._msg = msg
-        return msg
-
-    @property  # type: ignore[misc]
-    def __class__(self):
-        return self._materialize().__class__
-
-    def __getattr__(self, name: str):
-        return getattr(self._materialize(), name)
-
-    def __eq__(self, other: object) -> bool:
-        return self._materialize() == other
-
-    def __ne__(self, other: object) -> bool:
-        return self._materialize() != other
-
-    def __hash__(self) -> int:
-        return hash(self._materialize())
-
-    def __repr__(self) -> str:
-        return repr(self._materialize())
+    Returns ``None`` for anything that is not *exactly* the serializer's
+    spelling; the full parser handles those identically (just slower).
+    """
+    m = _COMMAND_RE.match(raw)
+    if m is None:
+        return None
+    sender, target, verb = m.groups()
+    return sender, target, verb, command_params(raw)

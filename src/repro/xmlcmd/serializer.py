@@ -11,24 +11,23 @@ from typing import List
 
 from repro.xmlcmd.document import Element
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
-
 
 def escape_text(value: str) -> str:
     """Escape character data for element content."""
-    out = value
-    for char, entity in _TEXT_ESCAPES.items():
-        out = out.replace(char, entity)
-    return out
+    # ``&`` first: every entity's expansion contains one.  A literal chain —
+    # no table walk — because the values on the wire are short and clean
+    # (see DESIGN.md §8 for why this is not ``str.translate``).
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def escape_attr(value: str) -> str:
     """Escape character data for a double-quoted attribute value."""
-    out = value
-    for char, entity in _ATTR_ESCAPES.items():
-        out = out.replace(char, entity)
-    return out
+    return (
+        value.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+    )
 
 
 def serialize_xml(element: Element, indent: int = 0, compact: bool = True) -> str:

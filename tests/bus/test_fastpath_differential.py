@@ -36,6 +36,14 @@ SCENARIO_WIRES = [
     encode_message(PingReply("b", "a", 2)),
     encode_message(CommandMessage("a", "b", "track", {"az": "1.5"})),
     encode_message(CommandMessage("a", "b", "noop")),
+    # the user plane's exchange: one-param request, three-param reply
+    encode_message(CommandMessage("a", "b", "telemetry-query", {"req": "7"})),
+    encode_message(
+        CommandMessage(
+            "b", "a", "svc-reply", {"req": "7", "svc": "telemetry", "solutions": "3"}
+        )
+    ),
+    encode_message(CommandMessage("a", "b", "track", {"note": 'a&b <"c">', "flag": ""})),
     encode_message(TelemetryFrame("a", "b", "opal", "p7", 512)),
     encode_message(FailureReport("a", "b", ("ses",), 4.5)),
     encode_message(RestartOrder("a", "b", "R_ses", ("ses",), "begin")),
@@ -48,6 +56,12 @@ SCENARIO_WIRES = [
     '<msg type="ping" from="a" to="mbus" seq="NaN"/>',  # schema violation
     '<msg type="mystery" from="a" to="b"/>',  # unknown kind
     "<msg type='ping' from='a' to='mbus' seq='5'/>",  # non-canonical ping
+    # non-canonical commands: refused by the command recogniser, routed
+    # (or attached, or dropped) by the full parser
+    "<msg type='command' from='a' to='b' verb='noop'/>",
+    '<msg to="b" type="command" from="a" verb="noop"><param name="x"> 1 </param></msg>',
+    '<msg type="command" from="late" to="mbus" verb="attach" />',
+    '<msg type="command" from="a" to="nobody"/>',  # no verb: schema-rejected
     '<msg type="ping" from="a" to="mbus" seq="6"><!-- c --></msg>',  # children path
 ]
 

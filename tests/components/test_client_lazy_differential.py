@@ -19,6 +19,7 @@ from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network
+from repro.workload.plane import REPLY_VERB, SERVICE_VERBS
 from repro.xmlcmd.commands import (
     CommandMessage,
     FailureReport,
@@ -27,11 +28,12 @@ from repro.xmlcmd.commands import (
     RestartOrder,
     TelemetryFrame,
 )
-from repro.xmlcmd.fastpath import LazyMessage
+from repro.xmlcmd.commands import LazyMessage
 
 
 class RecorderBehavior(BusAttachedBehavior):
-    """Records everything dispatched to ``on_message``; echoes commands."""
+    """Records everything dispatched to ``on_message``; echoes commands and
+    answers the workload verbs the way the station's service endpoints do."""
 
     def __init__(self, process, network):
         super().__init__(process, network)
@@ -43,13 +45,33 @@ class RecorderBehavior(BusAttachedBehavior):
             self.send(
                 CommandMessage(self.name, message.sender, "echo-reply", message.params)
             )
+        elif isinstance(message, CommandMessage) and message.verb in _SERVED:
+            self.send(
+                CommandMessage(
+                    self.name,
+                    message.sender,
+                    REPLY_VERB,
+                    {
+                        "req": message.params.get("req", ""),
+                        "svc": _SERVED[message.verb],
+                        "served": str(len(self.messages)),
+                    },
+                )
+            )
 
 
-#: Every registered shape a client can receive, canonical and not.
+_SERVED = {verb: op for op, verb in SERVICE_VERBS.items()}
+
+#: Every registered shape a client can receive, canonical and not — the
+#: user plane's request for each service included.
 TRAFFIC = [
     PingRequest("ops", "rec", 1),
     CommandMessage("ops", "rec", "echo", {"az": "1.5"}),
     CommandMessage("ops", "rec", "track", {"el": "2"}),
+    *(
+        CommandMessage("ops", "rec", verb, {"req": str(rid)})
+        for rid, verb in enumerate(SERVICE_VERBS.values(), start=40)
+    ),
     TelemetryFrame("ops", "rec", "opal", "p7", 512),
     FailureReport("ops", "rec", ("ses",), 4.5),
     RestartOrder("ops", "rec", "R_ses", ("ses",), "begin"),
@@ -57,9 +79,9 @@ TRAFFIC = [
 ]
 
 
-def drive(fullparse: bool, monkeypatch):
+def drive(fullparse: bool, monkeypatch, knob: str = "1"):
     if fullparse:
-        monkeypatch.setenv("REPRO_BUS_FULLPARSE", "1")
+        monkeypatch.setenv("REPRO_BUS_FULLPARSE", knob)
     else:
         monkeypatch.delenv("REPRO_BUS_FULLPARSE", raising=False)
     kernel = Kernel(seed=4321)
@@ -76,6 +98,9 @@ def drive(fullparse: bool, monkeypatch):
     manager.start_all()
     kernel.run(until=kernel.now + 3.0)
     ops = BusClient(kernel, network, "ops")
+    # One reader, one rule: no value builds a half-legacy station.
+    stations = (manager.get("mbus").behavior, recorder.behavior, ops)
+    assert [part._fullparse for part in stations] == [fullparse] * 3
     ops.connect()
     kernel.run(until=kernel.now + 0.5)
     for message in TRAFFIC:
@@ -94,6 +119,17 @@ def test_dispatch_and_replies_identical_across_modes(monkeypatch):
     assert lazy_ops.received == full_ops.received
     assert [m for m in lazy_ops.received if isinstance(m, PingReply)]
 
+    # The request/reply exchange the user plane runs: one three-param
+    # reply per service, delivered unparsed in lazy mode and decoded from
+    # the envelope the vouching scan produced.
+    replies = [m for m in lazy_ops.received if getattr(m, "verb", None) == REPLY_VERB]
+    assert [(m.params["req"], m.params["svc"]) for m in replies] == [
+        ("40", "telemetry"),
+        ("41", "schedule"),
+        ("42", "uplink"),
+    ]
+    assert all(type(m) is LazyMessage and m._envelope is not None for m in replies)
+
     # The lazy mode really was lazy — and fullparse really was not.  The
     # flat wires (commands, telemetry) ride the envelope fast path; the
     # child-bearing kinds (failure reports, restart orders) are outside
@@ -105,6 +141,15 @@ def test_dispatch_and_replies_identical_across_modes(monkeypatch):
     }
     assert lazy_kinds == {"CommandMessage", "TelemetryFrame"}
     assert not any(type(m) is LazyMessage for m in full_rec.messages)
+
+
+def test_any_truthy_knob_value_means_fullparse_everywhere(monkeypatch):
+    """``REPRO_BUS_FULLPARSE=true`` used to switch the broker only, leaving
+    a full-parse broker routing to lazy clients."""
+    spelled, _ = drive(True, monkeypatch, knob="true")
+    one, _ = drive(True, monkeypatch)
+    assert spelled.messages == one.messages
+    assert not any(type(m) is LazyMessage for m in spelled.messages)
 
 
 def test_lazy_messages_are_interchangeable_with_parsed(monkeypatch):

@@ -8,6 +8,8 @@ from repro.obs import events
 from repro.workload.effects import UserEffects, merge_effects_payloads
 from repro.workload.plane import WorkloadPlane
 from repro.workload.generator import WorkloadSpec
+from repro.xmlcmd import commands
+from repro.xmlcmd.document import Element
 
 
 def _booted(label: str, seed: int = 21) -> MercuryStation:
@@ -144,3 +146,34 @@ def test_effects_merge_is_associative():
     assert merged.requests_failed == 3
     assert merged.lost_requests == 3 + 3
     assert merged.elapsed_s == 10.0
+
+
+def test_healthy_traffic_never_builds_an_element_tree(monkeypatch):
+    """Requests, replies and pings are coded at the wire level: once the
+    station is up, serving users must not run the XML parser or construct
+    a single :class:`Element` (the cost PR 13 removed, twice per request)."""
+    station = _booted("V")
+    plane = WorkloadPlane(station, WorkloadSpec(session_rate=20.0))
+    plane.start()
+    station.run_for(2.0)  # attach/sync traffic settles outside the window
+
+    calls = {"parse_xml": 0, "Element": 0}
+    parse_xml, element_init = commands.parse_xml, Element.__init__
+
+    def counting_parse(text):
+        calls["parse_xml"] += 1
+        return parse_xml(text)
+
+    def counting_init(self, *args, **kwargs):
+        calls["Element"] += 1
+        element_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(commands, "parse_xml", counting_parse)
+    monkeypatch.setattr(Element, "__init__", counting_init)
+    before = plane.effects.requests_ok
+    station.run_for(15.0)
+    monkeypatch.undo()
+
+    assert plane.effects.requests_ok - before >= 200
+    assert plane.effects.requests_failed == 0
+    assert calls == {"parse_xml": 0, "Element": 0}

@@ -1,6 +1,6 @@
-"""Fast-path equivalence tests: envelope scan, ping templating, memoized
-ping decode, and property-style round trips shared between the legacy
-(full-parse) and fast decode paths.
+"""Fast-path equivalence tests: envelope scan, ping and command templating,
+wire-level ping and command decode, and property-style round trips shared
+between the legacy (full-parse) and fast decode paths.
 
 Every test here enforces the same invariant: a fast path either produces a
 result byte/field-identical to the full pipeline, or refuses (returns
@@ -23,8 +23,15 @@ from repro.xmlcmd.commands import (
     parse_message,
     parse_message_full,
 )
-from repro.xmlcmd.fastpath import encode_ping_wire, scan_envelope, split_ping_wire
-from repro.xmlcmd.serializer import serialize_xml
+from repro.xmlcmd import fastpath
+from repro.xmlcmd.fastpath import (
+    encode_command_wire,
+    encode_ping_wire,
+    scan_envelope,
+    split_command_wire,
+    split_ping_wire,
+)
+from repro.xmlcmd.serializer import escape_attr, escape_text, serialize_xml
 
 #: Both decode paths; every round-trip test runs under each.
 DECODERS = [
@@ -32,11 +39,17 @@ DECODERS = [
     pytest.param(parse_message_full, id="legacy"),
 ]
 
+#: The user-traffic reply: the three-param command every request costs.
+SVC_REPLY = CommandMessage(
+    "ses", "users", "svc-reply", {"req": "4711", "svc": "telemetry", "solutions": "12"}
+)
+
 REGISTRY_MESSAGES = [
     PingRequest("fd", "ses", 17),
     PingReply("ses", "fd", 17),
     CommandMessage("a", "mbus", "attach"),
     CommandMessage("ses", "str", "track", {"azimuth": "143.2", "elevation": "67.9"}),
+    SVC_REPLY,
     TelemetryFrame("fedr", "ops", "opal", "p42", 4800),
     FailureReport("fd", "rec", ("ses", "str"), 12.125),
     RestartOrder("rec", "fd", "R_ses_str", ("ses", "str"), "begin"),
@@ -134,6 +147,110 @@ def test_split_ping_wire_embedded_seq_decoy():
 
 
 # ----------------------------------------------------------------------
+# command templating and wire-level decode
+# ----------------------------------------------------------------------
+
+def test_escape_chain_matches_sequential_replace():
+    """The entity tables the literal chains replaced, applied in order."""
+    tables = {
+        escape_text: (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;")),
+        escape_attr: (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;")),
+    }
+    for value in ("", "plain", "&amp;", '<a b="c">&</a>', "&&<<>>\"\"", "'&lt;'"):
+        for escape, table in tables.items():
+            expected = value
+            for char, entity in table:
+                expected = expected.replace(char, entity)
+            assert escape(value) == expected
+
+
+def test_encode_command_wire_survives_cache_rebuild():
+    """More distinct start tags than the prefix cache holds: the rebuild
+    must not change a byte, and the cache stays bounded."""
+    for i in range(fastpath._CACHE_LIMIT + 50):
+        message = CommandMessage(f"s{i}&", f'"t{i}"', "<v>", {"k": str(i)})
+        assert encode_message(message) == serialize_xml(message.to_element())
+        assert len(fastpath._command_prefixes) <= fastpath._CACHE_LIMIT
+    # a key seen before the rebuild is simply re-derived
+    first = CommandMessage("s0&", '"t0"', "<v>", {"k": "0"})
+    assert encode_message(first) == serialize_xml(first.to_element())
+
+
+#: Canonical and near-canonical wires the parser accepts.  The codec may
+#: decode or refuse each one, but never disagree with the parser.
+ACCEPTED_COMMAND_WIRES = [
+    encode_message(CommandMessage("a", "mbus", "attach")),
+    encode_message(SVC_REPLY),
+    encode_message(CommandMessage("a", "b", "v", {"flag": "", "x": "1"})),
+    '<msg type="command" from="a" to="b" verb="v"></msg>',  # empty params
+    '<msg type="command" from="a" to="b" verb="v"><param name="x">1</param>'
+    '<param name="x">2</param></msg>',  # duplicate name: last wins
+    '<msg type="command" from="a" to="b" verb="v"><param name="x"> \t1 2\r\n</param></msg>',
+    '<msg type="command" from="a" to="b" verb="v"><param name="x"> </param></msg>',
+    '<msg type="command" from="a>b" to="it\'s" verb=" v "><param name=" n ">1</param></msg>',
+]
+
+
+@pytest.mark.parametrize("raw", ACCEPTED_COMMAND_WIRES)
+def test_split_command_wire_agrees_with_full_parse(raw):
+    expected = parse_message_full(raw)
+    hit = split_command_wire(raw)
+    assert hit is not None
+    assert CommandMessage(*hit) == expected == parse_message(raw)
+    envelope = scan_envelope(raw)
+    assert envelope == ("command", expected.sender, expected.target, expected.verb, None)
+
+
+def test_split_command_wire_decodes_the_documented_cases():
+    body = '<msg type="command" from="a" to="b" verb="v">%s</msg>'
+    assert split_command_wire(body % "") == ("a", "b", "v", {})
+    twice = '<param name="x">1</param><param name="x">2</param>'
+    assert split_command_wire(body % twice) == ("a", "b", "v", {"x": "2"})
+    padded = '<param name="x"> 1 2\n</param><param name="y"/>'
+    assert split_command_wire(body % padded) == ("a", "b", "v", {"x": "1 2", "y": ""})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "<msg type='command' from='a' to='b' verb='v'/>",  # single quotes
+        '<msg from="a" type="command" to="b" verb="v"/>',  # reordered
+        '<msg type="command" from="a" to="b" verb="v" extra="x"/>',  # extra
+        '<msg type="command" from="a" to="b" verb="v" verb="w"/>',  # duplicate
+        '<msg type="command" from="a" to="b"/>',  # no verb
+        '<msg type="command" from="a" to="b" verb="v" />',  # space before />
+        '<msg type="command"  from="a" to="b" verb="v"/>',  # double space
+        '<msg type="command" from="a&amp;b" to="b" verb="v"/>',  # entity
+        '<msg type="command" from="a" to="b" verb="v"><param name="x">a&amp;b</param></msg>',
+        '<msg type="command" from="a" to="b" verb="v"><param name="x"><y/></param></msg>',
+        '<msg type="command" from="a" to="b" verb="v"><other/></msg>',  # foreign
+        '<msg type="command" from="a" to="b" verb="v">text<param name="x">1</param></msg>',
+        '<msg type="command" from="a" to="b" verb="v"><param name="x">1</param> </msg>',
+        '<msg type="command" from="a" to="b" verb="v"><param name="x" />  </msg>',
+        '<msg type="command" from="a" to="b" verb="v"><param name="x" name="y"/></msg>',
+        '<msg type="command" from="a" to="b" verb="v"><param>1</param></msg>',
+        '<msg type="command" from="a" to="b" verb="v"><param name="x">1</param>',  # unclosed
+        '<msg type="command" from="a" to="b" verb="v"/>junk',  # trailing junk
+        '<msg type="command" from="a" to="b" verb="v"></msg>\n',  # trailing newline
+        ' <msg type="command" from="a" to="b" verb="v"/>',  # leading space
+        '<msg type="ping" from="a" to="b" seq="1"/>',  # not a command
+    ],
+)
+def test_split_command_wire_refuses_non_canonical(raw):
+    """Refusal sends the wire to the parser; whatever it decides stands."""
+    assert split_command_wire(raw) is None
+    envelope = scan_envelope(raw)
+    assert envelope is None or envelope.kind != "command"
+    try:
+        expected = parse_message_full(raw)
+    except XmlError:
+        with pytest.raises(XmlError):
+            parse_message(raw)
+    else:
+        assert parse_message(raw) == expected
+
+
+# ----------------------------------------------------------------------
 # envelope scan
 # ----------------------------------------------------------------------
 
@@ -166,6 +283,8 @@ def test_envelope_covers_the_hot_shapes():
     assert envelope is not None and envelope.verb == "track"
     empty = CommandMessage("a", "b", "v", {"flag": ""})
     assert scan_envelope(encode_message(empty)) is not None
+    reply = scan_envelope(encode_message(SVC_REPLY))
+    assert reply == ("command", "ses", "users", "svc-reply", None)
 
 
 @pytest.mark.parametrize(
@@ -189,6 +308,11 @@ def test_envelope_covers_the_hot_shapes():
         "<msg type=\"command\" from=\"a\" to=\"b\" verb=\"v\"><param name='x'>1</param></msg>",
         '<msg type="command" from="a" to="b" verb="v"><param>1</param></msg>',
         '<msg type="ping" from="a" to="b" seq="1"></msg>',  # only commands may have a body
+        # schema-valid commands in a non-canonical spelling: there is one
+        # command recogniser and it knows one spelling
+        "<msg type='command' from='a' to='b' verb='v'/>",
+        '<msg from="a" type="command" to="b" verb="v"/>',
+        '<msg type="command" from="a" to="b" verb="v" />',
     ],
 )
 def test_envelope_refuses_anything_it_cannot_guarantee(raw):
@@ -237,8 +361,74 @@ def test_ping_template_matches_serializer_property(sender, target, seq):
     assert parse_message_full(wire) == message
 
 
-@given(raw=st.text(max_size=40))
-@settings(max_examples=100, deadline=None)
+#: Text that stresses the encoder: the escapable characters in every
+#: position, empty values, values padded with XML whitespace.
+_wire_text = st.one_of(
+    _attr_text,
+    st.text(alphabet='"&<>\'ab ', max_size=8),
+    st.just(""),
+    st.builds("{}{}{}".format, st.sampled_from([" ", "\t", "\r\n"]), _attr_text, st.just(" ")),
+)
+
+
+@given(
+    sender=_wire_text,
+    target=_wire_text,
+    verb=_wire_text,
+    params=st.dictionaries(_wire_text, _wire_text, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_command_template_matches_serializer_property(sender, target, verb, params):
+    """Escaping-heavy commands: template and generic serializer agree
+    byte for byte, and the wire decodes the same on both paths."""
+    message = CommandMessage(sender, target, verb, params)
+    wire = encode_message(message)
+    assert wire == encode_command_wire(sender, target, verb, params)
+    assert wire == serialize_xml(message.to_element())
+    assert parse_message(wire) == parse_message_full(wire)
+
+
+#: Command-shaped text: a start tag (canonical or a near miss), a body of
+#: whole children (canonical or foreign), a close and maybe trailing junk —
+#: so the fuzzer reaches the command recogniser, and about one example in
+#: ten gets through it, instead of dying at the first character.
+_CANONICAL_HEAD = '<msg type="command" from="a" to="b" verb="v"'
+_command_fragments = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(
+        [_CANONICAL_HEAD] * 3
+        + [
+            _CANONICAL_HEAD + ' seq="1"',
+            _CANONICAL_HEAD.replace('"', "'"),
+            '<msg to="b" type="command" from="a" verb="v"',
+            '<msg type="command" from="a" to="b"',
+        ]
+    ),
+    st.one_of(
+        st.just("/>"),
+        st.lists(
+            st.sampled_from(
+                [
+                    '<param name="x">1</param>',
+                    '<param name="x"> 1 </param>',
+                    '<param name="y"/>',
+                    '<param name="y"></param>',
+                    '<param name="x">&amp;</param>',
+                    "<other/>",
+                    "<!-- c -->",
+                    " ",
+                ]
+            ),
+            max_size=4,
+        ).map(lambda children: ">" + "".join(children) + "</msg>"),
+        st.just('><param name="x">1'),
+    ),
+    st.sampled_from(["", "", " ", "junk"]),
+)
+
+
+@given(raw=st.one_of(st.text(max_size=40), _command_fragments))
+@settings(max_examples=300, deadline=None)
 def test_arbitrary_text_never_diverges(raw):
     """Fuzz: both decode paths agree on accept/reject and on the result."""
     try:
