@@ -62,10 +62,11 @@ store-chaos-smoke:
 	$(PYTHON) -m repro.cli chaos --scenario store-outage \
 		--scenario rogue-oracle-crash --tree V --trials 1 --seed 7
 
-# Same-seed double runs of a chaos campaign and an availability run,
-# byte-comparing the JSONL traces and result payloads — plus the
-# snapshot-vs-fresh-boot leg (warmed-station forks must be bit-identical
-# to full boots, and share the campaign cache keys).
+# Every experiment plane run more than once and byte-compared: same-seed
+# double runs (three chaos scenarios and an availability run with their
+# JSONL traces, a strategy cell, a workload cell), warmed-station forks vs
+# fresh boots (snapshot=False), serial vs two worker processes, and one
+# fleet across shard counts and process fan-out.
 check-determinism:
 	$(PYTHON) tools/check_determinism.py
 

@@ -16,9 +16,9 @@ single-pass scan that never builds an element tree — and forwards the
 original raw string untouched.  Any message the scan cannot *guarantee* to
 judge identically to the full parser (children, entities, malformed input)
 falls back to full parsing, so observable behavior — routing decisions,
-counters, trace records and their error text — is identical.  Setting
-``REPRO_BUS_FULLPARSE=1`` forces the legacy full-parse path for every
-message; the differential tests assert both modes are trace-identical.
+counters, trace records and their error text — is identical: the
+differential tests make the scanners refuse every wire (the full-parse
+reference, ``tests/conftest.py``) and assert the traces do not move.
 """
 
 from __future__ import annotations
@@ -30,37 +30,13 @@ from repro.components.base import Behavior
 from repro.errors import ChannelClosedError, XmlError
 from repro.obs import events as ev
 from repro.types import Severity
-from repro.xmlcmd.commands import (
-    CommandMessage,
-    FailureReport,
-    PingReply,
-    PingRequest,
-    RestartOrder,
-    TelemetryFrame,
-    parse_message,
-)
-from repro.xmlcmd.fastpath import (
-    encode_ping_wire,
-    fullparse_forced,
-    scan_envelope,
-    split_ping_wire,
-)
+from repro.xmlcmd.commands import envelope_of, parse_message
+from repro.xmlcmd.fastpath import encode_ping_wire, scan_envelope, split_ping_wire
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.process import SimProcess
     from repro.transport.channel import Endpoint
     from repro.transport.network import Network
-
-#: Wire ``type`` attribute for each schema class (for trace payloads that
-#: must be identical whether a message came off the fast or legacy path).
-_WIRE_KINDS = {
-    PingRequest: "ping",
-    PingReply: "ping-reply",
-    CommandMessage: "command",
-    TelemetryFrame: "telemetry",
-    FailureReport: "failure-report",
-    RestartOrder: "restart-order",
-}
 
 
 class BusBroker(Behavior):
@@ -80,8 +56,6 @@ class BusBroker(Behavior):
         #: hash by identity, so this survives structural copying
         #: (snapshot/fork) where ``id()`` keys would dangle.
         self._endpoints: Dict["Endpoint", List[str]] = {}
-        #: Legacy mode: full-parse every message instead of envelope routing.
-        self._fullparse = fullparse_forced()
         self.routed = 0
         self.dropped = 0
 
@@ -144,87 +118,56 @@ class BusBroker(Behavior):
 
     def _on_raw(self, endpoint: "Endpoint", raw: str) -> None:
         mode = self.process.degraded_mode
+        if mode == "hang":
+            return  # fail-slow broker: a hung mbus consumes nothing
+        # Canonical pings (>90% of availability-run traffic) are decided by
+        # the memoized prefix split alone — no attribute scan at all.
+        ping = split_ping_wire(raw)
         if mode is not None:
-            # Fail-slow broker: a hung mbus consumes nothing; a zombie mbus
-            # answers its own liveness pings but routes nothing, so every
-            # *other* component looks dead through it.  (Same path in both
-            # parser modes — degraded runs are outside the differential
-            # trace contract.)
-            if mode == "hang":
-                return
-            ping = split_ping_wire(raw)
+            # A zombie mbus answers its own (canonical) liveness pings but
+            # routes nothing, so every *other* component looks dead through
+            # it.  Degraded runs are outside the differential trace contract.
             if ping is not None and ping[0] == "ping" and ping[2] == self.name:
                 self._reply_ping(ping[1], ping[3])
             return
-        if not self._fullparse:
-            # Canonical pings (>90% of availability-run traffic) are decided
-            # by the memoized prefix split alone — no attribute scan at all.
-            ping = split_ping_wire(raw)
-            if ping is not None:
-                kind, sender, target, seq = ping
-                if target == self.name:
-                    if kind == "ping":
-                        self._reply_ping(sender, seq)
-                    else:
-                        self._drop_misaddressed(kind)
-                else:
-                    self._forward(target, raw)
-                return
+        if ping is not None:
+            kind, sender, target, seq = ping
+            verb = None
+        else:
             envelope = scan_envelope(raw)
-            if envelope is not None:
-                if envelope.verb == "attach" and envelope.kind == "command":
-                    self._attach(envelope.sender, endpoint)
-                elif envelope.target == self.name:
-                    self._handle_own_envelope(envelope)
-                else:
-                    self._forward(envelope.target, raw)
-                return
-            # Unscannable: fall through to the full parser so malformed
-            # input produces the exact legacy error traces.
-        try:
-            message = parse_message(raw)
-        except XmlError as error:
+            if envelope is None:
+                # Unscannable: the full parser judges it, so malformed
+                # input produces the parser's own error text in the trace.
+                try:
+                    envelope = envelope_of(parse_message(raw))
+                except XmlError as error:
+                    self.dropped += 1
+                    self.trace(
+                        ev.BUS_BAD_MESSAGE, severity=Severity.WARNING, error=str(error)
+                    )
+                    return
+            kind, sender, target, verb, seq = envelope
+        if kind == "command" and verb == "attach":
+            self._attach(sender, endpoint)
+        elif target != self.name:
+            self._forward(target, raw)
+        elif kind == "ping":
+            self._reply_ping(sender, seq)
+        else:
+            # The broker only answers pings; anything else addressed to
+            # ``mbus`` is misrouted control traffic and must be visible,
+            # not silent.
             self.dropped += 1
             self.trace(
-                ev.BUS_BAD_MESSAGE, severity=Severity.WARNING, error=str(error)
+                ev.BUS_BAD_MESSAGE,
+                severity=Severity.WARNING,
+                error=f"unhandled {kind} message addressed to the broker",
             )
-            return
-        if isinstance(message, CommandMessage) and message.verb == "attach":
-            self._attach(message.sender, endpoint)
-            return
-        if message.target == self.name:
-            self._handle_own(message)
-            return
-        self._forward(message.target, raw)
-
-    def _handle_own(self, message: object) -> None:
-        """A fully parsed message addressed to the broker itself."""
-        if isinstance(message, PingRequest):
-            self._reply_ping(message.sender, message.seq)
-            return
-        self._drop_misaddressed(_WIRE_KINDS.get(type(message), "unknown"))
-
-    def _handle_own_envelope(self, envelope) -> None:
-        """An envelope-scanned message addressed to the broker itself."""
-        if envelope.kind == "ping":
-            self._reply_ping(envelope.sender, envelope.seq)
-            return
-        self._drop_misaddressed(envelope.kind)
 
     def _reply_ping(self, requester: str, seq: int) -> None:
         # Template-serialized reply: only ``seq`` varies between pings from
         # the same requester (byte-identical to the generic serializer).
         self._forward(requester, encode_ping_wire("ping-reply", self.name, requester, seq))
-
-    def _drop_misaddressed(self, kind: str) -> None:
-        # The broker only answers pings; anything else addressed to ``mbus``
-        # is misrouted control traffic and must be visible, not silent.
-        self.dropped += 1
-        self.trace(
-            ev.BUS_BAD_MESSAGE,
-            severity=Severity.WARNING,
-            error=f"unhandled {kind} message addressed to the broker",
-        )
 
     def _forward(self, target: Optional[str], raw: str) -> None:
         """Send the original wire string to the endpoint attached as ``target``."""

@@ -25,7 +25,7 @@ from repro.xmlcmd.commands import (
     encode_message,
     parse_message,
 )
-from repro.xmlcmd.fastpath import fullparse_forced, scan_envelope, split_ping_wire
+from repro.xmlcmd.fastpath import scan_envelope, split_ping_wire
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
@@ -60,9 +60,6 @@ class BusClient:
         self._closed = False
         self._reconnect_pending = False
         self.received: List[Message] = []
-        # Same escape hatch the broker honors: force eager full parsing for
-        # differential runs against the lazy-decode fast path.
-        self._fullparse = fullparse_forced()
 
     # ------------------------------------------------------------------
     # connection
@@ -143,19 +140,18 @@ class BusClient:
         # messages never materializes a document at all.  Anything the scan
         # cannot vouch for takes the eager parse, so malformed traffic is
         # still dropped at delivery exactly as before.
-        message: Optional[Message] = None
-        if not self._fullparse:
-            if split_ping_wire(raw) is not None:
-                message = LazyMessage(raw)  # type: ignore[assignment]
+        message: Message
+        if split_ping_wire(raw) is not None:
+            message = LazyMessage(raw)  # type: ignore[assignment]
+        else:
+            envelope = scan_envelope(raw)
+            if envelope is not None:
+                message = LazyMessage(raw, envelope)  # type: ignore[assignment]
             else:
-                envelope = scan_envelope(raw)
-                if envelope is not None:
-                    message = LazyMessage(raw, envelope)  # type: ignore[assignment]
-        if message is None:
-            try:
-                message = parse_message(raw)
-            except XmlError:
-                return
+                try:
+                    message = parse_message(raw)
+                except XmlError:
+                    return
         if self.retain_messages:
             self.received.append(message)
         if self._handlers:

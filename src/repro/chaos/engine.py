@@ -204,7 +204,7 @@ def run_chaos(
     sinks: Sequence[Sink] = (),
     max_restart_duration: float = 180.0,
     quiesce_timeout: float = 600.0,
-    snapshot: Optional[bool] = None,
+    snapshot: bool = True,
     strategy: Optional[str] = None,
 ) -> ChaosResult:
     """Run ``trials`` episodes of ``scenario`` against one tree.
@@ -217,8 +217,8 @@ def run_chaos(
 
     Station setup goes through the warmed-station snapshot cache: the
     invariant checker and sinks attach after the (deterministic, clean)
-    boot, so they observe exactly the chaos portion of the run in both the
-    snapshot and fresh-boot modes.
+    boot, so they observe exactly the chaos portion of the run whether the
+    station was restored or (``snapshot=False``) booted afresh.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)

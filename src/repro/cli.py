@@ -2,17 +2,24 @@
 
 Usage::
 
+    python -m repro.cli trees
     python -m repro.cli recovery --tree V --component rtu --trials 20
     python -m repro.cli table2 --trials 40 --jobs 4
     python -m repro.cli table4 --trials 40 --jobs 4 --cache-dir .repro-cache
-    python -m repro.cli trees
     python -m repro.cli availability --days 3 --jobs 2
     python -m repro.cli passes --days 7 --tree I --tree V
+    python -m repro.cli chaos --scenario cascade --tree V --trials 1
+    python -m repro.cli strategy-compare --strategy microreboot --kind crash
+    python -m repro.cli workload --strategy classic --strategy restart --rate 8
+    python -m repro.cli detection-ablation --tree V
+    python -m repro.cli fleet --size 8 --horizon 120 --wave-interval 60 --shards 2
+    python -m repro.cli trace run.jsonl --source rec --limit 20
 
 Every subcommand prints the same paper-layout tables the benches produce;
 the CLI is a thin veneer over :mod:`repro.experiments`.  Campaign-style
-subcommands (``table2``, ``table4``, ``availability``) accept ``--jobs N``
-to fan cells across worker processes and ``--cache-dir`` to reuse the
+subcommands (``table2``, ``table4``, ``availability``, ``chaos``,
+``strategy-compare``, ``workload``, ``fleet``) honour ``--jobs N`` to fan
+cells across worker processes and ``--cache-dir`` to reuse the
 content-addressed result cache — results are bit-identical for any jobs
 value.  ``--profile`` wraps any subcommand in :mod:`cProfile` (most useful
 with ``--jobs 1``, since workers run in separate processes).
@@ -27,11 +34,14 @@ from typing import List, Optional, Sequence
 
 from repro.core.recovery_strategies import strategy_names
 from repro.core.render import render_tree
-from repro.experiments.availability import measure_availability_suite
 from repro.experiments.passes_experiment import run_pass_campaign
 from repro.experiments.recovery import measure_recovery, measure_recovery_row
 from repro.experiments.report import format_phase_breakdown, format_table
-from repro.experiments.runner import run_recovery_matrix
+from repro.experiments.runner import (
+    run_availability_suite,
+    run_fleet_campaign,
+    run_recovery_matrix,
+)
 from repro.chaos.scenarios import SCENARIOS
 from repro.experiments.strategy_compare import FAILURE_KINDS
 from repro.mercury.trees import TREE_BUILDERS
@@ -419,7 +429,7 @@ def cmd_table4(args: argparse.Namespace) -> int:
 
 def cmd_availability(args: argparse.Namespace) -> int:
     labels = args.tree or ["I", "V"]
-    suite = measure_availability_suite(
+    suite = run_availability_suite(
         labels,
         horizon_s=args.days * 86400.0,
         seed=args.seed,
@@ -871,25 +881,32 @@ def cmd_passes(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.experiments.fleet import run_fleet_suite
-
     sizes = args.size or [16, 64]
     intervals = args.wave_interval if args.wave_interval is not None else [0.0, 150.0]
+    # Sharding is an execution knob (bit-identical results), threaded
+    # through the environment so it can never enter a cell spec — and put
+    # back afterwards, so a later ``main()`` in this process does not
+    # inherit this call's layout.
+    prior = os.environ.get("REPRO_FLEET_SHARDS")
     if args.shards is not None:
-        # Sharding is an execution knob (bit-identical results), threaded
-        # through the environment so it can never enter a cell spec.
         os.environ["REPRO_FLEET_SHARDS"] = str(args.shards)
-    suite = run_fleet_suite(
-        sizes,
-        tree=args.tree or "V",
-        horizon_s=args.horizon,
-        seed=args.seed,
-        wave_intervals=intervals,
-        wave_drop=args.wave_drop,
-        request_rate=args.request_rate,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-    )
+    try:
+        suite = run_fleet_campaign(
+            sizes,
+            tree=args.tree or "V",
+            horizon_s=args.horizon,
+            seed=args.seed,
+            wave_intervals=intervals,
+            wave_drop=args.wave_drop,
+            request_rate=args.request_rate,
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+        )
+    finally:
+        if prior is not None:
+            os.environ["REPRO_FLEET_SHARDS"] = prior
+        elif args.shards is not None:
+            del os.environ["REPRO_FLEET_SHARDS"]
     with_effects = args.request_rate > 0
     rows = []
     for size in sizes:

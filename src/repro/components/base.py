@@ -26,16 +26,11 @@ from repro.xmlcmd.commands import (
     LazyMessage,
     Message,
     PingReply,
-    PingRequest,
     encode_message,
+    envelope_of,
     parse_message,
 )
-from repro.xmlcmd.fastpath import (
-    encode_ping_wire,
-    fullparse_forced,
-    scan_envelope,
-    split_ping_wire,
-)
+from repro.xmlcmd.fastpath import encode_ping_wire, scan_envelope, split_ping_wire
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.process import SimProcess
@@ -99,9 +94,6 @@ class BusAttachedBehavior(Behavior):
         self._session_store = session_store
         self._replay_pending = False
         self._replaying = False
-        #: Eager-parse mode (differential runs): every inbound message goes
-        #: through the full parser at delivery, as before the lazy client.
-        self._fullparse = fullparse_forced()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -238,38 +230,28 @@ class BusAttachedBehavior(Behavior):
                 self._session_store.log_message(self.name, raw)
             except StoreError:
                 pass
-        env = None if self._fullparse else scan_envelope(raw)
+        message: Message
+        env = scan_envelope(raw)
         if env is not None:
             # Vouched wire: the full parser is guaranteed to accept it, so
-            # routing decisions run on the envelope and the payload stays a
-            # string unless ``on_message`` actually looks inside.
-            if env.kind == "ping":
-                # A schema-valid ping in non-canonical form (canonical ones
-                # took the wire fast path above).
-                self.send(PingReply(sender=self.name, target=env.sender, seq=env.seq))
+            # the payload stays a string unless ``on_message`` actually
+            # looks inside.
+            message = LazyMessage(raw, env)  # type: ignore[assignment]
+        else:
+            try:
+                message = parse_message(raw)
+            except XmlError as error:
+                self.trace(ev.BAD_MESSAGE, severity=Severity.WARNING, error=str(error))
                 return
-            if self.process.degraded_mode == "zombie":
-                return  # real work silently dropped — only e2e probes see this
-            message = LazyMessage(raw, env)
-            if env.kind == "command" and env.verb == E2E_PROBE_VERB:
-                self._reply_probe(message)
-                return
-            self.on_message(message)  # type: ignore[arg-type]
-            return
-        try:
-            message = parse_message(raw)
-        except XmlError as error:
-            self.trace(ev.BAD_MESSAGE, severity=Severity.WARNING, error=str(error))
-            return
-        if isinstance(message, PingRequest):
-            self.send(PingReply(sender=self.name, target=message.sender, seq=message.seq))
+            env = envelope_of(message)
+        if env.kind == "ping":
+            # A schema-valid ping in non-canonical form (canonical ones took
+            # the wire fast path above).
+            self.send(PingReply(sender=self.name, target=env.sender, seq=env.seq))
             return
         if self.process.degraded_mode == "zombie":
             return  # real work silently dropped — only e2e probes see this
-        if (
-            isinstance(message, CommandMessage)
-            and message.verb == E2E_PROBE_VERB
-        ):
+        if env.kind == "command" and env.verb == E2E_PROBE_VERB:
             # End-to-end probes exercise the worker path, not the liveness
             # thread, so they sit *behind* the zombie gate: a zombie answers
             # pings above but never reaches this reply.

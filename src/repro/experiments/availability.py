@@ -64,7 +64,7 @@ def measure_availability(
     config: StationConfig = PAPER_CONFIG,
     oracle: str = "perfect",
     sinks: Sequence = (),
-    snapshot: Optional[bool] = None,
+    snapshot: bool = True,
 ) -> AvailabilityResult:
     """Run steady-state faults for ``horizon_s`` and account availability.
 
@@ -129,31 +129,4 @@ def measure_availability(
             for name in station.station_components
         },
         phase_breakdown=metrics.phase_snapshot(),
-    )
-
-
-def measure_availability_suite(
-    tree_labels: Sequence[str],
-    horizon_s: float,
-    seed: int = 0,
-    config: StationConfig = PAPER_CONFIG,
-    oracle: str = "perfect",
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[str, AvailabilityResult]:
-    """Availability for several trees via the parallel campaign runner.
-
-    One worker per tree; per-tree seeds are hash-derived from ``seed`` so
-    the tree list's composition never perturbs another tree's fault stream.
-    """
-    from repro.experiments.runner import run_availability_suite
-
-    return run_availability_suite(
-        tree_labels,
-        horizon_s,
-        seed=seed,
-        config=config,
-        oracle=oracle,
-        jobs=jobs,
-        cache_dir=cache_dir,
     )

@@ -261,7 +261,7 @@ class StationShell(FleetShell):
         shell_id: int,
         spec: FleetSpec,
         config: StationConfig,
-        snapshot: Optional[bool] = None,
+        snapshot: bool = True,
     ) -> None:
         builder = _StationBuild(spec, config)
         station = warmed_station(
@@ -501,7 +501,7 @@ class _ShardFactory:
         spec: FleetSpec,
         config: StationConfig,
         blobs: Optional[Dict[str, bytes]] = None,
-        snapshot: Optional[bool] = None,
+        snapshot: bool = True,
     ) -> None:
         self.spec = spec
         self.config = config
@@ -632,7 +632,7 @@ def run_fleet_cell(
     config: StationConfig = PAPER_CONFIG,
     shards: int = 1,
     jobs: Optional[int] = None,
-    snapshot: Optional[bool] = None,
+    snapshot: bool = True,
     share_templates: bool = True,
 ) -> FleetResult:
     """Run one fleet to its horizon; bit-identical for any ``shards``/``jobs``.
@@ -658,7 +658,7 @@ def run_fleet_cell(
     # those stations still boot fresh; only the clock is read.
     start = warm_template(shape, builder.build, builder.warm).kernel.now
     blobs: Optional[Dict[str, bytes]] = None
-    if parallel and share_templates and (snapshot is None or snapshot):
+    if parallel and share_templates and snapshot:
         from repro.experiments.template_store import STORE
 
         publish_template(shape, builder.build, builder.warm)
@@ -682,39 +682,4 @@ def run_fleet_cell(
         wave_interval_s=spec.wave_interval_s,
         stations=stations,
         ground=results[GROUND_ID],
-    )
-
-
-def run_fleet_suite(
-    sizes: Sequence[int],
-    tree: str = "V",
-    horizon_s: float = 600.0,
-    seed: int = 0,
-    wave_intervals: Sequence[float] = (0.0,),
-    wave_drop: float = 0.0,
-    request_rate: float = 0.0,
-    config: StationConfig = PAPER_CONFIG,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[Tuple[int, float], FleetResult]:
-    """Sweep fleet size × wave regime through the campaign runner.
-
-    Each (size, wave_interval) pair is one cached campaign cell; ``jobs``
-    fans *cells* across workers (in-cell shard fan-out is governed by
-    ``REPRO_FLEET_SHARDS``/``REPRO_FLEET_JOBS``, which never change
-    results).  Returns results keyed by ``(size, wave_interval_s)``.
-    """
-    from repro.experiments.runner import run_fleet_campaign
-
-    return run_fleet_campaign(
-        sizes,
-        tree=tree,
-        horizon_s=horizon_s,
-        seed=seed,
-        wave_intervals=wave_intervals,
-        wave_drop=wave_drop,
-        request_rate=request_rate,
-        config=config,
-        jobs=jobs,
-        cache_dir=cache_dir,
     )

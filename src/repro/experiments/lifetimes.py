@@ -12,7 +12,7 @@ the configured values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.core.tree import RestartTree
 from repro.experiments.metrics import UptimeTracker
@@ -46,7 +46,7 @@ def measure_lifetimes(
     seed: int = 0,
     config: StationConfig = PAPER_CONFIG,
     correlations: bool = False,
-    snapshot: Optional[bool] = None,
+    snapshot: bool = True,
 ) -> LifetimeResult:
     """Run ``horizon_s`` simulated seconds of steady-state failures.
 
@@ -111,27 +111,4 @@ def measure_lifetimes(
         observed_mttf=observed,
         failures=failures,
         system_availability=tracker.system_availability(),
-    )
-
-
-def measure_lifetimes_suite(
-    tree_labels: Sequence[str],
-    horizon_s: float,
-    seed: int = 0,
-    config: StationConfig = PAPER_CONFIG,
-    correlations: bool = False,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[str, LifetimeResult]:
-    """Table 1 closure for several trees via the parallel campaign runner."""
-    from repro.experiments.runner import run_lifetime_suite
-
-    return run_lifetime_suite(
-        tree_labels,
-        horizon_s,
-        seed=seed,
-        config=config,
-        correlations=correlations,
-        jobs=jobs,
-        cache_dir=cache_dir,
     )

@@ -79,7 +79,7 @@ def measure_recovery(
     trial_timeout: float = 300.0,
     aging: bool = False,
     sinks: Optional[Sequence[Sink]] = None,
-    snapshot: Optional[bool] = None,
+    snapshot: bool = True,
 ) -> RecoveryResult:
     """Run ``trials`` kill-and-measure experiments for one component.
 
@@ -108,7 +108,7 @@ def measure_recovery(
     Station setup goes through the warmed-station snapshot cache (see
     :mod:`repro.experiments.snapshot`): the first cell of a shape boots,
     later cells restore the warmed image and rebase onto their own seed.
-    ``snapshot`` overrides the ``REPRO_STATION_SNAPSHOT`` switch per call.
+    ``snapshot=False`` boots afresh instead (the differential reference).
     """
     cure = frozenset(cure_set) if cure_set is not None else frozenset([component])
 

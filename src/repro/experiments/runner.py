@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.tree import RestartTree
+from repro.errors import ExperimentError
 from repro.experiments.availability import AvailabilityResult, measure_availability
 from repro.experiments.lifetimes import LifetimeResult, measure_lifetimes
 from repro.experiments.recovery import RecoveryResult, measure_recovery
@@ -108,11 +109,16 @@ def campaign_seed(root_seed: int, *parts: object) -> int:
 class CampaignCell:
     """One independent unit of campaign work (picklable, hashable).
 
-    ``kind`` selects the experiment family: ``"recovery"`` runs
+    ``kind`` selects the experiment family (:func:`execute_cell` has the
+    ladder): ``"recovery"`` runs
     :func:`~repro.experiments.recovery.measure_recovery` shards;
     ``"availability"`` and ``"lifetimes"`` run one long-horizon station
-    each.  ``seed`` is the fully derived per-cell seed — planners call
-    :func:`campaign_seed`; nothing downstream adds offsets.
+    each; ``"chaos"`` one scenario's trials under the invariant checker;
+    ``"strategy"`` one strategy × failure-kind cell; ``"workload"`` the
+    same under live user traffic; ``"fleet"`` one whole fleet to its
+    horizon.  A field a kind does not read keeps its default.  ``seed`` is
+    the fully derived per-cell seed — planners call :func:`campaign_seed`;
+    nothing downstream adds offsets.
     """
 
     kind: str
@@ -306,13 +312,36 @@ def cache_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _cache_read(cache_dir: str, key: str) -> Optional[Dict[str, Any]]:
+def _cache_read(
+    cache_dir: str, key: str, cell: CampaignCell
+) -> Optional[Dict[str, Any]]:
+    """The cached result for ``cell``, or ``None`` when no entry exists.
+
+    An entry that exists but cannot be this cell's result — truncated
+    JSON, a stored spec other than the requesting cell's (a file copied
+    under the wrong key), a non-object result — is rejected here, by file
+    name, rather than as a ``KeyError`` in whichever merge reads it first.
+    """
     path = os.path.join(cache_dir, f"{key}.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)["result"]
-    except (OSError, ValueError, KeyError):
+            text = fh.read()
+    except FileNotFoundError:
         return None
+    try:
+        entry = json.loads(text)
+    except ValueError as error:
+        raise ExperimentError(f"campaign cache entry {path}: not JSON ({error})") from None
+    # JSON-normalised: a ``cure_set`` tuple was stored as a list.
+    spec = json.loads(json.dumps(dataclasses.asdict(cell)))
+    if not isinstance(entry, dict) or entry.get("cell") != spec:
+        raise ExperimentError(
+            f"campaign cache entry {path}: stored cell spec is not the requesting cell's"
+        )
+    result = entry.get("result")
+    if not isinstance(result, dict):
+        raise ExperimentError(f"campaign cache entry {path}: result is not an object")
+    return result
 
 
 def _cache_write(
@@ -363,7 +392,7 @@ def run_campaign(
         if cache_dir is not None:
             tree = trees.get(cell.tree) if trees else None
             keys[index] = cache_key(cell, config, tree)
-            cached = _cache_read(cache_dir, keys[index])
+            cached = _cache_read(cache_dir, keys[index], cell)
             if cached is not None:
                 results[index] = cached
                 continue

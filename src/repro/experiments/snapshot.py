@@ -18,17 +18,18 @@ cell used to pay it.  This module makes boot a per-*shape* cost instead:
   randomness is a pure function of the cell seed — exactly as if the cell
   had booted alone.
 
-Bit-identity contract: with snapshotting **disabled** the same sequence
-runs minus the cache — build with the shape's boot seed, warm, rebase.
-The only difference between modes is ``deepcopy`` versus re-executing a
+Bit-identity contract: ``snapshot=False`` on an experiment entry point
+runs the same sequence minus the cache — build with the shape's boot seed,
+warm, rebase.  The only difference is ``deepcopy`` versus re-executing a
 deterministic boot, so traces, results, and campaign cache keys are
 bit-identical either way (``make check-determinism`` holds the gate), and
 serial runs agree with process-pool runs because every worker process
 grows the same per-process template cache from the same pure inputs.
 
-Set ``REPRO_STATION_SNAPSHOT=0`` to disable restores globally (differential
-runs); the ``snapshot=`` keyword on the experiment entry points overrides
-the environment per call.
+Restoring is the only path a running system takes on its own: the fresh
+boot is selected by an input the template cannot represent (an oracle
+*instance*) or by a test or gate leg passing ``snapshot=False`` as the
+reference — never by the environment.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ import copy
 import dataclasses
 import hashlib
 import json
-import os
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.core.tree import RestartTree
 from repro.mercury.config import StationConfig
@@ -84,13 +84,6 @@ def boot_seed(shape: str) -> int:
     shape, so snapshot-on, snapshot-off, serial, and parallel runs all boot
     identical stations before the per-cell rebase."""
     return derive_seed(0, f"snapshot-boot:{shape}")
-
-
-def snapshot_enabled(override: Optional[bool] = None) -> bool:
-    """Whether template restores are on (default) for this process."""
-    if override is not None:
-        return override
-    return os.environ.get("REPRO_STATION_SNAPSHOT", "1") != "0"
 
 
 #: Per-process template cache.  Worker processes each grow their own from
@@ -162,7 +155,7 @@ def warmed_station(
     build: Callable[[int], MercuryStation],
     warm: Callable[[MercuryStation], None],
     cell_seed: int,
-    snapshot: Optional[bool] = None,
+    snapshot: bool = True,
 ) -> MercuryStation:
     """Return a warmed station re-rooted onto ``cell_seed``.
 
@@ -172,13 +165,13 @@ def warmed_station(
     attached (sinks hold open files and observers that must not leak
     between cells; attach them to the returned station instead).
 
-    With snapshotting enabled, the first call per shape boots a template
-    and later calls ``deepcopy`` it; disabled, every call builds and warms
-    afresh.  Both paths boot under :func:`boot_seed` and end with
+    The first call per shape boots a template and later calls ``deepcopy``
+    it; with ``snapshot=False`` the call builds and warms afresh.  Both
+    paths boot under :func:`boot_seed` and end with
     ``rngs.rebase(cell_seed)``, so the returned station is bit-identical
-    across modes.
+    either way.
     """
-    if snapshot_enabled(snapshot):
+    if snapshot:
         station = copy.deepcopy(warm_template(shape, build, warm))
     else:
         station = build(boot_seed(shape))

@@ -129,7 +129,7 @@ def run_workload_cell(
     cooldown_s: float = 5.0,
     trial_timeout: float = 400.0,
     quiesce_timeout: float = 600.0,
-    snapshot: Optional[bool] = None,
+    snapshot: bool = True,
 ) -> WorkloadCellResult:
     """Run ``failures`` faults of one kind under live user traffic.
 

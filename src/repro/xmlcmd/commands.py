@@ -311,6 +311,33 @@ def message_from_element(element: Element) -> Message:
     raise CommandSchemaError(f"unknown message type {kind!r}")
 
 
+#: Wire ``type`` attribute of each schema class.
+_WIRE_KINDS = {
+    PingRequest: "ping",
+    PingReply: "ping-reply",
+    CommandMessage: "command",
+    TelemetryFrame: "telemetry",
+    FailureReport: "failure-report",
+    RestartOrder: "restart-order",
+}
+
+
+def envelope_of(message: Message) -> Envelope:
+    """The routing fields of a parsed message.
+
+    Exactly what :func:`~repro.xmlcmd.fastpath.scan_envelope` returns for a
+    wire it vouches for, so a receiver dispatches on one tuple whichever
+    decoder — the scan or the full parser — judged the wire.
+    """
+    return Envelope(
+        _WIRE_KINDS[message.__class__],
+        message.sender,
+        message.target,
+        getattr(message, "verb", None),
+        getattr(message, "seq", None),
+    )
+
+
 class LazyMessage:
     """A received bus message that defers decoding until first use.
 

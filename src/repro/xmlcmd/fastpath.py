@@ -34,8 +34,6 @@ Decode (canonical spelling only — the serializer's own output):
   vouching.  ``failure-report`` / ``restart-order`` always fall back: their
   validity depends on children.
 
-:func:`fullparse_forced` is the one reader of ``REPRO_BUS_FULLPARSE``.
-
 The differential tests in ``tests/bus/test_fastpath_differential.py`` and
 ``tests/xmlcmd/test_fastpath.py`` enforce the either-identical-or-refuse
 guarantee; DESIGN.md §8 has the per-hop table of who calls what.
@@ -43,21 +41,11 @@ guarantee; DESIGN.md §8 has the per-hop table of who calls what.
 
 from __future__ import annotations
 
-import os
 import re
 from sys import intern as _intern
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.xmlcmd.serializer import escape_attr, escape_text
-
-
-def fullparse_forced() -> bool:
-    """Whether ``REPRO_BUS_FULLPARSE`` asks for eager full parsing.
-
-    Broker, standalone client and component base all read the switch here,
-    so one value cannot run a full-parse broker against lazy clients.
-    """
-    return os.environ.get("REPRO_BUS_FULLPARSE", "") not in ("", "0")
 
 
 #: Childless kinds whose schema validity is decidable from the start tag in

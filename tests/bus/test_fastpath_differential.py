@@ -1,11 +1,14 @@
-"""Differential tests: envelope fast-path routing vs REPRO_BUS_FULLPARSE=1.
+"""Differential tests: envelope fast-path routing vs the full-parse reference.
 
-The broker's fast path must be *observationally identical* to legacy
-full-parse routing: same routing decisions, same counters, same trace
-records (kinds, payloads, and — critically for the paper's timing results —
-timestamps).  These tests run the same scenario under both modes and
-compare everything.
+The broker's fast path must be *observationally identical* to full-parse
+routing: same routing decisions, same counters, same trace records (kinds,
+payloads, and — critically for the paper's timing results — timestamps).
+These tests run the same scenario as-is and under the ``full_parse_reference``
+fixture (``tests/conftest.py``: every scanner refuses, so every message
+takes the full-parse fallback) and compare everything.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -66,11 +69,7 @@ SCENARIO_WIRES = [
 ]
 
 
-def run_scenario(fullparse: bool, monkeypatch):
-    if fullparse:
-        monkeypatch.setenv("REPRO_BUS_FULLPARSE", "1")
-    else:
-        monkeypatch.delenv("REPRO_BUS_FULLPARSE", raising=False)
+def run_scenario():
     kernel = Kernel(seed=99)
     network = Network(kernel)
     manager = ProcessManager(kernel)
@@ -80,7 +79,6 @@ def run_scenario(fullparse: bool, monkeypatch):
     manager.start("mbus")
     kernel.run()
     broker = process.behavior
-    assert broker._fullparse is fullparse
 
     inboxes = {}
     for name in ("a", "b"):
@@ -111,15 +109,16 @@ def run_scenario(fullparse: bool, monkeypatch):
     }
 
 
-def test_envelope_routing_is_decision_identical(monkeypatch):
-    fast = run_scenario(False, monkeypatch)
-    legacy = run_scenario(True, monkeypatch)
-    assert fast == legacy
+def test_envelope_routing_is_decision_identical(full_parse_reference):
+    fast = run_scenario()
+    with full_parse_reference():
+        reference = run_scenario()
+    assert fast == reference
 
 
-def test_fast_path_forwards_raw_bytes_untouched(monkeypatch):
+def test_fast_path_forwards_raw_bytes_untouched():
     """The broker must forward the exact wire string, not a re-serialization."""
-    result = run_scenario(False, monkeypatch)
+    result = run_scenario()
     forwarded = [
         w
         for w in SCENARIO_WIRES
@@ -128,38 +127,32 @@ def test_fast_path_forwards_raw_bytes_untouched(monkeypatch):
     assert forwarded and all(w in result["inboxes"]["b"] for w in forwarded)
 
 
-def test_recovery_outputs_bit_identical(monkeypatch):
+def test_recovery_outputs_bit_identical(full_parse_reference):
     """A Table 2/4-style recovery cell at equal seeds: per-trial recovery
     times (the numbers the tables are built from) must not move."""
 
-    def run(fullparse):
-        if fullparse:
-            monkeypatch.setenv("REPRO_BUS_FULLPARSE", "1")
-        else:
-            monkeypatch.delenv("REPRO_BUS_FULLPARSE", raising=False)
-        return measure_recovery(tree_ii(), "rtu", trials=3, seed=17)
+    def run(mode):
+        with mode():
+            return measure_recovery(tree_ii(), "rtu", trials=3, seed=17)
 
-    fast = run(False)
-    legacy = run(True)
-    assert fast.samples == legacy.samples
-    assert fast.phases == legacy.phases
+    fast = run(nullcontext)
+    reference = run(full_parse_reference)
+    assert fast.samples == reference.samples
+    assert fast.phases == reference.phases
 
 
 @pytest.mark.parametrize("horizon_s", [6 * 3600.0])
-def test_availability_outputs_bit_identical(monkeypatch, horizon_s):
-    """The §8 availability pipeline at equal seeds: enabling the fast path
-    must not move a single event timestamp."""
+def test_availability_outputs_bit_identical(full_parse_reference, horizon_s):
+    """The §8 availability pipeline at equal seeds: the fast path must not
+    move a single event timestamp."""
 
-    def run(fullparse):
-        if fullparse:
-            monkeypatch.setenv("REPRO_BUS_FULLPARSE", "1")
-        else:
-            monkeypatch.delenv("REPRO_BUS_FULLPARSE", raising=False)
-        return measure_availability(tree_v(), horizon_s=horizon_s, seed=424)
+    def run(mode):
+        with mode():
+            return measure_availability(tree_v(), horizon_s=horizon_s, seed=424)
 
-    fast = run(False)
-    legacy = run(True)
-    assert fast.availability == legacy.availability
-    assert fast.total_downtime_s == legacy.total_downtime_s
-    assert fast.outages == legacy.outages
-    assert fast.phase_breakdown == legacy.phase_breakdown
+    fast = run(nullcontext)
+    reference = run(full_parse_reference)
+    assert fast.availability == reference.availability
+    assert fast.total_downtime_s == reference.total_downtime_s
+    assert fast.outages == reference.outages
+    assert fast.phase_breakdown == reference.phase_breakdown

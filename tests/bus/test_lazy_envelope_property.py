@@ -4,16 +4,14 @@ A :class:`~repro.xmlcmd.fastpath.LazyMessage` defers parsing until first
 use.  The contract: *no matter which subset of a message a consumer
 touches — nothing, one field, an isinstance check, or the whole document —
 the observable world is identical to eager full parsing* (the
-``REPRO_BUS_FULLPARSE=1`` mode).  That covers the delivered documents
-themselves, and the broker's routed/dropped counters, which must not
-depend on what receivers later do with their mail.
+``full_parse_reference`` fixture, ``tests/conftest.py``).  That covers the
+delivered documents themselves, and the broker's routed/dropped counters,
+which must not depend on what receivers later do with their mail.
 
 Hypothesis drives random message batches through a live broker with two
-attached clients under every (access pattern × parse mode) combination
-and compares everything observable.
+attached clients under every access pattern, as-is and under the
+reference, and compares everything observable.
 """
-
-import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,68 +78,65 @@ def _observe(message: Message, pattern: str):
     return parse_message(encode_message(message))
 
 
-def _run_batch(wires, pattern: str, fullparse: bool):
-    os.environ.pop("REPRO_BUS_FULLPARSE", None)
-    if fullparse:
-        os.environ["REPRO_BUS_FULLPARSE"] = "1"
-    try:
-        kernel = Kernel(seed=31)
-        network = Network(kernel)
-        manager = ProcessManager(kernel)
-        process = manager.spawn(
-            ProcessSpec("mbus", constant_work(0.2), lambda p: BusBroker(p, network))
-        )
-        manager.start("mbus")
-        kernel.run()
-        broker = process.behavior
+def _run_batch(wires, pattern: str):
+    kernel = Kernel(seed=31)
+    network = Network(kernel)
+    manager = ProcessManager(kernel)
+    process = manager.spawn(
+        ProcessSpec("mbus", constant_work(0.2), lambda p: BusBroker(p, network))
+    )
+    manager.start("mbus")
+    kernel.run()
+    broker = process.behavior
 
-        observations = {}
-        clients = {}
-        for name in ("rx-a", "rx-b"):
-            client = BusClient(kernel, network, name)
-            client.connect()
-            observations[name] = []
-            clients[name] = client
+    observations = {}
+    clients = {}
+    for name in ("rx-a", "rx-b"):
+        client = BusClient(kernel, network, name)
+        client.connect()
+        observations[name] = []
+        clients[name] = client
 
-            def handler(message, _name=name):
-                observations[_name].append(_observe(message, pattern))
+        def handler(message, _name=name):
+            observations[_name].append(_observe(message, pattern))
 
-            client.on_message(handler)
-        sender = BusClient(kernel, network, "tx")
-        sender.connect()
-        kernel.run(until=kernel.now + 1.0)
+        client.on_message(handler)
+    sender = BusClient(kernel, network, "tx")
+    sender.connect()
+    kernel.run(until=kernel.now + 1.0)
 
-        for wire in wires:
-            # Raw endpoint send: the canonical wire bytes, no client-side
-            # re-serialization in the loop.
-            sender._endpoint.send(wire)
-        kernel.run(until=kernel.now + 5.0)
+    for wire in wires:
+        # Raw endpoint send: the canonical wire bytes, no client-side
+        # re-serialization in the loop.
+        sender._endpoint.send(wire)
+    kernel.run(until=kernel.now + 5.0)
 
-        # Late full materialization: whatever was stored in .received must
-        # equal the reference parse, even for the "none" pattern where no
-        # handler ever looked at it.
-        stored = {
-            name: [parse_message(encode_message(m)) for m in clients[name].received]
-            for name in clients
-        }
-        return {
-            "routed": broker.routed,
-            "dropped": broker.dropped,
-            "observations": observations,
-            "stored": stored,
-        }
-    finally:
-        os.environ.pop("REPRO_BUS_FULLPARSE", None)
+    # Late full materialization: whatever was stored in .received must
+    # equal the reference parse, even for the "none" pattern where no
+    # handler ever looked at it.
+    stored = {
+        name: [parse_message(encode_message(m)) for m in clients[name].received]
+        for name in clients
+    }
+    return {
+        "routed": broker.routed,
+        "dropped": broker.dropped,
+        "observations": observations,
+        "stored": stored,
+    }
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_MESSAGE, min_size=1, max_size=12))
-def test_lazy_envelopes_match_fullparse_under_every_access_pattern(messages):
+def test_lazy_envelopes_match_fullparse_under_every_access_pattern(
+    full_parse_reference, messages
+):
     wires = [encode_message(m) for m in messages]
     for pattern in ACCESS_PATTERNS:
-        fast = _run_batch(wires, pattern, fullparse=False)
-        legacy = _run_batch(wires, pattern, fullparse=True)
-        assert fast == legacy, f"divergence under access pattern {pattern!r}"
+        fast = _run_batch(wires, pattern)
+        with full_parse_reference():
+            reference = _run_batch(wires, pattern)
+        assert fast == reference, f"divergence under access pattern {pattern!r}"
 
 
 @settings(max_examples=25, deadline=None)
@@ -152,7 +147,7 @@ def test_access_pattern_never_changes_broker_counters(messages):
     wires = [encode_message(m) for m in messages]
     reference = None
     for pattern in ACCESS_PATTERNS:
-        result = _run_batch(wires, pattern, fullparse=False)
+        result = _run_batch(wires, pattern)
         counters = (result["routed"], result["dropped"], result["stored"])
         if reference is None:
             reference = counters

@@ -1,19 +1,21 @@
-"""Client-side lazy delivery vs REPRO_BUS_FULLPARSE=1: observationally equal.
+"""Client-side lazy delivery vs the full-parse reference: observationally equal.
 
 The broker's differential suite (``tests/bus/test_fastpath_differential``)
 pins *routing*; this one pins the **client** half of the fast path:
 ``BusAttachedBehavior._on_raw`` answers pings straight off the wire and
 hands non-ping traffic to ``on_message`` as a :class:`LazyMessage` instead
-of full-parsing it.  A consumer must not be able to tell which mode built
-its component — same dispatch decisions, same replies on the bus, same
+of full-parsing it.  A consumer must not be able to tell whether the scan
+or the parser (the ``full_parse_reference`` fixture, ``tests/conftest.py``)
+decoded its mail — same dispatch decisions, same replies on the bus, same
 station-level measurements — except by reaching for the concrete type.
 """
+
+from contextlib import nullcontext
 
 from repro.bus.broker import BusBroker
 from repro.bus.client import BusClient
 from repro.components.base import BusAttachedBehavior
 from repro.experiments.recovery import measure_recovery
-from repro.experiments.snapshot import clear_templates
 from repro.mercury.trees import tree_ii
 from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
@@ -79,11 +81,7 @@ TRAFFIC = [
 ]
 
 
-def drive(fullparse: bool, monkeypatch, knob: str = "1"):
-    if fullparse:
-        monkeypatch.setenv("REPRO_BUS_FULLPARSE", knob)
-    else:
-        monkeypatch.delenv("REPRO_BUS_FULLPARSE", raising=False)
+def drive():
     kernel = Kernel(seed=4321)
     network = Network(kernel)
     manager = ProcessManager(kernel, contention_coefficient=0.05)
@@ -98,9 +96,6 @@ def drive(fullparse: bool, monkeypatch, knob: str = "1"):
     manager.start_all()
     kernel.run(until=kernel.now + 3.0)
     ops = BusClient(kernel, network, "ops")
-    # One reader, one rule: no value builds a half-legacy station.
-    stations = (manager.get("mbus").behavior, recorder.behavior, ops)
-    assert [part._fullparse for part in stations] == [fullparse] * 3
     ops.connect()
     kernel.run(until=kernel.now + 0.5)
     for message in TRAFFIC:
@@ -109,9 +104,10 @@ def drive(fullparse: bool, monkeypatch, knob: str = "1"):
     return recorder.behavior, ops
 
 
-def test_dispatch_and_replies_identical_across_modes(monkeypatch):
-    lazy_rec, lazy_ops = drive(False, monkeypatch)
-    full_rec, full_ops = drive(True, monkeypatch)
+def test_dispatch_and_replies_identical_across_modes(full_parse_reference):
+    lazy_rec, lazy_ops = drive()
+    with full_parse_reference():
+        full_rec, full_ops = drive()
 
     # Same messages dispatched (LazyMessage proxies dataclass equality) and
     # same replies observed on the bus, ping replies included.
@@ -130,10 +126,10 @@ def test_dispatch_and_replies_identical_across_modes(monkeypatch):
     ]
     assert all(type(m) is LazyMessage and m._envelope is not None for m in replies)
 
-    # The lazy mode really was lazy — and fullparse really was not.  The
+    # The lazy run really was lazy — and the reference really was not.  The
     # flat wires (commands, telemetry) ride the envelope fast path; the
     # child-bearing kinds (failure reports, restart orders) are outside
-    # ``scan_envelope``'s vouched subset and take the legacy parse.
+    # ``scan_envelope``'s vouched subset and take the full parse.
     non_ping = len(TRAFFIC) - 2  # pings never reach on_message
     assert len(lazy_rec.messages) == non_ping
     lazy_kinds = {
@@ -141,35 +137,23 @@ def test_dispatch_and_replies_identical_across_modes(monkeypatch):
     }
     assert lazy_kinds == {"CommandMessage", "TelemetryFrame"}
     assert not any(type(m) is LazyMessage for m in full_rec.messages)
+    assert not any(type(m) is LazyMessage for m in full_ops.received)
 
 
-def test_any_truthy_knob_value_means_fullparse_everywhere(monkeypatch):
-    """``REPRO_BUS_FULLPARSE=true`` used to switch the broker only, leaving
-    a full-parse broker routing to lazy clients."""
-    spelled, _ = drive(True, monkeypatch, knob="true")
-    one, _ = drive(True, monkeypatch)
-    assert spelled.messages == one.messages
-    assert not any(type(m) is LazyMessage for m in spelled.messages)
-
-
-def test_lazy_messages_are_interchangeable_with_parsed(monkeypatch):
-    recorder, _ = drive(False, monkeypatch)
+def test_lazy_messages_are_interchangeable_with_parsed():
+    recorder, _ = drive()
     frames = [m for m in recorder.messages if isinstance(m, TelemetryFrame)]
     assert len(frames) == 1
     assert frames[0] == TelemetryFrame("ops", "rec", "opal", "p7", 512)
     assert frames[0].satellite == "opal"
 
 
-def test_station_measurements_identical_across_modes(monkeypatch):
-    def measure(fullparse: bool):
-        if fullparse:
-            monkeypatch.setenv("REPRO_BUS_FULLPARSE", "1")
-        else:
-            monkeypatch.delenv("REPRO_BUS_FULLPARSE", raising=False)
-        clear_templates()  # templates capture the mode at boot time
-        return measure_recovery(tree_ii(), "rtu", trials=3, seed=9, snapshot=False)
+def test_station_measurements_identical_across_modes(full_parse_reference):
+    def measure(mode):
+        with mode():
+            return measure_recovery(tree_ii(), "rtu", trials=3, seed=9, snapshot=False)
 
-    lazy = measure(False)
-    full = measure(True)
+    lazy = measure(nullcontext)
+    full = measure(full_parse_reference)
     assert lazy.samples == full.samples
     assert lazy.phases == full.phases

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.procmgr.manager import ProcessManager
@@ -26,6 +28,44 @@ def network(kernel: Kernel) -> Network:
 def manager(kernel: Kernel) -> ProcessManager:
     """A process manager with mild batch contention."""
     return ProcessManager(kernel, contention_coefficient=0.05)
+
+
+#: The receivers' wire scanners.  Refusing everything in all of them sends
+#: every inbound message to ``parse_message`` at delivery — the eager
+#: receive path the scanners replaced.  The component base keeps its
+#: canonical-ping reply: that short-circuit sits *ahead* of the
+#: session-store tap, so refusing it would log pings and change the store's
+#: behaviour, not just the decoder.  (A zombie broker recognises its own
+#: pings with the same split, so degraded brokers are outside the reference,
+#: as they were outside the differential contract before.)
+_REFUSED_SCANNERS = (
+    "repro.bus.broker.split_ping_wire",
+    "repro.bus.broker.scan_envelope",
+    "repro.bus.client.split_ping_wire",
+    "repro.bus.client.scan_envelope",
+    "repro.components.base.scan_envelope",
+)
+
+
+@contextmanager
+def _full_parse_reference():
+    with pytest.MonkeyPatch.context() as patch:
+        for scanner in _REFUSED_SCANNERS:
+            patch.setattr(scanner, lambda raw: None)
+        yield
+
+
+@pytest.fixture(scope="session")
+def full_parse_reference():
+    """The bus differential suites' reference: a context manager under which
+    broker, standalone client and component base full-parse every message.
+
+    Selected here, test-side, by making the scanners refuse — the one
+    receive path (scan → vouch → full-parse fallback) is then exercised on
+    its fallback arm only.  There is no runtime switch for this.  Session
+    scope (the fixture holds no state) so hypothesis tests can use it.
+    """
+    return _full_parse_reference
 
 
 def spawn_simple(manager: ProcessManager, name: str, work: float = 1.0):

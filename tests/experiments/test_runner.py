@@ -5,10 +5,12 @@ campaign spec — independent of worker count, of row composition, and of
 whether a result came from a live worker or the on-disk cache.
 """
 
+import json
 import os
 
 import pytest
 
+from repro.errors import ExperimentError
 from repro.experiments.recovery import measure_recovery, measure_recovery_row
 from repro.experiments.runner import (
     CampaignCell,
@@ -113,8 +115,6 @@ def test_cache_miss_then_hit(tmp_path):
 
     # Replace the cached samples with a sentinel: a second run must serve
     # the (tampered) cache entry rather than recompute.
-    import json
-
     path = os.path.join(cache, files[0])
     payload = json.load(open(path))
     payload["result"]["samples"] = [1.0, 2.0, 3.0]
@@ -165,18 +165,106 @@ def test_config_fingerprint_tracks_field_changes():
     assert config_fingerprint(PAPER_CONFIG.with_overrides(ping_period=2.0)) != base
 
 
-def test_corrupt_cache_entry_recomputes(tmp_path):
-    cache = str(tmp_path / "cache")
-    good = measure_recovery_row(
-        tree_ii(), ["rtu"], trials=TRIALS, seed=9, cache_dir=cache
+def _one_entry_cache(directory, seed=9):
+    """A fresh cache directory holding one finished rtu cell; returns
+    (directory, path of its entry)."""
+    cache = str(directory)
+    measure_recovery_row(tree_ii(), ["rtu"], trials=TRIALS, seed=seed, cache_dir=cache)
+    (name,) = os.listdir(cache)
+    return cache, os.path.join(cache, name)
+
+
+def _reread(cache, seed=9):
+    return measure_recovery_row(
+        tree_ii(), ["rtu"], trials=TRIALS, seed=seed, cache_dir=cache
     )
-    (path,) = [os.path.join(cache, f) for f in os.listdir(cache)]
+
+
+def test_truncated_cache_entry_rejected(tmp_path):
+    cache, path = _one_entry_cache(tmp_path / "cache")
+    with open(path) as fh:
+        text = fh.read()
     with open(path, "w") as fh:
-        fh.write("{not json")
-    again = measure_recovery_row(
-        tree_ii(), ["rtu"], trials=TRIALS, seed=9, cache_dir=cache
+        fh.write(text[: len(text) // 2])
+    with pytest.raises(ExperimentError, match="not JSON") as caught:
+        _reread(cache)
+    assert path in str(caught.value)
+
+
+def test_cache_entry_for_another_cell_rejected(tmp_path):
+    """An entry copied under the wrong key carries its own spec, and the
+    spec is checked: it is not served as the requesting cell's result."""
+    cache, path = _one_entry_cache(tmp_path / "cache", seed=9)
+    _, other = _one_entry_cache(tmp_path / "other", seed=10)
+    os.replace(other, path)
+    with pytest.raises(ExperimentError, match="not the requesting cell") as caught:
+        _reread(cache, seed=9)
+    assert path in str(caught.value)
+
+
+@pytest.mark.parametrize("entry", ['{"result": {}}', "[]"])
+def test_cache_entry_without_its_cell_spec_rejected(tmp_path, entry):
+    cache, path = _one_entry_cache(tmp_path / "cache")
+    with open(path, "w") as fh:
+        fh.write(entry)
+    with pytest.raises(ExperimentError, match="not the requesting cell"):
+        _reread(cache)
+
+
+def test_cache_entry_with_non_object_result_rejected(tmp_path):
+    cache, path = _one_entry_cache(tmp_path / "cache")
+    with open(path) as fh:
+        entry = json.load(fh)
+    entry["result"] = [1.0, 2.0]
+    with open(path, "w") as fh:
+        json.dump(entry, fh)
+    with pytest.raises(ExperimentError, match="result is not an object") as caught:
+        _reread(cache)
+    assert path in str(caught.value)
+
+
+def test_cache_round_trip_with_cure_set_tuple(tmp_path, monkeypatch):
+    """The stored spec is compared JSON-normalised: a ``cure_set`` tuple
+    comes back from disk as a list and must still be the same cell."""
+    cache = str(tmp_path / "cache")
+    cell = CampaignCell(
+        kind="recovery", tree="IV", component="pbcom", trials=2, seed=5,
+        oracle="faulty", cure_set=("fedr", "pbcom"),
     )
-    assert again[0].samples == good[0].samples
+    first = run_campaign([cell], cache_dir=cache)
+    monkeypatch.setattr(
+        "repro.experiments.runner.execute_cell",
+        lambda *args: pytest.fail("recomputed instead of served from the cache"),
+    )
+    assert run_campaign([cell], cache_dir=cache) == first
+
+
+def test_cache_key_ignores_environment(monkeypatch):
+    """``cache_key`` reads no environment: execution knobs (and any other
+    ``REPRO_*`` value) can never split or alias the result cache."""
+    cells = [
+        CampaignCell(kind="chaos", tree="V", seed=42, scenario="storm", trials=1),
+        CampaignCell(
+            kind="workload", tree="III", seed=campaign_seed(42, "workload", "III"),
+            trials=2, strategy="microreboot", failure_kind="crash", request_rate=8.0,
+        ),
+        CampaignCell(
+            kind="fleet", tree="V", seed=42, horizon_s=120.0, fleet_size=8,
+            wave_interval_s=60.0, wave_drop=0.3,
+        ),
+    ]
+    for name in [k for k in os.environ if k.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    clean = [cache_key(cell, PAPER_CONFIG) for cell in cells]
+    for name, value in [
+        ("REPRO_FLEET_SHARDS", "4"),
+        ("REPRO_FLEET_JOBS", "4"),
+        ("REPRO_OBS_VALIDATE", "1"),
+        ("REPRO_BENCH_CACHE", "/nonexistent"),
+        ("REPRO_NOT_A_KNOB", "anything"),
+    ]:
+        monkeypatch.setenv(name, value)
+    assert [cache_key(cell, PAPER_CONFIG) for cell in cells] == clean
 
 
 def test_unknown_cell_kind_rejected():

@@ -20,7 +20,6 @@ from repro.experiments.lifetimes import measure_lifetimes
 from repro.experiments.snapshot import (
     boot_seed,
     clear_templates,
-    snapshot_enabled,
     station_shape,
     template_count,
     warmed_station,
@@ -45,6 +44,7 @@ def _fresh_template_cache():
 
 def test_recovery_identical_with_and_without_snapshot():
     fresh = measure_recovery(tree_ii(), "rtu", trials=3, seed=9, snapshot=False)
+    assert template_count() == 0  # fresh boot: nothing cached
     restored = measure_recovery(tree_ii(), "rtu", trials=3, seed=9, snapshot=True)
     assert restored.samples == fresh.samples
     assert restored.phases == fresh.phases
@@ -114,14 +114,6 @@ def test_boot_seed_is_shape_derived_and_stable():
     shape = station_shape("recovery", tree_ii(), PAPER_CONFIG)
     assert boot_seed(shape) == boot_seed(shape)
     assert boot_seed(shape) != boot_seed(station_shape("chaos", tree_ii(), PAPER_CONFIG))
-
-
-def test_env_var_disables_snapshot(monkeypatch):
-    monkeypatch.setenv("REPRO_STATION_SNAPSHOT", "0")
-    assert not snapshot_enabled(None)
-    assert snapshot_enabled(True)  # explicit argument beats the env default
-    measure_recovery(tree_ii(), "rtu", trials=1, seed=4)
-    assert template_count() == 0  # fresh boot: nothing cached
 
 
 def test_fresh_mode_boots_under_the_same_snapshot_seed():

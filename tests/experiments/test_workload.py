@@ -10,7 +10,6 @@ modes, bus decode paths, and campaign execution layouts.
 """
 
 import json
-import os
 
 import pytest
 
@@ -101,12 +100,9 @@ def test_snapshot_restore_matches_fresh_boot(loss_cells):
     assert fresh.to_payload() == loss_cells["microreboot"].to_payload()
 
 
-def test_bus_fullparse_matches_fastpath(loss_cells):
-    os.environ["REPRO_BUS_FULLPARSE"] = "1"
-    try:
+def test_bus_fullparse_matches_fastpath(loss_cells, full_parse_reference):
+    with full_parse_reference():
         eager = _cell("microreboot")
-    finally:
-        os.environ.pop("REPRO_BUS_FULLPARSE", None)
     assert eager.to_payload() == loss_cells["microreboot"].to_payload()
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -285,3 +287,18 @@ def test_fleet_request_rate_columns(capsys):
     out = capsys.readouterr().out
     assert "goodput" in out
     assert "user loss" in out
+
+
+def test_fleet_shards_flag_does_not_outlive_the_call(capsys, monkeypatch):
+    """``--shards`` travels through ``REPRO_FLEET_SHARDS``; it used to stay
+    set, so the next ``main()`` in the process inherited this call's layout."""
+    args = [
+        "fleet", "--size", "2", "--horizon", "30", "--wave-interval", "0",
+        "--seed", "7", "--shards", "2",
+    ]
+    monkeypatch.delenv("REPRO_FLEET_SHARDS", raising=False)
+    assert main(args) == 0
+    assert "REPRO_FLEET_SHARDS" not in os.environ
+    monkeypatch.setenv("REPRO_FLEET_SHARDS", "3")
+    assert main(args) == 0
+    assert os.environ["REPRO_FLEET_SHARDS"] == "3"

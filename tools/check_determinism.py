@@ -6,43 +6,36 @@ same seed, same bytes.  That property underwrites the campaign result
 cache, serial/parallel bit-identity, and "reproduce this failing chaos
 seed" debugging — and it silently dies the moment someone reads the wall
 clock, iterates an unordered set into an RNG, or keys a schedule off
-``id()``.  This gate catches that class of regression in seconds:
+``id()``.  This gate catches that class of regression in seconds.  Each
+leg runs one cell more than once and byte-compares what came out:
 
-* one short chaos campaign (cascade on tree V), run twice with the same
-  seed, byte-comparing the full JSONL event traces and the JSON result
-  payloads;
-* one lossy chaos campaign (the network fault fabric's per-link RNG
-  streams plus the adaptive detector), twice, compared the same way;
-* one short steady-state availability run (tree V), twice, byte-comparing
-  the streamed JSONL traces and the result dataclasses;
-* one chaos campaign run with the warmed-station snapshot cache enabled
-  vs. disabled (fresh boot per cell), byte-comparing traces, result
-  payloads, and the campaign cache keys — the restore-vs-boot bit-identity
-  contract that lets the snapshot fast path share the result cache;
-* one recovery-strategy cell (microreboot, crash, tree V), run twice with
-  the same seed, comparing the JSON payloads — the strategy registry,
-  session store, and strategy-enabled supervisor path stay pure functions
-  of the seed — plus a bus fast-path leg running the same cell with
-  ``REPRO_BUS_FULLPARSE=1`` (scan-based envelope decode vs. the full XML
-  parser must be observationally identical);
-* one user-traffic workload cell (microreboot, crash, tree III) run four
-  ways — same seed twice, fresh boot vs. snapshot restore, and under
-  ``REPRO_BUS_FULLPARSE=1`` — byte-comparing the full result payloads
-  (user-effects ledger, MTTR samples, per-phase blame), plus the same
-  cell through the campaign runner serial vs. two worker processes and
-  cache-key invariance across boot modes;
-* one store-outage chaos cell (session-store crash/hang windows, torn and
-  corrupt writes, strategy fallback) run twice with the same seed,
-  byte-comparing the full JSONL event traces and result payloads — the
-  store fault model's RNG streams and the crash-only supervision plane
-  stay pure functions of the seed — plus campaign cache-key invariance
-  for the store-outage cell across the snapshot knob;
-* one correlated-wave fleet cell with live user traffic run four ways —
-  one shard, three shards, three shards fanned over worker processes,
-  and snapshot-off — comparing the full JSON payloads (which embed every
-  station's event-stream digest and user-effects ledger), plus fleet
-  campaign cache-key invariance across the
-  ``REPRO_FLEET_SHARDS``/``REPRO_FLEET_JOBS`` execution knobs.
+* **same-seed traces** — three chaos cells on tree V (``cascade``; ``lossy``:
+  the network fault fabric's per-link RNG streams plus the adaptive
+  detector; ``store-outage``: session-store crash/hang windows, torn and
+  corrupt writes, strategy fallback) and one 4 h steady-state availability
+  run, each run twice with the same seed, comparing the full JSONL event
+  traces and the result payloads;
+* **snapshot-fork** — one storm campaign restored from the warmed-station
+  template vs. booted afresh (``snapshot=False``), traces and payloads: the
+  restore-vs-boot bit-identity contract that lets both share the result
+  cache;
+* **strategy** — one microreboot cell (crash, tree V) twice with the same
+  seed, payloads: the strategy registry, session store and strategy-enabled
+  supervisor stay pure functions of the seed;
+* **workload** — one user-traffic cell (microreboot, crash, tree III) run
+  twice with the same seed and once from a fresh boot, comparing the full
+  payloads (user-effects ledger, MTTR samples, per-phase blame), then the
+  same cell through the campaign runner serial vs. two worker processes;
+* **fleet** — one correlated-wave fleet cell with live user traffic run
+  four ways — one shard, three shards, three shards fanned over worker
+  processes, and fresh-booted stations — comparing the full payloads, which
+  embed every station's event-stream digest and user-effects ledger.
+
+What the gate does not run: a mode against its own twin.  The bus has one
+receive path and stations one boot path; their references (the full
+parser, ``snapshot=False``) are selected by tests, and ``cache_key`` purity
+under environment variables is a tier-1 test
+(``tests/experiments/test_runner.py``).
 
 Exits 0 when all legs are bit-identical, 1 otherwise (with the first
 differing line for the trace legs).
@@ -55,17 +48,26 @@ import json
 import os
 import sys
 import tempfile
+from typing import Callable, List, Sequence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.chaos.engine import run_chaos
 from repro.experiments.availability import measure_availability
+from repro.experiments.snapshot import clear_templates
 from repro.mercury.trees import TREE_BUILDERS
-from repro.obs.sinks import JsonlSink
+from repro.obs.sinks import JsonlSink, Sink
 
 CHAOS_SEED = 42
 AVAILABILITY_SEED = 7
 AVAILABILITY_HORIZON_S = 4.0 * 3600.0
+
+#: A traced run: attaches the sinks it is given, returns its JSON payload.
+TracedRun = Callable[[Sequence[Sink]], str]
+
+
+def _dump(payload: object) -> str:
+    return json.dumps(payload, sort_keys=True)
 
 
 def _first_diff(path_a: str, path_b: str) -> str:
@@ -90,206 +92,114 @@ def _compare_traces(name: str, path_a: str, path_b: str) -> bool:
     return False
 
 
-def check_chaos(workdir: str) -> bool:
-    print("determinism: chaos (cascade on tree V, seed %d) ..." % CHAOS_SEED)
-    payloads = []
-    paths = []
-    for run in (1, 2):
-        path = os.path.join(workdir, f"chaos-{run}.jsonl")
-        sink = JsonlSink(path)
+def _same(name: str, claim: str, reference: str, other: str) -> bool:
+    """Print the verdict on one payload comparison."""
+    if reference == other:
+        print(f"  {name}: {claim}")
+        return True
+    print(f"FAIL {name}: not {claim}")
+    return False
+
+
+def _traced_pair(workdir: str, name: str, run_a: TracedRun, run_b: TracedRun) -> bool:
+    """Two traced runs: their JSONL event traces and their payloads must
+    match byte for byte."""
+    paths: List[str] = []
+    payloads: List[str] = []
+    for index, run in enumerate((run_a, run_b), start=1):
+        paths.append(os.path.join(workdir, f"{name}-{index}.jsonl"))
+        payloads.append(run([JsonlSink(paths[-1])]))
+    ok = _compare_traces(name, *paths)
+    return _same(name, "result payloads identical", *payloads) and ok
+
+
+def _chaos_run(scenario: str, **kwargs) -> TracedRun:
+    def run(sinks: Sequence[Sink]) -> str:
         result = run_chaos(
-            TREE_BUILDERS["V"](), "cascade", trials=1, seed=CHAOS_SEED, sinks=[sink]
+            TREE_BUILDERS["V"](), scenario, trials=1, seed=CHAOS_SEED, sinks=sinks, **kwargs
         )
-        paths.append(path)
-        payloads.append(json.dumps(result.to_payload(), sort_keys=True))
-    ok = _compare_traces("chaos", paths[0], paths[1])
-    if payloads[0] != payloads[1]:
-        print("FAIL chaos: result payloads differ")
-        ok = False
-    elif ok:
-        print("  chaos: result payloads identical")
-    return ok
+        return _dump(result.to_payload())
+
+    return run
 
 
-def check_chaos_lossy(workdir: str) -> bool:
-    print("determinism: chaos (lossy on tree V, seed %d) ..." % CHAOS_SEED)
-    payloads = []
-    paths = []
-    for run in (1, 2):
-        path = os.path.join(workdir, f"chaos-lossy-{run}.jsonl")
-        sink = JsonlSink(path)
-        result = run_chaos(
-            TREE_BUILDERS["V"](), "lossy", trials=1, seed=CHAOS_SEED, sinks=[sink]
-        )
-        paths.append(path)
-        payloads.append(json.dumps(result.to_payload(), sort_keys=True))
-    ok = _compare_traces("chaos-lossy", paths[0], paths[1])
-    if payloads[0] != payloads[1]:
-        print("FAIL chaos-lossy: result payloads differ")
-        ok = False
-    elif ok:
-        print("  chaos-lossy: result payloads identical")
-    return ok
-
-
-def check_availability(workdir: str) -> bool:
-    print(
-        "determinism: availability (tree V, %.0f h, seed %d) ..."
-        % (AVAILABILITY_HORIZON_S / 3600.0, AVAILABILITY_SEED)
+def _availability_run(sinks: Sequence[Sink]) -> str:
+    result = measure_availability(
+        TREE_BUILDERS["V"](),
+        horizon_s=AVAILABILITY_HORIZON_S,
+        seed=AVAILABILITY_SEED,
+        sinks=sinks,
     )
-    payloads = []
-    paths = []
-    for run in (1, 2):
-        path = os.path.join(workdir, f"availability-{run}.jsonl")
-        sink = JsonlSink(path)
-        result = measure_availability(
-            TREE_BUILDERS["V"](),
-            horizon_s=AVAILABILITY_HORIZON_S,
-            seed=AVAILABILITY_SEED,
-            sinks=[sink],
-        )
-        paths.append(path)
-        payloads.append(json.dumps(dataclasses.asdict(result), sort_keys=True))
-    ok = _compare_traces("availability", paths[0], paths[1])
-    if payloads[0] != payloads[1]:
-        print("FAIL availability: result payloads differ")
-        ok = False
-    elif ok:
-        print("  availability: result payloads identical")
+    return _dump(dataclasses.asdict(result))
+
+
+#: The same-seed trace leg: (name, what it is, the run).
+TRACE_SCENARIOS = [
+    ("chaos", "cascade on tree V, seed %d" % CHAOS_SEED, _chaos_run("cascade")),
+    ("chaos-lossy", "lossy on tree V, seed %d" % CHAOS_SEED, _chaos_run("lossy")),
+    ("store", "store-outage on tree V, seed %d" % CHAOS_SEED, _chaos_run("store-outage")),
+    (
+        "availability",
+        "tree V, %.0f h, seed %d" % (AVAILABILITY_HORIZON_S / 3600.0, AVAILABILITY_SEED),
+        _availability_run,
+    ),
+]
+
+
+def check_same_seed_traces(workdir: str) -> bool:
+    """Each scenario twice with the same seed: fault-plan, network-fabric,
+    store-fault and steady-state injector RNG streams all ride the seed."""
+    ok = True
+    for name, what, run in TRACE_SCENARIOS:
+        print(f"determinism: {name} ({what}) ...")
+        ok = _traced_pair(workdir, name, run, run) and ok
     return ok
 
 
 def check_snapshot_fork(workdir: str) -> bool:
-    """Snapshot/fork leg: restored cells must equal fresh-boot cells.
-
-    Runs the same storm campaign once through the warmed-station snapshot
-    cache (template boot + deepcopy + RNG rebase) and once with
-    ``snapshot=False`` (full boot per cell).  The traces and payloads
-    must match byte-for-byte, and the campaign cache key must be the same
-    under both ``REPRO_STATION_SNAPSHOT`` settings — the cache stores
-    results by *meaning*, and snapshot restore is an implementation
-    detail of how a cell gets its warmed station.
-    """
-    from repro.experiments.runner import CampaignCell, cache_key
-    from repro.experiments.snapshot import clear_templates
-    from repro.mercury.config import PAPER_CONFIG
-
+    """Restored cells must equal fresh-boot cells: the same storm campaign
+    through the warmed-station template (boot + deepcopy + RNG rebase) and
+    with ``snapshot=False`` (full boot per cell)."""
     print("determinism: snapshot-fork (storm on tree V, seed %d) ..." % CHAOS_SEED)
-    payloads = []
-    paths = []
     clear_templates()
-    for run, snapshot in ((1, True), (2, False)):
-        path = os.path.join(workdir, f"snapshot-{run}.jsonl")
-        sink = JsonlSink(path)
-        result = run_chaos(
-            TREE_BUILDERS["V"](),
-            "storm",
-            trials=1,
-            seed=CHAOS_SEED,
-            sinks=[sink],
-            snapshot=snapshot,
+    try:
+        return _traced_pair(
+            workdir,
+            "snapshot-fork",
+            _chaos_run("storm", snapshot=True),
+            _chaos_run("storm", snapshot=False),
         )
-        paths.append(path)
-        payloads.append(json.dumps(result.to_payload(), sort_keys=True))
-    clear_templates()
-    ok = _compare_traces("snapshot-fork", paths[0], paths[1])
-    if payloads[0] != payloads[1]:
-        print("FAIL snapshot-fork: result payloads differ")
-        ok = False
-    elif ok:
-        print("  snapshot-fork: result payloads identical")
-
-    cell = CampaignCell(kind="chaos", tree="V", seed=CHAOS_SEED, scenario="storm", trials=1)
-    keys = []
-    for flag in ("1", "0"):
-        os.environ["REPRO_STATION_SNAPSHOT"] = flag
-        try:
-            keys.append(cache_key(cell, PAPER_CONFIG))
-        finally:
-            os.environ.pop("REPRO_STATION_SNAPSHOT", None)
-    if keys[0] != keys[1]:
-        print("FAIL snapshot-fork: campaign cache keys differ between modes")
-        ok = False
-    elif ok:
-        print("  snapshot-fork: campaign cache keys identical")
-    return ok
+    finally:
+        clear_templates()
 
 
 def check_strategy(workdir: str) -> bool:
-    """Strategy leg: the registry path is a pure function of the seed.
-
-    Runs one microreboot cell twice (JSON payloads must match), then the
-    same cell under ``REPRO_BUS_FULLPARSE=1`` — the scan-based envelope
-    fast path and the full XML parser must be observationally identical
-    even with the session-store message tap and replay machinery live.
-    Also pins cache-key invariance: a classic chaos cell's campaign key
-    must not change with the strategy machinery present (strategy="" is
-    part of the spec, not an accident of the run).
-    """
-    from repro.experiments.runner import CampaignCell, cache_key
+    """The registry path — strategies, session-store tap, replay machinery
+    — is a pure function of the seed."""
     from repro.experiments.strategy_compare import run_strategy_cell
-    from repro.mercury.config import PAPER_CONFIG
 
     print("determinism: strategy (microreboot, crash, tree V, seed %d) ..." % CHAOS_SEED)
-    payloads = []
-    for _ in (1, 2):
-        result = run_strategy_cell(
-            TREE_BUILDERS["V"](), "microreboot", "crash", trials=2, seed=CHAOS_SEED
+    payloads = [
+        _dump(
+            run_strategy_cell(
+                TREE_BUILDERS["V"](), "microreboot", "crash", trials=2, seed=CHAOS_SEED
+            ).to_payload()
         )
-        payloads.append(json.dumps(result.to_payload(), sort_keys=True))
-    ok = True
-    if payloads[0] != payloads[1]:
-        print("FAIL strategy: result payloads differ between same-seed runs")
-        ok = False
-    else:
-        print("  strategy: result payloads identical")
-
-    os.environ["REPRO_BUS_FULLPARSE"] = "1"
-    try:
-        result = run_strategy_cell(
-            TREE_BUILDERS["V"](), "microreboot", "crash", trials=2, seed=CHAOS_SEED
-        )
-    finally:
-        os.environ.pop("REPRO_BUS_FULLPARSE", None)
-    if json.dumps(result.to_payload(), sort_keys=True) != payloads[0]:
-        print("FAIL strategy: full-parse run differs from fast-path run")
-        ok = False
-    elif ok:
-        print("  strategy: bus fast path == full parse")
-
-    cell = CampaignCell(kind="chaos", tree="V", seed=CHAOS_SEED, scenario="storm", trials=1)
-    key_a = cache_key(cell, PAPER_CONFIG)
-    key_b = cache_key(CampaignCell(**{**dataclasses.asdict(cell)}), PAPER_CONFIG)
-    if key_a != key_b:
-        print("FAIL strategy: cache key not a pure function of the cell spec")
-        ok = False
-    elif ok:
-        print("  strategy: campaign cache keys stable")
-    return ok
+        for _ in (1, 2)
+    ]
+    return _same("strategy", "result payloads identical", *payloads)
 
 
 def check_workload(workdir: str) -> bool:
-    """Workload leg: user-traffic ledgers are pure functions of the seed.
-
-    One microreboot workload cell (crash, tree III) is run four ways —
-    twice with the same seed, once through a fresh boot instead of the
-    snapshot cache, and once under ``REPRO_BUS_FULLPARSE=1`` — and every
-    ledger byte must match: arrivals, retries, failures, latency sums and
-    per-phase blame all ride the cell seed, nothing else.  Then the same
-    cell goes through the campaign runner serial vs. two worker
-    processes, and the campaign cache key is pinned invariant to the
-    snapshot knob.
-    """
-    from repro.experiments.runner import CampaignCell, cache_key, campaign_seed
-    from repro.experiments.snapshot import clear_templates
+    """User-traffic ledgers — arrivals, retries, failures, latency sums and
+    per-phase blame — ride the cell seed and nothing else: not the boot
+    path, not the campaign's process layout."""
     from repro.experiments.workload import run_workload_cell, run_workload_suite
-    from repro.mercury.config import PAPER_CONFIG
     from repro.workload.generator import WorkloadSpec
 
     print("determinism: workload (microreboot, crash, tree III, seed %d) ..." % CHAOS_SEED)
-    spec = WorkloadSpec(session_rate=8.0)
 
-    def run(snapshot=None):
+    def run(snapshot: bool = True) -> str:
         clear_templates()
         result = run_workload_cell(
             TREE_BUILDERS["III"](),
@@ -297,140 +207,41 @@ def check_workload(workdir: str) -> bool:
             "crash",
             failures=2,
             seed=CHAOS_SEED,
-            spec=spec,
+            spec=WorkloadSpec(session_rate=8.0),
             snapshot=snapshot,
         )
-        return json.dumps(result.to_payload(), sort_keys=True)
+        return _dump(result.to_payload())
 
     reference = run()
-    ok = True
-    if run() != reference:
-        print("FAIL workload: result payloads differ between same-seed runs")
-        ok = False
-    else:
-        print("  workload: result payloads identical")
-    if run(snapshot=False) != reference:
-        print("FAIL workload: fresh-boot cell differs from snapshot cell")
-        ok = False
-    elif ok:
-        print("  workload: snapshot restore == fresh boot")
-    os.environ["REPRO_BUS_FULLPARSE"] = "1"
-    try:
-        fullparse = run()
-    finally:
-        os.environ.pop("REPRO_BUS_FULLPARSE", None)
+    ok = _same("workload", "result payloads identical", reference, run())
+    ok = _same("workload", "snapshot restore == fresh boot", reference, run(snapshot=False)) and ok
     clear_templates()
-    if fullparse != reference:
-        print("FAIL workload: full-parse run differs from fast-path run")
-        ok = False
-    elif ok:
-        print("  workload: bus fast path == full parse")
 
-    suites = []
-    for jobs in (1, 2):
-        suite = run_workload_suite(
-            ["microreboot"],
-            ["crash"],
-            ["III"],
-            failures=2,
-            seed=CHAOS_SEED,
-            session_rate=8.0,
-            jobs=jobs,
+    suites = [
+        _dump(
+            {
+                key[2]: cell.to_payload()
+                for key, cell in run_workload_suite(
+                    ["microreboot"],
+                    ["crash"],
+                    ["III"],
+                    failures=2,
+                    seed=CHAOS_SEED,
+                    session_rate=8.0,
+                    jobs=jobs,
+                ).items()
+            }
         )
-        suites.append(
-            json.dumps(
-                {key[2]: cell.to_payload() for key, cell in suite.items()},
-                sort_keys=True,
-            )
-        )
-    if suites[0] != suites[1]:
-        print("FAIL workload: serial campaign differs from 2-process campaign")
-        ok = False
-    elif ok:
-        print("  workload: campaign serial == parallel")
-
-    cell = CampaignCell(
-        kind="workload",
-        tree="III",
-        seed=campaign_seed(CHAOS_SEED, "workload", "microreboot", "crash", "III"),
-        trials=2,
-        strategy="microreboot",
-        failure_kind="crash",
-        request_rate=8.0,
-    )
-    keys = []
-    for flag in ("1", "0"):
-        os.environ["REPRO_STATION_SNAPSHOT"] = flag
-        try:
-            keys.append(cache_key(cell, PAPER_CONFIG))
-        finally:
-            os.environ.pop("REPRO_STATION_SNAPSHOT", None)
-    if keys[0] != keys[1]:
-        print("FAIL workload: campaign cache keys differ between boot modes")
-        ok = False
-    elif ok:
-        print("  workload: campaign cache keys invariant to boot mode")
-    return ok
-
-
-def check_store(workdir: str) -> bool:
-    """Store leg: the crash-only recovery plane rides the seed, not the clock.
-
-    Runs one store-outage chaos cell twice with the same seed — store
-    crash/hang windows, torn/corrupt write lotteries, quarantine recovery
-    and strategy fallback all draw from named kernel RNG streams, so the
-    full event traces and result payloads must match byte-for-byte.  Also
-    pins the store-outage campaign cache key invariant to the snapshot
-    knob, like every other cell kind.
-    """
-    from repro.experiments.runner import CampaignCell, cache_key
-    from repro.mercury.config import PAPER_CONFIG
-
-    print("determinism: store (store-outage on tree V, seed %d) ..." % CHAOS_SEED)
-    payloads = []
-    paths = []
-    for run in (1, 2):
-        path = os.path.join(workdir, f"store-{run}.jsonl")
-        sink = JsonlSink(path)
-        result = run_chaos(
-            TREE_BUILDERS["V"](), "store-outage", trials=1, seed=CHAOS_SEED,
-            sinks=[sink],
-        )
-        paths.append(path)
-        payloads.append(json.dumps(result.to_payload(), sort_keys=True))
-    ok = _compare_traces("store", paths[0], paths[1])
-    if payloads[0] != payloads[1]:
-        print("FAIL store: result payloads differ")
-        ok = False
-    elif ok:
-        print("  store: result payloads identical")
-
-    cell = CampaignCell(
-        kind="chaos", tree="V", seed=CHAOS_SEED, scenario="store-outage", trials=1,
-    )
-    keys = []
-    for flag in ("1", "0"):
-        os.environ["REPRO_STATION_SNAPSHOT"] = flag
-        try:
-            keys.append(cache_key(cell, PAPER_CONFIG))
-        finally:
-            os.environ.pop("REPRO_STATION_SNAPSHOT", None)
-    if keys[0] != keys[1]:
-        print("FAIL store: campaign cache keys differ between boot modes")
-        ok = False
-    elif ok:
-        print("  store: campaign cache keys invariant to boot mode")
-    return ok
+        for jobs in (1, 2)
+    ]
+    return _same("workload", "campaign serial == parallel", *suites) and ok
 
 
 def check_fleet(workdir: str) -> bool:
-    """Fleet leg: shard count, process fan-out, and snapshot mode are all
-    invisible in the results — and in the campaign cache keys."""
+    """Shard count, process fan-out and boot path are all invisible in a
+    fleet's results."""
     from repro.experiments.fleet import FleetSpec, run_fleet_cell
-    from repro.experiments.runner import CampaignCell, cache_key
-    from repro.experiments.snapshot import clear_templates
     from repro.experiments.template_store import STORE
-    from repro.mercury.config import PAPER_CONFIG
 
     print("determinism: fleet (8 stations, waves, user traffic, seed %d) ..." % CHAOS_SEED)
     spec = FleetSpec(
@@ -445,59 +256,39 @@ def check_fleet(workdir: str) -> bool:
         # the user-effects ledger is part of this leg's bit-identity.
         request_rate=4.0,
     )
-    runs = [
+    layouts = [
         ("1 shard", dict(shards=1)),
         ("3 shards", dict(shards=3)),
         ("3 shards x 3 jobs", dict(shards=3, jobs=3)),
-        ("snapshot off", dict(shards=1, snapshot=False)),
+        ("fresh boot", dict(shards=1, snapshot=False)),
     ]
     payloads = []
-    for label, kwargs in runs:
+    for _, kwargs in layouts:
         clear_templates()
         STORE.clear()
-        result = run_fleet_cell(spec, **kwargs)
-        payloads.append((label, json.dumps(result.to_payload(), sort_keys=True)))
+        payloads.append(_dump(run_fleet_cell(spec, **kwargs).to_payload()))
     clear_templates()
     STORE.clear()
     ok = True
-    reference_label, reference = payloads[0]
-    for label, payload in payloads[1:]:
-        if payload != reference:
-            print(f"FAIL fleet: {label} differs from {reference_label}")
-            ok = False
-    if ok:
-        print("  fleet: payloads identical across shard counts, fan-out, and snapshot mode")
-
-    cell = CampaignCell(
-        kind="fleet", tree="V", seed=CHAOS_SEED, horizon_s=120.0,
-        fleet_size=8, wave_interval_s=60.0, wave_drop=0.3,
-    )
-    keys = []
-    for env in ({}, {"REPRO_FLEET_SHARDS": "4", "REPRO_FLEET_JOBS": "4"}):
-        os.environ.update(env)
-        try:
-            keys.append(cache_key(cell, PAPER_CONFIG))
-        finally:
-            for name in env:
-                os.environ.pop(name, None)
-    if keys[0] != keys[1]:
-        print("FAIL fleet: campaign cache keys vary with shard/job knobs")
-        ok = False
-    elif ok:
-        print("  fleet: campaign cache keys invariant to shard/job knobs")
+    for (label, _), payload in zip(layouts[1:], payloads[1:]):
+        ok = _same("fleet", f"{label} == {layouts[0][0]}", payloads[0], payload) and ok
     return ok
+
+
+#: Every leg, in the order it runs; each takes the scratch directory.
+LEGS = [
+    check_same_seed_traces,
+    check_snapshot_fork,
+    check_strategy,
+    check_workload,
+    check_fleet,
+]
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-determinism-") as workdir:
-        ok = check_chaos(workdir)
-        ok = check_chaos_lossy(workdir) and ok
-        ok = check_availability(workdir) and ok
-        ok = check_snapshot_fork(workdir) and ok
-        ok = check_strategy(workdir) and ok
-        ok = check_workload(workdir) and ok
-        ok = check_store(workdir) and ok
-        ok = check_fleet(workdir) and ok
+        # A list, not a generator: a failing leg must not hide the next.
+        ok = all([leg(workdir) for leg in LEGS])
     if ok:
         print("determinism: PASS")
         return 0
