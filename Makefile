@@ -5,9 +5,9 @@ PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: test lint verify chaos-smoke chaos-lossy-smoke strategy-smoke \
-	fleet-smoke workload-smoke store-chaos-smoke check-determinism \
-	bench bench-smoke repo-bench repo-bench-test benchmarks table4-parallel \
-	chaos-full fleet-large workload-soak nightly
+	fleet-smoke workload-smoke store-chaos-smoke examples-smoke \
+	check-determinism bench bench-smoke repo-bench repo-bench-test benchmarks \
+	table4-parallel chaos-full fleet-large workload-soak nightly
 
 # Tier-1 verification: the full unit/integration suite.
 test:
@@ -62,6 +62,14 @@ store-chaos-smoke:
 	$(PYTHON) -m repro.cli chaos --scenario store-outage \
 		--scenario rogue-oracle-crash --tree V --trials 1 --seed 7
 
+# The three self-contained examples that boot, break and wait (the station
+# waits and, in two of them, bare Kernel.run_until); deterministic, a few
+# seconds in all.  Nonzero exit on any exception.
+examples-smoke:
+	$(PYTHON) examples/quickstart.py
+	$(PYTHON) examples/custom_system.py
+	$(PYTHON) examples/recursive_recovery.py
+
 # Every experiment plane run more than once and byte-compared: same-seed
 # double runs (three chaos scenarios and an availability run with their
 # JSONL traces, a strategy cell, a workload cell), warmed-station forks vs
@@ -72,7 +80,7 @@ check-determinism:
 
 # The pre-merge gate: tier-1 tests, lint, and the smoke campaigns.
 verify: test lint chaos-smoke chaos-lossy-smoke strategy-smoke fleet-smoke \
-	workload-smoke store-chaos-smoke
+	workload-smoke store-chaos-smoke examples-smoke
 
 # Perf session: time the simulator hot paths and write BENCH_6.json,
 # carrying the previous artifact's own results forward as the embedded

@@ -63,15 +63,17 @@ def measure(tree: RestartTree, component: str, trials: int = 8) -> float:
         # Quiesce, then wait out the episode-observation window so the next
         # injection opens a fresh episode instead of reading as an uncured
         # restart.
-        while not (manager.all_running() and not injector.active_failures):
-            if not kernel.step():
-                break
+        kernel.run_until(
+            lambda: manager.all_running() and not injector.active_failures
+        )
         kernel.run(until=kernel.now + supervisor.observation_window + 2.0)
         failure = injector.inject_simple(component)
         # Measure until the whole cascade drains (induced app crashes
         # included) — the quantity group consolidation actually improves.
         # The healthy state must *hold* for a second: induced crashes land
-        # shortly after the provoking restart completes.
+        # shortly after the provoking restart completes.  ("Held since" is
+        # a property of the run, not a state transition a wake site could
+        # announce, so this one stays a step loop.)
         recovered_at = None
         while True:
             healthy = not injector.active_failures and manager.all_running()

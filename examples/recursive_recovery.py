@@ -83,12 +83,13 @@ def run_campaign(procedures, label, seed=17, trials=12):
         else:
             failure = injector.inject_simple("db")
         start = kernel.now
-        deadline = kernel.now + 300.0
-        while kernel.now < deadline and (
-            injector.is_active(failure.failure_id) or not manager.all_running()
-        ):
-            if not kernel.step():
-                break
+        # Event-driven wait: the predicate is re-read only at lifecycle
+        # transitions (ProcessManager wakes the kernel), not per event.
+        kernel.run_until(
+            lambda: not injector.is_active(failure.failure_id)
+            and manager.all_running(),
+            until=start + 300.0,
+        )
         total_downtime += kernel.now - start
     print(f"{label:<42} total db-failure downtime: {total_downtime:7.1f} s "
           f"({trials} failures)")

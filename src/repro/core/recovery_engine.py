@@ -160,6 +160,9 @@ class RecoveryEngine:
         self._generation += 1
         self.action = None
         self._pending.clear()
+        # Idle again — and, from new_incarnation(), the policy reconciled
+        # in this same event: waiters on either re-read their predicate.
+        self.kernel.wake()
 
     def stop(self) -> None:
         """The supervisor died or wedged; scheduled callbacks go inert."""
@@ -281,6 +284,7 @@ class RecoveryEngine:
 
     def _decide(self, component: str) -> None:
         decision = self.policy.report_failure(component, self.kernel.now)
+        self.kernel.wake()  # the episode may have been abandoned
         self.restart_log.append(decision)
         # An escalating re-report just fed the oracle a cured=False
         # outcome; checkpoint the estimates before acting on them.
@@ -510,6 +514,7 @@ class RecoveryEngine:
 
     def _finish_restart(self, action: _Action) -> None:
         self.action = None
+        self.kernel.wake()  # idle: supervisor_idle() waiters re-read
         self._action_seq += 1  # invalidate the progress watchdog
         now = self.kernel.now
         ctx = action.ctx
@@ -553,6 +558,7 @@ class RecoveryEngine:
         if self.crash_only and generation != self._generation:
             return  # a dead incarnation's timer; new_incarnation() re-armed
         if self.policy.observation_expired(component, self.kernel.now):
+            self.kernel.wake()  # episode closed
             if self.dialect.episode_closed:
                 self._emit(ev.EPISODE_CLOSED, component=component)
             self._persist_oracle()

@@ -453,11 +453,7 @@ class MercuryStation:
         attachments, handshakes, and the first ping round to complete.
         """
         self.manager.start_all()
-        deadline = self.kernel.now + 300.0
-        while not self.manager.all_running() and self.kernel.now < deadline:
-            if not self.kernel.step():
-                break
-        if not self.manager.all_running():
+        if not self.kernel.run_until(self.manager.all_running, self.kernel.now + 300.0):
             raise ExperimentError("station failed to boot within 300 s")
         self.kernel.run(until=self.kernel.now + settle)
 
@@ -484,17 +480,19 @@ class MercuryStation:
         experiments capture their union instead.
 
         Raises on timeout, which under ``A_cure`` indicates a supervisor
-        bug or an exhausted restart budget.
+        bug or an exhausted restart budget; no event later than the
+        deadline is executed and the clock is left at it.
         """
-        deadline = failure.injected_at + timeout
-        manifest = failure.manifest_component
-        while self.kernel.now < deadline:
-            if not self.injector.is_active(failure.failure_id):
-                curing_batch = self.manager.get(manifest).last_batch
-                if self.manager.all_running(curing_batch):
-                    return self.kernel.now - failure.injected_at
-            if not self.kernel.step():
-                break
+        manifest = self.manager.get(failure.manifest_component)
+
+        def recovered() -> bool:
+            if self.injector.is_active(failure.failure_id):
+                return False
+            # The restart that cured it may have bounced a whole group.
+            return self.manager.all_running(manifest.last_batch)
+
+        if self.kernel.run_until(recovered, failure.injected_at + timeout):
+            return self.kernel.now - failure.injected_at
         raise ExperimentError(
             f"failure {failure.failure_id} not recovered within {timeout}s "
             f"(active={self.injector.is_active(failure.failure_id)}, "
@@ -507,7 +505,9 @@ class MercuryStation:
         Used between experiment trials: correlated mechanisms (resync
         induction, pbcom aging) can queue follow-on failures after an
         episode's measured recovery, and injecting the next trial's failure
-        before those drain would conflate episodes.
+        before those drain would conflate episodes.  Quiescence must hold
+        across ``settle`` seconds; no event later than the deadline is
+        executed unless it falls inside a settle run that began before it.
         """
         deadline = self.kernel.now + timeout
 
@@ -522,20 +522,15 @@ class MercuryStation:
                 and not self.policy.open_episodes()
             )
 
-        while self.kernel.now < deadline:
+        while self.kernel.run_until(quiescent, deadline):
+            self.kernel.run(until=self.kernel.now + settle)
             if quiescent():
-                self.kernel.run(until=self.kernel.now + settle)
-                if quiescent():
-                    return
-                continue
-            if not self.kernel.step():
-                break
-        if not quiescent():
-            raise ExperimentError(
-                f"station not quiescent within {timeout}s: "
-                f"running={sorted(self.manager.running())}, "
-                f"active={[str(d) for d in self.injector.active_failures]}"
-            )
+                return
+        raise ExperimentError(
+            f"station not quiescent within {timeout}s: "
+            f"running={sorted(self.manager.running())}, "
+            f"active={[str(d) for d in self.injector.active_failures]}"
+        )
 
     def supervisor_idle(self) -> bool:
         """Whether no restart action is currently in flight."""

@@ -163,13 +163,19 @@ class ProcessManager:
         """Register for ready/down notifications on every process."""
         self._listeners.append(listener)
 
+    # Both notifications wake an armed ``Kernel.run_until``: they are the
+    # only points where ``all_running`` flips, and the fault injector cures
+    # failures from inside a "ready" listener.
+
     def _notify_ready(self, process: SimProcess) -> None:
         for listener in list(self._listeners):
             listener(process, "ready")
+        self.kernel.wake()
 
     def _notify_down(self, process: SimProcess, signal: Signal) -> None:
         for listener in list(self._listeners):
             listener(process, f"down:{signal.value}")
+        self.kernel.wake()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         states = {name: p.state.value for name, p in self._processes.items()}

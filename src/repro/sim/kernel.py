@@ -37,6 +37,12 @@ Three scheduling APIs, cheapest first:
   cancellable API, still allocating one :class:`EventHandle` per event.
 
 All three interleave arbitrarily with identical time/FIFO semantics.
+
+Running: :meth:`Kernel.run` drains the queue (optionally up to a time),
+:meth:`Kernel.run_until` does the same until a predicate holds, re-reading
+it only after events that called :meth:`Kernel.wake`, and
+:meth:`Kernel.step` executes exactly one event (DESIGN.md §10 has the
+contract and the wake-site table).
 """
 
 from __future__ import annotations
@@ -92,6 +98,11 @@ class Kernel:
         self._seq = 0
         self._stopped = False
         self._running = False
+        #: The one flag the run loop tests per event: set by :meth:`stop`
+        #: (for good) and by :meth:`wake` while a :meth:`run_until` is armed
+        #: (until the predicate has been re-read).
+        self._halt = False
+        self._armed = False
         #: Timestamp and entry of the newest scheduled event, for the
         #: same-instant bucket-append fast path.  NaN means "no tail": it
         #: compares unequal to every float (including itself) through the
@@ -306,7 +317,13 @@ class Kernel:
             self._cancelled_in_queue -= 1
 
     def step(self) -> bool:
-        """Execute the next pending event; return False if queue is empty."""
+        """Execute the next pending event; return False if queue is empty.
+
+        The single-step/debug API and the engine of the ``max_events`` run.
+        Waiting for a condition is :meth:`run_until`'s job: a step-and-poll
+        loop pays this method's per-item bucket re-push plus one predicate
+        read per event.
+        """
         queue = self._queue
         push = heapq.heappush
         while queue:
@@ -381,20 +398,82 @@ class Kernel:
     def run(self, until: Optional[SimTime] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
-        When ``until`` is given and the queue still holds later events, the
-        clock is advanced exactly to ``until`` so successive ``run(until=...)``
-        calls observe contiguous time.
-
-        This is the simulator's innermost loop: the heap, heap functions, and
-        clock are bound to locals, and the clock is advanced by direct slot
-        assignment — safe because the schedulers already reject past times,
-        so heap order guarantees monotonicity.
+        When ``until`` is given the clock is advanced exactly to ``until``
+        (unless the kernel was stopped) so successive ``run(until=...)``
+        calls observe contiguous time.  :meth:`wake` never shortens a plain
+        ``run``: it only acts while a :meth:`run_until` is armed.
         """
         if self._running:
             raise SimulationError("kernel.run() is not reentrant")
         if max_events is not None:
             self._run_bounded(until, max_events)
             return
+        self._dispatch(until)
+        if until is not None and not self._stopped and self.clock._now < until:
+            self.clock.advance_to(until)
+
+    def run_until(
+        self, predicate: Callable[[], bool], until: Optional[SimTime] = None
+    ) -> bool:
+        """Run until ``predicate()`` holds; ``False`` if it never did.
+
+        The event-driven wait: ``predicate`` is read once up front and then
+        only after an event during which some state owner called
+        :meth:`wake` — never between the events in between, which ride the
+        batched loop of :meth:`run`.  A predicate may therefore only read
+        state whose every false→true transition calls ``wake()`` (DESIGN.md
+        §10 lists the wake sites), and must not itself run the kernel.
+
+        Returns ``True`` with the clock at the waking event.  Returns
+        ``False`` when nothing is left that could change the answer: the
+        kernel was stopped, the queue drained (the clock stays at the last
+        event), or the next event lies beyond ``until`` — no event later
+        than ``until`` is executed and the clock is left exactly there.
+        """
+        if self._running or self._armed:
+            raise SimulationError("kernel.run_until() is not reentrant")
+        self._armed = True
+        try:
+            while not predicate():
+                self._halt = self._stopped  # clear the last wake, never a stop
+                self._dispatch(until)
+                if self._stopped:
+                    return False
+                if not self._halt:
+                    # Not woken: drained, or only later events remain.
+                    if (
+                        until is not None
+                        and self.clock._now < until
+                        and self.peek_next_time() is not None
+                    ):
+                        self.clock.advance_to(until)
+                    return False
+            return True
+        finally:
+            self._armed = False
+            self._halt = self._stopped
+
+    def wake(self) -> None:
+        """Have an armed :meth:`run_until` re-read its predicate.
+
+        Called by state owners at the transitions predicates read.  The
+        dispatch loop returns after the current event — mid-bucket, the
+        rest of the same-instant bucket goes back under its original
+        sequence number — and resumes if the predicate still fails.  A
+        no-op unless a ``run_until`` is armed, so a stray wake can never
+        cut a plain ``run(until=...)`` short.
+        """
+        if self._armed:
+            self._halt = True
+
+    def _dispatch(self, until: Optional[SimTime]) -> None:
+        """Execute events up to ``until`` or until halted; no clock advance.
+
+        This is the simulator's innermost loop: the heap, heap functions, and
+        clock are bound to locals, and the clock is advanced by direct slot
+        assignment — safe because the schedulers already reject past times,
+        so heap order guarantees monotonicity.
+        """
         self._running = True
         queue = self._queue  # identity is stable (compaction mutates in place)
         pop = heapq.heappop
@@ -409,7 +488,7 @@ class Kernel:
                 if until is not None and when > until:
                     push(queue, entry)
                     break
-                if self._stopped:
+                if self._halt:
                     push(queue, entry)
                     break
                 if when == self._tail_when:
@@ -441,7 +520,7 @@ class Kernel:
                         else:
                             executed += 1
                             item()
-                        if self._stopped and index < n:
+                        if self._halt and index < n:
                             entry[2] = (
                                 payload[index:] if n - index > 1 else payload[index]
                             )
@@ -476,8 +555,6 @@ class Kernel:
                     clock._now = when
                     executed += 1
                     payload()
-            if until is not None and not self._stopped and clock._now < until:
-                clock.advance_to(until)
         finally:
             self.events_executed += executed
             self._live -= executed - repeats
@@ -507,6 +584,7 @@ class Kernel:
     def stop(self) -> None:
         """Halt the simulation; pending events are never executed."""
         self._stopped = True
+        self._halt = True
         # Scheduling must raise from now on; the tail-append fast path skips
         # the stopped check, so the tail must die with the kernel.
         self._tail_when = _NO_TAIL

@@ -157,10 +157,10 @@ class WorkloadPlane:
                 spec.retry_backoff_s * retries * (retries + 1) / 2.0
             )
             timeout = (2 * spec.session_length - 1) * per_request + 30.0
-        deadline = self.kernel.now + timeout
-        while self._pending and self.kernel.now < deadline:
-            if not self.kernel.step():
-                break
+        self.kernel.run_until(self._drained, self.kernel.now + timeout)
+
+    def _drained(self) -> bool:
+        return not self._pending
 
     def finalize(self) -> UserEffects:
         """Close the measured window and emit the summary event."""
@@ -267,6 +267,8 @@ class WorkloadPlane:
             self._issue(session, next_step)
         else:
             self.effects.sessions_completed += 1
+            if not self._pending:
+                self.kernel.wake()  # drain() re-reads
 
     def _timeout(self, rid: int, attempt: int) -> None:
         request = self._pending.get(rid)
@@ -288,6 +290,8 @@ class WorkloadPlane:
             self._send(request)
             return
         del self._pending[rid]
+        if not self._pending:
+            self.kernel.wake()  # drain() re-reads
         session = request.session
         remaining = len(session.ops) - request.step - 1
         blame = request.blame or phase

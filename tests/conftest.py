@@ -68,6 +68,39 @@ def full_parse_reference():
     return _full_parse_reference
 
 
+def _stepping_run_until(self: Kernel, predicate, until=None) -> bool:
+    """``Kernel.run_until``'s contract by the loop it replaced: execute one
+    event through ``step()``, re-read the predicate, whatever the event
+    touched.  No wake is consulted, so a predicate term whose transition
+    lacks a wake site makes the real ``run_until`` overshoot this one."""
+    while not predicate():
+        next_time = self.peek_next_time()
+        if self.stopped or next_time is None:
+            return False
+        if until is not None and next_time > until:
+            if self.now < until:
+                self.clock.advance_to(until)
+            return False
+        self.step()
+    return True
+
+
+@contextmanager
+def _stepping_reference():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Kernel, "run_until", _stepping_run_until)
+        yield
+
+
+@pytest.fixture(scope="session")
+def stepping_reference():
+    """The event-driven waits' reference: a context manager under which
+    ``boot``, ``run_until_recovered``, ``run_until_quiescent``, ``drain``
+    and every other ``run_until`` caller step and poll.  Test-side only,
+    like ``full_parse_reference``; session scope, it holds no state."""
+    return _stepping_reference
+
+
 def spawn_simple(manager: ProcessManager, name: str, work: float = 1.0):
     """Helper: register a bare process with constant startup work."""
     return manager.spawn(ProcessSpec(name, constant_work(work)))
