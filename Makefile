@@ -6,7 +6,8 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: test lint verify chaos-smoke chaos-lossy-smoke strategy-smoke \
 	fleet-smoke workload-smoke store-chaos-smoke examples-smoke \
-	check-determinism bench bench-smoke repo-bench repo-bench-test benchmarks \
+	check-determinism bench bench-smoke repo-bench repo-bench-test \
+	repo-bench-ab benchmarks \
 	table4-parallel chaos-full fleet-large workload-soak nightly
 
 # Tier-1 verification: the full unit/integration suite.
@@ -109,6 +110,16 @@ repo-bench:
 # counts; ~1.5 min, outside tier-1).
 repo-bench-test:
 	$(PYTHON) -m pytest bench -q
+
+# What a performance claim has to show: PAIRS alternating runs of one
+# workload on BASE (a temporary git worktree) and on this tree — each
+# side's median and quartiles, pair wins, and the exact comparison of the
+# payload digest and the result.sim_* lines (tools/bench_ab.py).
+BASE ?= HEAD~1
+WORKLOAD ?= traffic-steady
+PAIRS ?= 10
+repo-bench-ab:
+	python3 tools/bench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Full paper-reproduction suite (slow).  REPRO_BENCH_TRIALS/JOBS/CACHE
 # control fidelity, fan-out, and result caching.

@@ -11,14 +11,16 @@ touches every message — a broker whose dispatcher is wedged stops routing,
 preserving fidelity to the paper's argument that application-level pings
 indicate liveness "with higher confidence than a network-level ICMP ping".
 Routing, however, needs only the start tag's ``to``/``from``/verb fields,
-so the hot path uses :func:`repro.xmlcmd.fastpath.scan_envelope` — a
-single-pass scan that never builds an element tree — and forwards the
-original raw string untouched.  Any message the scan cannot *guarantee* to
-judge identically to the full parser (children, entities, malformed input)
-falls back to full parsing, so observable behavior — routing decisions,
-counters, trace records and their error text — is identical: the
-differential tests make the scanners refuse every wire (the full-parse
-reference, ``tests/conftest.py``) and assert the traces do not move.
+so the hot path makes one :func:`repro.xmlcmd.fastpath.decode_envelope`
+call per message — the encoder's own envelope when the wire carries one, a
+single-pass scan that never builds an element tree otherwise — and
+forwards the original raw string untouched.  Any message the decoder cannot
+*guarantee* to judge identically to the full parser (children, entities,
+malformed input) falls back to full parsing, so observable behavior —
+routing decisions, counters, trace records and their error text — is
+identical: the differential tests make the decoder refuse every wire (the
+full-parse reference, ``tests/conftest.py``) and assert the traces do not
+move.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.errors import ChannelClosedError, XmlError
 from repro.obs import events as ev
 from repro.types import Severity
 from repro.xmlcmd.commands import envelope_of, parse_message
-from repro.xmlcmd.fastpath import encode_ping_wire, scan_envelope, split_ping_wire
+from repro.xmlcmd.fastpath import decode_envelope, encode_ping_wire
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.process import SimProcess
@@ -120,33 +122,34 @@ class BusBroker(Behavior):
         mode = self.process.degraded_mode
         if mode == "hang":
             return  # fail-slow broker: a hung mbus consumes nothing
-        # Canonical pings (>90% of availability-run traffic) are decided by
-        # the memoized prefix split alone — no attribute scan at all.
-        ping = split_ping_wire(raw)
+        # The dispatcher touches every message, but a wire its encoder
+        # vouched for (pings are >90% of availability-run traffic) costs a
+        # slot read here, not a scan.
+        envelope = decode_envelope(raw)
         if mode is not None:
-            # A zombie mbus answers its own (canonical) liveness pings but
-            # routes nothing, so every *other* component looks dead through
-            # it.  Degraded runs are outside the differential trace contract.
-            if ping is not None and ping[0] == "ping" and ping[2] == self.name:
-                self._reply_ping(ping[1], ping[3])
+            # A zombie mbus answers the liveness pings its decoder vouches
+            # for but routes nothing, so every *other* component looks dead
+            # through it.  Degraded runs are outside the differential trace
+            # contract.
+            if (
+                envelope is not None
+                and envelope.kind == "ping"
+                and envelope.target == self.name
+            ):
+                self._reply_ping(envelope.sender, envelope.seq)
             return
-        if ping is not None:
-            kind, sender, target, seq = ping
-            verb = None
-        else:
-            envelope = scan_envelope(raw)
-            if envelope is None:
-                # Unscannable: the full parser judges it, so malformed
-                # input produces the parser's own error text in the trace.
-                try:
-                    envelope = envelope_of(parse_message(raw))
-                except XmlError as error:
-                    self.dropped += 1
-                    self.trace(
-                        ev.BUS_BAD_MESSAGE, severity=Severity.WARNING, error=str(error)
-                    )
-                    return
-            kind, sender, target, verb, seq = envelope
+        if envelope is None:
+            # Refused: the full parser judges it, so malformed input
+            # produces the parser's own error text in the trace.
+            try:
+                envelope = envelope_of(parse_message(raw))
+            except XmlError as error:
+                self.dropped += 1
+                self.trace(
+                    ev.BUS_BAD_MESSAGE, severity=Severity.WARNING, error=str(error)
+                )
+                return
+        kind, sender, target, verb, seq = envelope
         if kind == "command" and verb == "attach":
             self._attach(sender, endpoint)
         elif target != self.name:

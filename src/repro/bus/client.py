@@ -25,7 +25,7 @@ from repro.xmlcmd.commands import (
     encode_message,
     parse_message,
 )
-from repro.xmlcmd.fastpath import scan_envelope, split_ping_wire
+from repro.xmlcmd.fastpath import decode_envelope
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
@@ -134,24 +134,21 @@ class BusClient:
         self._handlers.append(handler)
 
     def _on_raw(self, raw: str) -> None:
-        # Zero-copy receive: when a cheap wire scan proves the full parser
+        # Zero-copy receive: when the decoder vouches that the full parser
         # would accept this message, store it *unparsed* — decoding happens
         # lazily on first field access, and a consumer that only counts
-        # messages never materializes a document at all.  Anything the scan
-        # cannot vouch for takes the eager parse, so malformed traffic is
-        # still dropped at delivery exactly as before.
+        # messages never materializes a document at all.  Anything it
+        # refuses takes the eager parse, so malformed traffic is still
+        # dropped at delivery.
         message: Message
-        if split_ping_wire(raw) is not None:
-            message = LazyMessage(raw)  # type: ignore[assignment]
+        envelope = decode_envelope(raw)
+        if envelope is not None:
+            message = LazyMessage(raw, envelope)  # type: ignore[assignment]
         else:
-            envelope = scan_envelope(raw)
-            if envelope is not None:
-                message = LazyMessage(raw, envelope)  # type: ignore[assignment]
-            else:
-                try:
-                    message = parse_message(raw)
-                except XmlError:
-                    return
+            try:
+                message = parse_message(raw)
+            except XmlError:
+                return
         if self.retain_messages:
             self.received.append(message)
         if self._handlers:

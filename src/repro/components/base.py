@@ -30,7 +30,7 @@ from repro.xmlcmd.commands import (
     envelope_of,
     parse_message,
 )
-from repro.xmlcmd.fastpath import encode_ping_wire, scan_envelope, split_ping_wire
+from repro.xmlcmd.fastpath import Envelope, decode_envelope, encode_ping_wire
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.process import SimProcess
@@ -207,31 +207,35 @@ class BusAttachedBehavior(Behavior):
             return
         if self.process.degraded_mode == "hang":
             return  # event loop wedged: nothing is consumed, nothing answered
-        hit = split_ping_wire(raw)
-        if hit is not None and hit[0] == "ping":
+        self._deliver(raw, decode_envelope(raw))
+
+    def _deliver(self, raw: str, env: Optional[Envelope]) -> None:
+        """Act on one inbound wire, given what the decoder made of it
+        (``None``: refused, so the full parser judges it here)."""
+        if env is not None and env.kind == "ping":
             # Liveness pings dominate bus traffic; answer straight from the
-            # wire triple — no request or reply dataclass is ever built.
+            # envelope — no request or reply dataclass is ever built.
             # Byte-identical to send(PingReply(...)), including the zombie
             # gate (a zombie's liveness thread still answers pings).
             if self.connected:
                 try:
                     self._endpoint.send(
-                        encode_ping_wire("ping-reply", self.name, hit[1], hit[3])
+                        encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
                     )
                 except ChannelClosedError:
                     pass
             return
         if self._session_store is not None and not self._replaying:
             # Bus-client tap: log real work for checkpoint-replay recovery.
-            # Pings never reach the log — they carry no state.  A store
-            # outage leaves a gap in the replay window (counted by the
-            # store's op-timeout ladder); real work is never blocked on it.
+            # Pings the decoder vouches for never reach the log — they
+            # carry no state.  A store outage leaves a gap in the replay
+            # window (counted by the store's op-timeout ladder); real work
+            # is never blocked on it.
             try:
                 self._session_store.log_message(self.name, raw)
             except StoreError:
                 pass
         message: Message
-        env = scan_envelope(raw)
         if env is not None:
             # Vouched wire: the full parser is guaranteed to accept it, so
             # the payload stays a string unless ``on_message`` actually
@@ -244,11 +248,11 @@ class BusAttachedBehavior(Behavior):
                 self.trace(ev.BAD_MESSAGE, severity=Severity.WARNING, error=str(error))
                 return
             env = envelope_of(message)
-        if env.kind == "ping":
-            # A schema-valid ping in non-canonical form (canonical ones took
-            # the wire fast path above).
-            self.send(PingReply(sender=self.name, target=env.sender, seq=env.seq))
-            return
+            if env.kind == "ping":
+                # A schema-valid ping only the parser could judge (entities,
+                # children); vouched ones were answered above.
+                self.send(PingReply(sender=self.name, target=env.sender, seq=env.seq))
+                return
         if self.process.degraded_mode == "zombie":
             return  # real work silently dropped — only e2e probes see this
         if env.kind == "command" and env.verb == E2E_PROBE_VERB:

@@ -44,7 +44,7 @@ from repro.xmlcmd.commands import (
     encode_message,
     parse_message,
 )
-from repro.xmlcmd.fastpath import encode_ping_wire, split_ping_wire
+from repro.xmlcmd.fastpath import decode_envelope, encode_ping_wire
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.manager import ProcessManager
@@ -202,16 +202,18 @@ class RecoveryModule(Behavior):
         # the generic parser only sees failure reports and the odd control
         # verb — and those dispatch O(1) on the message class instead of
         # walking an isinstance chain.
-        hit = split_ping_wire(raw)
-        if hit is not None:
-            if hit[0] == "ping":
+        env = decode_envelope(raw)
+        if env is not None:
+            if env.kind == "ping":
                 self._ctl_send_raw(
-                    encode_ping_wire("ping-reply", self.name, hit[1], hit[3])
+                    encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
                 )
-            elif hit[3] == self._outstanding_ping:
-                self._outstanding_ping = None
-                self._fd_misses = 0
-            return
+                return
+            if env.kind == "ping-reply":
+                if env.seq == self._outstanding_ping:
+                    self._outstanding_ping = None
+                    self._fd_misses = 0
+                return
         message = parse_message(raw)
         handler = _CTL_DISPATCH.get(message.__class__)
         if handler is not None:

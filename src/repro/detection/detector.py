@@ -64,7 +64,7 @@ from repro.xmlcmd.commands import (
     encode_message,
     parse_message,
 )
-from repro.xmlcmd.fastpath import encode_ping_wire, split_ping_wire
+from repro.xmlcmd.fastpath import decode_envelope, encode_ping_wire
 
 #: Control-channel verb asking REC to drop a queued report (see
 #: :meth:`FailureDetector._maybe_retract`).
@@ -278,17 +278,18 @@ class FailureDetector(BusAttachedBehavior):
         # Watchdog traffic (REC's pings at us, its replies to ours) dominates
         # this channel; both directions ride the templated wire form, so the
         # generic parser only sees restart orders and the odd control verb.
-        hit = split_ping_wire(raw)
-        if hit is not None:
-            if hit[0] == "ping":
+        env = decode_envelope(raw)
+        if env is not None:
+            if env.kind == "ping":
                 self._ctl_send_raw(
-                    encode_ping_wire("ping-reply", self.name, hit[1], hit[3])
+                    encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
                 )
-            elif hit[0] == "ping-reply":
-                if hit[3] == self._rec_outstanding:
+                return
+            if env.kind == "ping-reply":
+                if env.seq == self._rec_outstanding:
                     self._rec_outstanding = None
                     self._rec_misses = 0
-            return
+                return
         message = parse_message(raw)
         if isinstance(message, PingRequest):
             self._ctl_send(PingReply(sender=self.name, target=message.sender, seq=message.seq))
@@ -383,15 +384,17 @@ class FailureDetector(BusAttachedBehavior):
 
     def _on_raw(self, raw: str) -> None:
         # Ping replies are FD's dominant inbound traffic; lift them off the
-        # generic parse path straight from the wire triple.  Any degraded
-        # mode (hang drops everything, a zombie FD consumes nothing real)
-        # falls through to the base class, which owns those gates.
-        if self._alive and self.process.degraded_mode is None:
-            hit = split_ping_wire(raw)
-            if hit is not None and hit[0] == "ping-reply":
-                self._on_ping_reply(hit[1], hit[3])
-                return
-        super()._on_raw(raw)
+        # generic dispatch straight from the envelope.  Any degraded mode
+        # (hang drops everything, a zombie FD consumes nothing real) goes
+        # to the base class, which owns those gates.
+        if not self._alive or self.process.degraded_mode is not None:
+            super()._on_raw(raw)
+            return
+        env = decode_envelope(raw)
+        if env is not None and env.kind == "ping-reply":
+            self._on_ping_reply(env.sender, env.seq)
+        else:
+            self._deliver(raw, env)
 
     def on_message(self, message: Message) -> None:
         if isinstance(message, PingReply):

@@ -15,9 +15,10 @@ This package provides:
 * :mod:`repro.xmlcmd.serializer` — canonical serialization with escaping;
 * :mod:`repro.xmlcmd.commands` — the typed message schema (ping, ping reply,
   commands, telemetry, failure reports) used on the bus;
-* :mod:`repro.xmlcmd.fastpath` — the wire-level codec (envelope scanning
-  for broker routing, templated ping and command encode, regex-level ping
-  and command decode), bit-compatible with the full parse/serialize
+* :mod:`repro.xmlcmd.fastpath` — the wire-level codec (templated ping and
+  command encode that vouches for its own clean output, one envelope
+  decode per hop for routing and delivery, regex-level ping and command
+  decode of plain text), bit-compatible with the full parse/serialize
   pipeline, which remains the fallback and the test oracle (DESIGN.md §8).
 
 The point of carrying real (parsed, validated) XML through the simulated
@@ -25,7 +26,10 @@ station — rather than passing Python objects — is fidelity to the paper's
 liveness argument: a ping reply proves the component can *parse, dispatch and
 serialize* application-level messages, not merely that its process exists.
 A component whose process is alive but whose dispatcher is wedged fails the
-XML ping, and FD correctly declares it failed.
+XML ping, and FD correctly declares it failed.  What every hop carries is
+still that XML text; a wire this process's own encoder wrote without
+escaping anything also carries the five routing fields it was written from,
+so a hop re-reads only text it has reason to doubt (DESIGN.md §8).
 """
 
 from repro.xmlcmd.commands import (

@@ -8,7 +8,9 @@ components never dispatch on malformed input.
 
 Pings and commands — everything FD's liveness loop and the user-traffic
 plane put on the bus — are encoded and decoded at the wire level by
-:mod:`repro.xmlcmd.fastpath` without building an element tree.  The generic
+:mod:`repro.xmlcmd.fastpath` without building an element tree, and a wire
+that came out of the encoder clean (a :class:`~repro.xmlcmd.fastpath.Wire`)
+is decoded from the encoder's memo without reading its text.  The generic
 pipeline (``to_element`` → ``serialize_xml``, ``parse_xml`` →
 ``message_from_element``) carries the other kinds, every non-canonical
 spelling, and is the oracle the codec tests compare against
@@ -34,6 +36,7 @@ from repro.errors import CommandSchemaError
 from repro.xmlcmd.document import Element
 from repro.xmlcmd.fastpath import (
     Envelope,
+    Wire,
     command_params,
     encode_command_wire,
     encode_ping_wire,
@@ -233,13 +236,24 @@ def parse_message(text: str) -> Message:
     Raises :class:`~repro.errors.XmlParseError` for malformed XML and
     :class:`~repro.errors.CommandSchemaError` for schema violations.
 
-    Canonical pings and commands are decoded at the wire level
+    A :class:`~repro.xmlcmd.fastpath.Wire` is rebuilt from its encoder's
+    memo without reading the text.  Canonical pings and commands in plain
+    text are decoded at the wire level
     (:func:`repro.xmlcmd.fastpath.split_ping_wire` /
     :func:`~repro.xmlcmd.fastpath.split_command_wire`); everything else —
     including schema-valid messages in a non-canonical spelling — goes
     through :func:`parse_message_full` with identical results (equality is
     enforced by the shared round-trip property tests).
     """
+    if text.__class__ is Wire:
+        kind, sender, target, verb, seq = text.envelope
+        if kind == "command":
+            # A copy: what the receiver does to its params must not reach
+            # the next delivery of the same wire (a duplicate, a replay).
+            return CommandMessage(sender, target, verb, text.params.copy())
+        if kind == "ping":
+            return PingRequest(sender, target, seq)
+        return PingReply(sender, target, seq)
     ping = split_ping_wire(text)
     if ping is not None:
         kind, sender, target, seq = ping
@@ -338,24 +352,30 @@ def envelope_of(message: Message) -> Envelope:
     )
 
 
+_LAZY_FIELDS = frozenset({"raw", "_envelope", "_msg"})
+
+
 class LazyMessage:
     """A received bus message that defers decoding until first use.
 
-    Holds the wire string and, when the receiver's vouching scan produced
-    one, its :class:`~repro.xmlcmd.fastpath.Envelope`.  Any attribute access
+    Holds the wire string and, when the receiver's decoder produced one,
+    its :class:`~repro.xmlcmd.fastpath.Envelope`.  Any attribute access
     delegates to the decoded message, produced exactly once and cached: a
-    vouched command is assembled from the envelope plus one ``findall`` for
-    its params, anything else goes through :func:`parse_message`.  The
+    command vouched from plain text is assembled from the envelope plus one
+    ``findall`` for its params, anything else goes through
+    :func:`parse_message` (which reads a ``Wire``'s memo).  The
     ``__class__`` proxy makes ``isinstance(lazy, PingReply)`` (and dataclass
     equality against a parsed message) behave as if the document had been
     parsed eagerly — so consumers cannot tell the difference, except that a
     consumer who looks at nothing pays for nothing.
 
     Callers must only wrap strings the full parser is known to accept
-    (e.g. after a :func:`~repro.xmlcmd.fastpath.scan_envelope` or
-    :func:`~repro.xmlcmd.fastpath.split_ping_wire` hit), and only pass the
-    envelope scanned from that same string; wrapping garbage would surface
-    the parse error at first *access* instead of at delivery.
+    (after a :func:`~repro.xmlcmd.fastpath.decode_envelope` hit), and only
+    pass the envelope decoded from that same string; wrapping garbage would
+    surface the parse error at first *access* instead of at delivery.
+
+    Copies and pickles as ``(raw, envelope)``: the copy decodes again on its
+    own first use.
     """
 
     def __init__(self, raw: str, envelope: Optional[Envelope] = None) -> None:
@@ -363,19 +383,24 @@ class LazyMessage:
         self._envelope = envelope
         self._msg: Optional[Message] = None
 
+    def __reduce__(self):
+        return LazyMessage, (self.raw, self._envelope)
+
     def _materialize(self) -> Message:
         msg = self._msg
         if msg is None:
+            raw = self.raw
             envelope = self._envelope
-            if envelope is not None and envelope.kind == "command":
+            if (
+                envelope is not None
+                and envelope.kind == "command"
+                and raw.__class__ is not Wire
+            ):
                 msg = CommandMessage(
-                    envelope.sender,
-                    envelope.target,
-                    envelope.verb,
-                    command_params(self.raw),
+                    envelope.sender, envelope.target, envelope.verb, command_params(raw)
                 )
             else:
-                msg = parse_message(self.raw)
+                msg = parse_message(raw)
             self._msg = msg
             # Adopt the decoded fields: every later ``lazy.verb`` is a plain
             # attribute load, not a ``__getattr__`` round trip.
@@ -387,6 +412,14 @@ class LazyMessage:
         return self._materialize().__class__
 
     def __getattr__(self, name: str):
+        # Only reached for names the instance lacks.  Its own three fields
+        # are missing only on a half-built instance (``__new__`` without
+        # ``__init__``, as copy and pickle make), and no dunder protocol is
+        # the decoded message's to answer: refusing both keeps a probe like
+        # ``hasattr(copy, "__setstate__")`` from recursing through
+        # ``_materialize``.
+        if name in _LAZY_FIELDS or (name.startswith("__") and name.endswith("__")):
+            raise AttributeError(name)
         return getattr(self._materialize(), name)
 
     def __eq__(self, other: object) -> bool:

@@ -18,6 +18,13 @@ Encode (byte-identical to ``serialize_xml(message.to_element())``):
   tag, ``<param>`` children joined per item.  Every user request and reply
   is a command.
 
+Both return a :class:`Wire` — the same text, carrying the
+:class:`Envelope` (and params) the decoders below would recover from it —
+whenever no field needed escaping, which is exactly when those decoders
+would vouch for the text anyway.  :func:`decode_envelope` is the receive
+sites' one call per message: it reads that memo, and scans text only when
+handed a plain string.
+
 Decode (canonical spelling only — the serializer's own output):
 
 * :func:`split_ping_wire` — a memoized prefix cache maps the constant
@@ -88,6 +95,11 @@ class Envelope(NamedTuple):
     seq: Optional[int]
 
 
+#: ``_new_envelope(Envelope, fields)``: the generated ``__new__`` minus its
+#: argument shuffle — one envelope is built per vouched ping.
+_new_envelope = tuple.__new__
+
+
 def scan_envelope(raw: str) -> Optional[Envelope]:
     """Extract routing fields from a canonical command or a childless
     ``<msg .../>`` start tag.
@@ -148,6 +160,57 @@ def scan_envelope(raw: str) -> Optional[Envelope]:
 
 
 # ----------------------------------------------------------------------
+# vouched wires
+# ----------------------------------------------------------------------
+
+
+class Wire(str):
+    """Wire text that remembers what its encoder wrote.
+
+    ``envelope`` is what :func:`scan_envelope` returns for this text and
+    ``params`` what :func:`command_params` returns (``None`` for a ping);
+    the encoders build one only for text those scanners accept, so reading
+    the memo and scanning the text are interchangeable.  It is a ``str`` in
+    every other respect — compared, hashed, sliced, logged and serialized
+    as its text — and as immutable: nobody writes the slots after
+    :func:`vouch`, and a receiver is handed a copy of ``params``.
+    """
+
+    __slots__ = ("envelope", "params")
+
+    def __reduce__(self):
+        return vouch, (str(self), self.envelope, self.params)
+
+    def __deepcopy__(self, memo: dict) -> "Wire":
+        return self
+
+
+def vouch(
+    text: str, envelope: "Envelope", params: Optional[Dict[str, str]] = None
+) -> Wire:
+    """The one place a :class:`Wire` is built."""
+    wire = Wire(text)
+    wire.envelope = envelope
+    wire.params = params
+    return wire
+
+
+def decode_envelope(raw: str) -> Optional[Envelope]:
+    """Routing fields of one received message, or ``None`` when only the
+    full parser may judge it.
+
+    A :class:`Wire` answers from its memo; plain text is scanned — the
+    memoized ping split first, then :func:`scan_envelope`.
+    """
+    if raw.__class__ is Wire:
+        return raw.envelope
+    ping = split_ping_wire(raw)
+    if ping is not None:
+        return _new_envelope(Envelope, (ping[0], ping[1], ping[2], None, ping[3]))
+    return scan_envelope(raw)
+
+
+# ----------------------------------------------------------------------
 # templated encode
 # ----------------------------------------------------------------------
 
@@ -156,52 +219,83 @@ def scan_envelope(raw: str) -> Optional[Envelope]:
 #: unbounded growth — on overflow the cache is simply rebuilt.
 _CACHE_LIMIT = 4096
 
-_encode_prefixes: Dict[Tuple[str, str, str], str] = {}
+_PING_KINDS = ("ping", "ping-reply")
+
+#: ``(kind, sender, target)`` → (start tag up to ``seq="``, whether it is
+#: clean: a ping kind whose names came through ``escape_attr`` unchanged).
+_encode_prefixes: Dict[Tuple[str, str, str], Tuple[str, bool]] = {}
 
 
 def encode_ping_wire(kind: str, sender: str, target: str, seq: int) -> str:
-    """Serialize a ping/ping-reply, byte-identical to the canonical form."""
+    """Serialize a ping/ping-reply, byte-identical to the canonical form.
+
+    Vouched (a :class:`Wire`) when the start tag is clean and ``seq`` is an
+    ``int`` proper: a ``bool`` or ``str`` seq formats into text
+    :func:`split_ping_wire` would refuse or read back as another type.
+    """
     key = (kind, sender, target)
-    prefix = _encode_prefixes.get(key)
-    if prefix is None:
+    hit = _encode_prefixes.get(key)
+    if hit is None:
         if len(_encode_prefixes) >= _CACHE_LIMIT:
             _encode_prefixes.clear()
-        prefix = (
-            f'<msg type="{kind}" from="{escape_attr(sender)}"'
-            f' to="{escape_attr(target)}" seq="'
+        sender_attr = escape_attr(sender)
+        target_attr = escape_attr(target)
+        hit = _encode_prefixes[key] = (
+            f'<msg type="{kind}" from="{sender_attr}" to="{target_attr}" seq="',
+            kind in _PING_KINDS and sender_attr == sender and target_attr == target,
         )
-        _encode_prefixes[key] = prefix
-    return f'{prefix}{seq}"/>'
+    text = f'{hit[0]}{seq}"/>'
+    if hit[1] and seq.__class__ is int:
+        return vouch(text, _new_envelope(Envelope, (kind, sender, target, None, seq)))
+    return text
 
 
-_command_prefixes: Dict[Tuple[str, str, str], str] = {}
+#: ``(sender, target, verb)`` → (start tag without its close, the command's
+#: envelope when all three came through ``escape_attr`` unchanged else None).
+_command_prefixes: Dict[Tuple[str, str, str], Tuple[str, Optional[Envelope]]] = {}
 
 
 def encode_command_wire(
     sender: str, target: str, verb: str, params: Mapping[str, str]
 ) -> str:
-    """Serialize a command, byte-identical to the canonical form."""
+    """Serialize a command, byte-identical to the canonical form.
+
+    Vouched (a :class:`Wire`) when neither the start tag nor any param
+    needed escaping; the memoized params are the decoder's — values
+    stripped of XML whitespace — in a dict of the wire's own.
+    """
     key = (sender, target, verb)
-    prefix = _command_prefixes.get(key)
-    if prefix is None:
+    hit = _command_prefixes.get(key)
+    if hit is None:
         if len(_command_prefixes) >= _CACHE_LIMIT:
             _command_prefixes.clear()
-        prefix = (
-            f'<msg type="command" from="{escape_attr(sender)}"'
-            f' to="{escape_attr(target)}" verb="{escape_attr(verb)}"'
+        attrs = (escape_attr(sender), escape_attr(target), escape_attr(verb))
+        hit = _command_prefixes[key] = (
+            '<msg type="command" from="%s" to="%s" verb="%s"' % attrs,
+            Envelope("command", sender, target, verb, None) if attrs == key else None,
         )
-        _command_prefixes[key] = prefix
+    prefix, envelope = hit
     if not params:
-        return prefix + "/>"
+        text = prefix + "/>"
+        return text if envelope is None else vouch(text, envelope, {})
     parts = [prefix, ">"]
+    clean = envelope is not None
+    decoded: Dict[str, str] = {}
     for name, value in params.items():
         text = escape_text(value)
+        attr = escape_attr(name)
+        if clean:
+            if text == value and attr == name:
+                decoded[name] = value.strip(_WS)
+            else:
+                clean = False
         if text:
-            parts.append(f'<param name="{escape_attr(name)}">{text}</param>')
+            parts.append(f'<param name="{attr}">{text}</param>')
         else:
-            parts.append(f'<param name="{escape_attr(name)}"/>')
+            parts.append(f'<param name="{attr}"/>')
     parts.append("</msg>")
-    return "".join(parts)
+    text = "".join(parts)
+    return vouch(text, envelope, decoded) if clean else text
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network
+from repro.xmlcmd import fastpath
 
 
 @pytest.fixture
@@ -30,39 +31,54 @@ def manager(kernel: Kernel) -> ProcessManager:
     return ProcessManager(kernel, contention_coefficient=0.05)
 
 
-#: The receivers' wire scanners.  Refusing everything in all of them sends
-#: every inbound message to ``parse_message`` at delivery — the eager
-#: receive path the scanners replaced.  The component base keeps its
-#: canonical-ping reply: that short-circuit sits *ahead* of the
-#: session-store tap, so refusing it would log pings and change the store's
-#: behaviour, not just the decoder.  (A zombie broker recognises its own
-#: pings with the same split, so degraded brokers are outside the reference,
-#: as they were outside the differential contract before.)
-_REFUSED_SCANNERS = (
-    "repro.bus.broker.split_ping_wire",
-    "repro.bus.broker.scan_envelope",
-    "repro.bus.client.split_ping_wire",
-    "repro.bus.client.scan_envelope",
-    "repro.components.base.scan_envelope",
+#: The receive sites whose decoder refuses everything under the reference,
+#: which sends every inbound message to ``parse_message`` at delivery — the
+#: eager receive path the decoder replaced.  (A zombie broker recognises
+#: its own pings with the same call, so degraded brokers are outside the
+#: reference, as they were outside the differential contract before.)
+_REFUSING_SITES = (
+    "repro.bus.broker.decode_envelope",
+    "repro.bus.client.decode_envelope",
 )
+
+
+def _vouch_pings_only(raw):
+    """The component base's decoder under the reference: its ping reply sits
+    *ahead* of the session-store tap, so refusing pings too would log them
+    and change the store's behaviour, not just the decoder."""
+    envelope = fastpath.decode_envelope(str(raw))
+    return envelope if envelope is not None and envelope.kind == "ping" else None
+
+
+class _NoWire(str):
+    """``Wire`` as the typed layer sees it under the reference: never
+    instantiated, so no string is one."""
 
 
 @contextmanager
 def _full_parse_reference():
     with pytest.MonkeyPatch.context() as patch:
-        for scanner in _REFUSED_SCANNERS:
-            patch.setattr(scanner, lambda raw: None)
+        # Encoders hand out plain text, and a ``Wire`` encoded before the
+        # reference was entered is read as text too (``str(raw)`` above,
+        # ``parse_message`` and ``LazyMessage`` below), so nothing answers
+        # from an encoder's memo: the reference decodes *text* end to end.
+        patch.setattr(fastpath, "vouch", lambda text, envelope, params=None: text)
+        patch.setattr("repro.xmlcmd.commands.Wire", _NoWire)
+        for site in _REFUSING_SITES:
+            patch.setattr(site, lambda raw: None)
+        patch.setattr("repro.components.base.decode_envelope", _vouch_pings_only)
         yield
 
 
 @pytest.fixture(scope="session")
 def full_parse_reference():
     """The bus differential suites' reference: a context manager under which
-    broker, standalone client and component base full-parse every message.
+    broker, standalone client and component base full-parse every message,
+    and no wire carries its encoder's memo.
 
-    Selected here, test-side, by making the scanners refuse — the one
-    receive path (scan → vouch → full-parse fallback) is then exercised on
-    its fallback arm only.  There is no runtime switch for this.  Session
+    Selected here, test-side, by making the decoder refuse — the one
+    receive path (decode → vouch → full-parse fallback) is then exercised
+    on its fallback arm only.  There is no runtime switch for this.  Session
     scope (the fixture holds no state) so hypothesis tests can use it.
     """
     return _full_parse_reference

@@ -20,8 +20,10 @@ from repro.experiments.workload import (
     run_workload_cell,
     run_workload_suite,
 )
+from repro.mercury.session_store import SessionStore
 from repro.mercury.trees import TREE_BUILDERS
 from repro.workload.generator import WorkloadSpec
+from repro.xmlcmd.fastpath import Wire
 
 #: The pinned regression cell: tree III keeps ses and str in lone leaf
 #: groups, so full restart's resync cascade is maximally user-visible.
@@ -104,6 +106,29 @@ def test_bus_fullparse_matches_fastpath(loss_cells, full_parse_reference):
     with full_parse_reference():
         eager = _cell("microreboot")
     assert eager.to_payload() == loss_cells["microreboot"].to_payload()
+
+
+def test_bus_fullparse_matches_fastpath_under_checkpoint_replay(full_parse_reference):
+    """The strategy that re-feeds logged wires through the receive path:
+    vouched ``Wire`` objects in the session-store log on one side, plain
+    text decoded by the parser on the other."""
+    replayed = []
+    replay_log = SessionStore.replay_log
+
+    def recording(store, component):
+        entries = replay_log(store, component)
+        replayed.extend(type(raw) for raw in entries)
+        return entries
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SessionStore, "replay_log", recording)
+        vouched = _cell("checkpoint-replay")
+        vouched_log, replayed = replayed, []
+        with full_parse_reference():
+            eager = _cell("checkpoint-replay")
+    assert Wire in vouched_log and len(replayed) == len(vouched_log)
+    assert set(replayed) == {str}
+    assert eager.to_payload() == vouched.to_payload()
 
 
 def test_suite_serial_matches_parallel():

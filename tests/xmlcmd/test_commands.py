@@ -1,5 +1,8 @@
 """Tests for the typed command schema."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from repro.errors import CommandSchemaError, XmlParseError
 from repro.xmlcmd.commands import (
     CommandMessage,
     FailureReport,
+    LazyMessage,
     PingReply,
     PingRequest,
     RestartOrder,
@@ -15,6 +19,7 @@ from repro.xmlcmd.commands import (
     encode_message,
     parse_message,
 )
+from repro.xmlcmd.fastpath import decode_envelope
 
 
 def roundtrip(message):
@@ -126,3 +131,55 @@ def test_command_roundtrip_property(sender, target, verb, params):
 @settings(max_examples=50, deadline=None)
 def test_ping_roundtrip_property(sender, target, seq):
     assert roundtrip(PingRequest(sender, target, seq)) == PingRequest(sender, target, seq)
+
+
+# ----------------------------------------------------------------------
+# LazyMessage: copying and pickling the proxy (ROADMAP 4d)
+# ----------------------------------------------------------------------
+
+_CLONERS = [
+    pytest.param(copy.copy, id="copy"),
+    pytest.param(copy.deepcopy, id="deepcopy"),
+    *(
+        pytest.param(lambda m, p=p: pickle.loads(pickle.dumps(m, p)), id=f"pickle{p}")
+        for p in range(2, 6)
+    ),
+]
+
+_LAZY_SUBJECTS = [
+    CommandMessage("ses", "users", "svc-reply", {"req": "7", "svc": "telemetry"}),
+    PingReply("ses", "fd", 17),
+    TelemetryFrame("fedr", "ops", "opal", "p42", 4800),
+]
+
+
+@pytest.mark.parametrize("clone", _CLONERS)
+@pytest.mark.parametrize("vouched", [True, False], ids=["wire", "text"])
+@pytest.mark.parametrize("touched", [False, True], ids=["fresh", "materialized"])
+@pytest.mark.parametrize("message", _LAZY_SUBJECTS, ids=lambda m: type(m).__name__)
+def test_lazy_message_copies_and_pickles(message, touched, vouched, clone):
+    """Used to die in ``RecursionError``: the half-built copy's missing
+    ``_msg`` went through ``__getattr__`` into ``_materialize`` and back."""
+    raw = encode_message(message)
+    if not vouched:
+        raw = str(raw)
+    lazy = LazyMessage(raw, decode_envelope(raw))
+    if touched:
+        assert lazy.sender == message.sender
+    twin = clone(lazy)
+    assert type(twin) is LazyMessage and twin is not lazy
+    assert twin.raw == raw and type(twin.raw) is type(raw)
+    assert twin._envelope == lazy._envelope
+    assert twin._msg is None  # decodes again, on its own first use
+    assert twin == message and isinstance(twin, type(message))
+    assert lazy == message
+
+
+def test_half_built_lazy_message_raises_attribute_error():
+    bare = LazyMessage.__new__(LazyMessage)
+    for name in ("raw", "_envelope", "_msg", "__setstate__", "__deepcopy__"):
+        with pytest.raises(AttributeError):
+            getattr(bare, name)
+    # ... while a built one still proxies every public field of its message.
+    lazy = LazyMessage(encode_message(_LAZY_SUBJECTS[2]))
+    assert lazy.satellite == "opal" and lazy.payload_bytes == 4800

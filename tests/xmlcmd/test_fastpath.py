@@ -7,6 +7,10 @@ result byte/field-identical to the full pipeline, or refuses (returns
 ``None``) so callers fall back to the full pipeline.
 """
 
+import copy
+import json
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +24,16 @@ from repro.xmlcmd.commands import (
     RestartOrder,
     TelemetryFrame,
     encode_message,
+    envelope_of,
     parse_message,
     parse_message_full,
 )
 from repro.xmlcmd import fastpath
 from repro.xmlcmd.fastpath import (
+    Envelope,
+    Wire,
+    command_params,
+    decode_envelope,
     encode_command_wire,
     encode_ping_wire,
     scan_envelope,
@@ -438,3 +447,140 @@ def test_arbitrary_text_never_diverges(raw):
             parse_message_full(raw)
         return
     assert fast == parse_message_full(raw)
+
+
+# ----------------------------------------------------------------------
+# vouched wires: the encoder's memo against the text it rides on
+# ----------------------------------------------------------------------
+
+#: What callers really pass as ``seq`` plus what they could: a ``bool`` and
+#: a digit string format into ping text but are not the decoder's ``int``.
+_seqs = st.one_of(st.integers(), st.booleans(), st.integers(min_value=0).map(str))
+
+
+def _clean(*attrs, texts=()):
+    return all(escape_attr(a) == a for a in attrs) and all(
+        escape_text(t) == t for t in texts
+    )
+
+
+@given(
+    kind=st.sampled_from(["ping", "ping-reply"]),
+    sender=_wire_text,
+    target=_wire_text,
+    seq=_seqs,
+)
+@settings(max_examples=150, deadline=None)
+def test_ping_wire_is_vouched_iff_clean_and_memo_equals_scan(kind, sender, target, seq):
+    wire = encode_ping_wire(kind, sender, target, seq)
+    cls = PingRequest if kind == "ping" else PingReply
+    assert wire == serialize_xml(cls(sender, target, seq).to_element())
+    assert (wire.__class__ is Wire) == (_clean(sender, target) and type(seq) is int)
+    if wire.__class__ is Wire:
+        text = str(wire)
+        assert wire.envelope == scan_envelope(text) == decode_envelope(text)
+        assert wire.envelope == envelope_of(parse_message_full(text))
+        assert wire.params is None
+        assert parse_message(wire) == parse_message(text) == parse_message_full(text)
+
+
+@given(
+    sender=_wire_text,
+    target=_wire_text,
+    verb=_wire_text,
+    params=st.dictionaries(_wire_text, _wire_text, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_command_wire_is_vouched_iff_clean_and_memo_equals_scan(
+    sender, target, verb, params
+):
+    wire = encode_command_wire(sender, target, verb, params)
+    message = CommandMessage(sender, target, verb, params)
+    assert wire == serialize_xml(message.to_element())
+    clean = _clean(sender, target, verb, *params, texts=params.values())
+    assert (wire.__class__ is Wire) == clean
+    if clean:
+        text = str(wire)
+        assert wire.envelope == scan_envelope(text) == decode_envelope(text)
+        assert wire.envelope == envelope_of(parse_message_full(text))
+        assert wire.params == command_params(text)
+        assert list(wire.params) == list(command_params(text))  # same order
+        assert parse_message(wire) == parse_message(text) == parse_message_full(text)
+
+
+def test_unclean_or_foreign_fields_stay_plain_text():
+    """One case per clause of the clean-field rule."""
+    plain = [
+        encode_ping_wire("ping", "a&b", "c", 1),
+        encode_ping_wire("ping", "a", 'c"', 1),
+        encode_ping_wire("ping", "a", "c", True),
+        encode_ping_wire("ping", "a", "c", "1"),
+        encode_ping_wire("pong", "a", "c", 1),  # not a kind the splitter knows
+        encode_command_wire("a>", "b", "v", {}),
+        encode_command_wire("a", "b", "<v>", {"k": "1"}),
+        encode_command_wire("a", "b", "v", {"k": "1 & 2"}),
+        encode_command_wire("a", "b", "v", {'k"': "1"}),
+    ]
+    assert [type(wire) for wire in plain] == [str] * len(plain)
+    # ... and the neighbouring clean ones are vouched, empty params included.
+    assert type(encode_ping_wire("ping", "a", "c", -1)) is Wire
+    assert type(encode_command_wire("a", "b", "v", {})) is Wire
+    assert type(encode_command_wire("a", "b", "v", {"k": ' "quoted" '})) is Wire
+
+
+VOUCHED = [
+    encode_message(PingRequest("fd", "ses", 17)),
+    encode_message(CommandMessage("a", "mbus", "attach")),
+    encode_message(SVC_REPLY),
+    encode_message(CommandMessage("a", "b", "v", {"flag": "", "pad": " x "})),
+]
+
+
+@pytest.mark.parametrize("wire", VOUCHED)
+def test_wire_copies_and_pickles_with_its_memo(wire):
+    assert type(wire) is Wire
+    clones = [copy.copy(wire), copy.deepcopy(wire), copy.deepcopy([wire])[0]]
+    clones += [pickle.loads(pickle.dumps(wire, protocol)) for protocol in range(2, 6)]
+    for clone in clones:
+        assert type(clone) is Wire
+        assert str(clone) == str(wire)
+        assert clone.envelope == wire.envelope and type(clone.envelope) is Envelope
+        assert clone.params == wire.params
+    assert not hasattr(wire, "__dict__")
+
+
+@pytest.mark.parametrize("wire", VOUCHED)
+def test_wire_is_its_text_to_everything_else(wire):
+    text = str(wire)
+    assert type(text) is str and wire == text and hash(wire) == hash(text)
+    assert json.loads(json.dumps({"raw": wire, "log": [wire]})) == {
+        "raw": text,
+        "log": [text],
+    }
+    # The text decoders slice and match: nothing they intern is the Wire
+    # itself (``sys.intern`` raises TypeError on a str subclass).
+    assert scan_envelope(wire) == scan_envelope(text)
+    assert split_ping_wire(wire) == split_ping_wire(text)
+    assert split_command_wire(wire) == split_command_wire(text)
+    assert command_params(wire) == command_params(text)
+    assert parse_message_full(wire) == parse_message_full(text)
+
+
+def test_each_decode_of_a_wire_gets_its_own_params():
+    wire = encode_message(SVC_REPLY)
+    first = parse_message(wire)
+    first.params["req"] = "tampered"
+    first.params.clear()
+    assert parse_message(wire) == SVC_REPLY
+    assert wire.params == SVC_REPLY.params
+
+
+def test_decode_envelope_scans_plain_text():
+    """Off the memo the decoder is the old pair: ping split, then scan."""
+    for message in REGISTRY_MESSAGES:
+        text = str(encode_message(message))
+        assert decode_envelope(text) == scan_envelope(text)
+    assert decode_envelope("<msg type='ping' from='a' to='b' seq='1'/>") == (
+        "ping", "a", "b", None, 1,
+    )
+    assert decode_envelope("<not-xml") is None
