@@ -115,11 +115,15 @@ repo-bench-test:
 # workload on BASE (a temporary git worktree) and on this tree — each
 # side's median and quartiles, pair wins, and the exact comparison of the
 # payload digest and the result.sim_* lines (tools/bench_ab.py).
+# LEDGER=1 adds one traced run per side and the "which layer moved" table:
+# every exact-repeat per-layer metric (*.calls, events_per_work, ...) that
+# differs.
 BASE ?= HEAD~1
 WORKLOAD ?= traffic-steady
 PAIRS ?= 10
 repo-bench-ab:
-	python3 tools/bench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+	python3 tools/bench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) \
+		$(if $(LEDGER),--ledger)
 
 # Full paper-reproduction suite (slow).  REPRO_BENCH_TRIALS/JOBS/CACHE
 # control fidelity, fan-out, and result caching.

@@ -106,13 +106,15 @@ class BusClient:
         if self._reconnect_pending or self._closed:
             return
         self._reconnect_pending = True
+        # A bound method, not a closure: ``copy.deepcopy`` treats functions
+        # as atomic, so a forked client's timer would run against the
+        # template's client.
+        self.kernel.call_after(self.reconnect_interval, self._reconnect)
 
-        def attempt() -> None:
-            self._reconnect_pending = False
-            if not self._closed and not self.connected:
-                self.connect()
-
-        self.kernel.call_after(self.reconnect_interval, attempt)
+    def _reconnect(self) -> None:
+        self._reconnect_pending = False
+        if not self._closed and not self.connected:
+            self.connect()
 
     # ------------------------------------------------------------------
     # messaging

@@ -51,11 +51,9 @@ class Behavior:
     def __init__(self, process: "SimProcess") -> None:
         self.process = process
         self.kernel = process.kernel
-
-    @property
-    def name(self) -> str:
-        """The hosting process's (and hence the component's) name."""
-        return self.process.name
+        #: The hosting process's (and hence the component's) name; a
+        #: process never changes its own.
+        self.name = process.name
 
     def trace(self, kind: str, severity: Severity = Severity.INFO, **data: Any) -> None:
         """Emit a trace record attributed to this component."""
@@ -217,9 +215,10 @@ class BusAttachedBehavior(Behavior):
             # envelope — no request or reply dataclass is ever built.
             # Byte-identical to send(PingReply(...)), including the zombie
             # gate (a zombie's liveness thread still answers pings).
-            if self.connected:
+            endpoint = self._endpoint
+            if endpoint is not None and endpoint.open:
                 try:
-                    self._endpoint.send(
+                    endpoint.send(
                         encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
                     )
                 except ChannelClosedError:

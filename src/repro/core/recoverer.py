@@ -250,7 +250,8 @@ class RecoveryModule(Behavior):
     def _schedule_fd_ping(self) -> None:
         if not self.engine.alive:
             return
-        self.kernel.call_after(self.fd_ping_period, self._ping_fd)
+        # Handle-free, like FD's half: nothing ever cancels a watchdog timer.
+        self.kernel.schedule_after(self.fd_ping_period, self._ping_fd)
 
     def _ping_fd(self) -> None:
         if not self.engine.alive:
@@ -260,14 +261,18 @@ class RecoveryModule(Behavior):
             return
         self._ping_seq += 1
         self._outstanding_ping = self._ping_seq
-        sent = self._ctl_send(
-            PingRequest(sender=self.name, target=self.fd_name, seq=self._ping_seq)
+        # Straight from the wire template: byte-identical to
+        # ``_ctl_send(PingRequest(...))`` without the dataclass.
+        sent = self._ctl_send_raw(
+            encode_ping_wire("ping", self.name, self.fd_name, self._ping_seq)
         )
         if not sent:
             self._register_fd_miss()
             self._schedule_fd_ping()
             return
-        self.kernel.call_after(self.fd_ping_timeout, self._check_fd_ping, self._ping_seq)
+        self.kernel.schedule_after(
+            self.fd_ping_timeout, self._check_fd_ping, self._ping_seq
+        )
         self._schedule_fd_ping()
 
     def _check_fd_ping(self, seq: int) -> None:

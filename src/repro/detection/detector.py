@@ -47,7 +47,7 @@ process was running and undegraded when declared).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.components.base import BusAttachedBehavior
 from repro.components.health import EndToEndProber, probe_reply_info
@@ -345,39 +345,43 @@ class FailureDetector(BusAttachedBehavior):
         self._ping_rec()
         timeout = self._current_timeout()
         now = self.kernel.now
-        # Hot loop: one ping + one judge per monitored component per second.
-        # Pings go straight from the wire template (no PingRequest object —
-        # ``send`` would produce the identical bytes via ``encode_message``),
-        # and judges are scheduled handle-free: nothing ever cancels one.
-        schedule_after = self.kernel.schedule_after
+        # Hot loop: one ping per monitored component per second, sent back
+        # to back, and one judgement for the whole round.  Pings go straight
+        # from the wire template (no PingRequest object — ``send`` would
+        # produce the identical bytes via ``encode_message``); the judgement
+        # is scheduled handle-free: nothing ever cancels one.
+        pinged = []
         for component in self.monitored:
             if component in self._suppressed:
                 continue
             self._seq += 1
             self._outstanding[component] = (self._seq, now)
-            sent = self._send_ping_wire(component, self._seq)
-            if not sent:
+            if self._send_ping_wire(component, self._seq):
+                if adaptive:
+                    self._round_pinged.add(component)
+            elif component != self.bus_component:
                 # Cannot even reach the bus: only the bus's own ping can be
                 # meaningfully judged.  Treat as an immediate miss for mbus,
                 # and leave others unjudged.
-                if component == self.bus_component:
-                    schedule_after(timeout, self._judge, component, self._seq)
-                else:
-                    self._outstanding.pop(component, None)
+                self._outstanding.pop(component, None)
                 continue
-            if adaptive:
-                self._round_pinged.add(component)
-            schedule_after(timeout, self._judge, component, self._seq)
+            pinged.append((component, self._seq))
+        if pinged:
+            self.kernel.schedule_after(timeout, self._judge_round, pinged)
 
     def _send_ping_wire(self, component: str, seq: int) -> bool:
         """Send one liveness ping, byte-identical to
         ``send(PingRequest(...))`` including its fail-slow gates (a hung or
         zombie FD emits no ping requests)."""
-        if self.process.degraded_mode is not None or not self.connected:
+        endpoint = self._endpoint
+        if (
+            self.process.degraded_mode is not None
+            or endpoint is None
+            or not endpoint.open
+        ):
             return False
-        assert self._endpoint is not None
         try:
-            self._endpoint.send(encode_ping_wire("ping", self.name, component, seq))
+            endpoint.send(encode_ping_wire("ping", self.name, component, seq))
         except ChannelClosedError:
             return False
         return True
@@ -427,6 +431,17 @@ class FailureDetector(BusAttachedBehavior):
                 self._suspected_via.pop(component, None)
                 self.trace(ev.COMPONENT_RECOVERED_OBSERVED, component=component)
                 self._maybe_retract(component, "ping")
+
+    def _judge_round(self, pinged: List[Tuple[str, int]]) -> None:
+        """Judge every ping of one round, in the order they were sent.
+
+        One event where there used to be one per component: those shared a
+        timestamp and held sequence numbers handed out inside one ``_tick``,
+        so nothing could ever run between them (DESIGN.md §9).
+        """
+        judge = self._judge
+        for component, seq in pinged:
+            judge(component, seq)
 
     def _judge(self, component: str, seq: int) -> None:
         if not self._alive:

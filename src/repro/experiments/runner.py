@@ -83,7 +83,10 @@ from repro.sim.rng import derive_seed
 #: (new "store-outage" and "rogue-oracle-crash" recipes).  Strategy-enabled
 #: stations emit new store/supervisor event kinds, so their streams differ
 #: from v8 even when no fault fires.
-CACHE_VERSION = 9
+#: v10: FD judges a ping round with one kernel event instead of one per
+#: component, so ``FleetResult.stations[*].events_executed`` fell for
+#: identical specs; every other payload field is unchanged.
+CACHE_VERSION = 10
 
 
 # ----------------------------------------------------------------------

@@ -18,12 +18,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Endpoint:
-    """One half of a channel, held by one of the two communicating parties."""
+    """One half of a channel, held by one of the two communicating parties.
+
+    It owns the whole message path (:meth:`send` here, :meth:`_deliver` on
+    the peer); the channel keeps the counters and the teardown.
+    """
+
+    __slots__ = ("_channel", "_network", "name", "open", "_on_message", "_on_close",
+                 "_peer", "_inbox_while_unset", "_last_arrival")
 
     def __init__(self, channel: "Channel", name: str) -> None:
         self._channel = channel
+        self._network = channel._network
         #: Human-readable identity of the holder (for traces and errors).
         self.name = name
+        #: Whether the channel is still open; :meth:`Channel.close` writes it.
+        self.open = True
         self._on_message: Optional[Callable[[Any], None]] = None
         self._on_close: Optional[Callable[[], None]] = None
         self._peer: Optional["Endpoint"] = None
@@ -42,11 +52,6 @@ class Endpoint:
         """The opposite endpoint of this channel."""
         assert self._peer is not None
         return self._peer
-
-    @property
-    def open(self) -> bool:
-        """Whether the channel is still open."""
-        return self._channel.open
 
     def on_message(self, callback: Callable[[Any], None]) -> None:
         """Set the receive handler.
@@ -70,12 +75,37 @@ class Endpoint:
     # ------------------------------------------------------------------
 
     def send(self, message: Any) -> None:
-        """Queue ``message`` for in-order delivery to the peer."""
-        if not self._channel.open:
-            raise ChannelClosedError(
-                f"{self.name!r} cannot send on closed channel {self._channel!r}"
-            )
-        self._channel.transmit(self, message)
+        """Queue ``message`` for in-order delivery to the peer.
+
+        Per-direction "last scheduled arrival" guarantees FIFO even when
+        latency jitter would reorder independent sends.  The clamp also
+        collapses back-to-back sends onto the *same* arrival instant, which
+        the kernel batches into one queue entry (the tail bucket) — a burst
+        of N sends costs one heap push, not N.
+        """
+        channel = self._channel
+        if not self.open:
+            raise ChannelClosedError(f"{self.name!r} cannot send on closed channel {channel!r}")
+        receiver = self._peer
+        network = self._network
+        faults = network.faults
+        channel.messages_sent += 1
+        if faults is not None and faults.active:
+            copies = faults.plan(self.name, receiver.name)
+            if copies is None:
+                channel.messages_lost += 1
+                return  # dropped or partitioned: the sender never knows
+        else:
+            copies = (0.0,)
+        kernel = network.kernel
+        sample = network.latency.sample
+        for extra in copies:
+            arrival = kernel.clock._now + sample() + extra
+            if arrival < receiver._last_arrival:
+                arrival = receiver._last_arrival
+            else:
+                receiver._last_arrival = arrival
+            kernel.schedule_at(arrival, receiver._deliver, message)
 
     def close(self) -> None:
         """Close the whole channel; the peer's close handler is notified.
@@ -86,14 +116,18 @@ class Endpoint:
         self._channel.close(initiator=self)
 
     # ------------------------------------------------------------------
-    # delivery (called by Channel)
+    # delivery (scheduled by the peer's send)
     # ------------------------------------------------------------------
 
     def _deliver(self, message: Any) -> None:
-        if self._on_message is None:
+        if not self.open:
+            return  # connection severed while the message was in flight
+        self._channel.messages_delivered += 1
+        handler = self._on_message
+        if handler is None:
             self._inbox_while_unset.append(message)
         else:
-            self._on_message(message)
+            handler(message)
 
     def _notify_close(self) -> None:
         # In-flight messages are dropped on close; that includes messages
@@ -109,15 +143,16 @@ class Endpoint:
 
 
 class Channel:
-    """A connected pair of endpoints with latency-delayed FIFO delivery."""
+    """A connected pair of endpoints: shared open state, counters, teardown."""
 
-    _counter = 0
+    __slots__ = ("id", "_network", "open", "client_endpoint", "server_endpoint",
+                 "messages_sent", "messages_delivered", "messages_lost")
 
-    def __init__(self, network: "Network", client_name: str, server_name: str) -> None:
-        Channel._counter += 1
-        self.id = Channel._counter
+    def __init__(self, network: "Network", ordinal: int, client_name: str, server_name: str) -> None:
+        #: The network's connection ordinal, not a process-wide count: error
+        #: texts naming a channel depend on its own station's history only.
+        self.id = ordinal
         self._network = network
-        self._kernel = network.kernel
         self.open = True
         self.client_endpoint = Endpoint(self, client_name)
         self.server_endpoint = Endpoint(self, server_name)
@@ -127,48 +162,13 @@ class Channel:
         self.messages_delivered = 0
         self.messages_lost = 0
 
-    def transmit(self, sender: Endpoint, message: Any) -> None:
-        """Schedule delivery of ``message`` from ``sender`` to its peer.
-
-        Per-direction "last scheduled arrival" guarantees FIFO even when
-        latency jitter would reorder independent sends.  The clamp also
-        collapses back-to-back sends onto the *same* arrival instant, which
-        the kernel batches into one queue entry (the tail bucket) — a burst
-        of N sends costs one heap push, not N.
-        """
-        receiver = sender._peer
-        faults = self._network.faults
-        if faults is not None and faults.active:
-            copies = faults.plan(sender.name, receiver.name)
-            if copies is None:
-                self.messages_sent += 1
-                self.messages_lost += 1
-                return  # dropped or partitioned: the sender never knows
-        else:
-            copies = (0.0,)
-        self.messages_sent += 1
-        kernel = self._kernel
-        latency = self._network.latency
-        for extra in copies:
-            arrival = kernel.clock._now + latency.sample() + extra
-            if arrival < receiver._last_arrival:
-                arrival = receiver._last_arrival
-            else:
-                receiver._last_arrival = arrival
-            kernel.schedule_at(arrival, self._deliver, receiver, message)
-
-    def _deliver(self, receiver: Endpoint, message: Any) -> None:
-        if not self.open:
-            return  # connection severed while the message was in flight
-        self.messages_delivered += 1
-        receiver._deliver(message)
-
     def close(self, initiator: Optional[Endpoint] = None) -> None:
         """Tear down the channel, notifying the non-initiating side(s)."""
         if not self.open:
             return
         self.open = False
         for endpoint in (self.client_endpoint, self.server_endpoint):
+            endpoint.open = False
             # Undelivered pre-handler buffers die with the connection (the
             # initiator's too — _notify_close only runs on the other side).
             endpoint._inbox_while_unset.clear()
@@ -176,9 +176,8 @@ class Channel:
                 # Close notification crosses the network like data does,
                 # but is immune to the fault model: teardown is surfaced by
                 # the local OS (RST / broken pipe), not by lossy packets.
-                self._kernel.call_after(
-                    self._network.latency.sample(), endpoint._notify_close
-                )
+                network = self._network
+                network.kernel.call_after(network.latency.sample(), endpoint._notify_close)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.open else "closed"

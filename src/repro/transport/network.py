@@ -166,6 +166,10 @@ class NetworkFaultModel:
         #: Epochs guard scheduled auto-heals against manual overrides.
         self._degrade_epochs: Dict[Tuple[str, str], int] = {}
         self._partition_epochs: Dict[Tuple[str, str], int] = {}
+        #: Fast-path flag read once per message by ``Endpoint.send``: whether
+        #: any fault could currently apply.  Maintained by
+        #: :meth:`_refresh_active` wherever the tables it summarises change.
+        self.active = False
         # Diagnostics.
         self.messages_dropped = 0
         self.messages_duplicated = 0
@@ -177,10 +181,10 @@ class NetworkFaultModel:
     # configuration (scriptable from chaos scenarios)
     # ------------------------------------------------------------------
 
-    @property
-    def active(self) -> bool:
-        """Fast-path flag: whether any fault could currently apply."""
-        return bool(self._profiles or self._partitions or self._default is not None)
+    def _refresh_active(self) -> None:
+        self.active = bool(
+            self._profiles or self._partitions or self._default is not None
+        )
 
     def degrade(
         self,
@@ -208,6 +212,7 @@ class NetworkFaultModel:
             self._default = profile
         else:
             self._profiles[key] = profile
+        self._refresh_active()
         epoch = self._degrade_epochs.get(key, 0) + 1
         self._degrade_epochs[key] = epoch
         self.kernel.trace.emit(
@@ -246,6 +251,7 @@ class NetworkFaultModel:
         key = link_key(a, b)
         until = self.kernel.now + duration
         self._partitions[key] = until
+        self._refresh_active()
         epoch = self._partition_epochs.get(key, 0) + 1
         self._partition_epochs[key] = epoch
         self.kernel.trace.emit(
@@ -277,7 +283,7 @@ class NetworkFaultModel:
             self._heal(key)
 
     # ------------------------------------------------------------------
-    # queries (consulted by Channel and Network)
+    # queries (consulted by Endpoint.send and Network)
     # ------------------------------------------------------------------
 
     def is_partitioned(self, a: str, b: str) -> bool:
@@ -344,6 +350,7 @@ class NetworkFaultModel:
             self._default = None
         elif self._profiles.pop(key, None) is None:
             return
+        self._refresh_active()
         self.kernel.trace.emit("net", ev.NET_LINK_RESTORED, link=self._link_label(key))
 
     def _auto_heal(self, key: Tuple[str, str], epoch: int) -> None:
@@ -354,6 +361,7 @@ class NetworkFaultModel:
     def _heal(self, key: Tuple[str, str]) -> None:
         if self._partitions.pop(key, None) is None:
             return
+        self._refresh_active()
         self.kernel.trace.emit("net", ev.NET_PARTITION_END, link=self._link_label(key))
 
 
@@ -436,7 +444,9 @@ class Network:
             raise ConnectionRefusedError_(
                 f"{client_name!r} -> {address!r}: connection refused"
             )
-        channel = Channel(self, client_name, listener.address)
         self._connections_established += 1
+        channel = Channel(
+            self, self._connections_established, client_name, listener.address
+        )
         listener.accept(channel.server_endpoint)
         return channel.client_endpoint

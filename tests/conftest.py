@@ -6,6 +6,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.detection.detector import FailureDetector
+from repro.obs import events as ev
 from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.sim.kernel import Kernel
@@ -115,6 +117,63 @@ def stepping_reference():
     and every other ``run_until`` caller step and poll.  Test-side only,
     like ``full_parse_reference``; session scope, it holds no state."""
     return _stepping_reference
+
+
+def _per_component_tick(self: FailureDetector) -> None:
+    """``FailureDetector._tick`` as it scheduled judgements before the
+    round judge: *send, schedule that component's judge, send, schedule the
+    next* — one kernel event per pinged component, each in its own heap
+    entry.  Everything up to the ping loop is the product's, line for line."""
+    if not self._alive:
+        return
+    self.kernel.schedule_after(self.ping_period, self._tick)
+    if not self.connected:
+        self._try_connect()
+    adaptive = self.timeout_policy == "adaptive"
+    if adaptive:
+        if not self.connected and self._partition_suspected:
+            self._partition_suspected = False
+            self.trace(ev.PARTITION_CLEARED)
+        self._round_pinged = set()
+        self._round_replied = set()
+        self._round_judged = False
+    self._ping_rec()
+    timeout = self._current_timeout()
+    now = self.kernel.now
+    schedule_after = self.kernel.schedule_after
+    for component in self.monitored:
+        if component in self._suppressed:
+            continue
+        self._seq += 1
+        self._outstanding[component] = (self._seq, now)
+        sent = self._send_ping_wire(component, self._seq)
+        if not sent:
+            if component == self.bus_component:
+                schedule_after(timeout, self._judge, component, self._seq)
+            else:
+                self._outstanding.pop(component, None)
+            continue
+        if adaptive:
+            self._round_pinged.add(component)
+        schedule_after(timeout, self._judge, component, self._seq)
+
+
+@contextmanager
+def _per_component_judges_reference():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FailureDetector, "_tick", _per_component_tick)
+        yield
+
+
+@pytest.fixture(scope="session")
+def per_component_judges_reference():
+    """The round judge's reference: a context manager under which FD
+    schedules one judge event per pinged component, interleaved with the
+    sends, as it did before a round became one ``_judge_round`` event.
+    Test-side only, like ``full_parse_reference``; session scope, it holds
+    no state.  Build and boot the station inside the context: a tick queued
+    outside it is already bound to the other ``_tick``."""
+    return _per_component_judges_reference
 
 
 def spawn_simple(manager: ProcessManager, name: str, work: float = 1.0):

@@ -22,6 +22,7 @@ from repro.experiments.snapshot import (
     clear_templates,
     station_shape,
     template_count,
+    warm_template,
     warmed_station,
 )
 from repro.chaos.engine import run_chaos
@@ -144,3 +145,47 @@ def test_restored_station_is_rebased_onto_cell_seed():
     draw_a = a.kernel.rngs.stream("unit-test").random()
     draw_b = b.kernel.rngs.stream("unit-test").random()
     assert draw_a != draw_b  # different cell seeds -> different streams
+
+
+# ----------------------------------------------------------------------
+# channel numbering: per station, carried through a restore
+# ----------------------------------------------------------------------
+
+
+def _bus_channel_reprs(station: MercuryStation) -> dict:
+    """``repr`` of every component's bus channel — the text a
+    ``ChannelClosedError`` about it would carry."""
+    return {
+        process.name: repr(process.behavior._endpoint._channel)
+        for process in station.manager.processes()
+        if getattr(process.behavior, "_endpoint", None) is not None
+    }
+
+
+def test_two_stations_from_one_seed_number_their_channels_alike():
+    """Channel ids used to come from a process-global counter, so the
+    second station's error texts depended on the first having been built."""
+    first = MercuryStation(tree=tree_ii(), config=PAPER_CONFIG, seed=5)
+    first.boot()
+    second = MercuryStation(tree=tree_ii(), config=PAPER_CONFIG, seed=5)
+    second.boot()
+    reprs = _bus_channel_reprs(first)
+    assert len(reprs) >= 5
+    assert reprs == _bus_channel_reprs(second)
+    assert repr(first.fd._ctl._channel) == repr(second.fd._ctl._channel)
+
+
+def test_restored_station_continues_its_templates_channel_numbering():
+    shape = station_shape("unit3", tree_ii(), PAPER_CONFIG)
+
+    def build(seed: int) -> MercuryStation:
+        return MercuryStation(tree=tree_ii(), config=PAPER_CONFIG, seed=seed)
+
+    template = warm_template(shape, build, MercuryStation.boot)
+    established = template.network.connections_established
+    restored = warmed_station(shape, build, MercuryStation.boot, 1, snapshot=True)
+    assert _bus_channel_reprs(restored) == _bus_channel_reprs(template)
+    ops = restored.network.connect("ops", "mbus:7000")
+    assert ops._channel.id == established + 1
+    # ... and on its own count: the template's did not move.
+    assert template.network.connections_established == established

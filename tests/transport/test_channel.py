@@ -1,8 +1,13 @@
 """Tests for channel delivery semantics: FIFO, latency, close behaviour."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import ChannelClosedError
+from repro.sim.kernel import Kernel
+from repro.transport.network import Network
 
 
 def connected_pair(network):
@@ -135,3 +140,87 @@ def test_message_counters(kernel, network):
     channel = client._channel
     assert channel.messages_sent == 3
     assert channel.messages_delivered == 3
+
+
+def test_channels_are_numbered_per_network_not_per_process(kernel, network):
+    """``repr(channel)`` — and so every ``ChannelClosedError`` text — must
+    not depend on how many channels the process built before."""
+    first, _ = connected_pair(network)
+    other = Network(Kernel(seed=1234))
+    other_first, _ = connected_pair(other)
+    assert first._channel.id == other_first._channel.id == 1
+    assert repr(first._channel) == repr(other_first._channel)
+    other.listen("srv:2", lambda endpoint: None)
+    second = other.connect("client", "srv:2")
+    assert second._channel.id == other.connections_established == 2
+    first.close()
+    with pytest.raises(ChannelClosedError, match=r"Channel#1\('client'<->'srv:1', closed\)"):
+        first.send("x")
+
+
+def test_transport_objects_carry_no_instance_dict(kernel, network):
+    client, server = connected_pair(network)
+    for thing in (client, server, client._channel):
+        assert not hasattr(thing, "__dict__")
+
+
+class _Recorder:
+    """A receiver whose handler is a bound *Python* method, so structural
+    copies re-bind it (``list.append`` is a builtin: deepcopy shares it)."""
+
+    def __init__(self):
+        self.inbox = []
+
+    def receive(self, message):
+        self.inbox.append(message)
+
+
+def _in_flight_world():
+    """A connection with one message delivered and one in flight."""
+    kernel = Kernel(seed=1234)
+    network = Network(kernel)
+    client, server = connected_pair(network)
+    recorder = _Recorder()
+    server.on_message(recorder.receive)
+    client.send("first")
+    kernel.run()
+    client.send("second")
+    return kernel, client, server, recorder
+
+
+def _finish(world):
+    """Land the message in flight, close, and report everything observable."""
+    kernel, client, server, recorder = world
+    kernel.run()
+    client.close()
+    kernel.run()
+    channel = client._channel
+    return {
+        "inbox": recorder.inbox,
+        "open": (client.open, server.open, channel.open),
+        "repr": repr(channel),
+        "counters": (channel.messages_sent, channel.messages_delivered),
+        "clock": (kernel.now, server._last_arrival),
+    }
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.deepcopy]
+    + [lambda world, p=p: pickle.loads(pickle.dumps(world, protocol=p)) for p in (2, 3, 4, 5)],
+    ids=["deepcopy", "pickle2", "pickle3", "pickle4", "pickle5"],
+)
+def test_slotted_channel_survives_structural_copy(roundtrip):
+    """A copy taken with a message in flight runs on exactly as the
+    original does, and shares nothing with it."""
+    original = _in_flight_world()
+    clone = roundtrip(original)
+    assert clone[1] is not original[1]
+    assert clone[1]._peer is clone[2] and clone[1]._channel is clone[2]._channel
+    finished = _finish(clone)
+    assert finished["inbox"] == ["first", "second"]
+    assert finished["open"] == (False, False, False)
+    assert finished["repr"] == "Channel#1('client'<->'srv:1', closed)"
+    assert finished["counters"] == (2, 2)
+    assert original[3].inbox == ["first"]  # the clone's run touched nothing here
+    assert _finish(original) == finished  # same instants too

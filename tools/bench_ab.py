@@ -19,7 +19,12 @@ repo has to show (ROADMAP "Open items"; the choosing-metrics rule):
 * the exact comparison: the payload digest and every ``result.sim_*`` line
   of every run, which repeat exactly for a seed and so must be equal
   unless the change meant to alter behaviour;
-* failed operations on either side.
+* failed operations on either side;
+* with ``--ledger``, the "which layer moved" table: one ``--trace 1`` run
+  per side, and every per-layer metric that repeats exactly for a seed
+  (``*.calls``, ``sim.kernel.events_per_work``,
+  ``workload.events_per_request``, ``transport.connections``, ...) whose two
+  values differ, each layer's ``self_share`` beside its call count.
 
 Report-only: the exit code is non-zero only when a benchmark run itself
 failed (``bench/run.py`` exited non-zero or reported failed operations).
@@ -39,17 +44,18 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 from calibrate import quartiles  # the acceptance rule's own (q1, median, q3)
+from run import repeats_exactly  # which per-layer metrics depend on the seed alone
 
 #: Pairs the rule needs before it calls anything a gain.
 RULE_PAIRS = 10
 
 
-def run_once(tree: str, workload: str, seed: int) -> Dict[str, Any]:
+def run_once(tree: str, workload: str, seed: int, trace: int = 0) -> Dict[str, Any]:
     """One ``bench/run.py`` run from ``tree``: its contract line plus the
     digest and the simulated-result lines it printed."""
     done = subprocess.run(
         [sys.executable, os.path.join(tree, "bench", "run.py"),
-         "--workload", workload, "--seed", str(seed)],
+         "--workload", workload, "--seed", str(seed), "--trace", str(trace)],
         cwd=tree, stdout=subprocess.PIPE, text=True, check=False,
     )
     lines = done.stdout.strip().splitlines()
@@ -129,6 +135,23 @@ def report(
         ))
 
 
+def report_ledger(workload: str, traced: Dict[str, Dict[str, Any]]) -> None:
+    """The layers that moved: exact-repeat per-layer metrics that differ
+    between the two traced runs (a count repeats for a seed, so any
+    difference is the change's doing, not the machine's)."""
+    base, change = traced["base"]["metrics"], traced["change"]["metrics"]
+    exact = [name for name in base if name in change and repeats_exactly(name)]
+    moved = [name for name in exact if base[name]["value"] != change[name]["value"]]
+    print("== ledger %s: %d of %d exact-repeat per-layer metrics differ" % (
+        workload, len(moved), len(exact)))
+    for name in moved:
+        line = "%-32s %16.6f -> %16.6f" % (name, base[name]["value"], change[name]["value"])
+        share = name[: -len("calls")] + "self_share"
+        if name.endswith(".calls") and share in base and share in change:
+            line += "  self_share %.3f -> %.3f" % (base[share]["value"], change[share]["value"])
+        print(line)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as fh:
         declared = json.load(fh)
@@ -140,6 +163,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", choices=names, default="traffic-steady")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--ledger", action="store_true",
+                        help="add one --trace 1 run per side and print the "
+                             "exact-repeat per-layer metrics that differ")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -155,6 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     trees = {"base": os.path.abspath(base_tree), "change": ROOT}
     runs: Dict[str, List[Dict[str, Any]]] = {"base": [], "change": []}
+    traced: Dict[str, Dict[str, Any]] = {}
     try:
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
@@ -165,6 +192,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "%s=%.6g" % (name, metric["value"])
                     for name, metric in result["metrics"].items()
                 )), flush=True)
+        if args.ledger:
+            for side in ("base", "change"):
+                traced[side] = run_once(trees[side], args.workload, args.seed, trace=1)
+                print("traced %-6s done" % side, flush=True)
     finally:
         if scratch is not None:
             subprocess.run(
@@ -173,7 +204,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             os.rmdir(scratch)
     report(declared, args.workload, runs)
-    broken = any(run["exit"] or run["failed"] for side in runs.values() for run in side)
+    if traced:
+        report_ledger(args.workload, traced)
+    every = [run for side in runs.values() for run in side] + list(traced.values())
+    broken = any(run["exit"] or run["failed"] for run in every)
     return 1 if broken else 0
 
 
