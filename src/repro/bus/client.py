@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, TYPE_CHECKING
 
-from repro.errors import (
-    ChannelClosedError,
-    ConnectionRefusedError_,
-    NotConnectedError,
-    XmlError,
-)
+from repro.errors import ChannelClosedError, NotConnectedError, XmlError
 from repro.types import SimTime
 from repro.xmlcmd.commands import (
     CommandMessage,
@@ -76,9 +71,8 @@ class BusClient:
             raise NotConnectedError(f"client {self.name!r} has been closed")
         if self.connected:
             return True
-        try:
-            endpoint = self.network.connect(self.name, self.bus_address)
-        except ConnectionRefusedError_:
+        endpoint = self.network.dial(self.name, self.bus_address)
+        if endpoint is None:
             if self.auto_reconnect:
                 self._schedule_reconnect()
             return False
@@ -93,6 +87,7 @@ class BusClient:
     def close(self) -> None:
         """Permanently close the client (no reconnection)."""
         self._closed = True
+        self.network.hang_up(self.name)
         if self._endpoint is not None:
             self._endpoint.close()
             self._endpoint = None
@@ -107,9 +102,11 @@ class BusClient:
             return
         self._reconnect_pending = True
         # A bound method, not a closure: ``copy.deepcopy`` treats functions
-        # as atomic, so a forked client's timer would run against the
-        # template's client.
-        self.kernel.call_after(self.reconnect_interval, self._reconnect)
+        # as atomic, so a forked client's ticket or timer would run against
+        # the template's client.
+        self.network.redial(
+            self.name, self.bus_address, self.reconnect_interval, self._reconnect
+        )
 
     def _reconnect(self) -> None:
         self._reconnect_pending = False

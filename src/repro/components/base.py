@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, TYPE_CHECKING
 
-from repro.errors import ChannelClosedError, ConnectionRefusedError_, XmlError
+from repro.errors import ChannelClosedError, XmlError
 from repro.faults.store_faults import StoreError
 from repro.obs import events as ev
 from repro.types import Severity, SimTime
@@ -109,6 +109,7 @@ class BusAttachedBehavior(Behavior):
 
     def on_kill(self) -> None:
         self._alive = False
+        self.network.hang_up(self.name)
         if self._endpoint is not None:
             self._endpoint.close()
             self._endpoint = None
@@ -126,9 +127,8 @@ class BusAttachedBehavior(Behavior):
         self._reconnect_pending = False
         if not self._alive or self.connected:
             return
-        try:
-            endpoint = self.network.connect(self.name, self.bus_address)
-        except ConnectionRefusedError_:
+        endpoint = self.network.dial(self.name, self.bus_address)
+        if endpoint is None:
             self._schedule_reconnect()
             return
         self._endpoint = endpoint
@@ -151,7 +151,9 @@ class BusAttachedBehavior(Behavior):
         if self._reconnect_pending or not self._alive:
             return
         self._reconnect_pending = True
-        self.kernel.call_after(self.reconnect_interval, self._try_connect)
+        self.network.redial(
+            self.name, self.bus_address, self.reconnect_interval, self._try_connect
+        )
 
     # ------------------------------------------------------------------
     # messaging

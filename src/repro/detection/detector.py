@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.components.base import BusAttachedBehavior
 from repro.components.health import EndToEndProber, probe_reply_info
-from repro.errors import ChannelClosedError, ConnectionRefusedError_
+from repro.errors import ChannelClosedError
 from repro.obs import events as ev
 from repro.types import Severity, SimTime
 from repro.xmlcmd.commands import (
@@ -240,9 +240,8 @@ class FailureDetector(BusAttachedBehavior):
         self._ctl_pending = False
         if not self._alive or (self._ctl is not None and self._ctl.open):
             return
-        try:
-            self._ctl = self.network.connect(self.name, self.rec_ctl_address)
-        except ConnectionRefusedError_:
+        self._ctl = self.network.dial(self.name, self.rec_ctl_address)
+        if self._ctl is None:
             self._schedule_ctl_reconnect()
             return
         self._ctl.on_message(self._on_ctl_raw)
@@ -258,7 +257,7 @@ class FailureDetector(BusAttachedBehavior):
         if self._ctl_pending or not self._alive:
             return
         self._ctl_pending = True
-        self.kernel.call_after(0.25, self._connect_ctl)
+        self.network.redial(self.name, self.rec_ctl_address, 0.25, self._connect_ctl)
 
     def _ctl_send(self, message: Message) -> bool:
         return self._ctl_send_raw(encode_message(message))

@@ -24,7 +24,7 @@ from repro.experiments.metrics import UptimeTracker
 from repro.experiments.snapshot import station_shape, warmed_station
 from repro.mercury.config import PAPER_CONFIG, StationConfig
 from repro.mercury.station import MercuryStation
-from repro.obs.sinks import MetricsSink, PhaseSnapshot, SummaryStat
+from repro.obs.sinks import PhaseSink, PhaseSnapshot, SummaryStat
 
 YEAR_MINUTES = 365.0 * 24.0 * 60.0
 
@@ -68,8 +68,10 @@ def measure_availability(
 ) -> AvailabilityResult:
     """Run steady-state faults for ``horizon_s`` and account availability.
 
-    ``sinks`` receive every trace emit even though record retention stays
-    off (the determinism gate streams the run to JSONL this way).
+    Record retention stays off, and on its own the run builds only the
+    records its phase table reads; a sink in ``sinks`` that reads every
+    kind still gets every trace emit (the determinism gate streams the run
+    to JSONL this way).
 
     Station setup goes through the warmed-station snapshot cache; the
     warm point is the end of the 120 s boot settle, so the horizon does
@@ -91,9 +93,9 @@ def measure_availability(
     def warm(station: MercuryStation) -> None:
         # Availability is accounted from process-manager lifecycle
         # callbacks, never from the trace; skip record retention on the
-        # month-scale loop.  Sinks still receive every emit while the
-        # trace is disabled, which is how the per-phase breakdown is
-        # computed without retaining records.
+        # month-scale loop.  Sinks still receive the kinds they declared
+        # while the trace is disabled, which is how the per-phase breakdown
+        # is computed without retaining records.
         station.kernel.trace.enabled = False
         station.manager.start_all(station.station_components)
         station.kernel.run(until=station.kernel.now + 120.0)
@@ -104,15 +106,14 @@ def measure_availability(
     # redraw them so first arrivals belong to this cell's streams.
     assert station.steady is not None
     station.steady.rearm()
-    metrics = MetricsSink()
-    station.kernel.trace.add_sink(metrics)
+    phases = PhaseSink()
+    station.kernel.trace.add_sink(phases)
     for sink in sinks:
         station.kernel.trace.add_sink(sink)
     tracker = UptimeTracker(station.manager, station.station_components)
     station.run_for(horizon_s)
     tracker.finalize()
-    if metrics.tracker is not None:
-        metrics.tracker.flush()
+    phases.tracker.flush()
     for sink in sinks:
         sink.close()
     outages = tracker.system_outages
@@ -128,5 +129,5 @@ def measure_availability(
             name: tracker.observed_mttr(name)
             for name in station.station_components
         },
-        phase_breakdown=metrics.phase_snapshot(),
+        phase_breakdown=phases.phase_snapshot(),
     )

@@ -88,18 +88,23 @@ class UptimeTracker:
         self._component_downtime: Dict[str, float] = {name: 0.0 for name in components}
         self._component_down_since: Dict[str, Optional[SimTime]] = {}
         self._failures: Dict[str, int] = {name: 0 for name in components}
+        #: Tracked components with no open up interval; the system is up
+        #: exactly when this is zero.  Kept in step with
+        #: ``_component_up_since`` so a lifecycle callback never rescans.
+        self._not_up = 0
         self._system_up_since: Optional[SimTime] = None
         self._system_down_since: Optional[SimTime] = None
         self.system_uptime = 0.0
         self.system_downtime = 0.0
         self.system_outages = 0
         self._started_at = self.kernel.now
-        for name in components:
+        for name in self._component_uptime:  # each tracked name once
             process = manager.get(name)
             if process.is_running:
                 self._component_up_since[name] = self.kernel.now
             else:
                 self._component_down_since[name] = self.kernel.now
+                self._not_up += 1
         self._sync_system_state()
         manager.subscribe(self._on_lifecycle)
 
@@ -107,14 +112,9 @@ class UptimeTracker:
     # accounting
     # ------------------------------------------------------------------
 
-    def _all_up(self) -> bool:
-        return all(
-            self._component_up_since.get(name) is not None for name in self.components
-        )
-
     def _sync_system_state(self) -> None:
         now = self.kernel.now
-        if self._all_up():
+        if not self._not_up:
             if self._system_up_since is None:
                 self._system_up_since = now
                 if self._system_down_since is not None:
@@ -137,11 +137,14 @@ class UptimeTracker:
             if self._component_down_since.get(name) is not None:
                 self._component_downtime[name] += now - self._component_down_since[name]
                 self._component_down_since[name] = None
+            if self._component_up_since.get(name) is None:
+                self._not_up -= 1
             self._component_up_since[name] = now
         elif event.startswith("down:"):
             if self._component_up_since.get(name) is not None:
                 self._component_uptime[name] += now - self._component_up_since[name]
                 self._component_up_since[name] = None
+                self._not_up += 1
             if self._component_down_since.get(name) is None:
                 self._component_down_since[name] = now
             if event == "down:SIGKILL":

@@ -86,7 +86,11 @@ from repro.sim.rng import derive_seed
 #: v10: FD judges a ping round with one kernel event instead of one per
 #: component, so ``FleetResult.stations[*].events_executed`` fell for
 #: identical specs; every other payload field is unchanged.
-CACHE_VERSION = 10
+#: v11: a dial refused because nothing is bound parks with the network
+#: instead of polling, and a parked dial executes no kernel event, so
+#: ``FleetResult.stations[*].events_executed`` fell again for identical
+#: specs; every other payload field is unchanged.
+CACHE_VERSION = 11
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.components.base import BusAttachedBehavior
-from repro.errors import ChannelClosedError, ConnectionRefusedError_
+from repro.errors import ChannelClosedError
 from repro.faults.store_faults import StoreError
 from repro.obs import events as ev
 from repro.types import Severity, SimTime
@@ -102,9 +102,8 @@ class FedrBehavior(BusAttachedBehavior):
         self._pbcom_pending = False
         if not self._alive or self.pbcom_connected:
             return
-        try:
-            self._pbcom = self.network.connect(self.name, self.pbcom_address)
-        except ConnectionRefusedError_:
+        self._pbcom = self.network.dial(self.name, self.pbcom_address)
+        if self._pbcom is None:
             self._schedule_pbcom_retry()
             return
         self._pbcom.on_close(self._on_pbcom_close)
@@ -122,7 +121,9 @@ class FedrBehavior(BusAttachedBehavior):
         if self._pbcom_pending or not self._alive:
             return
         self._pbcom_pending = True
-        self.kernel.call_after(self.pbcom_retry_interval, self._connect_pbcom)
+        self.network.redial(
+            self.name, self.pbcom_address, self.pbcom_retry_interval, self._connect_pbcom
+        )
 
     # ------------------------------------------------------------------
     # translation

@@ -26,6 +26,7 @@ from repro.obs.sinks import (
     CallbackSink,
     JsonlSink,
     MetricsSink,
+    PhaseSink,
     PhaseSnapshot,
     RingSink,
     Sink,
@@ -46,6 +47,7 @@ __all__ = [
     "RingSink",
     "CallbackSink",
     "JsonlSink",
+    "PhaseSink",
     "MetricsSink",
     "SummaryStat",
     "PhaseSnapshot",

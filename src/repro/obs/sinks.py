@@ -1,19 +1,23 @@
 """Pluggable trace sinks: ring buffer, streaming JSONL, aggregated metrics.
 
-A sink receives every :class:`~repro.sim.trace.TraceRecord` the moment it is
-emitted.  Sinks are how measurement stops being post-hoc log scraping:
+A sink receives :class:`~repro.sim.trace.TraceRecord` objects the moment
+they are emitted, and declares which kinds it reads (:attr:`Sink.kinds`) so
+that a disabled trace builds no record for nobody.  Sinks are how
+measurement stops being post-hoc log scraping:
 
 * :class:`RingSink` — bounded in-memory retention (the trace's classic
   behaviour, now one sink among several);
 * :class:`JsonlSink` — streams records to a JSON-lines file as they happen,
   so month-long runs can be inspected without retaining anything in memory
   (``repro trace`` reads these files back);
-* :class:`MetricsSink` — keeps no records at all: it counts events by kind
-  and, through an embedded :class:`~repro.obs.spans.EpisodeTracker`, folds
-  completed recovery episodes into per-(component, phase) duration
-  aggregates.  Snapshots are plain JSON and merge associatively, which is
-  what lets the parallel campaign runner combine sinks from worker
-  processes into one campaign-wide breakdown.
+* :class:`PhaseSink` — keeps no records at all: through an embedded
+  :class:`~repro.obs.spans.EpisodeTracker` it folds completed recovery
+  episodes into per-(component, phase) duration aggregates, and reads only
+  the kinds the tracker dispatches on;
+* :class:`MetricsSink` — that table plus event counters by kind and by
+  source, so it reads every kind.  Snapshots are plain JSON and merge
+  associatively, which is what lets the parallel campaign runner combine
+  sinks from worker processes into one campaign-wide breakdown.
 """
 
 from __future__ import annotations
@@ -22,7 +26,18 @@ import json
 import math
 from dataclasses import dataclass
 from collections import deque
-from typing import Any, Callable, Dict, IO, List, Mapping, Optional, TYPE_CHECKING, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    IO,
+    List,
+    Mapping,
+    Optional,
+    TYPE_CHECKING,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.spans import RecoveryEpisode
@@ -31,6 +46,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class Sink:
     """Interface: something that accepts emitted trace records."""
+
+    #: The event kinds this sink reads: ``None`` for every kind (the
+    #: default), else a frozenset.  A disabled trace builds a record only
+    #: for a kind some attached sink declared.  It is a promise about what
+    #: the sink reads, not a filter: ``accept`` is handed every record that
+    #: gets built — all of them while the trace is enabled or any other
+    #: attached sink reads everything.
+    kinds: Optional[FrozenSet[str]] = None
 
     def accept(self, record: "TraceRecord") -> None:
         """Receive one record (called synchronously from ``Trace.emit``)."""
@@ -225,39 +248,30 @@ def merge_phase_snapshots(*snapshots: PhaseSnapshot) -> PhaseSnapshot:
     }
 
 
-class MetricsSink(Sink):
-    """Streaming aggregation: event counters + per-phase episode durations.
+class PhaseSink(Sink):
+    """Per-(component, phase) durations of completed recovery episodes.
 
     Keyed by component and phase as the campaign runner expects.  The sink
-    retains no records; its whole state is the counter map and the
-    :class:`SummaryStat` table, both of which snapshot to JSON and merge
+    retains no records and reads only the kinds its embedded
+    :class:`~repro.obs.spans.EpisodeTracker` dispatches on; its whole state
+    is the :class:`SummaryStat` table, which snapshots to JSON and merges
     across parallel campaign cells.
     """
 
     #: The phases reported for every completed episode, in display order.
     PHASES = ("detection", "decision", "restart", "total")
 
-    def __init__(self, track_episodes: bool = True) -> None:
+    def __init__(self) -> None:
         from repro.obs.spans import EpisodeTracker
 
-        #: Events seen, by kind.
-        self.counters: Dict[str, int] = {}
-        #: Events seen, by (source, kind) — who emits what.
-        self.source_counters: Dict[tuple, int] = {}
-        self.tracker: Optional[EpisodeTracker] = None
-        if track_episodes:
-            self.tracker = EpisodeTracker(on_complete=self._on_episode)
+        self.tracker: Optional[EpisodeTracker] = EpisodeTracker(
+            on_complete=self._on_episode
+        )
+        self.kinds = EpisodeTracker.kinds
         self._phase_stats: Dict[str, Dict[str, SummaryStat]] = {}
 
-    # -- record intake ---------------------------------------------------
-
     def accept(self, record: "TraceRecord") -> None:
-        kind = record.kind
-        self.counters[kind] = self.counters.get(kind, 0) + 1
-        key = (record.source, kind)
-        self.source_counters[key] = self.source_counters.get(key, 0) + 1
-        if self.tracker is not None:
-            self.tracker.accept(record)
+        self.tracker.accept(record)
 
     def _on_episode(self, episode: "RecoveryEpisode") -> None:
         slot = self._phase_stats.setdefault(episode.component, {})
@@ -271,12 +285,6 @@ class MetricsSink(Sink):
                 continue
             slot.setdefault(phase, SummaryStat()).add(duration)
 
-    # -- results ---------------------------------------------------------
-
-    def count(self, kind: str) -> int:
-        """Events of ``kind`` seen so far."""
-        return self.counters.get(kind, 0)
-
     def phase_stats(self, component: str) -> Dict[str, SummaryStat]:
         """Per-phase duration accumulators for one component."""
         return dict(self._phase_stats.get(component, {}))
@@ -287,6 +295,41 @@ class MetricsSink(Sink):
             component: {phase: stat.to_dict() for phase, stat in phases.items()}
             for component, phases in self._phase_stats.items()
         }
+
+
+class MetricsSink(PhaseSink):
+    """Streaming aggregation: the phase table plus event counters.
+
+    The counters count every emit by kind and by (source, kind), so this
+    sink reads every kind; both halves snapshot to JSON and merge across
+    parallel campaign cells.
+    """
+
+    def __init__(self, track_episodes: bool = True) -> None:
+        super().__init__()
+        self.kinds = None
+        if not track_episodes:
+            self.tracker = None
+        #: Events seen, by kind.
+        self.counters: Dict[str, int] = {}
+        #: Events seen, by (source, kind) — who emits what.
+        self.source_counters: Dict[tuple, int] = {}
+
+    # -- record intake ---------------------------------------------------
+
+    def accept(self, record: "TraceRecord") -> None:
+        kind = record.kind
+        self.counters[kind] = self.counters.get(kind, 0) + 1
+        key = (record.source, kind)
+        self.source_counters[key] = self.source_counters.get(key, 0) + 1
+        if self.tracker is not None:
+            self.tracker.accept(record)
+
+    # -- results ---------------------------------------------------------
+
+    def count(self, kind: str) -> int:
+        """Events of ``kind`` seen so far."""
+        return self.counters.get(kind, 0)
 
     def snapshot(self) -> Dict[str, Any]:
         """Full JSON-safe state: counters plus the phase table."""

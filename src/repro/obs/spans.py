@@ -152,10 +152,33 @@ class EpisodeTracker:
     """Folds the live event stream into :class:`RecoveryEpisode` spans.
 
     Usable directly as a trace sink (``trace.add_sink(tracker)``) or
-    embedded in a :class:`~repro.obs.sinks.MetricsSink`.  Completed
+    embedded in a :class:`~repro.obs.sinks.PhaseSink`.  Completed
     episodes land in :attr:`episodes` (and fire ``on_complete``); episodes
     still in flight are visible via :meth:`open_episodes`.
     """
+
+    #: Event kind → the method that folds it in.
+    _HANDLERS = {
+        ev.FAILURE_INJECTED: "_on_injected",
+        ev.DETECTION: "_on_detection",
+        ev.DETECTION_FALSE_POSITIVE: "_on_false_positive",
+        ev.DETECTION_RETRACTED: "_on_retraction",
+        ev.RESTART_ORDERED: "_on_restart_ordered",
+        ev.RESTART_REKICK: "_on_rekick",
+        ev.PROCESS_READY: "_on_ready",
+        ev.RESTART_COMPLETE: "_on_restart_complete",
+        ev.FAILURE_CURED: "_on_cured",
+        ev.FAILURE_REMANIFESTED: "_on_remanifested",
+        ev.EPISODE_CLOSED: "_on_closed",
+        ev.OPERATOR_ESCALATION: "_on_escalation",
+        ev.REC_RESTART: "_on_rec_restart",
+        ev.FD_RESTART: "_on_fd_restart",
+        ev.PROACTIVE_RESTART: "_on_proactive",
+    }
+    #: The sink-protocol declaration of interest (see ``Sink.kinds``): the
+    #: tracker reads exactly the kinds it dispatches on.  One set for every
+    #: tracker — a fleet attaches three per station.
+    kinds = frozenset(_HANDLERS)
 
     def __init__(
         self,
@@ -173,21 +196,7 @@ class EpisodeTracker:
         self.false_positives = 0
         self.retractions = 0
         self._dispatch = {
-            ev.FAILURE_INJECTED: self._on_injected,
-            ev.DETECTION: self._on_detection,
-            ev.DETECTION_FALSE_POSITIVE: self._on_false_positive,
-            ev.DETECTION_RETRACTED: self._on_retraction,
-            ev.RESTART_ORDERED: self._on_restart_ordered,
-            ev.RESTART_REKICK: self._on_rekick,
-            ev.PROCESS_READY: self._on_ready,
-            ev.RESTART_COMPLETE: self._on_restart_complete,
-            ev.FAILURE_CURED: self._on_cured,
-            ev.FAILURE_REMANIFESTED: self._on_remanifested,
-            ev.EPISODE_CLOSED: self._on_closed,
-            ev.OPERATOR_ESCALATION: self._on_escalation,
-            ev.REC_RESTART: self._on_rec_restart,
-            ev.FD_RESTART: self._on_fd_restart,
-            ev.PROACTIVE_RESTART: self._on_proactive,
+            kind: getattr(self, handler) for kind, handler in self._HANDLERS.items()
         }
 
     # -- sink interface ---------------------------------------------------

@@ -12,15 +12,17 @@ layer: event kinds are declared once in :data:`repro.obs.events.REGISTRY`
 (with opt-in schema validation), retention lives in a pluggable
 :class:`~repro.obs.sinks.RingSink`, and additional sinks — streaming JSONL,
 aggregated metrics, live recovery-episode spans — attach via
-:meth:`Trace.add_sink`.  Sinks receive every record even when the trace is
-``enabled = False``, which is how month-long availability runs compute
-per-phase recovery breakdowns without retaining a single record.
+:meth:`Trace.add_sink`.  A sink declares the kinds it reads
+(:attr:`~repro.obs.sinks.Sink.kinds`); a trace with ``enabled = False``
+builds a record only when some attached sink declared its kind, which is how
+month-long availability runs compute per-phase recovery breakdowns without
+retaining a single record — or building the two thirds of them nobody reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional
 
 from repro.obs import events as _events
 from repro.obs.sinks import RingSink, Sink
@@ -79,10 +81,15 @@ class Trace:
 
     * ``enabled`` (default) — records are retained in the ring, delivered
       to legacy :meth:`subscribe` callbacks, and fanned out to sinks;
-    * disabled — nothing is retained and subscribers are **skipped**;
-      sinks still receive every record.  With no sinks attached, ``emit``
-      returns ``None`` without even building the record — the zero-cost
-      path for hot loops.
+    * disabled — nothing is retained and subscribers are **skipped**; a
+      record is built, and fanned out to every sink, only when its kind is
+      one some attached sink declared (:attr:`~repro.obs.sinks.Sink.kinds`;
+      ``None`` declares them all).  Otherwise ``emit`` returns ``None``
+      without building anything — with no sinks attached that is every
+      emit, the zero-cost path for hot loops.
+
+    ``kinds`` is a promise about what a sink *reads*, not a filter it can
+    rely on: a record that is built goes to every sink.
     """
 
     def __init__(self, clock: Any = None, capacity: Optional[int] = None) -> None:
@@ -102,6 +109,9 @@ class Trace:
         self._ring = RingSink(capacity)
         self._subscribers: List[Callable[[TraceRecord], None]] = []
         self._sinks: List[Sink] = []
+        #: Union of the attached sinks' declared kinds; ``None`` once any
+        #: sink reads them all.  Recomputed whenever a sink comes or goes.
+        self._wanted: Optional[FrozenSet[str]] = frozenset()
         #: When False, emitted records are neither retained nor delivered to
         #: subscribers; attached sinks still see them — the fast path for
         #: campaign workers that only consume aggregate metrics.
@@ -138,13 +148,24 @@ class Trace:
         self._subscribers.append(callback)
 
     def add_sink(self, sink: Sink) -> Sink:
-        """Attach a sink; it receives every record, even while disabled."""
+        """Attach a sink; while disabled, only its ``kinds`` are built for it."""
         self._sinks.append(sink)
+        self._refresh_wanted()
         return sink
 
     def remove_sink(self, sink: Sink) -> None:
         """Detach a previously attached sink."""
         self._sinks.remove(sink)
+        self._refresh_wanted()
+
+    def _refresh_wanted(self) -> None:
+        wanted: FrozenSet[str] = frozenset()
+        for sink in self._sinks:
+            if sink.kinds is None:
+                self._wanted = None
+                return
+            wanted |= sink.kinds
+        self._wanted = wanted
 
     @property
     def sinks(self) -> List[Sink]:
@@ -162,15 +183,18 @@ class Trace:
         """Append a record; timestamp defaults to the attached clock's now.
 
         Returns ``None`` without building a record when the trace is
-        disabled and no sinks are attached — the zero-cost path for hot
-        loops.  With validation on (:func:`repro.obs.events.set_validation`
-        or ``REPRO_OBS_VALIDATE=1``), the kind and payload are checked
-        against the event registry first.
+        disabled and no attached sink declared ``kind`` — the zero-cost
+        path for hot loops.  With validation on
+        (:func:`repro.obs.events.set_validation` or ``REPRO_OBS_VALIDATE=1``),
+        the kind and payload are checked against the event registry first,
+        whoever is or is not listening.
         """
-        if not self.enabled and not self._sinks:
-            return None
         if _events._validation_enabled:
             _events.REGISTRY.validate(kind, data)
+        if not self.enabled:
+            wanted = self._wanted
+            if wanted is not None and kind not in wanted:
+                return None
         if time is None:
             if self._clock is None:
                 raise ValueError("no clock attached; pass time= explicitly")

@@ -19,16 +19,16 @@ from its seed.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import AddressInUseError, ConnectionRefusedError_
 from repro.obs import events as ev
+from repro.transport.channel import Channel, Endpoint
+from repro.transport.sockets import Listener
 from repro.types import Severity, SimTime
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.sim.kernel import Kernel
-    from repro.transport.channel import Endpoint
-    from repro.transport.sockets import Listener
 
 
 class LatencyModel:
@@ -378,6 +378,11 @@ class Network:
     the server-side endpoint)::
 
         endpoint = network.connect("fedr", "pbcom:9000")
+
+    A client that keeps trying until its peer is up runs a *dial loop*:
+    :meth:`dial` is the attempt, :meth:`redial` arranges the next one, and
+    :meth:`hang_up` ends the loop when the client dies (DESIGN.md §10,
+    "Dialling: park, don't poll").
     """
 
     def __init__(
@@ -395,7 +400,12 @@ class Network:
         self.latency.bind_rng(kernel.rngs.stream("transport.latency"))
         #: Optional fault fabric; ``None`` means a perfectly quiet network.
         self.faults = faults
-        self._listeners: Dict[str, "Listener"] = {}
+        self._listeners: Dict[str, Listener] = {}
+        #: Dial loops waiting for an address to be bound: address →
+        #: ``(client_name, tick, interval, callback)`` tickets, ``tick`` being
+        #: the next instant of the loop's retry grid.  A list, not one per
+        #: client: one client can run several loops on different phases.
+        self._parked: Dict[str, List[Tuple[str, SimTime, SimTime, Callable[[], None]]]] = {}
         self._connections_established = 0
 
     @property
@@ -403,16 +413,30 @@ class Network:
         """Total successful :meth:`connect` calls (diagnostics)."""
         return self._connections_established
 
-    def listen(
-        self, address: str, on_accept: Callable[["Endpoint"], None]
-    ) -> "Listener":
-        """Bind ``address`` and invoke ``on_accept(endpoint)`` per connection."""
-        from repro.transport.sockets import Listener
+    @property
+    def dials_parked(self) -> int:
+        """Dial loops waiting for an address to be bound (diagnostics)."""
+        return sum(len(parked) for parked in self._parked.values())
 
+    def listen(
+        self, address: str, on_accept: Callable[[Endpoint], None]
+    ) -> Listener:
+        """Bind ``address`` and invoke ``on_accept(endpoint)`` per connection.
+
+        Dial loops parked on the address resume, each at the first instant
+        of its own retry grid that is not in the past.
+        """
         if address in self._listeners:
             raise AddressInUseError(f"address {address!r} already bound")
         listener = Listener(self, address, on_accept)
         self._listeners[address] = listener
+        now = self.kernel.now
+        for _, tick, interval, callback in self._parked.pop(address, ()):
+            # Repeated addition, as a chain of timers would have computed
+            # it: ``tick + k * interval`` rounds differently.
+            while tick < now:
+                tick += interval
+            self.kernel.schedule_at(tick, callback)
         return listener
 
     def unbind(self, address: str) -> None:
@@ -423,16 +447,14 @@ class Network:
         """Whether a listener is currently bound to ``address``."""
         return address in self._listeners
 
-    def connect(self, client_name: str, address: str) -> "Endpoint":
+    def connect(self, client_name: str, address: str) -> Endpoint:
         """Establish a connection to ``address``; returns the client endpoint.
 
         Raises :class:`~repro.errors.ConnectionRefusedError_` when nothing is
         listening — exactly what a component experiences when it starts while
-        its peer is still down, which drives the retry loops in the Mercury
+        its peer is still down, which drives the dial loops in the Mercury
         components' startup sequences.
         """
-        from repro.transport.channel import Channel
-
         if self.faults is not None and self.faults.is_partitioned(client_name, address):
             # SYNs die in the partition: indistinguishable from a dead peer.
             self.faults.connects_refused += 1
@@ -450,3 +472,54 @@ class Network:
         )
         listener.accept(channel.server_endpoint)
         return channel.client_endpoint
+
+    # ------------------------------------------------------------------
+    # dial loops
+    # ------------------------------------------------------------------
+
+    def dial(self, client_name: str, address: str) -> Optional[Endpoint]:
+        """One attempt of a dial loop: :meth:`connect`, or ``None`` if refused."""
+        try:
+            return self.connect(client_name, address)
+        except ConnectionRefusedError_:
+            return None
+
+    def redial(
+        self,
+        client_name: str,
+        address: str,
+        interval: SimTime,
+        callback: Callable[[], None],
+    ) -> None:
+        """Arrange a dial loop's next attempt, ``interval`` from now.
+
+        While nothing is bound to ``address`` the attempt could only be
+        refused again, so instead of a timer it leaves a ticket that
+        :meth:`listen` redeems on the same ``interval`` grid — the attempt
+        that connects happens at the instant a polling loop's would have,
+        and none of the refused ones in between happen at all.  A dial into
+        a partition keeps its timer: a heal is not a ``listen``, and
+        ``connects_refused`` counts those attempts.
+
+        ``callback`` must be a bound method of the dialling object (never a
+        closure), so that a deep-copied network's tickets and timers belong
+        to the copy.
+        """
+        faults = self.faults
+        if address in self._listeners or (
+            faults is not None and faults.is_partitioned(client_name, address)
+        ):
+            self.kernel.schedule_after(interval, callback)
+        else:
+            self._parked.setdefault(address, []).append(
+                (client_name, self.kernel.now + interval, interval, callback)
+            )
+
+    def hang_up(self, client_name: str) -> None:
+        """Drop every ticket ``client_name`` has parked (its process died).
+
+        A restarted incarnation dials on a grid of its own, from its own
+        start time — not on the dead one's.
+        """
+        for parked in self._parked.values():
+            parked[:] = [ticket for ticket in parked if ticket[0] != client_name]

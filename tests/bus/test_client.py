@@ -111,18 +111,19 @@ def test_closed_client_does_not_reconnect(kernel, network, manager):
 
 
 def test_forked_client_reconnects_on_its_own_copy(kernel, network):
-    """A reconnect timer must survive ``copy.deepcopy`` (the snapshot fork):
-    scheduled as a closure it kept pointing at the *template's* client, so
-    the copy never reconnected and the copy's kernel mutated the original."""
+    """A parked redial must survive ``copy.deepcopy`` (the snapshot fork):
+    held as a closure it kept pointing at the *template's* client, so the
+    copy never reconnected and the copy's kernel mutated the original."""
     client = BusClient(kernel, network, "ops")
-    assert not client.connect()  # refused: the reconnect timer is armed
+    assert not client.connect()  # refused: the redial is parked
     fork_kernel, fork_network, fork_client = copy.deepcopy((kernel, network, client))
     accepted = []
     fork_network.listen("mbus:7000", accepted.append)
     fork_kernel.run(until=1.0)
     assert fork_client.connected
     assert len(accepted) == 1
-    # The template is untouched: still waiting on its own, unfired, timer.
+    # The template is untouched: still waiting on its own, unredeemed, ticket.
     assert not client.connected
     assert client._reconnect_pending
-    assert kernel.now == 0.0 and kernel.pending_events == 1
+    assert kernel.now == 0.0 and kernel.pending_events == 0
+    assert network.dials_parked == 1 and fork_network.dials_parked == 0

@@ -176,6 +176,29 @@ def per_component_judges_reference():
     return _per_component_judges_reference
 
 
+def _polling_redial(self: Network, client_name, address, interval, callback) -> None:
+    """``Network.redial`` as the four dial loops scheduled their next
+    attempt before tickets: a timer, whatever the reason for the refusal —
+    so a loop facing an unbound address polls it once per ``interval``."""
+    self.kernel.call_after(interval, callback)
+
+
+@contextmanager
+def _polling_dial_reference():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "redial", _polling_redial)
+        yield
+
+
+@pytest.fixture(scope="session")
+def polling_dial_reference():
+    """The parked dials' reference: a context manager under which no dial
+    ever parks — every refused attempt arms a timer for the next one, as
+    ``_schedule_reconnect`` and its three siblings did.  Test-side only,
+    like ``full_parse_reference``; session scope, it holds no state."""
+    return _polling_dial_reference
+
+
 def spawn_simple(manager: ProcessManager, name: str, work: float = 1.0):
     """Helper: register a bare process with constant startup work."""
     return manager.spawn(ProcessSpec(name, constant_work(work)))

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.availability import measure_availability
 from repro.experiments.lifetimes import measure_lifetimes
 from repro.experiments.passes_experiment import run_pass_campaign
-from repro.mercury.trees import tree_i, tree_ii, tree_v
+from repro.mercury.trees import TREE_BUILDERS, tree_i, tree_ii, tree_v
 
 DAY = 86400.0
 
@@ -78,3 +78,33 @@ def test_availability_phase_breakdown():
     # The breakdown exists even though the trace ring was disabled.
     assert isinstance(result.phase_breakdown, dict)
     assert result.phase_breakdown  # something failed in two days
+
+
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV", "V"])
+def test_availability_is_the_same_whoever_else_listens(label):
+    """On its own the run attaches a phases-only sink, so its disabled
+    trace builds only the episode tracker's kinds; a read-everything sink
+    beside it (``MetricsSink`` — the sink the run itself used to attach —
+    or the determinism gate's JSONL stream) brings every record back.  The
+    result must not notice."""
+    import dataclasses
+    import io
+
+    from repro.obs.sinks import JsonlSink, MetricsSink
+
+    alone = measure_availability(TREE_BUILDERS[label](), horizon_s=DAY / 2, seed=77)
+    everything = MetricsSink()
+    stream = io.StringIO()
+    watched = measure_availability(
+        TREE_BUILDERS[label](),
+        horizon_s=DAY / 2,
+        seed=77,
+        sinks=[everything, JsonlSink(stream)],
+    )
+    assert dataclasses.asdict(alone) == dataclasses.asdict(watched)
+    assert alone.outages > 0 and alone.phase_breakdown
+    everything.tracker.flush()
+    assert alone.phase_breakdown == everything.phase_snapshot()
+    # The neighbours really saw the kinds nobody else reads.
+    assert everything.count("process_start") > 0
+    assert stream.getvalue().count("\n") == sum(everything.counters.values())

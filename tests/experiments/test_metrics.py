@@ -1,6 +1,9 @@
 """Tests for experiment metrics: stats and uptime tracking."""
 
+import types
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExperimentError
 from repro.experiments.metrics import RecoveryStats, UptimeTracker, downtime_intervals
@@ -124,3 +127,93 @@ def test_downtime_intervals_trailing_open_dropped():
 def test_downtime_intervals_out_of_order_rejected():
     with pytest.raises(ExperimentError):
         downtime_intervals([(2.0, False), (1.0, True)])
+
+
+# ----------------------------------------------------------------------
+# the counted down-set against a rescan of every component
+# ----------------------------------------------------------------------
+
+
+class _Process:
+    def __init__(self, name, is_running):
+        self.name = name
+        self.is_running = is_running
+
+
+class _Manager:
+    """Just what ``UptimeTracker`` touches: a clock, lookups, one listener."""
+
+    def __init__(self, running):
+        self.kernel = types.SimpleNamespace(now=0.0)
+        self._processes = {name: _Process(name, up) for name, up in running.items()}
+        self.listeners = []
+
+    def get(self, name):
+        return self._processes[name]
+
+    def subscribe(self, listener):
+        self.listeners.append(listener)
+
+
+class _ScanningTracker(UptimeTracker):
+    """The reference: recount the components that are not up from the
+    per-component table on every callback, as ``_all_up()`` rescanned it."""
+
+    def _sync_system_state(self):
+        self._not_up = sum(
+            1 for name in self.components if self._component_up_since.get(name) is None
+        )
+        super()._sync_system_state()
+
+
+def _figures(tracker):
+    return (
+        tracker.system_outages,
+        tracker.system_downtime,
+        tracker.system_uptime,
+        tracker.system_availability(),
+        [
+            (
+                tracker.component_uptime(name),
+                tracker.component_downtime(name),
+                tracker.failures_of(name),
+                tracker.observed_mttf(name),
+                tracker.observed_mttr(name),
+            )
+            for name in tracker.components
+        ],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    running=st.lists(st.booleans(), min_size=1, max_size=8),
+    steps=st.lists(
+        st.tuples(
+            st.floats(0.0, 50.0),
+            st.integers(0, 8),
+            st.sampled_from(["ready", "down:SIGKILL", "down:SIGTERM", "failed"]),
+        ),
+        max_size=60,
+    ),
+)
+def test_counted_tracker_agrees_with_a_rescan_after_every_step(running, steps):
+    names = [f"c{i}" for i in range(len(running))]
+    manager = _Manager(dict(zip(names, running)))
+    manager._processes["bystander"] = _Process("bystander", True)  # untracked
+    counted = UptimeTracker(manager, names)
+    scanning = _ScanningTracker(manager, names)
+    assert _figures(counted) == _figures(scanning)
+    for delay, index, event in steps:
+        manager.kernel.now += delay
+        process = manager.get(names[index] if index < len(names) else "bystander")
+        for listener in manager.listeners:
+            listener(process, event)
+        assert counted._not_up == scanning._not_up
+        assert _figures(counted) == _figures(scanning)
+    for tracker in (counted, scanning):
+        tracker.finalize()
+    assert _figures(counted) == _figures(scanning)
+    assert counted.system_uptime + counted.system_downtime == pytest.approx(
+        manager.kernel.now
+    )

@@ -10,7 +10,9 @@ experiment family both ways and compare exact outputs, and pin down the
 template-cache behaviours the contract rests on.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -26,9 +28,11 @@ from repro.experiments.snapshot import (
     warmed_station,
 )
 from repro.chaos.engine import run_chaos
+from repro.experiments.fleet import DigestSink
+from repro.experiments.template_store import SharedTemplateStore
 from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.station import MercuryStation
-from repro.mercury.trees import tree_i, tree_ii, tree_v
+from repro.mercury.trees import tree_i, tree_ii, tree_iv, tree_v
 
 
 @pytest.fixture(autouse=True)
@@ -189,3 +193,102 @@ def test_restored_station_continues_its_templates_channel_numbering():
     assert ops._channel.id == established + 1
     # ... and on its own count: the template's did not move.
     assert template.network.connections_established == established
+
+
+# ----------------------------------------------------------------------
+# parked dials: a ticket held by the network belongs to the copy
+# ----------------------------------------------------------------------
+
+
+def _build_iv(seed: int) -> MercuryStation:
+    return MercuryStation(
+        tree=tree_iv(), config=PAPER_CONFIG, seed=seed, trace_capacity=50_000
+    )
+
+
+def _warm_into_radio_outage(station: MercuryStation) -> None:
+    """Boot, fell ``fedr`` and ``pbcom`` together, and stop once ``fedr``
+    is back and its dial to the still-negotiating ``pbcom`` is parked."""
+    station.boot()
+    station.injector.inject_joint("pbcom", {"fedr", "pbcom"}, kind="joint")
+    deadline = station.kernel.now + 60.0
+    while not station.network.dials_parked:
+        assert station.kernel.now < deadline
+        station.run_for(0.1)
+    fedr = station.manager.get("fedr").behavior
+    assert fedr._pbcom_pending and not fedr.pbcom_connected
+    assert not station.network.is_bound("pbcom:9000")
+
+
+def _drive(station: MercuryStation, seconds: float = 60.0) -> dict:
+    digest = DigestSink()
+    station.kernel.trace.add_sink(digest)
+    station.run_for(seconds)
+    return {
+        "now": station.kernel.now,
+        "events": station.kernel.events_executed,
+        "digest": digest.hexdigest(),
+        "records": digest.records,
+        "connections": station.network.connections_established,
+    }
+
+
+def _store_round_trip(station: MercuryStation) -> MercuryStation:
+    store = SharedTemplateStore()
+    store.publish("mid-outage", station)
+    return store.fetch("mid-outage")
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.deepcopy, _store_round_trip]
+    + [
+        pytest.param(
+            lambda station, protocol=protocol: pickle.loads(
+                pickle.dumps(station, protocol=protocol)
+            ),
+            id=f"pickle-{protocol}",
+        )
+        for protocol in (2, 3, 4, 5)
+    ],
+)
+def test_copy_of_a_station_with_a_parked_dial_connects_its_own_fedr(clone):
+    station = _build_iv(5)
+    _warm_into_radio_outage(station)
+    before = (
+        station.kernel.now,
+        station.kernel.events_executed,
+        station.kernel.pending_events,
+        station.network.dials_parked,
+        station.network.connections_established,
+    )
+    fork = clone(station)
+    assert fork.network.dials_parked == station.network.dials_parked
+    _drive(fork)
+    fork_fedr = fork.manager.get("fedr").behavior
+    assert fork_fedr.pbcom_connected and fork.network.dials_parked == 0
+    assert fork_fedr.network is fork.network and fork_fedr.kernel is fork.kernel
+    # The original saw none of it: same clock, same queue, same ticket.
+    assert before == (
+        station.kernel.now,
+        station.kernel.events_executed,
+        station.kernel.pending_events,
+        station.network.dials_parked,
+        station.network.connections_established,
+    )
+    assert not station.manager.get("fedr").behavior.pbcom_connected
+    # ... and still redeems it for itself, exactly as its copy did.
+    assert _drive(station)["connections"] == fork.network.connections_established
+    assert station.manager.get("fedr").behavior.pbcom_connected
+
+
+def test_fork_taken_mid_outage_equals_a_fresh_boot_driven_there():
+    shape = station_shape("parked-dial", tree_iv(), PAPER_CONFIG)
+    fresh = _drive(
+        warmed_station(shape, _build_iv, _warm_into_radio_outage, 9, snapshot=False)
+    )
+    forked = _drive(
+        warmed_station(shape, _build_iv, _warm_into_radio_outage, 9, snapshot=True)
+    )
+    assert template_count() == 1
+    assert fresh["records"] > 0 and fresh == forked

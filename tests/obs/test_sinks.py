@@ -11,6 +11,7 @@ from repro.obs.sinks import (
     CallbackSink,
     JsonlSink,
     MetricsSink,
+    PhaseSink,
     RingSink,
     SummaryStat,
     merge_phase_snapshots,
@@ -218,6 +219,31 @@ def test_metrics_sink_without_episode_tracking():
     assert sink.tracker is None
     assert sink.count(ev.FAILURE_INJECTED) == 1
     assert sink.phase_snapshot() == {}
+
+
+def test_phase_sink_is_the_metrics_sinks_phase_table():
+    phases, metrics = PhaseSink(), MetricsSink()
+    records = episode_records() + episode_records("ses", failure_id=2, base=300.0)
+    records.insert(3, rec(103.0, ev.BUS_CONNECTED, source="rtu"))  # unread kind
+    for record in records:
+        phases.accept(record)
+        metrics.accept(record)
+    assert phases.phase_snapshot() == metrics.phase_snapshot()
+    assert phases.phase_stats("ses")["total"].mean == 6.0
+    assert not hasattr(phases, "counters")
+
+
+def test_sinks_declare_what_they_read():
+    from repro.obs.spans import EpisodeTracker
+
+    tracker = EpisodeTracker()
+    assert tracker.kinds == frozenset(tracker._dispatch)
+    assert PhaseSink().kinds == tracker.kinds
+    assert ev.PROCESS_READY in tracker.kinds and ev.BUS_CONNECTED not in tracker.kinds
+    # Everything that consumes or counts the whole stream reads every kind.
+    for sink in (RingSink(), CallbackSink(print), JsonlSink(io.StringIO()),
+                 MetricsSink(), MetricsSink(track_episodes=False)):
+        assert sink.kinds is None
 
 
 # ----------------------------------------------------------------------

@@ -141,6 +141,114 @@ def test_remove_sink_stops_delivery(kernel):
     assert trace.sinks == []
 
 
+# ----------------------------------------------------------------------
+# declared interest: a disabled trace builds a record only for a sink that
+# asked for its kind
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every ``TraceRecord`` ``Trace.emit`` constructs, in order."""
+    import repro.sim.trace as trace_module
+
+    records = []
+
+    class Counted(TraceRecord):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            records.append(self)
+
+    monkeypatch.setattr(trace_module, "TraceRecord", Counted)
+    return records
+
+
+def test_disabled_trace_builds_no_record_for_a_kind_nobody_declared(kernel, built):
+    from repro.obs import events as ev
+    from repro.obs.spans import EpisodeTracker
+
+    trace = kernel.trace
+    trace.enabled = False
+    tracker = trace.add_sink(EpisodeTracker())
+    assert ev.PROCESS_READY in tracker.kinds and ev.BUS_CONNECTED not in tracker.kinds
+    assert trace.emit("fedr", ev.BUS_CONNECTED) is None
+    assert trace.emit("hw.radio", "tuned", hz=1.0, by="pbcom") is None
+    assert built == []
+    record = trace.emit("procmgr", ev.PROCESS_READY, name="fedr")
+    assert record is not None and built == [record]
+    assert len(trace.records) == 0  # disabled: the ring keeps nothing
+
+
+def test_a_sink_that_reads_everything_restores_full_delivery(kernel, built):
+    from repro.obs import events as ev
+    from repro.obs.sinks import CallbackSink
+    from repro.obs.spans import EpisodeTracker
+
+    trace = kernel.trace
+    trace.enabled = False
+    trace.add_sink(EpisodeTracker())
+    seen = []
+    everything = trace.add_sink(CallbackSink(seen.append))
+    assert everything.kinds is None
+    trace.emit("fedr", ev.BUS_CONNECTED)
+    trace.emit("procmgr", ev.PROCESS_READY, name="fedr")
+    assert [r.kind for r in seen] == [ev.BUS_CONNECTED, ev.PROCESS_READY]
+    assert len(built) == 2
+    trace.remove_sink(everything)  # narrows to the tracker's kinds again
+    assert trace.emit("fedr", ev.BUS_CONNECTED) is None
+    assert trace.emit("procmgr", ev.PROCESS_READY, name="fedr") is not None
+    assert len(seen) == 2 and len(built) == 3
+    for sink in trace.sinks:
+        trace.remove_sink(sink)  # no sinks: the empty set, nothing is built
+    assert trace.emit("procmgr", ev.PROCESS_READY, name="fedr") is None
+    assert len(built) == 3
+
+
+def test_kinds_is_a_promise_not_a_filter(kernel):
+    """A record that gets built goes to every sink: an enabled trace (or a
+    read-everything neighbour) hands a declared-kinds sink the other kinds
+    too, so its ``accept`` must tolerate them."""
+    from repro.obs.sinks import CallbackSink
+
+    class Narrow(CallbackSink):
+        kinds = frozenset({"wanted"})
+
+    trace = kernel.trace
+    subscribed, narrow = [], []
+    trace.subscribe(subscribed.append)
+    trace.add_sink(Narrow(narrow.append))
+    trace.emit("s", "wanted")
+    trace.emit("s", "unwanted")
+    assert [r.kind for r in narrow] == ["wanted", "unwanted"]
+    assert [r.kind for r in subscribed] == ["wanted", "unwanted"]
+    assert [r.kind for r in trace.records] == ["wanted", "unwanted"]
+    trace.enabled = False
+    assert trace.emit("s", "unwanted") is None
+    assert trace.emit("s", "wanted") is not None
+    assert len(narrow) == 3 and len(subscribed) == 2
+
+
+def test_validation_runs_before_the_interest_filter(kernel):
+    """``REPRO_OBS_VALIDATE=1`` checks every emit site, listened to or not."""
+    from repro.obs import events as ev
+    from repro.obs.spans import EpisodeTracker
+
+    trace = kernel.trace
+    trace.enabled = False
+    trace.add_sink(EpisodeTracker())
+    assert trace.emit("fedr", ev.PBCOM_CONNECTED, bogus=1) is None  # unchecked
+    before = ev.validation_enabled()
+    ev.set_validation(True)
+    try:
+        with pytest.raises(ev.ObsValidationError):
+            trace.emit("fedr", ev.PBCOM_CONNECTED, bogus=1)
+        with pytest.raises(ev.ObsValidationError):
+            trace.emit("fedr", "no_such_kind")
+        assert trace.emit("fedr", ev.PBCOM_CONNECTED) is None  # valid, unheard
+    finally:
+        ev.set_validation(before)
+
+
 def test_format_renders_fields(kernel):
     record = kernel.trace.emit("comp", "went_bad", severity=Severity.ERROR, code=7)
     line = record.format()
