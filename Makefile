@@ -10,9 +10,11 @@ export PYTHONPATH := src:$(PYTHONPATH)
 	repo-bench-ab benchmarks \
 	table4-parallel chaos-full fleet-large workload-soak nightly
 
-# Tier-1 verification: the full unit/integration suite.
+# Tier-1 verification: the full unit/integration suite.  The ten slowest
+# tests are printed so a drift in suite time shows in the log of the run
+# that caused it.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 # Static checks.  tools/lint.py prefers ruff, then pyflakes, and falls
 # back to its own AST-based checks when neither is installed.

@@ -1,18 +1,12 @@
-"""General-purpose analysis: statistics and analytic availability models.
+"""General-purpose analysis: analytic availability models.
 
 Separate from :mod:`repro.core.analysis` (which reasons about restart
-*trees*); this package holds the domain-free machinery: summary statistics
-with bootstrap confidence intervals, and the alternating-renewal /
+*trees*); this package holds the domain-free alternating-renewal /
 Markov-style availability model the paper's §7 points to as future work.
+Summary statistics live with their users: :class:`repro.obs.sinks.SummaryStat`
+and :class:`repro.experiments.metrics.RecoveryStats`.
 """
 
-from repro.analysis.stats import (
-    bootstrap_mean_ci,
-    coefficient_of_variation,
-    mean,
-    percentile,
-    stddev,
-)
 from repro.analysis.markov import (
     ComponentModel,
     SeriesSystemModel,
@@ -22,10 +16,5 @@ from repro.analysis.markov import (
 __all__ = [
     "ComponentModel",
     "SeriesSystemModel",
-    "bootstrap_mean_ci",
-    "coefficient_of_variation",
     "component_availability",
-    "mean",
-    "percentile",
-    "stddev",
 ]

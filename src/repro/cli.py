@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.recovery_strategies import strategy_names
 from repro.core.render import render_tree
@@ -63,6 +63,33 @@ def table4_cure_set(tree_label: str, oracle: str, component: str):
     if oracle == "faulty" and component == "pbcom":
         return ("fedr", "pbcom")
     return None
+
+
+def _print_violations(rows: Sequence[Tuple[str, Mapping[str, Any]]]) -> None:
+    """The invariant verdict of a campaign: ``(cell label, violation)`` rows,
+    the first 20 spelled out."""
+    if not rows:
+        print("invariants: all OK")
+        return
+    print(f"INVARIANT VIOLATIONS: {len(rows)}")
+    for label, violation in rows[:20]:
+        print(
+            f"  [{label}] {violation['invariant']} "
+            f"@{violation['time']:.3f}s {violation['subject']}: "
+            f"{violation['detail']}"
+        )
+    if len(rows) > 20:
+        print(f"  ... and {len(rows) - 20} more")
+
+
+def _write_report(path: str, payload: Mapping[str, Any]) -> None:
+    """Write a campaign's per-cell payloads as the ``--report`` JSON file."""
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    print(f"report -> {path}")
 
 
 def _tree_argument(parser: argparse.ArgumentParser, multiple: bool = False) -> None:
@@ -561,37 +588,22 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
 
     violations = [
-        (scenario, label, violation)
+        (f"{scenario}/tree {label}", violation)
         for (scenario, label), result in sorted(suite.items())
         for violation in result.violations
     ]
-    if violations:
-        print()
-        print(f"INVARIANT VIOLATIONS: {len(violations)}")
-        for scenario, label, violation in violations[:20]:
-            print(
-                f"  [{scenario}/tree {label}] {violation['invariant']} "
-                f"@{violation['time']:.3f}s {violation['subject']}: "
-                f"{violation['detail']}"
-            )
-        if len(violations) > 20:
-            print(f"  ... and {len(violations) - 20} more")
-    else:
-        print()
-        print("invariants: all OK")
+    print()
+    _print_violations(violations)
 
     if args.report:
-        import json
-
-        payload = {
-            f"{scenario}/{label}": suite[(scenario, label)].to_payload()
-            for scenario in scenarios
-            for label in labels
-        }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"report -> {args.report}")
+        _write_report(
+            args.report,
+            {
+                f"{scenario}/{label}": suite[(scenario, label)].to_payload()
+                for scenario in scenarios
+                for label in labels
+            },
+        )
     return 1 if violations else 0
 
 
@@ -671,36 +683,22 @@ def cmd_strategy_compare(args: argparse.Namespace) -> int:
         print()
 
     violations = [
-        (key, violation)
-        for key, cell in sorted(suite.items())
+        (f"{strategy}/{kind}/tree {label}", violation)
+        for (strategy, kind, label), cell in sorted(suite.items())
         for violation in cell.violations
     ]
-    if violations:
-        print(f"INVARIANT VIOLATIONS: {len(violations)}")
-        for (strategy, kind, label), violation in violations[:20]:
-            print(
-                f"  [{strategy}/{kind}/tree {label}] {violation['invariant']} "
-                f"@{violation['time']:.3f}s {violation['subject']}: "
-                f"{violation['detail']}"
-            )
-        if len(violations) > 20:
-            print(f"  ... and {len(violations) - 20} more")
-    else:
-        print("invariants: all OK")
+    _print_violations(violations)
 
     if args.report:
-        import json
-
-        payload = {
-            f"{strategy}/{kind}/{label}": suite[(strategy, kind, label)].to_payload()
-            for strategy in strategies
-            for kind in kinds
-            for label in labels
-        }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"report -> {args.report}")
+        _write_report(
+            args.report,
+            {
+                f"{strategy}/{kind}/{label}": suite[(strategy, kind, label)].to_payload()
+                for strategy in strategies
+                for kind in kinds
+                for label in labels
+            },
+        )
     return 1 if violations else 0
 
 
@@ -736,35 +734,24 @@ def cmd_workload(args: argparse.Namespace) -> int:
     print(format_workload_report(suite))
 
     violations = [
-        (key, violation)
-        for key, cell in sorted(suite.items())
+        (f"{strategy or 'classic'}/{kind}/tree {label}", violation)
+        for (strategy, kind, label), cell in sorted(suite.items())
         for violation in cell.violations
     ]
-    if violations:
-        print(f"\nINVARIANT VIOLATIONS: {len(violations)}")
-        for (strategy, kind, label), violation in violations[:20]:
-            print(
-                f"  [{strategy or 'classic'}/{kind}/tree {label}] "
-                f"{violation['invariant']} @{violation['time']:.3f}s "
-                f"{violation['subject']}: {violation['detail']}"
-            )
-    else:
-        print("\ninvariants: all OK")
+    print()
+    _print_violations(violations)
 
     if args.report:
-        import json
-
-        payload = {
-            f"{strategy or 'classic'}/{kind}/{label}":
-                suite[(strategy, kind, label)].to_payload()
-            for strategy in strategies
-            for kind in kinds
-            for label in labels
-        }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"report -> {args.report}")
+        _write_report(
+            args.report,
+            {
+                f"{strategy or 'classic'}/{kind}/{label}":
+                    suite[(strategy, kind, label)].to_payload()
+                for strategy in strategies
+                for kind in kinds
+                for label in labels
+            },
+        )
     return 1 if violations else 0
 
 

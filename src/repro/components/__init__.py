@@ -8,13 +8,8 @@ failure detector and the recovery module.
 """
 
 from repro.components.base import Behavior, BusAttachedBehavior
-from repro.components.health import HealthBeacon, HealthSummary
-from repro.components.registry import ComponentRegistry
 
 __all__ = [
     "Behavior",
     "BusAttachedBehavior",
-    "ComponentRegistry",
-    "HealthBeacon",
-    "HealthSummary",
 ]

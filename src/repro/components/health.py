@@ -1,140 +1,23 @@
-"""Component health-summary beacons and end-to-end probes (paper §7).
+"""End-to-end probes: the active liveness check that unmasks zombies.
 
-The paper's future-work section describes "component health summary beacons,
-which include a digest of internal metrics such as resource usage, data
-structure consistency, connectivity checks, latency between key code points,
-warnings of suspect behavior that has not yet caused a failure".  We
-implement that extension: a :class:`HealthBeacon` periodically publishes a
-:class:`HealthSummary` on the bus, and the failure detector can consume
-warnings as *early* signals (exercised by the learning-oracle example and
-the health-beacon tests).
-
-:class:`EndToEndProber` is the active counterpart: it sends ``e2e-probe``
-commands that must round-trip through each component's *worker* path, not
-its liveness thread.  A *zombie* (answers FD pings, drops real work) passes
-every ping forever but fails probes — this is the mechanism that unmasks
-the fail-slow failure kinds in :mod:`repro.faults.failure`.
+:class:`EndToEndProber` sends ``e2e-probe`` commands that must round-trip
+through each component's *worker* path, not its liveness thread.  A *zombie*
+(answers FD pings, drops real work) passes every ping forever but fails
+probes — this is the mechanism that unmasks the fail-slow failure kinds in
+:mod:`repro.faults.failure`.  The failure detector hosts the prober and
+owns transport and policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, Optional, TYPE_CHECKING
 
-from repro.components.base import (
-    BusAttachedBehavior,
-    E2E_PROBE_REPLY_VERB,
-    E2E_PROBE_VERB,
-)
-from repro.sim.timers import PeriodicTimer
+from repro.components.base import E2E_PROBE_REPLY_VERB, E2E_PROBE_VERB
 from repro.types import SimTime
 from repro.xmlcmd.commands import CommandMessage, Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
-
-
-@dataclass
-class HealthSummary:
-    """A digest of one component's internal health metrics."""
-
-    component: str
-    time: SimTime
-    #: Free-form numeric gauges ("heap_mb", "queue_depth", "uptime_s", ...).
-    metrics: Dict[str, float] = field(default_factory=dict)
-    #: Suspect-behavior warnings that have not yet caused a failure.
-    warnings: List[str] = field(default_factory=list)
-    #: Whether the component self-assesses as degraded.
-    degraded: bool = False
-
-    def to_params(self) -> Dict[str, str]:
-        """Flatten into string params for a bus command message."""
-        params = {f"metric.{k}": repr(v) for k, v in self.metrics.items()}
-        for index, warning in enumerate(self.warnings):
-            params[f"warning.{index}"] = warning
-        params["degraded"] = "1" if self.degraded else "0"
-        return params
-
-    @staticmethod
-    def from_message(message: CommandMessage, at: SimTime) -> "HealthSummary":
-        """Reconstruct a summary from its bus message encoding."""
-        metrics: Dict[str, float] = {}
-        warnings: List[str] = []
-        degraded = message.params.get("degraded", "0") == "1"
-        for key, value in message.params.items():
-            if key.startswith("metric."):
-                metrics[key[len("metric."):]] = float(value)
-            elif key.startswith("warning."):
-                warnings.append(value)
-        return HealthSummary(
-            component=message.sender,
-            time=at,
-            metrics=metrics,
-            warnings=warnings,
-            degraded=degraded,
-        )
-
-
-class HealthBeacon:
-    """Periodic health publisher attached to a bus-attached behavior.
-
-    The beacon reads gauges from a supplier function each period, so the
-    hosting component controls what it reports; the beacon owns only the
-    publication schedule and encoding.
-    """
-
-    def __init__(
-        self,
-        behavior: BusAttachedBehavior,
-        period: SimTime = 5.0,
-        supplier: Optional[Callable[[], HealthSummary]] = None,
-        target: str = "fd",
-    ) -> None:
-        self.behavior = behavior
-        self.period = period
-        self.target = target
-        self._supplier = supplier or self._default_summary
-        self._timer: Optional[PeriodicTimer] = None
-        self.published = 0
-
-    def start(self) -> None:
-        """Begin publishing (call from the behavior's ``on_start``)."""
-        self.stop()
-        self._timer = PeriodicTimer(
-            self.behavior.kernel,
-            self.period,
-            self._publish,
-            jitter=self.period * 0.05,
-            rng=self.behavior.kernel.rngs.stream(f"health.{self.behavior.name}"),
-        )
-
-    def stop(self) -> None:
-        """Stop publishing (call from the behavior's ``on_kill``)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _default_summary(self) -> HealthSummary:
-        process = self.behavior.process
-        uptime = 0.0
-        if process.last_ready_at is not None:
-            uptime = self.behavior.kernel.now - process.last_ready_at
-        return HealthSummary(
-            component=self.behavior.name,
-            time=self.behavior.kernel.now,
-            metrics={"uptime_s": uptime, "restarts": float(process.start_count)},
-        )
-
-    def _publish(self) -> None:
-        summary = self._supplier()
-        message = CommandMessage(
-            sender=self.behavior.name,
-            target=self.target,
-            verb="health-summary",
-            params=summary.to_params(),
-        )
-        if self.behavior.send(message):
-            self.published += 1
 
 
 def make_probe(sender: str, target: str, seq: int) -> CommandMessage:

@@ -43,44 +43,15 @@ Table 3's rows as data (used by the Table 3 bench).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.tree import RestartCell, RestartTree
 from repro.errors import TransformationError
 
 
 # ----------------------------------------------------------------------
-# internal rebuilding helpers
+# internal helpers
 # ----------------------------------------------------------------------
-
-
-def _rebuild(
-    node: RestartCell,
-    replace: Dict[str, Optional[Sequence[RestartCell]]],
-    components_override: Dict[str, Iterable[str]],
-) -> Optional[RestartCell]:
-    """Recursively copy ``node``, applying child replacements and overrides.
-
-    ``replace`` maps a cell id to the list of cells that should stand in its
-    place among its parent's children (``None`` deletes it).  A cell id
-    absent from both maps is copied verbatim.
-    """
-    if node.cell_id in replace:
-        raise TransformationError(
-            f"cell {node.cell_id!r} replacement must be handled by the parent"
-        )
-    new_children: List[RestartCell] = []
-    for child in node.children:
-        if child.cell_id in replace:
-            replacement = replace[child.cell_id]
-            if replacement is not None:
-                new_children.extend(replacement)
-            continue
-        rebuilt = _rebuild(child, replace, components_override)
-        if rebuilt is not None:
-            new_children.append(rebuilt)
-    components = components_override.get(node.cell_id, node.components)
-    return RestartCell(node.cell_id, components, new_children, strategy=node.strategy)
 
 
 def _leaf_id_for(component: str, taken: Iterable[str]) -> str:

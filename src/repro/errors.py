@@ -25,15 +25,6 @@ class KernelStoppedError(SimulationError):
     """An event was scheduled on a kernel that has already been stopped."""
 
 
-class ProcessInterrupt(SimulationError):
-    """Thrown into a simulated coroutine process when it is interrupted.
-
-    This is a control-flow exception: the kernel throws it into a
-    :class:`~repro.sim.process.SimTask` generator when the task is killed,
-    so the task can release resources before unwinding.
-    """
-
-
 class TransportError(ReproError):
     """Base class for simulated-network errors."""
 
@@ -151,7 +142,3 @@ class RestartBudgetExceeded(PolicyError):
 
 class ExperimentError(ReproError):
     """Base class for experiment-harness errors."""
-
-
-class CalibrationError(ExperimentError):
-    """An experiment was configured with inconsistent calibration data."""

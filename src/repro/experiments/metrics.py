@@ -10,7 +10,6 @@ from repro.errors import ExperimentError
 from repro.types import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.sinks import SummaryStat
     from repro.procmgr.manager import ProcessManager
     from repro.procmgr.process import SimProcess
 
@@ -49,24 +48,6 @@ class RecoveryStats:
             std=math.sqrt(variance),
             minimum=min(samples),
             maximum=max(samples),
-        )
-
-    @staticmethod
-    def from_summary(stat: "SummaryStat") -> "RecoveryStats":
-        """Display stats from a mergeable obs-layer accumulator.
-
-        Bridges :class:`repro.obs.sinks.SummaryStat` (what sinks and the
-        campaign runner exchange) into the experiment-facing summary type;
-        raises for an empty accumulator, mirroring :meth:`from_samples`.
-        """
-        if not stat.n:
-            raise ExperimentError("no samples")
-        return RecoveryStats(
-            n=stat.n,
-            mean=stat.mean,
-            std=stat.std,
-            minimum=stat.minimum,
-            maximum=stat.maximum,
         )
 
 

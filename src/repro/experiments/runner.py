@@ -44,7 +44,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.tree import RestartTree
 from repro.errors import ExperimentError
 from repro.experiments.availability import AvailabilityResult, measure_availability
-from repro.experiments.lifetimes import LifetimeResult, measure_lifetimes
 from repro.experiments.recovery import RecoveryResult, measure_recovery
 from repro.experiments.snapshot import config_fingerprint, tree_fingerprint
 from repro.mercury.config import PAPER_CONFIG, StationConfig
@@ -90,6 +89,9 @@ from repro.sim.rng import derive_seed
 #: instead of polling, and a parked dial executes no kernel event, so
 #: ``FleetResult.stations[*].events_executed`` fell again for identical
 #: specs; every other payload field is unchanged.
+#: Still v11 with the ``correlations`` spec field and the "lifetimes" kind
+#: removed: the key hashes the full cell spec, so dropping a field changes
+#: every key by itself — older entries are orphaned, never misread.
 CACHE_VERSION = 11
 
 
@@ -119,13 +121,13 @@ class CampaignCell:
     ``kind`` selects the experiment family (:func:`execute_cell` has the
     ladder): ``"recovery"`` runs
     :func:`~repro.experiments.recovery.measure_recovery` shards;
-    ``"availability"`` and ``"lifetimes"`` run one long-horizon station
-    each; ``"chaos"`` one scenario's trials under the invariant checker;
-    ``"strategy"`` one strategy × failure-kind cell; ``"workload"`` the
-    same under live user traffic; ``"fleet"`` one whole fleet to its
-    horizon.  A field a kind does not read keeps its default.  ``seed`` is
-    the fully derived per-cell seed — planners call :func:`campaign_seed`;
-    nothing downstream adds offsets.
+    ``"availability"`` runs one long-horizon station; ``"chaos"`` one
+    scenario's trials under the invariant checker; ``"strategy"`` one
+    strategy × failure-kind cell; ``"workload"`` the same under live user
+    traffic; ``"fleet"`` one whole fleet to its horizon.  A field a kind
+    does not read keeps its default.  ``seed`` is the fully derived per-cell
+    seed — planners call :func:`campaign_seed`; nothing downstream adds
+    offsets.
     """
 
     kind: str
@@ -142,7 +144,6 @@ class CampaignCell:
     trial_timeout: float = 300.0
     aging: bool = False
     horizon_s: float = 0.0
-    correlations: bool = False
     scenario: str = ""
     #: Recovery-strategy registry name ("" = classic restart-only station,
     #: which is *not* the same cell as ``strategy="restart"`` — the latter
@@ -281,15 +282,6 @@ def execute_cell(
             shards=fleet_shards(),
         )
         return fleet.to_payload()
-    if cell.kind == "lifetimes":
-        lifetime = measure_lifetimes(
-            tree,
-            horizon_s=cell.horizon_s,
-            seed=cell.seed,
-            config=config,
-            correlations=cell.correlations,
-        )
-        return dataclasses.asdict(lifetime)
     raise ValueError(f"unknown campaign cell kind {cell.kind!r}")
 
 
@@ -405,9 +397,16 @@ def run_campaign(
                 continue
         todo.append(index)
 
+    def finished(index: int, result: Dict[str, Any]) -> None:
+        # Published as each cell completes, so a later cell that raises (or
+        # a Ctrl-C) keeps every finished cell on disk for the re-run.
+        results[index] = result
+        if cache_dir is not None:
+            _cache_write(cache_dir, keys[index], cells[index], result)
+
     if jobs <= 1 or len(todo) <= 1:
         for index in todo:
-            results[index] = execute_cell(cells[index], config, trees)
+            finished(index, execute_cell(cells[index], config, trees))
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
             futures = {
@@ -415,11 +414,7 @@ def run_campaign(
                 for index in todo
             }
             for index, future in futures.items():
-                results[index] = future.result()
-
-    if cache_dir is not None:
-        for index in todo:
-            _cache_write(cache_dir, keys[index], cells[index], results[index])
+                finished(index, future.result())
     return results  # type: ignore[return-value]
 
 
@@ -709,31 +704,4 @@ def run_fleet_campaign(
     return {
         pair: FleetResult.from_payload(payload)
         for pair, payload in zip(pairs, payloads)
-    }
-
-
-def run_lifetime_suite(
-    tree_labels: Sequence[str],
-    horizon_s: float,
-    seed: int = 0,
-    config: StationConfig = PAPER_CONFIG,
-    correlations: bool = False,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[str, LifetimeResult]:
-    """Long-horizon observed-MTTF runs (Table 1 closure) per tree."""
-    cells = [
-        CampaignCell(
-            kind="lifetimes",
-            tree=label,
-            seed=campaign_seed(seed, "lifetimes", label, horizon_s),
-            horizon_s=horizon_s,
-            correlations=correlations,
-        )
-        for label in tree_labels
-    ]
-    payloads = run_campaign(cells, config=config, jobs=jobs, cache_dir=cache_dir)
-    return {
-        label: LifetimeResult(**payload)
-        for label, payload in zip(tree_labels, payloads)
     }

@@ -226,23 +226,3 @@ def run_strategy_suite(
         triple: StrategyCellResult.from_payload(payload)
         for triple, payload in zip(triples, payloads)
     }
-
-
-def format_strategy_report(
-    results: Dict[Tuple[str, str, str], StrategyCellResult]
-) -> str:
-    """Fixed-width comparison table, one row per matrix cell."""
-    lines = [
-        f"{'strategy':<18} {'kind':<8} {'tree':<5} {'mean MTTR':>10} "
-        f"{'max':>8} {'lost':>5} {'restored':>9} {'ckpt':>5} {'replay':>7} {'viol':>5}"
-    ]
-    for (strategy, kind, label), cell in sorted(results.items()):
-        stats = cell.stats
-        lines.append(
-            f"{strategy:<18} {kind:<8} {label:<5} "
-            f"{stats.mean:>10.3f} {stats.maximum:>8.3f} "
-            f"{cell.sessions_lost:>5d} {cell.sessions_restored:>9d} "
-            f"{cell.checkpoints_restored:>5d} {cell.messages_replayed:>7d} "
-            f"{len(cell.violations):>5d}"
-        )
-    return "\n".join(lines)

@@ -217,10 +217,6 @@ class EpisodeTracker:
         """Episodes still in flight (injection seen, recovery not ended)."""
         return list(self._open.values()) + list(self._watchdogs.values())
 
-    def episodes_for(self, component: str) -> List[RecoveryEpisode]:
-        """Completed episodes for one component, in completion order."""
-        return [e for e in self.episodes if e.component == component]
-
     def flush(self) -> None:
         """Finalize cured-but-unconfirmed episodes (end-of-run sweep).
 

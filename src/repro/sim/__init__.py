@@ -2,7 +2,7 @@
 
 The kernel is the substrate for everything in this library: the simulated
 Mercury ground station, its message bus, failure detector, and recoverer all
-run as events and coroutine processes on a :class:`Kernel`.
+run as events on a :class:`Kernel`.
 
 Design notes
 ------------
@@ -13,34 +13,24 @@ Design notes
 * The kernel is strictly deterministic given a seed: events scheduled for the
   same instant fire in FIFO order of scheduling, and all randomness flows
   through named :class:`~repro.sim.rng.RngRegistry` streams.
-* Two programming styles are supported and freely mixed:
-
-  - **callbacks** via :meth:`Kernel.call_at` / :meth:`Kernel.call_after`;
-  - **coroutine processes** (generator functions yielding
-    :class:`~repro.sim.process.Timeout` / :class:`~repro.sim.process.WaitEvent`)
-    via :meth:`Kernel.spawn`, convenient for sequential component logic such
-    as a startup sequence that negotiates with hardware.
+* Everything is callback-driven: :meth:`Kernel.call_at` /
+  :meth:`Kernel.call_after` queue a cancellable callback, and a repeating
+  activity re-arms itself from its own callback.  Sequential component
+  logic (a startup that negotiates with hardware) is a
+  :mod:`repro.procmgr` process, not a coroutine.
 """
 
 from repro.sim.clock import Clock
-from repro.sim.event import EventHandle, SimEvent
+from repro.sim.event import EventHandle
 from repro.sim.kernel import Kernel
-from repro.sim.process import ProcessExit, SimTask, Timeout, WaitEvent
 from repro.sim.rng import RngRegistry
-from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "Clock",
     "EventHandle",
     "Kernel",
-    "PeriodicTimer",
-    "ProcessExit",
     "RngRegistry",
-    "SimEvent",
-    "SimTask",
-    "Timeout",
     "Trace",
     "TraceRecord",
-    "WaitEvent",
 ]

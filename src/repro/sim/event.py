@@ -1,14 +1,8 @@
-"""Scheduled events, slab event storage, and one-shot signalling events.
+"""Scheduled events and slab event storage.
 
-Two distinct notions share the word "event" in discrete-event simulation:
-
-* a **scheduled event** — a callback queued to fire at a specific simulated
-  time.  :class:`EventHandle` is the caller's handle to one, supporting
-  cancellation.
-* a **signalling event** — a one-shot condition that coroutine processes can
-  wait on and that some other party *triggers*, optionally with a value.
-  :class:`SimEvent` models this (analogous to ``asyncio.Event`` with a
-  payload).
+A **scheduled event** is a callback queued to fire at a specific simulated
+time.  :class:`EventHandle` is the caller's handle to one, supporting
+cancellation; :class:`RepeatHandle` is the handle to a periodic one.
 
 Slab event storage
 ------------------
@@ -39,7 +33,7 @@ events are still live, used by compaction and queue inspection.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.types import SimTime
 
@@ -95,10 +89,13 @@ class RepeatHandle:
 
     The kernel's dispatch loop re-arms the timer itself — bumping the slab
     entry's timestamp and pushing the *same* entry back onto the heap — so a
-    steady periodic callback (the failure detector's ping round, health
-    probers, steady-state fault arrivals) costs one heap push per firing and
-    zero allocations.  The handle keeps its original sequence number, so its
+    steady periodic callback costs one heap push per firing and zero
+    allocations.  The handle keeps its original sequence number, so its
     FIFO rank among same-instant events is stable and deterministic.
+
+    No product component repeats this way (FD, the prober and the fault
+    injectors re-arm with ``call_after`` chains); the kernel dispatch driver
+    in ``bench/drivers.py`` is its caller.
     """
 
     __slots__ = ("interval", "callback", "cancelled", "_owner")
@@ -157,105 +154,3 @@ def payload_live_items(payload: Any) -> list:
     if (cls is EventHandle or cls is RepeatHandle) and payload.cancelled:
         return []
     return [payload]
-
-
-class SimEvent:
-    """One-shot triggerable condition carrying an optional value.
-
-    A :class:`SimEvent` starts untriggered.  Coroutine processes wait on it by
-    yielding :class:`~repro.sim.process.WaitEvent`; callbacks may subscribe
-    via :meth:`add_listener`.  :meth:`trigger` fires it exactly once — later
-    triggers raise, because double-triggering is always a logic error in the
-    protocols built on top of this kernel.
-    """
-
-    __slots__ = ("name", "_triggered", "_value", "_listeners")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._triggered = False
-        self._value: Any = None
-        self._listeners: List[Callable[[Any], None]] = []
-
-    @property
-    def triggered(self) -> bool:
-        """Whether :meth:`trigger` has been called."""
-        return self._triggered
-
-    @property
-    def value(self) -> Any:
-        """The payload passed to :meth:`trigger` (``None`` before firing)."""
-        return self._value
-
-    def add_listener(self, listener: Callable[[Any], None]) -> None:
-        """Register ``listener(value)`` to run when the event triggers.
-
-        If the event has already triggered, the listener runs immediately —
-        this removes a race where a process starts waiting just after the
-        trigger.
-        """
-        if self._triggered:
-            listener(self._value)
-        else:
-            self._listeners.append(listener)
-
-    def trigger(self, value: Any = None) -> None:
-        """Fire the event, delivering ``value`` to all listeners."""
-        if self._triggered:
-            raise RuntimeError(f"event {self.name!r} triggered twice")
-        self._triggered = True
-        self._value = value
-        listeners, self._listeners = self._listeners, []
-        for listener in listeners:
-            listener(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self._triggered else "pending"
-        return f"SimEvent({self.name!r}, {state})"
-
-
-def first_of(events: List[SimEvent], name: str = "first_of") -> SimEvent:
-    """Return an event that triggers when any of ``events`` triggers.
-
-    The combined event's value is a ``(index, value)`` tuple identifying
-    which input fired first.  Inputs that fire later are ignored.
-    """
-    combined = SimEvent(name)
-
-    def make_listener(index: int) -> Callable[[Any], None]:
-        def listener(value: Any) -> None:
-            if not combined.triggered:
-                combined.trigger((index, value))
-
-        return listener
-
-    for i, event in enumerate(events):
-        event.add_listener(make_listener(i))
-    return combined
-
-
-def all_of(events: List[SimEvent], name: str = "all_of") -> SimEvent:
-    """Return an event that triggers once every input event has triggered.
-
-    The combined value is the list of input values in input order.
-    """
-    combined = SimEvent(name)
-    remaining = len(events)
-    values: List[Optional[Any]] = [None] * len(events)
-    if remaining == 0:
-        combined.trigger([])
-        return combined
-
-    def make_listener(index: int) -> Callable[[Any], None]:
-        def listener(value: Any) -> None:
-            nonlocal remaining
-            values[index] = value
-            remaining -= 1
-            if remaining == 0:
-                combined.trigger(list(values))
-
-        return listener
-
-    for i, event in enumerate(events):
-        event.add_listener(make_listener(i))
-    return combined

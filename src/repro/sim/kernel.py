@@ -48,7 +48,7 @@ contract and the wake-site table).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import KernelStoppedError, SimulationError
 from repro.sim.clock import Clock
@@ -256,23 +256,6 @@ class Kernel:
     def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at the current instant (FIFO order)."""
         return self.call_at(self.clock._now, callback, *args)
-
-    # ------------------------------------------------------------------
-    # coroutine processes
-    # ------------------------------------------------------------------
-
-    def spawn(self, generator: Generator, name: str = "task") -> "SimTask":
-        """Run a generator-style coroutine process on this kernel.
-
-        The generator may yield :class:`~repro.sim.process.Timeout`,
-        :class:`~repro.sim.process.WaitEvent`, or another :class:`SimTask`
-        (to join it).  See :mod:`repro.sim.process`.
-        """
-        # Imported here to avoid a module-level cycle (process imports kernel
-        # types for annotations only, but keep the layering obvious).
-        from repro.sim.process import SimTask
-
-        return SimTask(self, generator, name)
 
     # ------------------------------------------------------------------
     # run loop

@@ -1,115 +1,10 @@
-"""Tests for health-summary beacons (§7 future-work extension)."""
+"""Tests for the end-to-end prober (zombie unmasking machinery)."""
 
 import pytest
 
-from repro.bus.broker import BusBroker
-from repro.bus.client import BusClient
-from repro.components.base import BusAttachedBehavior
-from repro.components.health import HealthBeacon, HealthSummary
-from repro.procmgr.process import ProcessSpec, constant_work
-from repro.xmlcmd.commands import CommandMessage
-
-
-class BeaconedBehavior(BusAttachedBehavior):
-    def __init__(self, process, network):
-        super().__init__(process, network)
-        self.beacon = HealthBeacon(self, period=2.0, target="ops")
-
-    def on_start(self):
-        super().on_start()
-        self.beacon.start()
-
-    def on_kill(self):
-        self.beacon.stop()
-        super().on_kill()
-
-
-def build(kernel, network, manager):
-    manager.spawn(
-        ProcessSpec("mbus", constant_work(0.2), lambda p: BusBroker(p, network, "mbus:7000"))
-    )
-    beaconed = manager.spawn(
-        ProcessSpec("comp", constant_work(0.2), lambda p: BeaconedBehavior(p, network))
-    )
-    manager.start_all()
-    kernel.run(until=kernel.now + 1.0)
-    ops = BusClient(kernel, network, "ops")
-    ops.connect()
-    return beaconed.behavior, ops
-
-
-def health_messages(ops):
-    return [
-        m for m in ops.received
-        if isinstance(m, CommandMessage) and m.verb == "health-summary"
-    ]
-
-
-def test_beacon_publishes_periodically(kernel, network, manager):
-    behavior, ops = build(kernel, network, manager)
-    kernel.run(until=kernel.now + 10.0)
-    assert len(health_messages(ops)) >= 4
-    assert behavior.beacon.published >= 4
-
-
-def test_summary_carries_default_metrics(kernel, network, manager):
-    _behavior, ops = build(kernel, network, manager)
-    kernel.run(until=kernel.now + 5.0)
-    message = health_messages(ops)[0]
-    summary = HealthSummary.from_message(message, at=kernel.now)
-    assert summary.component == "comp"
-    assert "uptime_s" in summary.metrics
-    assert summary.metrics["restarts"] == 1.0
-    assert not summary.degraded
-
-
-def test_beacon_stops_when_killed(kernel, network, manager):
-    _behavior, ops = build(kernel, network, manager)
-    kernel.run(until=kernel.now + 5.0)
-    count_before = len(health_messages(ops))
-    manager.fail("comp")
-    kernel.run(until=kernel.now + 10.0)
-    assert len(health_messages(ops)) == count_before
-
-
-def test_beacon_resumes_after_restart(kernel, network, manager):
-    _behavior, ops = build(kernel, network, manager)
-    manager.fail("comp")
-    manager.restart(["comp"])
-    kernel.run(until=kernel.now + 6.0)
-    assert health_messages(ops)
-
-
-def test_custom_supplier_and_warnings(kernel, network, manager):
-    summary = HealthSummary(
-        component="c", time=1.0,
-        metrics={"heap_mb": 120.5},
-        warnings=["queue depth rising", "latency spike"],
-        degraded=True,
-    )
-    params = summary.to_params()
-    message = CommandMessage("c", "fd", "health-summary", params)
-    parsed = HealthSummary.from_message(message, at=1.0)
-    assert parsed.metrics == {"heap_mb": 120.5}
-    assert sorted(parsed.warnings) == ["latency spike", "queue depth rising"]
-    assert parsed.degraded
-
-
-def test_summary_roundtrip_empty():
-    summary = HealthSummary(component="c", time=0.0)
-    message = CommandMessage("c", "fd", "health-summary", summary.to_params())
-    parsed = HealthSummary.from_message(message, at=0.0)
-    assert parsed.metrics == {}
-    assert parsed.warnings == []
-    assert not parsed.degraded
-
-
-# ----------------------------------------------------------------------
-# the end-to-end prober (zombie unmasking machinery)
-# ----------------------------------------------------------------------
-
-from repro.components.health import EndToEndProber, make_probe, probe_reply_info
 from repro.components.base import E2E_PROBE_REPLY_VERB
+from repro.components.health import EndToEndProber, make_probe, probe_reply_info
+from repro.xmlcmd.commands import CommandMessage
 
 
 class FakeWire:

@@ -72,7 +72,7 @@ def test_downtime_rate_positive_and_finite(pair):
 
 
 @given(trees_and_models())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=8, deadline=None)
 def test_optimizer_never_worsens(pair):
     tree, model = pair
     result = optimize_tree(model, tree, max_iterations=10)
@@ -92,7 +92,7 @@ def test_neighbors_preserve_cost_model_applicability(pair):
 
 
 @given(trees_and_models())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=8, deadline=None)
 def test_optimized_tree_still_covers_system(pair):
     tree, model = pair
     result = optimize_tree(model, tree, max_iterations=10)

@@ -239,6 +239,24 @@ def test_cache_round_trip_with_cure_set_tuple(tmp_path, monkeypatch):
     assert run_campaign([cell], cache_dir=cache) == first
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_campaign_that_dies_keeps_the_cells_it_finished(tmp_path, monkeypatch, jobs):
+    """Entries are published as cells complete, so one failing cell costs
+    only itself: the finished cell is on disk and the re-run replays it."""
+    cache = str(tmp_path / "cache")
+    finished = CampaignCell(kind="recovery", tree="II", component="rtu", trials=2, seed=5)
+    failing = CampaignCell(kind="nonsense", tree="II", seed=1)
+    with pytest.raises(ValueError):
+        run_campaign([finished, failing], jobs=jobs, cache_dir=cache)
+    assert os.listdir(cache) == [cache_key(finished, PAPER_CONFIG) + ".json"]
+    monkeypatch.setattr(
+        "repro.experiments.runner.execute_cell",
+        lambda *args: pytest.fail("recomputed instead of served from the cache"),
+    )
+    (replayed,) = run_campaign([finished], cache_dir=cache)
+    assert replayed["samples"]
+
+
 def test_cache_key_ignores_environment(monkeypatch):
     """``cache_key`` reads no environment: execution knobs (and any other
     ``REPRO_*`` value) can never split or alias the result cache."""

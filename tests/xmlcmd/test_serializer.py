@@ -73,7 +73,7 @@ def _elements(depth: int):
 
 
 @given(_elements(3))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=25, deadline=None)
 def test_roundtrip_parse_serialize(element):
     assert parse_xml(serialize_xml(element)) == element
 
