@@ -8,7 +8,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 	fleet-smoke workload-smoke store-chaos-smoke examples-smoke \
 	check-determinism bench bench-smoke repo-bench repo-bench-test \
 	repo-bench-ab benchmarks \
-	table4-parallel chaos-full fleet-large workload-soak nightly
+	table4-parallel chaos-full fleet-large workload-soak soak nightly
 
 # Tier-1 verification: the full unit/integration suite.  The ten slowest
 # tests are printed so a drift in suite time shows in the log of the run
@@ -74,10 +74,11 @@ examples-smoke:
 	$(PYTHON) examples/recursive_recovery.py
 
 # Every experiment plane run more than once and byte-compared: same-seed
-# double runs (three chaos scenarios and an availability run with their
-# JSONL traces, a strategy cell, a workload cell), warmed-station forks vs
-# fresh boots (snapshot=False), serial vs two worker processes, and one
-# fleet across shard counts and process fan-out.
+# double runs of three chaos scenarios and an availability run with their
+# JSONL traces, warmed-station forks vs fresh boots (snapshot=False), one
+# sample cell per row of the runner's KINDS table run directly, through a
+# serial campaign and through two worker processes, and one fleet across
+# shard counts and process fan-out.
 check-determinism:
 	$(PYTHON) tools/check_determinism.py
 
@@ -160,5 +161,10 @@ workload-soak:
 	$(PYTHON) -m repro.cli workload --kind crash --kind hang --failures 6 \
 		--rate 40 --seed 7 --jobs 0
 
+# The tests marked `soak` (long simulated horizons on the full-fidelity
+# station), which tier-1 deselects by default.
+soak:
+	$(PYTHON) -m pytest -q -m soak
+
 # Everything the scheduled nightly workflow runs.
-nightly: chaos-full fleet-large workload-soak check-determinism
+nightly: chaos-full fleet-large workload-soak check-determinism soak

@@ -13,7 +13,7 @@ from conftest import CACHE_DIR, JOBS, print_banner
 from repro.analysis.markov import SeriesSystemModel
 from repro.experiments.availability import measure_availability
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_availability_suite
+from repro.experiments.runner import run_suite
 from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.trees import TREE_BUILDERS
 
@@ -45,9 +45,15 @@ def test_sec8(benchmark):
     )
 
     labels = ["I", "II", "III", "IV", "V"]
-    results = run_availability_suite(
-        labels, horizon_s=DAYS * 86400.0, seed=360, jobs=JOBS, cache_dir=CACHE_DIR
+    suite = run_suite(
+        "availability",
+        {"tree": labels},
+        horizon_s=DAYS * 86400.0,
+        seed=360,
+        jobs=JOBS,
+        cache_dir=CACHE_DIR,
     )
+    results = {label: suite[(label,)] for label in labels}
 
     rows = []
     for label in labels:

@@ -8,27 +8,14 @@ restart, and the oracle guesses too low 30 % of the time.
 from conftest import CACHE_DIR, JOBS, PAPER_TABLE4, TRIALS, print_banner
 
 from repro.experiments.recovery import measure_recovery
-from repro.experiments.runner import run_recovery_matrix
+from repro.experiments.runner import (
+    TABLE4_COLUMNS,
+    TABLE4_ROWS,
+    run_recovery_matrix,
+    table4_cure_set,
+)
 from repro.experiments.report import format_table, relative_errors
 from repro.mercury.trees import TREE_BUILDERS
-
-COLUMNS = ["mbus", "ses", "str", "rtu", "fedr", "pbcom", "fedrcom"]
-
-ROWS = [
-    ("I", "perfect"),
-    ("II", "perfect"),
-    ("III", "perfect"),
-    ("IV", "perfect"),
-    ("IV", "faulty"),
-    ("V", "faulty"),
-]
-
-
-def cure_set_for(label, oracle, component):
-    # §4.4's experiment: failures curable only by the joint restart.
-    if oracle == "faulty" and component == "pbcom":
-        return ("fedr", "pbcom")
-    return None
 
 
 def run_cell(label, oracle, component, trials, seed):
@@ -37,7 +24,7 @@ def run_cell(label, oracle, component, trials, seed):
     if oracle == "faulty":
         kwargs["oracle"] = "faulty"
         kwargs["oracle_error_rate"] = 0.3
-        cure = cure_set_for(label, oracle, component)
+        cure = table4_cure_set(label, oracle, component)
         if cure is not None:
             kwargs["cure_set"] = cure
     return measure_recovery(tree, component, trials=trials, seed=seed, **kwargs)
@@ -51,29 +38,29 @@ def test_table4(benchmark):
     )
 
     matrix = run_recovery_matrix(
-        ROWS,
-        COLUMNS,
+        TABLE4_ROWS,
+        TABLE4_COLUMNS,
         trials=TRIALS,
         seed=1000,
         jobs=JOBS,
         cache_dir=CACHE_DIR,
-        cure_set_for=cure_set_for,
+        cure_set_for=table4_cure_set,
     )
     measured = {key: result.mean for key, result in matrix.items()}
 
     table_rows = []
-    for label, oracle in ROWS:
+    for label, oracle in TABLE4_ROWS:
         paper = PAPER_TABLE4[(label, oracle)]
         table_rows.append(
-            [f"{label}/{oracle} (paper)"] + [paper.get(c) for c in COLUMNS]
+            [f"{label}/{oracle} (paper)"] + [paper.get(c) for c in TABLE4_COLUMNS]
         )
         table_rows.append(
             [f"{label}/{oracle} (measured)"]
-            + [measured.get((label, oracle, c)) for c in COLUMNS]
+            + [measured.get((label, oracle, c)) for c in TABLE4_COLUMNS]
         )
 
     print_banner(f"Table 4: overall MTTRs (s), {TRIALS} trials/cell (paper: 100)")
-    print(format_table(["tree/oracle"] + COLUMNS, table_rows))
+    print(format_table(["tree/oracle"] + TABLE4_COLUMNS, table_rows))
 
     # Shape criteria (the paper's argument, not the absolute numbers):
     # 1. Consolidation (III -> IV) improves ses and str.

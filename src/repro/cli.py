@@ -18,10 +18,10 @@ Usage::
 Every subcommand prints the same paper-layout tables the benches produce;
 the CLI is a thin veneer over :mod:`repro.experiments`.  Campaign-style
 subcommands (``table2``, ``table4``, ``availability``, ``chaos``,
-``strategy-compare``, ``workload``, ``fleet``) honour ``--jobs N`` to fan
-cells across worker processes and ``--cache-dir`` to reuse the
-content-addressed result cache — results are bit-identical for any jobs
-value.  ``--profile`` wraps any subcommand in :mod:`cProfile` (most useful
+``strategy-compare``, ``workload``, ``fleet``) plan their cells from the
+runner's ``KINDS`` table and honour ``--jobs N`` to fan cells across
+worker processes and ``--cache-dir`` to reuse the content-addressed
+result cache — results are bit-identical for any jobs value.  ``--profile`` wraps any subcommand in :mod:`cProfile` (most useful
 with ``--jobs 1``, since workers run in separate processes).
 """
 
@@ -30,39 +30,24 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.recovery_strategies import strategy_names
 from repro.core.render import render_tree
 from repro.experiments.passes_experiment import run_pass_campaign
-from repro.experiments.recovery import measure_recovery, measure_recovery_row
+from repro.experiments.recovery import measure_recovery
 from repro.experiments.report import format_phase_breakdown, format_table
 from repro.experiments.runner import (
-    run_availability_suite,
-    run_fleet_campaign,
+    TABLE4_COLUMNS,
+    TABLE4_ROWS,
+    plan_cell,
     run_recovery_matrix,
+    run_suite,
+    table4_cure_set,
 )
 from repro.chaos.scenarios import SCENARIOS
 from repro.experiments.strategy_compare import FAILURE_KINDS
 from repro.mercury.trees import TREE_BUILDERS
-
-#: The Table 4 layout: (tree, oracle) rows and the component columns.
-TABLE4_ROWS = [
-    ("I", "perfect"),
-    ("II", "perfect"),
-    ("III", "perfect"),
-    ("IV", "perfect"),
-    ("IV", "faulty"),
-    ("V", "faulty"),
-]
-TABLE4_COLUMNS = ["mbus", "ses", "str", "rtu", "fedr", "pbcom", "fedrcom"]
-
-
-def table4_cure_set(tree_label: str, oracle: str, component: str):
-    """§4.4's rule: faulty-oracle pbcom failures need the joint restart."""
-    if oracle == "faulty" and component == "pbcom":
-        return ("fedr", "pbcom")
-    return None
 
 
 def _print_violations(rows: Sequence[Tuple[str, Mapping[str, Any]]]) -> None:
@@ -90,6 +75,28 @@ def _write_report(path: str, payload: Mapping[str, Any]) -> None:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"report -> {path}")
+
+
+def _campaign_tail(
+    args: argparse.Namespace,
+    suite: Mapping[Tuple[Any, ...], Any],
+    label: Callable[[Tuple[Any, ...], str], str],
+) -> int:
+    """How every invariant-checked campaign ends: verdict, ``--report``
+    file, exit code.  ``label(point, "")`` is a cell's report key and
+    ``label(point, "tree ")`` its name on a verdict row."""
+    violations = [
+        (label(point, "tree "), violation)
+        for point, result in sorted(suite.items())
+        for violation in result.violations
+    ]
+    _print_violations(violations)
+    if args.report:
+        _write_report(
+            args.report,
+            {label(point, ""): result.to_payload() for point, result in suite.items()},
+        )
+    return 1 if violations else 0
 
 
 def _tree_argument(parser: argparse.ArgumentParser, multiple: bool = False) -> None:
@@ -413,18 +420,18 @@ def cmd_recovery(args: argparse.Namespace) -> int:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     components = ["mbus", "ses", "str", "rtu", "fedrcom"]
-    rows = []
-    for label in ("I", "II"):
-        results = measure_recovery_row(
-            TREE_BUILDERS[label](),
-            components,
-            trials=args.trials,
-            seed=args.seed,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-        )
-        row: List[object] = [label] + [result.mean for result in results]
-        rows.append(row)
+    matrix = run_recovery_matrix(
+        [("I", "perfect"), ("II", "perfect")],
+        components,
+        trials=args.trials,
+        seed=args.seed,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+    )
+    rows = [
+        [label] + [matrix[(label, "perfect", name)].mean for name in components]
+        for label in ("I", "II")
+    ]
     print(format_table(["tree"] + components, rows, title="Table 2 (measured)"))
     return 0
 
@@ -456,8 +463,9 @@ def cmd_table4(args: argparse.Namespace) -> int:
 
 def cmd_availability(args: argparse.Namespace) -> int:
     labels = args.tree or ["I", "V"]
-    suite = run_availability_suite(
-        labels,
+    suite = run_suite(
+        "availability",
+        {"tree": labels},
         horizon_s=args.days * 86400.0,
         seed=args.seed,
         jobs=args.jobs,
@@ -465,7 +473,7 @@ def cmd_availability(args: argparse.Namespace) -> int:
     )
     rows = []
     for label in labels:
-        result = suite[label]
+        result = suite[(label,)]
         rows.append(
             [
                 label,
@@ -483,7 +491,7 @@ def cmd_availability(args: argparse.Namespace) -> int:
     )
     if getattr(args, "phases", False):
         for label in labels:
-            result = suite[label]
+            result = suite[(label,)]
             if not result.phase_breakdown:
                 continue
             print()
@@ -497,8 +505,6 @@ def cmd_availability(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import campaign_seed, run_chaos_suite
-
     scenarios = args.scenario or sorted(SCENARIOS)
     labels = args.tree or ["I", "II", "III", "IV", "V"]
     if args.trace_out:
@@ -514,13 +520,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
         scenario, label = scenarios[0], labels[0]
         sink = JsonlSink(args.trace_out)
-        # Same per-cell seed derivation as the campaign path, so a traced
-        # rerun reproduces a cached campaign cell bit for bit.
+        # The campaign path's own cell seed, so a traced rerun reproduces
+        # a cached campaign cell bit for bit.
         result = run_chaos(
             TREE_BUILDERS[label](),
             scenario,
             trials=args.trials,
-            seed=campaign_seed(args.seed, "chaos", scenario, label),
+            seed=plan_cell("chaos", args.seed, scenario=scenario, tree=label).seed,
             oracle=args.oracle,
             oracle_error_rate=args.error_rate,
             sinks=[sink],
@@ -528,9 +534,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"trace: {sink.written} events -> {args.trace_out}")
         suite = {(scenario, label): result}
     else:
-        suite = run_chaos_suite(
-            scenarios,
-            labels,
+        suite = run_suite(
+            "chaos",
+            {"scenario": scenarios, "tree": labels},
             trials=args.trials,
             seed=args.seed,
             oracle=args.oracle,
@@ -587,56 +593,27 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             f"{interventions} operator interventions"
         )
 
-    violations = [
-        (f"{scenario}/tree {label}", violation)
-        for (scenario, label), result in sorted(suite.items())
-        for violation in result.violations
-    ]
     print()
-    _print_violations(violations)
-
-    if args.report:
-        _write_report(
-            args.report,
-            {
-                f"{scenario}/{label}": suite[(scenario, label)].to_payload()
-                for scenario in scenarios
-                for label in labels
-            },
-        )
-    return 1 if violations else 0
+    return _campaign_tail(args, suite, lambda point, tree: f"{point[0]}/{tree}{point[1]}")
 
 
 def cmd_strategy_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.strategy_compare import (
-        DEFAULT_TREES,
-        run_strategy_suite,
-    )
+    from repro.experiments.strategy_compare import DEFAULT_TREES
 
     strategies = args.strategy or sorted(strategy_names())
     kinds = args.kind or list(FAILURE_KINDS)
     labels = args.tree or list(DEFAULT_TREES)
-    suite = run_strategy_suite(
-        strategies,
-        kinds,
-        labels,
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
+    axes = {"strategy": strategies, "failure_kind": kinds, "tree": labels}
+    campaign = dict(
+        trials=args.trials, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir
     )
+    suite = run_suite("strategy", axes, **campaign)
     effects_suite = None
     if getattr(args, "user_effects", False):
-        from repro.experiments.workload import run_workload_suite
+        from repro.experiments.workload import DEFAULT_SESSION_RATE
 
-        effects_suite = run_workload_suite(
-            strategies,
-            kinds,
-            labels,
-            failures=args.trials,
-            seed=args.seed,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
+        effects_suite = run_suite(
+            "workload", axes, request_rate=DEFAULT_SESSION_RATE, **campaign
         )
 
     for label in labels:
@@ -682,24 +659,9 @@ def cmd_strategy_compare(args: argparse.Namespace) -> int:
         )
         print()
 
-    violations = [
-        (f"{strategy}/{kind}/tree {label}", violation)
-        for (strategy, kind, label), cell in sorted(suite.items())
-        for violation in cell.violations
-    ]
-    _print_violations(violations)
-
-    if args.report:
-        _write_report(
-            args.report,
-            {
-                f"{strategy}/{kind}/{label}": suite[(strategy, kind, label)].to_payload()
-                for strategy in strategies
-                for kind in kinds
-                for label in labels
-            },
-        )
-    return 1 if violations else 0
+    return _campaign_tail(
+        args, suite, lambda point, tree: f"{point[0]}/{point[1]}/{tree}{point[2]}"
+    )
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
@@ -707,7 +669,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
         DEFAULT_SESSION_RATE,
         DEFAULT_TREES,
         format_workload_report,
-        run_workload_suite,
     )
 
     # "classic" is the restart-only baseline station (no session store),
@@ -717,13 +678,12 @@ def cmd_workload(args: argparse.Namespace) -> int:
     kinds = args.kind or ["crash"]
     labels = args.tree or list(DEFAULT_TREES)
     rate = args.rate if args.rate is not None else DEFAULT_SESSION_RATE
-    suite = run_workload_suite(
-        strategies,
-        kinds,
-        labels,
-        failures=args.failures,
+    suite = run_suite(
+        "workload",
+        {"strategy": strategies, "failure_kind": kinds, "tree": labels},
+        trials=args.failures,
         seed=args.seed,
-        session_rate=rate,
+        request_rate=rate,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
     )
@@ -733,26 +693,12 @@ def cmd_workload(args: argparse.Namespace) -> int:
     )
     print(format_workload_report(suite))
 
-    violations = [
-        (f"{strategy or 'classic'}/{kind}/tree {label}", violation)
-        for (strategy, kind, label), cell in sorted(suite.items())
-        for violation in cell.violations
-    ]
     print()
-    _print_violations(violations)
-
-    if args.report:
-        _write_report(
-            args.report,
-            {
-                f"{strategy or 'classic'}/{kind}/{label}":
-                    suite[(strategy, kind, label)].to_payload()
-                for strategy in strategies
-                for kind in kinds
-                for label in labels
-            },
-        )
-    return 1 if violations else 0
+    return _campaign_tail(
+        args,
+        suite,
+        lambda point, tree: f"{point[0] or 'classic'}/{point[1]}/{tree}{point[2]}",
+    )
 
 
 def cmd_detection_ablation(args: argparse.Namespace) -> int:
@@ -878,12 +824,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.shards is not None:
         os.environ["REPRO_FLEET_SHARDS"] = str(args.shards)
     try:
-        suite = run_fleet_campaign(
-            sizes,
+        suite = run_suite(
+            "fleet",
+            {"fleet_size": sizes, "wave_interval_s": intervals},
             tree=args.tree or "V",
             horizon_s=args.horizon,
             seed=args.seed,
-            wave_intervals=intervals,
             wave_drop=args.wave_drop,
             request_rate=args.request_rate,
             jobs=args.jobs,
@@ -938,22 +884,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             f"{args.horizon:g}s horizon",
         )
     )
-    if args.report:
-        import json
-
-        payload = {
-            f"{size}:{interval:g}": result.to_payload()
-            for (size, interval), result in suite.items()
-        }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"\nfull results written to {args.report}")
-    broken = [key for key, result in suite.items() if not result.ok]
-    if broken:
-        cells = ", ".join(f"size={s} wave={w:g}" for s, w in sorted(broken))
-        print(f"\nINVARIANT VIOLATIONS in: {cells}", file=sys.stderr)
-        return 1
-    return 0
+    print()
+    return _campaign_tail(args, suite, lambda point, tree: f"{point[0]}:{point[1]:g}")
 
 
 COMMANDS = {

@@ -14,7 +14,8 @@ One module per experiment family, mirroring the paper's evaluation:
 * :mod:`repro.experiments.report` — paper-style table formatting;
 * :mod:`repro.experiments.runner` — the parallel campaign runner every
   multi-cell experiment fans out through (deterministic hash-derived
-  seeds, process pool, content-addressed result cache);
+  seeds, process pool, content-addressed result cache), and ``KINDS``,
+  the one table that says what each campaign kind runs, reads and hashes;
 * :mod:`repro.experiments.fleet` — fleet-scale campaigns on the sharded
   :mod:`repro.sim.fleet` kernel: availability, MTTR, and session loss vs
   fleet size under correlated ground-segment fault waves;
@@ -32,15 +33,16 @@ from repro.experiments.recovery import (
 )
 from repro.experiments.report import format_table
 from repro.experiments.runner import (
+    KINDS,
     CampaignCell,
     campaign_seed,
-    run_availability_suite,
     run_campaign,
     run_recovery_matrix,
-    run_recovery_row,
+    run_suite,
 )
 
 __all__ = [
+    "KINDS",
     "CampaignCell",
     "RecoveryResult",
     "RecoveryStats",
@@ -49,8 +51,7 @@ __all__ = [
     "format_table",
     "measure_recovery",
     "measure_recovery_row",
-    "run_availability_suite",
     "run_campaign",
     "run_recovery_matrix",
-    "run_recovery_row",
+    "run_suite",
 ]

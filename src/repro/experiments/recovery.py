@@ -197,17 +197,17 @@ def measure_recovery_row(
     ``jobs`` fans cells across worker processes and ``cache_dir`` enables
     the content-addressed result cache (see
     :mod:`repro.experiments.runner`); results are bit-identical for any
-    ``jobs`` value.
+    ``jobs`` value.  It is a one-row :func:`run_recovery_matrix`, which
+    skips a component the tree lacks: asking for one here is a ``KeyError``.
     """
-    from repro.experiments.runner import run_recovery_row
+    from repro.experiments.runner import run_recovery_matrix
 
     label = tree.name[5:] if tree.name.startswith("tree-") else tree.name
-    return run_recovery_row(
-        label,
+    matrix = run_recovery_matrix(
+        [(label, oracle)],
         components,
         trials=trials,
         seed=seed,
-        oracle=oracle,
         oracle_error_rate=oracle_error_rate,
         config=config,
         supervisor=supervisor,
@@ -216,3 +216,4 @@ def measure_recovery_row(
         shard_size=shard_size,
         trees={label: tree},
     )
+    return [matrix[(label, oracle, component)] for component in components]

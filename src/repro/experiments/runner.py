@@ -18,10 +18,14 @@ module exploits:
   Results are reassembled in planning order, so output never depends on
   completion order.
 * **Content-addressed result cache** — each cell's result can be stored as
-  JSON under a key hashing the cell spec, the station config, and a cache
-  version.  Re-running a benchmark with unchanged inputs replays from disk;
-  changing *any* input (trials, seed, oracle, a config constant) changes
-  the key and forces recomputation.
+  JSON under a key hashing the cell spec, the station config, and the
+  kind's cache version.  Re-running a benchmark with unchanged inputs
+  replays from disk; changing *any* input (trials, seed, oracle, a config
+  constant) changes the key and forces recomputation.
+* **One table of kinds** — :data:`KINDS` says, per campaign kind, which
+  cell fields it reads, what its seed hashes, what runs it, what decodes
+  its payload and its cache version; :func:`plan_cell` and
+  :func:`run_suite` plan from it, and nothing else describes a kind.
 
 Cells large enough to dominate wall-clock can additionally be split into
 **seed shards** (``shard_size``): each shard is an independent station with
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -50,50 +55,8 @@ from repro.mercury.config import PAPER_CONFIG, StationConfig
 from repro.obs.sinks import merge_phase_snapshots
 from repro.sim.rng import derive_seed
 
-#: Bump when the result payload layout or experiment semantics change in a
-#: way that silently invalidates cached campaign results.
-#: v2: recovery payloads gained "phases"; availability gained
-#: "phase_breakdown" (per-component recovery-phase aggregates).
-#: v3: chaos cells (new "chaos" kind and the ``scenario`` spec field).
-#: v4: chaos payloads gained detection-accuracy and network-fabric counters
-#: (``false_positives``/``retractions``/``net_dropped``/``net_duplicated``),
-#: and scenarios may carry station overrides that change cell semantics.
-#: v5: warmed-station snapshot/fork — every cell now boots under the
-#: shape-derived snapshot seed and is rebased onto the cell seed (see
-#: :mod:`repro.experiments.snapshot`), changing per-cell randomness.
-#: v6: recovery-strategy registry — cells gained the ``strategy`` and
-#: ``failure_kind`` spec fields (new "strategy" kind; chaos cells accept a
-#: strategy sweep dimension), and strategy-enabled stations wire a session
-#: store that changes their event streams.
-#: v7: fleet campaigns — cells gained the ``fleet_size``/``wave_interval_s``
-#: /``wave_drop`` spec fields (new "fleet" kind).  Shard count and process
-#: fan-out are deliberately *absent* from the spec: fleet results are
-#: bit-identical across both (``REPRO_FLEET_SHARDS``/``REPRO_FLEET_JOBS``
-#: are execution knobs), so they must never split the cache.
-#: v8: user-traffic plane — cells gained the ``request_rate`` spec field
-#: (new "workload" kind; fleet cells accept an offered load and their
-#: payloads gain a merged ``user_effects`` ledger).  The Mercury service
-#: endpoints answer new request verbs, so stations under traffic emit
-#: event streams that did not exist under v7.
-#: v9: crash-only recovery plane — the session store gained a fault model
-#: (crash/hang windows, torn/corrupt writes) and checksummed records, the
-#: oracle/supervisors became restartable nodes with generation fencing,
-#: and scenarios gained ``store_ops``/``store_faults``/``default_strategy``
-#: (new "store-outage" and "rogue-oracle-crash" recipes).  Strategy-enabled
-#: stations emit new store/supervisor event kinds, so their streams differ
-#: from v8 even when no fault fires.
-#: v10: FD judges a ping round with one kernel event instead of one per
-#: component, so ``FleetResult.stations[*].events_executed`` fell for
-#: identical specs; every other payload field is unchanged.
-#: v11: a dial refused because nothing is bound parks with the network
-#: instead of polling, and a parked dial executes no kernel event, so
-#: ``FleetResult.stations[*].events_executed`` fell again for identical
-#: specs; every other payload field is unchanged.
-#: Still v11 with the ``correlations`` spec field and the "lifetimes" kind
-#: removed: the key hashes the full cell spec, so dropping a field changes
-#: every key by itself — older entries are orphaned, never misread.
-CACHE_VERSION = 11
-
+#: One cell's JSON-serializable result.
+Payload = Dict[str, Any]
 
 # ----------------------------------------------------------------------
 # seeds and fingerprints
@@ -118,15 +81,11 @@ def campaign_seed(root_seed: int, *parts: object) -> int:
 class CampaignCell:
     """One independent unit of campaign work (picklable, hashable).
 
-    ``kind`` selects the experiment family (:func:`execute_cell` has the
-    ladder): ``"recovery"`` runs
-    :func:`~repro.experiments.recovery.measure_recovery` shards;
-    ``"availability"`` runs one long-horizon station; ``"chaos"`` one
-    scenario's trials under the invariant checker; ``"strategy"`` one
-    strategy × failure-kind cell; ``"workload"`` the same under live user
-    traffic; ``"fleet"`` one whole fleet to its horizon.  A field a kind
-    does not read keeps its default.  ``seed`` is the fully derived per-cell
-    seed — planners call :func:`campaign_seed`; nothing downstream adds
+    ``kind`` names a row of :data:`KINDS`, which says what the kind runs,
+    which of the fields below it reads, and what its seed hashes.  A field
+    a kind does not read keeps its default (:func:`kind_of` rejects the
+    cell otherwise).  ``seed`` is the fully derived per-cell seed —
+    :func:`plan_cell` calls :func:`campaign_seed`; nothing downstream adds
     offsets.
     """
 
@@ -171,118 +130,262 @@ def _resolve_tree(label: str, trees: Optional[Mapping[str, RestartTree]]) -> Res
     return TREE_BUILDERS[label]()
 
 
+# ----------------------------------------------------------------------
+# the table of kinds
+# ----------------------------------------------------------------------
+
+
+def _run_recovery(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
+    result = measure_recovery(
+        tree,
+        cell.component,
+        trials=cell.trials,
+        seed=cell.seed,
+        oracle=cell.oracle,
+        oracle_error_rate=cell.oracle_error_rate,
+        oracle_too_high_rate=cell.oracle_too_high_rate,
+        cure_set=cell.cure_set,
+        config=config,
+        supervisor=cell.supervisor,
+        trial_timeout=cell.trial_timeout,
+        aging=cell.aging,
+    )
+    return {
+        "tree_name": result.tree_name,
+        "oracle": result.oracle,
+        "component": result.component,
+        "cure_set": sorted(result.cure_set),
+        "samples": result.samples,
+        "phases": result.phases,
+    }
+
+
+def _decode_recovery(payload: Payload) -> RecoveryResult:
+    return RecoveryResult(
+        tree_name=payload["tree_name"],
+        oracle=payload["oracle"],
+        component=payload["component"],
+        cure_set=frozenset(payload["cure_set"]),
+        samples=list(payload["samples"]),
+        phases=payload.get("phases", {}),
+    )
+
+
+def _run_availability(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
+    availability = measure_availability(
+        tree, horizon_s=cell.horizon_s, seed=cell.seed, config=config, oracle=cell.oracle
+    )
+    return dataclasses.asdict(availability)
+
+
+def _decode_availability(payload: Payload) -> AvailabilityResult:
+    return AvailabilityResult(**payload)
+
+
+# The chaos, strategy, workload and fleet modules import
+# ``repro.experiments.snapshot`` (hence this package), and a worker running
+# another kind never needs them: their imports stay inside the functions.
+
+
+def _run_chaos(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
+    from repro.chaos.engine import run_chaos
+
+    return run_chaos(
+        tree,
+        cell.scenario,
+        trials=cell.trials,
+        seed=cell.seed,
+        oracle=cell.oracle,
+        oracle_error_rate=cell.oracle_error_rate,
+        config=config,
+        supervisor=cell.supervisor,
+        strategy=cell.strategy or None,
+    ).to_payload()
+
+
+def _decode_chaos(payload: Payload) -> "ChaosResult":
+    from repro.chaos.engine import ChaosResult
+
+    return ChaosResult.from_payload(payload)
+
+
+def _run_strategy(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
+    from repro.experiments.strategy_compare import run_strategy_cell
+
+    return run_strategy_cell(
+        tree,
+        strategy=cell.strategy,
+        failure_kind=cell.failure_kind,
+        trials=cell.trials,
+        seed=cell.seed,
+        config=config,
+        supervisor=cell.supervisor,
+    ).to_payload()
+
+
+def _decode_strategy(payload: Payload) -> "StrategyCellResult":
+    from repro.experiments.strategy_compare import StrategyCellResult
+
+    return StrategyCellResult.from_payload(payload)
+
+
+def _run_workload(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
+    from repro.experiments.workload import DEFAULT_SESSION_RATE, run_workload_cell
+    from repro.workload.generator import WorkloadSpec
+
+    return run_workload_cell(
+        tree,
+        strategy=cell.strategy,
+        failure_kind=cell.failure_kind or "crash",
+        failures=cell.trials,
+        seed=cell.seed,
+        config=config,
+        supervisor=cell.supervisor,
+        spec=WorkloadSpec(session_rate=cell.request_rate or DEFAULT_SESSION_RATE),
+    ).to_payload()
+
+
+def _decode_workload(payload: Payload) -> "WorkloadCellResult":
+    from repro.experiments.workload import WorkloadCellResult
+
+    return WorkloadCellResult.from_payload(payload)
+
+
+def _run_fleet(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
+    from repro.experiments.fleet import FleetSpec, fleet_shards, run_fleet_cell
+
+    # Shard count and process fan-out are execution knobs
+    # (``REPRO_FLEET_SHARDS``/``REPRO_FLEET_JOBS``, bit-identical results):
+    # they are not cell fields, so they can never split the cache.
+    return run_fleet_cell(
+        FleetSpec(
+            tree=cell.tree,
+            size=cell.fleet_size,
+            horizon_s=cell.horizon_s,
+            seed=cell.seed,
+            wave_interval_s=cell.wave_interval_s,
+            wave_drop=cell.wave_drop,
+            oracle=cell.oracle,
+            request_rate=cell.request_rate,
+        ),
+        config=config,
+        shards=fleet_shards(),
+    ).to_payload()
+
+
+def _decode_fleet(payload: Payload) -> "FleetResult":
+    from repro.experiments.fleet import FleetResult
+
+    return FleetResult.from_payload(payload)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One campaign kind: everything the runner knows about it."""
+
+    #: The ``CampaignCell`` fields the kind reads beside ``kind``, ``tree``
+    #: and ``seed``; every other field must keep its default.
+    reads: Tuple[str, ...]
+    #: The cell fields :func:`plan_cell` hashes into the cell seed, in order.
+    identity: Tuple[str, ...]
+    #: ``run(cell, tree, config)``: one cell to its payload.
+    run: Callable[[CampaignCell, RestartTree, StationConfig], Payload]
+    #: A payload back to the kind's result object.
+    decode: Callable[[Payload], Any]
+    #: Bump when this kind's payload layout or semantics change in a way
+    #: that silently invalidates its cached results; other kinds' entries
+    #: stay valid (CHANGES.md has the history).
+    version: int
+
+
+#: What a campaign kind is.  A new kind is one row here (and one sample in
+#: ``tools/check_determinism.py``, which refuses to run without it).
+KINDS: Dict[str, Kind] = {
+    "recovery": Kind(
+        reads=(
+            "component", "trials", "shard", "oracle", "oracle_error_rate",
+            "oracle_too_high_rate", "cure_set", "supervisor", "trial_timeout",
+            "aging",
+        ),
+        identity=("tree", "oracle", "component", "cure_set", "shard"),
+        run=_run_recovery,
+        decode=_decode_recovery,
+        version=1,
+    ),
+    "availability": Kind(
+        reads=("horizon_s", "oracle"),
+        identity=("kind", "tree", "horizon_s"),
+        run=_run_availability,
+        decode=_decode_availability,
+        version=1,
+    ),
+    "chaos": Kind(
+        reads=(
+            "scenario", "trials", "oracle", "oracle_error_rate", "supervisor",
+            "strategy",
+        ),
+        identity=("kind", "scenario", "tree"),
+        run=_run_chaos,
+        decode=_decode_chaos,
+        version=1,
+    ),
+    "strategy": Kind(
+        reads=("strategy", "failure_kind", "trials", "supervisor"),
+        identity=("kind", "strategy", "failure_kind", "tree"),
+        run=_run_strategy,
+        decode=_decode_strategy,
+        version=1,
+    ),
+    "workload": Kind(
+        reads=("strategy", "failure_kind", "trials", "supervisor", "request_rate"),
+        identity=("kind", "strategy", "failure_kind", "tree"),
+        run=_run_workload,
+        decode=_decode_workload,
+        version=1,
+    ),
+    "fleet": Kind(
+        reads=(
+            "fleet_size", "horizon_s", "wave_interval_s", "wave_drop", "oracle",
+            "request_rate",
+        ),
+        identity=("kind", "tree", "fleet_size", "wave_interval_s", "horizon_s"),
+        run=_run_fleet,
+        decode=_decode_fleet,
+        version=1,
+    ),
+}
+
+_FIELD_DEFAULTS = {
+    spec.name: spec.default
+    for spec in dataclasses.fields(CampaignCell)
+    if spec.default is not dataclasses.MISSING
+}
+
+
+def kind_of(cell: CampaignCell) -> Kind:
+    """The cell's row of :data:`KINDS`; rejects an unknown kind and a cell
+    that sets a field its kind does not read."""
+    row = KINDS.get(cell.kind)
+    if row is None:
+        raise ValueError(f"unknown campaign cell kind {cell.kind!r}")
+    for name, default in _FIELD_DEFAULTS.items():
+        value = getattr(cell, name)
+        if name not in row.reads and value != default:
+            raise ExperimentError(f"cell sets {name}={value!r}, which kind {cell.kind!r} does not read")
+    return row
+
+
 def execute_cell(
     cell: CampaignCell,
     config: StationConfig = PAPER_CONFIG,
     trees: Optional[Mapping[str, RestartTree]] = None,
-) -> Dict[str, Any]:
+) -> Payload:
     """Run one cell to completion and return a JSON-serializable payload.
 
     This is the worker entry point — it must stay a module-level function
     so ``ProcessPoolExecutor`` can pickle it by reference.
     """
-    tree = _resolve_tree(cell.tree, trees)
-    if cell.kind == "recovery":
-        result = measure_recovery(
-            tree,
-            cell.component,
-            trials=cell.trials,
-            seed=cell.seed,
-            oracle=cell.oracle,
-            oracle_error_rate=cell.oracle_error_rate,
-            oracle_too_high_rate=cell.oracle_too_high_rate,
-            cure_set=cell.cure_set,
-            config=config,
-            supervisor=cell.supervisor,
-            trial_timeout=cell.trial_timeout,
-            aging=cell.aging,
-        )
-        return {
-            "tree_name": result.tree_name,
-            "oracle": result.oracle,
-            "component": result.component,
-            "cure_set": sorted(result.cure_set),
-            "samples": result.samples,
-            "phases": result.phases,
-        }
-    if cell.kind == "availability":
-        availability = measure_availability(
-            tree,
-            horizon_s=cell.horizon_s,
-            seed=cell.seed,
-            config=config,
-            oracle=cell.oracle,
-        )
-        return dataclasses.asdict(availability)
-    if cell.kind == "chaos":
-        # Local import: the chaos package pulls in the full station stack,
-        # and workers executing other cell kinds never need it.
-        from repro.chaos.engine import run_chaos
-
-        chaos = run_chaos(
-            tree,
-            cell.scenario,
-            trials=cell.trials,
-            seed=cell.seed,
-            oracle=cell.oracle,
-            oracle_error_rate=cell.oracle_error_rate,
-            config=config,
-            supervisor=cell.supervisor,
-            strategy=cell.strategy or None,
-        )
-        return chaos.to_payload()
-    if cell.kind == "strategy":
-        from repro.experiments.strategy_compare import run_strategy_cell
-
-        strategy_result = run_strategy_cell(
-            tree,
-            strategy=cell.strategy,
-            failure_kind=cell.failure_kind,
-            trials=cell.trials,
-            seed=cell.seed,
-            config=config,
-            supervisor=cell.supervisor,
-        )
-        return strategy_result.to_payload()
-    if cell.kind == "workload":
-        from repro.experiments.workload import (
-            DEFAULT_SESSION_RATE,
-            run_workload_cell,
-        )
-        from repro.workload.generator import WorkloadSpec
-
-        workload = run_workload_cell(
-            tree,
-            strategy=cell.strategy,
-            failure_kind=cell.failure_kind or "crash",
-            failures=cell.trials,
-            seed=cell.seed,
-            config=config,
-            supervisor=cell.supervisor,
-            spec=WorkloadSpec(
-                session_rate=cell.request_rate or DEFAULT_SESSION_RATE
-            ),
-        )
-        return workload.to_payload()
-    if cell.kind == "fleet":
-        from repro.experiments.fleet import FleetSpec, fleet_shards, run_fleet_cell
-
-        fleet = run_fleet_cell(
-            FleetSpec(
-                tree=cell.tree,
-                size=cell.fleet_size,
-                horizon_s=cell.horizon_s,
-                seed=cell.seed,
-                wave_interval_s=cell.wave_interval_s,
-                wave_drop=cell.wave_drop,
-                oracle=cell.oracle,
-                request_rate=cell.request_rate,
-            ),
-            config=config,
-            shards=fleet_shards(),
-        )
-        return fleet.to_payload()
-    raise ValueError(f"unknown campaign cell kind {cell.kind!r}")
+    return kind_of(cell).run(cell, _resolve_tree(cell.tree, trees), config)
 
 
 # ----------------------------------------------------------------------
@@ -298,11 +401,13 @@ def cache_key(
     """Content address of one cell's result.
 
     Hashes the full cell spec, the station-config fingerprint, the tree
-    structure (when an ad hoc tree object is supplied), and the cache
-    version; any change to any input yields a different key.
+    structure (when an ad hoc tree object is supplied), and the cell's
+    kind's cache version; any change to any input yields a different key.
     """
     identity = {
-        "version": CACHE_VERSION,
+        # Not "version": no entry written under the old global version can
+        # share a key with one written under a per-kind version.
+        "kind_version": kind_of(cell).version,
         "cell": dataclasses.asdict(cell),
         "config": config_fingerprint(config),
         "tree": tree_fingerprint(tree) if tree is not None else cell.tree,
@@ -313,7 +418,7 @@ def cache_key(
 
 def _cache_read(
     cache_dir: str, key: str, cell: CampaignCell
-) -> Optional[Dict[str, Any]]:
+) -> Optional[Payload]:
     """The cached result for ``cell``, or ``None`` when no entry exists.
 
     An entry that exists but cannot be this cell's result — truncated
@@ -344,7 +449,7 @@ def _cache_read(
 
 
 def _cache_write(
-    cache_dir: str, key: str, cell: CampaignCell, result: Dict[str, Any]
+    cache_dir: str, key: str, cell: CampaignCell, result: Payload
 ) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     payload = {"cell": dataclasses.asdict(cell), "result": result}
@@ -373,7 +478,7 @@ def run_campaign(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     trees: Optional[Mapping[str, RestartTree]] = None,
-) -> List[Dict[str, Any]]:
+) -> List[Payload]:
     """Execute every cell, returning payloads in planning order.
 
     ``jobs <= 1`` runs inline (no pool, no pickling); ``jobs > 1`` fans
@@ -384,10 +489,11 @@ def run_campaign(
     """
     if jobs <= 0:
         jobs = os.cpu_count() or 1
-    results: List[Optional[Dict[str, Any]]] = [None] * len(cells)
+    results: List[Optional[Payload]] = [None] * len(cells)
     keys: List[Optional[str]] = [None] * len(cells)
     todo: List[int] = []
     for index, cell in enumerate(cells):
+        kind_of(cell)  # a malformed spec fails here, before any cell runs
         if cache_dir is not None:
             tree = trees.get(cell.tree) if trees else None
             keys[index] = cache_key(cell, config, tree)
@@ -397,7 +503,7 @@ def run_campaign(
                 continue
         todo.append(index)
 
-    def finished(index: int, result: Dict[str, Any]) -> None:
+    def finished(index: int, result: Payload) -> None:
         # Published as each cell completes, so a later cell that raises (or
         # a Ctrl-C) keeps every finished cell on disk for the re-run.
         results[index] = result
@@ -423,6 +529,48 @@ def run_campaign(
 # ----------------------------------------------------------------------
 
 
+def _seed_part(value: object) -> object:
+    """How a cell field enters the seed hash: a cure set as its sorted
+    members (``-`` for none), anything else as itself."""
+    if value is None or isinstance(value, tuple):
+        return ",".join(sorted(value or ())) or "-"
+    return value
+
+
+def plan_cell(kind: str, root_seed: int, **fields: Any) -> CampaignCell:
+    """One cell of ``kind`` with its seed derived from the kind's identity.
+
+    The seed hashes the campaign root seed with the identity fields alone —
+    never a position in a list — so growing any axis of a campaign cannot
+    perturb another cell's random streams.
+    """
+    cell = CampaignCell(kind=kind, seed=0, **fields)
+    identity = (_seed_part(getattr(cell, name)) for name in kind_of(cell).identity)
+    return dataclasses.replace(cell, seed=campaign_seed(root_seed, *identity))
+
+
+def run_suite(
+    kind: str,
+    axes: Mapping[str, Sequence[Any]],
+    seed: int = 0,
+    config: StationConfig = PAPER_CONFIG,
+    jobs: int = 1,
+    cache_dir: Optional[str] = None,
+    **fixed: Any,
+) -> Dict[Tuple[Any, ...], Any]:
+    """One campaign of ``kind``: a cell per point of ``axes``.
+
+    ``axes`` maps cell-field names to the values to sweep; ``fixed`` sets
+    fields shared by every cell.  Returns ``{point: result}`` with the
+    point's values in ``axes`` order and the result decoded by the kind.
+    """
+    points = list(itertools.product(*axes.values()))
+    cells = [plan_cell(kind, seed, **fixed, **dict(zip(axes, point))) for point in points]
+    payloads = run_campaign(cells, config=config, jobs=jobs, cache_dir=cache_dir)
+    decode = KINDS[kind].decode
+    return {point: decode(payload) for point, payload in zip(points, payloads)}
+
+
 def plan_recovery_cell(
     tree_label: str,
     component: str,
@@ -438,14 +586,6 @@ def plan_recovery_cell(
     the derived seed).  Smaller shards trade a little per-station boot
     overhead for intra-cell parallelism.
     """
-    cure = options.get("cure_set")
-    oracle = options.get("oracle", "perfect")
-    identity = (
-        tree_label,
-        oracle,
-        component,
-        ",".join(sorted(cure)) if cure else "-",
-    )
     if shard_size is None or shard_size >= trials:
         shards = [trials]
     else:
@@ -453,90 +593,46 @@ def plan_recovery_cell(
             min(shard_size, trials - start) for start in range(0, trials, shard_size)
         ]
     return [
-        CampaignCell(
-            kind="recovery",
-            tree=tree_label,
-            component=component,
-            trials=shard_trials,
-            shard=shard_index,
-            seed=campaign_seed(seed, *identity, shard_index),
-            **options,
+        plan_cell(
+            "recovery", seed, tree=tree_label, component=component,
+            trials=shard_trials, shard=shard_index, **options,
         )
         for shard_index, shard_trials in enumerate(shards)
     ]
 
 
 def merge_recovery_cells(
-    cells: Sequence[CampaignCell], payloads: Sequence[Dict[str, Any]]
+    cells: Sequence[CampaignCell], payloads: Sequence[Payload]
 ) -> RecoveryResult:
     """Reassemble one cell's shards into a :class:`RecoveryResult`."""
     if not payloads:
         raise ValueError("no payloads to merge")
-    ordered = sorted(zip(cells, payloads), key=lambda pair: pair[0].shard)
-    first = ordered[0][1]
-    samples: List[float] = []
-    for _, payload in ordered:
-        samples.extend(payload["samples"])
-    phases = merge_phase_snapshots(
-        *(payload.get("phases", {}) for _, payload in ordered)
+    ordered = [p for _, p in sorted(zip(cells, payloads), key=lambda pair: pair[0].shard)]
+    merged = _decode_recovery(ordered[0])
+    merged.samples = [sample for payload in ordered for sample in payload["samples"]]
+    merged.phases = merge_phase_snapshots(
+        *(payload.get("phases", {}) for payload in ordered)
     )
-    return RecoveryResult(
-        tree_name=first["tree_name"],
-        oracle=first["oracle"],
-        component=first["component"],
-        cure_set=frozenset(first["cure_set"]),
-        samples=samples,
-        phases=phases,
-    )
+    return merged
 
 
-def run_recovery_row(
-    tree_label: str,
-    components: Sequence[str],
-    trials: int = 100,
-    seed: int = 0,
-    oracle: str = "perfect",
-    oracle_error_rate: float = 0.3,
-    config: StationConfig = PAPER_CONFIG,
-    supervisor: str = "full",
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    shard_size: Optional[int] = None,
-    trees: Optional[Mapping[str, RestartTree]] = None,
-    cure_set_for: Optional[Callable[[str], Optional[Tuple[str, ...]]]] = None,
-) -> List[RecoveryResult]:
-    """One Table 2/4 row, fanned across ``jobs`` workers.
+#: The Table 4 layout: (tree, oracle) rows and the component columns.
+TABLE4_ROWS = [
+    ("I", "perfect"),
+    ("II", "perfect"),
+    ("III", "perfect"),
+    ("IV", "perfect"),
+    ("IV", "faulty"),
+    ("V", "faulty"),
+]
+TABLE4_COLUMNS = ["mbus", "ses", "str", "rtu", "fedr", "pbcom", "fedrcom"]
 
-    ``cure_set_for(component)`` may supply a per-component minimal cure
-    set (§4.4's joint [fedr, pbcom] failures); by default each failure is
-    curable by the component alone.
-    """
-    plan: List[List[CampaignCell]] = []
-    for component in components:
-        cure = cure_set_for(component) if cure_set_for is not None else None
-        plan.append(
-            plan_recovery_cell(
-                tree_label,
-                component,
-                trials,
-                seed,
-                shard_size=shard_size,
-                oracle=oracle,
-                oracle_error_rate=oracle_error_rate,
-                cure_set=tuple(cure) if cure else None,
-                supervisor=supervisor,
-            )
-        )
-    flat = [cell for group in plan for cell in group]
-    payloads = run_campaign(flat, config=config, jobs=jobs, cache_dir=cache_dir, trees=trees)
-    results: List[RecoveryResult] = []
-    cursor = 0
-    for group in plan:
-        results.append(
-            merge_recovery_cells(group, payloads[cursor : cursor + len(group)])
-        )
-        cursor += len(group)
-    return results
+
+def table4_cure_set(tree_label: str, oracle: str, component: str):
+    """§4.4's rule: faulty-oracle pbcom failures need the joint restart."""
+    if oracle == "faulty" and component == "pbcom":
+        return ("fedr", "pbcom")
+    return None
 
 
 def run_recovery_matrix(
@@ -553,26 +649,23 @@ def run_recovery_matrix(
     cure_set_for: Optional[
         Callable[[str, str, str], Optional[Tuple[str, ...]]]
     ] = None,
+    trees: Optional[Mapping[str, RestartTree]] = None,
 ) -> Dict[Tuple[str, str, str], RecoveryResult]:
-    """The full Table 4 matrix: (tree, oracle) rows × component columns.
+    """A Table 2/4 matrix: (tree, oracle) rows × component columns.
 
     Components absent from a row's tree are skipped.  ``cure_set_for``
     receives ``(tree_label, oracle, component)`` so callers can express
     the §4.4 rule (faulty-oracle pbcom failures need the joint restart).
+    ``trees`` supplies ad hoc tree objects by label; any other label is a
+    built-in tree.
     """
-    from repro.mercury.trees import TREE_BUILDERS
-
     plan: List[Tuple[Tuple[str, str, str], List[CampaignCell]]] = []
     for tree_label, oracle in rows:
-        tree_components = TREE_BUILDERS[tree_label]().components
+        tree_components = _resolve_tree(tree_label, trees).components
         for component in columns:
             if component not in tree_components:
                 continue
-            cure = (
-                cure_set_for(tree_label, oracle, component)
-                if cure_set_for is not None
-                else None
-            )
+            cure = cure_set_for(tree_label, oracle, component) if cure_set_for else None
             cells = plan_recovery_cell(
                 tree_label,
                 component,
@@ -586,122 +679,10 @@ def run_recovery_matrix(
             )
             plan.append(((tree_label, oracle, component), cells))
     flat = [cell for _, group in plan for cell in group]
-    payloads = run_campaign(flat, config=config, jobs=jobs, cache_dir=cache_dir)
-    matrix: Dict[Tuple[str, str, str], RecoveryResult] = {}
-    cursor = 0
-    for key, group in plan:
-        matrix[key] = merge_recovery_cells(group, payloads[cursor : cursor + len(group)])
-        cursor += len(group)
-    return matrix
-
-
-def run_availability_suite(
-    tree_labels: Sequence[str],
-    horizon_s: float,
-    seed: int = 0,
-    config: StationConfig = PAPER_CONFIG,
-    oracle: str = "perfect",
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[str, AvailabilityResult]:
-    """Steady-state availability for several trees, one worker per tree."""
-    cells = [
-        CampaignCell(
-            kind="availability",
-            tree=label,
-            seed=campaign_seed(seed, "availability", label, horizon_s),
-            oracle=oracle,
-            horizon_s=horizon_s,
-        )
-        for label in tree_labels
-    ]
-    payloads = run_campaign(cells, config=config, jobs=jobs, cache_dir=cache_dir)
+    payloads = iter(
+        run_campaign(flat, config=config, jobs=jobs, cache_dir=cache_dir, trees=trees)
+    )
     return {
-        label: AvailabilityResult(**payload)
-        for label, payload in zip(tree_labels, payloads)
-    }
-
-
-def run_chaos_suite(
-    scenarios: Sequence[str],
-    tree_labels: Sequence[str],
-    trials: int = 1,
-    seed: int = 0,
-    oracle: str = "perfect",
-    oracle_error_rate: float = 0.3,
-    config: StationConfig = PAPER_CONFIG,
-    supervisor: str = "full",
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[Tuple[str, str], "ChaosResult"]:
-    """Chaos campaign: every (scenario, tree) cell, one worker per cell.
-
-    Cell seeds hash in both the scenario and the tree label, so adding a
-    scenario to the list cannot perturb any other cell's fault schedule —
-    the same isolation argument as the recovery matrix.
-    """
-    from repro.chaos.engine import ChaosResult
-
-    pairs = [(scenario, label) for scenario in scenarios for label in tree_labels]
-    cells = [
-        CampaignCell(
-            kind="chaos",
-            tree=label,
-            seed=campaign_seed(seed, "chaos", scenario, label),
-            trials=trials,
-            oracle=oracle,
-            oracle_error_rate=oracle_error_rate,
-            supervisor=supervisor,
-            scenario=scenario,
-        )
-        for scenario, label in pairs
-    ]
-    payloads = run_campaign(cells, config=config, jobs=jobs, cache_dir=cache_dir)
-    return {
-        pair: ChaosResult.from_payload(payload)
-        for pair, payload in zip(pairs, payloads)
-    }
-
-
-def run_fleet_campaign(
-    sizes: Sequence[int],
-    tree: str = "V",
-    horizon_s: float = 600.0,
-    seed: int = 0,
-    wave_intervals: Sequence[float] = (0.0,),
-    wave_drop: float = 0.0,
-    request_rate: float = 0.0,
-    config: StationConfig = PAPER_CONFIG,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[Tuple[int, float], "FleetResult"]:
-    """Fleet sweep: one cell per (size, wave regime), keyed accordingly.
-
-    Cell seeds hash in the size and wave interval, so growing the sweep
-    cannot perturb existing cells; within a cell every station's streams
-    derive from the cell seed and its station id alone, independent of
-    shard layout.  Sharding/fan-out inside a cell comes from
-    ``REPRO_FLEET_SHARDS`` and ``REPRO_FLEET_JOBS`` (bit-identical, hence
-    absent from the spec).
-    """
-    from repro.experiments.fleet import FleetResult
-
-    pairs = [(size, interval) for size in sizes for interval in wave_intervals]
-    cells = [
-        CampaignCell(
-            kind="fleet",
-            tree=tree,
-            seed=campaign_seed(seed, "fleet", tree, size, interval, horizon_s),
-            horizon_s=horizon_s,
-            fleet_size=size,
-            wave_interval_s=interval,
-            wave_drop=wave_drop,
-            request_rate=request_rate,
-        )
-        for size, interval in pairs
-    ]
-    payloads = run_campaign(cells, config=config, jobs=jobs, cache_dir=cache_dir)
-    return {
-        pair: FleetResult.from_payload(payload)
-        for pair, payload in zip(pairs, payloads)
+        key: merge_recovery_cells(group, [next(payloads) for _ in group])
+        for key, group in plan
     }

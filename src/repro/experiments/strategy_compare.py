@@ -13,15 +13,15 @@ session/checkpoint ledger from the station's
 
 Every cell is a pure function of its spec — stations are built from the
 cell seed, injections rotate deterministically over the sorted component
-list — so cells run through :func:`repro.experiments.runner.run_campaign`
+list — so cells run through :func:`repro.experiments.runner.run_suite`
 and are bit-identical serial vs. parallel, cacheable under the campaign
-content-address (cache v6).
+content-address.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.chaos.invariants import InvariantChecker
 from repro.core.recovery_strategies import strategy_names
@@ -183,46 +183,3 @@ def run_strategy_cell(
         messages_replayed=counters.get("messages_replayed", 0),
         violations=checker.violation_payloads(),
     )
-
-
-def run_strategy_suite(
-    strategies: Sequence[str],
-    kinds: Sequence[str],
-    tree_labels: Sequence[str],
-    trials: int = 3,
-    seed: int = 0,
-    config: StationConfig = PAPER_CONFIG,
-    supervisor: str = "full",
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[Tuple[str, str, str], StrategyCellResult]:
-    """The full matrix through the campaign runner (serial ≡ parallel).
-
-    Cell seeds hash in strategy, kind, and tree, so growing any axis of
-    the matrix cannot perturb the other cells' fault schedules.
-    """
-    from repro.experiments.runner import CampaignCell, campaign_seed, run_campaign
-
-    triples = [
-        (strategy, kind, label)
-        for strategy in strategies
-        for kind in kinds
-        for label in tree_labels
-    ]
-    cells = [
-        CampaignCell(
-            kind="strategy",
-            tree=label,
-            seed=campaign_seed(seed, "strategy", strategy, kind, label),
-            trials=trials,
-            supervisor=supervisor,
-            strategy=strategy,
-            failure_kind=kind,
-        )
-        for strategy, kind, label in triples
-    ]
-    payloads = run_campaign(cells, config=config, jobs=jobs, cache_dir=cache_dir)
-    return {
-        triple: StrategyCellResult.from_payload(payload)
-        for triple, payload in zip(triples, payloads)
-    }

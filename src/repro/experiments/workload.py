@@ -27,7 +27,7 @@ template-store / fresh boot modes (held by the ``workload`` leg of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.invariants import InvariantChecker
 from repro.core.recovery_strategies import strategy_names
@@ -213,52 +213,6 @@ def run_workload_cell(
         sessions_restored=counters.get("sessions_restored", 0),
         violations=checker.violation_payloads(),
     )
-
-
-def run_workload_suite(
-    strategies: Sequence[str],
-    kinds: Sequence[str],
-    tree_labels: Sequence[str],
-    failures: int = 3,
-    seed: int = 0,
-    config: StationConfig = PAPER_CONFIG,
-    supervisor: str = "full",
-    session_rate: float = DEFAULT_SESSION_RATE,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[Tuple[str, str, str], WorkloadCellResult]:
-    """The full matrix through the campaign runner (serial ≡ parallel).
-
-    ``strategies`` may include ``""`` for the classic restart-only
-    baseline.  Cell seeds hash in every axis, so growing the matrix
-    cannot perturb existing cells' fault schedules or arrivals.
-    """
-    from repro.experiments.runner import CampaignCell, campaign_seed, run_campaign
-
-    triples = [
-        (strategy, kind, label)
-        for strategy in strategies
-        for kind in kinds
-        for label in tree_labels
-    ]
-    cells = [
-        CampaignCell(
-            kind="workload",
-            tree=label,
-            seed=campaign_seed(seed, "workload", strategy, kind, label),
-            trials=failures,
-            supervisor=supervisor,
-            strategy=strategy,
-            failure_kind=kind,
-            request_rate=session_rate,
-        )
-        for strategy, kind, label in triples
-    ]
-    payloads = run_campaign(cells, config=config, jobs=jobs, cache_dir=cache_dir)
-    return {
-        triple: WorkloadCellResult.from_payload(payload)
-        for triple, payload in zip(triples, payloads)
-    }
 
 
 def format_workload_report(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.chaos.engine import ChaosResult, run_chaos
 from repro.chaos.scenarios import Injection, Scenario, ScenarioPlan
-from repro.experiments.runner import run_chaos_suite
+from repro.experiments.runner import run_suite
 from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.trees import TREE_BUILDERS
 from repro.obs.sinks import JsonlSink
@@ -114,8 +114,9 @@ def test_operator_intervention_path():
 
 def test_suite_serial_equals_parallel(tmp_path):
     kwargs = dict(trials=1, seed=6)
-    serial = run_chaos_suite(["cascade"], ["I", "V"], jobs=1, **kwargs)
-    parallel = run_chaos_suite(["cascade"], ["I", "V"], jobs=2, **kwargs)
+    axes = {"scenario": ["cascade"], "tree": ["I", "V"]}
+    serial = run_suite("chaos", axes, jobs=1, **kwargs)
+    parallel = run_suite("chaos", axes, jobs=2, **kwargs)
     assert set(serial) == {("cascade", "I"), ("cascade", "V")}
     for key in serial:
         assert payload_json(serial[key]) == payload_json(parallel[key])
@@ -123,17 +124,19 @@ def test_suite_serial_equals_parallel(tmp_path):
 
 def test_suite_cache_roundtrip(tmp_path):
     cache = str(tmp_path / "cache")
-    first = run_chaos_suite(["mixed"], ["V"], trials=1, seed=8, cache_dir=cache)
-    cached = run_chaos_suite(["mixed"], ["V"], trials=1, seed=8, cache_dir=cache)
+    axes = {"scenario": ["mixed"], "tree": ["V"]}
+    first = run_suite("chaos", axes, trials=1, seed=8, cache_dir=cache)
+    cached = run_suite("chaos", axes, trials=1, seed=8, cache_dir=cache)
     assert payload_json(first[("mixed", "V")]) == payload_json(cached[("mixed", "V")])
     # A different seed must miss the cache, not replay the old result.
-    other = run_chaos_suite(["mixed"], ["V"], trials=1, seed=9, cache_dir=cache)
+    other = run_suite("chaos", axes, trials=1, seed=9, cache_dir=cache)
     assert payload_json(other[("mixed", "V")]) != payload_json(first[("mixed", "V")])
 
 
 def test_suite_seeds_are_cell_independent():
-    wide = run_chaos_suite(["cascade", "mixed"], ["V"], trials=1, seed=6)
-    narrow = run_chaos_suite(["mixed"], ["V"], trials=1, seed=6)
+    kwargs = dict(trials=1, seed=6)
+    wide = run_suite("chaos", {"scenario": ["cascade", "mixed"], "tree": ["V"]}, **kwargs)
+    narrow = run_suite("chaos", {"scenario": ["mixed"], "tree": ["V"]}, **kwargs)
     assert payload_json(wide[("mixed", "V")]) == payload_json(narrow[("mixed", "V")])
 
 

@@ -20,7 +20,7 @@ from repro.experiments.fleet import (
     run_fleet_cell,
     station_seed,
 )
-from repro.experiments.runner import CampaignCell, cache_key, run_fleet_campaign
+from repro.experiments.runner import CampaignCell, cache_key, run_suite
 from repro.mercury.config import PAPER_CONFIG
 from repro.experiments.snapshot import clear_templates
 from repro.experiments.template_store import STORE
@@ -183,15 +183,14 @@ def test_campaign_cache_key_ignores_shard_and_job_knobs(monkeypatch):
 
 def test_fleet_campaign_caches_and_replays_byte_identically(tmp_path):
     kwargs = dict(
-        sizes=[2, 3],
+        axes={"fleet_size": [2, 3], "wave_interval_s": (0.0, 60.0)},
         tree="V",
         horizon_s=120.0,
         seed=9,
-        wave_intervals=(0.0, 60.0),
         cache_dir=str(tmp_path),
     )
-    first = run_fleet_campaign(**kwargs)
+    first = run_suite("fleet", **kwargs)
     assert set(first) == {(2, 0.0), (2, 60.0), (3, 0.0), (3, 60.0)}
-    replay = run_fleet_campaign(**kwargs)
+    replay = run_suite("fleet", **kwargs)
     for key in first:
         assert replay[key].to_payload() == first[key].to_payload()

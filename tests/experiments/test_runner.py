@@ -5,23 +5,29 @@ campaign spec — independent of worker count, of row composition, and of
 whether a result came from a live worker or the on-disk cache.
 """
 
+import dataclasses
+import hashlib
 import json
 import os
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, UnknownProcessError
 from repro.experiments.recovery import measure_recovery, measure_recovery_row
 from repro.experiments.runner import (
+    KINDS,
     CampaignCell,
     cache_key,
     campaign_seed,
     config_fingerprint,
+    execute_cell,
+    kind_of,
     merge_recovery_cells,
+    plan_cell,
     plan_recovery_cell,
-    run_availability_suite,
     run_campaign,
     run_recovery_matrix,
+    run_suite,
 )
 from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.trees import tree_ii
@@ -93,8 +99,9 @@ def test_matrix_skips_components_missing_from_tree():
 
 
 def test_availability_suite_parallel_identical_to_serial():
-    serial = run_availability_suite(["I", "V"], horizon_s=1800.0, seed=4, jobs=1)
-    parallel = run_availability_suite(["I", "V"], horizon_s=1800.0, seed=4, jobs=2)
+    axes = {"tree": ["I", "V"]}
+    serial = run_suite("availability", axes, horizon_s=1800.0, seed=4, jobs=1)
+    parallel = run_suite("availability", axes, horizon_s=1800.0, seed=4, jobs=2)
     assert {k: v.availability for k, v in serial.items()} == {
         k: v.availability for k, v in parallel.items()
     }
@@ -145,8 +152,6 @@ def test_cache_invalidated_by_every_spec_field(tmp_path):
     cell = CampaignCell(kind="recovery", tree="II", component="rtu", trials=3, seed=1)
     base = cache_key(cell, PAPER_CONFIG)
     assert cache_key(cell, PAPER_CONFIG) == base  # stable
-    import dataclasses
-
     for change in (
         {"trials": 4},
         {"seed": 2},
@@ -245,8 +250,9 @@ def test_a_campaign_that_dies_keeps_the_cells_it_finished(tmp_path, monkeypatch,
     only itself: the finished cell is on disk and the re-run replays it."""
     cache = str(tmp_path / "cache")
     finished = CampaignCell(kind="recovery", tree="II", component="rtu", trials=2, seed=5)
-    failing = CampaignCell(kind="nonsense", tree="II", seed=1)
-    with pytest.raises(ValueError):
+    # Fails while running, not at key time: tree II has no fedr to kill.
+    failing = CampaignCell(kind="recovery", tree="II", component="fedr", trials=1, seed=1)
+    with pytest.raises(UnknownProcessError):
         run_campaign([finished, failing], jobs=jobs, cache_dir=cache)
     assert os.listdir(cache) == [cache_key(finished, PAPER_CONFIG) + ".json"]
     monkeypatch.setattr(
@@ -289,3 +295,132 @@ def test_unknown_cell_kind_rejected():
     cell = CampaignCell(kind="nonsense", tree="II", seed=1)
     with pytest.raises(ValueError):
         run_campaign([cell])
+
+
+# ----------------------------------------------------------------------
+# the table of kinds
+# ----------------------------------------------------------------------
+
+#: A non-default value for every field a kind may or may not read.
+CHANGED = {
+    "component": "rtu", "trials": 7, "shard": 2, "oracle": "faulty",
+    "oracle_error_rate": 0.5, "oracle_too_high_rate": 0.1,
+    "cure_set": ("fedr", "pbcom"), "supervisor": "abstract",
+    "trial_timeout": 100.0, "aging": True, "horizon_s": 60.0,
+    "scenario": "storm", "strategy": "restart", "failure_kind": "hang",
+    "fleet_size": 3, "wave_interval_s": 30.0, "wave_drop": 0.1,
+    "request_rate": 2.0,
+}
+
+#: The literal seed identity of each kind: the fields a cell is planned
+#: with, and the parts ``campaign_seed`` must hash for it, in order.
+SEED_IDENTITIES = {
+    "recovery": (
+        dict(tree="IV", oracle="faulty", component="pbcom", cure_set=("pbcom", "fedr"), shard=2),
+        ("IV", "faulty", "pbcom", "fedr,pbcom", 2),
+    ),
+    "availability": (
+        dict(tree="V", horizon_s=1800.0), ("availability", "V", 1800.0)
+    ),
+    "chaos": (dict(scenario="storm", tree="V"), ("chaos", "storm", "V")),
+    "fleet": (
+        dict(tree="V", fleet_size=8, wave_interval_s=60.0, horizon_s=120.0),
+        ("fleet", "V", 8, 60.0, 120.0),
+    ),
+    "strategy": (
+        dict(strategy="microreboot", failure_kind="crash", tree="III"),
+        ("strategy", "microreboot", "crash", "III"),
+    ),
+    "workload": (
+        dict(strategy="", failure_kind="hang", tree="III"),
+        ("workload", "", "hang", "III"),
+    ),
+}
+
+
+def _bare_keys():
+    return {
+        kind: cache_key(CampaignCell(kind=kind, tree="V", seed=1), PAPER_CONFIG)
+        for kind in KINDS
+    }
+
+
+def test_the_contract_tables_cover_the_cell_and_the_kinds():
+    fields = {spec.name for spec in dataclasses.fields(CampaignCell)}
+    assert set(CHANGED) == fields - {"kind", "tree", "seed"}
+    assert set(SEED_IDENTITIES) == set(KINDS)
+    for row in KINDS.values():
+        assert set(row.reads) <= set(CHANGED)
+        assert set(row.identity) <= set(row.reads) | {"kind", "tree"}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_kind_row_contract(kind, monkeypatch, tmp_path):
+    """One row of ``KINDS``, held statically (no cell runs): the fields it
+    reads key the cache, the fields it does not are refused everywhere a
+    cell enters, its version is its own, and its seed identity is pinned."""
+    row = KINDS[kind]
+    base = CampaignCell(kind=kind, tree="V", seed=1)
+    key = cache_key(base, PAPER_CONFIG)
+    for name, value in CHANGED.items():
+        changed = dataclasses.replace(base, **{name: value})
+        if name in row.reads:
+            assert kind_of(changed) is row
+            assert cache_key(changed, PAPER_CONFIG) != key
+            continue
+        for enter in (
+            kind_of,
+            execute_cell,
+            lambda cell: cache_key(cell, PAPER_CONFIG),
+            lambda cell: plan_cell(kind, 1, tree="V", **{name: value}),
+        ):
+            with pytest.raises(ExperimentError, match=f"{name}=.*{kind!r}"):
+                enter(changed)
+
+    fields, parts = SEED_IDENTITIES[kind]
+    assert plan_cell(kind, 5, **fields).seed == campaign_seed(5, *parts)
+
+    # A cache the parent commit wrote (one global "version": 11) is never a
+    # hit, whatever number this kind's own version reaches.
+    monkeypatch.setitem(KINDS, kind, dataclasses.replace(row, version=11))
+    legacy = json.dumps(
+        {
+            "version": 11,
+            "cell": dataclasses.asdict(base),
+            "config": config_fingerprint(PAPER_CONFIG),
+            "tree": base.tree,
+        },
+        sort_keys=True,
+        default=str,
+    )
+    legacy_key = hashlib.sha256(legacy.encode("utf-8")).hexdigest()
+    with open(tmp_path / f"{legacy_key}.json", "w") as fh:
+        json.dump({"cell": dataclasses.asdict(base), "result": {"stale": True}}, fh)
+    monkeypatch.setattr(
+        "repro.experiments.runner.execute_cell", lambda *args: {"fresh": True}
+    )
+    assert run_campaign([base], cache_dir=str(tmp_path)) == [{"fresh": True}]
+
+    # Bumping this kind's version moves its keys and nobody else's.
+    before = _bare_keys()
+    monkeypatch.setitem(KINDS, kind, dataclasses.replace(row, version=12))
+    after = _bare_keys()
+    assert {name for name in KINDS if before[name] != after[name]} == {kind}
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_a_malformed_cell_fails_before_any_cell_runs(tmp_path, monkeypatch, cached):
+    """An unknown kind or an unread field is found when the campaign looks
+    its cells over, not when the pool reaches the bad one."""
+    monkeypatch.setattr(
+        "repro.experiments.runner.execute_cell",
+        lambda *args: pytest.fail("a cell ran before the spec was checked"),
+    )
+    cache_dir = str(tmp_path) if cached else None
+    good = CampaignCell(kind="recovery", tree="II", component="rtu", trials=1, seed=5)
+    nonsense = CampaignCell(kind="nonsense", tree="II", seed=1)
+    with pytest.raises(ValueError, match="nonsense"):
+        run_campaign([good, nonsense], cache_dir=cache_dir)
+    fleet = CampaignCell(kind="fleet", tree="V", seed=1, fleet_size=2, component="rtu")
+    with pytest.raises(ExperimentError, match="component='rtu'.*'fleet'"):
+        run_campaign([good, fleet], cache_dir=cache_dir)

@@ -14,12 +14,9 @@ import json
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments.runner import run_suite
 from repro.experiments.snapshot import clear_templates
-from repro.experiments.workload import (
-    WorkloadCellResult,
-    run_workload_cell,
-    run_workload_suite,
-)
+from repro.experiments.workload import WorkloadCellResult, run_workload_cell
 from repro.mercury.session_store import SessionStore
 from repro.mercury.trees import TREE_BUILDERS
 from repro.workload.generator import WorkloadSpec
@@ -134,13 +131,12 @@ def test_bus_fullparse_matches_fastpath_under_checkpoint_replay(full_parse_refer
 def test_suite_serial_matches_parallel():
     suites = []
     for jobs in (1, 2):
-        suite = run_workload_suite(
-            ["", "microreboot"],
-            ["crash"],
-            ["III"],
-            failures=1,
+        suite = run_suite(
+            "workload",
+            {"strategy": ["", "microreboot"], "failure_kind": ["crash"], "tree": ["III"]},
+            trials=1,
             seed=3,
-            session_rate=6.0,
+            request_rate=6.0,
             jobs=jobs,
         )
         suites.append(

@@ -1,5 +1,7 @@
 """Long multi-fault scenarios on the full-fidelity station."""
 
+import pytest
+
 from repro.experiments.metrics import UptimeTracker
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_iii, tree_v
@@ -21,6 +23,7 @@ def test_station_survives_failure_storm():
     assert station.all_station_running()
 
 
+@pytest.mark.soak
 def test_steady_faults_full_fidelity_half_day():
     """The full FD/REC stack (not the abstract path) under natural Table 1
     arrivals for half a simulated day."""

@@ -209,6 +209,20 @@ def test_chaos_trace_out_is_deterministic(tmp_path, capsys):
     assert first and first == second
 
 
+def test_chaos_trace_out_reruns_the_campaign_cell(tmp_path, capsys):
+    """``--trace-out`` runs the campaign path's own cell (same derived
+    seed): everything it prints but the trace line is what the campaign
+    path prints for that seed, scenario and tree."""
+    args = ["chaos", "--scenario", "cascade", "--tree", "V", "--seed", "42"]
+    assert main(args) == 0
+    campaign = capsys.readouterr().out
+    assert main(args + ["--trace-out", str(tmp_path / "run.jsonl")]) == 0
+    traced = capsys.readouterr().out.splitlines()
+    assert traced[0].startswith("trace: ")
+    assert "mean MTTR" in campaign
+    assert traced[1:] == campaign.splitlines()
+
+
 def test_chaos_trace_out_requires_single_cell(capsys):
     code = main(["chaos", "--scenario", "cascade", "--tree", "I", "--tree", "V",
                  "--trace-out", "/tmp/unused.jsonl"])

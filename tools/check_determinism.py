@@ -19,13 +19,14 @@ leg runs one cell more than once and byte-compares what came out:
   template vs. booted afresh (``snapshot=False``), traces and payloads: the
   restore-vs-boot bit-identity contract that lets both share the result
   cache;
-* **strategy** — one microreboot cell (crash, tree V) twice with the same
-  seed, payloads: the strategy registry, session store and strategy-enabled
-  supervisor stay pure functions of the seed;
-* **workload** — one user-traffic cell (microreboot, crash, tree III) run
-  twice with the same seed and once from a fresh boot, comparing the full
-  payloads (user-effects ledger, MTTR samples, per-phase blame), then the
-  same cell through the campaign runner serial vs. two worker processes;
+* **kinds** — one small sample cell per row of
+  :data:`repro.experiments.runner.KINDS` (the gate refuses to run with a
+  kind unsampled), each executed directly, again through a serial campaign
+  and again through a campaign on two worker processes, payloads compared:
+  every kind is a pure function of its cell, in and out of a pool;
+* **workload fresh boot** — one user-traffic cell (microreboot, crash, tree
+  III) from the warmed-station template and from a fresh boot, comparing
+  the full payloads (user-effects ledger, MTTR samples, per-phase blame);
 * **fleet** — one correlated-wave fleet cell with live user traffic run
   four ways — one shard, three shards, three shards fanned over worker
   processes, and fresh-booted stations — comparing the full payloads, which
@@ -54,6 +55,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.chaos.engine import run_chaos
 from repro.experiments.availability import measure_availability
+from repro.experiments.runner import KINDS, execute_cell, plan_cell, run_campaign
 from repro.experiments.snapshot import clear_templates
 from repro.mercury.trees import TREE_BUILDERS
 from repro.obs.sinks import JsonlSink, Sink
@@ -173,68 +175,59 @@ def check_snapshot_fork(workdir: str) -> bool:
         clear_templates()
 
 
-def check_strategy(workdir: str) -> bool:
-    """The registry path — strategies, session-store tap, replay machinery
-    — is a pure function of the seed."""
-    from repro.experiments.strategy_compare import run_strategy_cell
-
-    print("determinism: strategy (microreboot, crash, tree V, seed %d) ..." % CHAOS_SEED)
-    payloads = [
-        _dump(
-            run_strategy_cell(
-                TREE_BUILDERS["V"](), "microreboot", "crash", trials=2, seed=CHAOS_SEED
-            ).to_payload()
-        )
-        for _ in (1, 2)
-    ]
-    return _same("strategy", "result payloads identical", *payloads)
+#: One small cell per campaign kind (the fields ``plan_cell`` takes).  The
+#: gate's samples, not the product's: a new kind adds its own here.
+SAMPLES = {
+    "recovery": dict(tree="II", component="rtu", trials=1),
+    "availability": dict(tree="V", horizon_s=1800.0),
+    "chaos": dict(tree="V", scenario="mixed", trials=1),
+    "strategy": dict(tree="V", strategy="microreboot", failure_kind="crash", trials=2),
+    "workload": dict(
+        tree="III", strategy="restart", failure_kind="hang", trials=1, request_rate=8.0
+    ),
+    "fleet": dict(tree="V", fleet_size=2, horizon_s=30.0, wave_interval_s=15.0, request_rate=4.0),
+}
 
 
-def check_workload(workdir: str) -> bool:
+def check_kinds(workdir: str) -> bool:
+    """Every row of ``KINDS`` is a pure function of its cell: run directly,
+    through a serial campaign, and through two worker processes."""
+    if set(SAMPLES) != set(KINDS):
+        print(f"FAIL kinds: no sample cell for {sorted(set(KINDS) - set(SAMPLES))}")
+        return False
+    print("determinism: kinds (%s; seed %d) ..." % (", ".join(KINDS), CHAOS_SEED))
+    cells = [plan_cell(kind, CHAOS_SEED, **SAMPLES[kind]) for kind in KINDS]
+    direct = [_dump(execute_cell(cell)) for cell in cells]
+    serial, workers = (
+        [_dump(payload) for payload in run_campaign(cells, jobs=jobs)] for jobs in (1, 2)
+    )
+    ok = True
+    for kind, reference, again, pooled in zip(KINDS, direct, serial, workers):
+        ok = _same(kind, "result payloads identical", reference, again) and ok
+        ok = _same(kind, "campaign serial == two workers", again, pooled) and ok
+    return ok
+
+
+def check_workload_fresh_boot(workdir: str) -> bool:
     """User-traffic ledgers — arrivals, retries, failures, latency sums and
-    per-phase blame — ride the cell seed and nothing else: not the boot
-    path, not the campaign's process layout."""
-    from repro.experiments.workload import run_workload_cell, run_workload_suite
+    per-phase blame — ride the cell seed, not the boot path."""
+    from repro.experiments.workload import run_workload_cell
     from repro.workload.generator import WorkloadSpec
 
     print("determinism: workload (microreboot, crash, tree III, seed %d) ..." % CHAOS_SEED)
 
-    def run(snapshot: bool = True) -> str:
+    def run(snapshot: bool) -> str:
         clear_templates()
+        spec = WorkloadSpec(session_rate=8.0)
         result = run_workload_cell(
-            TREE_BUILDERS["III"](),
-            "microreboot",
-            "crash",
-            failures=2,
-            seed=CHAOS_SEED,
-            spec=WorkloadSpec(session_rate=8.0),
-            snapshot=snapshot,
+            TREE_BUILDERS["III"](), "microreboot", "crash", failures=2, seed=CHAOS_SEED,
+            spec=spec, snapshot=snapshot,
         )
         return _dump(result.to_payload())
 
-    reference = run()
-    ok = _same("workload", "result payloads identical", reference, run())
-    ok = _same("workload", "snapshot restore == fresh boot", reference, run(snapshot=False)) and ok
+    ok = _same("workload", "snapshot restore == fresh boot", run(True), run(False))
     clear_templates()
-
-    suites = [
-        _dump(
-            {
-                key[2]: cell.to_payload()
-                for key, cell in run_workload_suite(
-                    ["microreboot"],
-                    ["crash"],
-                    ["III"],
-                    failures=2,
-                    seed=CHAOS_SEED,
-                    session_rate=8.0,
-                    jobs=jobs,
-                ).items()
-            }
-        )
-        for jobs in (1, 2)
-    ]
-    return _same("workload", "campaign serial == parallel", *suites) and ok
+    return ok
 
 
 def check_fleet(workdir: str) -> bool:
@@ -279,8 +272,8 @@ def check_fleet(workdir: str) -> bool:
 LEGS = [
     check_same_seed_traces,
     check_snapshot_fork,
-    check_strategy,
-    check_workload,
+    check_kinds,
+    check_workload_fresh_boot,
     check_fleet,
 ]
 
