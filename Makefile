@@ -120,8 +120,8 @@ repo-bench-test:
 # payload digest and the result.sim_* lines (tools/bench_ab.py).
 # LEDGER=1 adds one traced run per side and the "which layer moved" table:
 # every exact-repeat per-layer metric (*.calls, events_per_work, ...) that
-# differs.  CI runs it report-only (PAIRS=3) on traffic-steady, fleet-waves
-# and availability-month.
+# differs.  CI runs it report-only (PAIRS=3) on traffic-steady (LEDGER=1),
+# traffic-faulted, fleet-waves and availability-month.
 BASE ?= HEAD~1
 WORKLOAD ?= traffic-steady
 PAIRS ?= 10

@@ -96,7 +96,7 @@ class EndToEndProber:
         self._epoch += 1
         self._outstanding.clear()
         self._misses.clear()
-        self.kernel.call_after(self.period, self._round, self._epoch)
+        self.kernel.schedule_after(self.period, self._round, self._epoch)
 
     def stop(self) -> None:
         """Stop probing; in-flight judgements become no-ops."""
@@ -129,10 +129,10 @@ class EndToEndProber:
             self._outstanding[component] = seq
             if self.send_fn(make_probe(self.sender, component, seq)):
                 self.probes_sent += 1
-                self.kernel.call_after(self.timeout, self._judge, component, seq, epoch)
+                self.kernel.schedule_after(self.timeout, self._judge, component, seq, epoch)
             else:
                 self._outstanding.pop(component, None)
-        self.kernel.call_after(self.period, self._round, epoch)
+        self.kernel.schedule_after(self.period, self._round, epoch)
 
     def _judge(self, component: str, seq: int, epoch: int) -> None:
         if epoch != self._epoch or self._outstanding.get(component) != seq:

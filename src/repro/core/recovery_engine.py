@@ -392,7 +392,7 @@ class RecoveryEngine:
             # The ladder's timeout cost of discovering the outage delays
             # the kill itself; suppression/budget are already in place, so
             # the wait cannot race a ready event.
-            self.kernel.call_after(
+            self.kernel.schedule_after(
                 plan.decision_delay,
                 self._execute_deferred,
                 self._generation,
@@ -404,7 +404,7 @@ class RecoveryEngine:
     def _arm_watchdog(self) -> None:
         """New step: supersede the last step's callbacks, arm this one's."""
         self._action_seq += 1
-        self.kernel.call_after(
+        self.kernel.schedule_after(
             self.restart_timeout,
             self._check_restart_progress,
             self._generation,
@@ -469,7 +469,7 @@ class RecoveryEngine:
             self.manager.start(name, batch=gate)
         if stragglers and not warn_first:
             self._emit(ev.RESTART_REKICK, components=stragglers)
-        self.kernel.call_after(
+        self.kernel.schedule_after(
             self.restart_timeout, self._check_restart_progress, generation, action_seq
         )
 
@@ -477,7 +477,7 @@ class RecoveryEngine:
         """Every gate member is ready: verify now or after a delay."""
         action.ctx.gate_ready_at = self.kernel.now
         if action.plan.verify_delay > 0.0:
-            self.kernel.call_after(
+            self.kernel.schedule_after(
                 action.plan.verify_delay,
                 self._verify_step,
                 self._generation,
@@ -545,7 +545,7 @@ class RecoveryEngine:
             self.report_failure(component)
 
     def _arm_observation(self, component: str) -> None:
-        self.kernel.call_after(
+        self.kernel.schedule_after(
             self.observation_window,
             self._expire_observation,
             self._generation,

@@ -89,7 +89,7 @@ class RejuvenationScheduler:
         delay = self.period
         if self._jitter > 0:
             delay += self._rng.uniform(-self._jitter, self._jitter)
-        self.kernel.call_after(max(delay, 1e-6), self._round)
+        self.kernel.schedule_after(max(delay, 1e-6), self._round)
 
     def _round(self) -> None:
         if not self._running:

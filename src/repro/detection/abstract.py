@@ -146,7 +146,7 @@ class AbstractSupervisor:
 
     def _schedule_declare(self, name: str) -> None:
         delay = self._rng.uniform(0.0, self.ping_period) + self.reply_timeout
-        self.kernel.call_after(delay, self._declare, self.restart_count, name)
+        self.kernel.schedule_after(delay, self._declare, self.restart_count, name)
 
     def _on_lifecycle(self, process: "SimProcess", event: str) -> None:
         if not self.engine.alive:
@@ -200,7 +200,7 @@ class SupervisorWatchdog:
         self.restarts = 0
         self._misses = 0
         self._armed = True
-        kernel.call_after(period, self._tick)
+        kernel.schedule_after(period, self._tick)
 
     def stop(self) -> None:
         self._armed = False
@@ -216,4 +216,4 @@ class SupervisorWatchdog:
                 self._misses = 0
                 self.restarts += 1
                 self.supervisor.restart()
-        self.kernel.call_after(self.period, self._tick)
+        self.kernel.schedule_after(self.period, self._tick)

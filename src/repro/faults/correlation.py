@@ -128,7 +128,7 @@ class ResyncCoupling:
             return
         provoking = process.last_failure
         induced_by = provoking.failure_id if provoking is not None else None
-        self.kernel.call_after(
+        self.kernel.schedule_after(
             self.induced_delay, self._induce, peer_name, process.name, induced_by
         )
 
@@ -239,7 +239,7 @@ class CorrelationGroup:
                 continue
             if self._rng.random() >= self.induce_probability:
                 continue
-            self.kernel.call_after(
+            self.kernel.schedule_after(
                 self.induced_delay, self._induce, peer, process.name, induced_by
             )
 
@@ -346,7 +346,7 @@ class DisconnectAging:
             threshold=self._threshold,
         )
         if self.age >= self._threshold:
-            self.kernel.call_after(self.fail_delay, self._age_out, self._epoch)
+            self.kernel.schedule_after(self.fail_delay, self._age_out, self._epoch)
 
     def _age_out(self, epoch: int) -> None:
         if not self.enabled or epoch != self._epoch:

@@ -136,7 +136,7 @@ class FaultInjector:
             if descriptor.is_cured_by(process.last_batch):
                 self._cure(descriptor)
             else:
-                self.kernel.call_after(
+                self.kernel.schedule_after(
                     self.remanifest_delay, self._remanifest, descriptor.failure_id
                 )
 
@@ -251,7 +251,7 @@ class SteadyStateInjector:
         epoch = self._epoch[name]
         rng = self.kernel.rngs.stream(f"steady.{name}")
         delay = self.lifetimes[name].sample(rng)
-        self.kernel.call_after(delay, self._fire, name, epoch)
+        self.kernel.schedule_after(delay, self._fire, name, epoch)
 
     def _fire(self, name: str, epoch: int) -> None:
         if not self._enabled or self._epoch.get(name) != epoch:

@@ -132,7 +132,7 @@ class StoreFaultModel:
             mode=mode,
             duration=round(duration, 9),
         )
-        self.kernel.call_after(
+        self.kernel.schedule_after(
             self._down_until - now, self._end_outage, self._outage_seq
         )
 

@@ -74,7 +74,7 @@ class SesBehavior(BusAttachedBehavior):
         self._session_restored = _handle_session_start(self)
         super().on_start()
         self._loop_epoch += 1
-        self.kernel.call_after(self.solution_period, self._solve, self._loop_epoch)
+        self.kernel.schedule_after(self.solution_period, self._solve, self._loop_epoch)
 
     def on_bus_connected(self) -> None:
         if self._session_restored:
@@ -118,7 +118,7 @@ class SesBehavior(BusAttachedBehavior):
     def _solve(self, epoch: int) -> None:
         if not self._alive or epoch != self._loop_epoch:
             return
-        self.kernel.call_after(self.solution_period, self._solve, epoch)
+        self.kernel.schedule_after(self.solution_period, self._solve, epoch)
         solution = self.solution_fn(self.kernel.now)
         if solution is None:
             return  # no satellite in view

@@ -50,7 +50,7 @@ class PassAccountant:
         self._failures_in_pass = 0
         station.manager.subscribe(self._on_lifecycle)
         for window in self._windows:
-            self.kernel.call_at(max(window.start, self.kernel.now), self._begin, window)
+            self.kernel.schedule_at(max(window.start, self.kernel.now), self._begin, window)
 
     # ------------------------------------------------------------------
     # pass lifecycle
@@ -70,7 +70,7 @@ class PassAccountant:
             duration=round(window.duration, 1),
             max_elevation=round(window.max_elevation_deg, 1),
         )
-        self.kernel.call_at(window.end, self._end, window)
+        self.kernel.schedule_at(window.end, self._end, window)
 
     def _end(self, window: PassWindow) -> None:
         if self._active_window is not window:

@@ -13,8 +13,9 @@ Design notes
 * The kernel is strictly deterministic given a seed: events scheduled for the
   same instant fire in FIFO order of scheduling, and all randomness flows
   through named :class:`~repro.sim.rng.RngRegistry` streams.
-* Everything is callback-driven: :meth:`Kernel.call_at` /
-  :meth:`Kernel.call_after` queue a cancellable callback, and a repeating
+* Everything is callback-driven: :meth:`Kernel.schedule_at` /
+  :meth:`Kernel.schedule_after` queue a callback (:meth:`Kernel.call_at` /
+  :meth:`Kernel.call_after` a cancellable one), and a repeating
   activity re-arms itself from its own callback.  Sequential component
   logic (a startup that negotiates with hardware) is a
   :mod:`repro.procmgr` process, not a coroutine.

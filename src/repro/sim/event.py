@@ -94,7 +94,7 @@ class RepeatHandle:
     FIFO rank among same-instant events is stable and deterministic.
 
     No product component repeats this way (FD, the prober and the fault
-    injectors re-arm with ``call_after`` chains); the kernel dispatch driver
+    injectors re-arm with ``schedule_after`` chains); the kernel dispatch driver
     in ``bench/drivers.py`` is its caller.
     """
 

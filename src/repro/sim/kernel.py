@@ -33,8 +33,9 @@ Three scheduling APIs, cheapest first:
   detector judges) use this.
 * :meth:`schedule_interval` — a periodic timer re-armed by the dispatch
   loop itself: one heap push per firing, zero per-firing allocation.
-* :meth:`call_at` / :meth:`call_after` / :meth:`call_soon` — the legacy
-  cancellable API, still allocating one :class:`EventHandle` per event.
+* :meth:`call_at` / :meth:`call_after` / :meth:`call_soon` — for the
+  caller that keeps the handle: one :class:`EventHandle` per event, so the
+  event can be cancelled.  A caller that would drop it schedules handle-free.
 
 All three interleave arbitrarily with identical time/FIFO semantics.
 

@@ -177,7 +177,7 @@ class Channel:
                 # but is immune to the fault model: teardown is surfaced by
                 # the local OS (RST / broken pipe), not by lossy packets.
                 network = self._network
-                network.kernel.call_after(network.latency.sample(), endpoint._notify_close)
+                network.kernel.schedule_after(network.latency.sample(), endpoint._notify_close)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.open else "closed"

@@ -226,7 +226,7 @@ class NetworkFaultModel:
             duration=duration,
         )
         if duration is not None:
-            self.kernel.call_after(duration, self._auto_restore, key, epoch)
+            self.kernel.schedule_after(duration, self._auto_restore, key, epoch)
 
     def exempt_link(self, a: str, b: str) -> None:
         """Shield the ``a``↔``b`` link from the wildcard default profile.
@@ -261,7 +261,7 @@ class NetworkFaultModel:
             link=self._link_label(key),
             until=until,
         )
-        self.kernel.call_after(duration, self._auto_heal, key, epoch)
+        self.kernel.schedule_after(duration, self._auto_heal, key, epoch)
 
     def heal(self, a: str, b: str) -> None:
         """End the ``a``↔``b`` partition early (no-op when not partitioned)."""

@@ -30,8 +30,9 @@ a pure function of the cell seed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.bus.client import BusClient
 from repro.obs import events as ev
@@ -52,6 +53,9 @@ SERVICE_VERBS: Dict[str, str] = {
 
 #: The reply verb every service endpoint answers with.
 REPLY_VERB = "svc-reply"
+
+#: ``WorkloadPlane._armed_at`` while no deadline event is armed.
+_UNARMED = float("inf")
 
 
 @dataclass
@@ -117,6 +121,16 @@ class WorkloadPlane:
             "uplink": "fedr" if station.split else "fedrcom",
         }
         self._pending: Dict[int, _Request] = {}
+        #: The retry ladder's deadlines, one FIFO lane per attempt number
+        #: (lane 0 stays empty): ``(when, send ordinal, rid)``.  A lane's
+        #: delay is a constant, so it is sorted by construction (DESIGN.md §13).
+        self._lanes: Tuple[Deque[Tuple[float, int, int]], ...] = tuple(
+            deque() for _ in range(self.spec.max_retries + 2)
+        )
+        self._sends = 0
+        #: Instant of the earliest kernel event armed on :meth:`_deadline`;
+        #: never later than the earliest live lane head.
+        self._armed_at = _UNARMED
         self._session_seq = 0
         self._request_seq = 0
         self._open = False
@@ -196,7 +210,7 @@ class WorkloadPlane:
 
     def _schedule_arrival(self, epoch: int) -> None:
         gap, count = self._arrivals.next()
-        self.kernel.call_after(gap, self._arrive, epoch, count)
+        self.kernel.schedule_after(gap, self._arrive, epoch, count)
 
     def _arrive(self, epoch: int, count: int) -> None:
         if not self._open or epoch != self._arrival_epoch:
@@ -240,11 +254,49 @@ class WorkloadPlane:
                 params={"req": str(request.rid)},
             )
         )
-        timeout = (
+        # One send per request: the clock is read as ``Endpoint.send`` reads it.
+        when = self.kernel.clock._now + (
             self.spec.request_timeout_s
             + (request.attempts - 1) * self.spec.retry_backoff_s
         )
-        self.kernel.call_after(timeout, self._timeout, request.rid, request.attempts)
+        self._sends += 1
+        self._lanes[request.attempts].append((when, self._sends, request.rid))
+        if when < self._armed_at:  # nothing armed, or a retry's longer wait
+            self._armed_at = when
+            self.kernel.schedule_at(when, self._deadline)
+
+    def _deadline(self) -> None:
+        """The one armed kernel event: time out every request whose
+        deadline is due, in send order, and re-arm on the next one owed.
+
+        Heads already answered or re-sent are dropped here, unseen by the
+        kernel.  A wake superseded by an earlier one still fires, and one
+        more may be armed on its instant by then: whichever runs second
+        finds nothing due and nothing to arm.
+        """
+        now = self.kernel.now
+        pending = self._pending
+        while True:
+            head = None
+            for lane_attempt, lane in enumerate(self._lanes):
+                while lane:
+                    request = pending.get(lane[0][2])
+                    if request is not None and request.attempts == lane_attempt:
+                        if head is None or lane[0] < head:
+                            head, attempt = lane[0], lane_attempt
+                        break
+                    lane.popleft()
+            if head is None or head[0] > now:
+                break
+            # Until this sweep is over ``_armed_at`` is still ``now``, so
+            # the re-sends below queue their deadlines without arming.
+            self._lanes[attempt].popleft()
+            self._timeout(head[2], attempt)
+        if self._armed_at <= now:
+            self._armed_at = _UNARMED
+        if head is not None and head[0] < self._armed_at:
+            self._armed_at = head[0]
+            self.kernel.schedule_at(head[0], self._deadline)
 
     def _on_reply(self, message: Message) -> None:
         if getattr(message, "verb", None) != REPLY_VERB:

@@ -12,7 +12,9 @@ from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network
+from repro.workload.plane import SERVICE_VERBS, WorkloadPlane
 from repro.xmlcmd import fastpath
+from repro.xmlcmd.commands import CommandMessage
 
 
 @pytest.fixture
@@ -197,6 +199,43 @@ def polling_dial_reference():
     ``_schedule_reconnect`` and its three siblings did.  Test-side only,
     like ``full_parse_reference``; session scope, it holds no state."""
     return _polling_dial_reference
+
+
+def _timer_per_send(self: WorkloadPlane, request) -> None:
+    """``WorkloadPlane._send`` as it armed the retry ladder before the
+    deadline lanes: one kernel timer per send, answered or not, carrying the
+    send's own sequence number.  The lanes stay empty, so ``_deadline`` is
+    never armed; everything up to the timer is the product's, line for line."""
+    request.attempts += 1
+    self.client.send(
+        CommandMessage(
+            sender=self.client.name,
+            target=self.targets[request.op],
+            verb=SERVICE_VERBS[request.op],
+            params={"req": str(request.rid)},
+        )
+    )
+    timeout = (
+        self.spec.request_timeout_s
+        + (request.attempts - 1) * self.spec.retry_backoff_s
+    )
+    self.kernel.schedule_after(timeout, self._timeout, request.rid, request.attempts)
+
+
+@contextmanager
+def _per_request_timers_reference():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WorkloadPlane, "_send", _timer_per_send)
+        yield
+
+
+@pytest.fixture(scope="session")
+def per_request_timers_reference():
+    """The deadline lanes' reference: a context manager under which every
+    ``WorkloadPlane._send`` arms its own kernel timer, as it did before the
+    plane kept its deadlines to itself.  Test-side only, like
+    ``full_parse_reference``; session scope, it holds no state."""
+    return _per_request_timers_reference
 
 
 def spawn_simple(manager: ProcessManager, name: str, work: float = 1.0):

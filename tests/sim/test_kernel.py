@@ -1,5 +1,8 @@
 """Tests for the discrete-event kernel: ordering, cancellation, run control."""
 
+import ast
+import pathlib
+
 import pytest
 
 from repro.errors import KernelStoppedError, SimulationError
@@ -241,3 +244,22 @@ def test_determinism_same_seed():
 
     assert run_once(99) == run_once(99)
     assert run_once(99) != run_once(100)
+
+
+def test_no_product_caller_drops_an_event_handle():
+    """``call_at`` / ``call_after`` / ``call_soon`` build an ``EventHandle``
+    for the caller that keeps it; under ``src/repro`` a call whose result
+    is thrown away (a bare expression statement) belongs on
+    ``schedule_at`` / ``schedule_after`` — same instant, same FIFO rank,
+    no handle allocated and none cleared at dispatch."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+    dropped = [
+        f"{path.relative_to(src).as_posix()}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr in ("call_at", "call_after", "call_soon")
+    ]
+    assert dropped == []
