@@ -121,7 +121,8 @@ repo-bench-test:
 # LEDGER=1 adds one traced run per side and the "which layer moved" table:
 # every exact-repeat per-layer metric (*.calls, events_per_work, ...) that
 # differs.  CI runs it report-only (PAIRS=3) on traffic-steady (LEDGER=1),
-# traffic-faulted, fleet-waves and availability-month.
+# traffic-faulted, fleet-waves, availability-month (LEDGER=1) and
+# recovery-matrix.
 BASE ?= HEAD~1
 WORKLOAD ?= traffic-steady
 PAIRS ?= 10

@@ -57,7 +57,9 @@ class Behavior:
 
     def trace(self, kind: str, severity: Severity = Severity.INFO, **data: Any) -> None:
         """Emit a trace record attributed to this component."""
-        self.kernel.trace.emit(self.name, kind, severity=severity, **data)
+        trace = self.kernel.trace
+        if trace.wants(kind):
+            trace.emit(self.name, kind, severity, **data)
 
     # -- lifecycle hooks -------------------------------------------------
 

@@ -148,7 +148,9 @@ class RecoveryEngine:
         self.restart_log: List[RestartDecision] = []
 
     def _emit(self, kind: str, severity: Severity = Severity.INFO, **data) -> None:
-        self.kernel.trace.emit(self.name, kind, severity=severity, **data)
+        trace = self.kernel.trace
+        if trace.wants(kind):
+            trace.emit(self.name, kind, severity, **data)
 
     # ------------------------------------------------------------------
     # incarnations

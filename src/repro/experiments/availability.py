@@ -113,7 +113,7 @@ def measure_availability(
     tracker = UptimeTracker(station.manager, station.station_components)
     station.run_for(horizon_s)
     tracker.finalize()
-    phases.tracker.flush()
+    phases.close()
     for sink in sinks:
         sink.close()
     outages = tracker.system_outages

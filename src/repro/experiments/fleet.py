@@ -365,8 +365,7 @@ class StationShell(FleetShell):
             self.workload.stop()
             self.workload.finalize()
         self.checker.finalize(self.kernel.now)
-        if self.metrics.tracker is not None:
-            self.metrics.tracker.flush()
+        self.metrics.close()
 
     def result(self) -> Dict[str, Any]:
         mttr_samples = [

@@ -30,7 +30,7 @@ from repro.experiments.metrics import RecoveryStats
 from repro.experiments.snapshot import station_shape, warmed_station
 from repro.mercury.config import PAPER_CONFIG, StationConfig
 from repro.mercury.station import MercuryStation
-from repro.obs.sinks import MetricsSink, PhaseSnapshot, Sink, SummaryStat
+from repro.obs.sinks import PhaseSink, PhaseSnapshot, Sink, SummaryStat
 
 
 @dataclass
@@ -98,12 +98,14 @@ def measure_recovery(
     and pass-campaign experiments keep aging on.
 
     Per-phase latencies (detection / decision / restart) are accumulated by
-    a :class:`~repro.obs.sinks.MetricsSink` fed live from the trace — spans
+    a :class:`~repro.obs.sinks.PhaseSink` fed live from the trace — spans
     are built as events arrive, never re-scanned from the ring buffer —
-    and land in :attr:`RecoveryResult.phases`.  Extra ``sinks`` (e.g. a
-    :class:`~repro.obs.sinks.JsonlSink`) can be attached for the run's
-    duration; sinks only observe emits, so attaching them cannot perturb
-    the measured samples.
+    and land in :attr:`RecoveryResult.phases`.  Record retention is off,
+    so on its own the cell builds only the records the phase table reads.
+    Extra ``sinks`` (e.g. a :class:`~repro.obs.sinks.JsonlSink`, which
+    reads every kind and so still gets every record) can be attached for
+    the run's duration; sinks only observe emits, so attaching them cannot
+    perturb the measured samples.
 
     Station setup goes through the warmed-station snapshot cache (see
     :mod:`repro.experiments.snapshot`): the first cell of a shape boots,
@@ -121,7 +123,6 @@ def measure_recovery(
             oracle_error_rate=oracle_error_rate,
             oracle_too_high_rate=oracle_too_high_rate,
             supervisor=supervisor,
-            trace_capacity=50_000,
         )
 
     if isinstance(oracle, str):
@@ -143,8 +144,9 @@ def measure_recovery(
     station = warmed_station(shape, build, MercuryStation.boot, seed, snapshot)
     if not aging and station.aging is not None:
         station.aging.enabled = False
-    metrics = MetricsSink()
-    station.kernel.trace.add_sink(metrics)
+    station.kernel.trace.enabled = False
+    phases = PhaseSink()
+    station.kernel.trace.add_sink(phases)
     for sink in sinks or ():
         station.kernel.trace.add_sink(sink)
     phase_rng = station.kernel.rngs.stream("experiment.injection_phase")
@@ -170,9 +172,8 @@ def measure_recovery(
         # a fresh failure inside the window would read as "the restart did
         # not cure" and trigger a spurious escalation.
         station.run_for(config.observation_window + 1.0)
-    if metrics.tracker is not None:
-        metrics.tracker.flush()
-    result.phases = metrics.phase_snapshot()
+    phases.close()
+    result.phases = phases.phase_snapshot()
     return result
 
 

@@ -273,17 +273,30 @@ class PhaseSink(Sink):
     def accept(self, record: "TraceRecord") -> None:
         self.tracker.accept(record)
 
+    def close(self) -> None:
+        """Finalize cured-but-unconfirmed episodes into the phase table."""
+        if self.tracker is not None:
+            self.tracker.flush()
+
     def _on_episode(self, episode: "RecoveryEpisode") -> None:
-        slot = self._phase_stats.setdefault(episode.component, {})
-        for phase, duration in (
-            ("detection", episode.detection_latency),
-            ("decision", episode.decision_latency),
-            ("restart", episode.restart_duration),
-            ("total", episode.total_recovery),
+        slot = self._phase_stats.get(episode.component)
+        if slot is None:
+            slot = self._phase_stats[episode.component] = {}
+        # The episode's phase properties, with the recovery end read once.
+        injected, detected = episode.injected_at, episode.detected_at
+        decided, end = episode.decided_at, episode.recovery_end
+        for phase, start, stop in (
+            ("detection", injected, detected),
+            ("decision", detected, decided),
+            ("restart", decided, end),
+            ("total", injected, end),
         ):
-            if duration is None:
+            if start is None or stop is None:
                 continue
-            slot.setdefault(phase, SummaryStat()).add(duration)
+            stat = slot.get(phase)
+            if stat is None:
+                stat = slot[phase] = SummaryStat()
+            stat.add(stop - start)
 
     def phase_stats(self, component: str) -> Dict[str, SummaryStat]:
         """Per-phase duration accumulators for one component."""

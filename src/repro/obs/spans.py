@@ -40,8 +40,9 @@ Special cases handled (each has a dedicated regression test):
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, TYPE_CHECKING
 
 from repro.obs import events as ev
 from repro.types import SimTime
@@ -50,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import Trace, TraceRecord
 
 
-@dataclass
+@dataclass(slots=True)
 class RecoveryEpisode:
     """One failure's journey from injection to full recovery."""
 
@@ -187,7 +188,11 @@ class EpisodeTracker:
         self.on_complete = on_complete
         #: Finished episodes in completion order.
         self.episodes: List[RecoveryEpisode] = []
+        #: Open failure episodes by failure id, in injection order.
         self._open: Dict[int, RecoveryEpisode] = {}
+        #: The same episodes by component, so a record touches only the
+        #: episodes of the components it names.
+        self._by_component: Dict[str, Dict[int, RecoveryEpisode]] = defaultdict(dict)
         #: FD/REC watchdog spans in flight, keyed by restarted component.
         self._watchdogs: Dict[str, RecoveryEpisode] = {}
         #: Rejuvenation rounds observed (not tracked as episodes).
@@ -202,7 +207,7 @@ class EpisodeTracker:
     # -- sink interface ---------------------------------------------------
 
     def accept(self, record: "TraceRecord") -> None:
-        """Fold one record into the span state (O(open episodes))."""
+        """Fold one record into the span state (O(episodes it names))."""
         handler = self._dispatch.get(record.kind)
         if handler is not None:
             handler(record.time, record.data)
@@ -224,19 +229,24 @@ class EpisodeTracker:
         covering ``restart_complete`` before completing; at the end of a
         run that confirmation may not have been emitted yet.
         """
-        for failure_id in [
-            fid for fid, e in self._open.items() if e.cured_at is not None
-        ]:
-            self._complete(self._open.pop(failure_id))
+        for episode in [e for e in self._open.values() if e.cured_at is not None]:
+            self._finish(episode)
 
     # -- event handlers ---------------------------------------------------
 
-    def _open_for(self, component: str) -> List[RecoveryEpisode]:
-        return [
-            episode
-            for episode in self._open.values()
-            if episode.component == component
-        ]
+    def _on(self, components: Iterable[str]) -> Iterator[RecoveryEpisode]:
+        """Open failure episodes of ``components`` (each named once)."""
+        by_component = self._by_component
+        for component in components:
+            episodes = by_component.get(component)
+            if episodes:
+                yield from episodes.values()
+
+    def _finish(self, episode: RecoveryEpisode) -> None:
+        """Close an open failure episode and record it as complete."""
+        del self._open[episode.failure_id]
+        del self._by_component[episode.component][episode.failure_id]
+        self._complete(episode)
 
     def _complete(self, episode: RecoveryEpisode) -> None:
         self.episodes.append(episode)
@@ -245,14 +255,14 @@ class EpisodeTracker:
 
     def _on_injected(self, time: SimTime, data: Dict[str, Any]) -> None:
         component = data["component"]
+        episodes = self._by_component[component]
         # A cured episode for this component that was still awaiting its
         # restart_complete confirmation is finished now — finalize it so
         # the new episode cannot absorb the old one's events.
-        for failure_id, episode in list(self._open.items()):
-            if episode.component == component and episode.cured_at is not None:
-                self._complete(self._open.pop(failure_id))
+        for episode in [e for e in episodes.values() if e.cured_at is not None]:
+            self._finish(episode)
         failure_id = data.get("failure_id")
-        self._open[failure_id] = RecoveryEpisode(
+        episodes[failure_id] = self._open[failure_id] = RecoveryEpisode(
             component=component,
             failure_id=failure_id,
             failure_kind=data.get("failure_kind"),
@@ -261,8 +271,7 @@ class EpisodeTracker:
         )
 
     def _on_detection(self, time: SimTime, data: Dict[str, Any]) -> None:
-        component = data["component"]
-        candidates = self._open_for(component)
+        candidates = self._by_component.get(data["component"], {}).values()
         fresh = [e for e in candidates if e.detected_at is None]
         if fresh:
             # Earliest injection still undetected claims the declaration.
@@ -281,22 +290,21 @@ class EpisodeTracker:
         self.retractions += 1
 
     def _on_restart_ordered(self, time: SimTime, data: Dict[str, Any]) -> None:
-        components = set(data.get("components", ()))
+        components = data.get("components", ())
         trigger = data.get("trigger")
+        if trigger not in components:
+            components = (*components, trigger)
         cell = data.get("cell")
-        for episode in self._open.values():
-            if episode.component in components or episode.component == trigger:
-                if episode.decided_at is None:
-                    episode.decided_at = time
-                episode.restarts += 1
-                if cell is not None:
-                    episode.cells.append(cell)
+        for episode in self._on(components):
+            if episode.decided_at is None:
+                episode.decided_at = time
+            episode.restarts += 1
+            if cell is not None:
+                episode.cells.append(cell)
 
     def _on_rekick(self, time: SimTime, data: Dict[str, Any]) -> None:
-        components = set(data.get("components", ()))
-        for episode in self._open.values():
-            if episode.component in components:
-                episode.rekicks += 1
+        for episode in self._on(data.get("components", ())):
+            episode.rekicks += 1
 
     def _on_ready(self, time: SimTime, data: Dict[str, Any]) -> None:
         name = data.get("name")
@@ -304,18 +312,20 @@ class EpisodeTracker:
         if watchdog is not None:
             watchdog.ready_at = time
             self._complete(watchdog)
-        for episode in self._open_for(name):
+        for episode in self._by_component.get(name, {}).values():
             if episode.cured_at is None:
                 episode.ready_at = time
 
     def _on_restart_complete(self, time: SimTime, data: Dict[str, Any]) -> None:
-        components = set(data.get("components", ()))
-        for failure_id, episode in list(self._open.items()):
-            if episode.component not in components:
-                continue
+        done = []
+        for episode in self._on(data.get("components", ())):
             episode.completed_at = time
             if episode.cured_at is not None:
-                self._complete(self._open.pop(failure_id))
+                done.append(episode)
+        if len(done) > 1:  # several components: complete in injection order
+            done.sort(key=list(self._open.values()).index)
+        for episode in done:
+            self._finish(episode)
 
     def _on_cured(self, time: SimTime, data: Dict[str, Any]) -> None:
         episode = self._open.get(data.get("failure_id"))
@@ -331,10 +341,10 @@ class EpisodeTracker:
         component = data.get("component")
         # Confirmation beat restart_complete to the finish line (or the
         # covering restart never emitted one): finalize cured episodes.
-        for failure_id, episode in list(self._open.items()):
-            if episode.component == component and episode.cured_at is not None:
+        for episode in self._by_component.get(component, {}).values():
+            if episode.cured_at is not None:
                 episode.closed_at = time
-                self._complete(self._open.pop(failure_id))
+                self._finish(episode)
                 return
         # Otherwise annotate the most recent completed episode.
         for episode in reversed(self.episodes):
@@ -343,11 +353,10 @@ class EpisodeTracker:
                 return
 
     def _on_escalation(self, time: SimTime, data: Dict[str, Any]) -> None:
-        component = data.get("component")
-        for failure_id, episode in list(self._open.items()):
-            if episode.component == component and episode.cured_at is None:
+        for episode in self._by_component.get(data.get("component"), {}).values():
+            if episode.cured_at is None:
                 episode.gave_up = True
-                self._complete(self._open.pop(failure_id))
+                self._finish(episode)
                 return
 
     def _watchdog(self, time: SimTime, component: str) -> None:

@@ -148,7 +148,8 @@ class SimProcess:
         self.degraded_mode: Optional[str] = None
         #: Number of fail-slow degradations observed.
         self.degrade_count = 0
-        self._rng = manager.kernel.rngs.stream(f"proc.{spec.name}")
+        self._source = f"proc.{spec.name}"
+        self._rng = manager.kernel.rngs.stream(self._source)
         if spec.behavior_factory is not None:
             self.behavior = spec.behavior_factory(self)
 
@@ -189,9 +190,9 @@ class SimProcess:
             manager=self.manager, process=self, rng=self._rng, batch=batch, hint=hint
         )
         work = self.spec.startup_work(context)
-        self.kernel.trace.emit(
-            f"proc.{self.name}", ev.PROCESS_START, name=self.name, work=round(work, 6)
-        )
+        trace = self.kernel.trace
+        if trace.wants(ev.PROCESS_START):
+            trace.emit(self._source, ev.PROCESS_START, name=self.name, work=round(work, 6))
         self.manager.contention.begin(
             self.name, work, self._on_start_complete, batch_size=len(batch)
         )
@@ -204,7 +205,9 @@ class SimProcess:
         self.degraded_mode = None
         self.start_count += 1
         self.last_ready_at = self.kernel.now
-        self.kernel.trace.emit(f"proc.{self.name}", ev.PROCESS_READY, name=self.name)
+        trace = self.kernel.trace
+        if trace.wants(ev.PROCESS_READY):
+            trace.emit(self._source, ev.PROCESS_READY, name=self.name)
         if self.behavior is not None:
             self.behavior.on_start()
         self.manager._notify_ready(self)
@@ -233,7 +236,7 @@ class SimProcess:
         if failure is not None:
             self.last_failure = failure
         self.kernel.trace.emit(
-            f"proc.{self.name}",
+            self._source,
             ev.PROCESS_DEGRADED,
             severity=Severity.WARNING,
             name=self.name,
@@ -259,14 +262,16 @@ class SimProcess:
         self.failure_count += 1 if signal is Signal.KILL else 0
         self.last_down_at = self.kernel.now
         kind = ev.PROCESS_FAILED if signal is Signal.KILL else ev.PROCESS_STOPPED
-        self.kernel.trace.emit(
-            f"proc.{self.name}",
-            kind,
-            severity=Severity.WARNING if signal is Signal.KILL else Severity.INFO,
-            name=self.name,
-            signal=str(signal),
-            was_starting=was_starting,
-        )
+        trace = self.kernel.trace
+        if trace.wants(kind):
+            trace.emit(
+                self._source,
+                kind,
+                Severity.WARNING if signal is Signal.KILL else Severity.INFO,
+                name=self.name,
+                signal=str(signal),
+                was_starting=was_starting,
+            )
         if self.behavior is not None:
             # SIGKILL gives no chance to clean up gracefully, but the OS
             # still reclaims sockets: channels held by the process close and

@@ -21,17 +21,16 @@ retaining a single record — or building the two thirds of them nobody reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional
 
 from repro.obs import events as _events
 from repro.obs.sinks import RingSink, Sink
 from repro.types import Severity, SimTime
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One timestamped trace entry.
+class TraceRecord(NamedTuple):
+    """One timestamped trace entry, an immutable tuple (``data`` defaults to
+    one shared empty dict: no payload is mutated after emit).
 
     Attributes
     ----------
@@ -56,7 +55,7 @@ class TraceRecord:
     source: str
     kind: str
     severity: Severity = Severity.INFO
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any] = {}
 
     def format(self) -> str:
         """Render the record as a single human-readable line."""
@@ -64,10 +63,14 @@ class TraceRecord:
         return f"[{self.time:12.6f}] {self.severity!s:7} {self.source:18} {self.kind} {payload}".rstrip()
 
     def __deepcopy__(self, memo: dict) -> "TraceRecord":
-        # Records are append-only history: frozen fields, and nothing ever
+        # Records are append-only history: immutable, and nothing ever
         # mutates a payload after emit.  Sharing them keeps a snapshotted
         # station's retained boot trace from being walked record by record.
         return self
+
+
+#: How :meth:`Trace.emit` builds a record: one allocation, no keyword parsing.
+_new_record = tuple.__new__
 
 
 class Trace:
@@ -172,6 +175,15 @@ class Trace:
         """The attached sinks (a copy; mutate via add/remove)."""
         return list(self._sinks)
 
+    def wants(self, kind: str) -> bool:
+        """Whether an :meth:`emit` of ``kind`` does anything: the trace is
+        enabled, validation is on, or an attached sink reads ``kind``.  A
+        forwarder asks before re-packing its keywords into :meth:`emit`."""
+        if self.enabled or _events._validation_enabled:
+            return True
+        wanted = self._wanted
+        return wanted is None or kind in wanted
+
     def emit(
         self,
         source: str,
@@ -189,17 +201,18 @@ class Trace:
         the kind and payload are checked against the event registry first,
         whoever is or is not listening.
         """
+        if not self.wants(kind):
+            return None
         if _events._validation_enabled:
             _events.REGISTRY.validate(kind, data)
-        if not self.enabled:
-            wanted = self._wanted
-            if wanted is not None and kind not in wanted:
+            wanted = self._wanted  # checked; built only for a reader
+            if not self.enabled and wanted is not None and kind not in wanted:
                 return None
         if time is None:
             if self._clock is None:
                 raise ValueError("no clock attached; pass time= explicitly")
             time = self._clock.now
-        record = TraceRecord(time=time, source=source, kind=kind, severity=severity, data=data)
+        record = _new_record(TraceRecord, (time, source, kind, severity, data))
         if self.enabled:
             self._ring.accept(record)
             for callback in self._subscribers:

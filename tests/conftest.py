@@ -35,6 +35,23 @@ def manager(kernel: Kernel) -> ProcessManager:
     return ProcessManager(kernel, contention_coefficient=0.05)
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Every ``TraceRecord`` ``Trace.emit`` constructs, in order."""
+    import repro.sim.trace as trace_module
+
+    records = []
+    new_record = trace_module._new_record
+
+    def counted(cls, fields):
+        record = new_record(cls, fields)
+        records.append(record)
+        return record
+
+    monkeypatch.setattr(trace_module, "_new_record", counted)
+    return records
+
+
 #: The receive sites whose decoder refuses everything under the reference,
 #: which sends every inbound message to ``parse_message`` at delivery — the
 #: eager receive path the decoder replaced.  (A zombie broker recognises

@@ -103,7 +103,7 @@ def test_availability_is_the_same_whoever_else_listens(label):
     )
     assert dataclasses.asdict(alone) == dataclasses.asdict(watched)
     assert alone.outages > 0 and alone.phase_breakdown
-    everything.tracker.flush()
+    # measure_availability closed it, which flushed its tracker.
     assert alone.phase_breakdown == everything.phase_snapshot()
     # The neighbours really saw the kinds nobody else reads.
     assert everything.count("process_start") > 0

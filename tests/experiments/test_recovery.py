@@ -80,6 +80,24 @@ def test_result_carries_phase_breakdown():
     ) == pytest.approx(phases["total"].mean)
 
 
+def test_cell_builds_only_what_its_phase_table_reads(built):
+    from repro.obs.sinks import CallbackSink
+    from repro.obs.spans import EpisodeTracker
+
+    measure_recovery(tree_ii(), "rtu", trials=1, seed=72)  # warm the template
+    built.clear()
+    alone = measure_recovery(tree_ii(), "rtu", trials=2, seed=72)
+    assert built and {r.kind for r in built} <= EpisodeTracker.kinds
+    built.clear()
+    seen = []
+    watched = measure_recovery(
+        tree_ii(), "rtu", trials=2, seed=72, sinks=[CallbackSink(seen.append)]
+    )
+    assert seen == built
+    assert {r.kind for r in seen} - EpisodeTracker.kinds  # every kind is back
+    assert (watched.samples, watched.phases) == (alone.samples, alone.phases)
+
+
 def test_extra_sinks_receive_the_run():
     from repro.obs.sinks import MetricsSink
 

@@ -233,6 +233,18 @@ def test_phase_sink_is_the_metrics_sinks_phase_table():
     assert not hasattr(phases, "counters")
 
 
+def test_phase_sink_close_flushes_cured_but_unconfirmed_episodes():
+    """A run can end between ``failure_cured`` and ``restart_complete``;
+    closing the sink counts that episode, as the tracker's flush does."""
+    phases = PhaseSink()
+    for record in episode_records()[:4]:  # inject, detect, order, cure
+        phases.accept(record)
+    assert phases.phase_snapshot() == {}
+    phases.close()
+    assert phases.phase_stats("rtu")["total"].mean == 6.0
+    MetricsSink(track_episodes=False).close()  # nothing to flush
+
+
 def test_sinks_declare_what_they_read():
     from repro.obs.spans import EpisodeTracker
 

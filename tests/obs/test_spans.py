@@ -177,6 +177,68 @@ def test_overlapping_episodes_same_component():
     assert second.redetections == 0
 
 
+def test_two_open_episodes_on_one_component_share_its_restart():
+    """Both of a component's open episodes take its order and readiness;
+    only the cured one completes, the other stays open on its own id."""
+    tracker = EpisodeTracker()
+    feed(
+        tracker,
+        injected(0.0, "rtu", 4),
+        injected(0.5, "rtu", 3),  # ids need not follow injection order
+        detected(1.0, "rtu"),
+        ordered(1.5, "R_rtu", ["rtu"], trigger="rtu"),
+        ready(6.0, "rtu"),
+        cured(6.0, "rtu", 3),
+        completed(6.0, ["rtu"], cell="R_rtu"),
+    )
+    (done,) = tracker.episodes
+    (still_open,) = tracker.open_episodes()
+    assert (done.failure_id, still_open.failure_id) == (3, 4)
+    assert still_open.detected_at == 1.0 and done.detected_at is None
+    for episode in (done, still_open):
+        assert (episode.decided_at, episode.restarts, episode.ready_at) == (1.5, 1, 6.0)
+        assert episode.completed_at == 6.0
+    assert done.total_recovery == pytest.approx(5.5)
+
+
+def test_one_batch_completes_episodes_in_injection_order():
+    """A batch naming two components finishes their episodes in the order
+    they were injected, not the batch's (sorted) order."""
+    seen = []
+    tracker = EpisodeTracker(on_complete=seen.append)
+    feed(
+        tracker,
+        injected(0.0, "pbcom", 1, cure_set=["fedr", "pbcom"]),
+        injected(0.2, "fedr", 2),
+        detected(1.0, "pbcom"),
+        ordered(1.5, "R_fedr_pbcom", ["fedr", "pbcom"], trigger="pbcom"),
+        cured(9.0, "fedr", 2),
+        cured(9.0, "pbcom", 1),
+        completed(9.0, ["fedr", "pbcom"], cell="R_fedr_pbcom"),
+    )
+    assert [e.failure_id for e in tracker.episodes] == [1, 2]
+    assert seen == tracker.episodes
+    assert not tracker.open_episodes()
+    assert all(e.cells == ["R_fedr_pbcom"] for e in seen)
+
+
+def test_watchdog_span_beside_an_open_failure_episode():
+    tracker = EpisodeTracker()
+    feed(
+        tracker,
+        injected(0.0, "rtu", 1),
+        (0.5, ev.REC_RESTART, {"target": "rec"}),
+        ready(3.0, "rec"),  # ends the watchdog span only
+        detected(4.0, "rtu"),
+    )
+    (span,) = tracker.episodes
+    (episode,) = tracker.open_episodes()
+    assert (span.kind, span.component, span.restart_duration) == ("watchdog", "rec", 2.5)
+    assert (episode.component, episode.ready_at, episode.detected_at) == ("rtu", None, 4.0)
+    feed(tracker, (5.0, ev.FD_RESTART, {"target": "fd"}))
+    assert [e.component for e in tracker.open_episodes()] == ["rtu", "fd"]
+
+
 def test_new_injection_finalizes_cured_predecessor():
     """A cured-but-unconfirmed episode must close before a new one opens."""
     tracker = EpisodeTracker()

@@ -147,22 +147,6 @@ def test_remove_sink_stops_delivery(kernel):
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """Every ``TraceRecord`` ``Trace.emit`` constructs, in order."""
-    import repro.sim.trace as trace_module
-
-    records = []
-
-    class Counted(TraceRecord):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            records.append(self)
-
-    monkeypatch.setattr(trace_module, "TraceRecord", Counted)
-    return records
-
-
 def test_disabled_trace_builds_no_record_for_a_kind_nobody_declared(kernel, built):
     from repro.obs import events as ev
     from repro.obs.spans import EpisodeTracker
@@ -247,6 +231,80 @@ def test_validation_runs_before_the_interest_filter(kernel):
         assert trace.emit("fedr", ev.PBCOM_CONNECTED) is None  # valid, unheard
     finally:
         ev.set_validation(before)
+
+
+def test_forwarders_validate_kinds_nobody_reads(kernel, manager, built):
+    """``Behavior.trace`` and ``RecoveryEngine._emit`` ask ``Trace.wants``
+    before re-packing their keywords, and validation is part of the
+    answer: an unread kind with a missing required key still raises."""
+    from repro.components.base import Behavior
+    from repro.core.oracle import PerfectOracle
+    from repro.core.policy import RestartPolicy
+    from repro.core.recovery_engine import RecoveryEngine
+    from repro.core.tree import RestartTree, cell
+    from repro.obs import events as ev
+    from repro.obs.sinks import PhaseSink
+
+    from tests.conftest import spawn_simple
+
+    behavior = Behavior(spawn_simple(manager, "a"))
+    engine = RecoveryEngine(
+        kernel, manager, RestartPolicy(RestartTree(cell("R_a", ["a"])), PerfectOracle(manager)),
+        name="engine", crash_only=True, observation_window=1.0, restart_timeout=1.0,
+    )
+    trace = kernel.trace
+    trace.enabled = False
+    trace.add_sink(PhaseSink())
+    unread = (ev.REPLAY_WINDOW, ev.DECISION_IGNORE)
+    assert not any(trace.wants(kind) for kind in unread)
+    behavior.trace(ev.REPLAY_WINDOW, component="a")  # unchecked and unbuilt
+    engine._emit(ev.DECISION_IGNORE, reason="duplicate")
+    before = ev.validation_enabled()
+    ev.set_validation(True)
+    try:
+        assert all(trace.wants(kind) for kind in unread)
+        with pytest.raises(ev.ObsValidationError, match="messages"):
+            behavior.trace(ev.REPLAY_WINDOW, component="a")
+        with pytest.raises(ev.ObsValidationError, match="component"):
+            engine._emit(ev.DECISION_IGNORE, reason="duplicate")
+        behavior.trace(ev.REPLAY_WINDOW, component="a", messages=0)  # valid, unheard
+    finally:
+        ev.set_validation(before)
+    assert built == []
+
+
+def test_record_is_an_immutable_five_field_tuple():
+    import copy
+    import io
+    import pickle
+
+    from repro.obs.sinks import JsonlSink
+
+    record = TraceRecord(
+        time=12.5, source="proc.fedr", kind="process_failed", severity=Severity.WARNING,
+        data={"name": "fedr", "signal": "SIGKILL", "was_starting": False,
+              "cure_set": ("fedr", "pbcom")},
+    )
+    assert TraceRecord._fields == ("time", "source", "kind", "severity", "data")
+    with pytest.raises(AttributeError):
+        record.time = 13.0
+    assert copy.deepcopy(record) is record
+    assert pickle.loads(pickle.dumps(record)) == record
+    # Both renderings, byte for byte as the frozen-dataclass record gave them.
+    assert record.format() == (
+        "[   12.500000] warning proc.fedr          process_failed "
+        "cure_set=('fedr', 'pbcom') name='fedr' signal='SIGKILL' was_starting=False"
+    )
+    out = io.StringIO()
+    JsonlSink(out).accept(record)
+    assert out.getvalue() == (
+        '{"t": 12.5, "source": "proc.fedr", "kind": "process_failed", '
+        '"severity": "warning", "data": {"name": "fedr", "signal": "SIGKILL", '
+        '"was_starting": false, "cure_set": ["fedr", "pbcom"]}}\n'
+    )
+    bare = TraceRecord(time=3.0, source="s", kind="k")
+    assert (bare.severity, bare.data) == (Severity.INFO, {})
+    assert bare.format() == "[    3.000000] info    s                  k"
 
 
 def test_format_renders_fields(kernel):
