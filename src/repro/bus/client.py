@@ -15,10 +15,9 @@ from repro.errors import ChannelClosedError, NotConnectedError, XmlError
 from repro.types import SimTime
 from repro.xmlcmd.commands import (
     CommandMessage,
-    LazyMessage,
     Message,
     encode_message,
-    parse_message,
+    received_message,
 )
 from repro.xmlcmd.fastpath import decode_envelope
 
@@ -133,21 +132,12 @@ class BusClient:
         self._handlers.append(handler)
 
     def _on_raw(self, raw: str) -> None:
-        # Zero-copy receive: when the decoder vouches that the full parser
-        # would accept this message, store it *unparsed* — decoding happens
-        # lazily on first field access, and a consumer that only counts
-        # messages never materializes a document at all.  Anything it
-        # refuses takes the eager parse, so malformed traffic is still
-        # dropped at delivery.
-        message: Message
-        envelope = decode_envelope(raw)
-        if envelope is not None:
-            message = LazyMessage(raw, envelope)  # type: ignore[assignment]
-        else:
-            try:
-                message = parse_message(raw)
-            except XmlError:
-                return
+        # A wire the decoder refuses takes the full parse, so malformed
+        # traffic is dropped at delivery.
+        try:
+            message = received_message(raw, decode_envelope(raw))
+        except XmlError:
+            return
         if self.retain_messages:
             self.received.append(message)
         if self._handlers:

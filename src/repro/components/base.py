@@ -23,12 +23,11 @@ from repro.obs import events as ev
 from repro.types import Severity, SimTime
 from repro.xmlcmd.commands import (
     CommandMessage,
-    LazyMessage,
     Message,
     PingReply,
     encode_message,
     envelope_of,
-    parse_message,
+    received_message,
 )
 from repro.xmlcmd.fastpath import Envelope, decode_envelope, encode_ping_wire
 
@@ -216,7 +215,7 @@ class BusAttachedBehavior(Behavior):
         (``None``: refused, so the full parser judges it here)."""
         if env is not None and env.kind == "ping":
             # Liveness pings dominate bus traffic; answer straight from the
-            # envelope — no request or reply dataclass is ever built.
+            # envelope — no request or reply message is ever built.
             # Byte-identical to send(PingReply(...)), including the zombie
             # gate (a zombie's liveness thread still answers pings).
             endpoint = self._endpoint
@@ -238,18 +237,14 @@ class BusAttachedBehavior(Behavior):
                 self._session_store.log_message(self.name, raw)
             except StoreError:
                 pass
-        message: Message
-        if env is not None:
-            # Vouched wire: the full parser is guaranteed to accept it, so
-            # the payload stays a string unless ``on_message`` actually
-            # looks inside.
-            message = LazyMessage(raw, env)  # type: ignore[assignment]
-        else:
-            try:
-                message = parse_message(raw)
-            except XmlError as error:
-                self.trace(ev.BAD_MESSAGE, severity=Severity.WARNING, error=str(error))
-                return
+        try:
+            # A vouched wire cannot raise here: the full parser is
+            # guaranteed to accept it.
+            message = received_message(raw, env)
+        except XmlError as error:
+            self.trace(ev.BAD_MESSAGE, severity=Severity.WARNING, error=str(error))
+            return
+        if env is None:
             env = envelope_of(message)
             if env.kind == "ping":
                 # A schema-valid ping only the parser could judge (entities,

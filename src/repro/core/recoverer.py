@@ -262,7 +262,7 @@ class RecoveryModule(Behavior):
         self._ping_seq += 1
         self._outstanding_ping = self._ping_seq
         # Straight from the wire template: byte-identical to
-        # ``_ctl_send(PingRequest(...))`` without the dataclass.
+        # ``_ctl_send(PingRequest(...))`` without the message object.
         sent = self._ctl_send_raw(
             encode_ping_wire("ping", self.name, self.fd_name, self._ping_seq)
         )

@@ -118,27 +118,5 @@ class TransformationError(TreeError):
     """A restart-tree transformation cannot be applied at the given site."""
 
 
-class PolicyError(ReproError):
-    """Base class for restart-policy errors."""
-
-
-class RestartBudgetExceeded(PolicyError):
-    """A component exceeded its restart budget (suspected hard failure).
-
-    The recovery policy tracks past restarts to avoid restarting a "hard"
-    failure forever (paper, section 2.2).  When the budget is exhausted the
-    recoverer escalates to a human operator instead of restarting again.
-    """
-
-    def __init__(self, cell_id: str, attempts: int, budget: int) -> None:
-        super().__init__(
-            f"cell {cell_id!r} restarted {attempts} times within the budget "
-            f"window (budget {budget}); escalating to operator"
-        )
-        self.cell_id = cell_id
-        self.attempts = attempts
-        self.budget = budget
-
-
 class ExperimentError(ReproError):
     """Base class for experiment-harness errors."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ExperimentError
 from repro.types import SimTime
@@ -185,27 +185,3 @@ class UptimeTracker:
         if total == 0:
             return 1.0
         return self.system_uptime / total
-
-
-def downtime_intervals(
-    up_marks: Iterable[Tuple[SimTime, bool]]
-) -> List[Tuple[SimTime, SimTime]]:
-    """Collapse a (time, is_up) edge sequence into [start, end) outages.
-
-    Helper for trace-based analyses; the sequence must be time-ordered.  A
-    trailing open outage is dropped (callers finalize their trackers
-    instead).
-    """
-    outages: List[Tuple[SimTime, SimTime]] = []
-    down_since: Optional[SimTime] = None
-    last_time: Optional[SimTime] = None
-    for time, is_up in up_marks:
-        if last_time is not None and time < last_time:
-            raise ExperimentError("up/down edges out of order")
-        last_time = time
-        if is_up and down_since is not None:
-            outages.append((down_since, time))
-            down_since = None
-        elif not is_up and down_since is None:
-            down_since = time
-    return outages

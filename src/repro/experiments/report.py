@@ -86,21 +86,6 @@ def format_phase_breakdown(
     return format_table(headers, rows, title=title)
 
 
-def comparison_row(
-    label: str,
-    paper: Mapping[str, Optional[float]],
-    measured: Mapping[str, Optional[float]],
-    columns: Sequence[str],
-) -> List[List[object]]:
-    """Two table rows (paper vs measured) for a set of component columns."""
-    paper_row: List[object] = [f"{label} (paper)"]
-    measured_row: List[object] = [f"{label} (measured)"]
-    for column in columns:
-        paper_row.append(paper.get(column))
-        measured_row.append(measured.get(column))
-    return [paper_row, measured_row]
-
-
 def relative_errors(
     paper: Mapping[str, Optional[float]],
     measured: Mapping[str, Optional[float]],

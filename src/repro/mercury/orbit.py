@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.errors import ExperimentError
 from repro.types import SimTime
@@ -119,16 +119,6 @@ def predict_passes(
         if start <= window.start < start + horizon_s:
             windows.append(window)
     return windows
-
-
-def iterate_passes(satellite: Satellite, start: SimTime = 0.0) -> Iterator[PassWindow]:
-    """Endless chronological pass iterator (for open-ended simulations)."""
-    k = int(start // satellite.period_s)
-    while True:
-        window = _pass_for_orbit(satellite, k)
-        if window is not None and window.start >= start:
-            yield window
-        k += 1
 
 
 def _pass_for_orbit(satellite: Satellite, orbit_index: int) -> "PassWindow | None":

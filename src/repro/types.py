@@ -74,17 +74,3 @@ class Signal(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-class OracleGuess(enum.Enum):
-    """Classification of an oracle recommendation relative to the minimal cure.
-
-    The paper (section 4.4) identifies exactly two kinds of oracle mistakes.
-    """
-
-    MINIMAL = "minimal"
-    TOO_LOW = "guess-too-low"
-    TOO_HIGH = "guess-too-high"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value

@@ -1,10 +1,16 @@
 """Typed message schema on top of the XML command language.
 
 Every message on the software bus (and on the dedicated FD↔REC channel) is
-one of the dataclasses below, serialized as a ``<msg type="...">`` document.
-``parse_message`` is the single entry point for decoding; it validates the
-schema and raises :class:`~repro.errors.CommandSchemaError` on violations, so
-components never dispatch on malformed input.
+one of the ``NamedTuple`` classes below, serialized as a ``<msg type="...">``
+document.  ``parse_message`` is the single entry point for decoding; it
+validates the schema and raises :class:`~repro.errors.CommandSchemaError` on
+violations, so components never dispatch on malformed input.
+:func:`received_message` is the receive sites' door to it.
+
+A message is immutable and compares *class-strictly*: a ``PingRequest``
+never equals a ``PingReply``, an ``Envelope`` or a bare tuple with the same
+fields, whichever operand is on the left.  The hash is the tuple's, which
+equal messages share.
 
 Pings and commands — everything FD's liveness loop and the user-traffic
 plane put on the bus — are encoded and decoded at the wire level by
@@ -14,8 +20,7 @@ is decoded from the encoder's memo without reading its text.  The generic
 pipeline (``to_element`` → ``serialize_xml``, ``parse_xml`` →
 ``message_from_element``) carries the other kinds, every non-canonical
 spelling, and is the oracle the codec tests compare against
-(:func:`parse_message_full`).  :class:`LazyMessage` lets a receiver defer
-even the wire-level decode until a field is read.
+(:func:`parse_message_full`).
 
 Wire format examples::
 
@@ -29,8 +34,8 @@ Wire format examples::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from collections.abc import Mapping
+from typing import Dict, NamedTuple, Optional, Union, get_args
 
 from repro.errors import CommandSchemaError
 from repro.xmlcmd.document import Element
@@ -47,8 +52,39 @@ from repro.xmlcmd.parser import parse_xml
 from repro.xmlcmd.serializer import serialize_xml
 
 
-@dataclass(frozen=True)
-class PingRequest:
+class _NoParams(Mapping):
+    """The read-only empty ``params`` every default-params command shares.
+
+    Copies and pickles as itself, so no command can pass an edit on to the
+    next one built without params.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, name: str) -> str:
+        raise KeyError(name)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __reduce__(self) -> str:
+        return "_NO_PARAMS"
+
+
+_NO_PARAMS = _NoParams()
+
+#: ``_new_message(cls, fields)``: the generated ``__new__`` minus its
+#: argument shuffle — the decoders build one message per received wire.
+_new_message = tuple.__new__
+
+
+class PingRequest(NamedTuple):
     """Application-level liveness ping (FD → component)."""
 
     sender: str
@@ -62,8 +98,7 @@ class PingRequest:
         )
 
 
-@dataclass(frozen=True)
-class PingReply:
+class PingReply(NamedTuple):
     """Reply to a liveness ping (component → FD)."""
 
     sender: str
@@ -82,14 +117,13 @@ class PingReply:
         )
 
 
-@dataclass(frozen=True)
-class CommandMessage:
+class CommandMessage(NamedTuple):
     """High-level command between station components."""
 
     sender: str
     target: str
     verb: str
-    params: Dict[str, str] = field(default_factory=dict)
+    params: Mapping[str, str] = _NO_PARAMS
 
     def to_element(self) -> Element:
         children = [
@@ -108,8 +142,7 @@ class CommandMessage:
         )
 
 
-@dataclass(frozen=True)
-class TelemetryFrame:
+class TelemetryFrame(NamedTuple):
     """A chunk of downlinked satellite data relayed across the station."""
 
     sender: str
@@ -132,8 +165,7 @@ class TelemetryFrame:
         )
 
 
-@dataclass(frozen=True)
-class FailureReport:
+class FailureReport(NamedTuple):
     """FD → REC: one or more components appear to have failed."""
 
     sender: str
@@ -157,8 +189,7 @@ class FailureReport:
         )
 
 
-@dataclass(frozen=True)
-class RestartOrder:
+class RestartOrder(NamedTuple):
     """REC's record of a restart decision (also used on the FD↔REC channel).
 
     REC executes restarts directly through the process manager; this message
@@ -190,6 +221,22 @@ class RestartOrder:
 Message = Union[
     PingRequest, PingReply, CommandMessage, TelemetryFrame, FailureReport, RestartOrder
 ]
+
+
+def _same_message(self, other: object) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _other_message(self, other: object) -> bool:
+    return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+
+# Class-strict comparison.  A tuple subclass overriding ``__eq__`` is asked
+# first even as the right operand of a bare tuple, so both orders agree;
+# the inherited tuple hash stays consistent, since this only splits classes.
+for _cls in get_args(Message):
+    _cls.__eq__ = _same_message
+    _cls.__ne__ = _other_message
 
 
 def encode_message(message: Message) -> str:
@@ -250,20 +297,39 @@ def parse_message(text: str) -> Message:
         if kind == "command":
             # A copy: what the receiver does to its params must not reach
             # the next delivery of the same wire (a duplicate, a replay).
-            return CommandMessage(sender, target, verb, text.params.copy())
-        if kind == "ping":
-            return PingRequest(sender, target, seq)
-        return PingReply(sender, target, seq)
+            return _new_message(
+                CommandMessage, (sender, target, verb, text.params.copy())
+            )
+        return _new_message(
+            PingRequest if kind == "ping" else PingReply, (sender, target, seq)
+        )
     ping = split_ping_wire(text)
     if ping is not None:
         kind, sender, target, seq = ping
-        if kind == "ping":
-            return PingRequest(sender, target, seq)
-        return PingReply(sender, target, seq)
+        return _new_message(
+            PingRequest if kind == "ping" else PingReply, (sender, target, seq)
+        )
     command = split_command_wire(text)
     if command is not None:
-        return CommandMessage(*command)
+        return _new_message(CommandMessage, command)
     return parse_message_full(text)
+
+
+def received_message(raw: str, envelope: Optional[Envelope]) -> Message:
+    """The message a receive site delivers, given what
+    :func:`~repro.xmlcmd.fastpath.decode_envelope` made of ``raw``.
+
+    A command the scan vouched for in plain text is built from that
+    envelope plus one ``findall`` for its params; everything else — a
+    ``Wire``, which answers from its memo, or a wire the decoder refused —
+    goes through :func:`parse_message`, whose errors reach the caller.
+    """
+    if envelope is None or envelope.kind != "command" or raw.__class__ is Wire:
+        return parse_message(raw)
+    return _new_message(
+        CommandMessage,
+        (envelope.sender, envelope.target, envelope.verb, command_params(raw)),
+    )
 
 
 def parse_message_full(text: str) -> Message:
@@ -350,86 +416,3 @@ def envelope_of(message: Message) -> Envelope:
         getattr(message, "verb", None),
         getattr(message, "seq", None),
     )
-
-
-_LAZY_FIELDS = frozenset({"raw", "_envelope", "_msg"})
-
-
-class LazyMessage:
-    """A received bus message that defers decoding until first use.
-
-    Holds the wire string and, when the receiver's decoder produced one,
-    its :class:`~repro.xmlcmd.fastpath.Envelope`.  Any attribute access
-    delegates to the decoded message, produced exactly once and cached: a
-    command vouched from plain text is assembled from the envelope plus one
-    ``findall`` for its params, anything else goes through
-    :func:`parse_message` (which reads a ``Wire``'s memo).  The
-    ``__class__`` proxy makes ``isinstance(lazy, PingReply)`` (and dataclass
-    equality against a parsed message) behave as if the document had been
-    parsed eagerly — so consumers cannot tell the difference, except that a
-    consumer who looks at nothing pays for nothing.
-
-    Callers must only wrap strings the full parser is known to accept
-    (after a :func:`~repro.xmlcmd.fastpath.decode_envelope` hit), and only
-    pass the envelope decoded from that same string; wrapping garbage would
-    surface the parse error at first *access* instead of at delivery.
-
-    Copies and pickles as ``(raw, envelope)``: the copy decodes again on its
-    own first use.
-    """
-
-    def __init__(self, raw: str, envelope: Optional[Envelope] = None) -> None:
-        self.raw = raw
-        self._envelope = envelope
-        self._msg: Optional[Message] = None
-
-    def __reduce__(self):
-        return LazyMessage, (self.raw, self._envelope)
-
-    def _materialize(self) -> Message:
-        msg = self._msg
-        if msg is None:
-            raw = self.raw
-            envelope = self._envelope
-            if (
-                envelope is not None
-                and envelope.kind == "command"
-                and raw.__class__ is not Wire
-            ):
-                msg = CommandMessage(
-                    envelope.sender, envelope.target, envelope.verb, command_params(raw)
-                )
-            else:
-                msg = parse_message(raw)
-            self._msg = msg
-            # Adopt the decoded fields: every later ``lazy.verb`` is a plain
-            # attribute load, not a ``__getattr__`` round trip.
-            self.__dict__.update(msg.__dict__)
-        return msg
-
-    @property  # type: ignore[misc]
-    def __class__(self):
-        return self._materialize().__class__
-
-    def __getattr__(self, name: str):
-        # Only reached for names the instance lacks.  Its own three fields
-        # are missing only on a half-built instance (``__new__`` without
-        # ``__init__``, as copy and pickle make), and no dunder protocol is
-        # the decoded message's to answer: refusing both keeps a probe like
-        # ``hasattr(copy, "__setstate__")`` from recursing through
-        # ``_materialize``.
-        if name in _LAZY_FIELDS or (name.startswith("__") and name.endswith("__")):
-            raise AttributeError(name)
-        return getattr(self._materialize(), name)
-
-    def __eq__(self, other: object) -> bool:
-        return self._materialize() == other
-
-    def __ne__(self, other: object) -> bool:
-        return self._materialize() != other
-
-    def __hash__(self) -> int:
-        return hash(self._materialize())
-
-    def __repr__(self) -> str:
-        return repr(self._materialize())

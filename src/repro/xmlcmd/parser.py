@@ -210,11 +210,3 @@ def parse_xml(text: str) -> Element:
             f"unexpected content after document element at offset {pos}", pos
         )
     return root
-
-
-def try_parse_xml(text: str) -> Tuple[bool, object]:
-    """Non-raising variant: ``(True, element)`` or ``(False, error)``."""
-    try:
-        return True, parse_xml(text)
-    except XmlParseError as error:
-        return False, error

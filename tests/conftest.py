@@ -81,8 +81,9 @@ def _full_parse_reference():
     with pytest.MonkeyPatch.context() as patch:
         # Encoders hand out plain text, and a ``Wire`` encoded before the
         # reference was entered is read as text too (``str(raw)`` above,
-        # ``parse_message`` and ``LazyMessage`` below), so nothing answers
-        # from an encoder's memo: the reference decodes *text* end to end.
+        # ``parse_message`` and ``received_message`` below), so nothing
+        # answers from an encoder's memo: the reference decodes *text* end
+        # to end.
         patch.setattr(fastpath, "vouch", lambda text, envelope, params=None: text)
         patch.setattr("repro.xmlcmd.commands.Wire", _NoWire)
         for site in _REFUSING_SITES:

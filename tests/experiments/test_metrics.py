@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExperimentError
-from repro.experiments.metrics import RecoveryStats, UptimeTracker, downtime_intervals
+from repro.experiments.metrics import RecoveryStats, UptimeTracker
 
 from tests.conftest import spawn_simple
 
@@ -113,20 +113,6 @@ def test_observed_mttf_none_without_failures(kernel, manager):
     tracker.finalize()
     assert tracker.observed_mttf("a") is None
     assert tracker.observed_mttr("a") is None
-
-
-def test_downtime_intervals_collapse():
-    edges = [(1.0, False), (3.0, True), (5.0, False), (6.0, False), (9.0, True)]
-    assert downtime_intervals(edges) == [(1.0, 3.0), (5.0, 9.0)]
-
-
-def test_downtime_intervals_trailing_open_dropped():
-    assert downtime_intervals([(1.0, False)]) == []
-
-
-def test_downtime_intervals_out_of_order_rejected():
-    with pytest.raises(ExperimentError):
-        downtime_intervals([(2.0, False), (1.0, True)])
 
 
 # ----------------------------------------------------------------------

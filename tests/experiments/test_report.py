@@ -1,6 +1,6 @@
 """Tests for table formatting."""
 
-from repro.experiments.report import comparison_row, format_table, relative_errors
+from repro.experiments.report import format_table, relative_errors
 
 
 def test_format_table_alignment():
@@ -25,14 +25,6 @@ def test_format_table_column_widths_consistent():
     table = format_table(["a", "b"], [["xxxx", 1.0], ["y", 123456.78]])
     lines = table.splitlines()
     assert len(lines[0]) == len(lines[2]) == len(lines[3])
-
-
-def test_comparison_row_pairs():
-    rows = comparison_row(
-        "tree II", {"rtu": 5.59}, {"rtu": 5.62, "mbus": 5.7}, ["rtu", "mbus"]
-    )
-    assert rows[0] == ["tree II (paper)", 5.59, None]
-    assert rows[1] == ["tree II (measured)", 5.62, 5.7]
 
 
 def test_relative_errors():

@@ -21,7 +21,7 @@ from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network, NetworkFaultModel
-from repro.xmlcmd.commands import CommandMessage, LazyMessage, encode_message
+from repro.xmlcmd.commands import CommandMessage, encode_message
 from repro.xmlcmd.fastpath import Wire
 
 
@@ -67,7 +67,7 @@ class Scribbler(BusAttachedBehavior):
         self.seen = []
 
     def on_message(self, message):
-        assert type(message) is LazyMessage and type(message.raw) is Wire
+        assert type(message) is CommandMessage
         self.seen.append(dict(message.params))
         message.params["req"] = "scribbled"
         message.params.clear()

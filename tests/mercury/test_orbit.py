@@ -9,7 +9,6 @@ from repro.mercury.orbit import (
     PassWindow,
     Satellite,
     default_satellites,
-    iterate_passes,
     predict_passes,
 )
 
@@ -54,17 +53,6 @@ def test_prediction_window_respected():
     passes = predict_passes(sat, horizon_s=86400.0, start=86400.0)
     for window in passes:
         assert 86400.0 <= window.start < 2 * 86400.0
-
-
-def test_iterate_passes_matches_predict():
-    sat = Satellite("test")
-    predicted = predict_passes(sat, 7 * 86400.0)
-    iterated = []
-    for window in iterate_passes(sat):
-        if window.start >= 7 * 86400.0:
-            break
-        iterated.append(window)
-    assert iterated == predicted
 
 
 def test_max_elevation_in_range():

@@ -43,9 +43,6 @@ REFERENCE_DIRS = ("src", "bench", "benchmarks", "examples", "tools")
 ISLAND_NAMES = {
     "repro.chaos.scenarios.compose": "test-side API: tests/chaos builds its composed scenarios with it",
     "repro.detection.abstract.SupervisorWatchdog": "item 3: restarts a killed supervisor; wired when the robust path is the only path",
-    "repro.errors.RestartBudgetExceeded": "tests only: the policy escalates by return value and raises nothing",
-    "repro.experiments.metrics.downtime_intervals": "tests only: edge list to outage intervals",
-    "repro.experiments.report.comparison_row": "tests only: paper-vs-measured row pair",
     "repro.experiments.snapshot.template_count": "test-side API: how tests see a template hit or miss",
     "repro.experiments.template_store.install_blobs": "test-side API: the picklable pool initializer of the store tests",
     "repro.faults.distributions.Deterministic": "library API: a fixed lifetime, the distribution tests' reference",
@@ -53,13 +50,10 @@ ISLAND_NAMES = {
     "repro.faults.distributions.Weibull": "library API: the aging lifetime of DESIGN.md section 3; no station config selects it",
     "repro.faults.failure.known_failure_kinds": "test-side API: reads the failure-kind table",
     "repro.faults.failure.register_failure_kind": "library API: the extension point Failure's own error message names",
-    "repro.mercury.orbit.iterate_passes": "tests only: the endless twin of predict_passes",
     "repro.obs.events.set_validation": "test-side API: REPRO_OBS_VALIDATE without the environment",
     "repro.obs.events.validation_enabled": "test-side API: reads the switch set_validation sets",
     "repro.obs.sinks.CallbackSink": "test-side API: the read-everything sink of tests/obs and the differentials",
     "repro.obs.spans.episodes_from_trace": "item 5(a): `repro explain` rebuilds episodes from a captured trace with it",
-    "repro.types.OracleGuess": "tests only: names the two oracle mistakes of paper section 4.4",
-    "repro.xmlcmd.parser.try_parse_xml": "tests only: non-raising parse_xml",
 }
 
 

@@ -14,15 +14,28 @@ import collections
 import importlib
 import pathlib
 import re
+import typing
 
 import pytest
 
 from repro.bus.client import BusClient
+from repro.components.base import BusAttachedBehavior
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_v
 from repro.transport.channel import Endpoint
+from repro.workload.generator import WorkloadSpec
+from repro.workload.plane import WorkloadPlane
 from repro.xmlcmd import fastpath
-from repro.xmlcmd.commands import CommandMessage, PingRequest
+from repro.xmlcmd.commands import (
+    CommandMessage,
+    FailureReport,
+    Message,
+    PingReply,
+    PingRequest,
+    RestartOrder,
+    TelemetryFrame,
+    encode_message,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -109,6 +122,49 @@ def test_a_live_station_decodes_once_per_delivery():
     decoded = {site: n for (site, n) in per_delivery if n}
     assert decoded == dict.fromkeys(RECEIVE_SITES, 1)
     assert all(n == 1 for (site, n) in per_delivery if site in RECEIVE_SITES)
+
+
+def test_a_live_station_delivers_schema_messages_themselves():
+    """What reaches ``on_message`` and ``BusClient`` handlers is the decoded
+    message: its ``type()`` is one of the six schema classes, whichever
+    decoder judged the wire — memo, vouched plain text or the parser."""
+    schema = set(typing.get_args(Message))
+    delivered = {"on_message": collections.Counter(), "handler": collections.Counter()}
+
+    def recorder(site, inner=None):
+        def record(message):
+            delivered[site][type(message)] += 1
+            if inner is not None:
+                inner(message)
+
+        return record
+
+    station = MercuryStation(tree=tree_v(), seed=3)
+    station.boot()
+    for process in station.manager.processes():
+        if isinstance(process.behavior, BusAttachedBehavior):
+            process.behavior.on_message = recorder("on_message", process.behavior.on_message)
+    plane = WorkloadPlane(station, WorkloadSpec(session_rate=20.0))
+    plane.client.on_message(recorder("handler"))
+    ops = BusClient(station.kernel, station.network, "ops")
+    ops.on_message(recorder("handler"))
+    ops.connect()
+    plane.start()
+    station.kernel.run(until=station.kernel.now + 2.0)
+    for message in (
+        PingRequest("ops", "ses", 1),
+        CommandMessage("ops", "str", "sync"),
+        TelemetryFrame("ops", "ses", "opal", "p7", 512),
+        FailureReport("ops", "ses", ("str",), 4.5),
+        RestartOrder("ops", "ses", "R_str", ("str",), "begin"),
+    ):
+        ops.send(message)
+    # A command as plain text: decoded from the envelope the scan vouched.
+    ops._endpoint.send(str(encode_message(CommandMessage("ops", "ses", "sync"))))
+    station.kernel.run(until=station.kernel.now + 2.0)
+    assert plane.effects.requests_ok > 0
+    assert set(delivered["on_message"]) == schema - {PingRequest, PingReply}
+    assert set(delivered["handler"]) == {CommandMessage, PingReply}
 
 
 def test_design_per_hop_table_lists_exactly_the_receive_sites():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.types import OracleGuess, ProcessState, Severity, Signal
+from repro.types import ProcessState, Severity, Signal
 
 
 def test_process_state_terminal_classification():
@@ -22,12 +22,6 @@ def test_process_state_alive_only_when_running():
 def test_signal_values_match_posix_names():
     assert str(Signal.KILL) == "SIGKILL"
     assert str(Signal.TERM) == "SIGTERM"
-
-
-def test_oracle_guess_labels():
-    assert str(OracleGuess.TOO_LOW) == "guess-too-low"
-    assert str(OracleGuess.TOO_HIGH) == "guess-too-high"
-    assert str(OracleGuess.MINIMAL) == "minimal"
 
 
 def test_severity_str():
@@ -50,14 +44,6 @@ def test_invalid_transition_error_carries_context():
     assert error.current_state == "running"
     assert error.requested_state == "starting"
     assert "fedr" in str(error)
-
-
-def test_restart_budget_exceeded_carries_context():
-    error = errors.RestartBudgetExceeded("R_rtu", attempts=7, budget=6)
-    assert error.cell_id == "R_rtu"
-    assert error.attempts == 7
-    assert error.budget == 6
-    assert "escalating to operator" in str(error)
 
 
 def test_xml_parse_error_position_default():

@@ -11,13 +11,14 @@ from repro.errors import CommandSchemaError, XmlParseError
 from repro.xmlcmd.commands import (
     CommandMessage,
     FailureReport,
-    LazyMessage,
     PingReply,
     PingRequest,
     RestartOrder,
     TelemetryFrame,
     encode_message,
+    envelope_of,
     parse_message,
+    received_message,
 )
 from repro.xmlcmd.fastpath import decode_envelope
 
@@ -134,8 +135,17 @@ def test_ping_roundtrip_property(sender, target, seq):
 
 
 # ----------------------------------------------------------------------
-# LazyMessage: copying and pickling the proxy (ROADMAP 4d)
+# the schema classes: class-strict, immutable, copyable
 # ----------------------------------------------------------------------
+
+_SUBJECTS = [
+    CommandMessage("ses", "users", "svc-reply", {"req": "7", "svc": "telemetry"}),
+    PingReply("ses", "fd", 17),
+    TelemetryFrame("fedr", "ops", "opal", "p42", 4800),
+    PingRequest("fd", "ses", 17),
+    FailureReport("fd", "rec", ("ses", "str"), 12.125),
+    RestartOrder("rec", "fd", "R_ses_str", ("ses", "str"), "begin"),
+]
 
 _CLONERS = [
     pytest.param(copy.copy, id="copy"),
@@ -146,40 +156,76 @@ _CLONERS = [
     ),
 ]
 
-_LAZY_SUBJECTS = [
-    CommandMessage("ses", "users", "svc-reply", {"req": "7", "svc": "telemetry"}),
-    PingReply("ses", "fd", 17),
-    TelemetryFrame("fedr", "ops", "opal", "p42", 4800),
-]
-
 
 @pytest.mark.parametrize("clone", _CLONERS)
 @pytest.mark.parametrize("vouched", [True, False], ids=["wire", "text"])
 @pytest.mark.parametrize("touched", [False, True], ids=["fresh", "materialized"])
-@pytest.mark.parametrize("message", _LAZY_SUBJECTS, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("message", _SUBJECTS, ids=lambda m: type(m).__name__)
 def test_lazy_message_copies_and_pickles(message, touched, vouched, clone):
-    """Used to die in ``RecursionError``: the half-built copy's missing
-    ``_msg`` went through ``__getattr__`` into ``_materialize`` and back."""
+    """A message stays lazy — still its wire — until a receive site decodes
+    it, and a snapshot fork or a template blob may clone it on either side
+    of that moment.  Cloning the wire and decoding the clone ("fresh"), or
+    decoding and cloning the message ("materialized"), gives back an equal
+    message of the sender's exact class, and leaves the original alone."""
     raw = encode_message(message)
     if not vouched:
         raw = str(raw)
-    lazy = LazyMessage(raw, decode_envelope(raw))
     if touched:
-        assert lazy.sender == message.sender
-    twin = clone(lazy)
-    assert type(twin) is LazyMessage and twin is not lazy
-    assert twin.raw == raw and type(twin.raw) is type(raw)
-    assert twin._envelope == lazy._envelope
-    assert twin._msg is None  # decodes again, on its own first use
-    assert twin == message and isinstance(twin, type(message))
-    assert lazy == message
+        decoded = received_message(raw, decode_envelope(raw))
+        twin = clone(decoded)
+        assert twin is not decoded and decoded == message
+    else:
+        wire = clone(raw)
+        assert wire == raw and type(wire) is type(raw)
+        twin = received_message(wire, decode_envelope(wire))
+    assert type(twin) is type(message) and twin == message
 
 
-def test_half_built_lazy_message_raises_attribute_error():
-    bare = LazyMessage.__new__(LazyMessage)
-    for name in ("raw", "_envelope", "_msg", "__setstate__", "__deepcopy__"):
-        with pytest.raises(AttributeError):
-            getattr(bare, name)
-    # ... while a built one still proxies every public field of its message.
-    lazy = LazyMessage(encode_message(_LAZY_SUBJECTS[2]))
-    assert lazy.satellite == "opal" and lazy.payload_bytes == 4800
+@pytest.mark.parametrize("clone", _CLONERS)
+def test_every_message_class_copies_and_pickles(clone):
+    for message in [*_SUBJECTS, CommandMessage("ops", "mbus", "attach")]:
+        twin = clone(message)
+        assert type(twin) is type(message) and twin == message
+
+
+def test_equality_is_class_strict_in_both_operand_orders():
+    for message in _SUBJECTS:
+        strangers = [tuple(message), envelope_of(message)]
+        if isinstance(message, (PingRequest, PingReply)):
+            other = PingReply if isinstance(message, PingRequest) else PingRequest
+            strangers.append(other(*message))
+        for stranger in strangers:
+            assert not message == stranger and not stranger == message
+            assert message != stranger and stranger != message
+        twin = type(message)(*message)
+        assert message == twin and not message != twin
+
+
+def test_equal_pings_hash_equal_and_dict_params_stay_unhashable():
+    assert hash(PingRequest("fd", "ses", 17)) == hash(PingRequest("fd", "ses", 17))
+    assert len({PingRequest("fd", "ses", 17), PingRequest("fd", "ses", 17)}) == 1
+    assert len({PingRequest("fd", "ses", 17), PingReply("fd", "ses", 17)}) == 2
+    with pytest.raises(TypeError):
+        hash(CommandMessage("ses", "users", "svc-reply", {"req": "7"}))
+
+
+@pytest.mark.parametrize("message", _SUBJECTS, ids=lambda m: type(m).__name__)
+def test_messages_refuse_attribute_assignment(message):
+    with pytest.raises(AttributeError):
+        message.sender = "intruder"
+    with pytest.raises(AttributeError):
+        message.extra = 1
+
+
+def test_default_params_cannot_carry_state_to_the_next_command():
+    first = CommandMessage("ops", "mbus", "attach")
+    with pytest.raises(TypeError):
+        first.params["req"] = "7"
+    with pytest.raises(AttributeError):
+        first.params.update(req="7")
+    second = CommandMessage("ses", "mbus", "attach")
+    assert second.params == {} and not second.params and list(second.params) == []
+    assert second.params.get("req") is None
+    assert encode_message(second) == encode_message(
+        CommandMessage("ses", "mbus", "attach", {})
+    )

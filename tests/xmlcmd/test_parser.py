@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import XmlParseError
-from repro.xmlcmd.parser import parse_xml, try_parse_xml
+from repro.xmlcmd.parser import parse_xml
 
 
 def test_self_closing_element():
@@ -99,18 +99,6 @@ def test_parse_error_reports_position():
     with pytest.raises(XmlParseError) as excinfo:
         parse_xml("<a attr=bad/>")
     assert excinfo.value.position >= 0
-
-
-def test_try_parse_success():
-    ok, doc = try_parse_xml("<a/>")
-    assert ok
-    assert doc.tag == "a"
-
-
-def test_try_parse_failure():
-    ok, error = try_parse_xml("<a")
-    assert not ok
-    assert isinstance(error, XmlParseError)
 
 
 def test_mixed_text_and_children_text_collected():
