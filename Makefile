@@ -21,10 +21,13 @@ test:
 lint:
 	$(PYTHON) tools/lint.py src tests tools
 
-# One fast chaos campaign with live invariant checking; nonzero exit on
-# any invariant violation.
+# Two fast chaos campaigns with live invariant checking; nonzero exit on
+# any invariant violation.  Flapping kills REC mid-recovery on a
+# strategy-less station, so the crash-only supervision plane (REC rebuilt
+# by FD, episodes reconciled, stale plans fenced) runs on every push.
 chaos-smoke:
-	$(PYTHON) -m repro.cli chaos --scenario cascade --tree V --trials 1 --seed 7
+	$(PYTHON) -m repro.cli chaos --scenario cascade --scenario flapping \
+		--tree V --trials 1 --seed 7
 
 # The lossy-network campaign: the fault fabric, the adaptive detector,
 # and the detection-accuracy invariants, end to end.

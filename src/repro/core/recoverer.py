@@ -17,8 +17,10 @@ transport around it.  It:
   — the REC half of the FD/REC mutual-recovery special case.
 
 REC is itself a supervised process: killing it drops all in-flight episode
-state.  A fresh classic REC relearns the world from FD's re-reports; a
-strategy-enabled one rebuilds crash-only (the engine's ``new_incarnation``).
+state.  A restarted REC rebuilds crash-only (the engine's
+``new_incarnation``): it reconciles the half-done episodes against the
+processes it can see, fences the dead incarnation's callbacks, and leaves
+whatever is genuinely still down to FD's re-reports.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional, Tuple, TYPE_CHECKING
 from repro.components.base import Behavior
 from repro.core.policy import RestartPolicy
 from repro.core.procedures import ProcedureMap
-from repro.core.recovery_engine import RecoveryEngine, TraceDialect
+from repro.core.recovery_engine import RecoveryEngine
 from repro.core.recovery_strategies import StrategyMap
 from repro.errors import ChannelClosedError
 from repro.obs import events as ev
@@ -51,13 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.process import SimProcess
     from repro.transport.channel import Endpoint
     from repro.transport.network import Network
-
-#: The trace items REC's golden traces pin and the abstract supervisor's
-#: do not (DESIGN.md §11).
-REC_DIALECT = TraceDialect(
-    decision_ignore=True, episode_closed=True, procedure=True, rekick_warns_first=True
-)
-
 
 class RecoveryModule(Behavior):
     """The REC behavior."""
@@ -88,21 +83,17 @@ class RecoveryModule(Behavior):
         self.fd_ping_period = fd_ping_period
         self.fd_ping_timeout = fd_ping_timeout
         self.fd_grace = fd_grace
-        #: The crash-only plane is on exactly when strategies are configured
-        #: (classic boot seeds and golden traces stay byte-identical).
         self.engine = RecoveryEngine(
             self.kernel,
             manager,
             policy,
             name=process.name,
-            crash_only=strategies is not None,
             observation_window=observation_window,
             restart_timeout=restart_timeout,
             procedures=procedures,
             strategies=strategies,
             session_store=session_store,
             announce=self._announce,
-            dialect=REC_DIALECT,
         )
         #: Per-cell recovery procedures (§7); pushing a cell's button runs
         #: its procedure, restart being the default.
@@ -130,10 +121,9 @@ class RecoveryModule(Behavior):
         self._fd_restart_inflight = False
         self._listener = self.network.listen(self.ctl_address, self._on_accept)
         self.trace(ev.REC_LISTENING, address=self.ctl_address)
-        if self.process.start_count > 1 and self.engine.crash_only:
+        if self.process.start_count > 1:
             self.engine.new_incarnation()
         else:
-            # First boot, or the classic relearn-from-re-reports restart.
             self.engine.start()
         self._schedule_fd_ping()
 
@@ -232,10 +222,8 @@ class RecoveryModule(Behavior):
     def _on_ctl_failure_report(self, message: FailureReport) -> None:
         for component in message.failed_components:
             self.trace(ev.FAILURE_REPORTED, component=component)
-            action = self.engine.action
-            if action is not None and component in action.batch:
-                continue  # fallout of our own restart; FD races are harmless
-            self.engine.report_failure(component)
+            if not self.engine.expects_down(component):
+                self.engine.report_failure(component)
 
     def _on_ctl_command(self, message: CommandMessage) -> None:
         # FD's spurious-restart guard: the declared component answered

@@ -15,6 +15,9 @@ ends feed it :meth:`~RecoveryEngine.report_failure`,
 * :class:`~repro.detection.abstract.AbstractSupervisor` — process-manager
   lifecycle events with a sampled detection latency.
 
+Both get the same engine: one crash-only plane, one trace dialect, one
+report filter (:meth:`~RecoveryEngine.expects_down`).
+
 Hooks handed to the engine are bound methods, never closures: the warmed-
 station snapshot deep-copies (and the template store pickles) the whole
 station, and a closure would keep pointing at the template's kernel.
@@ -46,25 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
 
 
-@dataclass(frozen=True)
-class TraceDialect:
-    """Trace items the golden traces pin for one front end only.
-
-    The defaults are the abstract supervisor's dialect; REC's sets all
-    four (DESIGN.md §11 lists them as item-4a debt).
-    """
-
-    #: Emit ``decision_ignore`` when the policy ignores a report.
-    decision_ignore: bool = False
-    #: Emit ``episode_closed`` when an observation window expires clean.
-    episode_closed: bool = False
-    #: Carry the plan's ``procedure=`` label on ``restart_ordered``.
-    procedure: bool = False
-    #: ``restart_rekick`` at WARNING *before* the re-kicked starts
-    #: (default: at INFO after them).
-    rekick_warns_first: bool = False
-
-
 @dataclass
 class _Action:
     """The one restart action in flight."""
@@ -93,25 +77,18 @@ class RecoveryEngine:
         policy: RestartPolicy,
         *,
         name: str,
-        crash_only: bool,
         observation_window: SimTime,
         restart_timeout: SimTime,
         procedures: Optional[ProcedureMap] = None,
         strategies: Optional[StrategyMap] = None,
         session_store=None,
         announce: Optional[Callable[[str, Tuple[str, ...], str], None]] = None,
-        dialect: TraceDialect = TraceDialect(),
     ) -> None:
         self.kernel = kernel
         self.manager = manager
         self.policy = policy
         #: Trace source, and the ``supervisor=`` of ``supervisor_restarted``.
         self.name = name
-        #: Whether the self-recovery plane is on: stale-generation
-        #: callbacks are traced as fenced and stale observation timers are
-        #: dropped.  REC derives it from ``strategies is not None`` (the
-        #: classic trace is golden-pinned) until ROADMAP item 4a flips it.
-        self.crash_only = crash_only
         self.observation_window = observation_window
         #: A restart action not complete after this long has lost a member
         #: (e.g. killed mid-startup by a concurrent fault); the watchdog
@@ -130,7 +107,6 @@ class RecoveryEngine:
         #: tells FD which components not to report; the abstract
         #: supervisor has nobody to tell.
         self.announce = announce
-        self.dialect = dialect
 
         self.alive = False
         #: Incarnation counter.  Scheduled callbacks carry the generation
@@ -140,8 +116,7 @@ class RecoveryEngine:
         #: later step always has a later seq, so a superseded step's
         #: callbacks die on the seq check alone.
         self._action_seq = 0
-        #: The action in flight (front ends read it for their report
-        #: filters; only the engine writes it).
+        #: The action in flight (only the engine writes it).
         self.action: Optional[_Action] = None
         self._pending: Deque[str] = deque()
         #: Decisions taken, for tests and reports.
@@ -239,6 +214,16 @@ class RecoveryEngine:
         """Whether a restart action is in flight."""
         return self.action is not None
 
+    def expects_down(self, name: str) -> bool:
+        """Whether ``name`` being down is our own restart's fallout.
+
+        True for a member of the in-flight batch not yet ready; a member
+        that came back and failed anew is a real failure.  Both front ends
+        filter their reports through this.
+        """
+        action = self.action
+        return action is not None and name in action.batch and name not in action.ready
+
     def report_failure(self, component: str) -> None:
         """``component`` was declared failed: act now, or after the action
         in flight (one restart action at a time)."""
@@ -292,8 +277,7 @@ class RecoveryEngine:
         # outcome; checkpoint the estimates before acting on them.
         self._persist_oracle()
         if decision.action == "ignore":
-            if self.dialect.decision_ignore:
-                self._emit(ev.DECISION_IGNORE, component=component, reason=decision.reason)
+            self._emit(ev.DECISION_IGNORE, component=component, reason=decision.reason)
             return
         if decision.action == "give_up":
             self._emit(
@@ -369,9 +353,10 @@ class RecoveryEngine:
             )
         self.action = _Action(cell_id, plan.batch, chosen, ctx, plan)
         batch = tuple(sorted(plan.batch))
-        order = {"cell": cell_id, "components": batch, "trigger": trigger}
-        if self.dialect.procedure:
-            order["procedure"] = plan.label
+        order = {
+            "cell": cell_id, "components": batch, "trigger": trigger,
+            "procedure": plan.label,
+        }
         if oracle_cell is not None:
             order["oracle_cell"] = oracle_cell
         if chosen.name != "restart":
@@ -433,19 +418,13 @@ class RecoveryEngine:
         return self.action
 
     def _fence(self, stale_generation: int) -> None:
-        """Trace a pre-crash plan callback being discarded.
-
-        Silent when the self-recovery plane is off: a classic REC shot
-        mid-action leaves exactly this callback behind, and the classic
-        trace — golden-pinned — has no such event.
-        """
-        if self.crash_only:
-            self._emit(
-                ev.PLAN_FENCED,
-                severity=Severity.WARNING,
-                generation=self._generation,
-                stale_generation=stale_generation,
-            )
+        """Trace a pre-crash plan callback being discarded."""
+        self._emit(
+            ev.PLAN_FENCED,
+            severity=Severity.WARNING,
+            generation=self._generation,
+            stale_generation=stale_generation,
+        )
 
     def _execute_deferred(self, generation: int, action_seq: int) -> None:
         """Run a plan whose decision was delayed by the store's ladder."""
@@ -464,13 +443,11 @@ class RecoveryEngine:
             for name in sorted(gate - action.ready)
             if self.manager.get(name).state.is_terminal
         )
-        warn_first = self.dialect.rekick_warns_first
-        if stragglers and warn_first:
+        if stragglers:
+            # Cause before effect: the re-kick is traced before its starts.
             self._emit(ev.RESTART_REKICK, severity=Severity.WARNING, components=stragglers)
         for name in stragglers:
             self.manager.start(name, batch=gate)
-        if stragglers and not warn_first:
-            self._emit(ev.RESTART_REKICK, components=stragglers)
         self.kernel.schedule_after(
             self.restart_timeout, self._check_restart_progress, generation, action_seq
         )
@@ -557,10 +534,9 @@ class RecoveryEngine:
     def _expire_observation(self, generation: int, component: str) -> None:
         if not self.alive:
             return
-        if self.crash_only and generation != self._generation:
+        if generation != self._generation:
             return  # a dead incarnation's timer; new_incarnation() re-armed
         if self.policy.observation_expired(component, self.kernel.now):
             self.kernel.wake()  # episode closed
-            if self.dialect.episode_closed:
-                self._emit(ev.EPISODE_CLOSED, component=component)
+            self._emit(ev.EPISODE_CLOSED, component=component)
             self._persist_oracle()

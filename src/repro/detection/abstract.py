@@ -75,14 +75,13 @@ class AbstractSupervisor:
         self.reply_timeout = reply_timeout
         self.observation_window = observation_window
         #: The supervisor's own crash-only lifecycle (:meth:`restart`) is
-        #: opt-in by whoever calls it, not gated on ``strategies``: its
-        #: engine always fences and drops stale timers.
+        #: driven by whoever calls it (a :class:`SupervisorWatchdog` or a
+        #: test); the engine is the same one REC runs.
         self.engine = RecoveryEngine(
             kernel,
             manager,
             policy,
             name="supervisor",
-            crash_only=True,
             observation_window=observation_window,
             restart_timeout=restart_timeout,
             procedures=procedures,
@@ -139,11 +138,6 @@ class AbstractSupervisor:
     # detection
     # ------------------------------------------------------------------
 
-    def _restarting(self, name: str) -> bool:
-        """Expected downtime: a member of our own restart not yet back."""
-        action = self.engine.action
-        return action is not None and name in action.batch and name not in action.ready
-
     def _schedule_declare(self, name: str) -> None:
         delay = self._rng.uniform(0.0, self.ping_period) + self.reply_timeout
         self.kernel.schedule_after(delay, self._declare, self.restart_count, name)
@@ -157,7 +151,7 @@ class AbstractSupervisor:
         elif event.startswith("down:") and name in self.monitored:
             # A member that completed its restart and then failed anew
             # (fresh fault or re-manifestation) is detected normally.
-            if not self._restarting(name):
+            if not self.engine.expects_down(name):
                 self._schedule_declare(name)
 
     def _declare(self, incarnation: int, component: str) -> None:
@@ -167,7 +161,7 @@ class AbstractSupervisor:
             return
         if self.manager.get(component).is_running:
             return  # came back before we would have noticed
-        if self._restarting(component):
+        if self.engine.expects_down(component):
             return  # still restarting as part of the in-flight batch
         self.detections += 1
         self.kernel.trace.emit("supervisor", ev.DETECTION, component=component)

@@ -101,7 +101,6 @@ class FailureDetector(BusAttachedBehavior):
         probe_period: SimTime = 0.0,
         probe_timeout: SimTime = 0.5,
         probe_misses_to_declare: int = 2,
-        crash_only_supervision: bool = False,
     ) -> None:
         super().__init__(process, network, bus_address)
         if timeout_policy not in ("fixed", "adaptive"):
@@ -125,12 +124,6 @@ class FailureDetector(BusAttachedBehavior):
         self.probe_period = probe_period
         self.probe_timeout = probe_timeout
         self.probe_misses_to_declare = probe_misses_to_declare
-        #: On strategy-enabled stations the recovery plane is crash-only:
-        #: restarting a dead REC also lifts its stale suppression (a dead
-        #: REC's in-flight order never completes, so the suppression would
-        #: otherwise never end).  Off by default — the classic fixed
-        #: configuration keeps its pre-crash-only trace byte-identical.
-        self.crash_only_supervision = crash_only_supervision
         #: Adaptive-timeout clamp, hoisted off the per-round path: the cap
         #: keeps every judgement inside its own round (see
         #: :meth:`_current_timeout`).
@@ -675,7 +668,7 @@ class FailureDetector(BusAttachedBehavior):
         self._rec_restart_inflight = True
         self._rec_misses = 0
         self.trace(ev.REC_RESTART, severity=Severity.WARNING)
-        if self.crash_only_supervision and self._suppressed:
+        if self._suppressed:
             # The dead REC's in-flight restart order will never complete,
             # so its suppression would never lift: components it covered
             # would go unwatched forever — a recovery deadlock.  Lift it

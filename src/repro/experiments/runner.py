@@ -327,7 +327,7 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "scenario", "tree"),
         run=_run_chaos,
         decode=_decode_chaos,
-        version=1,
+        version=2,
     ),
     "strategy": Kind(
         reads=("strategy", "failure_kind", "trials", "supervisor"),

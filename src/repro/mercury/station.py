@@ -177,12 +177,15 @@ class MercuryStation:
             Recovery-strategy selection (see
             :mod:`repro.core.recovery_strategies`).  ``strategy`` names a
             registry entry used as the map default; ``strategies`` passes a
-            full :class:`StrategyMap`.  Either one switches the station to
-            *strategy-enabled* mode: a crash-only
+            full :class:`StrategyMap`.  Either one selects the strategies
+            and the store, nothing else: a crash-only
             :class:`~repro.mercury.session_store.SessionStore` is wired
             into ses/str/fedr/pbcom and the supervisor resolves a strategy
-            per restart action.  Both ``None`` (the default) reproduces the
-            classic restart-only station bit-for-bit.
+            per restart action.  Both ``None`` (the default) is the classic
+            restart-only station, with no store and the oracle's strategy
+            hint unread.  The supervision plane is the same either way:
+            a restarted REC rebuilds crash-only and FD lifts its stale
+            suppression.
         steady_faults:
             Arm the Table 1 steady-state failure arrivals (availability
             experiments).
@@ -396,7 +399,6 @@ class MercuryStation:
                 probe_period=self.config.probe_period,
                 probe_timeout=self.config.probe_timeout,
                 probe_misses_to_declare=self.config.probe_misses_to_declare,
-                crash_only_supervision=self.strategies is not None,
             )
             return self.fd
         raise ExperimentError(f"no behavior for component {name!r}")

@@ -5,6 +5,7 @@ import pytest
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_iii, tree_v
 from repro.types import ProcessState
+from repro.xmlcmd.commands import FailureReport
 
 
 @pytest.fixture
@@ -138,3 +139,28 @@ def test_both_fd_and_rec_down_is_unrecoverable(station):
     station.run_for(60.0)
     assert station.manager.get("fd").state is ProcessState.FAILED
     assert station.manager.get("rec").state is ProcessState.FAILED
+
+
+def test_rec_serves_a_report_about_a_member_that_failed_anew(station):
+    """REC filters reports through the engine's ``expects_down``: a batch
+    member that already came back and then failed again is a real
+    failure, queued behind the action and decided at its drain."""
+    station.injector.inject_joint("ses", ["ses", "str"])
+    engine = station.rec.engine
+    while engine.action is None or not engine.action.ready:
+        assert station.kernel.step()
+    action = engine.action
+    assert action.batch == frozenset({"ses", "str"}) and action.ready == {"str"}
+    assert engine.expects_down("ses") and not engine.expects_down("str")
+    station.manager.fail("str")
+    report = FailureReport(
+        sender="fd", target="rec", failed_components=("str",),
+        detected_at=station.kernel.now,
+    )
+    assert station.fd._ctl_send(report)
+    while engine.action is action:
+        assert station.kernel.step()
+    complete = station.trace.first("restart_complete", cell="R_ses_str")
+    orders = station.trace.filter(kind="restart_ordered")
+    assert [r.data["trigger"] for r in orders] == ["ses", "str"]
+    assert orders[1].time == complete.time  # served by the drain, not re-detected

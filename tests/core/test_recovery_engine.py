@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.oracle import LearningOracle, PerfectOracle
 from repro.core.policy import RestartPolicy
-from repro.core.recovery_engine import RecoveryEngine, TraceDialect
+from repro.core.recovery_engine import RecoveryEngine
 from repro.core.recovery_strategies import StrategyMap
 from repro.core.tree import RestartTree, cell
 from repro.faults.injector import FaultInjector
@@ -44,7 +44,6 @@ class Rig:
         kernel.run()
         self.injector = FaultInjector(kernel, manager)
         self.policy = RestartPolicy(_tree(), oracle or PerfectOracle(manager))
-        engine_kwargs.setdefault("crash_only", True)
         engine_kwargs.setdefault("restart_timeout", 30.0)
         self.announced = []
         self.engine = RecoveryEngine(
@@ -101,25 +100,14 @@ def test_report_runs_one_action_and_closes_the_episode(kernel, rig):
     assert not rig.policy.open_episodes()
 
 
-def test_dialect_selects_the_golden_pinned_extras(kernel, manager):
-    rig = Rig(kernel, manager, dialect=TraceDialect(
-        decision_ignore=True, episode_closed=True, procedure=True,
-    ))
+def test_dialect_selects_the_golden_pinned_extras(kernel, rig):
+    """The one dialect both front ends speak answers "who decided what"."""
     rig.engine.report_failure("ghost")  # not in the tree: the policy ignores it
     assert [r.data["component"] for r in rig.kinds("decision_ignore")] == ["ghost"]
     rig.fail("a")
     assert rig.kinds("restart_ordered")[0].data["procedure"] == "restart"
     kernel.run(until=kernel.now + 5.0)
     assert [r.data["component"] for r in rig.kinds("episode_closed")] == ["a"]
-
-
-def test_default_dialect_is_silent_on_the_extras(kernel, rig):
-    rig.engine.report_failure("ghost")
-    rig.fail("a")
-    kernel.run(until=kernel.now + 5.0)
-    assert "procedure" not in rig.kinds("restart_ordered")[0].data
-    assert not rig.kinds("decision_ignore") and not rig.kinds("episode_closed")
-    assert not rig.policy.open_episodes()
 
 
 # ----------------------------------------------------------------------
@@ -167,15 +155,6 @@ def test_finished_action_invalidates_its_watchdog_silently(kernel, rig):
     assert not rig.kinds("plan_fenced") and not rig.kinds("restart_rekick")
 
 
-def test_fence_is_silent_with_the_crash_only_plane_off(kernel, manager):
-    rig = Rig(kernel, manager, crash_only=False)
-    rig.fail("a")
-    rig.engine.stop()
-    rig.engine.start()  # the classic relearn-from-re-reports restart
-    kernel.run(until=kernel.now + 40.0)
-    assert not rig.kinds("plan_fenced") and not rig.kinds("restart_rekick")
-
-
 def test_dead_engine_refuses_proactive_restart(kernel, rig):
     """Drift fix: a dead supervisor that was idle at death must not accept
     a rejuvenation round it can never finish."""
@@ -203,8 +182,7 @@ def _crash_inside_observation(kernel, rig):
     return completed_at
 
 
-def test_stale_observation_timer_dropped_in_crash_only_mode(kernel, manager):
-    rig = Rig(kernel, manager, dialect=TraceDialect(episode_closed=True))
+def test_stale_observation_timer_dropped_across_incarnations(kernel, rig):
     completed_at = _crash_inside_observation(kernel, rig)
     rig.engine.new_incarnation()
     rearmed_at = kernel.now
@@ -213,18 +191,6 @@ def test_stale_observation_timer_dropped_in_crash_only_mode(kernel, manager):
     kernel.run(until=rearmed_at + 2.5)
     closed = rig.kinds("episode_closed")
     assert len(closed) == 1 and closed[0].time == pytest.approx(rearmed_at + 2.0)
-
-
-def test_stale_observation_timer_still_fires_in_classic_mode(kernel, manager):
-    """Golden-pinned: a classic restart re-arms nothing, so the pre-crash
-    timer is the only thing that ever closes the episode."""
-    rig = Rig(kernel, manager, crash_only=False,
-              dialect=TraceDialect(episode_closed=True))
-    completed_at = _crash_inside_observation(kernel, rig)
-    rig.engine.start()
-    kernel.run(until=completed_at + 2.5)
-    closed = rig.kinds("episode_closed")
-    assert len(closed) == 1 and closed[0].time == pytest.approx(completed_at + 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -281,13 +247,11 @@ def test_watchdog_rekicks_terminal_stragglers(kernel, manager):
     kernel.run(until=kernel.now + 30.0)
     rekicks = rig.kinds("restart_rekick")
     assert [r.data["components"] for r in rekicks] == [("c",)]
-    assert rekicks[0].severity is Severity.INFO
     assert manager.all_running() and not rig.engine.busy
 
 
 def test_rekick_dialect_warns_before_the_start(kernel, manager):
-    rig = Rig(kernel, manager, work=5.0, restart_timeout=10.0,
-              dialect=TraceDialect(rekick_warns_first=True))
+    rig = Rig(kernel, manager, work=5.0, restart_timeout=10.0)
     rig.fail("a")
     kernel.run(until=kernel.now + 2.0)
     manager.kill("a")

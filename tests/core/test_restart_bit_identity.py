@@ -1,18 +1,21 @@
 """The `restart` strategy is bit-identical to the pre-refactor recoverer.
 
-``tests/core/golden_restart_traces.json`` was captured from the recoverer
-*before* the strategy registry existed: one chaos trial per
+``tests/core/golden_restart_traces.json`` holds one chaos trial per
 (scenario, tree, supervisor) cell at seed 42, recording the SHA-256 of the
 full JSONL event trace plus the MTTR samples and episode counters.  These
 tests re-run every golden cell through today's strategy-aware recoverer
 (with no strategy configured — the default path every pre-existing caller
 takes) and require byte-for-byte identical traces.  Any divergence means
-the refactor changed observable behavior for classic stations, which is
-exactly the regression the registry design promises not to make.
+a change altered observable behavior for classic stations.
 
-The golden file is regenerated only when a PR *intends* to change traces
-(see the capture script embedded in the file's provenance comment — it is
-this test's loop with a JSON dump instead of asserts).
+The golden file is regenerated only when a change *intends* to move
+traces, and then only for the cells it names::
+
+    PYTHONPATH=src python -m tests.core.test_restart_bit_identity \
+        --recapture "flapping|V|full" "cascade|V|abstract"
+
+Both the test and the recapture run a cell through :func:`_run_cell`, so
+what is captured is exactly what is checked.
 """
 
 import hashlib
@@ -32,10 +35,9 @@ with open(_GOLDEN_PATH, "r", encoding="utf-8") as _fh:
     _GOLDEN = json.load(_fh)
 
 
-@pytest.mark.parametrize("key", sorted(_GOLDEN["cells"]))
-def test_restart_traces_match_pre_refactor_golden(key):
+def _run_cell(key):
+    """Run one golden cell; return the record the JSON file keeps for it."""
     scenario, tree_label, supervisor = key.split("|")
-    cell = _GOLDEN["cells"][key]
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "trace.jsonl")
         result = run_chaos(
@@ -48,13 +50,23 @@ def test_restart_traces_match_pre_refactor_golden(key):
         )
         with open(path, "rb") as fh:
             sha = hashlib.sha256(fh.read()).hexdigest()
-    assert sha == cell["trace_sha256"], (
-        f"{key}: trace diverged from the pre-refactor recoverer"
+    return {
+        "cured": result.cured,
+        "escalations": result.escalations,
+        "mttr": [round(s, 9) for s in result.mttr_samples],
+        "trace_sha256": sha,
+        "violations": len(result.violations),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN["cells"]))
+def test_restart_traces_match_pre_refactor_golden(key):
+    cell = _GOLDEN["cells"][key]
+    got = _run_cell(key)
+    assert got["trace_sha256"] == cell["trace_sha256"], (
+        f"{key}: trace diverged from the golden capture"
     )
-    assert [round(s, 9) for s in result.mttr_samples] == cell["mttr"]
-    assert result.cured == cell["cured"]
-    assert result.escalations == cell["escalations"]
-    assert len(result.violations) == cell["violations"]
+    assert got == cell
 
 
 def test_campaign_cache_keys_unchanged_by_strategy_field():
@@ -95,3 +107,22 @@ def test_strategy_enabled_station_shape_differs_from_classic():
     classic = station_shape("chaos", tree, PAPER_CONFIG, **base)
     enabled = station_shape("chaos", tree, PAPER_CONFIG, strategy="restart", **base)
     assert classic != enabled
+
+
+def _recapture(keys):
+    for key in keys:
+        if key not in _GOLDEN["cells"]:
+            raise SystemExit(f"no golden cell {key!r}")
+        _GOLDEN["cells"][key] = _run_cell(key)
+        print(f"recaptured {key}")
+    with open(_GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(_GOLDEN, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--recapture", nargs="+", metavar="KEY", required=True)
+    _recapture(parser.parse_args().recapture)

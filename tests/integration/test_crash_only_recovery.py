@@ -12,10 +12,14 @@ Three contracts, each pinned end to end on a full Mercury station:
   generation guard instead of executing;
 * **oracle continuity** — the learning oracle's estimates ride the store
   across a REC restart (and are honestly lost when the store is down).
+
+The plane is the same on a station without strategies; the last test
+pins that a classic station survives a REC kill mid-episode.
 """
 
 import pytest
 
+from repro.chaos.invariants import InvariantChecker
 from repro.core.oracle import LearningOracle
 from repro.faults.store_faults import StoreFaultModel
 from repro.mercury.station import MercuryStation
@@ -200,10 +204,13 @@ def test_rec_restart_with_dead_store_starts_naive():
     assert station.all_station_running()
 
 
-def test_classic_station_emits_no_crash_only_events():
-    """The whole plane is inert without strategies: a classic station,
-    even one whose REC is shot, emits none of the new kinds."""
+def test_classic_station_recovers_from_rec_killed_mid_episode():
+    """The plane is not opt-in: a strategy-less station whose REC is shot
+    mid-episode rebuilds REC crash-only, and the episode REC died holding
+    is reconciled and closed instead of staying ``restarting`` forever."""
     station = MercuryStation(tree=tree_v(), seed=505)
+    checker = InvariantChecker(station.tree)
+    station.kernel.trace.add_sink(checker)
     station.boot()
     station.run_until_quiescent()
     station.run_for(2.0)
@@ -211,15 +218,13 @@ def test_classic_station_emits_no_crash_only_events():
     station.run_for(1.0)
     station.injector.inject_simple("rec", kind="flap")
     station.run_for(120.0)
+    station.run_until_quiescent()
     assert station.all_station_running()
     assert not station.injector.is_active(failure.failure_id)
-    for kind in (
-        "supervisor_restarted", "plan_fenced", "oracle_rebuilt",
-        "strategy_fallback", "store_crashed", "store_op_timeout",
-    ):
-        assert not station.trace.filter(kind=kind), kind
-    # The classic wedge the plane exists to fix, preserved verbatim: REC
-    # died mid-episode and nobody reconciled, so the episode stays open
-    # in `restarting` forever even though every process is back up.
-    wedged = station.policy.open_episodes()
-    assert len(wedged) == 1 and wedged[0].state == "restarting"
+    restarted = station.trace.filter(kind="supervisor_restarted")
+    assert [r.data["supervisor"] for r in restarted] == ["rec"]
+    assert not station.policy.open_episodes()
+    # FD dropped the dead REC's suppression when it restarted REC.
+    ends = station.trace.filter(kind="suppression_end")
+    assert any(r.data.get("reason") == "supervisor-restart" for r in ends)
+    assert checker.finalize(station.kernel.now) == []

@@ -27,7 +27,7 @@ def test_store_kinds_registered():
         assert ev.REGISTRY.get(kind).layer == "store"
 
 
-def test_crash_only_supervision_kinds_registered():
+def test_supervision_plane_kinds_registered():
     for kind in (
         ev.STRATEGY_FALLBACK,
         ev.SUPERVISOR_RESTARTED,

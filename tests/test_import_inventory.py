@@ -42,7 +42,7 @@ REFERENCE_DIRS = ("src", "bench", "benchmarks", "examples", "tools")
 #: each with who uses it.  "tests only" is a candidate for the next deletion.
 ISLAND_NAMES = {
     "repro.chaos.scenarios.compose": "test-side API: tests/chaos builds its composed scenarios with it",
-    "repro.detection.abstract.SupervisorWatchdog": "item 3: restarts a killed supervisor; wired when the robust path is the only path",
+    "repro.detection.abstract.SupervisorWatchdog": "wired once its heartbeat is event-driven (a 1 Hz poll = 86 400 events per station-day)",
     "repro.experiments.snapshot.template_count": "test-side API: how tests see a template hit or miss",
     "repro.experiments.template_store.install_blobs": "test-side API: the picklable pool initializer of the store tests",
     "repro.faults.distributions.Deterministic": "library API: a fixed lifetime, the distribution tests' reference",
