@@ -100,7 +100,7 @@ class BusClient:
         if self._reconnect_pending or self._closed:
             return
         self._reconnect_pending = True
-        # A bound method, not a closure: ``copy.deepcopy`` treats functions
+        # A bound method, not a closure: the snapshot fork treats functions
         # as atomic, so a forked client's ticket or timer would run against
         # the template's client.
         self.network.redial(

@@ -21,7 +21,7 @@ One module per experiment family, mirroring the paper's evaluation:
   fleet size under correlated ground-segment fault waves;
 * :mod:`repro.experiments.snapshot` /
   :mod:`repro.experiments.template_store` — warmed-station templates
-  (deepcopy + RNG rebase per cell) shared across worker processes as
+  (fork + RNG rebase per cell) shared across worker processes as
   pickle-once blobs.
 """
 

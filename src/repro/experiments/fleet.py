@@ -21,7 +21,7 @@ segment.  This module builds that experiment on
 * Stations restore from the warmed-station snapshot template
   (:mod:`repro.experiments.snapshot`), shared across worker processes via
   the pickle-once :mod:`~repro.experiments.template_store` — per-station
-  setup is a deepcopy + RNG rebase, amortizing one boot over the fleet.
+  setup is a fork + RNG rebase, amortizing one boot over the fleet.
 
 Per-station payloads carry an event-stream digest, so the bit-identity
 contract (shard counts, serial vs parallel) is checkable byte-for-byte.

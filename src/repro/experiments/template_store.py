@@ -12,7 +12,9 @@ This store makes boot a per-shape cost per *campaign*:
 * Workers **install** the blob table (shipped through the pool/worker
   spawn arguments, or inherited for free on fork) and **fetch** lazily:
   the first restore of a shape unpickles the blob into a live template,
-  later restores deepcopy that same template as usual.
+  and every restore forks that live template as usual.  A blob is never
+  restored per cell: ``pickle.loads`` per station is slower than the fork
+  and heavier in memory (DESIGN.md §10).
 
 Correctness lean: an unpickled template must be behaviourally identical
 to a locally built one.  Stations were scrubbed of closure captures for

@@ -36,7 +36,7 @@ cold restarts deadlock-free during a store outage.  ``mark_restored``/
 
 Without a fault model attached the store draws no random numbers,
 emits no events, and behaves exactly like the always-up storelet it
-used to be — plain dicts, ``deepcopy``-safe, byte-identical traces.
+used to be — plain dicts, fork-safe, byte-identical traces.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ class _BehaviorFactory:
     """Builds a named component's behavior by calling back into the station.
 
     A callable object instead of the obvious closure: process specs live as
-    long as the station, and a snapshot restore (structural deepcopy) must
+    long as the station, and a snapshot restore (structural fork) must
     re-point the factory at the *copied* station — which the copy machinery
     does for instance attributes but never for closure cells.
     """
@@ -94,7 +94,7 @@ class _WorkFn:
     A callable object for the same snapshot-restore reason as
     :class:`_BehaviorFactory`: it consults the station's session store at
     start time, so it must follow the station through a structural
-    deepcopy instead of capturing it in a closure cell.
+    fork instead of capturing it in a closure cell.
     """
 
     __slots__ = ("station", "timing", "sigma")

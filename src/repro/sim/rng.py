@@ -29,12 +29,13 @@ def derive_seed(root_seed: int, name: str) -> int:
 class _Stream(random.Random):
     """A registry stream with a fast structural copy.
 
-    ``copy.deepcopy`` of a plain ``random.Random`` reconstructs it through
-    ``__reduce_ex__`` and then walks the 625-word Mersenne state tuple
-    element by element; across a registry's dozen streams that walk is the
-    single largest cost of snapshotting a warmed station.  The state tuple
-    is immutable integers, so handing it straight to ``setstate`` on a
-    fresh instance is exact and avoids the walk entirely.
+    A structural copy (the snapshot fork, or ``copy.deepcopy``) of a
+    plain ``random.Random`` reconstructs it through ``__reduce_ex__`` and
+    then walks the 625-word Mersenne state tuple element by element;
+    across a registry's dozen streams that walk is the single largest
+    cost of snapshotting a warmed station.  The state tuple is immutable
+    integers, so handing it straight to ``setstate`` on a fresh instance
+    is exact and avoids the walk entirely.
     """
 
     def __deepcopy__(self, memo: dict) -> "_Stream":

@@ -1,12 +1,11 @@
 """Tests for the standalone BusClient (connect, reconnect, messaging)."""
 
-import copy
-
 import pytest
 
 from repro.bus.client import BusClient
 from repro.bus.broker import BusBroker
 from repro.errors import NotConnectedError
+from repro.experiments.snapshot import fork
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.xmlcmd.commands import CommandMessage, PingReply, PingRequest
 
@@ -111,12 +110,12 @@ def test_closed_client_does_not_reconnect(kernel, network, manager):
 
 
 def test_forked_client_reconnects_on_its_own_copy(kernel, network):
-    """A parked redial must survive ``copy.deepcopy`` (the snapshot fork):
+    """A parked redial must survive the snapshot fork:
     held as a closure it kept pointing at the *template's* client, so the
     copy never reconnected and the copy's kernel mutated the original."""
     client = BusClient(kernel, network, "ops")
     assert not client.connect()  # refused: the redial is parked
-    fork_kernel, fork_network, fork_client = copy.deepcopy((kernel, network, client))
+    fork_kernel, fork_network, fork_client = fork((kernel, network, client))
     accepted = []
     fork_network.listen("mbus:7000", accepted.append)
     fork_kernel.run(until=1.0)

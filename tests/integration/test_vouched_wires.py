@@ -14,6 +14,7 @@ import pickle
 from repro.bus.broker import BusBroker
 from repro.bus.client import BusClient
 from repro.components.base import BusAttachedBehavior
+from repro.experiments.snapshot import fork
 from repro.mercury.session_store import SessionStore
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_v
@@ -51,11 +52,11 @@ def _next_seconds(station, seconds=5.0):
 
 def test_snapshot_fork_and_template_blob_carry_wires_in_flight():
     station, blob = _station_with_a_wire_in_flight()
-    fork = copy.deepcopy(station)
+    forked = fork(station)
     thawed = pickle.loads(blob)
     expected = _next_seconds(station)
     assert expected[0] > 100
-    assert _next_seconds(fork) == expected
+    assert _next_seconds(forked) == expected
     assert _next_seconds(thawed) == expected
 
 
@@ -112,8 +113,8 @@ def test_session_store_log_replays_the_wire_it_was_given():
     wire = encode_message(CommandMessage("ops", "svc", "telemetry-query", {"req": "7"}))
     store.log_message("svc", wire)
     store.log_message("svc", "<plain/>")
-    fork = copy.deepcopy(store)
-    for each in (store, fork, pickle.loads(pickle.dumps(store))):
+    clones = (fork(store), copy.deepcopy(store), pickle.loads(pickle.dumps(store)))
+    for each in (store, *clones):
         first, second = each.replay_log("svc")
         assert type(first) is Wire and first == wire
         assert (first.envelope, first.params) == (wire.envelope, wire.params)

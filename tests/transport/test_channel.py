@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.errors import ChannelClosedError
+from repro.experiments.snapshot import fork
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network
 
@@ -206,9 +207,9 @@ def _finish(world):
 
 @pytest.mark.parametrize(
     "roundtrip",
-    [copy.deepcopy]
+    [fork, copy.deepcopy]
     + [lambda world, p=p: pickle.loads(pickle.dumps(world, protocol=p)) for p in (2, 3, 4, 5)],
-    ids=["deepcopy", "pickle2", "pickle3", "pickle4", "pickle5"],
+    ids=["fork", "deepcopy", "pickle2", "pickle3", "pickle4", "pickle5"],
 )
 def test_slotted_channel_survives_structural_copy(roundtrip):
     """A copy taken with a message in flight runs on exactly as the

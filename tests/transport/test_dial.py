@@ -16,6 +16,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.snapshot import fork
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network, NetworkFaultModel
 
@@ -257,13 +258,15 @@ def test_kernel_with_only_a_parked_dial_drains(kernel, network, polling_dial_ref
     assert ref_kernel.events_executed == 400 and ref_kernel.now == 100.0
 
 
-@pytest.mark.parametrize("clone", ["deepcopy", 2, 3, 4, 5])
+@pytest.mark.parametrize("clone", ["fork", "deepcopy", 2, 3, 4, 5])
 def test_parked_ticket_belongs_to_the_copy(kernel, network, clone):
     dialler = Dialler(network)
     dialler.start()
     kernel.run(until=1.1)
     world = (kernel, network, dialler)
-    if clone == "deepcopy":
+    if clone == "fork":
+        fork_kernel, fork_network, fork_dialler = fork(world)
+    elif clone == "deepcopy":
         fork_kernel, fork_network, fork_dialler = copy.deepcopy(world)
     else:
         fork_kernel, fork_network, fork_dialler = pickle.loads(

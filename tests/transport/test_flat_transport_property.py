@@ -21,6 +21,11 @@ transport *means*, in twenty-odd lines:
 Faults are drawn at probabilities 0 and 1 only (and a zero-width spike
 range), so a message's fate is known without mirroring the per-link fault
 stream; the probabilistic fabric has ``test_network_faults.py``.
+
+``Endpoint.send`` takes a straight-line branch when no fabric is active;
+:func:`test_an_inactive_fabric_is_the_fault_free_hop` holds it to a fabric
+that is installed but idle, and to the fault loop run over one on-time
+copy.
 """
 
 from hypothesis import given, settings
@@ -198,3 +203,66 @@ def test_flat_transport_matches_the_reference_model(steps, with_faults):
             assert recorders[side].seen == model.received[side]
         delivered = [message for _, message in model.received[side]] + model.inbox[side]
         assert delivered == sorted(delivered)  # per-direction FIFO
+
+
+class _OneOnTimeCopy(NetworkFaultModel):
+    """An idle fabric that claims to be active and plans every message as
+    one copy with no extra delay: it drives the fault loop with
+    ``copies=(0.0,)``."""
+
+    def __init__(self, kernel):
+        super().__init__(kernel)
+        self.active = True
+
+    def plan(self, sender, receiver):
+        return (0.0,)
+
+
+_HOP_STEP = st.one_of(
+    st.tuples(st.just("send"), st.sampled_from(SIDES)),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.00005, 0.00025, 0.02])),
+    st.tuples(st.just("install"), st.sampled_from(SIDES)),
+    st.tuples(st.just("close"), st.sampled_from(SIDES)),
+)
+
+
+def _hop_run(make_faults, steps):
+    """Everything a connection shows under ``steps``: arrivals, inboxes,
+    clamps, counters, and the latency stream's state."""
+    kernel = Kernel(seed=SEED)
+    network = Network(kernel, faults=make_faults(kernel))
+    accepted = []
+    network.listen("srv:1", accepted.append)
+    ends = {"client": network.connect("client", "srv:1"), "server": accepted[0]}
+    recorders = {side: _Recorder(kernel) for side in SIDES}
+    for number, (op, arg) in enumerate(steps):
+        if op == "send" and ends[arg].open:
+            ends[arg].send(number)
+        elif op == "advance":
+            kernel.run(until=kernel.now + arg)
+        elif op == "install":
+            ends[arg].on_message(recorders[arg])
+        elif op == "close":
+            ends[arg].close()
+    kernel.run()
+    channel = ends["client"]._channel
+    return (
+        {side: recorders[side].seen for side in SIDES},
+        {side: ends[side]._inbox_while_unset for side in SIDES},
+        {side: ends[side]._last_arrival for side in SIDES},
+        (channel.messages_sent, channel.messages_delivered, channel.messages_lost),
+        kernel.rngs.stream("transport.latency").getstate(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_HOP_STEP, min_size=1, max_size=40))
+def test_an_inactive_fabric_is_the_fault_free_hop(steps):
+    def idle(kernel):
+        faults = NetworkFaultModel(kernel)
+        assert not faults.active
+        return faults
+
+    bare = _hop_run(lambda kernel: None, steps)
+    assert _hop_run(idle, steps) == bare
+    assert _hop_run(_OneOnTimeCopy, steps) == bare

@@ -20,6 +20,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.experiments import workload as workload_cells
+from repro.experiments.snapshot import fork
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import TREE_BUILDERS
 from repro.obs import events
@@ -438,11 +439,11 @@ def _finish(station, plane):
 
 @pytest.mark.parametrize(
     "clone",
-    [copy.deepcopy, lambda pair: pickle.loads(pickle.dumps(pair))],
-    ids=["deepcopy", "pickle"],
+    [fork, copy.deepcopy, lambda pair: pickle.loads(pickle.dumps(pair))],
+    ids=["fork", "deepcopy", "pickle"],
 )
 def test_a_copied_plane_continues_to_the_same_ledger(clone):
-    """Fleet shells carry station and plane across ``deepcopy`` and process
+    """Fleet shells carry station and plane across a fork and process
     boundaries mid-run: lanes, ordinals and the armed instant go along."""
     station = _booted("V")
     plane = WorkloadPlane(station, WorkloadSpec(session_rate=30.0))

@@ -22,7 +22,7 @@ Metrics:
 * ``station_boot_seconds`` — wall-clock to boot the full-fidelity tree-V
   station to all-RUNNING plus settle;
 * ``station_snapshot_restore_seconds`` — wall-clock to fork one campaign
-  cell from the warmed tree-V template (deepcopy + RNG rebase), the
+  cell from the warmed tree-V template (fork + RNG rebase), the
   per-cell setup cost that replaces ``station_boot_seconds`` when the
   snapshot cache is active;
 * ``fleet_stations_per_sec`` / ``fleet_events_per_sec`` — fleet-campaign
@@ -32,7 +32,7 @@ Metrics:
 * ``fleet_station_boot_seconds`` / ``fleet_station_setup_seconds`` — a
   full-supervisor fleet station booted fresh, versus the per-station cost
   through the shared template store (one blob unpickle amortised over a
-  shard plus a deepcopy + rebase each).  Their ratio is the template-store
+  shard plus a fork + rebase each).  Their ratio is the template-store
   amortisation factor;
 * ``workload_requests_per_sec`` — user requests served per wall-clock
   second by the traffic plane (``repro.workload``) against a healthy
@@ -227,7 +227,7 @@ def bench_station_snapshot(reps: int = 5) -> float:
     """Per-cell setup seconds with the snapshot cache active.
 
     Times :func:`repro.experiments.snapshot.warmed_station` on a warm
-    template: one deepcopy of the booted tree-V station plus the per-cell
+    template: one fork of the booted tree-V station plus the per-cell
     RNG rebase.  The template boot itself is paid once, outside the timed
     region — exactly the amortisation the campaign runner sees.
     """
@@ -293,7 +293,7 @@ def bench_fleet_setup(stations: int = 16) -> "tuple[float, float]":
     """(fresh-boot seconds, shared-template per-station setup seconds).
 
     The second number is what a fleet shard actually pays per station:
-    one blob unpickle amortised over the shard's stations plus a deepcopy
+    one blob unpickle amortised over the shard's stations plus a fork
     and RNG rebase each.  The first is what it would pay without the
     shared store — the ratio is the template-store amortisation factor
     (the PR acceptance bar is >= 3x).

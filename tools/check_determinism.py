@@ -15,10 +15,11 @@ leg runs one cell more than once and byte-compares what came out:
   corrupt writes, strategy fallback) and one 4 h steady-state availability
   run, each run twice with the same seed, comparing the full JSONL event
   traces and the result payloads;
-* **snapshot-fork** — one storm campaign restored from the warmed-station
-  template vs. booted afresh (``snapshot=False``), traces and payloads: the
+* **snapshot-fork** — one storm campaign (FD/REC) and one availability
+  run (abstract supervisor) restored from the warmed-station template vs.
+  booted afresh (``snapshot=False``), traces and payloads: the
   restore-vs-boot bit-identity contract that lets both share the result
-  cache;
+  cache, over both supervision front ends' object graphs;
 * **kinds** — one small sample cell per row of
   :data:`repro.experiments.runner.KINDS` (the gate refuses to run with a
   kind unsampled), each executed directly, again through a serial campaign
@@ -125,14 +126,18 @@ def _chaos_run(scenario: str, **kwargs) -> TracedRun:
     return run
 
 
-def _availability_run(sinks: Sequence[Sink]) -> str:
-    result = measure_availability(
-        TREE_BUILDERS["V"](),
-        horizon_s=AVAILABILITY_HORIZON_S,
-        seed=AVAILABILITY_SEED,
-        sinks=sinks,
-    )
-    return _dump(dataclasses.asdict(result))
+def _availability_run(**kwargs) -> TracedRun:
+    def run(sinks: Sequence[Sink]) -> str:
+        result = measure_availability(
+            TREE_BUILDERS["V"](),
+            horizon_s=AVAILABILITY_HORIZON_S,
+            seed=AVAILABILITY_SEED,
+            sinks=sinks,
+            **kwargs,
+        )
+        return _dump(dataclasses.asdict(result))
+
+    return run
 
 
 #: The same-seed trace leg: (name, what it is, the run).
@@ -143,7 +148,7 @@ TRACE_SCENARIOS = [
     (
         "availability",
         "tree V, %.0f h, seed %d" % (AVAILABILITY_HORIZON_S / 3600.0, AVAILABILITY_SEED),
-        _availability_run,
+        _availability_run(),
     ),
 ]
 
@@ -159,20 +164,30 @@ def check_same_seed_traces(workdir: str) -> bool:
 
 
 def check_snapshot_fork(workdir: str) -> bool:
-    """Restored cells must equal fresh-boot cells: the same storm campaign
-    through the warmed-station template (boot + deepcopy + RNG rebase) and
+    """Restored cells must equal fresh-boot cells: a storm campaign (FD/REC
+    station) and an availability run (abstract supervisor), each through
+    the warmed-station template (boot once, fork + RNG rebase per cell) and
     with ``snapshot=False`` (full boot per cell)."""
-    print("determinism: snapshot-fork (storm on tree V, seed %d) ..." % CHAOS_SEED)
-    clear_templates()
-    try:
-        return _traced_pair(
-            workdir,
-            "snapshot-fork",
-            _chaos_run("storm", snapshot=True),
-            _chaos_run("storm", snapshot=False),
-        )
-    finally:
+    pairs = [
+        ("snapshot-fork", "storm on tree V, seed %d" % CHAOS_SEED, _chaos_run, ("storm",)),
+        (
+            "snapshot-fork-availability",
+            "abstract supervisor, tree V, seed %d" % AVAILABILITY_SEED,
+            _availability_run,
+            (),
+        ),
+    ]
+    ok = True
+    for name, what, make_run, args in pairs:
+        print(f"determinism: {name} ({what}) ...")
         clear_templates()
+        try:
+            ok = _traced_pair(
+                workdir, name, make_run(*args, snapshot=True), make_run(*args, snapshot=False)
+            ) and ok
+        finally:
+            clear_templates()
+    return ok
 
 
 #: One small cell per campaign kind (the fields ``plan_cell`` takes).  The
