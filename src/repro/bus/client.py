@@ -118,11 +118,13 @@ class BusClient:
 
     def send(self, message: Message) -> bool:
         """Serialize and send; returns False when disconnected."""
-        if not self.connected:
+        # Attribute reads, not ``connected``: every user request leaves
+        # through here.
+        endpoint = self._endpoint
+        if endpoint is None or not endpoint.open:
             return False
-        assert self._endpoint is not None
         try:
-            self._endpoint.send(encode_message(message))
+            endpoint.send(encode_message(message))
         except ChannelClosedError:
             return False
         return True

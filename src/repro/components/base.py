@@ -43,6 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover
 E2E_PROBE_VERB = "e2e-probe"
 E2E_PROBE_REPLY_VERB = "e2e-probe-reply"
 
+#: The reply verb of every user-plane service endpoint (ses, str, fedr,
+#: fedrcom); :class:`repro.workload.plane.WorkloadPlane` matches on it.
+SVC_REPLY_VERB = "svc-reply"
+
 
 class Behavior:
     """Base class for process-hosted component logic."""
@@ -168,15 +172,18 @@ class BusAttachedBehavior(Behavior):
         swallowed by the wedged worker.
         """
         mode = self.process.degraded_mode
-        if mode == "hang":
+        if mode is not None:
+            if mode == "hang":
+                return False
+            if mode == "zombie" and not isinstance(message, PingReply):
+                return False
+        # Attribute reads, not ``connected``: every user request's reply
+        # leaves through here.
+        endpoint = self._endpoint
+        if endpoint is None or not endpoint.open:
             return False
-        if mode == "zombie" and not isinstance(message, PingReply):
-            return False
-        if not self.connected:
-            return False
-        assert self._endpoint is not None
         try:
-            self._endpoint.send(encode_message(message))
+            endpoint.send(encode_message(message))
         except ChannelClosedError:
             return False
         return True
@@ -270,6 +277,21 @@ class BusAttachedBehavior(Behavior):
                 target=message.sender,
                 verb=E2E_PROBE_REPLY_VERB,
                 params={"seq": message.params.get("seq", "0")},
+            )
+        )
+
+    def _reply_service(
+        self, message: CommandMessage, svc: str, field: str, count: int
+    ) -> None:
+        """Answer a user-plane service request (``repro.workload.plane``):
+        the request id, the service name and one ledger count, in that
+        order.  The caller bumps its counter first."""
+        self.send(
+            CommandMessage(
+                self.name,
+                message.sender,
+                SVC_REPLY_VERB,
+                {"req": message.params.get("req", ""), "svc": svc, field: str(count)},
             )
         )
 

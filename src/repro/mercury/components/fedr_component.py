@@ -140,18 +140,7 @@ class FedrBehavior(BusAttachedBehavior):
             if not self.pbcom_connected:
                 return
             self.svc_requests += 1
-            self.send(
-                CommandMessage(
-                    sender=self.name,
-                    target=message.sender,
-                    verb="svc-reply",
-                    params={
-                        "req": message.params.get("req", ""),
-                        "svc": "uplink",
-                        "uplinked": str(self.svc_requests),
-                    },
-                )
-            )
+            self._reply_service(message, "uplink", "uplinked", self.svc_requests)
             return
         if message.verb != "radio-set-freq":
             return

@@ -66,18 +66,7 @@ class FedrcomBehavior(BusAttachedBehavior):
             # directly, so an uplink is acknowledged whenever fedrcom
             # itself is healthy (no separate radio-path coupling).
             self.svc_requests += 1
-            self.send(
-                CommandMessage(
-                    sender=self.name,
-                    target=message.sender,
-                    verb="svc-reply",
-                    params={
-                        "req": message.params.get("req", ""),
-                        "svc": "uplink",
-                        "uplinked": str(self.svc_requests),
-                    },
-                )
-            )
+            self._reply_service(message, "uplink", "uplinked", self.svc_requests)
             return
         if message.verb != "radio-set-freq":
             return

@@ -102,18 +102,7 @@ class SesBehavior(BusAttachedBehavior):
             # zombie/hang gates upstream drop the request, so a failed ses
             # is user-visible as client timeouts, not wrong answers.
             self.svc_requests += 1
-            self.send(
-                CommandMessage(
-                    sender=self.name,
-                    target=message.sender,
-                    verb="svc-reply",
-                    params={
-                        "req": message.params.get("req", ""),
-                        "svc": "telemetry",
-                        "solutions": str(self.solutions_sent),
-                    },
-                )
-            )
+            self._reply_service(message, "telemetry", "solutions", self.solutions_sent)
 
     def _solve(self, epoch: int) -> None:
         if not self._alive or epoch != self._loop_epoch:

@@ -76,18 +76,7 @@ class StrBehavior(BusAttachedBehavior):
             # User-plane service endpoint: book antenna time.  The reply
             # carries the tracker's command ledger as its booking token.
             self.svc_requests += 1
-            self.send(
-                CommandMessage(
-                    sender=self.name,
-                    target=message.sender,
-                    verb="svc-reply",
-                    params={
-                        "req": message.params.get("req", ""),
-                        "svc": "schedule",
-                        "tracked": str(self.track_commands),
-                    },
-                )
-            )
+            self._reply_service(message, "schedule", "tracked", self.track_commands)
             return
         if message.verb == "track":
             try:

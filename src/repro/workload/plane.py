@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.bus.client import BusClient
+from repro.components.base import SVC_REPLY_VERB
 from repro.obs import events as ev
 from repro.obs.spans import EpisodeTracker
 from repro.workload.effects import UserEffects
@@ -51,14 +52,11 @@ SERVICE_VERBS: Dict[str, str] = {
     "uplink": "command-uplink",
 }
 
-#: The reply verb every service endpoint answers with.
-REPLY_VERB = "svc-reply"
-
 #: ``WorkloadPlane._armed_at`` while no deadline event is armed.
 _UNARMED = float("inf")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Session:
     """One user's request chain in flight."""
 
@@ -67,7 +65,7 @@ class _Session:
     completed: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Request:
     """One logical request (re-sends share the id and this record)."""
 
@@ -235,7 +233,7 @@ class WorkloadPlane:
             session=session,
             step=step,
             op=session.ops[step],
-            issued_at=self.kernel.now,
+            issued_at=self.kernel.clock._now,
         )
         self._request_seq += 1
         self._pending[request.rid] = request
@@ -248,10 +246,10 @@ class WorkloadPlane:
         # the user from one lost in flight: the timeout ladder handles both.
         self.client.send(
             CommandMessage(
-                sender=self.client.name,
-                target=self.targets[request.op],
-                verb=SERVICE_VERBS[request.op],
-                params={"req": str(request.rid)},
+                self.client.name,
+                self.targets[request.op],
+                SERVICE_VERBS[request.op],
+                {"req": str(request.rid)},
             )
         )
         # One send per request: the clock is read as ``Endpoint.send`` reads it.
@@ -299,7 +297,7 @@ class WorkloadPlane:
             self.kernel.schedule_at(head[0], self._deadline)
 
     def _on_reply(self, message: Message) -> None:
-        if getattr(message, "verb", None) != REPLY_VERB:
+        if getattr(message, "verb", None) != SVC_REPLY_VERB:
             return
         try:
             rid = int(message.params.get("req", ""))

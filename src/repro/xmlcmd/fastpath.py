@@ -15,8 +15,9 @@ Encode (byte-identical to ``serialize_xml(message.to_element())``):
   ``seq`` substituted.  Pings are >90% of bus traffic in availability runs
   (FD's 1 s liveness loop, §2.2).
 * :func:`encode_command_wire` — cached ``(sender, target, verb)`` start
-  tag, ``<param>`` children joined per item.  Every user request and reply
-  is a command.
+  tag and cached ``<param>`` tag per name, children joined per item; only
+  a value holding ``&``, ``<`` or ``>`` is escaped.  Every user request and
+  reply is a command.
 
 Both return a :class:`Wire` — the same text, carrying the
 :class:`Envelope` (and params) the decoders below would recover from it —
@@ -52,6 +53,7 @@ import re
 from sys import intern as _intern
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
+from repro.errors import CommandSchemaError
 from repro.xmlcmd.serializer import escape_attr, escape_text
 
 
@@ -254,6 +256,39 @@ def encode_ping_wire(kind: str, sender: str, target: str, seq: int) -> str:
 #: envelope when all three came through ``escape_attr`` unchanged else None).
 _command_prefixes: Dict[Tuple[str, str, str], Tuple[str, Optional[Envelope]]] = {}
 
+#: param name → (``<param name="…">``, ``<param name="…"/>``, whether the
+#: name came through ``escape_attr`` unchanged).
+_param_tags: Dict[str, Tuple[str, str, bool]] = {}
+
+
+def _param_tag(name: str) -> Tuple[str, str, bool]:
+    """Decide ``name`` once: escape it and cache its two tags."""
+    if not isinstance(name, str):
+        raise TypeError(name)
+    if len(_param_tags) >= _CACHE_LIMIT:
+        _param_tags.clear()
+    attr = escape_attr(name)
+    tag = _param_tags[name] = (
+        f'<param name="{attr}">',
+        f'<param name="{attr}"/>',
+        attr == name,
+    )
+    return tag
+
+
+def _reject_params(params: Mapping[str, str]) -> None:
+    """Raise :class:`CommandSchemaError` for the first param whose name or
+    value is not a ``str``; return if there is none."""
+    for name, value in params.items():
+        if not isinstance(name, str):
+            raise CommandSchemaError(
+                f"param name {name!r} is {type(name).__name__}, not str"
+            ) from None
+        if not isinstance(value, str):
+            raise CommandSchemaError(
+                f"param {name!r}: value {value!r} is {type(value).__name__}, not str"
+            ) from None
+
 
 def encode_command_wire(
     sender: str, target: str, verb: str, params: Mapping[str, str]
@@ -262,7 +297,10 @@ def encode_command_wire(
 
     Vouched (a :class:`Wire`) when neither the start tag nor any param
     needed escaping; the memoized params are the decoder's — values
-    stripped of XML whitespace — in a dict of the wire's own.
+    stripped of XML whitespace — in a dict of the wire's own.  Only a value
+    holding ``&``, ``<`` or ``>`` goes through :func:`escape_text`; a param
+    name is escaped once, when it enters ``_param_tags``.  A param name or
+    value that is not a ``str`` raises :class:`CommandSchemaError`.
     """
     key = (sender, target, verb)
     hit = _command_prefixes.get(key)
@@ -281,18 +319,31 @@ def encode_command_wire(
     parts = [prefix, ">"]
     clean = envelope is not None
     decoded: Dict[str, str] = {}
-    for name, value in params.items():
-        text = escape_text(value)
-        attr = escape_attr(name)
-        if clean:
-            if text == value and attr == name:
-                decoded[name] = value.strip(_WS)
-            else:
+    tags = _param_tags
+    try:
+        for name, value in params.items():
+            tag = tags.get(name)
+            if tag is None:
+                tag = _param_tag(name)
+            if "&" in value or "<" in value or ">" in value:
                 clean = False
-        if text:
-            parts.append(f'<param name="{attr}">{text}</param>')
-        else:
-            parts.append(f'<param name="{attr}"/>')
+                parts.append(tag[0] + escape_text(value) + "</param>")
+                continue
+            if value:
+                # ``+``, not an f-string: a non-str value must raise here.
+                parts.append(tag[0] + value + "</param>")
+            elif isinstance(value, str):
+                parts.append(tag[1])
+            else:
+                raise TypeError(value)  # an empty container
+            if clean:
+                if tag[2]:
+                    decoded[name] = value.strip(_WS)
+                else:
+                    clean = False
+    except (TypeError, AttributeError):
+        _reject_params(params)
+        raise
     parts.append("</msg>")
     text = "".join(parts)
     return vouch(text, envelope, decoded) if clean else text

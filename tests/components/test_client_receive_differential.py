@@ -15,14 +15,14 @@ from contextlib import nullcontext
 
 from repro.bus.broker import BusBroker
 from repro.bus.client import BusClient
-from repro.components.base import BusAttachedBehavior
+from repro.components.base import SVC_REPLY_VERB, BusAttachedBehavior
 from repro.experiments.recovery import measure_recovery
 from repro.mercury.trees import tree_ii
 from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network
-from repro.workload.plane import REPLY_VERB, SERVICE_VERBS
+from repro.workload.plane import SERVICE_VERBS
 from repro.xmlcmd.commands import (
     CommandMessage,
     FailureReport,
@@ -52,7 +52,7 @@ class RecorderBehavior(BusAttachedBehavior):
                 CommandMessage(
                     self.name,
                     message.sender,
-                    REPLY_VERB,
+                    SVC_REPLY_VERB,
                     {
                         "req": message.params.get("req", ""),
                         "svc": _SERVED[message.verb],
@@ -118,7 +118,7 @@ def test_dispatch_and_replies_identical_across_modes(full_parse_reference):
     # The request/reply exchange the user plane runs: one three-param
     # reply per service, decoded from the wire the service's encoder
     # vouched for.
-    replies = [m for m in fast_ops.received if getattr(m, "verb", None) == REPLY_VERB]
+    replies = [m for m in fast_ops.received if getattr(m, "verb", None) == SVC_REPLY_VERB]
     assert [(m.params["req"], m.params["svc"]) for m in replies] == [
         ("40", "telemetry"),
         ("41", "schedule"),

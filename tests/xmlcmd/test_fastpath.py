@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import XmlError
+from repro.errors import CommandSchemaError, XmlError
 from repro.xmlcmd.commands import (
     CommandMessage,
     FailureReport,
@@ -174,15 +174,24 @@ def test_escape_chain_matches_sequential_replace():
 
 
 def test_encode_command_wire_survives_cache_rebuild():
-    """More distinct start tags than the prefix cache holds: the rebuild
-    must not change a byte, and the cache stays bounded."""
+    """More distinct start tags and param names than the caches hold: the
+    rebuilds must not change a byte, and both caches stay bounded."""
     for i in range(fastpath._CACHE_LIMIT + 50):
         message = CommandMessage(f"s{i}&", f'"t{i}"', "<v>", {"k": str(i)})
         assert encode_message(message) == serialize_xml(message.to_element())
         assert len(fastpath._command_prefixes) <= fastpath._CACHE_LIMIT
-    # a key seen before the rebuild is simply re-derived
+    for i in range(fastpath._CACHE_LIMIT + 50):
+        message = CommandMessage("s", "t", "v", {f"n{i}": "1", f'"q{i}"': "", "k": "x"})
+        wire = encode_message(message)
+        assert wire == serialize_xml(message.to_element())
+        assert type(wire) is str  # the quoted name, decided once, stays unclean
+        assert len(fastpath._param_tags) <= fastpath._CACHE_LIMIT
+    # keys seen before the rebuilds are simply re-derived
     first = CommandMessage("s0&", '"t0"', "<v>", {"k": "0"})
     assert encode_message(first) == serialize_xml(first.to_element())
+    named = CommandMessage("s", "t", "v", {"n0": "1", '"q0"': ""})
+    assert encode_message(named) == serialize_xml(named.to_element())
+    assert type(encode_message(CommandMessage("s", "t", "v", {"n0": "1"}))) is Wire
 
 
 #: Canonical and near-canonical wires the parser accepts.  The codec may
@@ -520,12 +529,32 @@ def test_unclean_or_foreign_fields_stay_plain_text():
         encode_command_wire("a", "b", "<v>", {"k": "1"}),
         encode_command_wire("a", "b", "v", {"k": "1 & 2"}),
         encode_command_wire("a", "b", "v", {'k"': "1"}),
+        # A dirty value anywhere: the params memo built so far is dropped.
+        encode_command_wire("a", "b", "v", {"k": "1", "j": "<2>"}),
+        encode_command_wire("a", "b", "v", {"j": "<2>", "k": "1"}),
     ]
     assert [type(wire) for wire in plain] == [str] * len(plain)
     # ... and the neighbouring clean ones are vouched, empty params included.
     assert type(encode_ping_wire("ping", "a", "c", -1)) is Wire
     assert type(encode_command_wire("a", "b", "v", {})) is Wire
     assert type(encode_command_wire("a", "b", "v", {"k": ' "quoted" '})) is Wire
+
+
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        ({5: "1"}, "5"),
+        ({"n": 5}, "'n'"),
+        ({"k": "1", "n": None}, "'n'"),
+        ({"k": "1", "n": ["x"]}, "'n'"),
+        ({"k": "1", "n": []}, "'n'"),
+        ({"k": "1&", "n": b"x"}, "'n'"),
+        ({"k": "1&", "n": ()}, "'n'"),  # no memo to trip over: the wire is dirty
+    ],
+)
+def test_a_param_that_is_not_str_fails_loudly_and_by_name(params, named):
+    with pytest.raises(CommandSchemaError, match=f"param (name )?{named}"):
+        encode_message(CommandMessage("a", "b", "v", params))
 
 
 VOUCHED = [
