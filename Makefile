@@ -6,7 +6,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: test lint verify chaos-smoke chaos-lossy-smoke strategy-smoke \
 	fleet-smoke workload-smoke store-chaos-smoke examples-smoke \
-	check-determinism bench bench-smoke repo-bench repo-bench-test \
+	check-determinism repo-bench repo-bench-test \
 	repo-bench-ab benchmarks \
 	table4-parallel chaos-full fleet-large workload-soak soak nightly
 
@@ -89,23 +89,6 @@ check-determinism:
 verify: test lint chaos-smoke chaos-lossy-smoke strategy-smoke fleet-smoke \
 	workload-smoke store-chaos-smoke examples-smoke
 
-# Perf session: time the simulator hot paths and write BENCH_6.json,
-# carrying the previous artifact's own results forward as the embedded
-# (depth-1) baseline so future PRs have a perf trajectory to compare
-# against.
-bench:
-	$(PYTHON) tools/bench.py --baseline BENCH_5.json --output BENCH_6.json
-
-# Fast regression gate: reduced-rep benchmarks vs the checked-in
-# BENCH_6.json under per-metric budgets (bus throughputs: 20%;
-# fleet_stations_per_sec / workload_requests_per_sec: 25%;
-# station_snapshot_restore_seconds: 35%; fleet_station_setup_seconds:
-# 50%).  REPRO_BENCH_SMOKE_SKIP=1 ignores *timing* regressions on slow
-# machines; bench errors and metrics missing from the baseline still
-# fail.
-bench-smoke:
-	$(PYTHON) tools/bench.py --smoke --baseline BENCH_6.json
-
 # The repo benchmark declared in BENCHMARK.json: five campaign workloads,
 # calibrated end-to-end metrics and the per-layer ledger (bench/README.md).
 # A performance claim names a workload and a metric from this command.
@@ -123,9 +106,12 @@ repo-bench-test:
 # payload digest and the result.sim_* lines (tools/bench_ab.py).
 # LEDGER=1 adds one traced run per side and the "which layer moved" table:
 # every exact-repeat per-layer metric (*.calls, events_per_work, ...) that
-# differs.  CI runs it report-only (PAIRS=3) on traffic-steady (LEDGER=1),
-# traffic-faulted (LEDGER=1), fleet-waves, availability-month (LEDGER=1)
-# and recovery-matrix.
+# differs, and the isolated-driver timings.  The exit status is the
+# no-regression rule: non-zero when a run failed or an end-to-end median is
+# worse than BASE's by more than its BENCHMARK.json bound, at any PAIRS.
+# CI gates on it (PAIRS=3) for traffic-steady (LEDGER=1), traffic-faulted
+# (LEDGER=1), fleet-waves, availability-month (LEDGER=1) and
+# recovery-matrix.
 BASE ?= HEAD~1
 WORKLOAD ?= traffic-steady
 PAIRS ?= 10

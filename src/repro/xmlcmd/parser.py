@@ -7,9 +7,10 @@ namespaces, DTDs, processing instructions other than the declaration, and
 CDATA sections.  Unsupported constructs raise
 :class:`~repro.errors.XmlParseError` rather than being silently skipped.
 
-Implementation notes (this is the bus hot path, see BENCH_3.json): the
-tokenizer is a single forward scan over ``(text, pos)`` locals — no cursor
-object, no per-character method calls.  Names and ``name="value"`` pairs are
+Implementation notes (this is the bus hot path, timed by the repo benchmark's
+``xmlcmd.parse_full_ns`` driver): the tokenizer is a single forward scan over
+``(text, pos)`` locals — no cursor object, no per-character method calls.
+Names and ``name="value"`` pairs are
 sliced out by precompiled regexes (one C-level match per token), attribute
 dicts are built once and handed to :meth:`Element._make` without a defensive
 copy, and tag/attribute names are ``sys.intern``-ed so the schema layer's

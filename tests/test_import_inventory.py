@@ -23,13 +23,14 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Unreached modules, each with its owner.  This is the to-do list of
-#: ROADMAP items 5(a), 6 and 7: a module leaves when its item wires it in.
+#: ROADMAP items 5(a), 6, 7, 8 and 11(c): a module leaves when its item
+#: wires it in.
 ISLAND_MODULES = {
     "repro.core.optimizer": "item 6: the tree search behind `repro optimize`",
     "repro.core.rejuvenation": "item 7: pass-aware rejuvenation campaigns",
     "repro.core.analysis": "item 6: the analytic pre-filter of the tree search",
-    "repro.analysis.markov": "item 7/9: the analytic column of `repro availability`",
-    "repro.mercury.architecture": "item 9: `render_architecture` under `repro trees`",
+    "repro.analysis.markov": "item 8: the analytic column of `repro availability`",
+    "repro.mercury.architecture": "item 11(c): `render_architecture` under `repro trees`",
     "repro.experiments.timeline": "item 5(a): the seed of `repro explain`",
     "repro.experiments.lifetimes": "Table 1: benchmarks/test_table1_mttf.py drives it",
 }

@@ -24,10 +24,14 @@ repo has to show (ROADMAP "Open items"; the choosing-metrics rule):
   per side, and every per-layer metric that repeats exactly for a seed
   (``*.calls``, ``sim.kernel.events_per_work``,
   ``workload.events_per_request``, ``transport.connections``, ...) whose two
-  values differ, each layer's ``self_share`` beside its call count.
+  values differ, each layer's ``self_share`` beside its call count, and the
+  isolated-driver timings (``sim.kernel.dispatch_ns`` ..
+  ``experiments.snapshot.restore_ms``) of the two traced runs, report-only.
 
-Report-only: the exit code is non-zero only when a benchmark run itself
-failed (``bench/run.py`` exited non-zero or reported failed operations).
+The exit code is the no-regression rule (:func:`verdict`), at any pair
+count; the gain verdict never sets it.  ``setup_s`` gates fairly only when
+both trees are equally byte-compiled: a tree with an old ``__pycache__``
+sets up about a third faster than a fresh, uncompiled checkout.
 """
 
 from __future__ import annotations
@@ -38,13 +42,14 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 from calibrate import quartiles  # the acceptance rule's own (q1, median, q3)
 from run import repeats_exactly  # which per-layer metrics depend on the seed alone
+from run import worse_by  # the A/A rule's own orientation of a bound
 
 #: Pairs the rule needs before it calls anything a gain.
 RULE_PAIRS = 10
@@ -64,25 +69,54 @@ def run_once(tree: str, workload: str, seed: int, trace: int = 0) -> Dict[str, A
     except (IndexError, ValueError):
         sys.stdout.write(done.stdout)
         raise SystemExit("bench_ab: no result line from %s (exit %d)" % (tree, done.returncode))
-    exact = {}
+    exact, drivers = {}, []
     for line in lines:
         fields = line.split()
         if line.startswith("== "):
             exact["digest"] = line.rsplit("digest=", 1)[-1]
         elif fields and fields[0].startswith("result.sim_"):
             exact[fields[0]] = fields[1]
+        elif "  (iqr " in line:  # an isolated driver's timing
+            drivers.append(fields[0])
     result["exact"] = exact
+    result["drivers"] = drivers
     result["exit"] = done.returncode
     return result
+
+
+def verdict(
+    end_to_end: List[Dict[str, Any]],
+    runs: Dict[str, List[Dict[str, Any]]],
+) -> Tuple[bool, Dict[str, str]]:
+    """The no-regression rule: ``(passed, {metric: "within bound" or
+    "REGRESSED (...)"})`` for ``BENCHMARK.json``'s ``end_to_end`` metrics.
+    It fails when any run exited non-zero or failed an operation, or when a
+    metric's change median is worse than its base median (``better`` says
+    which way that is) by more than the metric's ``bound``."""
+    lines = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        base, change = (
+            quartiles([run["metrics"][name]["value"] for run in runs[side]])[1]
+            for side in ("base", "change")
+        )
+        worse = worse_by(base, change, metric["better"])
+        lines[name] = "within bound" if worse <= metric["bound"] else (
+            "REGRESSED (worse by %.1f %% > bound %g %%)" % (100 * worse, 100 * metric["bound"])
+        )
+    broken = any(run["exit"] or run["failed"] for side in runs.values() for run in side)
+    return not broken and all(line == "within bound" for line in lines.values()), lines
 
 
 def report(
     declared: Dict[str, Any],
     workload: str,
     runs: Dict[str, List[Dict[str, Any]]],
-) -> None:
+) -> bool:
+    """Print the A/B; whether it passes the no-regression rule."""
     base, change = runs["base"], runs["change"]
     pairs = len(base)
+    passed, bounds = verdict(declared["end_to_end"], runs)
     print("== A/B %s: %d alternating pairs" % (workload, pairs))
     print("%-16s %-7s %14s %14s %14s" % ("metric", "side", "q1", "median", "q3"))
     for metric in declared["end_to_end"]:
@@ -103,15 +137,15 @@ def report(
         apart = stats["change"][1] - stats["base"][1]
         better_by = apart if higher else -apart
         if pairs < RULE_PAIRS:
-            verdict = "not judged under %d pairs" % RULE_PAIRS
+            gain = "not judged under %d pairs" % RULE_PAIRS
         else:
-            verdict = "yes" if wins >= 0.9 * pairs and better_by > base_iqr else "no"
+            gain = "yes" if wins >= 0.9 * pairs and better_by > base_iqr else "no"
         print(
             "%-16s change/base %.4f (base %.6f %s, %s is better); change won "
-            "%d/%d pairs (%d ties); base IQR %.6f; gain by the rule: %s" % (
+            "%d/%d pairs (%d ties); base IQR %.6f; gain by the rule: %s; %s" % (
                 name, stats["change"][1] / stats["base"][1], stats["base"][1],
                 metric["unit"], metric["better"], wins, pairs, ties, base_iqr,
-                verdict,
+                gain, bounds[name],
             )
         )
     keys = sorted({key for run in base + change for key in run["exact"]})
@@ -133,6 +167,8 @@ def report(
             sum(run["failed"] for run in runs[side]),
             sum(run["attempted"] for run in runs[side]),
         ))
+    print("no-regression rule: %s" % ("pass" if passed else "FAIL"))
+    return passed
 
 
 def report_ledger(workload: str, traced: Dict[str, Dict[str, Any]]) -> None:
@@ -150,6 +186,12 @@ def report_ledger(workload: str, traced: Dict[str, Dict[str, Any]]) -> None:
         if name.endswith(".calls") and share in base and share in change:
             line += "  self_share %.3f -> %.3f" % (base[share]["value"], change[share]["value"])
         print(line)
+    drivers = [name for name in traced["base"]["drivers"] if name in change]
+    print("== isolated drivers %s: one traced run per side, report-only" % workload)
+    for name in drivers:
+        print("%-40s %12.4f -> %12.4f %-2s  change/base %.3f" % (
+            name, base[name]["value"], change[name]["value"], base[name]["unit"],
+            change[name]["value"] / base[name]["value"]))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -165,7 +207,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--ledger", action="store_true",
                         help="add one --trace 1 run per side and print the "
-                             "exact-repeat per-layer metrics that differ")
+                             "exact-repeat per-layer metrics that differ and "
+                             "the isolated-driver timings")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -203,12 +246,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cwd=ROOT, check=False, stdout=subprocess.DEVNULL,
             )
             os.rmdir(scratch)
-    report(declared, args.workload, runs)
+    passed = report(declared, args.workload, runs)
     if traced:
         report_ledger(args.workload, traced)
-    every = [run for side in runs.values() for run in side] + list(traced.values())
-    broken = any(run["exit"] or run["failed"] for run in every)
-    return 1 if broken else 0
+    broken = any(run["exit"] or run["failed"] for run in traced.values())
+    return 0 if passed and not broken else 1
 
 
 if __name__ == "__main__":
