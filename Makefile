@@ -19,7 +19,7 @@ test:
 # Static checks.  tools/lint.py prefers ruff, then pyflakes, and falls
 # back to its own AST-based checks when neither is installed.
 lint:
-	$(PYTHON) tools/lint.py src tests tools
+	$(PYTHON) tools/lint.py src tests tools examples benchmarks
 
 # Two fast chaos campaigns with live invariant checking; nonzero exit on
 # any invariant violation.  Flapping kills REC mid-recovery on a

@@ -7,7 +7,6 @@ MTTF/(MTTF+MTTR); recursive restartability improves this ratio by reducing
 MTTR."
 """
 
-import pytest
 from conftest import CACHE_DIR, JOBS, print_banner
 
 from repro.analysis.markov import SeriesSystemModel

@@ -10,7 +10,6 @@ from conftest import PAPER_TABLE1, print_banner
 
 from repro.experiments.lifetimes import measure_lifetimes
 from repro.experiments.report import format_table
-from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.trees import tree_ii
 
 DAY = 86400.0

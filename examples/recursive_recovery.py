@@ -1,4 +1,4 @@
-"""Recursive recovery (§7): custom procedures for hard-state components.
+"""Recursive recovery (§7): a per-cell strategy for a hard-state component.
 
 The paper defers hard state to future work: "each component is recovered
 using a custom procedure; restart is just one example of a recovery
@@ -8,27 +8,22 @@ databases, application servers, and web servers."
 
 This example builds exactly that stack — web / app / db — where the
 database has hard state: a cold restart replays its log (25 s), while a
-*warm* recovery restores the latest checkpoint (3 s).  We supervise it
-twice:
+start with the ``replay`` hint restores the latest checkpoint (3 s).  We
+supervise it twice:
 
 1. pure recursive **restartability** — every button is a cold restart;
-2. recursive **recovery** — the db cell's button runs the checkpoint
-   procedure, escalating to the cold parent restart only when the warm
-   path fails to cure (simulated corrupted-checkpoint failures).
+2. recursive **recovery** — a :class:`StrategyMap` gives the db cell the
+   ``checkpoint-replay`` strategy, escalating to the cold parent restart
+   only when the checkpoint fails to cure (simulated corrupted-checkpoint
+   failures).
 
 Run with::
 
     python examples/recursive_recovery.py
 """
 
-from repro.core import (
-    NaiveOracle,
-    ProcedureMap,
-    RestartPolicy,
-    RestartTree,
-    WarmRecoveryProcedure,
-    render_tree,
-)
+from repro.core import NaiveOracle, RestartPolicy, RestartTree, render_tree
+from repro.core.recovery_strategies import REPLAY_HINT, StrategyMap
 from repro.core.tree import cell
 from repro.detection.abstract import AbstractSupervisor
 from repro.faults.injector import FaultInjector
@@ -41,10 +36,10 @@ DB_WARM_S = 3.0    # checkpoint restore
 
 
 def db_work(context: StartupContext) -> float:
-    return DB_WARM_S if context.hint == "warm" else DB_COLD_S
+    return DB_WARM_S if context.hint == REPLAY_HINT else DB_COLD_S
 
 
-def build(procedures, seed):
+def build(strategies, seed):
     kernel = Kernel(seed=seed)
     manager = ProcessManager(kernel, contention_coefficient=0.05)
     manager.spawn(ProcessSpec("web", lambda ctx: 1.5))
@@ -64,13 +59,13 @@ def build(procedures, seed):
     policy = RestartPolicy(tree, NaiveOracle())
     AbstractSupervisor(
         kernel, manager, policy, monitored=["web", "app", "db"],
-        procedures=procedures,
+        strategies=strategies,
     )
     return kernel, manager, injector, tree
 
 
-def run_campaign(procedures, label, seed=17, trials=12):
-    kernel, manager, injector, tree = build(procedures, seed)
+def run_campaign(strategies, label, seed=17, trials=12):
+    kernel, manager, injector, tree = build(strategies, seed)
     rng = kernel.rngs.stream("example.faults")
     total_downtime = 0.0
     for index in range(trials):
@@ -111,13 +106,13 @@ def main() -> None:
     print(f"db warm recovery (checkpoint):     {DB_WARM_S:.0f} s")
     print("1 in 4 db failures corrupts the checkpoint (warm cannot cure)\n")
 
-    cold = run_campaign(ProcedureMap(), "recursive restartability (all cold)")
+    cold = run_campaign(StrategyMap(), "recursive restartability (all cold)")
     warm = run_campaign(
-        ProcedureMap().assign("R_db", WarmRecoveryProcedure()),
+        StrategyMap(cells={"R_db": "checkpoint-replay"}),
         "recursive recovery (db: checkpoint restore)",
     )
     print(
-        f"\nCustom recovery procedures cut db-failure downtime "
+        f"\nA per-cell checkpoint-replay strategy cuts db-failure downtime "
         f"{cold / warm:.1f}x; the corrupted-checkpoint failures still "
         f"recover, because escalation falls back to the cold restart."
     )

@@ -51,12 +51,6 @@ from repro.core.optimizer import (
     mercury_system_model,
     optimize_tree,
 )
-from repro.core.procedures import (
-    ProcedureMap,
-    RecoveryProcedure,
-    RestartProcedure,
-    WarmRecoveryProcedure,
-)
 from repro.core.recoverer import RecoveryModule
 from repro.core.recovery_engine import RecoveryEngine
 from repro.core.rejuvenation import RejuvenationScheduler, no_pass_imminent
@@ -82,12 +76,8 @@ __all__ = [
     "NaiveOracle",
     "Oracle",
     "PerfectOracle",
-    "ProcedureMap",
     "RecoveryEngine",
     "RecoveryModule",
-    "RecoveryProcedure",
-    "RestartProcedure",
-    "WarmRecoveryProcedure",
     "RejuvenationScheduler",
     "RestartCell",
     "RestartDecision",

@@ -30,7 +30,6 @@ from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.components.base import Behavior
 from repro.core.policy import RestartPolicy
-from repro.core.procedures import ProcedureMap
 from repro.core.recovery_engine import RecoveryEngine
 from repro.core.recovery_strategies import StrategyMap
 from repro.errors import ChannelClosedError
@@ -70,7 +69,6 @@ class RecoveryModule(Behavior):
         fd_ping_timeout: SimTime = 0.5,
         fd_grace: SimTime = 2.0,
         restart_timeout: SimTime = 90.0,
-        procedures: Optional[ProcedureMap] = None,
         strategies: Optional[StrategyMap] = None,
         session_store=None,
     ) -> None:
@@ -90,14 +88,10 @@ class RecoveryModule(Behavior):
             name=process.name,
             observation_window=observation_window,
             restart_timeout=restart_timeout,
-            procedures=procedures,
             strategies=strategies,
             session_store=session_store,
             announce=self._announce,
         )
-        #: Per-cell recovery procedures (§7); pushing a cell's button runs
-        #: its procedure, restart being the default.
-        self.procedures = self.engine.procedures
         #: Decisions executed, for tests and reports.
         self.restart_log = self.engine.restart_log
         #: ``request_restart(cell_id, reason)``: the rejuvenation entry point.

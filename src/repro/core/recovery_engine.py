@@ -31,7 +31,6 @@ from typing import Callable, Deque, FrozenSet, List, Optional, Set, Tuple, TYPE_
 
 from repro.core.oracle import LearningOracle
 from repro.core.policy import RestartDecision, RestartPolicy
-from repro.core.procedures import ProcedureMap
 from repro.core.recovery_strategies import (
     RecoveryPlan,
     RecoveryStrategy,
@@ -79,7 +78,6 @@ class RecoveryEngine:
         name: str,
         observation_window: SimTime,
         restart_timeout: SimTime,
-        procedures: Optional[ProcedureMap] = None,
         strategies: Optional[StrategyMap] = None,
         session_store=None,
         announce: Optional[Callable[[str, Tuple[str, ...], str], None]] = None,
@@ -94,9 +92,8 @@ class RecoveryEngine:
         #: (e.g. killed mid-startup by a concurrent fault); the watchdog
         #: re-kicks terminal members so the action cannot wedge.
         self.restart_timeout = restart_timeout
-        #: Per-cell recovery procedures (§7 recursive recovery).
-        self.procedures = procedures or ProcedureMap()
-        #: Per-cell/per-failure-kind strategies.  ``None`` is the classic
+        #: Per-cell/per-failure-kind strategies: what pushing a cell's
+        #: button does (§7 recursive recovery).  ``None`` is the classic
         #: restart-only configuration: the default strategy is forced, the
         #: oracle's hint is never consulted, and the trace stays
         #: bit-identical to the pre-registry recoverer.
@@ -310,9 +307,7 @@ class RecoveryEngine:
         if self.strategies is None:
             return get_strategy("restart")
         hint = self.policy.oracle.recommend_strategy(self.policy.tree, trigger)
-        name = self.strategies.select(
-            self.policy.tree, cell_id, failure_kind=failure_kind, oracle_hint=hint
-        )
+        name = self.strategies.select(cell_id, failure_kind=failure_kind, oracle_hint=hint)
         return get_strategy(name)
 
     def _begin(
@@ -327,13 +322,8 @@ class RecoveryEngine:
         chosen = self._resolve_strategy(cell_id, trigger, failure_kind, strategy)
         ctx = StrategyContext(
             manager=self.manager,
-            kernel=self.kernel,
-            tree=self.policy.tree,
-            procedures=self.procedures,
-            cell_id=cell_id,
             components=components,
             trigger=trigger,
-            failure_kind=failure_kind,
             session_store=self.session_store,
         )
         plan = chosen.plan(ctx)
@@ -353,6 +343,8 @@ class RecoveryEngine:
             )
         self.action = _Action(cell_id, plan.batch, chosen, ctx, plan)
         batch = tuple(sorted(plan.batch))
+        # "procedure" is the pre-registry name of the plan label; it keeps
+        # that name so the golden restart traces stay byte-identical.
         order = {
             "cell": cell_id, "components": batch, "trigger": trigger,
             "procedure": plan.label,

@@ -16,9 +16,9 @@ The supervisor (REC or the abstract supervisor) drives the phases:
     members actually bounce in this step and gate completion).
 
 ``execute(ctx, plan)``
-    Kicks the plan's processes through the process manager.  The
-    supervisor's inflight bookkeeping, watchdog, and ready-gating are
-    shared by every strategy.
+    Kicks the plan's gate through the process manager with the plan's
+    start hint.  The supervisor's inflight bookkeeping, watchdog, and
+    ready-gating are shared by every strategy.
 
 ``verify(ctx, plan)``
     Called once every expected member has been ready.  ``None`` means the
@@ -36,9 +36,7 @@ The four shipped strategies:
 
 ``restart``
     The paper's mechanism, bit-identical to the pre-registry recoverer:
-    the plan delegates to the cell's :class:`~repro.core.procedures
-    .RecoveryProcedure` (so per-cell warm procedures keep working), the
-    batch equals the cell's restart group, and verify is a no-op.
+    a cold start of the cell's whole restart group, and verify is a no-op.
 
 ``microreboot``
     Partial restart ("Microreboot — A Technique for Cheap Recovery"):
@@ -53,7 +51,11 @@ The four shipped strategies:
     checkpoint/message-logging report): components restore their last
     checkpoint from the session store and replay a bounded inbound
     message log instead of cold-booting, shrinking startup work by the
-    configured replay fraction.
+    configured replay fraction.  This is the paper's §7 recursive
+    recovery for hard-state components: assign it to one cell through
+    the :class:`StrategyMap`, and an uncured attempt escalates to the
+    parent cell, whose ``restart`` is cold — "restart is just one example
+    of a recovery procedure", and the cheapest cure is tried first.
 
 ``bisect``
     Binary-search group recovery for ambiguous multi-component failures
@@ -72,10 +74,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.procedures import ProcedureMap
-    from repro.core.tree import RestartTree
     from repro.procmgr.manager import ProcessManager
-    from repro.sim.kernel import Kernel
 
 
 #: Start hints understood by session-store-aware components.
@@ -97,8 +96,8 @@ class RecoveryPlan:
     batch: FrozenSet[str]
     #: Trace label (the ``procedure`` field of ``RESTART_ORDERED``).
     label: str
-    #: Start hint passed to the process manager (``cold``/``warm``/
-    #: ``micro``/``replay``).
+    #: Start hint passed to the process manager (``cold``/``micro``/
+    #: ``replay``).
     hint: str = "cold"
     expecting: Optional[FrozenSet[str]] = None
     #: Seconds to wait after the expected set is ready before ``verify``
@@ -125,13 +124,8 @@ class StrategyContext:
 
     __slots__ = (
         "manager",
-        "kernel",
-        "tree",
-        "procedures",
-        "cell_id",
         "components",
         "trigger",
-        "failure_kind",
         "session_store",
         "state",
         "planned_at",
@@ -143,23 +137,13 @@ class StrategyContext:
         self,
         *,
         manager: "ProcessManager",
-        kernel: "Kernel",
-        tree: "RestartTree",
-        procedures: "ProcedureMap",
-        cell_id: str,
         components: FrozenSet[str],
         trigger: str,
-        failure_kind: str = "unknown",
         session_store=None,
     ) -> None:
         self.manager = manager
-        self.kernel = kernel
-        self.tree = tree
-        self.procedures = procedures
-        self.cell_id = cell_id
         self.components = components
         self.trigger = trigger
-        self.failure_kind = failure_kind
         self.session_store = session_store
         #: Strategy-private scratch (bisect keeps its probe ladder here).
         self.state: dict = {}
@@ -219,11 +203,11 @@ class RecoveryStrategy(ABC):
     def plan(self, ctx: StrategyContext) -> RecoveryPlan:
         """Decide the first step for this action (synchronous)."""
 
-    @abstractmethod
     def execute(self, ctx: StrategyContext, plan: RecoveryPlan) -> None:
-        """Kick the plan's processes.  Every member of ``plan.gate`` must
-        eventually reach RUNNING again (the supervisor's watchdog re-kicks
-        members that die mid-start)."""
+        """Bounce the plan's gate with its start hint.  Every member of
+        ``plan.gate`` reaches RUNNING again (the supervisor's watchdog
+        re-kicks members that die mid-start)."""
+        ctx.manager.restart(plan.gate, hint=plan.hint)
 
     def verify(self, ctx: StrategyContext, plan: RecoveryPlan) -> Optional[RecoveryPlan]:
         """Called when every expected member has been ready.
@@ -238,23 +222,12 @@ class RecoveryStrategy(ABC):
 
 
 class RestartStrategy(RecoveryStrategy):
-    """The paper's mechanism, bit-identical to the pre-registry recoverer.
-
-    Planning delegates to the cell's recovery *procedure* (§7), so
-    per-cell warm procedures assigned through :class:`~repro.core
-    .procedures.ProcedureMap` behave exactly as before the registry.
-    """
+    """The paper's mechanism: cold-start the cell's whole restart group."""
 
     name = "restart"
 
     def plan(self, ctx: StrategyContext) -> RecoveryPlan:
-        return RecoveryPlan(
-            batch=ctx.components,
-            label=ctx.procedures.for_cell(ctx.cell_id).describe(),
-        )
-
-    def execute(self, ctx: StrategyContext, plan: RecoveryPlan) -> None:
-        ctx.procedures.for_cell(ctx.cell_id).execute(ctx.manager, plan.batch)
+        return RecoveryPlan(batch=ctx.components, label=self.name)
 
 
 class MicrorebootStrategy(RecoveryStrategy):
@@ -304,9 +277,6 @@ class MicrorebootStrategy(RecoveryStrategy):
             verify_delay=self.VERIFY_DELAY,
         )
 
-    def execute(self, ctx: StrategyContext, plan: RecoveryPlan) -> None:
-        ctx.manager.restart(plan.gate, hint=plan.hint)
-
     def verify(self, ctx: StrategyContext, plan: RecoveryPlan) -> Optional[RecoveryPlan]:
         if plan.expecting is None or ctx.rounds > 0:
             return None  # already a full bounce, or the widening already ran
@@ -329,9 +299,6 @@ class CheckpointReplayStrategy(RecoveryStrategy):
         if fallback is not None:
             return fallback
         return RecoveryPlan(batch=ctx.components, label=self.name, hint=REPLAY_HINT)
-
-    def execute(self, ctx: StrategyContext, plan: RecoveryPlan) -> None:
-        ctx.manager.restart(plan.gate, hint=plan.hint)
 
 
 class BisectStrategy(RecoveryStrategy):
@@ -381,9 +348,6 @@ class BisectStrategy(RecoveryStrategy):
             expecting=ladder[0],
             verify_delay=self.VERIFY_DELAY,
         )
-
-    def execute(self, ctx: StrategyContext, plan: RecoveryPlan) -> None:
-        ctx.manager.restart(plan.gate, hint=plan.hint)
 
     def verify(self, ctx: StrategyContext, plan: RecoveryPlan) -> Optional[RecoveryPlan]:
         ladder = ctx.state.get("ladder")
@@ -466,16 +430,15 @@ def observed_failure_kind(manager: "ProcessManager", component: str) -> str:
 class StrategyMap:
     """Per-cell / per-failure-kind strategy selection.
 
+    The one place that decides what pushing a cell's button does.
     Resolution order (most specific wins):
 
     1. an override for ``(cell_id, failure_kind)``;
     2. an override for ``cell_id``;
     3. an override for ``failure_kind``;
-    4. the tree node's own ``strategy`` attribute (see
-       :class:`~repro.core.tree.RestartCell`);
-    5. the map's explicit default, if one was given;
-    6. the oracle's recommendation, if one was offered;
-    7. ``restart``.
+    4. the map's explicit default, if one was given;
+    5. the oracle's recommendation, if one was offered;
+    6. ``restart``.
 
     An *explicit* default (e.g. a strategy-comparison sweep forcing
     ``microreboot`` everywhere) deliberately outranks the oracle hint so
@@ -521,7 +484,6 @@ class StrategyMap:
 
     def select(
         self,
-        tree: "RestartTree",
         cell_id: str,
         failure_kind: str = "unknown",
         oracle_hint: Optional[str] = None,
@@ -536,9 +498,6 @@ class StrategyMap:
         hit = self._kinds.get(failure_kind)
         if hit is not None:
             return hit
-        node = tree.strategy_of(cell_id) if tree.has_cell(cell_id) else None
-        if node is not None:
-            return node
         if self._default is not None:
             return self._default
         if oracle_hint is not None:

@@ -99,13 +99,11 @@ def depth_augment(
                 node.cell_id,
                 (),
                 tuple(node.children) + tuple(new_leaves),
-                strategy=node.strategy,
             )
         return RestartCell(
             node.cell_id,
             node.components,
             [rebuild(c) for c in node.children],
-            strategy=node.strategy,
         )
 
     note = f"depth_augment({target_id}): components {sorted(target.components)} -> own cells"
@@ -145,7 +143,6 @@ def replace_component(
             node.cell_id,
             node.components,
             [copy(c) for c in node.children],
-            strategy=node.strategy,
         )
 
     def rebuild(node: RestartCell) -> RestartCell:
@@ -160,17 +157,10 @@ def replace_component(
                 # The old cell survives (it held other components/children);
                 # the split parts become its siblings.
                 new_children.append(
-                    RestartCell(
-                        child.cell_id,
-                        remaining,
-                        grandchildren,
-                        strategy=child.strategy,
-                    )
+                    RestartCell(child.cell_id, remaining, grandchildren)
                 )
             new_children.extend(part_cells)
-        return RestartCell(
-            node.cell_id, node.components, new_children, strategy=node.strategy
-        )
+        return RestartCell(node.cell_id, node.components, new_children)
 
     if home_id == tree.root.cell_id:
         old_root = tree.root
@@ -178,7 +168,6 @@ def replace_component(
             old_root.cell_id,
             old_root.components - {component},
             [copy(c) for c in old_root.children] + part_cells,
-            strategy=old_root.strategy,
         )
     else:
         root = rebuild(tree.root)
@@ -228,14 +217,11 @@ def insert_joint_node(
                         placed = True
                     continue
                 new_children.append(rebuild(child))
-            return RestartCell(
-                node.cell_id, node.components, new_children, strategy=node.strategy
-            )
+            return RestartCell(node.cell_id, node.components, new_children)
         return RestartCell(
             node.cell_id,
             node.components,
             [rebuild(c) for c in node.children],
-            strategy=node.strategy,
         )
 
     note = f"insert_joint_node({joint_cell_id} over {list(child_cell_ids)})"
@@ -287,14 +273,11 @@ def consolidate_groups(
                         placed = True
                     continue
                 new_children.append(rebuild(child))
-            return RestartCell(
-                node.cell_id, node.components, new_children, strategy=node.strategy
-            )
+            return RestartCell(node.cell_id, node.components, new_children)
         return RestartCell(
             node.cell_id,
             node.components,
             [rebuild(c) for c in node.children],
-            strategy=node.strategy,
         )
 
     note = f"consolidate_groups({list(cell_ids)} -> {merged_cell_id})"
@@ -333,9 +316,7 @@ def promote_component(
             ]
             if not remaining and not children:
                 return None
-            return RestartCell(
-                node.cell_id, remaining, children, strategy=node.strategy
-            )
+            return RestartCell(node.cell_id, remaining, children)
         new_children = []
         for child in node.children:
             built = rebuild(child)
@@ -344,9 +325,7 @@ def promote_component(
         components = node.components
         if node.cell_id == parent_id:
             components = components | {component}
-        return RestartCell(
-            node.cell_id, components, new_children, strategy=node.strategy
-        )
+        return RestartCell(node.cell_id, components, new_children)
 
     root = rebuild(tree.root)
     assert root is not None  # parent_id exists, so the root survives

@@ -42,29 +42,25 @@ class RestartCell:
         Component names attached directly to this cell.
     children:
         Child cells.
-    strategy:
-        Optional per-node recovery strategy name (see
-        :mod:`repro.core.recovery_strategies`): how pushing this cell's
-        button recovers, when no map override says otherwise.  ``None``
-        defers to the supervisor's :class:`~repro.core.recovery_strategies
-        .StrategyMap` (whose default is the classic restart).
+
+    How pushing the cell's button recovers is not a property of the tree:
+    the supervisor's :class:`~repro.core.recovery_strategies.StrategyMap`
+    decides it per cell.
     """
 
-    __slots__ = ("cell_id", "components", "children", "strategy")
+    __slots__ = ("cell_id", "components", "children")
 
     def __init__(
         self,
         cell_id: str,
         components: Iterable[str] = (),
         children: Sequence["RestartCell"] = (),
-        strategy: Optional[str] = None,
     ) -> None:
         if not cell_id:
             raise TreeError("cell_id must be non-empty")
         self.cell_id = cell_id
         self.components: FrozenSet[str] = frozenset(components)
         self.children: Tuple["RestartCell", ...] = tuple(children)
-        self.strategy = strategy
         if not self.components and not self.children:
             raise TreeError(
                 f"cell {cell_id!r} is empty: a cell must attach at least one "
@@ -102,10 +98,9 @@ def cell(
     cell_id: str,
     components: Iterable[str] = (),
     children: Sequence[RestartCell] = (),
-    strategy: Optional[str] = None,
 ) -> RestartCell:
     """Convenience constructor matching the figures' visual nesting."""
-    return RestartCell(cell_id, components, children, strategy=strategy)
+    return RestartCell(cell_id, components, children)
 
 
 class RestartTree:
@@ -206,10 +201,6 @@ class RestartTree:
         """Every component bounced when this cell's button is pushed."""
         return self.get_cell(cell_id).subtree_components()
 
-    def strategy_of(self, cell_id: str) -> Optional[str]:
-        """The cell's own recovery-strategy annotation, if any."""
-        return self.get_cell(cell_id).strategy
-
     def path_to_root(self, cell_id: str) -> List[str]:
         """Cell ids from ``cell_id`` up to and including the root."""
         path = [cell_id]
@@ -276,7 +267,8 @@ class RestartTree:
     # ------------------------------------------------------------------
 
     def structurally_equal(self, other: "RestartTree") -> bool:
-        """Whether the trees have identical shape, ids and annotations."""
+        """Whether the trees have identical shape, cell ids and component
+        attachments (the tree's name and history are not compared)."""
         return _cells_equal(self.root, other.root)
 
     def validate_complete(self, expected_components: Iterable[str]) -> None:
@@ -303,8 +295,6 @@ class RestartTree:
 
 def _cells_equal(a: RestartCell, b: RestartCell) -> bool:
     if a.cell_id != b.cell_id or a.components != b.components:
-        return False
-    if a.strategy != b.strategy:
         return False
     if len(a.children) != len(b.children):
         return False

@@ -38,7 +38,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.core.policy import RestartPolicy
-from repro.core.procedures import ProcedureMap
 from repro.core.recovery_engine import RecoveryEngine
 from repro.core.recovery_strategies import StrategyMap
 from repro.obs import events as ev
@@ -63,7 +62,6 @@ class AbstractSupervisor:
         reply_timeout: SimTime = 0.2,
         observation_window: SimTime = 3.0,
         restart_timeout: SimTime = 90.0,
-        procedures: Optional[ProcedureMap] = None,
         strategies: Optional[StrategyMap] = None,
         session_store=None,
     ) -> None:
@@ -84,7 +82,6 @@ class AbstractSupervisor:
             name="supervisor",
             observation_window=observation_window,
             restart_timeout=restart_timeout,
-            procedures=procedures,
             strategies=strategies,
             session_store=session_store,
         )

@@ -141,8 +141,8 @@ class ProcessManager:
         every component attached to the cell's subtree is bounced together.
         Processes already FAILED are not re-killed, just started.  Returns
         the batch for the caller's bookkeeping.  ``hint`` flows into each
-        process's :class:`~repro.procmgr.process.StartupContext` for custom
-        recovery procedures (warm restarts).
+        process's :class:`~repro.procmgr.process.StartupContext`: the
+        recovery strategy's start hint (``micro``, ``replay``).
         """
         batch = frozenset(names)
         if not batch:

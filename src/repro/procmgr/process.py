@@ -49,10 +49,11 @@ class StartupContext:
         ``ses``/``str`` resync penalty is waived exactly when the peer is in
         the batch.
     hint:
-        Recovery-procedure hint (``"cold"`` for an ordinary restart).  A
-        custom :mod:`repro.core.procedures` procedure may pass e.g.
-        ``"warm"``, and a component's startup-work function may honour it
-        (checkpoint restore instead of cold replay).  Components that do
+        Start hint of the recovery strategy that bounced the process
+        (``"cold"`` for an ordinary restart).  The
+        :mod:`repro.core.recovery_strategies` strategies pass ``"micro"``
+        or ``"replay"``, and a component's startup-work function may honour
+        it (checkpoint restore instead of a cold boot).  Components that do
         not understand a hint simply ignore it.
     """
 

@@ -1,14 +1,19 @@
-"""Unit tests for the recovery-strategy registry (PR 7 tentpole).
+"""Unit tests for the recovery-strategy registry.
 
 Covers the registry itself (lookup, registration errors), the
 :class:`RecoveryPlan` gate semantics, each strategy's ``plan`` logic
-against duck-typed process-manager fakes, the bisect verify ladder, and
-the :class:`StrategyMap` resolution order.
+against duck-typed process-manager fakes, the bisect verify ladder, the
+:class:`StrategyMap` resolution order, and recursive recovery (§7): a
+per-cell strategy's start hint reaching the component, and an uncured
+attempt escalating to a cold parent restart.
 """
 
 import pytest
 
+from repro.core.oracle import NaiveOracle
+from repro.core.policy import RestartPolicy
 from repro.core.recovery_strategies import (
+    REPLAY_HINT,
     BisectStrategy,
     CheckpointReplayStrategy,
     MicrorebootStrategy,
@@ -22,6 +27,11 @@ from repro.core.recovery_strategies import (
     strategy_names,
 )
 from repro.core.tree import RestartTree, cell
+from repro.detection.abstract import AbstractSupervisor
+from repro.faults.injector import FaultInjector
+from repro.procmgr.manager import ProcessManager
+from repro.procmgr.process import ProcessSpec, StartupContext
+from repro.sim.kernel import Kernel
 
 
 # ----------------------------------------------------------------------
@@ -48,23 +58,9 @@ class _FakeManager:
         return self._processes.get(name)
 
 
-class _FakeProcedure:
-    def describe(self):
-        return "cold"
-
-
-class _FakeProcedures:
-    def for_cell(self, cell_id):
-        return _FakeProcedure()
-
-
-def _ctx(components, trigger, processes=None, cell_id="R_x"):
+def _ctx(components, trigger, processes=None):
     return StrategyContext(
         manager=_FakeManager(processes or {}),
-        kernel=None,
-        tree=None,
-        procedures=_FakeProcedures(),
-        cell_id=cell_id,
         components=frozenset(components),
         trigger=trigger,
     )
@@ -118,7 +114,7 @@ def test_restart_plan_is_full_batch_with_procedure_label():
     assert plan.batch == frozenset({"ses", "str"})
     assert plan.expecting is None
     assert plan.hint == "cold"
-    assert plan.label == "cold"  # the cell's procedure description
+    assert plan.label == "restart"  # the ``procedure`` field of the order
 
 
 def test_microreboot_plan_bounces_only_unhealthy_members():
@@ -267,51 +263,36 @@ def test_observed_failure_kind():
 # ----------------------------------------------------------------------
 
 
-def _annotated_tree():
-    return RestartTree(
-        cell(
-            "root",
-            children=[
-                cell("R_a", ["a"], strategy="checkpoint-replay"),
-                cell("R_b", ["b"]),
-            ],
-        )
-    )
-
-
 def test_strategy_map_resolution_order():
-    tree = _annotated_tree()
     sm = StrategyMap(
         default="restart",
         cells={"R_a": "microreboot"},
         kinds={"zombie": "bisect"},
         cell_kinds={("R_a", "zombie"): "restart"},
     )
-    # most specific wins: (cell, kind) > cell > kind > tree annotation > default
-    assert sm.select(tree, "R_a", "zombie") == "restart"
-    assert sm.select(tree, "R_a", "crash") == "microreboot"
-    assert sm.select(tree, "R_b", "zombie") == "bisect"
-    assert sm.select(tree, "R_b", "crash") == "restart"  # explicit default
+    # most specific wins: (cell, kind) > cell > kind > default
+    assert sm.select("R_a", "zombie") == "restart"
+    assert sm.select("R_a", "crash") == "microreboot"
+    assert sm.select("R_b", "zombie") == "bisect"
+    assert sm.select("R_b", "crash") == "restart"  # explicit default
 
 
 def test_strategy_map_tree_annotation_and_fallbacks():
-    tree = _annotated_tree()
-    sm = StrategyMap()
-    # no overrides: the tree node's own annotation applies
-    assert sm.select(tree, "R_a", "crash") == "checkpoint-replay"
-    # unannotated node, no default: the oracle hint, then restart
-    assert sm.select(tree, "R_b", "crash", oracle_hint="microreboot") == "microreboot"
-    assert sm.select(tree, "R_b", "crash") == "restart"
+    # a tree node carries no strategy: the map is the one place to say it
+    with pytest.raises(TypeError):
+        cell("R_a", ["a"], strategy="checkpoint-replay")
+    sm = StrategyMap(cells={"R_a": "checkpoint-replay"})
+    assert sm.select("R_a", "crash") == "checkpoint-replay"
+    # no override, no default: the oracle hint, then restart
+    assert sm.select("R_b", "crash", oracle_hint="microreboot") == "microreboot"
+    assert sm.select("R_b", "crash") == "restart"
 
 
 def test_strategy_map_explicit_default_outranks_oracle_hint():
     # a sweep forcing microreboot everywhere must measure microreboot,
     # whatever the oracle would have recommended
     sm = StrategyMap(default="microreboot")
-    assert (
-        sm.select(_annotated_tree(), "R_b", "crash", oracle_hint="bisect")
-        == "microreboot"
-    )
+    assert sm.select("R_b", "crash", oracle_hint="bisect") == "microreboot"
 
 
 def test_strategy_map_rejects_typos_at_construction():
@@ -330,8 +311,124 @@ def test_strategy_map_assign_is_chainable():
         .assign("bisect", failure_kind="zombie")
         .assign("restart", cell_id="R_a", failure_kind="crash")
     )
-    tree = _annotated_tree()
-    assert sm.select(tree, "R_b", "crash") == "microreboot"
-    assert sm.select(tree, "R_b", "zombie") == "bisect"
-    assert sm.select(tree, "R_a", "crash") == "restart"
+    assert sm.select("R_b", "crash") == "microreboot"
+    assert sm.select("R_b", "zombie") == "bisect"
+    assert sm.select("R_a", "crash") == "restart"
     assert "default=microreboot" in sm.describe()
+
+
+# ----------------------------------------------------------------------
+# recursive recovery (§7): a per-cell strategy, escalating cold
+# ----------------------------------------------------------------------
+
+
+def checkpointed_work(cold: float, replay: float):
+    """A hard-state component: cold log replay vs checkpoint restore."""
+
+    def work(context: StartupContext) -> float:
+        return replay if context.hint == REPLAY_HINT else cold
+
+    return work
+
+
+@pytest.fixture
+def rig():
+    kernel = Kernel(seed=7)
+    manager = ProcessManager(kernel)
+    manager.spawn(ProcessSpec("web", lambda ctx: 2.0))
+    manager.spawn(ProcessSpec("db", checkpointed_work(cold=30.0, replay=3.0)))
+    manager.start_all()
+    kernel.run()
+    tree = RestartTree(
+        cell("root", children=[cell("R_web", ["web"]), cell("R_db", ["db"])]),
+        name="svc",
+    )
+    injector = FaultInjector(kernel, manager)
+    return kernel, manager, tree, injector
+
+
+def _push(manager, strategy, components):
+    """Plan and execute one step of ``strategy`` on a live manager."""
+    ctx = StrategyContext(
+        manager=manager, components=frozenset(components), trigger=components[0]
+    )
+    strategy.execute(ctx, strategy.plan(ctx))
+
+
+def test_replay_hint_reaches_startup_context(rig):
+    kernel, manager, tree, injector = rig
+    _push(manager, CheckpointReplayStrategy(), ["db"])
+    kernel.run()
+    start = kernel.trace.last("process_start", name="db")
+    assert start.data["work"] == pytest.approx(3.0)  # checkpoint path taken
+
+
+def test_cold_restart_unchanged(rig):
+    kernel, manager, tree, injector = rig
+    _push(manager, RestartStrategy(), ["db"])
+    kernel.run()
+    start = kernel.trace.last("process_start", name="db")
+    assert start.data["work"] == pytest.approx(30.0)
+
+
+def test_components_ignoring_hints_are_unaffected(rig):
+    kernel, manager, tree, injector = rig
+    _push(manager, CheckpointReplayStrategy(), ["web"])
+    kernel.run()
+    start = kernel.trace.last("process_start", name="web")
+    assert start.data["work"] == pytest.approx(2.0)
+
+
+def _supervise(kernel, manager, tree):
+    AbstractSupervisor(
+        kernel,
+        manager,
+        RestartPolicy(tree, NaiveOracle()),
+        monitored=["web", "db"],
+        strategies=StrategyMap(cells={"R_db": "checkpoint-replay"}),
+    )
+
+
+def test_supervisor_uses_per_cell_strategy(rig):
+    kernel, manager, tree, injector = rig
+    _supervise(kernel, manager, tree)
+    failure = injector.inject_simple("db")
+    deadline = kernel.now + 60.0
+    while kernel.now < deadline and injector.is_active(failure.failure_id):
+        kernel.step()
+    assert not injector.is_active(failure.failure_id)
+    recovery = kernel.now - failure.injected_at
+    assert recovery < 5.0  # checkpoint: ~0.7 detect + 3.0, not 30.0
+
+
+def test_escalation_falls_back_to_cold_parent(rig):
+    """An uncured checkpoint-replay escalates to the parent cell, whose
+    restart is cold — 'try the cheapest cure first'."""
+    kernel, manager, tree, injector = rig
+    _supervise(kernel, manager, tree)
+    # Cure requires the whole root (both components together).
+    failure = injector.inject_joint("db", ["db", "web"])
+    deadline = kernel.now + 120.0
+    while kernel.now < deadline and injector.is_active(failure.failure_id):
+        kernel.step()
+    assert not injector.is_active(failure.failure_id)
+    ordered = [r.data["cell"] for r in kernel.trace.filter(kind="restart_ordered")]
+    assert ordered == ["R_db", "root"]
+    # First attempt was the cheap checkpoint one; the curing root restart was cold.
+    db_starts = [r.data["work"] for r in kernel.trace.filter(kind="process_start", name="db")]
+    assert db_starts[-2:] == [pytest.approx(3.0), pytest.approx(30.0)]
+
+
+def test_rec_trace_names_strategy():
+    from repro.mercury.station import MercuryStation
+    from repro.mercury.trees import tree_v
+
+    station = MercuryStation(
+        tree=tree_v(), seed=141, strategies=StrategyMap(cells={"R_rtu": "checkpoint-replay"})
+    )
+    station.boot()
+    failure = station.injector.inject_simple("rtu")
+    station.run_until_recovered(failure)
+    order = station.trace.first("restart_ordered")
+    assert order.data["procedure"] == "checkpoint-replay"
+    assert order.data["strategy"] == "checkpoint-replay"

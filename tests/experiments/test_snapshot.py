@@ -17,6 +17,7 @@ import copyreg
 import dataclasses
 import functools
 import gc
+import itertools
 import pickle
 import sys
 import types
@@ -33,16 +34,27 @@ from repro.experiments.snapshot import (
     fork,
     station_shape,
     template_count,
+    tree_fingerprint,
     warm_template,
     warmed_station,
 )
 from repro.chaos.engine import run_chaos
+from repro.core.transformations import (
+    TRANSFORMATION_CATALOG,
+    consolidate_groups,
+    depth_augment,
+    insert_joint_node,
+    promote_component,
+    replace_component,
+)
+from repro.errors import TransformationError
+from repro.experiments.runner import CampaignCell, cache_key
 from repro.experiments.fleet import DigestSink, FleetSpec, _StationBuild
 from repro.experiments.template_store import SharedTemplateStore
 from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.session_store import SessionStore, _Record
 from repro.mercury.station import MercuryStation
-from repro.mercury.trees import tree_i, tree_ii, tree_iv, tree_v
+from repro.mercury.trees import TREE_BUILDERS, tree_i, tree_ii, tree_iv, tree_v
 from repro.sim.rng import _Stream
 from repro.xmlcmd.fastpath import Wire, encode_ping_wire
 
@@ -125,6 +137,73 @@ def test_shape_distinguishes_kind_tree_config_and_params():
     )
     other_config = PAPER_CONFIG.with_overrides(ping_period=2.0)
     assert station_shape("recovery", tree_ii(), other_config, oracle="perfect") != base
+
+
+def _applied(transform, tree, targets):
+    """``transform(tree, *args)`` for every ``args`` in ``targets`` it
+    applies to."""
+    out = []
+    for args in targets:
+        try:
+            out.append(transform(tree, *args))
+        except TransformationError:
+            pass  # e.g. depth-augmenting a cell that attaches no components
+    return out
+
+
+def _split_and_join(tree):
+    """Subtree depth augmentation: split each component in two (II -> II'),
+    then put the halves under a joint node (II' -> III)."""
+    out = []
+    for component in sorted(tree.components):
+        halves = [f"{component}_a", f"{component}_b"]
+        split = replace_component(tree, component, halves)
+        joint_over = [split.cell_of_component(half) for half in halves]
+        out += [split, insert_joint_node(split, joint_over, f"R_{component}_joint")]
+    return out
+
+
+def _sibling_pairs(tree):
+    for cell_id in tree.cell_ids:
+        children = [child.cell_id for child in tree.get_cell(cell_id).children]
+        yield from ((pair, "R_merged") for pair in itertools.combinations(children, 2))
+
+
+#: Every TRANSFORMATION_CATALOG row as the trees one step of it makes.
+_CATALOG_STEPS = {
+    "original": lambda tree: [tree],
+    "depth_augment": lambda tree: _applied(
+        depth_augment, tree, [(c,) for c in tree.cell_ids]
+    ),
+    "subtree_depth_augment": _split_and_join,
+    "consolidate": lambda tree: _applied(consolidate_groups, tree, _sibling_pairs(tree)),
+    "promote": lambda tree: _applied(
+        promote_component, tree, [(c,) for c in sorted(tree.components)]
+    ),
+}
+
+
+def test_fingerprint_sees_exactly_name_and_structure():
+    assert set(_CATALOG_STEPS) == {t.key for t in TRANSFORMATION_CATALOG}
+    trees = []
+    for build in TREE_BUILDERS.values():
+        for step in _CATALOG_STEPS.values():
+            trees += step(build())
+    # Fresh builds: equal trees that are other objects.
+    trees += [build() for build in TREE_BUILDERS.values()]
+    equal_pairs = 0
+    for a, b in itertools.combinations(trees, 2):
+        same = a.name == b.name and a.structurally_equal(b)
+        equal_pairs += same
+        assert (tree_fingerprint(a) == tree_fingerprint(b)) == same, (a, b)
+    assert len(trees) > 100 and equal_pairs >= len(TREE_BUILDERS)
+    # Two trees under one name that differ in structure are two cache
+    # entries, never one served for the other.
+    cell = CampaignCell(kind="recovery", tree="V", component="rtu", trials=3, seed=1)
+    a = depth_augment(tree_v(), "R_fedr_pbcom")
+    b = depth_augment(tree_v(), "R_ses_str")
+    assert a.name == b.name and not a.structurally_equal(b)
+    assert cache_key(cell, PAPER_CONFIG, a) != cache_key(cell, PAPER_CONFIG, b)
 
 
 def test_boot_seed_is_shape_derived_and_stable():
