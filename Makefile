@@ -35,11 +35,12 @@ chaos-lossy-smoke:
 	$(PYTHON) -m repro.cli chaos --scenario lossy --tree V --trials 1 --seed 7
 
 # One fast strategy-comparison matrix (restart vs microreboot under
-# crashes on tree V) with live invariant checking; nonzero exit on any
-# invariant violation.
+# crashes on tree V, under user traffic) with live invariant checking;
+# nonzero exit on any invariant violation, in any printed cell.
 strategy-smoke:
 	$(PYTHON) -m repro.cli strategy-compare --strategy restart \
-		--strategy microreboot --kind crash --tree V --trials 2 --seed 7
+		--strategy microreboot --kind crash --tree V --trials 2 --seed 7 \
+		--user-effects
 
 # One fast sharded fleet campaign (independent + correlated waves) with
 # per-station invariant checking; nonzero exit on any violation.  Shards

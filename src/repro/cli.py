@@ -46,7 +46,12 @@ from repro.experiments.runner import (
     table4_cure_set,
 )
 from repro.chaos.scenarios import SCENARIOS
-from repro.experiments.strategy_compare import FAILURE_KINDS
+from repro.experiments.workload import (
+    DEFAULT_SESSION_RATE,
+    DEFAULT_TREES,
+    FAILURE_KINDS,
+    format_workload_report,
+)
 from repro.mercury.trees import TREE_BUILDERS
 
 
@@ -107,6 +112,35 @@ def _tree_argument(parser: argparse.ArgumentParser, multiple: bool = False) -> N
         )
     else:
         parser.add_argument("--tree", help="tree label", **kwargs)
+
+
+def _strategy_argument(parser: argparse.ArgumentParser, default: str) -> None:
+    """``--strategy``: a registry name, or ``classic`` for the restart-only
+    baseline station; :func:`_strategies` turns the names into cell values."""
+    parser.add_argument(
+        "--strategy", action="append",
+        choices=sorted(strategy_names()) + ["classic"],
+        default=None,
+        help="strategy name, or 'classic' for the restart-only baseline "
+        f"(repeatable; default: {default})",
+    )
+
+
+def _strategies(names: Sequence[str]) -> List[str]:
+    """``classic`` is spelled ``""`` inside the experiment layer."""
+    return ["" if name == "classic" else name for name in names]
+
+
+def _fault_series_label(point: Tuple[Any, ...], tree: str) -> str:
+    """A (strategy, kind, tree) cell's report key / verdict name."""
+    return f"{point[0] or 'classic'}/{point[1]}/{tree}{point[2]}"
+
+
+def _positive_rate(text: str) -> float:
+    rate = float(text)
+    if not rate > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return rate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,11 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="recovery-strategy matrix: strategy x failure kind x tree",
         parents=[common],
     )
-    strategy.add_argument(
-        "--strategy", action="append", choices=sorted(strategy_names()),
-        default=None,
-        help="strategy name (repeatable; default: the full registry)",
-    )
+    _strategy_argument(strategy, "the full registry")
     strategy.add_argument(
         "--kind", action="append", choices=sorted(FAILURE_KINDS), default=None,
         help="injected failure kind (repeatable; default: "
@@ -241,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     strategy.add_argument("--trials", type=int, default=3)
     strategy.add_argument(
         "--user-effects", action="store_true",
-        help="also run a user-traffic workload cell per matrix cell and "
-        "join the goodput / user-visible-loss columns into the table",
+        help=f"run every cell under user traffic ({DEFAULT_SESSION_RATE:g} "
+        "sessions/s) and add the goodput / user-visible-loss columns",
     )
     strategy.add_argument(
         "--report", default=None, metavar="FILE",
@@ -255,13 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         "strategy x failure kind x tree",
         parents=[common],
     )
-    workload.add_argument(
-        "--strategy", action="append",
-        choices=sorted(strategy_names()) + ["classic"],
-        default=None,
-        help="strategy name, or 'classic' for the restart-only baseline "
-        "(repeatable; default: classic restart microreboot)",
-    )
+    _strategy_argument(workload, "classic restart microreboot")
     workload.add_argument(
         "--kind", action="append", choices=sorted(FAILURE_KINDS), default=None,
         help="injected failure kind (repeatable; default: crash)",
@@ -272,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="faults injected per cell (default: 3)",
     )
     workload.add_argument(
-        "--rate", type=float, default=None, metavar="SESSIONS_PER_S",
-        help="offered session arrival rate (default: 40)",
+        "--rate", type=_positive_rate, default=DEFAULT_SESSION_RATE,
+        metavar="SESSIONS_PER_S",
+        help=f"offered session arrival rate, > 0 (default: {DEFAULT_SESSION_RATE:g})",
     )
     workload.add_argument(
         "--report", default=None, metavar="FILE",
@@ -598,23 +623,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_strategy_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.strategy_compare import DEFAULT_TREES
-
-    strategies = args.strategy or sorted(strategy_names())
+    strategies = _strategies(args.strategy or sorted(strategy_names()))
     kinds = args.kind or list(FAILURE_KINDS)
     labels = args.tree or list(DEFAULT_TREES)
-    axes = {"strategy": strategies, "failure_kind": kinds, "tree": labels}
-    campaign = dict(
-        trials=args.trials, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir
+    # One suite: MTTR, ledger and user-effects columns come from the same
+    # cells, at zero traffic unless --user-effects asks for it.
+    suite = run_suite(
+        "workload",
+        {"strategy": strategies, "failure_kind": kinds, "tree": labels},
+        trials=args.trials,
+        seed=args.seed,
+        request_rate=DEFAULT_SESSION_RATE if args.user_effects else 0.0,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
     )
-    suite = run_suite("strategy", axes, **campaign)
-    effects_suite = None
-    if getattr(args, "user_effects", False):
-        from repro.experiments.workload import DEFAULT_SESSION_RATE
-
-        effects_suite = run_suite(
-            "workload", axes, request_rate=DEFAULT_SESSION_RATE, **campaign
-        )
 
     for label in labels:
         rows: List[List[object]] = []
@@ -623,7 +645,7 @@ def cmd_strategy_compare(args: argparse.Namespace) -> int:
                 cell = suite[(strategy, kind, label)]
                 stats = cell.stats
                 row: List[object] = [
-                    strategy,
+                    strategy or "classic",
                     kind,
                     f"{stats.mean:.3f}",
                     f"{stats.maximum:.3f}",
@@ -633,8 +655,8 @@ def cmd_strategy_compare(args: argparse.Namespace) -> int:
                     cell.messages_replayed,
                     len(cell.violations),
                 ]
-                if effects_suite is not None:
-                    effects = effects_suite[(strategy, kind, label)].user_effects
+                if args.user_effects:
+                    effects = cell.user_effects
                     row += [
                         f"{effects.goodput_rps:.1f}",
                         effects.lost_requests,
@@ -645,7 +667,7 @@ def cmd_strategy_compare(args: argparse.Namespace) -> int:
             "strategy", "kind", "mean MTTR (s)", "max (s)",
             "ses lost", "restored", "ckpt", "replayed", "viol",
         ]
-        if effects_suite is not None:
+        if args.user_effects:
             headers += ["goodput", "req lost", "user loss"]
         print(
             format_table(
@@ -659,46 +681,30 @@ def cmd_strategy_compare(args: argparse.Namespace) -> int:
         )
         print()
 
-    return _campaign_tail(
-        args, suite, lambda point, tree: f"{point[0]}/{point[1]}/{tree}{point[2]}"
-    )
+    return _campaign_tail(args, suite, _fault_series_label)
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
-    from repro.experiments.workload import (
-        DEFAULT_SESSION_RATE,
-        DEFAULT_TREES,
-        format_workload_report,
-    )
-
-    # "classic" is the restart-only baseline station (no session store),
-    # spelled "" inside the experiment layer.
-    raw = args.strategy or ["classic", "restart", "microreboot"]
-    strategies = ["" if name == "classic" else name for name in raw]
+    strategies = _strategies(args.strategy or ["classic", "restart", "microreboot"])
     kinds = args.kind or ["crash"]
     labels = args.tree or list(DEFAULT_TREES)
-    rate = args.rate if args.rate is not None else DEFAULT_SESSION_RATE
     suite = run_suite(
         "workload",
         {"strategy": strategies, "failure_kind": kinds, "tree": labels},
         trials=args.failures,
         seed=args.seed,
-        request_rate=rate,
+        request_rate=args.rate,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
     )
     print(
-        f"User-traffic cells: {rate:g} sessions/s, "
+        f"User-traffic cells: {args.rate:g} sessions/s, "
         f"{args.failures} fault(s)/cell\n"
     )
     print(format_workload_report(suite))
 
     print()
-    return _campaign_tail(
-        args,
-        suite,
-        lambda point, tree: f"{point[0] or 'classic'}/{point[1]}/{tree}{point[2]}",
-    )
+    return _campaign_tail(args, suite, _fault_series_label)
 
 
 def cmd_detection_ablation(args: argparse.Namespace) -> int:

@@ -632,14 +632,11 @@ def run_fleet_cell(
     shards: int = 1,
     jobs: Optional[int] = None,
     snapshot: bool = True,
-    share_templates: bool = True,
 ) -> FleetResult:
     """Run one fleet to its horizon; bit-identical for any ``shards``/``jobs``.
 
     ``jobs`` > 1 (default: ``REPRO_FLEET_JOBS``) fans one worker process
-    per shard; the epoch barrier is ``spec.ground_latency``.  With
-    ``share_templates`` the parent warms and publishes the station
-    template before fan-out, so each worker unpickles instead of booting.
+    per shard; the epoch barrier is ``spec.ground_latency``.
     """
     from repro.mercury.trees import TREE_BUILDERS
 
@@ -656,8 +653,9 @@ def run_fleet_cell(
     # template is warmed here even for snapshot-off differential runs —
     # those stations still boot fresh; only the clock is read.
     start = warm_template(shape, builder.build, builder.warm).kernel.now
+    # Fanned-out workers unpickle the parent's template instead of booting.
     blobs: Optional[Dict[str, bytes]] = None
-    if parallel and share_templates and snapshot:
+    if parallel and snapshot:
         from repro.experiments.template_store import STORE
 
         publish_template(shape, builder.build, builder.warm)

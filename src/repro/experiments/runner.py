@@ -108,7 +108,7 @@ class CampaignCell:
     #: which is *not* the same cell as ``strategy="restart"`` — the latter
     #: wires the session store and therefore observes session losses).
     strategy: str = ""
-    #: Injected failure kind for "strategy" cells (crash/hang/zombie).
+    #: Injected failure kind for "workload" cells (crash/hang/zombie).
     failure_kind: str = ""
     #: Stations in a "fleet" cell (0 for every other kind).
     fleet_size: int = 0
@@ -117,8 +117,8 @@ class CampaignCell:
     wave_interval_s: float = 0.0
     #: Wave-coupled uplink drop probability ("fleet" cells).
     wave_drop: float = 0.0
-    #: Offered user-traffic load in sessions/s ("workload" cells; also
-    #: arms the per-station workload plane in "fleet" cells when > 0).
+    #: Offered user-traffic load in sessions/s: arms the workload plane of
+    #: a "workload" cell, and of each station of a "fleet" cell, when > 0.
     request_rate: float = 0.0
 
 
@@ -182,7 +182,7 @@ def _decode_availability(payload: Payload) -> AvailabilityResult:
     return AvailabilityResult(**payload)
 
 
-# The chaos, strategy, workload and fleet modules import
+# The chaos, workload and fleet modules import
 # ``repro.experiments.snapshot`` (hence this package), and a worker running
 # another kind never needs them: their imports stay inside the functions.
 
@@ -209,39 +209,20 @@ def _decode_chaos(payload: Payload) -> "ChaosResult":
     return ChaosResult.from_payload(payload)
 
 
-def _run_strategy(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
-    from repro.experiments.strategy_compare import run_strategy_cell
-
-    return run_strategy_cell(
-        tree,
-        strategy=cell.strategy,
-        failure_kind=cell.failure_kind,
-        trials=cell.trials,
-        seed=cell.seed,
-        config=config,
-        supervisor=cell.supervisor,
-    ).to_payload()
-
-
-def _decode_strategy(payload: Payload) -> "StrategyCellResult":
-    from repro.experiments.strategy_compare import StrategyCellResult
-
-    return StrategyCellResult.from_payload(payload)
-
-
 def _run_workload(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
-    from repro.experiments.workload import DEFAULT_SESSION_RATE, run_workload_cell
+    from repro.experiments.workload import run_workload_cell
     from repro.workload.generator import WorkloadSpec
 
+    # Rate 0 is no traffic plane, the rule fleet cells follow too.
     return run_workload_cell(
         tree,
         strategy=cell.strategy,
-        failure_kind=cell.failure_kind or "crash",
+        failure_kind=cell.failure_kind,
         failures=cell.trials,
         seed=cell.seed,
         config=config,
         supervisor=cell.supervisor,
-        spec=WorkloadSpec(session_rate=cell.request_rate or DEFAULT_SESSION_RATE),
+        spec=WorkloadSpec(session_rate=cell.request_rate) if cell.request_rate > 0 else None,
     ).to_payload()
 
 
@@ -329,19 +310,12 @@ KINDS: Dict[str, Kind] = {
         decode=_decode_chaos,
         version=2,
     ),
-    "strategy": Kind(
-        reads=("strategy", "failure_kind", "trials", "supervisor"),
-        identity=("kind", "strategy", "failure_kind", "tree"),
-        run=_run_strategy,
-        decode=_decode_strategy,
-        version=1,
-    ),
     "workload": Kind(
         reads=("strategy", "failure_kind", "trials", "supervisor", "request_rate"),
         identity=("kind", "strategy", "failure_kind", "tree"),
         run=_run_workload,
         decode=_decode_workload,
-        version=1,
+        version=2,
     ),
     "fleet": Kind(
         reads=(

@@ -1,20 +1,27 @@
-"""Workload campaign cells: user-visible loss per (strategy, kind, tree).
+"""Fault-series campaign cells: MTTR and user loss per (strategy, kind, tree).
 
-The strategy matrix (:mod:`repro.experiments.strategy_compare`) ranks
-recovery strategies by MTTR and session-ledger counts; this module asks
-the Candea & Fox question instead — *what did the users lose?*  One cell
-per (strategy, failure kind, tree): an open-loop request workload
-(:class:`~repro.workload.plane.WorkloadPlane`) runs against the station
-for the whole cell while the same rotating fault series as a strategy
-cell lands, and the cell's result is the :class:`UserEffects` ledger —
-goodput, failed/retried/abandoned requests, session-chain loss, and
-per-recovery-phase attribution — alongside the usual MTTR samples.
+PAPER.md §7 calls restart "just one example of a recovery procedure";
+the recovery-strategy registry (:mod:`repro.core.recovery_strategies`)
+claims each strategy earns its keep on a different failure shape:
+microreboot preserves externalized ses/str sessions that a cold restart
+loses, checkpoint-replay shortcuts the expensive pbcom/fedrcom
+renegotiation, and bisect localises ambiguous fail-slow failures without
+an oracle hint.  One cell per (strategy, failure kind, tree) measures
+those claims: a rotating series of faults lands on the station and the
+cell records MTTR samples plus the session/checkpoint ledger of the
+station's :class:`~repro.mercury.session_store.SessionStore`.
 
-Two strategies with near-identical MTTR can differ sharply here: a full
-restart that fells the ses/str pair via the resync coupling turns one
-failure into a session-loss cascade that microreboot's externalized
-sessions never see.  That separation (similar MTTR, different user loss)
-is the whole point of the metric shift.
+With a :class:`~repro.workload.generator.WorkloadSpec` the cell also asks
+the Candea & Fox question — *what did the users lose?*  An open-loop
+request workload (:class:`~repro.workload.plane.WorkloadPlane`) runs
+against the station for the whole cell, and the result carries the
+:class:`UserEffects` ledger — goodput, failed/retried/abandoned requests,
+session-chain loss, and per-recovery-phase attribution — from the same
+run as the MTTR samples.  Two strategies with near-identical MTTR can
+differ sharply here: a full restart that fells the ses/str pair via the
+resync coupling turns one failure into a session-loss cascade that
+microreboot's externalized sessions never see.  Without a spec (a campaign
+cell at ``request_rate`` 0) there is no plane and no user ledger.
 
 Cells are pure functions of their spec: stations boot through the
 warmed-station snapshot cache and are rebased onto the cell seed before
@@ -35,20 +42,27 @@ from repro.core.tree import RestartTree
 from repro.errors import ExperimentError
 from repro.experiments.metrics import RecoveryStats
 from repro.experiments.snapshot import station_shape, warmed_station
-from repro.experiments.strategy_compare import (
-    FAILURE_KINDS,
-    ZOMBIE_PROBE_OVERRIDES,
-)
 from repro.mercury.config import PAPER_CONFIG, StationConfig
 from repro.mercury.station import MercuryStation
 from repro.workload.effects import UserEffects
 from repro.workload.generator import WorkloadSpec
 from repro.workload.plane import WorkloadPlane
 
-#: Trees where the user-effects split is most legible (same rationale as
-#: the strategy matrix: III keeps the lone ses/str cells, V the §4.2
-#: split radio pair).
+#: Failure kinds a cell may inject: fail-stop plus both fail-slow modes.
+FAILURE_KINDS: Tuple[str, ...] = ("crash", "hang", "zombie")
+
+#: Trees where the strategy differences are most legible: III keeps the
+#: paper's lone ses/str cells (resync coupling live), V adds the split
+#: fedr/pbcom pair (checkpoint-replay's best case).
 DEFAULT_TREES: Tuple[str, ...] = ("III", "V")
+
+#: Zombies answer pings, so unmasking them needs the end-to-end prober;
+#: these overrides match the detector-hardening experiments.
+ZOMBIE_PROBE_OVERRIDES: Dict[str, object] = {
+    "probe_period": 2.0,
+    "probe_timeout": 0.5,
+    "probe_misses_to_declare": 2,
+}
 
 #: Default offered load for campaign cells: high enough that every
 #: recovery episode catches a statistically meaningful slice of traffic,
@@ -58,7 +72,7 @@ DEFAULT_SESSION_RATE = 40.0
 
 @dataclass
 class WorkloadCellResult:
-    """Outcome of one (strategy, failure kind, tree) workload cell."""
+    """Outcome of one (strategy, failure kind, tree) fault-series cell."""
 
     strategy: str
     failure_kind: str
@@ -66,11 +80,15 @@ class WorkloadCellResult:
     failures: int
     session_rate: float
     mttr_samples: List[float] = field(default_factory=list)
-    #: The user-effects ledger in payload form (JSON-safe).
-    effects: Dict[str, Any] = field(default_factory=dict)
-    #: Session-store ledger (strategy-enabled stations only).
+    #: The user-effects ledger in payload form (JSON-safe); ``None`` when
+    #: the cell ran without traffic.
+    effects: Optional[Dict[str, Any]] = None
+    #: Session-store ledger totals over the whole cell
+    #: (``SessionStore.counters``; strategy-enabled stations only).
     sessions_lost: int = 0
     sessions_restored: int = 0
+    checkpoints_restored: int = 0
+    messages_replayed: int = 0
     violations: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
@@ -78,7 +96,9 @@ class WorkloadCellResult:
         return RecoveryStats.from_samples(self.mttr_samples)
 
     @property
-    def user_effects(self) -> UserEffects:
+    def user_effects(self) -> Optional[UserEffects]:
+        if self.effects is None:
+            return None
         return UserEffects.from_payload(self.effects)
 
     @property
@@ -94,9 +114,11 @@ class WorkloadCellResult:
             "failures": self.failures,
             "session_rate": self.session_rate,
             "mttr_samples": list(self.mttr_samples),
-            "effects": dict(self.effects),
+            "effects": None if self.effects is None else dict(self.effects),
             "sessions_lost": self.sessions_lost,
             "sessions_restored": self.sessions_restored,
+            "checkpoints_restored": self.checkpoints_restored,
+            "messages_replayed": self.messages_replayed,
             "violations": list(self.violations),
         }
 
@@ -109,9 +131,11 @@ class WorkloadCellResult:
             failures=payload["failures"],
             session_rate=payload["session_rate"],
             mttr_samples=list(payload["mttr_samples"]),
-            effects=dict(payload["effects"]),
+            effects=None if payload["effects"] is None else dict(payload["effects"]),
             sessions_lost=payload["sessions_lost"],
             sessions_restored=payload["sessions_restored"],
+            checkpoints_restored=payload["checkpoints_restored"],
+            messages_replayed=payload["messages_replayed"],
             violations=list(payload["violations"]),
         )
 
@@ -131,16 +155,22 @@ def run_workload_cell(
     quiesce_timeout: float = 600.0,
     snapshot: bool = True,
 ) -> WorkloadCellResult:
-    """Run ``failures`` faults of one kind under live user traffic.
+    """Run ``failures`` faults of one kind, under user traffic when
+    ``spec`` is given.
 
     ``strategy=""`` runs the classic restart-only station (no session
-    store) — the baseline the microreboot papers compare against.  The
-    fault series matches the strategy matrix exactly: targets rotate over
-    the sorted components (ses/str first, mbus excluded), zombies
-    manifest as joint failures.  Traffic starts ``warmup_s`` before the
-    first injection and keeps flowing through every recovery; after the
-    last trial the plane drains every in-flight chain so each started
-    session ends completed or abandoned.
+    store) — the baseline the microreboot papers compare against.
+    Targets rotate deterministically over the sorted components (ses/str
+    first, so even short cells exercise the session machinery restart and
+    microreboot differ on; mbus excluded, since a bus bounce fells
+    everything), and zombie trials manifest as joint failures whose cure
+    set spans the target and the next component in rotation, the
+    ambiguous shape bisect exists for.  Traffic starts ``warmup_s``
+    before the first injection and keeps flowing through every recovery;
+    after the last trial the plane drains every in-flight chain so each
+    started session ends completed or abandoned.  ``spec=None`` runs the
+    same series with no plane at all: no ``users`` client, no traffic,
+    ``effects`` ``None``.
     """
     if strategy and strategy not in strategy_names():
         raise ExperimentError(f"unknown recovery strategy: {strategy!r}")
@@ -148,7 +178,6 @@ def run_workload_cell(
         raise ExperimentError(f"unknown failure kind: {failure_kind!r}")
     if failure_kind == "zombie":
         config = config.with_overrides(**ZOMBIE_PROBE_OVERRIDES)
-    spec = spec or WorkloadSpec(session_rate=DEFAULT_SESSION_RATE)
 
     def build(boot_seed: int) -> MercuryStation:
         return MercuryStation(
@@ -169,11 +198,11 @@ def run_workload_cell(
 
     checker = InvariantChecker(tree)
     station.kernel.trace.add_sink(checker)
-    plane = WorkloadPlane(station, spec)
-    plane.start()
+    plane = None if spec is None else WorkloadPlane(station, spec)
+    if plane is not None:
+        plane.start()
     station.run_for(warmup_s)
 
-    # Same rotation as the strategy matrix so the MTTR columns line up.
     targets = sorted(
         (name for name in station.station_components if name != "mbus"),
         key=lambda name: (name not in ("ses", "str"), name),
@@ -191,11 +220,15 @@ def run_workload_cell(
             failure = station.injector.inject_simple(target, kind=failure_kind)
         mttr = station.run_until_recovered(failure, timeout=trial_timeout)
         mttr_samples.append(round(mttr, 9))
+    # Drain correlated follow-on failures (resync induction, re-manifests)
+    # before reading the ledgers, so counters cover complete episodes.
     station.run_until_quiescent(timeout=quiesce_timeout)
     station.run_for(cooldown_s)
-    plane.stop()
-    plane.drain()
-    effects = plane.finalize()
+    effects: Optional[Dict[str, Any]] = None
+    if plane is not None:
+        plane.stop()
+        plane.drain()
+        effects = plane.finalize().to_payload()
     checker.finalize(station.kernel.now)
 
     counters: Dict[str, int] = {}
@@ -206,11 +239,13 @@ def run_workload_cell(
         failure_kind=failure_kind,
         tree_name=tree.name,
         failures=failures,
-        session_rate=spec.session_rate,
+        session_rate=0.0 if spec is None else spec.session_rate,
         mttr_samples=mttr_samples,
-        effects=effects.to_payload(),
+        effects=effects,
         sessions_lost=counters.get("sessions_lost", 0),
         sessions_restored=counters.get("sessions_restored", 0),
+        checkpoints_restored=counters.get("checkpoints_restored", 0),
+        messages_replayed=counters.get("messages_replayed", 0),
         violations=checker.violation_payloads(),
     )
 

@@ -327,10 +327,6 @@ SEED_IDENTITIES = {
         dict(tree="V", fleet_size=8, wave_interval_s=60.0, horizon_s=120.0),
         ("fleet", "V", 8, 60.0, 120.0),
     ),
-    "strategy": (
-        dict(strategy="microreboot", failure_kind="crash", tree="III"),
-        ("strategy", "microreboot", "crash", "III"),
-    ),
     "workload": (
         dict(strategy="", failure_kind="hang", tree="III"),
         ("workload", "", "hang", "III"),

@@ -1,12 +1,16 @@
-"""Workload campaign cells: determinism contract and the headline result.
+"""Fault-series campaign cells: determinism contract and the headline results.
 
 The headline regression is Candea & Fox's: on a tree with lone ses/str
 cells, a *full restart* turns every crash into a resync cascade (the
 recovered side's fresh handshake fells its peer), so its user-visible
 loss is far worse than microreboot's even though their per-episode MTTRs
-are in the same band.  The determinism pins hold the other contract: a
-cell's ledger is a pure function of its seed — identical across boot
-modes, bus decode paths, and campaign execution layouts.
+are in the same band.  The same cell without traffic (what
+``strategy-compare`` runs) pins the session-loss contract that motivates
+the strategy registry: under the same seed and failure schedule, a cold
+restart of the ``ses``/``str`` pair loses the externalised sync session
+while a microreboot restores it.  The determinism pins hold the other
+contract: a cell's ledger is a pure function of its seed — identical
+across boot modes, bus decode paths, and campaign execution layouts.
 """
 
 import json
@@ -14,11 +18,17 @@ import json
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import run_suite
+from repro.experiments.runner import cache_key, execute_cell, plan_cell, run_suite
 from repro.experiments.snapshot import clear_templates
-from repro.experiments.workload import WorkloadCellResult, run_workload_cell
+from repro.experiments.workload import (
+    FAILURE_KINDS,
+    WorkloadCellResult,
+    run_workload_cell,
+)
+from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.session_store import SessionStore
 from repro.mercury.trees import TREE_BUILDERS
+from repro.transport.network import Network
 from repro.workload.generator import WorkloadSpec
 from repro.xmlcmd.fastpath import Wire
 
@@ -161,7 +171,92 @@ def test_payload_roundtrip(loss_cells):
 
 
 def test_unknown_strategy_and_kind_rejected():
-    with pytest.raises(ExperimentError):
-        run_workload_cell(TREE_BUILDERS["III"](), "reincarnation", "crash")
-    with pytest.raises(ExperimentError):
-        run_workload_cell(TREE_BUILDERS["III"](), "restart", "meltdown")
+    tree = TREE_BUILDERS["III"]()
+    with pytest.raises(ExperimentError, match="unknown recovery strategy"):
+        run_workload_cell(tree, "reincarnation", "crash")
+    for kind in ("meltdown", ""):
+        with pytest.raises(ExperimentError, match="unknown failure kind"):
+            run_workload_cell(tree, "restart", kind)
+
+
+# ----------------------------------------------------------------------
+# without traffic: the strategy-compare cell
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def quiet_cells():
+    """One restart and one microreboot cell, same tree/seed/schedule, no
+    workload plane."""
+    return {
+        strategy: run_workload_cell(
+            TREE_BUILDERS["V"](), strategy, "crash", failures=2, seed=7
+        )
+        for strategy in ("restart", "microreboot")
+    }
+
+
+def test_quiet_cells_recover_without_violations(quiet_cells):
+    for strategy, result in quiet_cells.items():
+        assert result.ok, f"{strategy}: {result.violations}"
+        assert len(result.mttr_samples) == 2
+        assert all(mttr > 0.0 for mttr in result.mttr_samples)
+        assert result.stats.n == 2
+        assert result.session_rate == 0.0
+        assert result.effects is None and result.user_effects is None
+
+
+def test_quiet_restart_loses_sessions_microreboot_preserves_them(quiet_cells):
+    # the paper's mechanism discards externalised sessions on every cold
+    # bounce of a session-holding component ...
+    assert quiet_cells["restart"].sessions_lost >= 1
+    assert quiet_cells["restart"].sessions_restored == 0
+    # ... while microreboot restores them and loses none
+    assert quiet_cells["microreboot"].sessions_lost == 0
+    assert quiet_cells["microreboot"].sessions_restored >= 1
+
+
+def test_quiet_unknown_strategy_and_kind_rejected():
+    tree = TREE_BUILDERS["V"]()
+    with pytest.raises(ExperimentError, match="unknown recovery strategy"):
+        run_workload_cell(tree, "reboot-harder", "crash", failures=1, seed=1)
+    with pytest.raises(ExperimentError, match="unknown failure kind"):
+        run_workload_cell(tree, "restart", "meltdown", failures=1, seed=1)
+    assert FAILURE_KINDS == ("crash", "hang", "zombie")
+
+
+def test_quiet_payload_roundtrip(quiet_cells):
+    for result in quiet_cells.values():
+        payload = result.to_payload()
+        assert payload["effects"] is None
+        clone = WorkloadCellResult.from_payload(json.loads(json.dumps(payload)))
+        assert clone == result
+
+
+def test_zero_rate_cell_is_the_traffic_cell_without_its_plane(monkeypatch):
+    """Rate 0 and rate R of one (strategy, kind, tree) share the seed — the
+    same fault series — but not the cache entry, and only rate R dials a
+    ``users`` client onto the bus."""
+    quiet, busy = (
+        plan_cell(
+            "workload", 5, strategy="microreboot", failure_kind="crash",
+            tree="III", trials=1, request_rate=rate,
+        )
+        for rate in (0.0, 6.0)
+    )
+    assert quiet.seed == busy.seed
+    assert cache_key(quiet, PAPER_CONFIG) != cache_key(busy, PAPER_CONFIG)
+
+    connect = Network.connect
+    dialled = []
+
+    def recording(network, client_name, address):
+        dialled.append(client_name)
+        return connect(network, client_name, address)
+
+    monkeypatch.setattr(Network, "connect", recording)
+    assert execute_cell(quiet)["effects"] is None
+    assert dialled and "users" not in dialled
+    dialled.clear()
+    assert execute_cell(busy)["effects"]["requests_ok"] > 0
+    assert "users" in dialled

@@ -281,15 +281,45 @@ def test_workload_rejects_unknown_strategy():
         build_parser().parse_args(["workload", "--strategy", "nope"])
 
 
+def test_workload_rejects_non_positive_rate():
+    """``--rate 0`` used to print "0 sessions/s" and run the default 40."""
+    for rate in ("0", "-4"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["workload", "--rate", rate])
+    assert build_parser().parse_args(["workload", "--rate", "8"]).rate == 8.0
+
+
 def test_strategy_compare_user_effects_columns(capsys):
     code = main([
-        "strategy-compare", "--strategy", "microreboot", "--kind", "crash",
-        "--tree", "III", "--trials", "1", "--seed", "7", "--user-effects",
+        "strategy-compare", "--strategy", "classic", "--strategy", "microreboot",
+        "--kind", "crash", "--tree", "III", "--trials", "1", "--seed", "7",
+        "--user-effects",
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "goodput" in out
     assert "user loss" in out
+    assert "classic" in out
+
+
+def test_strategy_compare_report_covers_the_printed_cells(tmp_path, capsys):
+    """One suite: the ``--report`` payloads (and the verdict) are the cells
+    whose user-effects columns were printed, not a traffic-free twin's."""
+    report = str(tmp_path / "strategy.json")
+    code = main([
+        "strategy-compare", "--strategy", "restart", "--strategy", "microreboot",
+        "--kind", "crash", "--tree", "III", "--trials", "1", "--seed", "7",
+        "--user-effects", "--report", report,
+    ])
+    assert code == 0
+    assert "invariants: all OK" in capsys.readouterr().out
+    import json
+    with open(report, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert set(payload) == {"restart/crash/III", "microreboot/crash/III"}
+    for cell in payload.values():
+        assert cell["effects"] is not None
+        assert cell["effects"]["requests_ok"] > 0
 
 
 def test_fleet_request_rate_columns(capsys):

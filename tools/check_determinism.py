@@ -25,9 +25,10 @@ leg runs one cell more than once and byte-compares what came out:
   kind unsampled), each executed directly, again through a serial campaign
   and again through a campaign on two worker processes, payloads compared:
   every kind is a pure function of its cell, in and out of a pool;
-* **workload fresh boot** — one user-traffic cell (microreboot, crash, tree
+* **workload fresh boot** — one fault-series cell (microreboot, crash, tree
   III) from the warmed-station template and from a fresh boot, comparing
-  the full payloads (user-effects ledger, MTTR samples, per-phase blame);
+  the full payloads (user-effects ledger, MTTR samples, per-phase blame,
+  session ledger), once under user traffic and once without;
 * **fleet** — one correlated-wave fleet cell with live user traffic run
   four ways — one shard, three shards, three shards fanned over worker
   processes, and fresh-booted stations — comparing the full payloads, which
@@ -50,7 +51,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -196,7 +197,6 @@ SAMPLES = {
     "recovery": dict(tree="II", component="rtu", trials=1),
     "availability": dict(tree="V", horizon_s=1800.0),
     "chaos": dict(tree="V", scenario="mixed", trials=1),
-    "strategy": dict(tree="V", strategy="microreboot", failure_kind="crash", trials=2),
     "workload": dict(
         tree="III", strategy="restart", failure_kind="hang", trials=1, request_rate=8.0
     ),
@@ -225,22 +225,28 @@ def check_kinds(workdir: str) -> bool:
 
 def check_workload_fresh_boot(workdir: str) -> bool:
     """User-traffic ledgers — arrivals, retries, failures, latency sums and
-    per-phase blame — ride the cell seed, not the boot path."""
+    per-phase blame — ride the cell seed, not the boot path; so do the
+    MTTR samples and session ledger of the same cell without traffic (a
+    ``strategy-compare`` cell)."""
     from repro.experiments.workload import run_workload_cell
     from repro.workload.generator import WorkloadSpec
 
     print("determinism: workload (microreboot, crash, tree III, seed %d) ..." % CHAOS_SEED)
 
-    def run(snapshot: bool) -> str:
+    def run(spec: Optional[WorkloadSpec], snapshot: bool) -> str:
         clear_templates()
-        spec = WorkloadSpec(session_rate=8.0)
         result = run_workload_cell(
             TREE_BUILDERS["III"](), "microreboot", "crash", failures=2, seed=CHAOS_SEED,
             spec=spec, snapshot=snapshot,
         )
         return _dump(result.to_payload())
 
-    ok = _same("workload", "snapshot restore == fresh boot", run(True), run(False))
+    ok = True
+    for name, spec in (
+        ("workload", WorkloadSpec(session_rate=8.0)),
+        ("workload-no-traffic", None),
+    ):
+        ok = _same(name, "snapshot restore == fresh boot", run(spec, True), run(spec, False)) and ok
     clear_templates()
     return ok
 
