@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: test lint verify chaos-smoke chaos-lossy-smoke strategy-smoke \
-	fleet-smoke workload-smoke store-chaos-smoke examples-smoke \
+	fleet-smoke workload-smoke store-chaos-smoke examples-smoke passes-smoke \
 	check-determinism repo-bench repo-bench-test \
 	repo-bench-ab benchmarks \
 	table4-parallel chaos-full fleet-large workload-soak soak nightly
@@ -77,6 +77,18 @@ examples-smoke:
 	$(PYTHON) examples/custom_system.py
 	$(PYTHON) examples/recursive_recovery.py
 
+# The §5.2 pass campaign through the campaign runner: trees I and V fanned
+# over two workers into a fresh result cache, then the same command again,
+# served from that cache.  The two outputs must be byte-identical.
+passes-smoke:
+	@tmp=$$(mktemp -d); \
+	for run in first second; do \
+		$(PYTHON) -m repro.cli passes --days 1 --tree I --tree V --jobs 2 \
+			--cache-dir $$tmp/cache > $$tmp/$$run.txt || { rm -rf $$tmp; exit 1; }; \
+	done; \
+	cat $$tmp/first.txt; \
+	diff $$tmp/first.txt $$tmp/second.txt; status=$$?; rm -rf $$tmp; exit $$status
+
 # Every experiment plane run more than once and byte-compared: same-seed
 # double runs of three chaos scenarios and an availability run with their
 # JSONL traces, warmed-station forks vs fresh boots (snapshot=False), one
@@ -88,7 +100,7 @@ check-determinism:
 
 # The pre-merge gate: tier-1 tests, lint, and the smoke campaigns.
 verify: test lint chaos-smoke chaos-lossy-smoke strategy-smoke fleet-smoke \
-	workload-smoke store-chaos-smoke examples-smoke
+	workload-smoke store-chaos-smoke examples-smoke passes-smoke
 
 # The repo benchmark declared in BENCHMARK.json: five campaign workloads,
 # calibrated end-to-end metrics and the per-layer ledger (bench/README.md).

@@ -15,6 +15,7 @@ from repro.mercury.orbit import default_satellites, predict_passes
 from repro.mercury.passes import PassAccountant
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_v
+from repro.obs.sinks import CallbackSink
 
 DAYS = 10
 
@@ -40,10 +41,12 @@ def run_campaign(rejuvenate, seed=400):
     accountant = PassAccountant(station, windows)
     scheduler = None
     aging_counter = {"count": 0}
-    station.trace.subscribe(
-        lambda r: aging_counter.__setitem__("count", aging_counter["count"] + 1)
-        if r.kind == "failure_injected" and r.data.get("failure_kind") == "aging"
-        else None
+    station.trace.add_sink(
+        CallbackSink(
+            lambda r: aging_counter.__setitem__("count", aging_counter["count"] + 1)
+            if r.kind == "failure_injected" and r.data.get("failure_kind") == "aging"
+            else None
+        )
     )
     if rejuvenate:
         scheduler = RejuvenationScheduler(

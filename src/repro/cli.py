@@ -17,12 +17,14 @@ Usage::
 
 Every subcommand prints the same paper-layout tables the benches produce;
 the CLI is a thin veneer over :mod:`repro.experiments`.  Campaign-style
-subcommands (``table2``, ``table4``, ``availability``, ``chaos``,
-``strategy-compare``, ``workload``, ``fleet``) plan their cells from the
-runner's ``KINDS`` table and honour ``--jobs N`` to fan cells across
-worker processes and ``--cache-dir`` to reuse the content-addressed
-result cache — results are bit-identical for any jobs value.  ``--profile`` wraps any subcommand in :mod:`cProfile` (most useful
-with ``--jobs 1``, since workers run in separate processes).
+subcommands (``table2``, ``table4``, ``availability``, ``passes``,
+``chaos``, ``strategy-compare``, ``workload``, ``fleet``) plan their
+cells from the runner's ``KINDS`` table and honour ``--jobs N`` to fan
+cells across worker processes and ``--cache-dir`` to reuse the
+content-addressed result cache — results are bit-identical for any jobs
+value.  ``availability`` and ``passes`` are two views of the same cells.
+``--profile`` wraps any subcommand in :mod:`cProfile` (most useful with
+``--jobs 1``, since workers run in separate processes).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.recovery_strategies import strategy_names
 from repro.core.render import render_tree
-from repro.experiments.passes_experiment import run_pass_campaign
 from repro.experiments.recovery import measure_recovery
 from repro.experiments.report import format_phase_breakdown, format_table
 from repro.experiments.runner import (
@@ -136,11 +137,11 @@ def _fault_series_label(point: Tuple[Any, ...], tree: str) -> str:
     return f"{point[0] or 'classic'}/{point[1]}/{tree}{point[2]}"
 
 
-def _positive_rate(text: str) -> float:
-    rate = float(text)
-    if not rate > 0:
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return rate
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="steady-state availability per tree",
         parents=[common],
     )
-    availability.add_argument("--days", type=float, default=3.0)
+    availability.add_argument("--days", type=_positive, default=3.0)
     availability.add_argument(
         "--phases", action="store_true",
         help="also print the per-component recovery-phase breakdown "
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     passes = subparsers.add_parser(
         "passes", help="satellite-pass data-loss campaign (§5.2)", parents=[common]
     )
-    passes.add_argument("--days", type=float, default=7.0)
+    passes.add_argument("--days", type=_positive, default=7.0)
     _tree_argument(passes, multiple=True)
 
     chaos = subparsers.add_parser(
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="faults injected per cell (default: 3)",
     )
     workload.add_argument(
-        "--rate", type=_positive_rate, default=DEFAULT_SESSION_RATE,
+        "--rate", type=_positive, default=DEFAULT_SESSION_RATE,
         metavar="SESSIONS_PER_S",
         help=f"offered session arrival rate, > 0 (default: {DEFAULT_SESSION_RATE:g})",
     )
@@ -486,7 +487,9 @@ def cmd_table4(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_availability(args: argparse.Namespace) -> int:
+def _steady_state_cells(args: argparse.Namespace) -> Tuple[List[str], Mapping]:
+    """One availability cell per ``--tree``: ``availability`` and ``passes``
+    print two views of the same cells and share their cache entries."""
     labels = args.tree or ["I", "V"]
     suite = run_suite(
         "availability",
@@ -496,6 +499,11 @@ def cmd_availability(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
     )
+    return labels, suite
+
+
+def cmd_availability(args: argparse.Namespace) -> int:
+    labels, suite = _steady_state_cells(args)
     rows = []
     for label in labels:
         result = suite[(label,)]
@@ -793,20 +801,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_passes(args: argparse.Namespace) -> int:
-    labels = args.tree or ["I", "V"]
+    labels, suite = _steady_state_cells(args)
     rows = []
     for label in labels:
-        result = run_pass_campaign(
-            TREE_BUILDERS[label](), days=args.days, seed=args.seed
-        )
-        summary = result.summary
+        result = suite[(label,)]
         rows.append(
             [
                 label,
-                summary.passes,
-                f"{100 * summary.loss_fraction:.2f}%",
-                summary.broken_links,
-                summary.whole_passes_lost,
+                result.passes,
+                f"{100 * result.pass_loss_fraction:.2f}%",
+                result.broken_links,
+                result.whole_passes_lost,
             ]
         )
     print(

@@ -4,10 +4,9 @@ One module per experiment family, mirroring the paper's evaluation:
 
 * :mod:`repro.experiments.recovery` — kill-and-measure recovery trials
   (Tables 2 and 4, the §4.2–4.4 text numbers);
-* :mod:`repro.experiments.lifetimes` — long-run observed MTTFs (Table 1);
-* :mod:`repro.experiments.availability` — steady-state availability per
-  tree (the §8 "factor of four" framing);
-* :mod:`repro.experiments.passes_experiment` — satellite-pass data loss
+* :mod:`repro.experiments.availability` — the one steady-state cell: per
+  tree, one long run reports availability (the §8 "factor of four"
+  framing), the observed Table 1 MTTFs and the satellite-pass data loss
   (§5.2, "not all downtime is the same");
 * :mod:`repro.experiments.metrics` — uptime/interval accounting shared by
   the above;

@@ -1,28 +1,34 @@
-"""Steady-state availability per restart tree (paper §3, §8).
+"""The steady-state cell: one long run of a tree under Table 1 arrivals.
 
-"Availability is generally thought of as the ratio MTTF/(MTTF+MTTR);
-recursive restartability improves this ratio by reducing MTTR."  The paper's
-headline: recovery time improved by a factor of four (§8).
-
-This experiment runs each tree under identical Table 1 fault arrivals for a
-long horizon and reports:
+The paper judges a restart tree by numbers that all come from one
+long-running station, so one run reports all of them:
 
 * system availability (fraction of time all station components up, per
-  ``A_entire``);
-* observed system MTTR (mean outage duration) — the factor-of-four claim is
-  about this quantity between tree I and the evolved trees;
-* annualised downtime minutes, the ops-facing framing.
+  ``A_entire``), observed system MTTR (mean outage duration) — the §8
+  factor-of-four claim is about this quantity between tree I and the
+  evolved trees — and annualised downtime minutes, the ops-facing framing;
+* the observed Table 1 lifetimes: per-component uptime, steady-state
+  injector arrivals and SIGKILL failures of any cause.  Uptime over
+  arrivals estimates the configured MTTF even with the §4.3 resync
+  coupling and ``pbcom`` aging on; uptime over failures is the all-cause
+  MTTF, which those mechanisms shorten;
+* the §5.2 downlink over every whole Opal/Sapphire pass inside the
+  horizon ("not all downtime is the same"): science data lost, links
+  broken and whole passes lost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.core.tree import RestartTree
+from repro.errors import ExperimentError
 from repro.experiments.metrics import UptimeTracker
 from repro.experiments.snapshot import station_shape, warmed_station
 from repro.mercury.config import PAPER_CONFIG, StationConfig
+from repro.mercury.orbit import default_satellites, predict_passes
+from repro.mercury.passes import PassAccountant
 from repro.mercury.station import MercuryStation
 from repro.obs.sinks import PhaseSink, PhaseSnapshot, SummaryStat
 
@@ -31,7 +37,7 @@ YEAR_MINUTES = 365.0 * 24.0 * 60.0
 
 @dataclass
 class AvailabilityResult:
-    """Availability metrics for one tree under steady-state faults."""
+    """One tree's steady-state run: availability, lifetimes and downlink."""
 
     tree_name: str
     horizon_s: float
@@ -42,7 +48,37 @@ class AvailabilityResult:
     component_mttr: Dict[str, Optional[float]]
     #: Per-(component, phase) recovery-latency aggregates from the live
     #: episode spans: ``{component: {phase: SummaryStat.to_dict()}}``.
-    phase_breakdown: PhaseSnapshot = field(default_factory=dict)
+    phase_breakdown: PhaseSnapshot
+    #: Per-component seconds up over the horizon.
+    component_uptime_s: Dict[str, float]
+    #: Per-component SIGKILL failures, whatever caused them.
+    component_failures: Dict[str, int]
+    #: Per-component steady-state injector arrivals (Table 1's failures).
+    arrivals: Dict[str, int]
+    #: §5.2 downlink totals over the whole pass windows inside the horizon.
+    passes: int
+    pass_expected_bytes: float
+    pass_received_bytes: float
+    broken_links: int
+    whole_passes_lost: int
+
+    def mttf(self, component: str) -> Optional[float]:
+        """Table 1's observed MTTF: uptime / arrivals (None without any)."""
+        arrivals = self.arrivals.get(component, 0)
+        return self.component_uptime_s[component] / arrivals if arrivals else None
+
+    def all_cause_mttf(self, component: str) -> Optional[float]:
+        """Uptime / failures of any cause (None without any)."""
+        failures = self.component_failures[component]
+        return self.component_uptime_s[component] / failures if failures else None
+
+    @property
+    def pass_loss_fraction(self) -> float:
+        """Fraction of the passes' expected science data lost."""
+        if not self.pass_expected_bytes:
+            return 0.0
+        lost = max(self.pass_expected_bytes - self.pass_received_bytes, 0.0)
+        return lost / self.pass_expected_bytes
 
     def phase_summary(self, component: str) -> Dict[str, SummaryStat]:
         """Per-phase duration accumulators for one component."""
@@ -66,7 +102,9 @@ def measure_availability(
     sinks: Sequence = (),
     snapshot: bool = True,
 ) -> AvailabilityResult:
-    """Run steady-state faults for ``horizon_s`` and account availability.
+    """Run steady-state faults for ``horizon_s`` and account availability,
+    lifetimes and the downlink of every pass that starts and ends inside
+    the horizon.
 
     Record retention stays off, and on its own the run builds only the
     records its phase table reads; a sink in ``sinks`` that reads every
@@ -77,6 +115,8 @@ def measure_availability(
     warm point is the end of the 120 s boot settle, so the horizon does
     not enter the shape and one template serves every horizon length.
     """
+    if not horizon_s > 0:
+        raise ExperimentError(f"horizon must be positive: {horizon_s!r}")
 
     def build(boot_seed: int) -> MercuryStation:
         return MercuryStation(
@@ -104,8 +144,18 @@ def measure_availability(
     station = warmed_station(shape, build, warm, seed, snapshot)
     # The template's armed lifetimes were drawn under the boot seed;
     # redraw them so first arrivals belong to this cell's streams.
-    assert station.steady is not None
-    station.steady.rearm()
+    steady = station.steady
+    assert steady is not None
+    steady.rearm()
+    start = station.kernel.now
+    windows = [
+        window
+        for satellite in default_satellites()
+        for window in predict_passes(satellite, horizon_s=horizon_s, start=start)
+        if window.end <= start + horizon_s
+    ]
+    downlink = PassAccountant(station, windows).summary
+    arrived = dict(steady.arrivals)
     phases = PhaseSink()
     station.kernel.trace.add_sink(phases)
     for sink in sinks:
@@ -118,6 +168,7 @@ def measure_availability(
         sink.close()
     outages = tracker.system_outages
     mean_outage = tracker.system_downtime / outages if outages else None
+    components = station.station_components
     return AvailabilityResult(
         tree_name=tree.name,
         horizon_s=horizon_s,
@@ -125,9 +176,14 @@ def measure_availability(
         outages=outages,
         total_downtime_s=tracker.system_downtime,
         mean_outage_s=mean_outage,
-        component_mttr={
-            name: tracker.observed_mttr(name)
-            for name in station.station_components
-        },
+        component_mttr={name: tracker.observed_mttr(name) for name in components},
         phase_breakdown=phases.phase_snapshot(),
+        component_uptime_s={name: tracker.component_uptime(name) for name in components},
+        component_failures={name: tracker.failures_of(name) for name in components},
+        arrivals={name: count - arrived[name] for name, count in steady.arrivals.items()},
+        passes=downlink.passes,
+        pass_expected_bytes=downlink.total_expected_bytes,
+        pass_received_bytes=downlink.total_received_bytes,
+        broken_links=downlink.broken_links,
+        whole_passes_lost=downlink.whole_passes_lost,
     )

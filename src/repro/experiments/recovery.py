@@ -94,8 +94,8 @@ def measure_recovery(
     disconnects ~60x relative to their natural Table 1 rate, which would
     fire pbcom's aging mechanism inside unrelated episodes.  The paper's
     tables measure each restart path in isolation (aging-induced pbcom
-    failures appear as the pbcom column, not as fedr noise); availability
-    and pass-campaign experiments keep aging on.
+    failures appear as the pbcom column, not as fedr noise); the
+    steady-state availability cell keeps aging on.
 
     Per-phase latencies (detection / decision / restart) are accumulated by
     a :class:`~repro.obs.sinks.PhaseSink` fed live from the trace — spans

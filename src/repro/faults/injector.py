@@ -189,6 +189,12 @@ class SteadyStateInjector:
     the timer expires, a failure is drawn from the curability profile and
     injected.  This makes the *configured* MTTF the mean up-time between
     failures, matching how Table 1's operator estimates were produced.
+
+    :attr:`arrivals` counts, per component, the timers that injected: a
+    fire on a stale epoch or on a component that is not running is not an
+    arrival.  Every ``ready`` redraws a memoryless lifetime, so exposure
+    divided by arrivals estimates the configured MTTF even while other
+    mechanisms (resync coupling, aging) kill the component as well.
     """
 
     def __init__(
@@ -204,6 +210,7 @@ class SteadyStateInjector:
         self.profile = profile or self._simple_profile()
         self._enabled = True
         self._epoch: Dict[str, int] = {name: 0 for name in self.lifetimes}
+        self.arrivals: Dict[str, int] = {name: 0 for name in self.lifetimes}
         self.manager.subscribe(self._on_lifecycle)
         # Arm timers for components already running at attach time.
         for name in self.lifetimes:
@@ -259,6 +266,7 @@ class SteadyStateInjector:
         process = self.manager.get(name)
         if not process.is_running:
             return
+        self.arrivals[name] += 1
         rng = self.kernel.rngs.stream(f"steady.{name}.cure")
         descriptor = self.profile.draw(name, rng, self.kernel.now)
         self.injector.inject(descriptor)

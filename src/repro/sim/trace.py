@@ -21,7 +21,7 @@ retaining a single record — or building the two thirds of them nobody reads.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional
+from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional
 
 from repro.obs import events as _events
 from repro.obs.sinks import RingSink, Sink
@@ -82,14 +82,14 @@ class Trace:
 
     Delivery rules (the ``enabled`` flag):
 
-    * ``enabled`` (default) — records are retained in the ring, delivered
-      to legacy :meth:`subscribe` callbacks, and fanned out to sinks;
-    * disabled — nothing is retained and subscribers are **skipped**; a
-      record is built, and fanned out to every sink, only when its kind is
-      one some attached sink declared (:attr:`~repro.obs.sinks.Sink.kinds`;
-      ``None`` declares them all).  Otherwise ``emit`` returns ``None``
-      without building anything — with no sinks attached that is every
-      emit, the zero-cost path for hot loops.
+    * ``enabled`` (default) — records are retained in the ring and fanned
+      out to sinks;
+    * disabled — nothing is retained; a record is built, and fanned out to
+      every sink, only when its kind is one some attached sink declared
+      (:attr:`~repro.obs.sinks.Sink.kinds`; ``None`` declares them all).
+      Otherwise ``emit`` returns ``None`` without building anything — with
+      no sinks attached that is every emit, the zero-cost path for hot
+      loops.
 
     ``kinds`` is a promise about what a sink *reads*, not a filter it can
     rely on: a record that is built goes to every sink.
@@ -110,14 +110,13 @@ class Trace:
         """
         self._clock = clock
         self._ring = RingSink(capacity)
-        self._subscribers: List[Callable[[TraceRecord], None]] = []
         self._sinks: List[Sink] = []
         #: Union of the attached sinks' declared kinds; ``None`` once any
         #: sink reads them all.  Recomputed whenever a sink comes or goes.
         self._wanted: Optional[FrozenSet[str]] = frozenset()
-        #: When False, emitted records are neither retained nor delivered to
-        #: subscribers; attached sinks still see them — the fast path for
-        #: campaign workers that only consume aggregate metrics.
+        #: When False, emitted records are not retained; attached sinks
+        #: still see the kinds they declared — the fast path for campaign
+        #: workers that only consume aggregate metrics.
         self.enabled = True
 
     @property
@@ -140,15 +139,6 @@ class Trace:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._ring)
-
-    def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``callback`` for every future record while enabled.
-
-        Compatibility shim predating sinks: subscribers follow the
-        ``enabled`` flag.  New code that must observe records regardless of
-        retention should attach a sink instead.
-        """
-        self._subscribers.append(callback)
 
     def add_sink(self, sink: Sink) -> Sink:
         """Attach a sink; while disabled, only its ``kinds`` are built for it."""
@@ -215,8 +205,6 @@ class Trace:
         record = _new_record(TraceRecord, (time, source, kind, severity, data))
         if self.enabled:
             self._ring.accept(record)
-            for callback in self._subscribers:
-                callback(record)
         for sink in self._sinks:
             sink.accept(record)
         return record

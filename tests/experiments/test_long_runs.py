@@ -1,31 +1,56 @@
-"""Tests for the long-horizon experiments: lifetimes, availability, passes."""
+"""Tests for the steady-state cell: Table 1 lifetimes, availability and
+§5.2 passes, all from ``measure_availability``."""
 
 import pytest
 
+from repro.errors import ExperimentError
 from repro.experiments.availability import measure_availability
-from repro.experiments.lifetimes import measure_lifetimes
-from repro.experiments.passes_experiment import run_pass_campaign
+from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.trees import TREE_BUILDERS, tree_i, tree_ii, tree_v
 
 DAY = 86400.0
 
 
+def relative_error(result, component):
+    """|observed − configured| / configured for Table 1's arrival MTTF."""
+    configured = PAPER_CONFIG.mttf_seconds[component]
+    return abs(result.mttf(component) - configured) / configured
+
+
 def test_observed_mttf_converges_to_table1_unsplit():
-    """Table 1 closure on tree II (the pre-split component set)."""
-    result = measure_lifetimes(tree_ii(), horizon_s=5 * DAY, seed=71)
+    """Table 1 closure on tree II (the pre-split component set), with the
+    resync coupling and aging on: the arrival estimator does not see the
+    failures they induce."""
+    result = measure_availability(tree_ii(), horizon_s=5 * DAY, seed=71)
     # fedrcom fails every 10 minutes: plenty of samples in 5 days.
-    assert result.failures["fedrcom"] > 300
-    assert result.relative_error("fedrcom") < 0.15
+    assert result.arrivals["fedrcom"] > 300
+    assert relative_error(result, "fedrcom") < 0.15
     # ses/str/rtu: ~24 failures each over 5 days — looser tolerance.
     for component in ("ses", "str", "rtu"):
-        assert result.failures[component] >= 5
-        assert result.relative_error(component) < 0.6
+        assert result.arrivals[component] >= 5
+        assert relative_error(result, component) < 0.6
+        # Induced failures only add to the all-cause count.
+        assert result.component_failures[component] >= result.arrivals[component]
 
 
 def test_no_failures_for_month_scale_mttf_in_short_run():
-    result = measure_lifetimes(tree_ii(), horizon_s=1 * DAY, seed=72)
-    assert result.failures["mbus"] <= 1
-    assert result.observed_mttf["mbus"] is None or result.observed_mttf["mbus"] > DAY / 2
+    result = measure_availability(tree_ii(), horizon_s=1 * DAY, seed=72)
+    assert result.arrivals["mbus"] <= 1
+    assert result.mttf("mbus") is None or result.mttf("mbus") > DAY / 2
+
+
+def test_arrivals_count_only_the_horizon():
+    """A template's injector may have fired while it warmed (tree IV's
+    does, on fedr); a one-second cell reports no arrival anyway."""
+    for label in sorted(TREE_BUILDERS):
+        result = measure_availability(TREE_BUILDERS[label](), horizon_s=1.0, seed=3)
+        assert set(result.arrivals.values()) == {0}, label
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0])
+def test_non_positive_horizon_rejected(horizon):
+    with pytest.raises(ExperimentError, match="horizon must be positive"):
+        measure_availability(tree_v(), horizon_s=horizon)
 
 
 def test_availability_tree_v_beats_tree_i():
@@ -48,19 +73,19 @@ def test_availability_result_accounting():
 
 
 def test_pass_campaign_shape():
-    loss_i = run_pass_campaign(tree_i(), days=5, seed=75)
-    loss_v = run_pass_campaign(tree_v(), days=5, seed=75)
-    assert loss_i.summary.passes == loss_v.summary.passes > 10
-    assert loss_i.loss_fraction > 2 * loss_v.loss_fraction
-    assert loss_i.summary.broken_links > loss_v.summary.broken_links
+    loss_i = measure_availability(tree_i(), horizon_s=5 * DAY, seed=75)
+    loss_v = measure_availability(tree_v(), horizon_s=5 * DAY, seed=75)
+    assert loss_i.passes == loss_v.passes > 10
+    assert loss_i.pass_loss_fraction > 2 * loss_v.pass_loss_fraction
+    assert loss_i.broken_links > loss_v.broken_links
 
 
 def test_pass_campaign_bytes_conserved():
-    result = run_pass_campaign(tree_v(), days=3, seed=76)
-    summary = result.summary
-    assert summary.total_received_bytes <= summary.total_expected_bytes
-    for outcome in summary.outcomes:
-        assert 0.0 <= outcome.loss_fraction <= 1.0
+    result = measure_availability(tree_v(), horizon_s=3 * DAY, seed=76)
+    assert 0.0 < result.pass_received_bytes <= result.pass_expected_bytes
+    assert 0.0 <= result.pass_loss_fraction <= 1.0
+    assert result.whole_passes_lost <= result.passes
+    assert result.broken_links <= result.passes
 
 
 def test_availability_phase_breakdown():

@@ -26,7 +26,6 @@ import pytest
 
 from repro.experiments.availability import measure_availability
 from repro.experiments.recovery import measure_recovery
-from repro.experiments.lifetimes import measure_lifetimes
 from repro.experiments import snapshot as snapshot_module
 from repro.experiments.snapshot import (
     boot_seed,
@@ -97,16 +96,12 @@ def test_availability_identical_with_and_without_snapshot():
 
 
 def test_lifetimes_identical_with_and_without_snapshot():
+    """The Table 1 fields of a tree-V cell included."""
     kwargs = dict(horizon_s=2.0 * 3600.0, seed=3)
-    fresh = measure_lifetimes(tree_v(), snapshot=False, **kwargs)
-    restored = measure_lifetimes(tree_v(), snapshot=True, **kwargs)
+    fresh = measure_availability(tree_v(), snapshot=False, **kwargs)
+    restored = measure_availability(tree_v(), snapshot=True, **kwargs)
     assert dataclasses.asdict(restored) == dataclasses.asdict(fresh)
-
-
-def test_lifetimes_one_template_serves_both_correlation_settings():
-    measure_lifetimes(tree_v(), horizon_s=1800.0, seed=3, correlations=False, snapshot=True)
-    measure_lifetimes(tree_v(), horizon_s=1800.0, seed=3, correlations=True, snapshot=True)
-    assert template_count() == 1  # flags are flipped post-restore, not in the shape
+    assert sum(restored.arrivals.values()) > 0
 
 
 def test_chaos_identical_with_and_without_snapshot():

@@ -141,3 +141,23 @@ def test_exponential_steady_mttf_converges(kernel, manager):
     count = len(injector.history)
     observed_mttf = 20000.0 / count - 0.2
     assert observed_mttf == pytest.approx(50.0, rel=0.15)
+
+
+def test_arrivals_count_only_fires_that_inject(kernel, manager):
+    """A stale-epoch fire and a fire on a component that is not running
+    are not arrivals; a fire that injects is."""
+    spawn_simple(manager, "s", work=0.5)
+    manager.start_all()
+    kernel.run()
+    injector = FaultInjector(kernel, manager)
+    steady = SteadyStateInjector(injector, {"s": Deterministic(10.0)})
+    kernel.run(until=kernel.now + 5.0)
+    manager.restart(["s"])  # the armed timer goes stale
+    kernel.run(until=kernel.now + 6.0)  # ...and fires, dead, here
+    assert steady.arrivals == {"s": 0}
+    manager.kill("s")
+    steady._fire("s", steady._epoch["s"])  # current epoch, component down
+    assert steady.arrivals == {"s": 0} and injector.history == []
+    manager.restart(["s"])
+    kernel.run(until=kernel.now + 11.0)
+    assert steady.arrivals == {"s": 1} and len(injector.history) == 1

@@ -15,15 +15,22 @@ from repro.faults.store_faults import (
     StoreUnavailableError,
 )
 from repro.obs import events as ev
+from repro.obs.sinks import Sink
 from repro.sim.kernel import Kernel
 
 
-class _Capture:
+class _Capture(Sink):
+    """Keeps the records of ``kinds``; declares them, so it hears them
+    whether or not the trace retains records."""
+
     def __init__(self, kernel, kinds):
+        self.kinds = frozenset(kinds)
         self.records = []
-        kernel.trace.subscribe(
-            lambda record: record.kind in kinds and self.records.append(record)
-        )
+        kernel.trace.add_sink(self)
+
+    def accept(self, record):
+        if record.kind in self.kinds:
+            self.records.append(record)
 
 
 def test_healthy_model_is_silent_and_free():

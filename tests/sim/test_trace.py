@@ -59,9 +59,11 @@ def test_first_and_last(kernel):
     assert trace.last("missing") is None
 
 
-def test_subscriber_sees_records_live(kernel):
+def test_sink_sees_records_live(kernel):
+    from repro.obs.sinks import CallbackSink
+
     seen = []
-    kernel.trace.subscribe(seen.append)
+    kernel.trace.add_sink(CallbackSink(seen.append))
     kernel.trace.emit("s", "evt")
     assert len(seen) == 1
     assert isinstance(seen[0], TraceRecord)
@@ -76,13 +78,15 @@ def test_capacity_ring_buffer(kernel):
     assert trace.dropped == 7
 
 
-def test_capacity_still_notifies_subscribers(kernel):
+def test_capacity_still_feeds_sinks(kernel):
+    from repro.obs.sinks import CallbackSink
+
     trace = Trace(clock=kernel.clock, capacity=1)
     seen = []
-    trace.subscribe(seen.append)
+    trace.add_sink(CallbackSink(seen.append))
     for n in range(5):
         trace.emit("s", "evt", n=n)
-    assert len(seen) == 5  # subscribers see everything, buffer keeps tail
+    assert len(seen) == 5  # sinks see everything, buffer keeps tail
 
 
 def test_disabled_trace_retains_nothing(kernel):
@@ -95,22 +99,6 @@ def test_disabled_trace_retains_nothing(kernel):
     trace.enabled = True
     trace.emit("s", "kept-again")
     assert [r.kind for r in trace.records] == ["kept", "kept-again"]
-
-
-def test_subscriber_delivery_follows_enabled_flag(kernel):
-    """Disabling the trace skips subscribers too, not just the ring."""
-    trace = kernel.trace
-    seen = []
-    trace.subscribe(seen.append)
-    trace.emit("s", "evt", n=1)  # enabled: delivered
-    assert [r.data["n"] for r in seen] == [1]
-    trace.enabled = False
-    assert trace.emit("s", "evt", n=2) is None  # disabled: skipped entirely
-    assert [r.data["n"] for r in seen] == [1]
-    assert len(trace.records) == 1  # ring skipped as well
-    trace.enabled = True
-    trace.emit("s", "evt", n=3)  # re-enabled: delivered again
-    assert [r.data["n"] for r in seen] == [1, 3]
 
 
 def test_sinks_receive_records_even_while_disabled(kernel):
@@ -198,18 +186,16 @@ def test_kinds_is_a_promise_not_a_filter(kernel):
         kinds = frozenset({"wanted"})
 
     trace = kernel.trace
-    subscribed, narrow = [], []
-    trace.subscribe(subscribed.append)
+    narrow = []
     trace.add_sink(Narrow(narrow.append))
     trace.emit("s", "wanted")
     trace.emit("s", "unwanted")
     assert [r.kind for r in narrow] == ["wanted", "unwanted"]
-    assert [r.kind for r in subscribed] == ["wanted", "unwanted"]
     assert [r.kind for r in trace.records] == ["wanted", "unwanted"]
     trace.enabled = False
     assert trace.emit("s", "unwanted") is None
     assert trace.emit("s", "wanted") is not None
-    assert len(narrow) == 3 and len(subscribed) == 2
+    assert len(narrow) == 3 and len(trace.records) == 2
 
 
 def test_validation_runs_before_the_interest_filter(kernel):

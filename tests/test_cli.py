@@ -61,6 +61,41 @@ def test_passes_command(capsys):
     assert "Pass campaign" in out
 
 
+def test_passes_fans_out_and_caches(tmp_path, capsys, monkeypatch):
+    """``passes`` runs availability cells: ``--jobs 2`` prints the bytes
+    ``--jobs 1`` does, and a re-run is served from ``--cache-dir``."""
+    from repro.experiments import runner
+
+    cache = str(tmp_path / "cache")
+    argv = ["passes", "--days", "0.5", "--tree", "V", "--tree", "I"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--jobs", "2", "--cache-dir", cache]) == 0
+    assert capsys.readouterr().out == serial
+    assert len(list(tmp_path.joinpath("cache").iterdir())) == 2
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cached cell ran again")
+
+    monkeypatch.setattr(runner, "execute_cell", no_run)
+    assert main(argv + ["--jobs", "2", "--cache-dir", cache]) == 0
+    assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("command", ["availability", "passes"])
+@pytest.mark.parametrize("days", ["0", "-1"])
+def test_non_positive_days_rejected(command, days, capsys):
+    """``passes --days 0`` ended in a traceback and ``availability --days
+    0`` printed a perfect 1.00000; both are usage errors."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--days", days])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"repro {command}: error: argument --days: must be > 0, got {days}"
+    ]
+
+
 def test_seed_changes_results(capsys):
     main(["--seed", "1", "recovery", "--component", "rtu", "--trials", "2"])
     first = capsys.readouterr().out

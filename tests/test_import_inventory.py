@@ -32,7 +32,6 @@ ISLAND_MODULES = {
     "repro.analysis.markov": "item 8: the analytic column of `repro availability`",
     "repro.mercury.architecture": "item 11(c): `render_architecture` under `repro trees`",
     "repro.experiments.timeline": "item 5(a): the seed of `repro explain`",
-    "repro.experiments.lifetimes": "Table 1: benchmarks/test_table1_mttf.py drives it",
 }
 
 #: Where a reference to a public name may live (tests do not count: a name
@@ -53,7 +52,6 @@ ISLAND_NAMES = {
     "repro.faults.failure.register_failure_kind": "library API: the extension point Failure's own error message names",
     "repro.obs.events.set_validation": "test-side API: REPRO_OBS_VALIDATE without the environment",
     "repro.obs.events.validation_enabled": "test-side API: reads the switch set_validation sets",
-    "repro.obs.sinks.CallbackSink": "test-side API: the read-everything sink of tests/obs and the differentials",
     "repro.obs.spans.episodes_from_trace": "item 5(a): `repro explain` rebuilds episodes from a captured trace with it",
 }
 
