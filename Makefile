@@ -69,13 +69,19 @@ store-chaos-smoke:
 	$(PYTHON) -m repro.cli chaos --scenario store-outage \
 		--scenario rogue-oracle-crash --tree V --trials 1 --seed 7
 
-# The three self-contained examples that boot, break and wait (the station
-# waits and, in two of them, bare Kernel.run_until); deterministic, a few
-# seconds in all.  Nonzero exit on any exception.
+# All seven examples: the ones that boot, break and wait (the station
+# waits and bare Kernel.run_until), the learning oracle, the day-long
+# ground-station run, the tree evolution and the analytic tree search.
+# Deterministic, ~15 s in all (most of it ground_station_day).  Nonzero
+# exit on any exception.
 examples-smoke:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/custom_system.py
 	$(PYTHON) examples/recursive_recovery.py
+	$(PYTHON) examples/learning_oracle.py
+	$(PYTHON) examples/tree_evolution.py
+	$(PYTHON) examples/optimize_tree.py
+	$(PYTHON) examples/ground_station_day.py
 
 # The §5.2 pass campaign through the campaign runner: trees I and V fanned
 # over two workers into a fresh result cache, then the same command again,

@@ -12,7 +12,7 @@ analytic ranking against simulation.
 import pytest
 from conftest import print_banner
 
-from repro.core.optimizer import mercury_system_model, optimize_tree
+from repro.analysis.model import mercury_system_model, optimize_tree
 from repro.core.render import render_tree
 from repro.experiments.availability import measure_availability
 from repro.experiments.report import format_table
@@ -20,7 +20,7 @@ from repro.mercury.trees import TREE_BUILDERS, tree_ii_prime, tree_v
 
 
 def test_tree_optimizer(benchmark):
-    model = mercury_system_model()
+    model = mercury_system_model(tree_ii_prime())
     benchmark.pedantic(
         lambda: optimize_tree(model, tree_ii_prime()), rounds=5, iterations=1
     )

@@ -9,10 +9,9 @@ the dual: "tree V can be better only when the oracle is faulty".
 import pytest
 from conftest import TRIALS, print_banner
 
-from repro.core.analysis import predict_recovery_time
+from repro.analysis.model import mercury_system_model
 from repro.experiments.recovery import measure_recovery
 from repro.experiments.report import format_table
-from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.trees import tree_iv, tree_v
 
 CURE = ("fedr", "pbcom")
@@ -28,17 +27,8 @@ def cell_mean(tree, oracle, seed, trials=None):
 
 
 def analytic(tree, p):
-    config = PAPER_CONFIG
-    return predict_recovery_time(
-        tree,
-        CURE,
-        config.restart_seconds(lone=False),
-        mean_detection=config.mean_detection,
-        contention_coefficient=config.contention_coefficient,
-        guess_too_low_probability=p,
-        manifest_component="pbcom",
-        remanifest_delay=config.remanifest_delay,
-    )
+    model = mercury_system_model(tree, oracle_error_rate=p)
+    return model.expected_recovery(tree, "pbcom", CURE)
 
 
 def test_sec44(benchmark):

@@ -2,11 +2,11 @@
 automatically.
 
 The paper's authors evolved Mercury's tree by hand from two years of
-operational data.  `repro.core.optimizer` encodes the same reasoning as an
+operational data.  `repro.analysis.model` encodes the same reasoning as an
 analytic downtime-rate model plus a greedy search over the §4
-transformations.  Given Mercury's numbers it reproduces their conclusion —
-consolidate ses/str, insert the [fedr, pbcom] joint node, promote pbcom —
-and this example then lets you see how the *optimal tree changes* when the
+transformations (`repro optimize` runs the first derivation below).  Given
+Mercury's numbers it reproduces their conclusion — consolidate ses/str,
+insert the [fedr, pbcom] joint node, promote pbcom — and this example then lets you see how the *optimal tree changes* when the
 system's characteristics change:
 
 * with a perfect oracle, promotion stops paying (the paper's own duality);
@@ -18,7 +18,7 @@ Run with::
     python examples/optimize_tree.py
 """
 
-from repro.core.optimizer import mercury_system_model, optimize_tree
+from repro.analysis.model import mercury_system_model, optimize_tree
 from repro.core.render import render_tree
 from repro.mercury.trees import tree_ii_prime
 
@@ -47,7 +47,7 @@ def main() -> None:
 
     result = derive(
         "Mercury as observed (faulty oracle, ses/str coupled, pbcom joint failures)",
-        mercury_system_model(),
+        mercury_system_model(tree_ii_prime()),
     )
     print("Derived tree (structurally the paper's tree V):\n")
     print(render_tree(result.tree))
@@ -56,10 +56,10 @@ def main() -> None:
     derive(
         "...but with a PERFECT oracle: promotion no longer pays "
         "(the paper: 'tree V can be better only when the oracle is faulty')",
-        mercury_system_model(oracle_error_rate=0.0),
+        mercury_system_model(tree_ii_prime(), oracle_error_rate=0.0),
     )
 
-    model = mercury_system_model()
+    model = mercury_system_model(tree_ii_prime())
     model.resync_pairs[0] = model.resync_pairs[0].__class__(
         "ses", "str", 0.0, 0.0, induce_probability=0.05
     )

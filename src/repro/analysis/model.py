@@ -1,28 +1,37 @@
-"""Automatic restart-tree optimization (paper §7: "we also plan to
-identify specific algorithms for transforming restart trees").
+"""One analytic model of a restart tree (paper §3.2, §4.1, §4.4, §5.2, §7).
 
-The paper derives trees II–V by hand from observed failure data: component
-MTTFs (Table 1), restart costs (Table 2), curability probabilities
-(``f_ci``, §4.1), correlated-failure structure (§4.2–4.3) and the oracle's
-error rate (§4.4).  This module closes the loop: given exactly those
-inputs as a :class:`SystemModel`, :func:`optimize_tree` greedily applies
-the §4 transformations — joint-node insertion, group consolidation, node
-promotion — whenever they lower the system's expected *downtime rate*, and
-(given Mercury's numbers) rediscovers the paper's final tree.
+The paper's closed-form arguments — the §3.2 group bounds, the §4.1
+expected-MTTR sum, the §4.4 guess-too-low blend and the §7 "algorithms for
+transforming restart trees" — are all one composition, the same one the
+simulator runs: detection, then a contended restart batch, then escalation.
+:class:`SystemModel` computes it once, as the expected downtime one failure
+causes (:meth:`SystemModel.failure_cost`), and builds every output from that
+cost:
 
-Cost model
-----------
-The expected downtime rate (seconds of downtime per second) is::
+* :meth:`~SystemModel.expected_recovery` — mean recovery of one failure over
+  the oracle's mistakes (the §4.4 and Table 4 value);
+* :meth:`~SystemModel.downtime_rate` — ``Σ λ_c · cost_c``, what
+  :func:`optimize_tree` scores candidate trees by;
+* :meth:`~SystemModel.availability` — the series product
+  ``Π MTTF_c / (MTTF_c + cost_c)`` (§8), assuming independent components;
+* :meth:`~SystemModel.probability_failure_free` — §5.2's
+  ``exp(−d · Σ λ_c)``: "a large MTTF does not guarantee a failure-free pass".
 
-    R(tree) = Σ_m  λ_m · Σ_cure f_m(cure) · [ E[recovery] + E[induced] ]
+Cost of one failure
+-------------------
+::
+
+    cost_m = Σ_cure f_m(cure) · [ E[recovery] + E[induced] ]
 
 * ``E[recovery]`` composes detection, the (possibly mistaken) restart
   chain, and batch durations: a batch's duration is its slowest member's
   restart cost — plus a lone-resync penalty for a coupled component whose
-  peer is outside the batch — inflated by the batch contention factor,
-  exactly as the simulator computes it.
-* A guess-too-low oracle mistake (probability ``p``, §4.4) starts the
-  chain at the deepest cell holding the manifest component and escalates
+  peer is outside the batch — inflated by the batch contention factor
+  ``1 + c·(k−1)``, exactly as the simulator computes it.  So §3.2's bounds
+  hold by construction: a group restart is never faster than its slowest
+  member, and a group fails as soon as any member does.
+* A guess-too-low oracle mistake (probability ``p``, §4.4) starts the chain
+  at the deepest cell holding the manifest component and escalates
   parent-by-parent, paying each failed attempt plus a re-detection.
 * ``E[induced]`` charges the §4.3 correlation: when the curing batch
   restarts one side of a resync pair without the other, the stale peer
@@ -36,8 +45,19 @@ Aging (§4.2) and proactive rejuvenation are outside this model; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.transformations import (
     consolidate_groups,
@@ -47,6 +67,7 @@ from repro.core.transformations import (
 from repro.core.tree import RestartTree
 from repro.errors import TreeError
 from repro.faults.curability import CurabilityProfile
+from repro.mercury.config import PAPER_CONFIG, StationConfig
 
 
 @dataclass(frozen=True)
@@ -58,6 +79,13 @@ class ComponentParams:
     failure_rate: float
     #: Uncontended restart duration, seconds (startup work).
     restart_seconds: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.failure_rate < math.inf and self.restart_seconds >= 0.0):
+            raise TreeError(
+                f"invalid failure rate / restart time for {self.name!r}: "
+                f"{self.failure_rate!r}, {self.restart_seconds!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -92,7 +120,7 @@ class ResyncPair:
 
 @dataclass
 class SystemModel:
-    """Everything the optimizer knows about the system's failure behaviour."""
+    """A system's failure behaviour: what every analytic output is built from."""
 
     components: Dict[str, ComponentParams]
     curability: CurabilityProfile
@@ -101,6 +129,10 @@ class SystemModel:
     contention_coefficient: float = 0.047
     oracle_error_rate: float = 0.0
     remanifest_delay: float = 0.05
+
+    def __post_init__(self) -> None:
+        if not self.components:
+            raise TreeError("a system needs at least one component")
 
     # ------------------------------------------------------------------
     # durations
@@ -112,7 +144,9 @@ class SystemModel:
             raise TreeError("empty restart batch")
         worst = 0.0
         for name in batch:
-            params = self.components[name]
+            params = self.components.get(name)
+            if params is None:
+                raise TreeError(f"no restart time for component {name!r}")
             seconds = params.restart_seconds
             for pair in self.resync_pairs:
                 peer = pair.peer_of(name)
@@ -127,9 +161,10 @@ class SystemModel:
     # ------------------------------------------------------------------
 
     def expected_recovery(
-        self, tree: RestartTree, manifest: str, cure_set: FrozenSet[str]
+        self, tree: RestartTree, manifest: str, cure_set: Iterable[str]
     ) -> float:
         """Mean recovery time for one failure, over the oracle's mistakes."""
+        cure_set = frozenset(cure_set)
         minimal = tree.minimal_cell_covering(cure_set)
         correct = self.mean_detection + self.batch_duration(
             tree.components_restarted_by(minimal)
@@ -137,7 +172,7 @@ class SystemModel:
         p = self.oracle_error_rate
         low = tree.cell_of_component(manifest)
         if p <= 0.0 or low == minimal:
-            return correct
+            return correct  # node promotion's point: no mistake is possible
         # Mistaken chain: attempt `low`, escalate parent-by-parent until a
         # covering cell; each failed attempt costs its duration plus a
         # re-manifestation and re-detection.
@@ -180,26 +215,45 @@ class SystemModel:
         return total
 
     # ------------------------------------------------------------------
-    # system-level objective
+    # system-level outputs
     # ------------------------------------------------------------------
+
+    def _rates_and_costs(self, tree: RestartTree) -> Iterator[Tuple[float, float]]:
+        mismatch = set(self.components) ^ tree.components
+        if mismatch:
+            raise TreeError(
+                f"tree {tree.name!r} and the model disagree on components "
+                f"{sorted(mismatch)}"
+            )
+        for name, params in self.components.items():
+            yield params.failure_rate, self.failure_cost(tree, name)
 
     def downtime_rate(self, tree: RestartTree) -> float:
         """Expected seconds of downtime per second of operation."""
-        missing = set(self.components) - tree.components
-        if missing:
-            raise TreeError(f"tree does not cover components {sorted(missing)}")
-        return sum(
-            params.failure_rate * self.failure_cost(tree, name)
-            for name, params in self.components.items()
-        )
+        return sum(rate * cost for rate, cost in self._rates_and_costs(tree))
 
-    def annual_downtime_minutes(self, tree: RestartTree) -> float:
-        """The ops framing of :meth:`downtime_rate`."""
-        return self.downtime_rate(tree) * 365.0 * 24.0 * 60.0
+    def availability(self, tree: RestartTree) -> float:
+        """Series availability ``Π MTTF_c / (MTTF_c + cost_c)`` (``A_entire``).
+
+        Components are taken as independent alternating-renewal processes;
+        the correlations the simulator models beyond the induced peer
+        episode (pbcom aging, overlapping outages) are not in it.
+        """
+        product = 1.0
+        for rate, cost in self._rates_and_costs(tree):
+            product /= 1.0 + rate * cost
+        return product
+
+    def probability_failure_free(self, duration_s: float) -> float:
+        """P(no failure in an interval) under exponential lifetimes (§5.2)."""
+        if duration_s < 0:
+            raise TreeError(f"duration must be non-negative: {duration_s!r}")
+        total_rate = sum(c.failure_rate for c in self.components.values())
+        return math.exp(-duration_s * total_rate)
 
 
 # ----------------------------------------------------------------------
-# the search
+# the search (§7)
 # ----------------------------------------------------------------------
 
 
@@ -301,27 +355,42 @@ def optimize_tree(
     )
 
 
+# ----------------------------------------------------------------------
+# Mercury's inputs
+# ----------------------------------------------------------------------
+
+
+def _table_entry(table: Mapping[str, float], name: str, what: str) -> float:
+    try:
+        return table[name]
+    except KeyError:
+        raise TreeError(f"the config has no {what} for component {name!r}") from None
+
+
 def mercury_system_model(
-    config=None,
+    tree: RestartTree,
+    config: Optional[StationConfig] = None,
     oracle_error_rate: float = 0.3,
     pbcom_joint_fraction: float = 0.4,
 ) -> SystemModel:
-    """The Mercury inputs the paper derived its trees from.
+    """The Mercury inputs the paper derived its trees from, for ``tree``'s
+    components.
 
+    Failure rates come from Table 1 (``config.mttf_seconds``), joint
+    restart costs from ``config.restart_seconds``, and resync pairs from
+    each timing's ``resync_peer``.
     ``pbcom_joint_fraction`` is the share of pbcom-manifest failures that
     are only curable by the joint [fedr, pbcom] restart (the §4.4 class);
     the paper gives no number, only that such failures exist.
     """
-    from repro.mercury.config import PAPER_CONFIG
-
     config = config or PAPER_CONFIG
-    names = config.station_components(split_fedrcom=True)
-    base = config.restart_seconds(lone=False)
+    names = sorted(tree.components)
+    restart = config.restart_seconds(lone=False)
     components = {
         name: ComponentParams(
             name=name,
-            failure_rate=1.0 / config.mttf_seconds[name],
-            restart_seconds=base[name],
+            failure_rate=1.0 / _table_entry(config.mttf_seconds, name, "MTTF"),
+            restart_seconds=_table_entry(restart, name, "restart time"),
         )
         for name in names
     }
@@ -337,20 +406,24 @@ def mercury_system_model(
             )
         else:
             curability.set_simple(name)
-    ses = config.timing_for("ses")
-    strk = config.timing_for("str")
+    resync_pairs = []
+    for name in names:
+        timing = config.timing_for(name)
+        peer = timing.resync_peer
+        if peer in components and name < peer:
+            resync_pairs.append(
+                ResyncPair(
+                    name,
+                    peer,
+                    left_lone_penalty=timing.lone_penalty,
+                    right_lone_penalty=config.timing_for(peer).lone_penalty,
+                    induce_probability=config.resync_induce_probability,
+                )
+            )
     return SystemModel(
         components=components,
         curability=curability,
-        resync_pairs=[
-            ResyncPair(
-                "ses",
-                "str",
-                left_lone_penalty=ses.lone_penalty,
-                right_lone_penalty=strk.lone_penalty,
-                induce_probability=config.resync_induce_probability,
-            )
-        ],
+        resync_pairs=resync_pairs,
         mean_detection=config.mean_detection,
         contention_coefficient=config.contention_coefficient,
         oracle_error_rate=oracle_error_rate,

@@ -6,6 +6,7 @@ Usage::
     python -m repro.cli recovery --tree V --component rtu --trials 20
     python -m repro.cli table2 --trials 40 --jobs 4
     python -m repro.cli table4 --trials 40 --jobs 4 --cache-dir .repro-cache
+    python -m repro.cli optimize --tree II'
     python -m repro.cli availability --days 3 --jobs 2
     python -m repro.cli passes --days 7 --tree I --tree V
     python -m repro.cli chaos --scenario cascade --tree V --trials 1
@@ -23,6 +24,8 @@ cells from the runner's ``KINDS`` table and honour ``--jobs N`` to fan
 cells across worker processes and ``--cache-dir`` to reuse the
 content-addressed result cache — results are bit-identical for any jobs
 value.  ``availability`` and ``passes`` are two views of the same cells.
+``table4`` also prints the analytic model's Table 4, and ``optimize`` runs
+its §7 tree search (:mod:`repro.analysis.model`; no simulation).
 ``--profile`` wraps any subcommand in :mod:`cProfile` (most useful with
 ``--jobs 1``, since workers run in separate processes).
 """
@@ -34,6 +37,7 @@ import os
 import sys
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.analysis.model import mercury_system_model, optimize_tree
 from repro.core.recovery_strategies import strategy_names
 from repro.core.render import render_tree
 from repro.experiments.recovery import measure_recovery
@@ -211,6 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     table4.add_argument("--trials", type=int, default=20)
+
+    optimize = subparsers.add_parser(
+        "optimize",
+        help="derive a restart tree by the analytic model's greedy search (§7)",
+        parents=[common],
+    )
+    _tree_argument(optimize)
 
     availability = subparsers.add_parser(
         "availability",
@@ -463,27 +474,65 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_table4(args: argparse.Namespace) -> int:
+    error_rate = 0.3  # the faulty oracle's; perfect rows make no mistakes
     matrix = run_recovery_matrix(
         TABLE4_ROWS,
         TABLE4_COLUMNS,
         trials=args.trials,
         seed=args.seed,
+        oracle_error_rate=error_rate,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         cure_set_for=table4_cure_set,
     )
-    rows = []
-    for label, oracle in TABLE4_ROWS:
-        row: List[object] = [f"{label}/{oracle}"]
-        for component in TABLE4_COLUMNS:
-            result = matrix.get((label, oracle, component))
-            row.append(result.mean if result is not None else None)
-        rows.append(row)
+
+    def measured(label: str, oracle: str, component: str) -> Optional[float]:
+        result = matrix.get((label, oracle, component))
+        return result.mean if result is not None else None
+
+    def analytic(label: str, oracle: str, component: str) -> Optional[float]:
+        tree = TREE_BUILDERS[label]()
+        if component not in tree.components:
+            return None
+        p = error_rate if oracle == "faulty" else 0.0
+        cure = table4_cure_set(label, oracle, component) or (component,)
+        return mercury_system_model(tree, oracle_error_rate=p).expected_recovery(
+            tree, component, cure
+        )
+
+    for title, cell in (("measured", measured), ("analytic", analytic)):
+        rows = [
+            [f"{label}/{oracle}"]
+            + [cell(label, oracle, component) for component in TABLE4_COLUMNS]
+            for label, oracle in TABLE4_ROWS
+        ]
+        if title == "analytic":
+            print()
+        print(
+            format_table(
+                ["tree/oracle"] + TABLE4_COLUMNS, rows, title=f"Table 4 ({title})"
+            )
+        )
+    return 0
+
+
+def cmd_optimize(args: argparse.Namespace) -> int:
+    label = args.tree or "II'"
+    tree = TREE_BUILDERS[label]()
+    result = optimize_tree(mercury_system_model(tree), tree)
+    rows = [[f"(start: tree {label})", f"{result.initial_downtime_rate * 1e3:.3f}"]]
+    rows += [
+        [step.description, f"{step.downtime_rate * 1e3:.3f}"] for step in result.steps
+    ]
     print(
         format_table(
-            ["tree/oracle"] + TABLE4_COLUMNS, rows, title="Table 4 (measured)"
+            ["accepted move", "downtime rate (ms/s)"],
+            rows,
+            title=f"Greedy tree search from tree {label} (analytic model, §7)",
         )
     )
+    print()
+    print(render_tree(result.tree))
     return 0
 
 
@@ -904,6 +953,7 @@ COMMANDS = {
     "recovery": cmd_recovery,
     "table2": cmd_table2,
     "table4": cmd_table4,
+    "optimize": cmd_optimize,
     "availability": cmd_availability,
     "passes": cmd_passes,
     "chaos": cmd_chaos,

@@ -19,10 +19,13 @@ nothing about ground stations.  It provides:
   restart, observe, escalate) both supervisors drive;
 * :mod:`repro.core.recoverer` — REC: the FD↔REC control-channel front end
   that feeds the engine and coordinates with the failure detector;
-* :mod:`repro.core.analysis` — the analytic MTTF/MTTR reasoning of
-  §3.2/§4.1 (group bounds, expected-MTTR sums, availability);
 * :mod:`repro.core.render` — ASCII rendering of restart trees in the style
   of the paper's figures.
+
+The closed-form reasoning about a tree (§3.2 bounds, §4.1/§4.4 expected
+recovery, the §7 tree search) is one model built from Mercury's
+calibration, so it lives above this package in :mod:`repro.analysis.model`;
+no module here imports :mod:`repro.mercury`.
 """
 
 from repro.core.tree import RestartCell, RestartTree
@@ -43,35 +46,13 @@ from repro.core.oracle import (
     PerfectOracle,
 )
 from repro.core.policy import RestartDecision, RestartPolicy
-from repro.core.optimizer import (
-    ComponentParams,
-    OptimizationResult,
-    ResyncPair,
-    SystemModel,
-    mercury_system_model,
-    optimize_tree,
-)
 from repro.core.recoverer import RecoveryModule
 from repro.core.recovery_engine import RecoveryEngine
 from repro.core.rejuvenation import RejuvenationScheduler, no_pass_imminent
-from repro.core.analysis import (
-    availability,
-    expected_group_mttr,
-    group_mttf_bound,
-    group_mttr_bound,
-    minimal_curing_cell,
-    predict_recovery_time,
-)
 from repro.core.render import render_tree
 
 __all__ = [
-    "ComponentParams",
     "FaultyOracle",
-    "OptimizationResult",
-    "ResyncPair",
-    "SystemModel",
-    "mercury_system_model",
-    "optimize_tree",
     "LearningOracle",
     "NaiveOracle",
     "Oracle",
@@ -85,16 +66,10 @@ __all__ = [
     "RestartTree",
     "TRANSFORMATION_CATALOG",
     "Transformation",
-    "availability",
     "consolidate_groups",
     "depth_augment",
-    "expected_group_mttr",
-    "group_mttf_bound",
-    "group_mttr_bound",
     "insert_joint_node",
-    "minimal_curing_cell",
     "no_pass_imminent",
-    "predict_recovery_time",
     "promote_component",
     "render_tree",
     "replace_component",

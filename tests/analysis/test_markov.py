@@ -1,130 +1,114 @@
-"""Tests for the analytic availability model."""
+"""The series-system view of the analytic model: availability, superposed
+failure arrivals and §5.2's failure-free pass (:mod:`repro.analysis.model`)."""
 
 import math
 
 import pytest
 
-from repro.analysis.markov import (
-    ComponentModel,
-    SeriesSystemModel,
-    component_availability,
-)
-from repro.errors import ExperimentError
-from repro.mercury.config import PAPER_CONFIG
+from repro.analysis.model import ComponentParams, SystemModel, mercury_system_model
+from repro.core.tree import RestartTree, cell
+from repro.errors import TreeError
+from repro.faults.curability import CurabilityProfile
+from repro.mercury.trees import tree_i, tree_v
+
+
+def series(tables):
+    """A model and flat tree from ``{name: (MTTF, MTTR)}``: each component
+    in its own cell, its MTTR all restart (no detection latency)."""
+    components = {
+        name: ComponentParams(name, 1.0 / mttf, mttr)
+        for name, (mttf, mttr) in tables.items()
+    }
+    curability = CurabilityProfile()
+    for name in components:
+        curability.set_simple(name)
+    model = SystemModel(components, curability, mean_detection=0.0)
+    tree = RestartTree(
+        cell("root", children=[cell(f"R_{name}", [name]) for name in sorted(tables)])
+    )
+    return model, tree
 
 
 def test_component_availability_ratio():
-    assert component_availability(99.0, 1.0) == pytest.approx(0.99)
-    assert component_availability(10.0, 0.0) == 1.0
+    model, tree = series({"a": (99.0, 1.0)})
+    assert model.availability(tree) == pytest.approx(0.99)
+    model, tree = series({"a": (10.0, 0.0)})
+    assert model.availability(tree) == 1.0
 
 
 def test_component_availability_validation():
-    with pytest.raises(ExperimentError):
-        component_availability(0.0, 1.0)
-    with pytest.raises(ExperimentError):
-        component_availability(1.0, -1.0)
+    with pytest.raises(TreeError):
+        ComponentParams("a", failure_rate=math.inf, restart_seconds=1.0)  # MTTF 0
+    with pytest.raises(TreeError):
+        ComponentParams("a", failure_rate=1.0, restart_seconds=-1.0)
 
 
 def test_component_model_properties():
-    model = ComponentModel("fedr", mttf=600.0, mttr=6.0)
-    assert model.availability == pytest.approx(600 / 606)
-    assert model.failure_rate == pytest.approx(1 / 600)
+    model, tree = series({"fedr": (600.0, 6.0)})
+    assert model.availability(tree) == pytest.approx(600 / 606)
+    assert model.downtime_rate(tree) == pytest.approx(6.0 / 600)
 
 
 def test_series_availability_is_product():
-    system = SeriesSystemModel(
-        {
-            "a": ComponentModel("a", 100.0, 1.0),
-            "b": ComponentModel("b", 200.0, 2.0),
-        }
-    )
+    model, tree = series({"a": (100.0, 1.0), "b": (200.0, 2.0)})
     expected = (100 / 101) * (200 / 202)
-    assert system.system_availability() == pytest.approx(expected)
+    assert model.availability(tree) == pytest.approx(expected)
 
 
 def test_series_failure_rate_superposes():
-    system = SeriesSystemModel(
-        {
-            "a": ComponentModel("a", 100.0, 1.0),
-            "b": ComponentModel("b", 50.0, 1.0),
-        }
-    )
-    assert system.system_failure_rate() == pytest.approx(1 / 100 + 1 / 50)
-    assert system.system_mttf() == pytest.approx(1 / (1 / 100 + 1 / 50))
+    model, _ = series({"a": (100.0, 1.0), "b": (50.0, 1.0)})
+    rate = -math.log(model.probability_failure_free(1.0))
+    assert rate == pytest.approx(1 / 100 + 1 / 50)
+    assert 1 / rate == pytest.approx(1 / (1 / 100 + 1 / 50))
 
 
 def test_series_mttr_is_rate_weighted():
-    system = SeriesSystemModel(
-        {
-            "often": ComponentModel("often", 10.0, 1.0),
-            "rare": ComponentModel("rare", 1000.0, 100.0),
-        }
-    )
+    model, tree = series({"often": (10.0, 1.0), "rare": (1000.0, 100.0)})
     rate_often, rate_rare = 1 / 10, 1 / 1000
     total = rate_often + rate_rare
     expected = rate_often / total * 1.0 + rate_rare / total * 100.0
-    assert system.system_mttr() == pytest.approx(expected)
+    assert model.downtime_rate(tree) / total == pytest.approx(expected)
 
 
 def test_from_tables_key_mismatch_rejected():
-    with pytest.raises(ExperimentError):
-        SeriesSystemModel.from_tables({"a": 1.0}, {"b": 1.0})
+    model, _ = series({"a": (1.0, 1.0)})
+    _, other = series({"b": (1.0, 1.0)})
+    with pytest.raises(TreeError, match=r"\['a', 'b'\]"):
+        model.availability(other)
 
 
 def test_empty_system_rejected():
-    with pytest.raises(ExperimentError):
-        SeriesSystemModel({})
+    with pytest.raises(TreeError):
+        SystemModel({}, CurabilityProfile())
 
 
 def test_probability_failure_free_pass():
     """§5.2: 'A large MTTF does not guarantee a failure-free pass'."""
-    config = PAPER_CONFIG
-    mttr = {name: 6.0 for name in config.station_components(True)}
-    system = SeriesSystemModel.from_tables(
-        {n: config.mttf_seconds[n] for n in config.station_components(True)}, mttr
-    )
-    p = system.probability_failure_free(15 * 60.0)
+    model = mercury_system_model(tree_v())
+    p = model.probability_failure_free(15 * 60.0)
     # fedr alone fails every ~10 minutes: most passes see a failure.
     assert p < 0.3
-    assert p == pytest.approx(
-        math.exp(-900.0 * system.system_failure_rate())
-    )
+    total_rate = sum(c.failure_rate for c in model.components.values())
+    assert p == pytest.approx(math.exp(-900.0 * total_rate))
 
 
 def test_probability_failure_free_validation():
-    system = SeriesSystemModel({"a": ComponentModel("a", 10.0, 1.0)})
-    with pytest.raises(ExperimentError):
-        system.probability_failure_free(-1.0)
-    assert system.probability_failure_free(0.0) == 1.0
+    model, _ = series({"a": (10.0, 1.0)})
+    with pytest.raises(TreeError):
+        model.probability_failure_free(-1.0)
+    assert model.probability_failure_free(0.0) == 1.0
 
 
 def test_mercury_tree_i_vs_tree_v_analytic_availability():
     """The paper's availability argument in closed form: shrinking MTTR
     from the tree-I full reboot to tree-V partial restarts lifts
     availability."""
-    config = PAPER_CONFIG
-    names = config.station_components(True)
-    mttf = {n: config.mttf_seconds[n] for n in names}
-    seconds = config.restart_seconds(lone=False)
-    detect = config.mean_detection
-    reboot = max(seconds.values()) * (1 + config.contention_coefficient * (len(names) - 1))
-    tree_i_mttr = {n: detect + reboot for n in names}
-    tree_v_mttr = {
-        "mbus": detect + seconds["mbus"],
-        "rtu": detect + seconds["rtu"],
-        "ses": detect + seconds["ses"] * (1 + config.contention_coefficient),
-        "str": detect + seconds["str"] * (1 + config.contention_coefficient),
-        "fedr": detect + seconds["fedr"],
-        "pbcom": detect + seconds["pbcom"] * (1 + config.contention_coefficient),
-    }
-    a_i = SeriesSystemModel.from_tables(mttf, tree_i_mttr).system_availability()
-    a_v = SeriesSystemModel.from_tables(mttf, tree_v_mttr).system_availability()
+
+    def availability(tree):
+        model = mercury_system_model(tree, oracle_error_rate=0.0, pbcom_joint_fraction=0.0)
+        return model.availability(tree)
+
+    a_i = availability(tree_i())
+    a_v = availability(tree_v())
     assert a_v > a_i
     assert (1 - a_i) / (1 - a_v) > 2.5  # downtime shrinks by ~the MTTR ratio
-
-
-def test_annual_downtime_framing():
-    system = SeriesSystemModel({"a": ComponentModel("a", 99.0, 1.0)})
-    assert system.expected_annual_downtime_minutes() == pytest.approx(
-        0.01 * 365 * 24 * 60
-    )

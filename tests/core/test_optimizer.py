@@ -1,8 +1,9 @@
-"""Tests for the restart-tree optimizer (§7 transformation algorithms)."""
+"""Tests for the analytic model's cost and the restart-tree search built on
+it (§7 transformation algorithms)."""
 
 import pytest
 
-from repro.core.optimizer import (
+from repro.analysis.model import (
     ComponentParams,
     ResyncPair,
     SystemModel,
@@ -151,7 +152,7 @@ def test_rediscovers_the_papers_tree():
     """The capstone: from tree II' and Mercury's observed failure data, the
     optimizer performs the paper's three §4 moves and reaches a tree with
     tree V's structure and cost."""
-    model = mercury_system_model()
+    model = mercury_system_model(tree_ii_prime())
     result = optimize_tree(model, tree_ii_prime())
     kinds = [step.description.split("(")[0] for step in result.steps]
     assert sorted(kinds) == ["consolidate", "insert_joint", "promote"]
@@ -170,7 +171,7 @@ def test_rediscovers_the_papers_tree():
 
 
 def test_paper_tree_costs_are_ordered():
-    model = mercury_system_model()
+    model = mercury_system_model(tree_ii_prime())
     costs = {
         "II'": model.downtime_rate(tree_ii_prime()),
         "III": model.downtime_rate(tree_iii()),
@@ -183,13 +184,13 @@ def test_paper_tree_costs_are_ordered():
 def test_promotion_not_chosen_with_perfect_oracle():
     """With no oracle mistakes, promotion has no benefit and a small cost
     (simple pbcom failures drag fedr along), so it must not be applied."""
-    model = mercury_system_model(oracle_error_rate=0.0)
+    model = mercury_system_model(tree_iv(), oracle_error_rate=0.0)
     result = optimize_tree(model, tree_iv())
     assert not any("promote(pbcom)" in s.description for s in result.steps)
 
 
 def test_optimizer_respects_iteration_bound():
-    model = mercury_system_model()
+    model = mercury_system_model(tree_ii_prime())
     result = optimize_tree(model, tree_ii_prime(), max_iterations=1)
     assert len(result.steps) <= 1
 

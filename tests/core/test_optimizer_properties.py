@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.optimizer import (
+from repro.analysis.model import (
     ComponentParams,
     ResyncPair,
     SystemModel,

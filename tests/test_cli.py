@@ -110,6 +110,26 @@ def test_table4_command(capsys):
     assert "Table 4" in out
     assert "IV/faulty" in out
     assert "V/faulty" in out
+    analytic = out[out.index("Table 4 (analytic)"):]
+    # §4.4: the faulty oracle costs tree IV's pbcom, tree V is immune.
+    assert "IV/faulty   |  5.73 |  6.25 |  6.25 |  5.59 | 5.76 | 28.59" in analytic
+    assert "V/faulty    |  5.73 |  6.25 |  6.25 |  5.59 | 5.76 | 22.21" in analytic
+
+
+def test_optimize_command_rederives_tree_v(capsys):
+    assert main(["optimize"]) == 0
+    out = capsys.readouterr().out
+    for move in ("consolidate(R_ses, R_str)", "insert_joint(R_fedr, R_pbcom)", "promote(pbcom)"):
+        assert move in out
+    assert "12.083" in out and "10.633" in out
+    assert "[ses, str]" in out
+
+
+def test_optimize_command_from_tree_i(capsys):
+    assert main(["optimize", "--tree", "I"]) == 0
+    out = capsys.readouterr().out
+    assert "(start: tree I)" in out
+    assert "R_mercury  [fedrcom, mbus, rtu, ses, str]" in out
 
 
 def test_jobs_flag_accepted_before_and_after_subcommand(capsys):

@@ -23,13 +23,10 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Unreached modules, each with its owner.  This is the to-do list of
-#: ROADMAP items 5(a), 6, 7, 8 and 11(c): a module leaves when its item
-#: wires it in.
+#: ROADMAP items 5(a), 7 and 11(c): a module leaves when its item wires it
+#: in.
 ISLAND_MODULES = {
-    "repro.core.optimizer": "item 6: the tree search behind `repro optimize`",
     "repro.core.rejuvenation": "item 7: pass-aware rejuvenation campaigns",
-    "repro.core.analysis": "item 6: the analytic pre-filter of the tree search",
-    "repro.analysis.markov": "item 8: the analytic column of `repro availability`",
     "repro.mercury.architecture": "item 11(c): `render_architecture` under `repro trees`",
     "repro.experiments.timeline": "item 5(a): the seed of `repro explain`",
 }
@@ -159,6 +156,20 @@ def test_every_public_name_is_referenced_or_listed():
         if name.rpartition(".")[0] not in ISLAND_MODULES
     ]
     assert islands == sorted(ISLAND_NAMES)
+
+
+def test_core_does_not_import_mercury():
+    """``repro.core`` is the portable contribution: no module in it names
+    ``repro.mercury`` in an import, at any level."""
+    modules, _ = parse_package(ROOT / "src", "repro")
+    offenders = sorted(
+        module
+        for module, tree in modules.items()
+        if module.split(".")[:2] == ["repro", "core"]
+        for source, _name in _imports(tree)
+        if source == "repro.mercury" or source.startswith("repro.mercury.")
+    )
+    assert offenders == []
 
 
 def test_an_island_in_a_synthetic_package_is_reported(tmp_path):
