@@ -7,8 +7,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 .PHONY: test lint verify chaos-smoke chaos-lossy-smoke strategy-smoke \
 	fleet-smoke workload-smoke store-chaos-smoke examples-smoke passes-smoke \
 	check-determinism repo-bench repo-bench-test \
-	repo-bench-ab benchmarks \
-	table4-parallel chaos-full fleet-large workload-soak soak nightly
+	repo-bench-ab paper chaos-full fleet-large workload-soak soak nightly
 
 # Tier-1 verification: the full unit/integration suite.  The ten slowest
 # tests are printed so a drift in suite time shows in the log of the run
@@ -138,15 +137,12 @@ repo-bench-ab:
 	python3 tools/bench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) \
 		$(if $(LEDGER),--ledger)
 
-# Full paper-reproduction suite (slow).  REPRO_BENCH_TRIALS/JOBS/CACHE
-# control fidelity, fan-out, and result caching.
-benchmarks:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# The Table 4 matrix with maximum fan-out, cached for re-runs.
-table4-parallel:
-	REPRO_BENCH_JOBS=0 REPRO_BENCH_CACHE=.repro-cache \
-		$(PYTHON) -m pytest benchmarks/test_table4_mttr_matrix.py --benchmark-only -s
+# The paper-reproduction suite: the 20 tests in benchmarks/ that regenerate
+# Tables 1-4, Figures 1-6, §4.4, §5.2, §8 and four ablations, print them
+# next to the paper's values and assert their shape.  TRIALS=N sets the
+# trials per cell (default 40; the paper used 100).  Under a minute serial.
+paper:
+	$(PYTHON) -m pytest benchmarks/ -s $(if $(TRIALS),--trials $(TRIALS))
 
 # ---------------------------------------------------------------------------
 # Nightly campaigns (scheduled CI; all deterministic, all fail on any
@@ -175,5 +171,7 @@ workload-soak:
 soak:
 	$(PYTHON) -m pytest -q -m soak
 
-# Everything the scheduled nightly workflow runs.
+# Everything the scheduled nightly workflow runs, the paper suite at the
+# paper's 100 trials per cell included.
 nightly: chaos-full fleet-large workload-soak check-determinism soak
+	$(MAKE) paper TRIALS=100

@@ -1,71 +1,38 @@
-"""Shared helpers for the benchmark/reproduction suite.
+"""Shared helpers for the paper-reproduction suite.
 
-Every bench regenerates one of the paper's tables or figures, prints it in
-paper layout next to the paper's reported values, and asserts the *shape*
-criteria from DESIGN.md.  ``pytest-benchmark`` times a representative unit
-of each experiment (one trial, one campaign-day, one transformation).
+Every test regenerates one of the paper's tables or figures, prints it in
+paper layout next to the paper's reported values
+(:data:`repro.experiments.runner.PAPER_TABLE4`, the same table ``repro
+table4`` prints), and asserts the *shape* criteria from DESIGN.md.
 
-``REPRO_BENCH_TRIALS`` (default 40; the paper used 100) controls trial
-counts so a full-fidelity run is one environment variable away::
+``--trials`` (default 40; the paper used 100) sets the trials per cell of
+the tests that take the ``trials`` fixture::
 
-    REPRO_BENCH_TRIALS=100 pytest benchmarks/ --benchmark-only
+    make paper                  # pytest benchmarks/ -s
+    make paper TRIALS=100       # paper fidelity
 
-``REPRO_BENCH_JOBS`` (default 1) fans campaign cells across worker
-processes via :mod:`repro.experiments.runner`; per-cell statistics are
-bit-identical for any jobs value, so ``REPRO_BENCH_JOBS=4`` is purely a
-wall-clock knob.  ``REPRO_BENCH_CACHE`` names a cache directory so
-repeated runs replay finished cells from disk.
+Campaigns run serially and uncached: per-cell results are bit-identical
+for any worker count, and the suite takes well under a minute.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-#: Trials per (tree, component, oracle) cell.
-TRIALS = int(os.environ.get("REPRO_BENCH_TRIALS", "40"))
+from repro.cli import _count
 
-#: Campaign worker processes (0 = one per CPU).
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
-#: Optional campaign result-cache directory.
-CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE") or None
+def pytest_addoption(parser):
+    parser.addoption(
+        "--trials", type=_count, default=40,
+        help="trials per (tree, component, oracle) cell (default 40; the paper used 100)",
+    )
 
-#: The paper's Table 4 (seconds), keyed by (tree, oracle) then component.
-PAPER_TABLE4 = {
-    ("I", "perfect"): {
-        "mbus": 24.75, "ses": 24.75, "str": 24.75, "rtu": 24.75, "fedrcom": 24.75,
-    },
-    ("II", "perfect"): {
-        "mbus": 5.73, "ses": 9.50, "str": 9.76, "rtu": 5.59, "fedrcom": 20.93,
-    },
-    ("III", "perfect"): {
-        "mbus": 5.73, "ses": 9.50, "str": 9.76, "rtu": 5.59, "fedr": 5.76,
-        "pbcom": 21.24,
-    },
-    ("IV", "perfect"): {
-        "mbus": 5.73, "ses": 6.25, "str": 6.11, "rtu": 5.59, "fedr": 5.76,
-        "pbcom": 21.24,
-    },
-    ("IV", "faulty"): {
-        "mbus": 5.73, "ses": 6.25, "str": 6.11, "rtu": 5.59, "fedr": 5.76,
-        "pbcom": 29.19,
-    },
-    ("V", "faulty"): {
-        "mbus": 5.73, "ses": 6.25, "str": 6.11, "rtu": 5.59, "fedr": 5.76,
-        "pbcom": 21.63,
-    },
-}
 
-#: Table 1: observed per-component MTTFs.
-PAPER_TABLE1 = {
-    "mbus": "1 month",
-    "fedrcom": "10 min",
-    "ses": "5 hr",
-    "str": "5 hr",
-    "rtu": "5 hr",
-}
+@pytest.fixture
+def trials(request) -> int:
+    """Trials per (tree, component, oracle) cell."""
+    return request.config.getoption("--trials")
 
 
 def print_banner(title: str) -> None:
@@ -73,8 +40,3 @@ def print_banner(title: str) -> None:
     print("=" * 72)
     print(title)
     print("=" * 72)
-
-
-@pytest.fixture
-def banner():
-    return print_banner

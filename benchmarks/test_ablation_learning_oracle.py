@@ -38,11 +38,7 @@ def run_episodes(oracle_spec, seed=370):
     return samples, station.oracle
 
 
-def test_learning_oracle(benchmark):
-    benchmark.pedantic(
-        lambda: run_episodes("perfect", seed=1)[0][:1], rounds=1, iterations=1
-    )
-
+def test_learning_oracle():
     naive_samples, _ = run_episodes("naive")
     learning_samples, learning = run_episodes("learning")
     perfect_samples, _ = run_episodes("perfect")

@@ -61,13 +61,7 @@ def run_campaign(rejuvenate, seed=400):
     return accountant.summary, aging_counter["count"], scheduler
 
 
-def test_rejuvenation(benchmark):
-    benchmark.pedantic(
-        lambda: run_campaign(rejuvenate=False, seed=1) if False else None,
-        rounds=1,
-        iterations=1,
-    )
-
+def test_rejuvenation():
     baseline, baseline_aging, _ = run_campaign(rejuvenate=False)
     rejuvenated, rejuvenated_aging, scheduler = run_campaign(rejuvenate=True)
 

@@ -19,12 +19,8 @@ from repro.experiments.report import format_table
 from repro.mercury.trees import TREE_BUILDERS, tree_ii_prime, tree_v
 
 
-def test_tree_optimizer(benchmark):
+def test_tree_optimizer():
     model = mercury_system_model(tree_ii_prime())
-    benchmark.pedantic(
-        lambda: optimize_tree(model, tree_ii_prime()), rounds=5, iterations=1
-    )
-
     result = optimize_tree(model, tree_ii_prime())
 
     print_banner("§7 extension: greedy tree optimization from tree II'")

@@ -20,10 +20,8 @@ def boot_station(seed=300):
     return station
 
 
-def test_fig1(benchmark):
+def test_fig1():
     station = boot_station()
-    benchmark.pedantic(lambda: render_architecture(station), rounds=20, iterations=1)
-
     diagram = render_architecture(station)
     print_banner("Figure 1: Mercury software architecture (introspected)")
     print(diagram)

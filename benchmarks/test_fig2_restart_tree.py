@@ -22,9 +22,7 @@ def figure2_tree():
     )
 
 
-def test_fig2(benchmark):
-    benchmark.pedantic(figure2_tree, rounds=50, iterations=1)
-
+def test_fig2():
     tree = figure2_tree()
     print_banner("Figure 2: a restart tree (5 cells over components A, B, C)")
     print(render_tree(tree))

@@ -7,11 +7,12 @@ pbcom 21.24 s.
 """
 
 import pytest
-from conftest import TRIALS, print_banner
+from conftest import print_banner
 
 from repro.core.render import render_side_by_side, render_tree
 from repro.core.transformations import insert_joint_node, replace_component
 from repro.experiments.recovery import measure_recovery
+from repro.experiments.runner import PAPER_TABLE4
 from repro.mercury.trees import tree_ii
 
 
@@ -22,9 +23,7 @@ def evolve():
     return t2, t2p, t3
 
 
-def test_fig4(benchmark):
-    benchmark.pedantic(evolve, rounds=30, iterations=1)
-
+def test_fig4(trials):
     t2, t2p, t3 = evolve()
     print_banner("Figure 4: subtree depth augmentation (fedrcom split) gives tree III")
     print(render_side_by_side(render_tree(t2), render_tree(t2p)))
@@ -35,15 +34,17 @@ def test_fig4(benchmark):
     # correlated failures with one parallel restart.
     assert t3.minimal_cell_covering(["fedr", "pbcom"]) == "R_fedr_pbcom"
 
-    fedrcom = measure_recovery(t2, "fedrcom", trials=TRIALS, seed=320).mean
-    fedr = measure_recovery(t3, "fedr", trials=TRIALS, seed=321).mean
-    pbcom = measure_recovery(t3, "pbcom", trials=TRIALS, seed=322).mean
-    print(f"\nfedrcom failure: {fedrcom:.2f}s (paper 20.93)")
-    print(f"fedr failure:    {fedr:.2f}s (paper 5.76) — the common case")
-    print(f"pbcom failure:   {pbcom:.2f}s (paper 21.24) — the rare case")
+    paper_ii = PAPER_TABLE4[("II", "perfect")]
+    paper_iii = PAPER_TABLE4[("III", "perfect")]
+    fedrcom = measure_recovery(t2, "fedrcom", trials=trials, seed=320).mean
+    fedr = measure_recovery(t3, "fedr", trials=trials, seed=321).mean
+    pbcom = measure_recovery(t3, "pbcom", trials=trials, seed=322).mean
+    print(f"\nfedrcom failure: {fedrcom:.2f}s (paper {paper_ii['fedrcom']:.2f})")
+    print(f"fedr failure:    {fedr:.2f}s (paper {paper_iii['fedr']:.2f}) — the common case")
+    print(f"pbcom failure:   {pbcom:.2f}s (paper {paper_iii['pbcom']:.2f}) — the rare case")
 
-    assert fedr == pytest.approx(5.76, abs=0.6)
-    assert pbcom == pytest.approx(21.24, abs=1.0)
+    assert fedr == pytest.approx(paper_iii["fedr"], abs=0.6)
+    assert pbcom == pytest.approx(paper_iii["pbcom"], abs=1.0)
     assert fedr < fedrcom / 3
     # "The increased value of pbcom's recovery time is due to communication
     # overhead" — pbcom alone is slightly slower than old fedrcom.

@@ -8,22 +8,17 @@ seconds."
 """
 
 import pytest
-from conftest import TRIALS, print_banner
+from conftest import print_banner
 
 from repro.core.render import render_side_by_side, render_tree
 from repro.core.transformations import consolidate_groups
 from repro.experiments.recovery import measure_recovery
+from repro.experiments.runner import PAPER_TABLE4
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_iii
 
 
-def test_fig5(benchmark):
-    benchmark.pedantic(
-        lambda: consolidate_groups(tree_iii(), ["R_ses", "R_str"], "R_ses_str"),
-        rounds=50,
-        iterations=1,
-    )
-
+def test_fig5(trials):
     before = tree_iii()
     after = consolidate_groups(before, ["R_ses", "R_str"], "R_ses_str", name="tree-IV")
     print_banner("Figure 5: group consolidation gives tree IV")
@@ -31,15 +26,19 @@ def test_fig5(benchmark):
 
     assert after.get_cell("R_ses_str").is_leaf
 
-    ses_iii = measure_recovery(before, "ses", trials=TRIALS, seed=330).mean
-    str_iii = measure_recovery(before, "str", trials=TRIALS, seed=331).mean
-    ses_iv = measure_recovery(after, "ses", trials=TRIALS, seed=332).mean
-    str_iv = measure_recovery(after, "str", trials=TRIALS, seed=333).mean
-    print(f"\nses failure: {ses_iii:.2f}s (III, paper 9.50) -> {ses_iv:.2f}s (IV, paper 6.25)")
-    print(f"str failure: {str_iii:.2f}s (III, paper 9.76) -> {str_iv:.2f}s (IV, paper 6.11)")
+    paper_iii = PAPER_TABLE4[("III", "perfect")]
+    paper_iv = PAPER_TABLE4[("IV", "perfect")]
+    ses_iii = measure_recovery(before, "ses", trials=trials, seed=330).mean
+    str_iii = measure_recovery(before, "str", trials=trials, seed=331).mean
+    ses_iv = measure_recovery(after, "ses", trials=trials, seed=332).mean
+    str_iv = measure_recovery(after, "str", trials=trials, seed=333).mean
+    print()
+    for name, iii, iv in (("ses", ses_iii, ses_iv), ("str", str_iii, str_iv)):
+        print(f"{name} failure: {iii:.2f}s (III, paper {paper_iii[name]:.2f}) -> "
+              f"{iv:.2f}s (IV, paper {paper_iv[name]:.2f})")
 
-    assert ses_iv == pytest.approx(6.25, abs=0.6)
-    assert str_iv == pytest.approx(6.11, abs=0.6)
+    assert ses_iv == pytest.approx(paper_iv["ses"], abs=0.6)
+    assert str_iv == pytest.approx(paper_iv["str"], abs=0.6)
     assert ses_iv < ses_iii and str_iv < str_iii
 
     # The deeper claim: under tree III the lone restart *induces* a peer

@@ -13,11 +13,7 @@ from repro.core.transformations import promote_component
 from repro.mercury.trees import tree_iv
 
 
-def test_fig6(benchmark):
-    benchmark.pedantic(
-        lambda: promote_component(tree_iv(), "pbcom"), rounds=50, iterations=1
-    )
-
+def test_fig6():
     before = tree_iv()
     after = promote_component(before, "pbcom", name="tree-V")
     print_banner("Figure 6: node promotion gives tree V")

@@ -18,13 +18,7 @@ DAY = 86400.0
 DAYS = 14
 
 
-def test_sec52(benchmark):
-    benchmark.pedantic(
-        lambda: measure_availability(tree_v(), horizon_s=DAY, seed=1),
-        rounds=3,
-        iterations=1,
-    )
-
+def test_sec52():
     results = [
         measure_availability(tree, horizon_s=DAYS * DAY, seed=350)
         for tree in (tree_i(), tree_iii(), tree_v())

@@ -7,10 +7,9 @@ MTTF/(MTTF+MTTR); recursive restartability improves this ratio by reducing
 MTTR."
 """
 
-from conftest import CACHE_DIR, JOBS, print_banner
+from conftest import print_banner
 
 from repro.analysis.model import mercury_system_model
-from repro.experiments.availability import measure_availability
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_suite
 from repro.mercury.trees import TREE_BUILDERS
@@ -18,21 +17,13 @@ from repro.mercury.trees import TREE_BUILDERS
 DAYS = 5
 
 
-def test_sec8(benchmark):
-    benchmark.pedantic(
-        lambda: measure_availability(TREE_BUILDERS["V"](), horizon_s=86400.0, seed=1),
-        rounds=3,
-        iterations=1,
-    )
-
+def test_sec8():
     labels = ["I", "II", "III", "IV", "V"]
     suite = run_suite(
         "availability",
         {"tree": labels},
         horizon_s=DAYS * 86400.0,
         seed=360,
-        jobs=JOBS,
-        cache_dir=CACHE_DIR,
     )
     results = {label: suite[(label,)] for label in labels}
     # The analytic model of each tree, matching the availability cell's

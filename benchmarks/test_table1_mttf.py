@@ -9,7 +9,7 @@ arrivals recovers the configured means, and uptime over all SIGKILL
 failures shows what the ses/str resync coupling does to them.
 """
 
-from conftest import PAPER_TABLE1, print_banner
+from conftest import print_banner
 
 from repro.experiments.availability import measure_availability
 from repro.experiments.report import format_table
@@ -18,6 +18,15 @@ from repro.mercury.trees import tree_ii
 
 DAY = 86400.0
 HORIZON_DAYS = 10
+
+#: The paper's Table 1: observed per-component MTTFs.
+PAPER_TABLE1 = {
+    "mbus": "1 month",
+    "fedrcom": "10 min",
+    "ses": "5 hr",
+    "str": "5 hr",
+    "rtu": "5 hr",
+}
 
 
 def humanise(seconds):
@@ -35,13 +44,7 @@ def relative_error(result, component):
     return abs(result.mttf(component) - configured) / configured
 
 
-def test_table1(benchmark):
-    benchmark.pedantic(
-        lambda: measure_availability(tree_ii(), horizon_s=DAY / 4, seed=1),
-        rounds=3,
-        iterations=1,
-    )
-
+def test_table1():
     result = measure_availability(tree_ii(), horizon_s=HORIZON_DAYS * DAY, seed=200)
 
     components = ["mbus", "fedrcom", "ses", "str", "rtu"]

@@ -5,32 +5,24 @@ component" — MTTR^I is 24.75 s for every column; MTTR^II drops to the
 component's own restart cost (5.59–20.93 s).
 """
 
-from conftest import CACHE_DIR, JOBS, PAPER_TABLE4, TRIALS, print_banner
+from conftest import print_banner
 
-from repro.experiments.recovery import measure_recovery, measure_recovery_row
+from repro.experiments.recovery import measure_recovery_row
 from repro.experiments.report import format_table, relative_errors
+from repro.experiments.runner import PAPER_TABLE4
 from repro.mercury.trees import tree_i, tree_ii
 
 COMPONENTS = ["mbus", "ses", "str", "rtu", "fedrcom"]
 
 
 def run_row(tree, trials, seed=100):
-    results = measure_recovery_row(
-        tree, COMPONENTS, trials=trials, seed=seed, jobs=JOBS, cache_dir=CACHE_DIR
-    )
+    results = measure_recovery_row(tree, COMPONENTS, trials=trials, seed=seed)
     return dict(zip(COMPONENTS, results))
 
 
-def test_table2(benchmark):
-    # Time one representative kill-and-measure trial under tree II.
-    benchmark.pedantic(
-        lambda: measure_recovery(tree_ii(), "rtu", trials=1, seed=1),
-        rounds=3,
-        iterations=1,
-    )
-
-    row_i = run_row(tree_i(), TRIALS)
-    row_ii = run_row(tree_ii(), TRIALS)
+def test_table2(trials):
+    row_i = run_row(tree_i(), trials)
+    row_ii = run_row(tree_ii(), trials)
 
     measured_i = {c: row_i[c].mean for c in COMPONENTS}
     measured_ii = {c: row_ii[c].mean for c in COMPONENTS}
@@ -38,7 +30,7 @@ def test_table2(benchmark):
     paper_ii = PAPER_TABLE4[("II", "perfect")]
 
     print_banner(
-        f"Table 2: recovery time (s), {TRIALS} trials per cell (paper: 100)"
+        f"Table 2: recovery time (s), {trials} trials per cell (paper: 100)"
     )
     print(
         format_table(

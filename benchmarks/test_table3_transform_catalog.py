@@ -12,7 +12,7 @@ from conftest import print_banner
 from repro.core.render import render_compact
 from repro.core.transformations import TRANSFORMATION_CATALOG
 from repro.experiments.report import format_table
-from repro.mercury.trees import TREE_BUILDERS, tree_v
+from repro.mercury.trees import TREE_BUILDERS
 
 CATALOG_TO_TREE = {
     "original": "I",
@@ -23,9 +23,7 @@ CATALOG_TO_TREE = {
 }
 
 
-def test_table3(benchmark):
-    benchmark.pedantic(tree_v, rounds=10, iterations=1)
-
+def test_table3():
     rows = []
     for entry in TRANSFORMATION_CATALOG:
         label = CATALOG_TO_TREE[entry.key]

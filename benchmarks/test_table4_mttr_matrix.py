@@ -5,45 +5,24 @@ setup: pbcom failures there are curable *only* by a joint [fedr, pbcom]
 restart, and the oracle guesses too low 30 % of the time.
 """
 
-from conftest import CACHE_DIR, JOBS, PAPER_TABLE4, TRIALS, print_banner
+from conftest import print_banner
 
-from repro.experiments.recovery import measure_recovery
 from repro.experiments.runner import (
+    PAPER_TABLE4,
     TABLE4_COLUMNS,
     TABLE4_ROWS,
     run_recovery_matrix,
     table4_cure_set,
 )
 from repro.experiments.report import format_table, relative_errors
-from repro.mercury.trees import TREE_BUILDERS
 
 
-def run_cell(label, oracle, component, trials, seed):
-    tree = TREE_BUILDERS[label]()
-    kwargs = {}
-    if oracle == "faulty":
-        kwargs["oracle"] = "faulty"
-        kwargs["oracle_error_rate"] = 0.3
-        cure = table4_cure_set(label, oracle, component)
-        if cure is not None:
-            kwargs["cure_set"] = cure
-    return measure_recovery(tree, component, trials=trials, seed=seed, **kwargs)
-
-
-def test_table4(benchmark):
-    benchmark.pedantic(
-        lambda: run_cell("V", "faulty", "pbcom", 1, seed=1),
-        rounds=3,
-        iterations=1,
-    )
-
+def test_table4(trials):
     matrix = run_recovery_matrix(
         TABLE4_ROWS,
         TABLE4_COLUMNS,
-        trials=TRIALS,
+        trials=trials,
         seed=1000,
-        jobs=JOBS,
-        cache_dir=CACHE_DIR,
         cure_set_for=table4_cure_set,
     )
     measured = {key: result.mean for key, result in matrix.items()}
@@ -59,7 +38,7 @@ def test_table4(benchmark):
             + [measured.get((label, oracle, c)) for c in TABLE4_COLUMNS]
         )
 
-    print_banner(f"Table 4: overall MTTRs (s), {TRIALS} trials/cell (paper: 100)")
+    print_banner(f"Table 4: overall MTTRs (s), {trials} trials/cell (paper: 100)")
     print(format_table(["tree/oracle"] + TABLE4_COLUMNS, table_rows))
 
     # Shape criteria (the paper's argument, not the absolute numbers):

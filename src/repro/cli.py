@@ -24,8 +24,10 @@ cells from the runner's ``KINDS`` table and honour ``--jobs N`` to fan
 cells across worker processes and ``--cache-dir`` to reuse the
 content-addressed result cache — results are bit-identical for any jobs
 value.  ``availability`` and ``passes`` are two views of the same cells.
-``table4`` also prints the analytic model's Table 4, and ``optimize`` runs
-its §7 tree search (:mod:`repro.analysis.model`; no simulation).
+``table4`` also prints the paper's Table 4 (``PAPER_TABLE4``, the values
+the reproduction suite asserts against) and the analytic model's, and
+``optimize`` runs its §7 tree search (:mod:`repro.analysis.model`; no
+simulation).
 ``--profile`` wraps any subcommand in :mod:`cProfile` (most useful with
 ``--jobs 1``, since workers run in separate processes).
 """
@@ -43,6 +45,7 @@ from repro.core.render import render_tree
 from repro.experiments.recovery import measure_recovery
 from repro.experiments.report import format_phase_breakdown, format_table
 from repro.experiments.runner import (
+    PAPER_TABLE4,
     TABLE4_COLUMNS,
     TABLE4_ROWS,
     plan_cell,
@@ -148,6 +151,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _tree_argument(recovery)
     recovery.add_argument("--component", required=True)
-    recovery.add_argument("--trials", type=int, default=20)
+    recovery.add_argument("--trials", type=_count, default=20)
     recovery.add_argument(
         "--oracle", choices=["perfect", "naive", "faulty", "learning"],
         default="perfect",
@@ -207,14 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     table2 = subparsers.add_parser(
         "table2", help="regenerate Table 2", parents=[common]
     )
-    table2.add_argument("--trials", type=int, default=20)
+    table2.add_argument("--trials", type=_count, default=20)
 
     table4 = subparsers.add_parser(
         "table4",
         help="regenerate the full Table 4 MTTR matrix",
         parents=[common],
     )
-    table4.add_argument("--trials", type=int, default=20)
+    table4.add_argument("--trials", type=_count, default=20)
 
     optimize = subparsers.add_parser(
         "optimize",
@@ -252,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario name (repeatable; default: the full catalogue)",
     )
     _tree_argument(chaos, multiple=True)
-    chaos.add_argument("--trials", type=int, default=1)
+    chaos.add_argument("--trials", type=_count, default=1)
     chaos.add_argument(
         "--oracle", choices=["perfect", "naive", "faulty", "learning"],
         default="perfect",
@@ -280,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         + " ".join(FAILURE_KINDS) + ")",
     )
     _tree_argument(strategy, multiple=True)
-    strategy.add_argument("--trials", type=int, default=3)
+    strategy.add_argument("--trials", type=_count, default=3)
     strategy.add_argument(
         "--user-effects", action="store_true",
         help=f"run every cell under user traffic ({DEFAULT_SESSION_RATE:g} "
@@ -304,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _tree_argument(workload, multiple=True)
     workload.add_argument(
-        "--failures", type=int, default=3,
+        "--failures", type=_count, default=3,
         help="faults injected per cell (default: 3)",
     )
     workload.add_argument(
@@ -333,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reply-timeout policy (repeatable; default: both)",
     )
     ablation.add_argument(
-        "--failures", type=int, default=3,
+        "--failures", type=_count, default=3,
         help="crashes injected per cell under loss (default: 3)",
     )
 
@@ -345,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _tree_argument(fleet)
     fleet.add_argument(
-        "--size", action="append", type=int, default=None, metavar="N",
+        "--size", action="append", type=_count, default=None, metavar="N",
         help="fleet size (repeatable; default: 16 64)",
     )
     fleet.add_argument(
@@ -500,13 +510,17 @@ def cmd_table4(args: argparse.Namespace) -> int:
             tree, component, cure
         )
 
-    for title, cell in (("measured", measured), ("analytic", analytic)):
+    def paper(label: str, oracle: str, component: str) -> Optional[float]:
+        return PAPER_TABLE4[(label, oracle)].get(component)
+
+    blocks = (("paper", paper), ("measured", measured), ("analytic", analytic))
+    for index, (title, cell) in enumerate(blocks):
         rows = [
             [f"{label}/{oracle}"]
             + [cell(label, oracle, component) for component in TABLE4_COLUMNS]
             for label, oracle in TABLE4_ROWS
         ]
-        if title == "analytic":
+        if index:
             print()
         print(
             format_table(

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.runner import PAPER_TABLE4, TABLE4_COLUMNS
 
 
 def test_trees_renders_all(capsys):
@@ -96,6 +97,32 @@ def test_non_positive_days_rejected(command, days, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["recovery", "--component", "rtu"], "--trials"),
+        (["table2"], "--trials"),
+        (["table4"], "--trials"),
+        (["chaos"], "--trials"),
+        (["strategy-compare"], "--trials"),
+        (["workload"], "--failures"),
+        (["detection-ablation"], "--failures"),
+        (["fleet"], "--size"),
+    ],
+)
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_non_positive_counts_rejected(argv, flag, count, capsys):
+    """A zero count ran nothing and reported success (``chaos``,
+    ``detection-ablation``) or ended in a traceback (the rest)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [flag, count])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"repro {argv[0]}: error: argument {flag}: must be >= 1, got {count}"
+    ]
+
+
 def test_seed_changes_results(capsys):
     main(["--seed", "1", "recovery", "--component", "rtu", "--trials", "2"])
     first = capsys.readouterr().out
@@ -104,10 +131,18 @@ def test_seed_changes_results(capsys):
     assert first != second
 
 
-def test_table4_command(capsys):
+def test_table4_command(capsys, monkeypatch):
+    # One table of the paper's numbers: its components are Table 4's
+    # columns, and it is what the paper block prints.
+    for row in PAPER_TABLE4.values():
+        assert set(row) <= set(TABLE4_COLUMNS)
+    monkeypatch.setitem(PAPER_TABLE4[("V", "faulty")], "pbcom", 99.99)
     assert main(["table4", "--trials", "1"]) == 0
     out = capsys.readouterr().out
     assert "Table 4" in out
+    paper = out[out.index("Table 4 (paper)"):out.index("Table 4 (measured)")]
+    assert "IV/faulty   |  5.73 |  6.25 |  6.11 |  5.59 | 5.76 | 29.19 |       —" in paper
+    assert "V/faulty    |  5.73 |  6.25 |  6.11 |  5.59 | 5.76 | 99.99 |       —" in paper
     assert "IV/faulty" in out
     assert "V/faulty" in out
     analytic = out[out.index("Table 4 (analytic)"):]
