@@ -127,9 +127,8 @@ repo-bench-test:
 # differs, and the isolated-driver timings.  The exit status is the
 # no-regression rule: non-zero when a run failed or an end-to-end median is
 # worse than BASE's by more than its BENCHMARK.json bound, at any PAIRS.
-# CI gates on it (PAIRS=3) for traffic-steady (LEDGER=1), traffic-faulted
-# (LEDGER=1), fleet-waves, availability-month (LEDGER=1) and
-# recovery-matrix.
+# CI gates on it (PAIRS=3, LEDGER=1) for all five workloads: traffic-steady,
+# traffic-faulted, fleet-waves, availability-month and recovery-matrix.
 BASE ?= HEAD~1
 WORKLOAD ?= traffic-steady
 PAIRS ?= 10

@@ -13,8 +13,11 @@ transport around it.  It:
 * tells FD which components are being bounced (``RestartOrder`` with reason
   ``begin``) so FD does not report the restart's own fallout, and when the
   batch is back up (reason ``complete``) so FD resumes watching them;
-* pings FD over the control channel and restarts FD if it stops answering
-  — the REC half of the FD/REC mutual-recovery special case.
+* restarts FD when the control channel stays silent past a grace period
+  (and never sooner than FD's own ping period) — the REC half of the
+  FD/REC mutual-recovery special case.  FD pings REC
+  every round, so that ping is REC's heartbeat: one handle-free deadline
+  checks it, no ping of REC's own.
 
 REC is itself a supervised process: killing it drops all in-flight episode
 state.  A restarted REC rebuilds crash-only (the engine's
@@ -78,6 +81,7 @@ class RecoveryModule(Behavior):
         self.policy = policy
         self.ctl_address = ctl_address
         self.fd_name = fd_name
+        #: How often FD pings REC: the heartbeat's period.
         self.fd_ping_period = fd_ping_period
         self.fd_ping_timeout = fd_ping_timeout
         self.fd_grace = fd_grace
@@ -99,9 +103,8 @@ class RecoveryModule(Behavior):
 
         self._listener = None
         self._fd_endpoint: Optional["Endpoint"] = None
-        self._ping_seq = 0
-        self._outstanding_ping: Optional[int] = None
-        self._fd_misses = 0
+        #: When the control channel last carried anything from FD.
+        self._fd_heard_at: SimTime = 0.0
         self._fd_restart_inflight = False
         manager.subscribe(self._on_lifecycle)
 
@@ -110,8 +113,7 @@ class RecoveryModule(Behavior):
     # ------------------------------------------------------------------
 
     def on_start(self) -> None:
-        self._outstanding_ping = None
-        self._fd_misses = 0
+        self._fd_heard_at = self.kernel.now
         self._fd_restart_inflight = False
         self._listener = self.network.listen(self.ctl_address, self._on_accept)
         self.trace(ev.REC_LISTENING, address=self.ctl_address)
@@ -119,7 +121,7 @@ class RecoveryModule(Behavior):
             self.engine.new_incarnation()
         else:
             self.engine.start()
-        self._schedule_fd_ping()
+        self._arm_fd_deadline()
 
     def on_kill(self) -> None:
         self.engine.stop()
@@ -135,7 +137,7 @@ class RecoveryModule(Behavior):
             return
         if process.name == self.fd_name:
             self._fd_restart_inflight = False
-            self._fd_misses = 0
+            self._fd_heard_at = self.kernel.now
         self.engine.member_ready(process.name)
 
     # ------------------------------------------------------------------
@@ -148,7 +150,7 @@ class RecoveryModule(Behavior):
         self._fd_endpoint = endpoint
         endpoint.on_message(self._on_ctl_raw)
         endpoint.on_close(partial(self._on_ctl_close, endpoint))
-        self._fd_misses = 0
+        self._fd_heard_at = self.kernel.now
 
     def _on_ctl_close(self, endpoint: "Endpoint") -> None:
         if self._fd_endpoint is endpoint:
@@ -179,25 +181,21 @@ class RecoveryModule(Behavior):
         )
 
     def _on_ctl_raw(self, raw: str) -> None:
-        if not self.engine.alive:
+        # A hung REC consumes nothing: it neither answers FD's ping (so FD's
+        # REC watchdog fires) nor takes in a report.
+        if not self.engine.alive or self.process.degraded_mode == "hang":
             return
-        # Watchdog traffic (FD's pings at us, its replies to ours) dominates
-        # this channel; both directions ride the templated wire form, so
-        # the generic parser only sees failure reports and the odd control
-        # verb — and those dispatch O(1) on the message class instead of
-        # walking an isinstance chain.
+        self._fd_heard_at = self.kernel.now
+        # FD's round ping dominates this channel and rides the templated
+        # wire form, so the generic parser only sees failure reports and the
+        # odd control verb — and those dispatch O(1) on the message class
+        # instead of walking an isinstance chain.
         env = decode_envelope(raw)
-        if env is not None:
-            if env.kind == "ping":
-                self._ctl_send_raw(
-                    encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
-                )
-                return
-            if env.kind == "ping-reply":
-                if env.seq == self._outstanding_ping:
-                    self._outstanding_ping = None
-                    self._fd_misses = 0
-                return
+        if env is not None and env.kind == "ping":
+            self._ctl_send_raw(
+                encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
+            )
+            return
         message = parse_message(raw)
         handler = _CTL_DISPATCH.get(message.__class__)
         if handler is not None:
@@ -207,11 +205,6 @@ class RecoveryModule(Behavior):
         # Non-canonical wire forms miss the templated split above but mean
         # the same thing.
         self._ctl_send(PingReply(sender=self.name, target=message.sender, seq=message.seq))
-
-    def _on_ctl_ping_reply(self, message: PingReply) -> None:
-        if message.seq == self._outstanding_ping:
-            self._outstanding_ping = None
-            self._fd_misses = 0
 
     def _on_ctl_failure_report(self, message: FailureReport) -> None:
         for component in message.failed_components:
@@ -229,51 +222,37 @@ class RecoveryModule(Behavior):
     # FD watchdog (the REC half of §2.2's mutual special case)
     # ------------------------------------------------------------------
 
-    def _schedule_fd_ping(self) -> None:
-        if not self.engine.alive:
-            return
-        # Handle-free, like FD's half: nothing ever cancels a watchdog timer.
-        self.kernel.schedule_after(self.fd_ping_period, self._ping_fd)
-
-    def _ping_fd(self) -> None:
-        if not self.engine.alive:
-            return
-        if self._fd_restart_inflight:
-            self._schedule_fd_ping()
-            return
-        self._ping_seq += 1
-        self._outstanding_ping = self._ping_seq
-        # Straight from the wire template: byte-identical to
-        # ``_ctl_send(PingRequest(...))`` without the message object.
-        sent = self._ctl_send_raw(
-            encode_ping_wire("ping", self.name, self.fd_name, self._ping_seq)
+    def _fd_deadline(self) -> SimTime:
+        # A whole grace of silence, and never less than FD's own period; the
+        # ping timeout is the slack a heartbeat's latency needs.
+        return (
+            self._fd_heard_at
+            + max(self.fd_grace, self.fd_ping_period)
+            + self.fd_ping_timeout
         )
-        if not sent:
-            self._register_fd_miss()
-            self._schedule_fd_ping()
-            return
-        self.kernel.schedule_after(
-            self.fd_ping_timeout, self._check_fd_ping, self._ping_seq
+
+    def _arm_fd_deadline(self) -> None:
+        # Handle-free and never cancelled: a deadline that finds FD heard
+        # from since it was armed just re-arms from the newer stamp, so a
+        # healthy station pays one event every ``fd_grace`` seconds.
+        # The incarnation fences a dead REC's deadline.
+        self.kernel.schedule_at(
+            self._fd_deadline(), self._check_fd_deadline, self.process.start_count
         )
-        self._schedule_fd_ping()
 
-    def _check_fd_ping(self, seq: int) -> None:
-        if not self.engine.alive or self._outstanding_ping != seq:
+    def _check_fd_deadline(self, incarnation: int) -> None:
+        if not self.engine.alive or incarnation != self.process.start_count:
             return
-        self._outstanding_ping = None
-        self._register_fd_miss()
-
-    def _register_fd_miss(self) -> None:
-        self._fd_misses += 1
-        if self._fd_misses * self.fd_ping_period < self.fd_grace:
-            return
-        fd = self.manager.maybe_get(self.fd_name)
-        if fd is None or self._fd_restart_inflight:
-            return
-        self._fd_restart_inflight = True
-        self._fd_misses = 0
-        self.trace(ev.FD_RESTART, severity=Severity.WARNING)
-        self.manager.restart([self.fd_name])
+        now = self.kernel.now
+        if self._fd_deadline() <= now:
+            # Silent for a whole grace.  The restart opens the next one.
+            self._fd_heard_at = now
+            fd = self.manager.maybe_get(self.fd_name)
+            if fd is not None and not self._fd_restart_inflight:
+                self._fd_restart_inflight = True
+                self.trace(ev.FD_RESTART, severity=Severity.WARNING)
+                self.manager.restart([self.fd_name])
+        self._arm_fd_deadline()
 
 
 #: O(1) control-channel dispatch on the concrete message class.
@@ -282,7 +261,6 @@ class RecoveryModule(Behavior):
 #: the ladder's final case did.
 _CTL_DISPATCH = {
     PingRequest: RecoveryModule._on_ctl_ping,
-    PingReply: RecoveryModule._on_ctl_ping_reply,
     FailureReport: RecoveryModule._on_ctl_failure_report,
     CommandMessage: RecoveryModule._on_ctl_command,
 }

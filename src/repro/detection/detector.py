@@ -13,11 +13,15 @@ Detection mechanics:
 * components named in a REC ``begin`` restart order are *suppressed* (their
   downtime is expected) until the matching ``complete`` order arrives;
 * FD reports failures to REC over a dedicated control connection, not the
-  bus, and answers REC's watchdog pings on it;
-* FD also watches REC: if REC's control channel stays dead past a grace
-  period, FD restarts the REC process — the FD half of the mutual-recovery
-  special case ("the generalized procedural knowledge for how to choose the
-  modules to restart ... is only in REC"; FD knows just this one move).
+  bus;
+* FD also watches REC: it pings REC on that connection every round, and if
+  REC stays silent past a grace period, FD restarts the REC process — the
+  FD half of the mutual-recovery special case ("the generalized procedural
+  knowledge for how to choose the modules to restart ... is only in REC";
+  FD knows just this one move).  The same ping is FD's heartbeat to REC,
+  whose deadline restarts a silent FD;
+* a degraded (hung or zombie) FD does nothing on its round: no pings, no
+  judgements, no reports and no heartbeat, so REC's deadline restarts it.
 
 Hardening against lossy networks and fail-slow components
 ---------------------------------------------------------
@@ -59,7 +63,6 @@ from repro.xmlcmd.commands import (
     FailureReport,
     Message,
     PingReply,
-    PingRequest,
     RestartOrder,
     encode_message,
     parse_message,
@@ -267,29 +270,16 @@ class FailureDetector(BusAttachedBehavior):
     def _on_ctl_raw(self, raw: str) -> None:
         if not self._alive:
             return
-        # Watchdog traffic (REC's pings at us, its replies to ours) dominates
-        # this channel; both directions ride the templated wire form, so the
-        # generic parser only sees restart orders and the odd control verb.
+        # REC's replies to the round ping dominate this channel and ride the
+        # templated wire form, so the generic parser only sees restart
+        # orders and the odd control verb.
         env = decode_envelope(raw)
-        if env is not None:
-            if env.kind == "ping":
-                self._ctl_send_raw(
-                    encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
-                )
-                return
-            if env.kind == "ping-reply":
-                if env.seq == self._rec_outstanding:
-                    self._rec_outstanding = None
-                    self._rec_misses = 0
-                return
-        message = parse_message(raw)
-        if isinstance(message, PingRequest):
-            self._ctl_send(PingReply(sender=self.name, target=message.sender, seq=message.seq))
+        if env is not None and env.kind == "ping-reply":
+            self._on_rec_reply(env.seq)
             return
+        message = parse_message(raw)
         if isinstance(message, PingReply):
-            if message.seq == self._rec_outstanding:
-                self._rec_outstanding = None
-                self._rec_misses = 0
+            self._on_rec_reply(message.seq)
             return
         if isinstance(message, RestartOrder):
             if message.reason == "begin":
@@ -308,6 +298,11 @@ class FailureDetector(BusAttachedBehavior):
                     self._suspected_via.pop(component, None)
                     if self._prober is not None:
                         self._prober.reset(component)
+                # REC serves its report queue as the action completes: a
+                # report about a running process is dropped as stale, the
+                # rest are acted on or queue for a process that is down and
+                # cannot answer.  Nothing reported so far is retractable.
+                self._reported.clear()
                 self.trace(ev.SUPPRESSION_END, components=message.components)
 
     # ------------------------------------------------------------------
@@ -318,6 +313,8 @@ class FailureDetector(BusAttachedBehavior):
         if not self._alive:
             return
         self.kernel.schedule_after(self.ping_period, self._tick)
+        if self.process.degraded_mode is not None:
+            return
         if not self.connected:
             # Try the bus right now rather than waiting for the retry loop:
             # a successful TCP connect is itself evidence the bus is back,
@@ -334,7 +331,7 @@ class FailureDetector(BusAttachedBehavior):
             self._round_pinged = set()
             self._round_replied = set()
             self._round_judged = False
-        self._ping_rec()
+        rec_seq = self._ping_rec()
         timeout = self._current_timeout()
         now = self.kernel.now
         # Hot loop: one ping per monitored component per second, sent back
@@ -358,8 +355,8 @@ class FailureDetector(BusAttachedBehavior):
                 self._outstanding.pop(component, None)
                 continue
             pinged.append((component, self._seq))
-        if pinged:
-            self.kernel.schedule_after(timeout, self._judge_round, pinged)
+        if pinged or rec_seq is not None:
+            self.kernel.schedule_after(timeout, self._judge_round, rec_seq, pinged)
 
     def _send_ping_wire(self, component: str, seq: int) -> bool:
         """Send one liveness ping, byte-identical to
@@ -424,13 +421,18 @@ class FailureDetector(BusAttachedBehavior):
                 self.trace(ev.COMPONENT_RECOVERED_OBSERVED, component=component)
                 self._maybe_retract(component, "ping")
 
-    def _judge_round(self, pinged: List[Tuple[str, int]]) -> None:
-        """Judge every ping of one round, in the order they were sent.
+    def _judge_round(
+        self, rec_seq: Optional[int], pinged: List[Tuple[str, int]]
+    ) -> None:
+        """Judge every ping of one round, in the order they were sent: REC's
+        first, then the components'.
 
-        One event where there used to be one per component: those shared a
-        timestamp and held sequence numbers handed out inside one ``_tick``,
-        so nothing could ever run between them (DESIGN.md §9).
+        One event where there used to be one per component and one for REC:
+        those shared a timestamp and held sequence numbers handed out inside
+        one ``_tick``, so nothing could ever run between them (DESIGN.md §9).
         """
+        if rec_seq is not None:
+            self._judge_rec(rec_seq)
         judge = self._judge
         for component, seq in pinged:
             judge(component, seq)
@@ -635,13 +637,14 @@ class FailureDetector(BusAttachedBehavior):
     # REC watchdog (the FD half of §2.2's mutual special case)
     # ------------------------------------------------------------------
 
-    def _ping_rec(self) -> None:
+    def _ping_rec(self) -> Optional[int]:
+        """Ping REC; the seq for the round judge, or ``None`` if unjudged."""
         if self._rec_restart_inflight:
             rec = self.manager.maybe_get(self.rec_name)
             if rec is not None and rec.is_running:
                 self._rec_restart_inflight = False
                 self._rec_misses = 0
-            return
+            return None
         self._rec_seq += 1
         self._rec_outstanding = self._rec_seq
         sent = self._ctl_send_raw(
@@ -649,8 +652,13 @@ class FailureDetector(BusAttachedBehavior):
         )
         if not sent:
             self._rec_miss()
-            return
-        self.kernel.schedule_after(self.reply_timeout, self._judge_rec, self._rec_seq)
+            return None
+        return self._rec_seq
+
+    def _on_rec_reply(self, seq: int) -> None:
+        if seq == self._rec_outstanding:
+            self._rec_outstanding = None
+            self._rec_misses = 0
 
     def _judge_rec(self, seq: int) -> None:
         if not self._alive or self._rec_outstanding != seq:

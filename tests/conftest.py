@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import collections
 from contextlib import contextmanager
 
 import pytest
 
+from repro.core.recoverer import RecoveryModule
 from repro.detection.detector import FailureDetector
 from repro.obs import events as ev
 from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network
+from repro.types import Severity
 from repro.workload.plane import SERVICE_VERBS, WorkloadPlane
 from repro.xmlcmd import fastpath
 from repro.xmlcmd.commands import CommandMessage
+from repro.xmlcmd.fastpath import decode_envelope, encode_ping_wire
 
 
 @pytest.fixture
@@ -141,12 +145,15 @@ def stepping_reference():
 
 def _per_component_tick(self: FailureDetector) -> None:
     """``FailureDetector._tick`` as it scheduled judgements before the
-    round judge: *send, schedule that component's judge, send, schedule the
-    next* — one kernel event per pinged component, each in its own heap
-    entry.  Everything up to the ping loop is the product's, line for line."""
+    round judge: *judge REC, then send, schedule that component's judge,
+    send, schedule the next* — one kernel event for REC's ping and one per
+    pinged component, each in its own heap entry.  Everything up to the
+    ping loop is the product's, line for line."""
     if not self._alive:
         return
     self.kernel.schedule_after(self.ping_period, self._tick)
+    if self.process.degraded_mode is not None:
+        return
     if not self.connected:
         self._try_connect()
     adaptive = self.timeout_policy == "adaptive"
@@ -157,10 +164,12 @@ def _per_component_tick(self: FailureDetector) -> None:
         self._round_pinged = set()
         self._round_replied = set()
         self._round_judged = False
-    self._ping_rec()
+    rec_seq = self._ping_rec()
     timeout = self._current_timeout()
     now = self.kernel.now
     schedule_after = self.kernel.schedule_after
+    if rec_seq is not None:
+        schedule_after(timeout, self._judge_rec, rec_seq)
     for component in self.monitored:
         if component in self._suppressed:
             continue
@@ -188,12 +197,136 @@ def _per_component_judges_reference():
 @pytest.fixture(scope="session")
 def per_component_judges_reference():
     """The round judge's reference: a context manager under which FD
-    schedules one judge event per pinged component, interleaved with the
-    sends, as it did before a round became one ``_judge_round`` event.
+    schedules one judge event for its REC ping and one per pinged
+    component, interleaved with the sends, as it did before a round became
+    one ``_judge_round`` event.
     Test-side only, like ``full_parse_reference``; session scope, it holds
     no state.  Build and boot the station inside the context: a tick queued
     outside it is already bound to the other ``_tick``."""
     return _per_component_judges_reference
+
+
+#: REC's own FD ping period: the station's ``ping_period``.
+_REC_FD_PING_PERIOD = 1.0
+
+
+@contextmanager
+def _rec_pings_fd_reference():
+    """REC's FD watchdog as it was before FD's round ping became its
+    heartbeat, line for line; ``watchdog`` counts what it executes."""
+    watchdog = collections.Counter()
+    rec_accept = RecoveryModule._on_accept
+    rec_lifecycle = RecoveryModule._on_lifecycle
+    rec_ctl_raw = RecoveryModule._on_ctl_raw
+    fd_ctl_raw = FailureDetector._on_ctl_raw
+
+    def on_start(self):
+        self._ping_seq = getattr(self, "_ping_seq", 0)
+        self._outstanding_ping = None
+        self._fd_misses = 0
+        self._fd_restart_inflight = False
+        self._listener = self.network.listen(self.ctl_address, self._on_accept)
+        self.trace(ev.REC_LISTENING, address=self.ctl_address)
+        if self.process.start_count > 1:
+            self.engine.new_incarnation()
+        else:
+            self.engine.start()
+        schedule_fd_ping(self)
+
+    def schedule_fd_ping(self):
+        if self.engine.alive:
+            self.kernel.schedule_after(_REC_FD_PING_PERIOD, ping_fd, self)
+
+    def ping_fd(self):
+        watchdog["timers"] += 1
+        if not self.engine.alive:
+            return
+        if self._fd_restart_inflight:
+            schedule_fd_ping(self)
+            return
+        self._ping_seq += 1
+        self._outstanding_ping = self._ping_seq
+        sent = self._ctl_send_raw(
+            encode_ping_wire("ping", self.name, self.fd_name, self._ping_seq)
+        )
+        if not sent:
+            register_fd_miss(self)
+            schedule_fd_ping(self)
+            return
+        self.kernel.schedule_after(self.fd_ping_timeout, check_fd_ping, self, self._ping_seq)
+        schedule_fd_ping(self)
+
+    def check_fd_ping(self, seq):
+        watchdog["timers"] += 1
+        if not self.engine.alive or self._outstanding_ping != seq:
+            return
+        self._outstanding_ping = None
+        register_fd_miss(self)
+
+    def register_fd_miss(self):
+        self._fd_misses += 1
+        if self._fd_misses * _REC_FD_PING_PERIOD < self.fd_grace:
+            return
+        fd = self.manager.maybe_get(self.fd_name)
+        if fd is None or self._fd_restart_inflight:
+            return
+        self._fd_restart_inflight = True
+        self._fd_misses = 0
+        self.trace(ev.FD_RESTART, severity=Severity.WARNING)
+        self.manager.restart([self.fd_name])
+
+    def on_accept(self, endpoint):
+        rec_accept(self, endpoint)
+        self._fd_misses = 0
+
+    def on_lifecycle(self, process, event):
+        if event == "ready" and self.engine.alive and process.name == self.fd_name:
+            self._fd_misses = 0
+        rec_lifecycle(self, process, event)
+
+    def rec_on_ctl_raw(self, raw):
+        env = decode_envelope(raw)
+        if env is not None and env.kind == "ping-reply":
+            watchdog["hops"] += 1
+            if self.engine.alive and env.seq == self._outstanding_ping:
+                self._outstanding_ping = None
+                self._fd_misses = 0
+            return
+        rec_ctl_raw(self, raw)
+
+    def fd_on_ctl_raw(self, raw):
+        env = decode_envelope(raw)
+        if env is not None and env.kind == "ping":
+            watchdog["hops"] += 1
+            if self._alive:
+                self._ctl_send_raw(
+                    encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
+                )
+            return
+        fd_ctl_raw(self, raw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RecoveryModule, "on_start", on_start)
+        patch.setattr(RecoveryModule, "_on_accept", on_accept)
+        patch.setattr(RecoveryModule, "_on_lifecycle", on_lifecycle)
+        patch.setattr(RecoveryModule, "_on_ctl_raw", rec_on_ctl_raw)
+        patch.setattr(FailureDetector, "_on_ctl_raw", fd_on_ctl_raw)
+        yield watchdog
+
+
+@pytest.fixture(scope="session")
+def rec_pings_fd_reference():
+    """The FD heartbeat's reference: a context manager under which REC runs
+    its own FD watchdog as it did before FD's round ping became REC's
+    heartbeat — every second a ping to FD over the control channel, a
+    timer judging the reply after ``fd_ping_timeout``, and a restart after
+    ``fd_grace`` worth of misses — and FD answers those pings.  REC's
+    heartbeat deadline is never armed.  The context yields a counter of
+    the watchdog's executed events: ``timers`` (ping and judge timers) and
+    ``hops`` (pings and replies delivered).  Test-side only, like
+    ``full_parse_reference``; session scope, it holds no state.  Build and
+    boot the station inside the context."""
+    return _rec_pings_fd_reference
 
 
 def _polling_redial(self: Network, client_name, address, interval, callback) -> None:

@@ -1,0 +1,209 @@
+"""FD's round ping to REC is REC's heartbeat (DESIGN.md §10).
+
+REC keeps no ping loop of its own: it stamps every control-channel message
+from FD and holds one deadline at ``heard + max(fd_grace, fd_ping_period) +
+fd_ping_timeout``.
+These tests pin the instant it restarts a dead FD, that runs which never
+need it are byte-identical to REC's old ping loop
+(``rec_pings_fd_reference``) with latency draws out of the picture, and the
+two fail-slow supervisor cases it exists to end: a hung FD and a hung REC
+are each restarted, and the station still cures a component failure.
+"""
+
+import collections
+import functools
+
+import pytest
+
+from repro.chaos import engine as chaos_engine
+from repro.core.recoverer import RecoveryModule
+from repro.mercury.config import PAPER_CONFIG
+from repro.mercury.station import MercuryStation
+from repro.mercury.trees import tree_v
+from repro.obs import events as ev
+from repro.transport import network as network_module
+
+
+def _booted(seed=3):
+    station = MercuryStation(tree=tree_v(), seed=seed, trace_capacity=100_000)
+    station.boot()
+    return station
+
+
+def _patience(rec):
+    """How long REC hears nothing from FD before restarting it."""
+    return max(rec.fd_grace, rec.fd_ping_period) + rec.fd_ping_timeout
+
+
+def _cells(station):
+    return [r.data["cell"] for r in station.trace.filter(kind=ev.RESTART_ORDERED)]
+
+
+def _hang_then_fail_ses(station, supervisor):
+    """Hang ``supervisor``, then crash ``ses`` five seconds later and give
+    the station two minutes.  Returns the instant of the hang."""
+    hung_at = station.kernel.now
+    assert station.manager.degrade(supervisor, "hang")
+    station.run_for(5.0)
+    station.injector.inject_simple("ses", kind="crash")
+    station.run_for(120.0)
+    return hung_at
+
+
+def test_hung_fd_is_restarted_and_the_station_still_cures_ses():
+    """A hung FD sends no heartbeat, judges nothing and reports nothing: it
+    neither reports the pings it never sent as misses nor keeps REC's
+    watchdog quiet, so REC restarts it and the fresh FD reports ``ses``."""
+    station = _booted()
+    rec = station.rec
+    hung_at = _hang_then_fail_ses(station, "fd")
+
+    (restart,) = station.trace.filter(kind=ev.FD_RESTART)
+    assert restart.time - hung_at <= _patience(rec)
+    assert station.manager.get("fd").start_count == 2
+    assert _cells(station) == ["R_ses_str"]
+    assert not [d for d in rec.restart_log if d.action == "give_up"]
+    assert station.trace.first(ev.RESTART_COMPLETE, cell="R_ses_str")
+    assert station.all_station_running()
+
+
+def test_hung_rec_is_restarted_and_its_new_incarnation_cures_ses():
+    """A hung REC consumes nothing from the control channel: it stops
+    answering FD's round ping, so FD restarts it after ``rec_grace``, and
+    the reports go to the new incarnation."""
+    station = _booted()
+    hung_at = _hang_then_fail_ses(station, "rec")
+
+    (restart,) = station.trace.filter(kind=ev.REC_RESTART)
+    fd = station.fd
+    assert restart.time - hung_at <= fd.rec_grace + fd.reply_timeout
+    assert station.manager.get("rec").start_count == 2
+    (order,) = station.trace.filter(kind=ev.RESTART_ORDERED)
+    assert order.data["cell"] == "R_ses_str"
+    assert order.time > restart.time
+    assert not station.trace.filter(kind=ev.FD_RESTART)
+    assert station.trace.first(ev.RESTART_COMPLETE, cell="R_ses_str")
+    assert station.all_station_running()
+
+
+@pytest.mark.parametrize("period", [1.0, 4.0])
+@pytest.mark.parametrize("phase", [0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999])
+def test_dead_fd_is_restarted_a_patience_after_its_last_heartbeat(phase, period):
+    """Whatever the kill's phase in FD's round, REC restarts FD a patience
+    ``max(fd_grace, fd_ping_period) + fd_ping_timeout`` after the last
+    heartbeat, so in ``(patience - ping_period, patience]`` after the kill:
+    (1.2, 2.2] s on the paper's config (REC's own ping loop gave (1.0,
+    2.0]: its ping failed at once on the closed channel).  A ping period
+    longer than the grace stretches the patience, or REC would restart a
+    healthy FD between two heartbeats."""
+    station = MercuryStation(
+        tree=tree_v(),
+        config=PAPER_CONFIG.with_overrides(ping_period=period),
+        seed=3,
+        trace_capacity=100_000,
+    )
+    station.boot()
+    fd, rec = station.fd, station.rec
+    rounds_done = int((station.kernel.now - fd._started_at) / period)
+    kill_at = fd._started_at + (rounds_done + 1 + phase) * period
+    station.kernel.run(until=kill_at)
+    assert not station.trace.filter(kind=ev.FD_RESTART)
+    station.injector.inject_simple("fd", kind="crash")
+    station.run_for(_patience(rec) + period)
+
+    (restart,) = station.trace.filter(kind=ev.FD_RESTART)
+    assert _patience(rec) - period < restart.time - kill_at <= _patience(rec)
+
+
+def test_a_restarted_rec_keeps_one_deadline(monkeypatch):
+    """REC restarted faster than its pending deadline: the dead
+    incarnation's deadline fires into the new one and must not start a
+    second chain — a healthy station goes on paying one deadline event
+    per two rounds."""
+    calls = collections.Counter()
+    check = RecoveryModule._check_fd_deadline
+
+    def counted_check(self, incarnation):
+        calls["deadlines"] += 1
+        check(self, incarnation)
+
+    monkeypatch.setattr(RecoveryModule, "_check_fd_deadline", counted_check)
+    station = MercuryStation(tree=tree_v(), seed=3, solution_period=1e6)
+    station.boot()
+    station.run_for(4.5)
+    calls.clear()
+    while not calls["deadlines"]:  # to just after a deadline: the next is ~2 s off
+        station.kernel.step()
+    station.manager.restart(["rec"])
+    station.run_for(10.0)
+    assert station.manager.get("rec").start_count == 2
+    assert not station.trace.filter(kind=ev.FD_RESTART)
+    assert not station.trace.filter(kind=ev.REC_RESTART)
+    calls.clear()
+    station.run_for(10 * station.fd.ping_period)
+    assert calls["deadlines"] == 5
+
+
+def _zero_jitter(monkeypatch):
+    """Every network a station builds from here on draws no latency: a hop
+    that goes or comes moves no other message's arrival."""
+    monkeypatch.setattr(
+        network_module,
+        "LatencyModel",
+        functools.partial(network_module.LatencyModel, jitter=0.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario", ["cascade", "lossy", "zombie-fleet", "rogue-oracle-crash"]
+)
+def test_heartbeat_agrees_with_rec_pinging_fd(
+    scenario, rec_pings_fd_reference, monkeypatch
+):
+    """No scenario here kills FD, so REC's watchdog never fires either way:
+    with latency draws out of the picture the heartbeat and REC's old ping
+    loop give byte-identical traces and payloads, and the event counts
+    differ by exactly the watchdog events each one executes.
+    ``rogue-oracle-crash`` kills REC twice: the dead incarnation's deadline
+    is fenced."""
+    _zero_jitter(monkeypatch)
+    built = []
+    deadlines = collections.Counter()
+    check = RecoveryModule._check_fd_deadline
+
+    class Recorded(MercuryStation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    def counted_check(self, incarnation):
+        deadlines["timers"] += 1
+        check(self, incarnation)
+
+    monkeypatch.setattr(chaos_engine, "MercuryStation", Recorded)
+    monkeypatch.setattr(RecoveryModule, "_check_fd_deadline", counted_check)
+
+    def campaign():
+        result = chaos_engine.run_chaos(
+            tree_v(), scenario, trials=1, seed=7, snapshot=False
+        )
+        assert not result.violations
+        return built[-1].kernel, result.to_payload()
+
+    kernel, payload = campaign()
+    with rec_pings_fd_reference() as watchdog:
+        ref_kernel, ref_payload = campaign()
+
+    assert payload == ref_payload
+    assert kernel.now == ref_kernel.now
+    trace = [(r.time, r.source, r.kind, r.severity, r.data) for r in kernel.trace.records]
+    assert trace == [
+        (r.time, r.source, r.kind, r.severity, r.data) for r in ref_kernel.trace.records
+    ]
+    assert not kernel.trace.filter(kind=ev.FD_RESTART)
+    assert deadlines["timers"] > 0 and watchdog["hops"] > 0
+    assert (
+        ref_kernel.events_executed - kernel.events_executed
+        == watchdog["timers"] + watchdog["hops"] - deadlines["timers"]
+    )
+    assert payload["episodes"] > 0

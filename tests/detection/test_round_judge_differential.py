@@ -1,14 +1,15 @@
 """One judgement per ping round against the per-component judges it replaced.
 
-``FailureDetector._tick`` sends a round's pings back to back and schedules
-one ``_judge_round`` event, which calls ``_judge`` for each ping in the
-order sent.  The reference (``per_component_judges_reference`` in
-``tests/conftest.py``) schedules one ``_judge`` event per component,
+``FailureDetector._tick`` pings REC, sends a round's pings back to back
+and schedules one ``_judge_round`` event, which calls ``_judge_rec`` for
+REC's ping and then ``_judge`` for each component ping in the order sent.
+The reference (``per_component_judges_reference`` in ``tests/conftest.py``)
+schedules one ``_judge_rec`` event and one ``_judge`` event per component,
 interleaved with the sends.  The old judges shared a timestamp and held
 sequence numbers handed out inside one ``_tick``, so nothing could run
 between them (DESIGN.md §9): traces and result payloads must be
 byte-identical, and ``Kernel.events_executed`` must differ by exactly the
-judges folded — one event per round instead of one per judged component.
+judges folded — one event per round instead of one per judged ping.
 """
 
 import collections
@@ -25,20 +26,27 @@ from repro.mercury.trees import tree_v
 
 @contextmanager
 def _judge_counts():
-    """Count ``_judge`` and ``_judge_round`` calls, whoever makes them."""
+    """Count ``_judge``, ``_judge_rec`` and ``_judge_round`` calls, whoever
+    makes them."""
     counts = collections.Counter()
-    judge, judge_round = FailureDetector._judge, FailureDetector._judge_round
+    judge, judge_rec = FailureDetector._judge, FailureDetector._judge_rec
+    judge_round = FailureDetector._judge_round
 
     def counted_judge(self, component, seq):
         counts["judges"] += 1
         judge(self, component, seq)
 
-    def counted_round(self, pinged):
+    def counted_judge_rec(self, seq):
+        counts["judges"] += 1
+        judge_rec(self, seq)
+
+    def counted_round(self, rec_seq, pinged):
         counts["rounds"] += 1
-        judge_round(self, pinged)
+        judge_round(self, rec_seq, pinged)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FailureDetector, "_judge", counted_judge)
+        patch.setattr(FailureDetector, "_judge_rec", counted_judge_rec)
         patch.setattr(FailureDetector, "_judge_round", counted_round)
         yield counts
 

@@ -120,7 +120,12 @@ def test_adaptive_detector_retracts_loss_induced_declarations():
     station.run_for(60.0)
     retractions = station.trace.filter(kind=ev.DETECTION_RETRACTED)
     assert retractions, "60 s at 20% drop must produce at least one retraction"
-    # Each retraction reached REC and purged the pending report.
+    # Each retraction reached REC and purged the pending report, once the
+    # one sent in the run's last instant has crossed the control channel
+    # (exempt from the wildcard profile: one plain hop, at most
+    # base + jitter).
+    latency = station.network.latency
+    station.run_for(latency.base + latency.jitter)
     assert len(station.trace.filter(kind=ev.REPORT_RETRACTED)) == len(retractions)
     station.network.faults.clear()
     station.run_until_quiescent(timeout=300.0)

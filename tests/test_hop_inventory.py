@@ -1,10 +1,12 @@
-"""The inventory of a bus hop: three transport frames, and 31 events a round.
+"""The inventory of a bus hop: three transport frames, and 53 events in two rounds.
 
 A delivered message costs exactly the Python frames under
 ``repro/transport/`` that DESIGN.md §10's per-hop table lists
 (``Endpoint.send``, ``LatencyModel.sample``, ``Endpoint._deliver``), once
 each, and a healthy tree-V station with its application traffic silenced
-executes exactly the table's kernel events per ping round.  A wrapper
+executes exactly the table's kernel events per two ping rounds (REC's FD
+deadline fires once per two rounds, so the count is stated over an even
+number of rounds).  A wrapper
 someone adds to the send or deliver path later, or a timer added to the
 ping fabric, then shows up here as a failing count — and gets added to the
 table on purpose — rather than as a slow drift in ``fleet-waves``.
@@ -21,11 +23,11 @@ from repro.mercury.trees import tree_v
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-ROUNDS = 10
+ROUNDS = 10  # even: the table counts two rounds
 
 
 def _design_tables():
-    """``(frames, events per round)`` as DESIGN.md §10 states them."""
+    """``(frames, events per two rounds)`` as DESIGN.md §10 states them."""
     design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
     section = design.split("\n## 10.", 1)[1].split("\n## 11.", 1)[0]
     frames = set()
@@ -44,7 +46,7 @@ def _design_tables():
 
 
 def test_a_hop_is_three_transport_frames_and_a_round_is_the_tables_events():
-    frames, events_per_round = _design_tables()
+    frames, events_per_two_rounds = _design_tables()
     assert frames == {"Endpoint.send", "LatencyModel.sample", "Endpoint._deliver"}
 
     # solution_period: ses's tracking loop is the station's only periodic
@@ -72,7 +74,7 @@ def test_a_hop_is_three_transport_frames_and_a_round_is_the_tables_events():
 
     assert delivered > 0
     assert calls == dict.fromkeys(frames, delivered)
-    assert kernel.events_executed - executed == ROUNDS * events_per_round
+    assert kernel.events_executed - executed == ROUNDS // 2 * events_per_two_rounds
 
 
 def _delivered(station) -> int:
