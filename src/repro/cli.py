@@ -151,6 +151,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _count(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", choices=["perfect", "naive", "faulty", "learning"],
         default="perfect",
     )
-    recovery.add_argument("--error-rate", type=float, default=0.3)
+    recovery.add_argument("--error-rate", type=_probability, default=0.3)
     recovery.add_argument(
         "--cure", nargs="*", default=None,
         help="minimal cure set (defaults to the component alone)",
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", choices=["perfect", "naive", "faulty", "learning"],
         default="perfect",
     )
-    chaos.add_argument("--error-rate", type=float, default=0.3)
+    chaos.add_argument("--error-rate", type=_probability, default=0.3)
     chaos.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="stream every trace event to a JSONL file; requires exactly "
@@ -434,6 +441,18 @@ def cmd_recovery(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.cure is not None:
+        unknown = sorted(set(args.cure) - set(tree.components))
+        if unknown:
+            print(f"error: --cure names {unknown}, not in tree {label}", file=sys.stderr)
+            return 2
+        if args.component not in args.cure:
+            print(
+                f"error: --cure {sorted(args.cure)} must include the component "
+                f"{args.component!r}",
+                file=sys.stderr,
+            )
+            return 2
     sinks = []
     if args.trace_out:
         from repro.obs.sinks import JsonlSink

@@ -3,9 +3,10 @@
 The broker's fast path must be *observationally identical* to full-parse
 routing: same routing decisions, same counters, same trace records (kinds,
 payloads, and — critically for the paper's timing results — timestamps).
-These tests run the same scenario as-is and under the ``full_parse_reference``
-fixture (``tests/conftest.py``: every scanner refuses, so every message
-takes the full-parse fallback) and compare everything.
+These tests run the same scenario as-is and under the full-parse reference
+(``REFERENCES["full-parse"]`` in ``tests/differential.py``: every scanner
+refuses, so every message takes the full-parse fallback) and compare
+everything.
 """
 
 from contextlib import nullcontext
@@ -29,6 +30,7 @@ from repro.xmlcmd.commands import (
     TelemetryFrame,
     encode_message,
 )
+from tests.differential import REFERENCES
 
 #: Every registered message shape plus the adversarial cases the broker has
 #: to judge: unroutable targets, broker-addressed non-pings, malformed XML,
@@ -109,9 +111,9 @@ def run_scenario():
     }
 
 
-def test_envelope_routing_is_decision_identical(full_parse_reference):
+def test_envelope_routing_is_decision_identical():
     fast = run_scenario()
-    with full_parse_reference():
+    with REFERENCES["full-parse"].patch():
         reference = run_scenario()
     assert fast == reference
 
@@ -127,7 +129,7 @@ def test_fast_path_forwards_raw_bytes_untouched():
     assert forwarded and all(w in result["inboxes"]["b"] for w in forwarded)
 
 
-def test_recovery_outputs_bit_identical(full_parse_reference):
+def test_recovery_outputs_bit_identical():
     """A Table 2/4-style recovery cell at equal seeds: per-trial recovery
     times (the numbers the tables are built from) must not move."""
 
@@ -136,13 +138,13 @@ def test_recovery_outputs_bit_identical(full_parse_reference):
             return measure_recovery(tree_ii(), "rtu", trials=3, seed=17)
 
     fast = run(nullcontext)
-    reference = run(full_parse_reference)
+    reference = run(REFERENCES["full-parse"].patch)
     assert fast.samples == reference.samples
     assert fast.phases == reference.phases
 
 
 @pytest.mark.parametrize("horizon_s", [6 * 3600.0])
-def test_availability_outputs_bit_identical(full_parse_reference, horizon_s):
+def test_availability_outputs_bit_identical(horizon_s):
     """The §8 availability pipeline at equal seeds: the fast path must not
     move a single event timestamp."""
 
@@ -151,7 +153,7 @@ def test_availability_outputs_bit_identical(full_parse_reference, horizon_s):
             return measure_availability(tree_v(), horizon_s=horizon_s, seed=424)
 
     fast = run(nullcontext)
-    reference = run(full_parse_reference)
+    reference = run(REFERENCES["full-parse"].patch)
     assert fast.availability == reference.availability
     assert fast.total_downtime_s == reference.total_downtime_s
     assert fast.outages == reference.outages

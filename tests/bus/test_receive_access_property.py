@@ -4,7 +4,7 @@ A standalone client decodes each delivery from the wire's memo or from the
 envelope its scan vouched for.  The contract: *no matter which subset of a
 message a consumer touches — nothing, one field, its class, or the whole
 message — the observable world is identical to full parsing* (the
-``full_parse_reference`` fixture, ``tests/conftest.py``).  That covers the
+full-parse reference, ``tests/differential.py``).  That covers the
 delivered messages themselves, and the broker's routed/dropped counters,
 which must not depend on what receivers later do with their mail.
 
@@ -30,6 +30,7 @@ from repro.xmlcmd.commands import (
     TelemetryFrame,
     encode_message,
 )
+from tests.differential import REFERENCES
 
 _NAME = st.sampled_from(["alpha", "beta", "fd", "rec", "pbcom"])
 _SEQ = st.integers(min_value=0, max_value=10**9)
@@ -119,13 +120,11 @@ def _run_batch(wires, pattern: str):
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_MESSAGE, min_size=1, max_size=12))
-def test_deliveries_match_fullparse_under_every_access_pattern(
-    full_parse_reference, messages
-):
+def test_deliveries_match_fullparse_under_every_access_pattern(messages):
     wires = [encode_message(m) for m in messages]
     for pattern in ACCESS_PATTERNS:
         fast = _run_batch(wires, pattern)
-        with full_parse_reference():
+        with REFERENCES["full-parse"].patch():
             reference = _run_batch(wires, pattern)
         assert fast == reference, f"divergence under access pattern {pattern!r}"
 

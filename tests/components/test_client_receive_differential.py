@@ -5,10 +5,10 @@ pins *routing*; this one pins the **client** half of the fast path:
 ``BusAttachedBehavior._on_raw`` answers pings straight off the wire and
 hands non-ping traffic to ``on_message`` decoded from the wire's memo or
 from the envelope its scan vouched for, instead of full-parsing it.  A
-consumer cannot tell whether the scan or the parser (the
-``full_parse_reference`` fixture, ``tests/conftest.py``) decoded its mail —
-same messages of the same classes, same dispatch decisions, same replies on
-the bus, same station-level measurements.
+consumer cannot tell whether the scan or the parser (the full-parse
+reference, ``tests/differential.py``) decoded its mail — same messages of
+the same classes, same dispatch decisions, same replies on the bus, same
+station-level measurements.
 """
 
 from contextlib import nullcontext
@@ -31,6 +31,7 @@ from repro.xmlcmd.commands import (
     RestartOrder,
     TelemetryFrame,
 )
+from tests.differential import REFERENCES
 
 
 class RecorderBehavior(BusAttachedBehavior):
@@ -104,9 +105,9 @@ def drive():
     return recorder.behavior, ops
 
 
-def test_dispatch_and_replies_identical_across_modes(full_parse_reference):
+def test_dispatch_and_replies_identical_across_modes():
     fast_rec, fast_ops = drive()
-    with full_parse_reference():
+    with REFERENCES["full-parse"].patch():
         full_rec, full_ops = drive()
 
     # Same messages dispatched (equality is class-strict) and same replies
@@ -144,12 +145,12 @@ def test_deliveries_are_interchangeable_with_parsed():
     assert frames[0].satellite == "opal"
 
 
-def test_station_measurements_identical_across_modes(full_parse_reference):
+def test_station_measurements_identical_across_modes():
     def measure(mode):
         with mode():
             return measure_recovery(tree_ii(), "rtu", trials=3, seed=9, snapshot=False)
 
     fast = measure(nullcontext)
-    full = measure(full_parse_reference)
+    full = measure(REFERENCES["full-parse"].patch)
     assert fast.samples == full.samples
     assert fast.phases == full.phases

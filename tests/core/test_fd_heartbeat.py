@@ -5,23 +5,21 @@ from FD and holds one deadline at ``heard + max(fd_grace, fd_ping_period) +
 fd_ping_timeout``.
 These tests pin the instant it restarts a dead FD, that runs which never
 need it are byte-identical to REC's old ping loop
-(``rec_pings_fd_reference``) with latency draws out of the picture, and the
-two fail-slow supervisor cases it exists to end: a hung FD and a hung REC
-are each restarted, and the station still cures a component failure.
+(``REFERENCES["rec-pings-fd"]`` in ``tests/differential.py``, on every
+chaos scenario but ``flapping`` in
+``tests/integration/test_differential_matrix.py``) with latency draws out
+of the picture, and the two fail-slow supervisor cases it exists to end: a
+hung FD and a hung REC are each restarted, and the station still cures a
+component failure.
 """
-
-import collections
-import functools
 
 import pytest
 
-from repro.chaos import engine as chaos_engine
-from repro.core.recoverer import RecoveryModule
 from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_v
 from repro.obs import events as ev
-from repro.transport import network as network_module
+from tests.differential import CHAOS, REFERENCES, compare
 
 
 def _booted(seed=3):
@@ -115,95 +113,30 @@ def test_dead_fd_is_restarted_a_patience_after_its_last_heartbeat(phase, period)
     assert _patience(rec) - period < restart.time - kill_at <= _patience(rec)
 
 
-def test_a_restarted_rec_keeps_one_deadline(monkeypatch):
+def test_a_restarted_rec_keeps_one_deadline():
     """REC restarted faster than its pending deadline: the dead
     incarnation's deadline fires into the new one and must not start a
     second chain — a healthy station goes on paying one deadline event
     per two rounds."""
-    calls = collections.Counter()
-    check = RecoveryModule._check_fd_deadline
-
-    def counted_check(self, incarnation):
-        calls["deadlines"] += 1
-        check(self, incarnation)
-
-    monkeypatch.setattr(RecoveryModule, "_check_fd_deadline", counted_check)
-    station = MercuryStation(tree=tree_v(), seed=3, solution_period=1e6)
-    station.boot()
-    station.run_for(4.5)
-    calls.clear()
-    while not calls["deadlines"]:  # to just after a deadline: the next is ~2 s off
-        station.kernel.step()
-    station.manager.restart(["rec"])
-    station.run_for(10.0)
-    assert station.manager.get("rec").start_count == 2
-    assert not station.trace.filter(kind=ev.FD_RESTART)
-    assert not station.trace.filter(kind=ev.REC_RESTART)
-    calls.clear()
-    station.run_for(10 * station.fd.ping_period)
+    with REFERENCES["rec-pings-fd"].counter() as calls:
+        station = MercuryStation(tree=tree_v(), seed=3, solution_period=1e6)
+        station.boot()
+        station.run_for(4.5)
+        calls.clear()
+        while not calls["deadlines"]:  # to just after a deadline: the next is ~2 s off
+            station.kernel.step()
+        station.manager.restart(["rec"])
+        station.run_for(10.0)
+        assert station.manager.get("rec").start_count == 2
+        assert not station.trace.filter(kind=ev.FD_RESTART)
+        assert not station.trace.filter(kind=ev.REC_RESTART)
+        calls.clear()
+        station.run_for(10 * station.fd.ping_period)
     assert calls["deadlines"] == 5
-
-
-def _zero_jitter(monkeypatch):
-    """Every network a station builds from here on draws no latency: a hop
-    that goes or comes moves no other message's arrival."""
-    monkeypatch.setattr(
-        network_module,
-        "LatencyModel",
-        functools.partial(network_module.LatencyModel, jitter=0.0),
-    )
 
 
 @pytest.mark.parametrize(
     "scenario", ["cascade", "lossy", "zombie-fleet", "rogue-oracle-crash"]
 )
-def test_heartbeat_agrees_with_rec_pinging_fd(
-    scenario, rec_pings_fd_reference, monkeypatch
-):
-    """No scenario here kills FD, so REC's watchdog never fires either way:
-    with latency draws out of the picture the heartbeat and REC's old ping
-    loop give byte-identical traces and payloads, and the event counts
-    differ by exactly the watchdog events each one executes.
-    ``rogue-oracle-crash`` kills REC twice: the dead incarnation's deadline
-    is fenced."""
-    _zero_jitter(monkeypatch)
-    built = []
-    deadlines = collections.Counter()
-    check = RecoveryModule._check_fd_deadline
-
-    class Recorded(MercuryStation):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    def counted_check(self, incarnation):
-        deadlines["timers"] += 1
-        check(self, incarnation)
-
-    monkeypatch.setattr(chaos_engine, "MercuryStation", Recorded)
-    monkeypatch.setattr(RecoveryModule, "_check_fd_deadline", counted_check)
-
-    def campaign():
-        result = chaos_engine.run_chaos(
-            tree_v(), scenario, trials=1, seed=7, snapshot=False
-        )
-        assert not result.violations
-        return built[-1].kernel, result.to_payload()
-
-    kernel, payload = campaign()
-    with rec_pings_fd_reference() as watchdog:
-        ref_kernel, ref_payload = campaign()
-
-    assert payload == ref_payload
-    assert kernel.now == ref_kernel.now
-    trace = [(r.time, r.source, r.kind, r.severity, r.data) for r in kernel.trace.records]
-    assert trace == [
-        (r.time, r.source, r.kind, r.severity, r.data) for r in ref_kernel.trace.records
-    ]
-    assert not kernel.trace.filter(kind=ev.FD_RESTART)
-    assert deadlines["timers"] > 0 and watchdog["hops"] > 0
-    assert (
-        ref_kernel.events_executed - kernel.events_executed
-        == watchdog["timers"] + watchdog["hops"] - deadlines["timers"]
-    )
-    assert payload["episodes"] > 0
+def test_heartbeat_agrees_with_rec_pinging_fd(scenario):
+    compare("rec-pings-fd", CHAOS[scenario])

@@ -31,6 +31,7 @@ from repro.mercury.trees import TREE_BUILDERS
 from repro.transport.network import Network
 from repro.workload.generator import WorkloadSpec
 from repro.xmlcmd.fastpath import Wire
+from tests.differential import REFERENCES
 
 #: The pinned regression cell: tree III keeps ses and str in lone leaf
 #: groups, so full restart's resync cascade is maximally user-visible.
@@ -109,13 +110,13 @@ def test_snapshot_restore_matches_fresh_boot(loss_cells):
     assert fresh.to_payload() == loss_cells["microreboot"].to_payload()
 
 
-def test_bus_fullparse_matches_fastpath(loss_cells, full_parse_reference):
-    with full_parse_reference():
+def test_bus_fullparse_matches_fastpath(loss_cells):
+    with REFERENCES["full-parse"].patch():
         eager = _cell("microreboot")
     assert eager.to_payload() == loss_cells["microreboot"].to_payload()
 
 
-def test_bus_fullparse_matches_fastpath_under_checkpoint_replay(full_parse_reference):
+def test_bus_fullparse_matches_fastpath_under_checkpoint_replay():
     """The strategy that re-feeds logged wires through the receive path:
     vouched ``Wire`` objects in the session-store log on one side, plain
     text decoded by the parser on the other."""
@@ -131,7 +132,7 @@ def test_bus_fullparse_matches_fastpath_under_checkpoint_replay(full_parse_refer
         patch.setattr(SessionStore, "replay_log", recording)
         vouched = _cell("checkpoint-replay")
         vouched_log, replayed = replayed, []
-        with full_parse_reference():
+        with REFERENCES["full-parse"].patch():
             eager = _cell("checkpoint-replay")
     assert Wire in vouched_log and len(replayed) == len(vouched_log)
     assert set(replayed) == {str}

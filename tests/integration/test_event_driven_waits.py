@@ -3,10 +3,11 @@
 ``boot``, ``run_until_recovered``, ``run_until_quiescent`` and
 ``WorkloadPlane.drain`` are ``Kernel.run_until`` calls: the predicate is
 re-read only after an event that called ``Kernel.wake``.  The reference
-(``stepping_reference`` in ``tests/conftest.py``) re-reads it after every
-event, so the two agree exactly when every transition a predicate reads has
-a wake site — and a missing one shows up here as an overshoot: a later
-return time, more events executed, a longer trace.
+(``REFERENCES["stepping"]`` in ``tests/differential.py``) re-reads it after
+every event, so the two agree exactly when every transition a predicate
+reads has a wake site — and a missing one shows up here as an overshoot: a
+later return time, more events executed, a longer trace.  Every chaos
+scenario runs in ``tests/integration/test_differential_matrix.py``.
 """
 
 import sys
@@ -14,7 +15,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.chaos import engine as chaos_engine
 from repro.core.oracle import NaiveOracle
 from repro.core.policy import RestartPolicy
 from repro.core.recovery_strategies import StrategyMap
@@ -31,19 +31,7 @@ from repro.workload.plane import WorkloadPlane
 
 from tests.conftest import spawn_simple
 from tests.core.test_recovery_engine import Rig, _tree
-
-
-def _outcome(kernel, value=None):
-    """Everything the two wait implementations must agree on."""
-    trace = [(r.time, r.source, r.kind, r.severity, r.data) for r in kernel.trace.records]
-    return value, kernel.now, kernel.events_executed, trace
-
-
-def _both(scenario, stepping_reference):
-    event_driven = scenario()
-    with stepping_reference():
-        stepped = scenario()
-    return event_driven, stepped
+from tests.differential import CHAOS, Case, Run, compare
 
 
 # ----------------------------------------------------------------------
@@ -54,12 +42,13 @@ def _both(scenario, stepping_reference):
 @pytest.mark.parametrize("strategy", [None, "restart", "microreboot"])
 @pytest.mark.parametrize("kind", ["crash", "hang"])
 @pytest.mark.parametrize("label", ["I", "II", "III", "IV", "V"])
-def test_trial_agrees_with_stepping(label, kind, strategy, stepping_reference):
-    def trial():
+def test_trial_agrees_with_stepping(label, kind, strategy):
+    def trial(jsonl):
         station = MercuryStation(
             tree=TREE_BUILDERS[label](), seed=77, oracle="perfect",
             strategy=strategy, trace_capacity=50_000,
         )
+        station.kernel.trace.add_sink(jsonl)
         station.boot()
         plane = WorkloadPlane(station, WorkloadSpec(session_rate=4.0))
         plane.start()
@@ -71,40 +60,15 @@ def test_trial_agrees_with_stepping(label, kind, strategy, stepping_reference):
         station.run_until_quiescent(timeout=600.0)
         plane.stop()
         plane.drain()
-        assert plane.in_flight == 0
-        return _outcome(station.kernel, mttr)
+        assert plane.in_flight == 0 and mttr > 0.0
+        return Run(station.kernel, mttr)
 
-    event_driven, stepped = _both(trial, stepping_reference)
-    assert event_driven[0] > 0.0
-    assert event_driven == stepped
+    compare("stepping", Case(f"trial-{label}-{kind}-{strategy}", trial))
 
 
 @pytest.mark.parametrize("scenario", ["store-outage", "rogue-oracle-crash"])
-def test_chaos_scenario_agrees_with_stepping(scenario, stepping_reference, monkeypatch):
-    """Store faults forcing strategy fallback, and supervisor kills whose
-    ``reconcile_after_supervisor_restart`` is what lets quiescence through."""
-    built = []
-
-    class Recorded(MercuryStation):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(chaos_engine, "MercuryStation", Recorded)
-
-    def campaign():
-        result = chaos_engine.run_chaos(
-            tree_v(), scenario, trials=1, seed=7, snapshot=False
-        )
-        assert not result.violations
-        return _outcome(built[-1].kernel, result)
-
-    event_driven, stepped = _both(campaign, stepping_reference)
-    if scenario == "rogue-oracle-crash":
-        assert event_driven[0].supervisor_restarts > 0
-    else:
-        assert event_driven[0].store_outages > 0
-    assert event_driven == stepped
+def test_chaos_scenario_agrees_with_stepping(scenario):
+    compare("stepping", CHAOS[scenario])
 
 
 # ----------------------------------------------------------------------
@@ -127,8 +91,9 @@ def _wake_log():
         yield log
 
 
-def _abstract_rig(**policy_kwargs):
+def _abstract_rig(jsonl, **policy_kwargs):
     kernel = Kernel(seed=1234)
+    kernel.trace.add_sink(jsonl)
     manager = ProcessManager(kernel, contention_coefficient=0.05)
     for name in ("a", "b", "c"):
         spawn_simple(manager, name, work=1.0)
@@ -142,13 +107,15 @@ def _abstract_rig(**policy_kwargs):
     return kernel, manager, injector, policy, supervisor
 
 
-def _engine_rig(**kwargs):
+def _engine_rig(jsonl, **kwargs):
     kernel = Kernel(seed=1234)
+    kernel.trace.add_sink(jsonl)
     return Rig(kernel, ProcessManager(kernel, contention_coefficient=0.05), **kwargs)
 
 
-def _site_notify_ready():
+def _site_notify_ready(jsonl):
     kernel = Kernel(seed=1234)
+    kernel.trace.add_sink(jsonl)
     manager = ProcessManager(kernel)
     for name, work in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
         spawn_simple(manager, name, work=work)
@@ -157,8 +124,9 @@ def _site_notify_ready():
     return kernel, kernel.run_until(manager.all_running, 100.0)
 
 
-def _site_notify_down():
+def _site_notify_down(jsonl):
     kernel = Kernel(seed=1234)
+    kernel.trace.add_sink(jsonl)
     manager = ProcessManager(kernel)
     spawn_simple(manager, "a")
     manager.start_all()
@@ -168,9 +136,9 @@ def _site_notify_down():
     return kernel, kernel.run_until(lambda: not manager.all_running(), 100.0)
 
 
-def _site_engine_start():
+def _site_engine_start(jsonl):
     """A supervisor shot mid-action: only its restart makes it idle again."""
-    kernel, _, injector, _, supervisor = _abstract_rig()
+    kernel, _, injector, _, supervisor = _abstract_rig(jsonl)
     SupervisorWatchdog(kernel, supervisor, period=1.0, grace=2.0)
     injector.inject_simple("a")
     while not supervisor.engine.busy:
@@ -181,17 +149,17 @@ def _site_engine_start():
     return kernel, idle
 
 
-def _site_finish_restart():
+def _site_finish_restart(jsonl):
     """A bisect ladder verifies on its own timer, after the last ready."""
-    rig = _engine_rig(strategies=StrategyMap(default="bisect"))
+    rig = _engine_rig(jsonl, strategies=StrategyMap(default="bisect"))
     rig.fail("b", cure_set=["b", "c"])
     idle = rig.kernel.run_until(lambda: not rig.engine.busy, rig.kernel.now + 60.0)
     assert rig.kinds("bisect_probe")
     return rig.kernel, idle
 
 
-def _site_expire_observation():
-    rig = _engine_rig()
+def _site_expire_observation(jsonl):
+    rig = _engine_rig(jsonl)
     rig.fail("a")
     kernel = rig.kernel
     return kernel, kernel.run_until(
@@ -199,10 +167,10 @@ def _site_expire_observation():
     )
 
 
-def _site_decide():
+def _site_decide(jsonl):
     """Budget of one: the escalating re-report is refused, the episode
     abandoned — and nothing else happens in that event."""
-    kernel, _, injector, policy, _ = _abstract_rig(budget=1)
+    kernel, _, injector, policy, _ = _abstract_rig(jsonl, budget=1)
     injector.inject_joint("a", ["a", "b"])
     while not policy.open_episodes():
         assert kernel.step()
@@ -211,8 +179,10 @@ def _site_decide():
     return kernel, closed
 
 
-def _plane_on_tree_v(**spec):
+def _plane_on_tree_v(jsonl=None, **spec):
     station = MercuryStation(tree=tree_v(), seed=21, trace_capacity=50_000)
+    if jsonl is not None:
+        station.kernel.trace.add_sink(jsonl)
     station.boot()
     plane = WorkloadPlane(station, WorkloadSpec(session_rate=20.0, **spec))
     plane.start()
@@ -220,8 +190,8 @@ def _plane_on_tree_v(**spec):
     return station, plane
 
 
-def _site_on_reply():
-    station, plane = _plane_on_tree_v()
+def _site_on_reply(jsonl):
+    station, plane = _plane_on_tree_v(jsonl)
     while not plane.in_flight:
         assert station.kernel.step()
     plane.stop()
@@ -230,9 +200,9 @@ def _site_on_reply():
     return station.kernel, plane.in_flight == 0
 
 
-def _site_timeout():
+def _site_timeout(jsonl):
     """No bus, no retries: every in-flight chain ends on its timer."""
-    station, plane = _plane_on_tree_v(max_retries=0, request_timeout_s=0.5)
+    station, plane = _plane_on_tree_v(jsonl, max_retries=0, request_timeout_s=0.5)
     station.manager.kill("mbus")
     station.run_for(0.3)
     assert plane.in_flight > 0
@@ -254,16 +224,17 @@ def _site_timeout():
         (_site_timeout, "_timeout"),
     ],
 )
-def test_each_wake_site_alone_ends_a_wait(scenario, site, stepping_reference):
-    with _wake_log() as wakes:
-        kernel, satisfied = scenario()
-    assert satisfied
-    # By construction, not by luck: nothing else woke the kernel at the
-    # instant the wait returned, so deleting this site's wake overshoots.
-    assert {caller for when, caller in wakes if when == kernel.now} == {site}
-    with stepping_reference():
-        stepped_kernel, _ = scenario()
-    assert _outcome(kernel) == _outcome(stepped_kernel)
+def test_each_wake_site_alone_ends_a_wait(scenario, site):
+    def alone(jsonl):
+        with _wake_log() as wakes:
+            kernel, satisfied = scenario(jsonl)
+        assert satisfied
+        # By construction, not by luck: nothing else woke the kernel at the
+        # instant the wait returned, so deleting this site's wake overshoots.
+        assert {caller for when, caller in wakes if when == kernel.now} == {site}
+        return Run(kernel, satisfied)
+
+    compare("stepping", Case(f"wake-site-{site}", alone))
 
 
 def test_each_of_the_four_waits_is_a_run_until_call(monkeypatch):

@@ -42,6 +42,46 @@ def test_recovery_unknown_component_errors(capsys):
     assert "not in tree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cure, message",
+    [
+        (["ghost"], "error: --cure names ['ghost'], not in tree V"),
+        (["rtu", "ghost"], "error: --cure names ['ghost'], not in tree V"),
+        (["ses"], "error: --cure ['ses'] must include the component 'rtu'"),
+    ],
+    ids=["unknown", "unknown-beside-component", "without-component"],
+)
+def test_recovery_rejects_a_cure_set_outside_the_tree_or_the_component(
+    cure, message, monkeypatch, capsys
+):
+    """A cure set naming a component the tree lacks died in a traceback, or
+    ran 300 simulated seconds first; one without ``--component`` died in a
+    traceback.  Both are usage errors, caught before any run."""
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "measure_recovery", None)
+    assert main(["recovery", "--tree", "V", "--component", "rtu", "--cure", *cure]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["recovery", "--component", "rtu", "--oracle", "faulty"], ["chaos"]],
+    ids=["recovery", "chaos"],
+)
+@pytest.mark.parametrize("rate", ["1.7", "-0.5", "nan"])
+def test_error_rate_outside_the_unit_interval_rejected(argv, rate, capsys):
+    """An error rate outside [0, 1] ended in a ``ValueError`` traceback from
+    the oracle."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--error-rate", rate])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"repro {argv[0]}: error: argument --error-rate: must be in [0, 1], got {rate}"
+    ]
+
+
 def test_table2_command(capsys):
     assert main(["table2", "--trials", "2"]) == 0
     out = capsys.readouterr().out

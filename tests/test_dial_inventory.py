@@ -20,6 +20,7 @@ import pytest
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_iv
 from repro.transport.network import Network
+from tests.differential import REFERENCES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -148,10 +149,10 @@ def _joint_restart_dial_events():
     }
 
 
-def test_a_joint_restart_spends_the_tables_events_on_dialling(polling_dial_reference):
+def test_a_joint_restart_spends_the_tables_events_on_dialling():
     table = _design_table()
     parked = _joint_restart_dial_events()
-    with polling_dial_reference():
+    with REFERENCES["polling-dials"].patch():
         polling = _joint_restart_dial_events()
     assert {row: (polling[row], parked[row]) for row in parked} == table
     # The point of the table: nothing runs for fedr while it waits.

@@ -3,11 +3,11 @@
 ``Network.dial`` is one attempt, ``Network.redial`` arranges the next —
 a ticket ``Network.listen`` redeems while nothing is bound, a timer into a
 partition — and ``Network.hang_up`` ends a dead client's loops.  The
-reference (``polling_dial_reference`` in ``tests/conftest.py``) arms a timer
-after every refusal, as the product's four loops used to: the attempt that
-connects must happen at the same instant either way, and only the refused
-polls in between may be missing (DESIGN.md §10, "Dialling: park, don't
-poll").
+reference (``REFERENCES["polling-dials"]`` in ``tests/differential.py``)
+arms a timer after every refusal, as the product's four loops used to: the
+attempt that connects must happen at the same instant either way, and only
+the refused polls in between may be missing (DESIGN.md §10, "Dialling:
+park, don't poll").
 """
 
 import copy
@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.snapshot import fork
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network, NetworkFaultModel
+from tests.differential import REFERENCES
 
 ADDRESS = "srv:1"
 
@@ -78,14 +79,14 @@ class Server:
         self.listener.close()
 
 
-def _both(scenario, polling_dial_reference, faults=False):
+def _parked_and_polling(scenario, faults=False):
     """Run ``scenario(kernel, network) -> dialler`` parked and polling."""
     runs = []
     for reference in (False, True):
         kernel = Kernel(seed=5)
         network = Network(kernel, faults=NetworkFaultModel(kernel) if faults else None)
         if reference:
-            with polling_dial_reference():
+            with REFERENCES["polling-dials"].patch():
                 dialler = scenario(kernel, network)
         else:
             dialler = scenario(kernel, network)
@@ -109,7 +110,7 @@ def _assert_same_connects_fewer_polls(parked, polling):
     interval=st.floats(0.01, 2.0),
 )
 def test_parked_dial_connects_on_the_pollers_grid(
-    refused_at, outage, interval, polling_dial_reference
+    refused_at, outage, interval
 ):
     """Bit-equal connect instant for any (refusal, listen, interval): the
     ticket advances by repeated addition, as the chain of timers did."""
@@ -122,7 +123,7 @@ def test_parked_dial_connects_on_the_pollers_grid(
         kernel.run()
         return dialler
 
-    parked, polling = _both(scenario, polling_dial_reference)
+    parked, polling = _parked_and_polling(scenario)
     saved = _assert_same_connects_fewer_polls(parked, polling)
     kernel, network, dialler = parked
     assert len(dialler.connected_at) == 1 and network.dials_parked == 0
@@ -132,7 +133,7 @@ def test_parked_dial_connects_on_the_pollers_grid(
     assert polling[0].events_executed - kernel.events_executed == saved
 
 
-def test_listener_closed_again_before_the_tick_parks_from_there(polling_dial_reference):
+def test_listener_closed_again_before_the_tick_parks_from_there():
     def scenario(kernel, network):
         server = Server(network)
         kernel.call_at(1.30, server.up)
@@ -143,7 +144,7 @@ def test_listener_closed_again_before_the_tick_parks_from_there(polling_dial_ref
         kernel.run()
         return dialler
 
-    parked, polling = _both(scenario, polling_dial_reference)
+    parked, polling = _parked_and_polling(scenario)
     saved = _assert_same_connects_fewer_polls(parked, polling)
     assert parked[2].connected_at == [4.25]
     # Refused at 0.0, refused again at the redeemed tick 1.5, connected.
@@ -151,7 +152,7 @@ def test_listener_closed_again_before_the_tick_parks_from_there(polling_dial_ref
     assert saved == len(polling[2].attempts) - 3 > 0
 
 
-def test_two_loops_from_one_client_keep_their_own_phases(polling_dial_reference):
+def test_two_loops_from_one_client_keep_their_own_phases():
     """The failure detector's quirk: its ping tick calls the attempt
     directly while a retry is pending, which starts a second loop on another
     phase.  Whichever grid has the first tick after the listen connects."""
@@ -165,7 +166,7 @@ def test_two_loops_from_one_client_keep_their_own_phases(polling_dial_reference)
         kernel.run()
         return dialler
 
-    parked, polling = _both(scenario, polling_dial_reference)
+    parked, polling = _parked_and_polling(scenario)
     _assert_same_connects_fewer_polls(parked, polling)
     kernel, network, dialler = parked
     # Grid one's next tick is 2.25, grid two's 2.15: the second loop wins,
@@ -177,7 +178,7 @@ def test_two_loops_from_one_client_keep_their_own_phases(polling_dial_reference)
     )
 
 
-def test_kill_drops_the_clients_tickets(polling_dial_reference):
+def test_kill_drops_the_clients_tickets():
     def scenario(kernel, network):
         server = Server(network)
         kernel.call_at(3.1, server.up)
@@ -191,7 +192,7 @@ def test_kill_drops_the_clients_tickets(polling_dial_reference):
         dialler.other = other
         return dialler
 
-    parked, polling = _both(scenario, polling_dial_reference)
+    parked, polling = _parked_and_polling(scenario)
     _assert_same_connects_fewer_polls(parked, polling)
     dialler = parked[2]
     # On the new incarnation's grid (2.2 + k/4), not the dead one's (k/4).
@@ -213,7 +214,7 @@ def test_hang_up_leaves_other_clients_parked(kernel, network):
     assert not first.connected_at and second.connected_at == [0.25]
 
 
-def test_partition_refusal_keeps_its_timer_and_counts(polling_dial_reference):
+def test_partition_refusal_keeps_its_timer_and_counts():
     def scenario(kernel, network):
         network.listen(ADDRESS, lambda endpoint: None)
         network.faults.partition("client", "srv", 1.1)
@@ -224,7 +225,7 @@ def test_partition_refusal_keeps_its_timer_and_counts(polling_dial_reference):
         kernel.run()
         return dialler
 
-    parked, polling = _both(scenario, polling_dial_reference, faults=True)
+    parked, polling = _parked_and_polling(scenario, faults=True)
     saved = _assert_same_connects_fewer_polls(parked, polling)
     assert saved == 0
     assert parked[2].connected_at == [1.25]
@@ -244,7 +245,7 @@ def test_partitioned_and_unbound_polls_until_the_heal_then_parks(kernel):
     assert network.dials_parked == 1 and kernel.pending_events == 0
 
 
-def test_kernel_with_only_a_parked_dial_drains(kernel, network, polling_dial_reference):
+def test_kernel_with_only_a_parked_dial_drains(kernel, network):
     dialler = Dialler(network)
     dialler.start()
     kernel.run()  # returns: nothing is scheduled
@@ -252,7 +253,7 @@ def test_kernel_with_only_a_parked_dial_drains(kernel, network, polling_dial_ref
     assert network.dials_parked == 1 and dialler.pending
 
     ref_kernel = Kernel(seed=5)
-    with polling_dial_reference():
+    with REFERENCES["polling-dials"].patch():
         Dialler(Network(ref_kernel)).start()
         ref_kernel.run(max_events=400)  # would never return unbounded
     assert ref_kernel.events_executed == 400 and ref_kernel.now == 100.0

@@ -1,30 +1,26 @@
 """The workload plane against live stations: service, loss, accounting.
 
 The retry ladder's deadlines ride attempt-keyed lanes with one armed kernel
-event (DESIGN.md §13).  The reference (``per_request_timers_reference`` in
-``tests/conftest.py``) arms one kernel timer per send, as the plane did
-before: ledgers and JSONL traces must be byte-identical, and once every
+event (DESIGN.md §13).  The reference (``REFERENCES["per-request-timers"]``
+in ``tests/differential.py``) arms one kernel timer per send, as the plane
+did before: ledgers and JSONL traces must be byte-identical, and once every
 deadline has passed ``Kernel.events_executed`` may differ only by *sends −
 wakes* — the reference ran one timer per send (every answered first attempt,
 every answered retry, every send that timed out), the plane one event per
 armed wake.
 """
 
-import collections
 import copy
-import io
 import pickle
 import types
-from contextlib import contextmanager
 
 import pytest
 
-from repro.experiments import workload as workload_cells
 from repro.experiments.snapshot import fork
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import TREE_BUILDERS
 from repro.obs import events
-from repro.obs.sinks import CallbackSink, JsonlSink
+from repro.obs.sinks import CallbackSink
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network
 from repro.workload.effects import UserEffects, merge_effects_payloads
@@ -32,6 +28,7 @@ from repro.workload.plane import WorkloadPlane, _Session
 from repro.workload.generator import WorkloadSpec
 from repro.xmlcmd import commands
 from repro.xmlcmd.document import Element
+from tests.differential import Case, Run, compare, run_traffic_cell
 from tests.experiments.test_workload import _cell
 
 
@@ -207,61 +204,27 @@ def test_healthy_traffic_never_builds_an_element_tree(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-@contextmanager
-def _wake_counts():
-    """Count ``_deadline`` wakes and the heads they found due."""
-    counts = collections.Counter()
-    deadline, timeout = WorkloadPlane._deadline, WorkloadPlane._timeout
+def _lanes_case(name, scenario, check):
+    """A case for the deadline lanes: ``scenario(jsonl) -> (plane, value,
+    violations)``, run on past the longest deadline still queued."""
 
-    def counted_deadline(self):
-        counts["wakes"] += 1
-        deadline(self)
-
-    def counted_timeout(self, rid, attempt):
-        counts["timeouts"] += 1
-        timeout(self, rid, attempt)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(WorkloadPlane, "_deadline", counted_deadline)
-        patch.setattr(WorkloadPlane, "_timeout", counted_timeout)
-        yield counts
-
-
-def _both(scenario, per_request_timers_reference):
-    """Run ``scenario(jsonl) -> (plane, value)`` both ways and on past the
-    longest deadline still queued; assert everything but the event count is
-    equal, and the count differs by exactly sends − wakes."""
-    streams = io.StringIO(), io.StringIO()
-
-    def settled(stream):
-        plane, value = scenario(JsonlSink(stream))
+    def run(jsonl):
+        plane, value, violations = scenario(jsonl)
         spec = plane.spec
         plane.kernel.run(
             until=plane.kernel.now
             + spec.request_timeout_s
             + spec.max_retries * spec.retry_backoff_s
         )
-        return plane, value
+        assert not any(plane._lanes) and plane.in_flight == 0
+        return Run(plane.kernel, (value, plane.effects.to_payload()), violations)
 
-    with _wake_counts() as lanes:
-        plane, value = settled(streams[0])
-    with per_request_timers_reference(), _wake_counts() as timers:
-        ref_plane, ref_value = settled(streams[1])
-    assert value == ref_value
-    assert plane.kernel.now == ref_plane.kernel.now
-    assert streams[0].getvalue() == streams[1].getvalue()
-    assert streams[0].getvalue()
-    effects = plane.effects
-    assert effects.to_payload() == ref_plane.effects.to_payload()
-    sends = effects.requests_offered + effects.retries_sent
-    assert timers["wakes"] == 0 and timers["timeouts"] == sends
-    assert 0 < lanes["wakes"] < sends  # timers really were saved
-    assert not any(plane._lanes) and plane.in_flight == 0
-    assert (
-        ref_plane.kernel.events_executed - plane.kernel.events_executed
-        == sends - lanes["wakes"]
-    )
-    return lanes, effects
+    def checked(value, lanes):
+        _, effects = value
+        assert lanes["sends"] == effects["requests_offered"] + effects["retries_sent"]
+        check(effects, lanes)
+
+    return Case(name, run, checked)
 
 
 def _traffic(label, spec, seed, horizon_s, kill_at=None):
@@ -280,60 +243,52 @@ def _traffic(label, spec, seed, horizon_s, kill_at=None):
         station.run_for(horizon_s)
         plane.stop()
         plane.drain()
-        return plane, plane.finalize().to_payload()
+        return plane, plane.finalize().to_payload(), ()
 
     return scenario
 
 
-def test_healthy_traffic_agrees_with_per_request_timers(per_request_timers_reference):
-    lanes, effects = _both(
-        _traffic("V", WorkloadSpec(session_rate=10.0), 21, 12.0),
-        per_request_timers_reference,
-    )
-    # Every send was an answered first attempt: no wake found anything due.
-    assert effects.retries_sent == 0 and lanes["timeouts"] == 0
+def test_healthy_traffic_agrees_with_per_request_timers():
+    def answered(effects, lanes):
+        # Every send was an answered first attempt: no wake found anything due.
+        assert effects["retries_sent"] == 0 and lanes["timeouts"] == 0
+
+    scenario = _traffic("V", WorkloadSpec(session_rate=10.0), 21, 12.0)
+    compare("per-request-timers", _lanes_case("healthy-traffic", scenario, answered))
 
 
-def test_burst_arrivals_agree_with_per_request_timers(per_request_timers_reference):
+def test_burst_arrivals_agree_with_per_request_timers():
     """The ``burst`` law issues a whole burst on one float instant, so the
     deadlines of the requests an outage swallows tie exactly: one wake times
     them out in send order, and the re-sends draw the latencies they drew.
     (The period is off the ladder's grid — no burst lands on the float
     instant of a deadline, the one order DESIGN.md §13 does not promise.)"""
+
+    def tied(effects, lanes):
+        assert effects["retries_sent"] > 0 and effects["requests_failed"] > 0
+        assert lanes["timeouts"] > lanes["wakes"]  # ties: several heads per wake
+
     spec = WorkloadSpec(arrival="burst", burst_size=30, burst_period_s=1.3)
-    lanes, effects = _both(
-        _traffic("V", spec, 5, 4.0, kill_at=3.2), per_request_timers_reference
-    )
-    assert effects.retries_sent > 0 and effects.requests_failed > 0
-    assert lanes["timeouts"] > lanes["wakes"]  # ties: several heads per wake
+    scenario = _traffic("V", spec, 5, 4.0, kill_at=3.2)
+    compare("per-request-timers", _lanes_case("burst-traffic", scenario, tied))
 
 
 @pytest.mark.parametrize(
     "strategy, kind",
     [("restart", "crash"), ("microreboot", "crash"), ("microreboot", "hang")],
 )
-def test_loss_cells_agree_with_per_request_timers(
-    strategy, kind, per_request_timers_reference, monkeypatch
-):
-    captured = {}
-
-    class Recorded(WorkloadPlane):
-        def __init__(self, station, spec):
-            super().__init__(station, spec)
-            station.kernel.trace.add_sink(captured["jsonl"])
-            captured["plane"] = self
-
-    monkeypatch.setattr(workload_cells, "WorkloadPlane", Recorded)
-
+def test_loss_cells_agree_with_per_request_timers(strategy, kind):
     def cell(jsonl):
-        captured["jsonl"] = jsonl
-        result = _cell(strategy, failure_kind=kind)
-        assert result.ok, result.violations
-        return captured["plane"], result.to_payload()
+        result, plane = run_traffic_cell(
+            lambda: _cell(strategy, failure_kind=kind), jsonl
+        )
+        return plane, result.to_payload(), result.violations
 
-    lanes, effects = _both(cell, per_request_timers_reference)
-    assert effects.retries_sent > 0 and effects.requests_failed > 0
-    assert lanes["timeouts"] == effects.retries_sent + effects.requests_failed
+    def timed_out(effects, lanes):
+        assert effects["retries_sent"] > 0 and effects["requests_failed"] > 0
+        assert lanes["timeouts"] == effects["retries_sent"] + effects["requests_failed"]
+
+    compare("per-request-timers", _lanes_case(f"loss-{strategy}-{kind}", cell, timed_out))
 
 
 def _stalled_plane(spec=None):
