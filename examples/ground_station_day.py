@@ -13,7 +13,7 @@ Run with::
 
 from repro import MercuryStation, tree_v
 from repro.mercury.orbit import default_satellites, predict_passes
-from repro.mercury.passes import PassAccountant, tracking_solution_for
+from repro.mercury.passes import PassAccountant
 
 
 def main() -> None:
@@ -37,11 +37,11 @@ def main() -> None:
         oracle="perfect",
         supervisor="full",
         steady_faults=True,
-        solution_fn=tracking_solution_for(windows),
         trace_capacity=200_000,
     )
-    station.boot()
+    # Built before boot: from here on ses tracks only the satellite in view.
     accountant = PassAccountant(station, windows)
+    station.boot()
 
     print("\nRunning one simulated day ...")
     station.run_for(day + 1800.0)

@@ -35,6 +35,7 @@ simulation).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
@@ -144,10 +145,24 @@ def _fault_series_label(point: Tuple[Any, ...], tree: str) -> str:
     return f"{point[0] or 'classic'}/{point[1]}/{tree}{point[2]}"
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
 
 
@@ -341,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _tree_argument(ablation)
     ablation.add_argument(
-        "--drop", action="append", type=float, default=None, metavar="RATE",
+        "--drop", action="append", type=_probability, default=None, metavar="RATE",
         help="message drop rate (repeatable; default: 0.0 0.05 0.15)",
     )
     ablation.add_argument(
@@ -366,17 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet size (repeatable; default: 16 64)",
     )
     fleet.add_argument(
-        "--horizon", type=float, default=600.0, metavar="SECONDS",
+        "--horizon", type=_positive, default=600.0, metavar="SECONDS",
         help="measured window per fleet (default: 600)",
     )
     fleet.add_argument(
-        "--wave-interval", action="append", type=float, default=None,
+        "--wave-interval", action="append", type=_non_negative, default=None,
         metavar="SECONDS",
         help="mean seconds between correlated ground-segment fault waves "
         "(repeatable; 0 = independent failures only; default: 0 150)",
     )
     fleet.add_argument(
-        "--wave-drop", type=float, default=0.2, metavar="P",
+        "--wave-drop", type=_probability, default=0.2, metavar="P",
         help="wave-coupled uplink drop probability (default: 0.2)",
     )
     fleet.add_argument(
@@ -385,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "results are bit-identical for any value)",
     )
     fleet.add_argument(
-        "--request-rate", type=float, default=0.0, metavar="SESSIONS_PER_S",
+        "--request-rate", type=_non_negative, default=0.0, metavar="SESSIONS_PER_S",
         help="per-station user-session arrival rate; 0 disables the "
         "workload plane (default: 0)",
     )

@@ -19,6 +19,7 @@ long-running station, so one run reports all of them:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -115,8 +116,8 @@ def measure_availability(
     warm point is the end of the 120 s boot settle, so the horizon does
     not enter the shape and one template serves every horizon length.
     """
-    if not horizon_s > 0:
-        raise ExperimentError(f"horizon must be positive: {horizon_s!r}")
+    if not 0 < horizon_s < math.inf:
+        raise ExperimentError(f"horizon must be positive and finite: {horizon_s!r}")
 
     def build(boot_seed: int) -> MercuryStation:
         return MercuryStation(

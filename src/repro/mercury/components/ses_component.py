@@ -5,8 +5,12 @@ and antenna pointing angles" (§2.1).  Every ``solution_period`` seconds it
 computes a tracking solution and commands ``str`` (pointing angles) and
 ``rtu`` (downlink frequency with Doppler correction).
 
-The solution function is pluggable: the station wires in the orbit model's
-look angles during passes; outside passes ses idles (no satellite in view).
+The solution function is pluggable.  A station that accounts passes points
+it at :meth:`repro.mercury.passes.PassAccountant.solution`: the orbit
+model's look angles and a Doppler-ramped frequency during passes, nothing
+between them, when ses idles (no satellite in view).  A station without a
+pass schedule tracks an always-in-view test satellite.
+
 ses also runs the startup synchronisation handshake with ``str`` whose
 failure modes drive §4.3's group consolidation (the timing cost of the
 handshake is part of the calibrated startup work; the induced-failure
@@ -36,7 +40,7 @@ SolutionFn = Callable[[SimTime], Optional[Tuple[float, float, float]]]
 
 
 def _default_solution(now: SimTime) -> Optional[Tuple[float, float, float]]:
-    """A bland always-in-view solution used by unit tests and the quickstart."""
+    """A bland always-in-view solution for stations without a pass schedule."""
     azimuth = (now * 0.5) % 360.0
     elevation = 45.0
     frequency = 437.1e6
@@ -52,14 +56,15 @@ class SesBehavior(BusAttachedBehavior):
         network: "Network",
         bus_address: str = "mbus:7000",
         solution_period: SimTime = 2.0,
-        solution_fn: Optional[SolutionFn] = None,
         tracker_name: str = "str",
         tuner_name: str = "rtu",
         session_store: Optional["SessionStore"] = None,
     ) -> None:
         super().__init__(process, network, bus_address, session_store=session_store)
         self.solution_period = solution_period
-        self.solution_fn = solution_fn or _default_solution
+        #: Read at every solve; a :class:`~repro.mercury.passes.PassAccountant`
+        #: replaces it with its pass schedule.
+        self.solution_fn: SolutionFn = _default_solution
         self.tracker_name = tracker_name
         self.tuner_name = tuner_name
         self.solutions_sent = 0

@@ -2,14 +2,16 @@
 
 :class:`PassAccountant` observes the station's process lifecycle during each
 scheduled pass window and feeds the edge sequences into the
-:class:`~repro.mercury.telemetry.DownlinkModel`.  It also tells ses which
-satellite to track (look angles from the pass window), so the bus carries
-real tracking traffic during passes in the full-fidelity examples.
+:class:`~repro.mercury.telemetry.DownlinkModel`.  It is also ses's solution
+function: from the moment it is built, ses tracks the satellite of the
+window in view (look angles and a Doppler-ramped downlink frequency) and
+idles between windows, so the bus carries tracking traffic only during
+passes on every station that accounts them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.mercury.orbit import PassWindow
 from repro.obs import events as ev
@@ -21,8 +23,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.process import SimProcess
 
 
+#: Nominal downlink carrier; the Doppler ramp sweeps +/- 10 kHz around it.
+DOWNLINK_HZ = 437.1e6
+
+
 class PassAccountant:
-    """Accounts downlink data over a schedule of passes on one station."""
+    """Accounts downlink data over a schedule of passes on one station,
+    and points the station's ses at :meth:`solution`."""
 
     def __init__(self, station: "MercuryStation", windows: Sequence[PassWindow]) -> None:
         self.station = station
@@ -48,9 +55,41 @@ class PassAccountant:
         self._initial_chain_up = True
         self._initial_tracking_up = True
         self._failures_in_pass = 0
+        #: Index of the first window that has not ended at the last solve.
+        self._cursor = 0
+        # ses's behavior object lives as long as its process, so the
+        # pointer survives every restart.
+        station.manager.get("ses").behavior.solution_fn = self.solution
         station.manager.subscribe(self._on_lifecycle)
         for window in self._windows:
             self.kernel.schedule_at(max(window.start, self.kernel.now), self._begin, window)
+
+    # ------------------------------------------------------------------
+    # ses's solution
+    # ------------------------------------------------------------------
+
+    def solution(self, now: SimTime) -> Optional[Tuple[float, float, float]]:
+        """(azimuth, elevation, Doppler-shifted frequency) while a window
+        is in view, ``None`` between windows.
+
+        ``now`` never decreases (ses asks at simulated solve instants), so
+        a cursor skips the windows that have ended; of overlapping windows
+        the earliest-starting one is tracked.
+        """
+        windows = self._windows
+        cursor = self._cursor
+        while cursor < len(windows) and windows[cursor].end <= now:
+            cursor += 1
+        self._cursor = cursor
+        for window in windows[cursor:]:
+            if window.start > now:
+                break
+            if window.contains(now):
+                azimuth, elevation = window.look_angles(now)
+                # Crude symmetric Doppler ramp: +/- 10 kHz across the pass.
+                progress = (now - window.start) / window.duration
+                return azimuth, elevation, DOWNLINK_HZ + 10_000.0 * (1.0 - 2.0 * progress)
+        return None
 
     # ------------------------------------------------------------------
     # pass lifecycle
@@ -112,28 +151,3 @@ class PassAccountant:
         if process.name in self.tracking:
             self._tracking_edges.append((self.kernel.now, self._all_up(self.tracking)))
 
-
-def tracking_solution_for(
-    windows: Sequence[PassWindow], downlink_hz: float = 437.1e6
-) -> Callable[[SimTime], Optional[Tuple[float, float, float]]]:
-    """Build a ses solution function from a pass schedule.
-
-    Returns (azimuth, elevation, doppler-shifted frequency) during passes
-    and ``None`` between them, so ses only commands str/rtu while a
-    satellite is actually in view.
-    """
-    ordered = sorted(windows, key=lambda w: w.start)
-
-    def solution(now: SimTime) -> Optional[Tuple[float, float, float]]:
-        for window in ordered:
-            if window.contains(now):
-                azimuth, elevation = window.look_angles(now)
-                # Crude symmetric Doppler ramp: +/- 10 kHz across the pass.
-                progress = (now - window.start) / window.duration
-                doppler = 10_000.0 * (1.0 - 2.0 * progress)
-                return azimuth, elevation, downlink_hz + doppler
-            if window.start > now:
-                break
-        return None
-
-    return solution

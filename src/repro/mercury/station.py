@@ -24,7 +24,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.bus.broker import BusBroker
 from repro.core.oracle import (
@@ -151,7 +151,6 @@ class MercuryStation:
         oracle_too_high_rate: float = 0.0,
         supervisor: str = "full",
         steady_faults: bool = False,
-        solution_fn: Optional[Callable] = None,
         solution_period: float = 2.0,
         trace_capacity: Optional[int] = None,
         net_faults: bool = False,
@@ -231,9 +230,10 @@ class MercuryStation:
                 f"tree {self.tree.name!r} covers {sorted(self.tree.components)}, "
                 f"but the station runs {sorted(expected)}"
             )
-        self._solution_fn = solution_fn
-        #: ses's tracking-solution period; long-horizon availability runs
-        #: raise it to avoid simulating millions of idle solution rounds.
+        #: ses's tracking-solution period; long-horizon runs raise it to
+        #: keep ses's solve loop cheap.  Where a
+        #: :class:`~repro.mercury.passes.PassAccountant` is built, ses
+        #: commands str and rtu only inside pass windows.
         self._solution_period = solution_period
         if strategies is None and strategy is not None:
             strategies = StrategyMap(default=strategy)
@@ -334,7 +334,6 @@ class MercuryStation:
                 network,
                 BUS_ADDRESS,
                 solution_period=self._solution_period,
-                solution_fn=self._solution_fn,
                 session_store=self.session_store,
             )
         if name == "str":

@@ -33,6 +33,7 @@ boundary) and ships only :class:`FleetMessage` batches per epoch.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -263,8 +264,8 @@ class FleetKernel:
 
     def _barriers(self, horizon: float) -> List[float]:
         """Absolute barrier times covering ``(start, start + horizon]``."""
-        if horizon <= 0:
-            raise SimulationError(f"horizon must be positive, got {horizon!r}")
+        if not 0 < horizon < math.inf:
+            raise SimulationError(f"horizon must be positive and finite, got {horizon!r}")
         end = self.start + horizon
         barriers: List[float] = []
         k = 1

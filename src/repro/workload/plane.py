@@ -309,7 +309,7 @@ class WorkloadPlane:
         session = request.session
         session.completed += 1
         self.effects.record_ok(
-            latency=self.kernel.now - request.issued_at,
+            latency=self.kernel.clock._now - request.issued_at,
             retried=request.attempts > 1,
         )
         next_step = request.step + 1

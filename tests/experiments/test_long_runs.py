@@ -47,7 +47,7 @@ def test_arrivals_count_only_the_horizon():
         assert set(result.arrivals.values()) == {0}, label
 
 
-@pytest.mark.parametrize("horizon", [0.0, -1.0])
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("inf"), float("nan")])
 def test_non_positive_horizon_rejected(horizon):
     with pytest.raises(ExperimentError, match="horizon must be positive"):
         measure_availability(tree_v(), horizon_s=horizon)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mercury.passes import PassAccountant
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_ii, tree_v
 from repro.xmlcmd.commands import CommandMessage
@@ -21,7 +22,8 @@ def test_ses_emits_solutions(split_station):
 
 
 def test_ses_idles_when_no_satellite():
-    station = MercuryStation(tree=tree_v(), seed=52, solution_fn=lambda now: None)
+    station = MercuryStation(tree=tree_v(), seed=52)
+    PassAccountant(station, [])  # an empty pass schedule: nothing in view
     station.boot()
     station.run_for(20.0)
     assert station.manager.get("ses").behavior.solutions_sent == 0

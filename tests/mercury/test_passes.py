@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mercury.orbit import PassWindow
-from repro.mercury.passes import PassAccountant, tracking_solution_for
+from repro.mercury.passes import DOWNLINK_HZ, PassAccountant
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_v
 
@@ -82,19 +82,44 @@ def test_multiple_passes_accounted(kernel):
     assert accountant.summary.passes == 2
 
 
+def test_ses_tracks_only_inside_the_window():
+    station = MercuryStation(tree=tree_v(), seed=46)
+    window = PassWindow("opal", start=40.0, duration=30.0, max_elevation_deg=75.0)
+    PassAccountant(station, [window])
+    station.boot()
+    ses = station.manager.get("ses").behavior
+    grew_at = []
+    while station.kernel.now < window.end + 30.0:
+        sent = ses.solutions_sent
+        station.kernel.step()
+        if ses.solutions_sent != sent:
+            grew_at.append(station.kernel.now)
+    assert grew_at and all(window.contains(now) for now in grew_at)
+    # One solution per solve period inside the window, none after it.
+    assert len(grew_at) == pytest.approx(window.duration / ses.solution_period, abs=1)
+    assert station.hardware.antenna.point_count == len(grew_at)
+
+
 def test_tracking_solution_for_schedule():
-    windows = [PassWindow("opal", start=100.0, duration=600.0, max_elevation_deg=80.0)]
-    solution = tracking_solution_for(windows)
+    windows = [
+        PassWindow("opal", start=100.0, duration=600.0, max_elevation_deg=80.0),
+        PassWindow("sapphire", start=1000.0, duration=600.0, max_elevation_deg=40.0),
+    ]
+    solution = PassAccountant(MercuryStation(tree=tree_v()), windows).solution
     assert solution(50.0) is None
     azimuth, elevation, frequency = solution(400.0)
+    assert (azimuth, elevation) == windows[0].look_angles(400.0)
     assert elevation == pytest.approx(80.0, abs=1.0)
-    assert frequency == pytest.approx(437.1e6, rel=0.001)
+    assert frequency == pytest.approx(DOWNLINK_HZ, rel=0.001)
     assert solution(800.0) is None
+    assert solution(1300.0)[:2] == windows[1].look_angles(1300.0)
+    assert solution(1600.0) is None  # the end is outside the window
 
 
 def test_tracking_solution_doppler_ramp():
     windows = [PassWindow("opal", start=0.0, duration=600.0, max_elevation_deg=80.0)]
-    solution = tracking_solution_for(windows)
+    solution = PassAccountant(MercuryStation(tree=tree_v()), windows).solution
     _, _, early = solution(1.0)
+    _, _, middle = solution(300.0)
     _, _, late = solution(599.0)
-    assert early > 437.1e6 > late  # approaching then receding
+    assert early > middle == DOWNLINK_HZ > late  # approaching then receding

@@ -247,8 +247,9 @@ def test_epoch_and_horizon_validation():
     with pytest.raises(SimulationError, match="epoch must be positive"):
         FleetKernel(epoch=0.0, factory=factory, shell_ids=range(2))
     fleet = FleetKernel(epoch=1.0, factory=factory, shell_ids=range(2))
-    with pytest.raises(SimulationError, match="horizon must be positive"):
-        fleet.run(0.0)
+    for horizon in (0.0, float("inf"), float("nan")):
+        with pytest.raises(SimulationError, match="horizon must be positive and finite"):
+            fleet.run(horizon)
 
 
 def test_barrier_schedule_covers_the_window():

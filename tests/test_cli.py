@@ -163,6 +163,45 @@ def test_non_positive_counts_rejected(argv, flag, count, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, message",
+    [
+        (["availability"], "--days", "inf", "must be finite"),
+        (["passes"], "--days", "1e400", "must be finite"),
+        (["workload"], "--rate", "inf", "must be finite"),
+        (["fleet"], "--horizon", "inf", "must be finite"),
+        (["fleet"], "--horizon", "nan", "must be finite"),
+        (["fleet"], "--horizon", "-5", "must be > 0"),
+        (["fleet"], "--wave-drop", "1.5", "must be in [0, 1]"),
+        (["fleet"], "--wave-drop", "nan", "must be in [0, 1]"),
+        (["fleet"], "--wave-interval", "-10", "must be >= 0"),
+        (["fleet"], "--wave-interval", "inf", "must be finite"),
+        (["fleet"], "--request-rate", "-1", "must be >= 0"),
+        (["fleet"], "--request-rate", "nan", "must be finite"),
+        (["detection-ablation"], "--drop", "1.5", "must be in [0, 1]"),
+        (["detection-ablation"], "--drop", "-0.1", "must be in [0, 1]"),
+    ],
+)
+def test_out_of_range_float_flags_rejected(argv, flag, value, message, capsys):
+    """Checked at parse time: ``--days inf`` died in ``predict_passes``,
+    ``fleet --horizon inf`` never returned, ``--horizon -5`` ended in a
+    traceback, and the rest ran silently on a meaningless value."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv + [flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"repro {argv[0]}: error: argument {flag}: {message}, got {value}"
+    ]
+
+
+def test_float_flags_keep_their_valid_range():
+    parse = build_parser().parse_args
+    fleet = parse(["fleet", "--wave-interval", "0", "--request-rate", "0", "--wave-drop", "1"])
+    assert (fleet.wave_interval, fleet.request_rate, fleet.wave_drop) == ([0.0], 0.0, 1.0)
+    assert parse(["detection-ablation", "--drop", "0"]).drop == [0.0]
+
+
 def test_seed_changes_results(capsys):
     main(["--seed", "1", "recovery", "--component", "rtu", "--trials", "2"])
     first = capsys.readouterr().out

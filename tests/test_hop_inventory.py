@@ -10,6 +10,11 @@ number of rounds).  A wrapper
 someone adds to the send or deliver path later, or a timer added to the
 ping fabric, then shows up here as a failing count — and gets added to the
 table on purpose — rather than as a slow drift in ``fleet-waves``.
+
+The same holds for application traffic a station does not need: an
+availability run's ses tracks only the satellite in view, and the run's
+kernel-event count is pinned so tracking between passes cannot come back
+unnoticed.
 """
 
 import collections
@@ -18,6 +23,7 @@ import pathlib
 import re
 import sys
 
+from repro.experiments import availability
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_v
 
@@ -86,3 +92,27 @@ def _delivered(station) -> int:
         if getattr(process.behavior, "_endpoint", None) is not None
     ]
     return sum(endpoint._channel.messages_delivered for endpoint in endpoints)
+
+
+#: Kernel events of the determinism gate's availability run (tree V, 4 h,
+#: seed 7): two passes, Opal from ~2 400 s and Sapphire from ~8 280 s.  ses
+#: commanding str and rtu between them (an always-in-view satellite) makes
+#: it 536.
+AVAILABILITY_RUN_EVENTS = 391
+
+
+def test_an_availability_run_tracks_only_the_passes_in_view(monkeypatch):
+    stations = []
+
+    class Recording(availability.PassAccountant):
+        def __init__(self, station, windows):
+            super().__init__(station, windows)
+            stations.append(station)
+
+    monkeypatch.setattr(availability, "PassAccountant", Recording)
+    result = availability.measure_availability(tree_v(), horizon_s=4 * 3600.0, seed=7)
+    (station,) = stations
+    assert result.passes == 2
+    # ses solves every 600 s there; one solve lands in each pass.
+    assert station.manager.get("ses").behavior.solutions_sent == 2
+    assert station.kernel.events_executed == AVAILABILITY_RUN_EVENTS

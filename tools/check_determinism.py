@@ -14,7 +14,8 @@ leg runs one cell more than once and byte-compares what came out:
   detector; ``store-outage``: session-store crash/hang windows, torn and
   corrupt writes, strategy fallback) and one 4 h steady-state availability
   run, each run twice with the same seed, comparing the full JSONL event
-  traces and the result payloads;
+  traces and the result payloads (the availability run must hold a whole
+  pass, so ses's in-pass tracking is among what is compared);
 * **snapshot-fork** — one storm campaign (FD/REC) and one availability
   run (abstract supervisor) restored from the warmed-station template vs.
   booted afresh (``snapshot=False``), traces and payloads: the
@@ -51,7 +52,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -105,15 +106,25 @@ def _same(name: str, claim: str, reference: str, other: str) -> bool:
     return False
 
 
-def _traced_pair(workdir: str, name: str, run_a: TracedRun, run_b: TracedRun) -> bool:
+def _traced_pair(
+    workdir: str,
+    name: str,
+    run_a: TracedRun,
+    run_b: TracedRun,
+    covers: Optional[Tuple[str, Callable[[str], bool]]] = None,
+) -> bool:
     """Two traced runs: their JSONL event traces and their payloads must
-    match byte for byte."""
+    match byte for byte.  ``covers`` is ``(what, test)``: the payload must
+    also pass ``test``, or the leg does not exercise ``what``."""
     paths: List[str] = []
     payloads: List[str] = []
     for index, run in enumerate((run_a, run_b), start=1):
         paths.append(os.path.join(workdir, f"{name}-{index}.jsonl"))
         payloads.append(run([JsonlSink(paths[-1])]))
     ok = _compare_traces(name, *paths)
+    if covers is not None and not covers[1](payloads[0]):
+        print(f"FAIL {name}: the run does not cover {covers[0]}")
+        ok = False
     return _same(name, "result payloads identical", *payloads) and ok
 
 
@@ -141,15 +152,27 @@ def _availability_run(**kwargs) -> TracedRun:
     return run
 
 
-#: The same-seed trace leg: (name, what it is, the run).
+def _holds_a_pass(payload: str) -> bool:
+    return json.loads(payload)["passes"] >= 1
+
+
+#: The same-seed trace leg: (name, what it is, the run, what it must cover).
+#: ses tracks only inside pass windows, so an availability run without a
+#: whole pass would never compare its tracking traffic.
 TRACE_SCENARIOS = [
-    ("chaos", "cascade on tree V, seed %d" % CHAOS_SEED, _chaos_run("cascade")),
-    ("chaos-lossy", "lossy on tree V, seed %d" % CHAOS_SEED, _chaos_run("lossy")),
-    ("store", "store-outage on tree V, seed %d" % CHAOS_SEED, _chaos_run("store-outage")),
+    ("chaos", "cascade on tree V, seed %d" % CHAOS_SEED, _chaos_run("cascade"), None),
+    ("chaos-lossy", "lossy on tree V, seed %d" % CHAOS_SEED, _chaos_run("lossy"), None),
+    (
+        "store",
+        "store-outage on tree V, seed %d" % CHAOS_SEED,
+        _chaos_run("store-outage"),
+        None,
+    ),
     (
         "availability",
         "tree V, %.0f h, seed %d" % (AVAILABILITY_HORIZON_S / 3600.0, AVAILABILITY_SEED),
         _availability_run(),
+        ("a pass (ses's in-pass tracking)", _holds_a_pass),
     ),
 ]
 
@@ -158,9 +181,9 @@ def check_same_seed_traces(workdir: str) -> bool:
     """Each scenario twice with the same seed: fault-plan, network-fabric,
     store-fault and steady-state injector RNG streams all ride the seed."""
     ok = True
-    for name, what, run in TRACE_SCENARIOS:
+    for name, what, run, covers in TRACE_SCENARIOS:
         print(f"determinism: {name} ({what}) ...")
-        ok = _traced_pair(workdir, name, run, run) and ok
+        ok = _traced_pair(workdir, name, run, run, covers) and ok
     return ok
 
 
@@ -195,7 +218,8 @@ def check_snapshot_fork(workdir: str) -> bool:
 #: gate's samples, not the product's: a new kind adds its own here.
 SAMPLES = {
     "recovery": dict(tree="II", component="rtu", trials=1),
-    "availability": dict(tree="V", horizon_s=1800.0),
+    # An hour holds one whole pass, so ses's in-pass tracking runs.
+    "availability": dict(tree="V", horizon_s=3600.0),
     "chaos": dict(tree="V", scenario="mixed", trials=1),
     "workload": dict(
         tree="III", strategy="restart", failure_kind="hang", trials=1, request_rate=8.0
