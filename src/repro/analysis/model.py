@@ -39,8 +39,9 @@ Cost of one failure
   (Induction from *wasted* mistaken attempts is ignored — second-order for
   Mercury, where the mistake-prone components have no resync peer.)
 
-Aging (§4.2) and proactive rejuvenation are outside this model; see
-:mod:`repro.core.rejuvenation` for that axis.
+Aging (§4.2) and proactive rejuvenation are outside this model; the
+availability cell simulates them (:func:`repro.experiments.availability.
+measure_availability`, ``rejuvenation_period_s``).
 """
 
 from __future__ import annotations

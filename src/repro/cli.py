@@ -210,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     trees = subparsers.add_parser(
-        "trees", help="render the restart trees I-V", parents=[common]
+        "trees",
+        help="render the restart trees I-V and a booted tree-V station's wiring",
+        parents=[common],
     )
 
     recovery = subparsers.add_parser(
@@ -440,9 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_trees(args: argparse.Namespace) -> int:
+    from repro.mercury.architecture import render_architecture
+    from repro.mercury.station import MercuryStation
+
     for label in ("I", "II", "II'", "III", "IV", "V"):
         print(render_tree(TREE_BUILDERS[label]()))
         print()
+    # Figure 1 as wired: a booted tree-V station, introspected.
+    station = MercuryStation(tree=TREE_BUILDERS["V"](), seed=args.seed)
+    station.boot()
+    station.run_for(5.0)
+    print(render_architecture(station))
     return 0
 
 

@@ -48,7 +48,6 @@ from repro.core.oracle import (
 from repro.core.policy import RestartDecision, RestartPolicy
 from repro.core.recoverer import RecoveryModule
 from repro.core.recovery_engine import RecoveryEngine
-from repro.core.rejuvenation import RejuvenationScheduler, no_pass_imminent
 from repro.core.render import render_tree
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "PerfectOracle",
     "RecoveryEngine",
     "RecoveryModule",
-    "RejuvenationScheduler",
     "RestartCell",
     "RestartDecision",
     "RestartPolicy",
@@ -69,7 +67,6 @@ __all__ = [
     "consolidate_groups",
     "depth_augment",
     "insert_joint_node",
-    "no_pass_imminent",
     "promote_component",
     "render_tree",
     "replace_component",

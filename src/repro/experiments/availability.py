@@ -14,7 +14,12 @@ long-running station, so one run reports all of them:
   MTTF, which those mechanisms shorten;
 * the §5.2 downlink over every whole Opal/Sapphire pass inside the
   horizon ("not all downtime is the same"): science data lost, links
-  broken and whole passes lost.
+  broken and whole passes lost;
+* software rejuvenation (§3, §6), when ``rejuvenation_period_s`` is set:
+  every period the supervisor restarts the cell covering ``pbcom``, the
+  component fedr's disconnects age, unless a pass is in view.  Planned
+  restarts cost availability and save the passes; the cell reports the
+  aging crashes left, the proactive restarts and the skipped rounds.
 """
 
 from __future__ import annotations
@@ -28,12 +33,19 @@ from repro.errors import ExperimentError
 from repro.experiments.metrics import UptimeTracker
 from repro.experiments.snapshot import station_shape, warmed_station
 from repro.mercury.config import PAPER_CONFIG, StationConfig
-from repro.mercury.orbit import default_satellites, predict_passes
+from repro.mercury.orbit import PassWindow, default_satellites, predict_passes
 from repro.mercury.passes import PassAccountant
 from repro.mercury.station import MercuryStation
+from repro.mercury.trees import uses_split_components
+from repro.obs import events as ev
 from repro.obs.sinks import PhaseSink, PhaseSnapshot, SummaryStat
 
 YEAR_MINUTES = 365.0 * 24.0 * 60.0
+
+#: A rejuvenation round skips itself when a pass overlaps the next minute:
+#: longer than pbcom's ≈22 s restart, so a planned restart never bleeds
+#: into a pass (§5.2: downtime during a pass is the expensive kind).
+REJUVENATION_MARGIN_S = 60.0
 
 
 @dataclass
@@ -62,6 +74,12 @@ class AvailabilityResult:
     pass_received_bytes: float
     broken_links: int
     whole_passes_lost: int
+    #: pbcom crashes from fedr-disconnect aging (0 where nothing ages).
+    aging_crashes: int
+    #: Rejuvenation restarts the supervisor accepted.
+    proactive_restarts: int
+    #: Rejuvenation rounds skipped because a pass was in view.
+    rejuvenation_skipped: int
 
     def mttf(self, component: str) -> Optional[float]:
         """Table 1's observed MTTF: uptime / arrivals (None without any)."""
@@ -94,6 +112,44 @@ class AvailabilityResult:
         return (1.0 - self.availability) * YEAR_MINUTES
 
 
+def pass_in_view(windows: Sequence[PassWindow], now: float) -> bool:
+    """Whether a pass is in progress at ``now`` or starts within
+    :data:`REJUVENATION_MARGIN_S` of it."""
+    horizon = now + REJUVENATION_MARGIN_S
+    return any(window.end > now and window.start < horizon for window in windows)
+
+
+class _Rejuvenation:
+    """Every ``period`` s (±5 %), a proactive restart of the cell covering
+    the aging victim, skipped while a pass is in view.  The supervisor
+    refuses a round while it is recovering; that round is simply lost."""
+
+    def __init__(
+        self, station: MercuryStation, windows: Sequence[PassWindow], period: float
+    ) -> None:
+        self.kernel = station.kernel
+        self.request_restart = station.abstract_supervisor.request_restart
+        self.cell = station.tree.minimal_cell_covering([station.aging.victim])
+        self.windows = windows
+        self.period = period
+        self._rng = self.kernel.rngs.stream("rejuvenation.jitter")
+        self.restarts = 0
+        self.skipped = 0
+        self._schedule()
+
+    def _schedule(self) -> None:
+        jitter = 0.05 * self.period
+        self.kernel.schedule_after(self.period + self._rng.uniform(-jitter, jitter), self._round)
+
+    def _round(self) -> None:
+        self._schedule()
+        if pass_in_view(self.windows, self.kernel.now):
+            self.skipped += 1
+        elif self.request_restart(self.cell, "rejuvenation"):
+            self.restarts += 1
+            self.kernel.trace.emit("rejuvenation", ev.PROACTIVE_RESTART, cell=self.cell)
+
+
 def measure_availability(
     tree: RestartTree,
     horizon_s: float,
@@ -102,6 +158,7 @@ def measure_availability(
     oracle: str = "perfect",
     sinks: Sequence = (),
     snapshot: bool = True,
+    rejuvenation_period_s: float = 0.0,
 ) -> AvailabilityResult:
     """Run steady-state faults for ``horizon_s`` and account availability,
     lifetimes and the downlink of every pass that starts and ends inside
@@ -115,9 +172,21 @@ def measure_availability(
     Station setup goes through the warmed-station snapshot cache; the
     warm point is the end of the 120 s boot settle, so the horizon does
     not enter the shape and one template serves every horizon length.
+
+    ``rejuvenation_period_s`` > 0 turns rejuvenation on (0 = off); trees I
+    and II have no pbcom, so nothing to rejuvenate, and refuse it.
     """
     if not 0 < horizon_s < math.inf:
         raise ExperimentError(f"horizon must be positive and finite: {horizon_s!r}")
+    if not 0 <= rejuvenation_period_s < math.inf:
+        raise ExperimentError(
+            f"rejuvenation_period_s must be >= 0 and finite: {rejuvenation_period_s!r}"
+        )
+    if rejuvenation_period_s and not uses_split_components(tree):
+        raise ExperimentError(
+            f"rejuvenation_period_s={rejuvenation_period_s!r}: tree {tree.name!r} "
+            "has no pbcom, so nothing ages"
+        )
 
     def build(boot_seed: int) -> MercuryStation:
         return MercuryStation(
@@ -157,8 +226,13 @@ def measure_availability(
     ]
     downlink = PassAccountant(station, windows).summary
     arrived = dict(steady.arrivals)
+    aging = station.aging
+    aged_out = aging.aged_out_count if aging is not None else 0
     phases = PhaseSink()
     station.kernel.trace.add_sink(phases)
+    rejuvenation = (
+        _Rejuvenation(station, windows, rejuvenation_period_s) if rejuvenation_period_s else None
+    )
     for sink in sinks:
         station.kernel.trace.add_sink(sink)
     tracker = UptimeTracker(station.manager, station.station_components)
@@ -187,4 +261,7 @@ def measure_availability(
         pass_received_bytes=downlink.total_received_bytes,
         broken_links=downlink.broken_links,
         whole_passes_lost=downlink.whole_passes_lost,
+        aging_crashes=aging.aged_out_count - aged_out if aging is not None else 0,
+        proactive_restarts=rejuvenation.restarts if rejuvenation else 0,
+        rejuvenation_skipped=rejuvenation.skipped if rejuvenation else 0,
     )

@@ -298,7 +298,7 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "tree", "horizon_s"),
         run=_run_availability,
         decode=_decode_availability,
-        version=2,
+        version=3,
     ),
     "chaos": Kind(
         reads=(

@@ -77,6 +77,54 @@ def test_dead_rec_refuses_proactive_restart(station):
     assert station.trace.first("restart_ordered", trigger="rejuvenation")
 
 
+def test_proactive_restart_via_rec(station):
+    accepted = station.rec.request_restart("R_rtu", reason="rejuvenation")
+    assert accepted
+    station.run_for(10.0)
+    assert station.manager.get("rtu").start_count == 2
+    # No failure was ever injected or detected; FD stayed quiet.
+    assert station.trace.filter(kind="detection") == []
+    order = station.trace.first("restart_ordered")
+    assert order.data["trigger"] == "rejuvenation"
+
+
+def test_proactive_restart_rejected_while_busy(station):
+    station.injector.inject_simple("pbcom")
+    station.run_for(2.0)  # joint restart in flight (~22s)
+    assert not station.rec.request_restart("R_rtu")
+
+
+def test_proactive_restart_rejected_when_member_down(station):
+    station.injector.inject_simple("rtu")
+    station.run_for(0.2)  # not yet detected, but already down
+    assert not station.rec.request_restart("R_rtu")
+    station.run_until_quiescent()
+
+
+def test_rejuvenation_resets_pbcom_age(station):
+    """The Mercury payoff: a proactive pbcom restart resets disconnect age."""
+    station.aging._threshold = 100  # keep pbcom from aging out mid-test
+    for _ in range(3):
+        failure = station.injector.inject_simple("fedr")
+        station.run_until_recovered(failure)
+        station.run_until_quiescent()
+    assert station.aging.age == 3
+    assert station.rec.request_restart("R_fedr_pbcom", reason="rejuvenation")
+    station.run_for(30.0)
+    assert station.aging.age == 0
+    assert station.all_station_running()
+
+
+def test_abstract_supervisor_proactive_restart():
+    station = MercuryStation(tree=tree_v(), seed=102, supervisor="abstract")
+    station.manager.start_all(station.station_components)
+    station.kernel.run(until=60.0)
+    assert station.abstract_supervisor.request_restart("R_rtu", "rejuvenation")
+    station.run_for(10.0)
+    assert station.manager.get("rtu").start_count == 2
+    assert station.all_station_running()
+
+
 # ----------------------------------------------------------------------
 # FD/REC mutual recovery (§2.2's special cases)
 # ----------------------------------------------------------------------

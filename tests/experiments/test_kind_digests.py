@@ -13,6 +13,12 @@ fails until the kind is recaptured::
         --recapture availability
 
 The test and the recapture share :func:`_digest`.
+
+A named tree enters a cache key by its label alone, so
+``tree_fingerprints.json`` pins each ``TREE_BUILDERS`` entry's
+``tree_fingerprint``: editing a builder fails until every kind's version
+is bumped and both tables are recaptured (``--recapture`` with every kind
+re-pins the trees too).
 """
 
 import hashlib
@@ -23,9 +29,12 @@ import pathlib
 import pytest
 
 from repro.experiments.runner import KINDS, execute_cell, plan_cell
+from repro.experiments.snapshot import tree_fingerprint
+from repro.mercury.trees import TREE_BUILDERS
 
 _ROOT = pathlib.Path(__file__).resolve().parents[2]
 _TABLE_PATH = pathlib.Path(__file__).with_name("kind_payload_digests.json")
+_TREES_PATH = pathlib.Path(__file__).with_name("tree_fingerprints.json")
 _spec = importlib.util.spec_from_file_location(
     "check_determinism", _ROOT / "tools" / "check_determinism.py"
 )
@@ -40,6 +49,18 @@ def _digest(kind: str) -> str:
     cell = plan_cell(kind, _gate.CHAOS_SEED, **_gate.SAMPLES[kind])
     payload = json.dumps(execute_cell(cell), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _tree_fingerprints():
+    return {label: tree_fingerprint(build()) for label, build in TREE_BUILDERS.items()}
+
+
+def test_every_tree_builder_is_pinned():
+    pinned = json.loads(_TREES_PATH.read_text(encoding="utf-8"))
+    assert _tree_fingerprints() == pinned, (
+        "a tree builder changed, and cached cells key it by label only: bump "
+        "every KINDS version, then --recapture every kind"
+    )
 
 
 def test_every_kind_is_pinned():
@@ -67,6 +88,10 @@ def _recapture(kinds):
         _TABLE[kind] = {"version": KINDS[kind].version, "sha256": _digest(kind)}
         print(f"recaptured {kind}")
     _TABLE_PATH.write_text(json.dumps(_TABLE, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    if set(kinds) == set(KINDS):
+        trees = json.dumps(_tree_fingerprints(), indent=1, sort_keys=True) + "\n"
+        _TREES_PATH.write_text(trees, encoding="utf-8")
+        print("recaptured the tree fingerprints")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,17 @@
 """Tests for the steady-state cell: Table 1 lifetimes, availability and
 §5.2 passes, all from ``measure_availability``."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.availability import measure_availability
+from repro.experiments.availability import _Rejuvenation, measure_availability, pass_in_view
 from repro.mercury.config import PAPER_CONFIG
+from repro.mercury.orbit import PassWindow
+from repro.mercury.station import MercuryStation
 from repro.mercury.trees import TREE_BUILDERS, tree_i, tree_ii, tree_v
+from repro.obs.sinks import MetricsSink
 
 DAY = 86400.0
 
@@ -112,10 +117,9 @@ def test_availability_is_the_same_whoever_else_listens(label):
     beside it (``MetricsSink`` — the sink the run itself used to attach —
     or the determinism gate's JSONL stream) brings every record back.  The
     result must not notice."""
-    import dataclasses
     import io
 
-    from repro.obs.sinks import JsonlSink, MetricsSink
+    from repro.obs.sinks import JsonlSink
 
     alone = measure_availability(TREE_BUILDERS[label](), horizon_s=DAY / 2, seed=77)
     everything = MetricsSink()
@@ -133,3 +137,82 @@ def test_availability_is_the_same_whoever_else_listens(label):
     # The neighbours really saw the kinds nobody else reads.
     assert everything.count("process_start") > 0
     assert stream.getvalue().count("\n") == sum(everything.counters.values())
+
+
+def test_rejuvenation_rounds_run_and_are_counted():
+    """Each round is a restart of ``R_fedr_pbcom``, a skip with a pass in
+    view, or a refusal by a recovering supervisor; the restarts reset
+    pbcom's age and cost outages."""
+    horizon, period = DAY / 2, 600.0
+    reactive = measure_availability(tree_v(), horizon_s=horizon, seed=78)
+    planned = measure_availability(
+        tree_v(), horizon_s=horizon, seed=78, rejuvenation_period_s=period
+    )
+    rounds = planned.proactive_restarts + planned.rejuvenation_skipped
+    assert rounds <= horizon / (0.95 * period)  # ±5 % jitter
+    assert planned.proactive_restarts > horizon / (1.05 * period) / 2
+    assert planned.rejuvenation_skipped > 0  # passes fall inside 12 h
+    assert planned.aging_crashes < reactive.aging_crashes
+    assert planned.outages > reactive.outages
+    assert planned.availability < reactive.availability
+
+
+def test_no_rejuvenation_round_at_period_zero():
+    """Period 0, the default, runs no round: nothing is counted, no
+    ``proactive_restart`` record is emitted, and the result is the
+    reactive cell's."""
+    horizon = DAY / 4
+    default = measure_availability(tree_v(), horizon_s=horizon, seed=78)
+    everything = MetricsSink()
+    off = measure_availability(
+        tree_v(), horizon_s=horizon, seed=78, rejuvenation_period_s=0.0, sinks=[everything]
+    )
+    assert off.proactive_restarts == off.rejuvenation_skipped == 0
+    assert everything.count("proactive_restart") == 0
+    assert everything.count("process_start") > 0
+    assert dataclasses.asdict(off) == dataclasses.asdict(default)
+
+
+def test_a_round_with_a_pass_in_view_is_skipped():
+    """With a pass in view all along, every round skips itself and the
+    aging victim's cell is never restarted."""
+    station = MercuryStation(tree=tree_v(), seed=102, supervisor="abstract")
+    station.manager.start_all(station.station_components)
+    station.kernel.run(until=60.0)
+    always = [PassWindow("opal", start=0.0, duration=1e6, max_elevation_deg=60.0)]
+    rounds = _Rejuvenation(station, always, period=20.0)
+    station.run_for(100.0)
+    assert rounds.restarts == 0
+    assert rounds.skipped >= 4
+    assert station.manager.get("pbcom").start_count == 1
+    assert station.all_station_running()
+
+
+def test_pass_in_view_window_table():
+    """The rule: skip when a pass is in progress or starts within 60 s."""
+    windows = [
+        PassWindow("opal", start=100.0, duration=600.0, max_elevation_deg=60.0),
+        PassWindow("opal", start=2000.0, duration=600.0, max_elevation_deg=60.0),
+    ]
+    assert not pass_in_view(windows, 0.0)   # pass starts at 100, margin ends at 60
+    assert pass_in_view(windows, 50.0)      # pass would start inside the margin
+    assert pass_in_view(windows, 300.0)     # mid-pass
+    assert not pass_in_view(windows, 800.0)  # between passes, next one far away
+    assert pass_in_view(windows, 1950.0)    # second pass imminent
+    assert not pass_in_view(windows, 2700.0)  # after the last pass
+
+
+@pytest.mark.parametrize("period", [-1.0, float("nan"), float("inf")])
+def test_bad_rejuvenation_period_rejected(period):
+    with pytest.raises(ExperimentError, match="rejuvenation_period_s"):
+        measure_availability(tree_v(), horizon_s=DAY, rejuvenation_period_s=period)
+
+
+@pytest.mark.parametrize("label", ["I", "II"])
+def test_rejuvenation_refused_where_nothing_ages(label):
+    """Trees I and II have no pbcom: no disconnect aging to rejuvenate."""
+    with pytest.raises(ExperimentError, match="rejuvenation_period_s"):
+        measure_availability(
+            TREE_BUILDERS[label](), horizon_s=DAY, rejuvenation_period_s=1800.0
+        )
+    assert measure_availability(TREE_BUILDERS[label](), horizon_s=1.0).aging_crashes == 0

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from collections.abc import Mapping
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.experiments.runner import (
     run_recovery_matrix,
     run_suite,
 )
-from repro.mercury.config import PAPER_CONFIG
+from repro.mercury.config import PAPER_CONFIG, StationConfig
 from repro.mercury.trees import tree_ii
 
 TRIALS = 3  # tiny: these tests exercise plumbing, not statistics
@@ -168,6 +169,40 @@ def test_config_fingerprint_tracks_field_changes():
     base = config_fingerprint(PAPER_CONFIG)
     assert config_fingerprint(PAPER_CONFIG) == base
     assert config_fingerprint(PAPER_CONFIG.with_overrides(ping_period=2.0)) != base
+
+
+def _another(value):
+    """A value of the same shape as ``value`` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-changed"
+    if isinstance(value, tuple):
+        return value[:-1]
+    if dataclasses.is_dataclass(value):
+        first = dataclasses.fields(value)[0].name
+        return dataclasses.replace(value, **{first: _another(getattr(value, first))})
+    if isinstance(value, Mapping):
+        first = sorted(value)[0]
+        return {**value, first: _another(value[first])}
+    raise TypeError(f"no rule to change a {type(value).__name__}")
+
+
+def test_every_config_field_keys_the_cache():
+    """Each ``StationConfig`` field, changed alone, moves every kind's key:
+    a cell can never be served a result computed under another config."""
+    unkeyed = []
+    for spec in dataclasses.fields(StationConfig):
+        value = getattr(PAPER_CONFIG, spec.name)
+        changed = PAPER_CONFIG.with_overrides(**{spec.name: _another(value)})
+        assert getattr(changed, spec.name) != value, spec.name
+        for kind in KINDS:
+            cell = CampaignCell(kind=kind, tree="V", seed=1)
+            if cache_key(cell, changed) == cache_key(cell, PAPER_CONFIG):
+                unkeyed.append((spec.name, kind))
+    assert unkeyed == []
 
 
 def _one_entry_cache(directory, seed=9):

@@ -16,6 +16,14 @@ def test_trees_renders_all(capsys):
     assert "R_fedr_pbcom" in out
 
 
+def test_trees_renders_the_live_architecture(capsys):
+    assert main(["trees"]) == 0
+    out = capsys.readouterr().out
+    live = out.split("Live connections:", 1)[1]
+    assert "fedr <-TCP-> pbcom" in live
+    assert "fd <-TCP-> rec" in live
+
+
 def test_recovery_command(capsys):
     assert main(["recovery", "--component", "rtu", "--trials", "3"]) == 0
     out = capsys.readouterr().out

@@ -23,11 +23,8 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Unreached modules, each with its owner.  This is the to-do list of
-#: ROADMAP items 5(a), 7 and 11(c): a module leaves when its item wires it
-#: in.
+#: ROADMAP item 5(a): a module leaves when its item wires it in.
 ISLAND_MODULES = {
-    "repro.core.rejuvenation": "item 7: pass-aware rejuvenation campaigns",
-    "repro.mercury.architecture": "item 11(c): `render_architecture` under `repro trees`",
     "repro.experiments.timeline": "item 5(a): the seed of `repro explain`",
 }
 
@@ -49,6 +46,7 @@ ISLAND_NAMES = {
     "repro.faults.failure.register_failure_kind": "library API: the extension point Failure's own error message names",
     "repro.obs.events.set_validation": "test-side API: REPRO_OBS_VALIDATE without the environment",
     "repro.obs.events.validation_enabled": "test-side API: reads the switch set_validation sets",
+    "repro.obs.sinks.CallbackSink": "test-side API: four test suites watch a trace with it",
     "repro.obs.spans.episodes_from_trace": "item 5(a): `repro explain` rebuilds episodes from a captured trace with it",
 }
 

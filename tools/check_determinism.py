@@ -13,9 +13,10 @@ leg runs one cell more than once and byte-compares what came out:
   the network fault fabric's per-link RNG streams plus the adaptive
   detector; ``store-outage``: session-store crash/hang windows, torn and
   corrupt writes, strategy fallback) and one 4 h steady-state availability
-  run, each run twice with the same seed, comparing the full JSONL event
-  traces and the result payloads (the availability run must hold a whole
-  pass, so ses's in-pass tracking is among what is compared);
+  run with 30-minute rejuvenation, each run twice with the same seed,
+  comparing the full JSONL event traces and the result payloads (the
+  availability run must hold a whole pass and a proactive restart, so ses's
+  in-pass tracking and the rejuvenation round are among what is compared);
 * **snapshot-fork** — one storm campaign (FD/REC) and one availability
   run (abstract supervisor) restored from the warmed-station template vs.
   booted afresh (``snapshot=False``), traces and payloads: the
@@ -66,6 +67,7 @@ from repro.obs.sinks import JsonlSink, Sink
 CHAOS_SEED = 42
 AVAILABILITY_SEED = 7
 AVAILABILITY_HORIZON_S = 4.0 * 3600.0
+REJUVENATION_PERIOD_S = 1800.0
 
 #: A traced run: attaches the sinks it is given, returns its JSON payload.
 TracedRun = Callable[[Sequence[Sink]], str]
@@ -152,13 +154,17 @@ def _availability_run(**kwargs) -> TracedRun:
     return run
 
 
-def _holds_a_pass(payload: str) -> bool:
-    return json.loads(payload)["passes"] >= 1
+def _holds_a_pass_and_a_rejuvenation(payload: str) -> bool:
+    # Each proactive restart is one ``proactive_restart`` trace record.
+    result = json.loads(payload)
+    return result["passes"] >= 1 and result["proactive_restarts"] >= 1
 
 
 #: The same-seed trace leg: (name, what it is, the run, what it must cover).
 #: ses tracks only inside pass windows, so an availability run without a
-#: whole pass would never compare its tracking traffic.
+#: whole pass would never compare its tracking traffic.  The availability
+#: run rejuvenates; the snapshot-fork one below does not, so both paths
+#: are gated.
 TRACE_SCENARIOS = [
     ("chaos", "cascade on tree V, seed %d" % CHAOS_SEED, _chaos_run("cascade"), None),
     ("chaos-lossy", "lossy on tree V, seed %d" % CHAOS_SEED, _chaos_run("lossy"), None),
@@ -170,9 +176,13 @@ TRACE_SCENARIOS = [
     ),
     (
         "availability",
-        "tree V, %.0f h, seed %d" % (AVAILABILITY_HORIZON_S / 3600.0, AVAILABILITY_SEED),
-        _availability_run(),
-        ("a pass (ses's in-pass tracking)", _holds_a_pass),
+        "tree V, %.0f h, rejuvenation every %.0f s, seed %d"
+        % (AVAILABILITY_HORIZON_S / 3600.0, REJUVENATION_PERIOD_S, AVAILABILITY_SEED),
+        _availability_run(rejuvenation_period_s=REJUVENATION_PERIOD_S),
+        (
+            "a pass (ses's in-pass tracking) and a proactive restart",
+            _holds_a_pass_and_a_rejuvenation,
+        ),
     ),
 ]
 
