@@ -232,8 +232,8 @@ class RecoveryModule(Behavior):
         )
 
     def _arm_fd_deadline(self) -> None:
-        # Handle-free and never cancelled: a deadline that finds FD heard
-        # from since it was armed just re-arms from the newer stamp, so a
+        # Never cancelled: a deadline that finds FD heard from since it
+        # was armed just re-arms from the newer stamp, so a
         # healthy station pays one event every ``fd_grace`` seconds.
         # The incarnation fences a dead REC's deadline.
         self.kernel.schedule_at(

@@ -337,8 +337,7 @@ class FailureDetector(BusAttachedBehavior):
         # Hot loop: one ping per monitored component per second, sent back
         # to back, and one judgement for the whole round.  Pings go straight
         # from the wire template (no PingRequest object — ``send`` would
-        # produce the identical bytes via ``encode_message``); the judgement
-        # is scheduled handle-free: nothing ever cancels one.
+        # produce the identical bytes via ``encode_message``).
         pinged = []
         for component in self.monitored:
             if component in self._suppressed:

@@ -127,7 +127,12 @@ def _resolve_tree(label: str, trees: Optional[Mapping[str, RestartTree]]) -> Res
         return trees[label]
     from repro.mercury.trees import TREE_BUILDERS
 
-    return TREE_BUILDERS[label]()
+    builder = TREE_BUILDERS.get(label)
+    if builder is None:
+        raise ExperimentError(
+            f"cell sets tree={label!r}, which names no tree (have: {', '.join(TREE_BUILDERS)})"
+        )
+    return builder()
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +346,7 @@ def kind_of(cell: CampaignCell) -> Kind:
     that sets a field its kind does not read."""
     row = KINDS.get(cell.kind)
     if row is None:
-        raise ValueError(f"unknown campaign cell kind {cell.kind!r}")
+        raise ExperimentError(f"cell sets kind={cell.kind!r}, which is not a row of KINDS ({', '.join(KINDS)})")
     for name, default in _FIELD_DEFAULTS.items():
         value = getattr(cell, name)
         if name not in row.reads and value != default:
@@ -357,9 +362,22 @@ def execute_cell(
     """Run one cell to completion and return a JSON-serializable payload.
 
     This is the worker entry point — it must stay a module-level function
-    so ``ProcessPoolExecutor`` can pickle it by reference.
+    so ``ProcessPoolExecutor`` can pickle it by reference.  A read field
+    holding a value no run can use is rejected before any station boots.
     """
-    return kind_of(cell).run(cell, _resolve_tree(cell.tree, trees), config)
+    row = kind_of(cell)
+    # A workload cell's trials are its injected failures: 0 is steady traffic.
+    fewest = 0 if cell.kind == "workload" else 1
+    if "trials" in row.reads and cell.trials < fewest:
+        raise ExperimentError(f"cell sets trials={cell.trials!r}; kind {cell.kind!r} needs at least {fewest}")
+    if "supervisor" in row.reads and cell.supervisor not in ("full", "abstract"):
+        raise ExperimentError(f"cell sets supervisor={cell.supervisor!r}; a campaign runs 'full' or 'abstract'")
+    if "scenario" in row.reads:
+        from repro.chaos.scenarios import SCENARIOS
+
+        if cell.scenario not in SCENARIOS:
+            raise ExperimentError(f"cell sets scenario={cell.scenario!r}, which is not in SCENARIOS")
+    return row.run(cell, _resolve_tree(cell.tree, trees), config)
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,11 @@ supported:
     each membership change the pool banks accumulated progress and
     reschedules each startup's completion for ``remaining / rate(k)``
     seconds out.  The contention-model ablation bench compares the two.
+
+Nothing is cancelled: each scheduled completion carries a ticket from a
+pool-wide counter, stamped on its startup, and a completion whose startup
+is gone or holds a newer ticket (aborted, or re-timed by a membership
+change) returns without effect.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.errors import ProcessError
-from repro.sim.event import EventHandle
 from repro.types import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class _Startup:
     """Book-keeping for one in-flight startup."""
 
-    __slots__ = ("name", "remaining", "on_complete", "handle")
+    __slots__ = ("name", "remaining", "on_complete", "ticket")
 
     def __init__(
         self, name: str, work: float, on_complete: Callable[[], None]
@@ -53,7 +57,8 @@ class _Startup:
         self.name = name
         self.remaining = work
         self.on_complete = on_complete
-        self.handle: Optional[EventHandle] = None
+        #: The ticket of the one scheduled completion that may finish it.
+        self.ticket = 0
 
 
 class StartupContention:
@@ -73,6 +78,7 @@ class StartupContention:
         self.mode = mode
         self._active: Dict[str, _Startup] = {}
         self._last_update: SimTime = kernel.now
+        self._tickets = 0
 
     # ------------------------------------------------------------------
     # public API
@@ -116,33 +122,29 @@ class StartupContention:
             inflated = work * (1.0 + self.coefficient * (batch_size - 1))
             startup = _Startup(name, inflated, on_complete)
             self._active[name] = startup
-            startup.handle = self._kernel.call_after(inflated, self._complete_batch, name)
+            self._schedule(startup, inflated, self._complete_batch)
             return
         self._bank_progress()
         self._active[name] = _Startup(name, work, on_complete)
         self._reschedule_all()
 
-    def _complete_batch(self, name: str) -> None:
-        startup = self._active.pop(name, None)
-        if startup is None:
-            return  # aborted at the same instant
-        startup.on_complete()
+    def _complete_batch(self, name: str, ticket: int) -> None:
+        if not self._current(name, ticket):
+            return
+        self._active.pop(name).on_complete()
 
     def abort(self, name: str) -> None:
-        """Cancel an in-flight startup (the process was killed mid-start)."""
+        """Drop an in-flight startup (the process was killed mid-start);
+        its scheduled completion finds it gone and returns."""
         if name not in self._active:
             return
         if self.mode == "batch":
-            startup = self._active.pop(name)
-            if startup.handle is not None:
-                startup.handle.cancel()
+            del self._active[name]
             return
         # Bank at the old rate (the aborted startup was consuming a share
         # until this instant), then remove it and speed the others up.
         self._bank_progress()
-        startup = self._active.pop(name)
-        if startup.handle is not None:
-            startup.handle.cancel()
+        del self._active[name]
         self._reschedule_all()
 
     def is_starting(self, name: str) -> bool:
@@ -164,17 +166,29 @@ class StartupContention:
         for startup in self._active.values():
             startup.remaining = max(0.0, startup.remaining - elapsed * rate)
 
+    def _schedule(
+        self, startup: _Startup, eta: SimTime, complete: Callable[[str, int], None]
+    ) -> None:
+        """Schedule ``startup``'s completion ``eta`` seconds out under a
+        fresh ticket, which makes every completion scheduled before it
+        stale."""
+        self._tickets += 1
+        startup.ticket = self._tickets
+        self._kernel.schedule_after(eta, complete, startup.name, self._tickets)
+
+    def _current(self, name: str, ticket: int) -> bool:
+        """Whether a completion holding ``ticket`` may finish ``name``."""
+        startup = self._active.get(name)
+        return startup is not None and startup.ticket == ticket
+
     def _reschedule_all(self) -> None:
         rate = self.rate()
         for startup in self._active.values():
-            if startup.handle is not None:
-                startup.handle.cancel()
-            eta = startup.remaining / rate
-            startup.handle = self._kernel.call_after(eta, self._complete, startup.name)
+            self._schedule(startup, startup.remaining / rate, self._complete)
 
-    def _complete(self, name: str) -> None:
-        if name not in self._active:
-            return  # aborted at the same instant
+    def _complete(self, name: str, ticket: int) -> None:
+        if not self._current(name, ticket):
+            return
         # Bank first, while the completing startup still occupies its share.
         self._bank_progress()
         startup = self._active.pop(name)

@@ -14,22 +14,21 @@ Design notes
   same instant fire in FIFO order of scheduling, and all randomness flows
   through named :class:`~repro.sim.rng.RngRegistry` streams.
 * Everything is callback-driven: :meth:`Kernel.schedule_at` /
-  :meth:`Kernel.schedule_after` queue a callback (:meth:`Kernel.call_at` /
-  :meth:`Kernel.call_after` a cancellable one), and a repeating
-  activity re-arms itself from its own callback.  Sequential component
-  logic (a startup that negotiates with hardware) is a
-  :mod:`repro.procmgr` process, not a coroutine.
+  :meth:`Kernel.schedule_after` queue a callback, the kernel's one way to
+  queue an event.  A queued event always fires: an owner that may change
+  its mind has the callback check a ticket of its own and return when it
+  is stale, and a repeating activity re-arms itself from its own
+  callback.  Sequential component logic (a startup that negotiates with
+  hardware) is a :mod:`repro.procmgr` process, not a coroutine.
 """
 
 from repro.sim.clock import Clock
-from repro.sim.event import EventHandle
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "Clock",
-    "EventHandle",
     "Kernel",
     "RngRegistry",
     "Trace",

@@ -1,43 +1,44 @@
 """The discrete-event kernel: event queue, clock, and run loop.
 
 The kernel owns the :class:`~repro.sim.clock.Clock`, a binary heap of slab
-entries (see :mod:`repro.sim.event`), the shared
-:class:`~repro.sim.trace.Trace`, and the :class:`~repro.sim.rng.RngRegistry`.
-All higher layers (transport, processes, bus, detector, recoverer) are built
-from these four primitives.
+entries, the shared :class:`~repro.sim.trace.Trace`, and the
+:class:`~repro.sim.rng.RngRegistry`.  All higher layers (transport,
+processes, bus, detector, recoverer) are built from these four primitives.
 
-Queue layout and batched dispatch
+One scheduling primitive
+------------------------
+
+:meth:`Kernel.schedule_at` / :meth:`Kernel.schedule_after` queue
+``callback(*args)``; they return nothing, and a queued event always fires.
+An owner that may change its mind stamps the event with a ticket of its
+own and has the callback return when the ticket is stale (the process
+manager's startup completions, REC's fenced deadline, the workload plane's
+deadline lanes).  A repeating activity re-arms itself from its own
+callback.
+
+Slab storage and batched dispatch
 ---------------------------------
 
-The heap holds mutable ``[when, seq, payload]`` slab entries.  A payload is
-a single event (bare callable, ``(callback, args)`` tuple,
-:class:`~repro.sim.event.EventHandle`, or
-:class:`~repro.sim.event.RepeatHandle`) or a *bucket* — a plain list of
-same-instant events in FIFO order.
+The heap holds mutable three-slot **slab entries** ``[when, seq, payload]``,
+whose payload stores the event in its cheapest form:
+
+* a bare callable — a no-argument event;
+* a ``(callback, args)`` tuple — an event with arguments;
+* a ``list`` of the first two forms — a **bucket**: every event scheduled
+  for the same timestamp while that timestamp is the newest in the queue.
 
 Scheduling remembers the queue's newest entry (``_tail_when`` /
 ``_tail_entry``).  When another event is scheduled for exactly that
 timestamp — the dominant pattern on the transport hot path, where the FIFO
 arrival clamp collapses bursts of channel deliveries onto one instant — the
 event is appended to the tail entry's bucket in place: no heap push, no new
-entry, no handle allocation.  Dispatch then drains the whole bucket in one
+entry.  Entries are lists, not tuples, precisely so the payload slot can be
+promoted from a single event to a bucket without re-allocating or
+re-locating the heap entry.  Dispatch then drains the whole bucket in one
 pass, so a run of N same-instant events costs one heap pop instead of N
 push/pop pairs.  FIFO order is preserved because a bucket's append order
 extends the entry's sequence-number rank, and any *later* entry at the same
 timestamp carries a larger ``seq``.
-
-Three scheduling APIs, cheapest first:
-
-* :meth:`schedule_at` / :meth:`schedule_after` — fire-and-forget, returns
-  nothing, allocates no handle.  Internal hot paths (channel delivery,
-  detector judges) use this.
-* :meth:`schedule_interval` — a periodic timer re-armed by the dispatch
-  loop itself: one heap push per firing, zero per-firing allocation.
-* :meth:`call_at` / :meth:`call_after` / :meth:`call_soon` — for the
-  caller that keeps the handle: one :class:`EventHandle` per event, so the
-  event can be cancelled.  A caller that would drop it schedules handle-free.
-
-All three interleave arbitrarily with identical time/FIFO semantics.
 
 Running: :meth:`Kernel.run` drains the queue (optionally up to a time),
 :meth:`Kernel.run_until` does the same until a predicate holds, re-reading
@@ -53,12 +54,6 @@ from typing import Any, Callable, List, Optional
 
 from repro.errors import KernelStoppedError, SimulationError
 from repro.sim.clock import Clock
-from repro.sim.event import (
-    EventHandle,
-    RepeatHandle,
-    payload_live_item_count,
-    payload_live_items,
-)
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
 from repro.types import SimTime
@@ -76,8 +71,8 @@ class Kernel:
     -------
     >>> kernel = Kernel(seed=1)
     >>> fired = []
-    >>> _ = kernel.call_after(2.5, fired.append, "a")
-    >>> _ = kernel.call_after(1.0, fired.append, "b")
+    >>> kernel.schedule_after(2.5, fired.append, "a")
+    >>> kernel.schedule_after(1.0, fired.append, "b")
     >>> kernel.run()
     >>> fired
     ['b', 'a']
@@ -109,16 +104,11 @@ class Kernel:
         #: compares unequal to every float (including itself) through the
         #: fast float==float path, so invalidation needs no extra guard on
         #: the hot-path comparison.  Invalidated whenever the tail entry
-        #: leaves the heap or the heap is rebuilt.
+        #: leaves the heap.
         self._tail_when: SimTime = _NO_TAIL
         self._tail_entry: Optional[list] = None
-        #: Live (non-cancelled) events still queued; kept exact by the
-        #: schedulers, the run loop, and handle cancellation so
-        #: :attr:`pending_events` is O(1) instead of an O(n) sweep.
+        #: Events still queued: scheduled minus executed.
         self._live = 0
-        #: Cancelled handles still sitting in the queue, awaiting either a
-        #: lazy skip at dispatch or a bulk compaction.
-        self._cancelled_in_queue = 0
         #: Number of callbacks executed so far (diagnostics / benchmarks).
         self.events_executed = 0
 
@@ -132,16 +122,14 @@ class Kernel:
         return self.clock.now
 
     # ------------------------------------------------------------------
-    # scheduling — no-handle fast path
+    # scheduling
     # ------------------------------------------------------------------
 
     def schedule_at(self, when: SimTime, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule ``callback(*args)`` at ``when``; no cancellation handle.
+        """Schedule ``callback(*args)`` at ``when``.
 
-        The hot-path scheduler: events land as a bare callable (or a
-        ``(callback, args)`` tuple) in a slab entry, and same-instant events
-        share one bucket.  Use :meth:`call_at` when the event may need to be
-        cancelled.
+        The event lands as a bare callable (or a ``(callback, args)`` tuple)
+        in a slab entry, and same-instant events share one bucket.
         """
         payload = (callback, args) if args else callback
         if when == self._tail_when:
@@ -170,7 +158,7 @@ class Kernel:
         self._live += 1
 
     def schedule_after(self, delay: SimTime, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule ``callback(*args)`` after ``delay``; no handle."""
+        """Schedule ``callback(*args)`` after ``delay``."""
         when = self.clock._now + delay
         payload = (callback, args) if args else callback
         if when == self._tail_when:
@@ -194,111 +182,27 @@ class Kernel:
         self._tail_entry = entry
         self._live += 1
 
-    def schedule_interval(self, interval: SimTime, callback: Callable[[], None]) -> RepeatHandle:
-        """Arm a periodic timer: ``callback()`` every ``interval`` seconds.
+    def schedule_interval(self, interval: SimTime, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` every ``interval`` seconds, first at ``now +
+        interval``, for as long as the kernel runs.
 
-        First firing is at ``now + interval``.  The dispatch loop re-arms
-        the timer in place (same slab entry, same sequence number), so a
-        periodic hot loop costs one heap push per firing and no allocation.
-        Returns a :class:`RepeatHandle`; cancelling it stops the timer.
+        Kept only for the kernel dispatch driver in ``bench/drivers.py``;
+        ROADMAP item 1(c) re-points that driver to :meth:`schedule_after`
+        and deletes this method.
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval!r}")
-        if self._stopped:
-            raise KernelStoppedError("kernel has been stopped; cannot schedule")
-        handle = RepeatHandle(interval, callback, self)
-        seq = self._seq
-        self._seq = seq + 1
-        entry = [self.clock._now + interval, seq, handle]
-        heapq.heappush(self._queue, entry)
-        # Repeat entries must never receive bucket appends (the dispatch
-        # loop re-arms them whole), so they cannot serve as the tail.
-        self._tail_when = _NO_TAIL
-        self._tail_entry = None
-        self._live += 1
-        return handle
+        self.schedule_after(interval, self._repeat, interval, callback)
 
-    # ------------------------------------------------------------------
-    # scheduling — cancellable handles
-    # ------------------------------------------------------------------
-
-    def call_at(self, when: SimTime, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run at absolute time ``when``."""
-        if self._stopped:
-            raise KernelStoppedError("kernel has been stopped; cannot schedule")
-        if when < self.clock._now:
-            raise SimulationError(
-                f"cannot schedule event at {when!r}, now is {self.now!r}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(when, seq, callback, args, self)
-        if when == self._tail_when:
-            tail = self._tail_entry
-            bucket = tail[2]
-            if bucket.__class__ is _LIST:
-                bucket.append(handle)
-            else:
-                tail[2] = [bucket, handle]
-        else:
-            entry = [when, seq, handle]
-            heapq.heappush(self._queue, entry)
-            self._tail_when = when
-            self._tail_entry = entry
-        self._live += 1
-        return handle
-
-    def call_after(self, delay: SimTime, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self.call_at(self.clock._now + delay, callback, *args)
-
-    def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at the current instant (FIFO order)."""
-        return self.call_at(self.clock._now, callback, *args)
+    def _repeat(self, interval: SimTime, callback: Callable[[], None]) -> None:
+        # Re-armed before the callback runs, so the next firing ranks ahead
+        # of anything the callback schedules for the same instant.
+        self.schedule_after(interval, self._repeat, interval, callback)
+        callback()
 
     # ------------------------------------------------------------------
     # run loop
     # ------------------------------------------------------------------
-
-    def _note_cancel(self) -> None:
-        """Bookkeeping for handle cancellation (kernel-internal).
-
-        Adjusts the live/cancelled counters and, when cancelled handles
-        dominate the queue, compacts it in one O(n) pass instead of paying a
-        lazy skip per stale event on every subsequent dispatch.
-        """
-        self._live -= 1
-        self._cancelled_in_queue += 1
-        if self._cancelled_in_queue > 64 and self._cancelled_in_queue > self._live:
-            # In-place slice assignment keeps the list identity stable: the
-            # run loop may hold a reference to the same list object.
-            kept = []
-            for entry in self._queue:
-                payload = entry[2]
-                if payload.__class__ is _LIST:
-                    live = payload_live_items(payload)
-                    if live:
-                        entry[2] = live if len(live) > 1 else live[0]
-                        kept.append(entry)
-                elif payload_live_item_count(payload):
-                    kept.append(entry)
-            self._queue[:] = kept
-            heapq.heapify(self._queue)
-            self._cancelled_in_queue = 0
-            self._tail_when = _NO_TAIL
-            self._tail_entry = None
-
-    def _drop_cancelled(self) -> None:
-        """Decrement the stale counter without letting it go negative.
-
-        A compaction triggered from inside a bucket drain resets the counter
-        while cancelled items may still sit in the (already popped) bucket;
-        flooring at zero keeps the compaction threshold meaningful.
-        """
-        if self._cancelled_in_queue > 0:
-            self._cancelled_in_queue -= 1
 
     def step(self) -> bool:
         """Execute the next pending event; return False if queue is empty.
@@ -309,75 +213,28 @@ class Kernel:
         read per event.
         """
         queue = self._queue
-        push = heapq.heappush
-        while queue:
-            entry = heapq.heappop(queue)
-            when = entry[0]
-            if when == self._tail_when:
-                self._tail_when = _NO_TAIL
-                self._tail_entry = None
-            payload = entry[2]
-            cls = payload.__class__
-            if cls is _LIST:
-                index = 0
-                n = len(payload)
-                while index < n:
-                    item = payload[index]
-                    index += 1
-                    icls = item.__class__
-                    if icls is EventHandle:
-                        if item.cancelled:
-                            self._drop_cancelled()
-                            continue
-                        item._owner = None
-                        callback, args = item.callback, item.args
-                    elif icls is _TUPLE:
-                        callback, args = item
-                    else:
-                        callback, args = item, ()
-                    if index < n:
-                        # Remaining same-instant events go back as one entry
-                        # keeping the original seq, so FIFO rank survives.
-                        entry[2] = payload[index:] if n - index > 1 else payload[index]
-                        push(queue, entry)
-                    self._live -= 1
-                    self.clock.advance_to(when)
-                    self.events_executed += 1
-                    callback(*args)
-                    return True
-                continue  # every bucket item was cancelled
-            if cls is RepeatHandle:
-                if payload.cancelled:
-                    self._drop_cancelled()
-                    continue
-                self.clock.advance_to(when)
-                self.events_executed += 1
-                payload.callback()
-                if payload.cancelled:
-                    # Cancelled from its own callback: the entry already left
-                    # the queue, so cancel's stale-entry count is phantom;
-                    # its live decrement stands (the timer is gone).
-                    self._drop_cancelled()
-                    return True
-                entry[0] = when + payload.interval
-                push(queue, entry)
-                return True
-            if cls is EventHandle:
-                if payload.cancelled:
-                    self._drop_cancelled()
-                    continue
-                payload._owner = None
-                callback, args = payload.callback, payload.args
-            elif cls is _TUPLE:
-                callback, args = payload
-            else:
-                callback, args = payload, ()
-            self._live -= 1
-            self.clock.advance_to(when)
-            self.events_executed += 1
-            callback(*args)
-            return True
-        return False
+        if not queue:
+            return False
+        entry = heapq.heappop(queue)
+        when = entry[0]
+        if when == self._tail_when:
+            self._tail_when = _NO_TAIL
+            self._tail_entry = None
+        payload = entry[2]
+        if payload.__class__ is _LIST:
+            # The rest of the bucket (a bucket holds two or more events) goes
+            # back as one entry keeping the original seq, so FIFO rank survives.
+            entry[2] = payload[1:] if len(payload) > 2 else payload[1]
+            heapq.heappush(queue, entry)
+            payload = payload[0]
+        self._live -= 1
+        self.clock.advance_to(when)
+        self.events_executed += 1
+        if payload.__class__ is _TUPLE:
+            payload[0](*payload[1])
+        else:
+            payload()
+        return True
 
     def run(self, until: Optional[SimTime] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
@@ -425,11 +282,7 @@ class Kernel:
                     return False
                 if not self._halt:
                     # Not woken: drained, or only later events remain.
-                    if (
-                        until is not None
-                        and self.clock._now < until
-                        and self.peek_next_time() is not None
-                    ):
+                    if until is not None and self.clock._now < until and self._queue:
                         self.clock.advance_to(until)
                     return False
             return True
@@ -459,12 +312,11 @@ class Kernel:
         so heap order guarantees monotonicity.
         """
         self._running = True
-        queue = self._queue  # identity is stable (compaction mutates in place)
+        queue = self._queue
         pop = heapq.heappop
         push = heapq.heappush
         clock = self.clock
         executed = 0
-        repeats = 0
         try:
             while queue:
                 entry = pop(queue)
@@ -477,32 +329,22 @@ class Kernel:
                     break
                 if when == self._tail_when:
                     self._tail_when = _NO_TAIL
+                clock._now = when
                 payload = entry[2]
                 cls = payload.__class__
                 if cls is _TUPLE:
-                    clock._now = when
                     executed += 1
                     payload[0](*payload[1])
                 elif cls is _LIST:
-                    clock._now = when
                     index = 0
                     n = len(payload)
                     while index < n:
                         item = payload[index]
                         index += 1
-                        icls = item.__class__
-                        if icls is _TUPLE:
-                            executed += 1
+                        executed += 1
+                        if item.__class__ is _TUPLE:
                             item[0](*item[1])
-                        elif icls is EventHandle:
-                            if item.cancelled:
-                                self._drop_cancelled()
-                                continue
-                            item._owner = None
-                            executed += 1
-                            item.callback(*item.args)
                         else:
-                            executed += 1
                             item()
                         if self._halt and index < n:
                             entry[2] = (
@@ -510,38 +352,12 @@ class Kernel:
                             )
                             push(queue, entry)
                             break
-                elif cls is RepeatHandle:
-                    if payload.cancelled:
-                        self._drop_cancelled()
-                        continue
-                    clock._now = when
-                    executed += 1
-                    repeats += 1
-                    payload.callback()
-                    if payload.cancelled:
-                        # Cancelled from its own callback: the entry already
-                        # left the queue, so cancel's stale-entry count is
-                        # phantom; its live decrement stands (timer is gone)
-                        # and the repeat accounting above nets to zero.
-                        self._drop_cancelled()
-                        continue
-                    entry[0] = when + payload.interval
-                    push(queue, entry)
-                elif cls is EventHandle:
-                    if payload.cancelled:
-                        self._drop_cancelled()
-                        continue
-                    payload._owner = None
-                    clock._now = when
-                    executed += 1
-                    payload.callback(*payload.args)
                 else:  # bare callable
-                    clock._now = when
                     executed += 1
                     payload()
         finally:
             self.events_executed += executed
-            self._live -= executed - repeats
+            self._live -= executed
             self._running = False
 
     def _run_bounded(self, until: Optional[SimTime], max_events: int) -> None:
@@ -581,28 +397,13 @@ class Kernel:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued; O(1)."""
+        """Number of events still queued; O(1)."""
         return self._live
 
     def peek_next_time(self) -> Optional[SimTime]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
+        """Time of the next event, or ``None`` if the queue is empty."""
         queue = self._queue
-        while queue:
-            entry = queue[0]
-            payload = entry[2]
-            live = payload_live_item_count(payload)
-            if live:
-                return entry[0]
-            if entry is self._tail_entry:
-                self._tail_when = _NO_TAIL
-                self._tail_entry = None
-            heapq.heappop(queue)
-            if payload.__class__ is _LIST:
-                for _ in payload:
-                    self._drop_cancelled()
-            else:
-                self._drop_cancelled()
-        return None
+        return queue[0][0] if queue else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

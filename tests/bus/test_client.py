@@ -83,7 +83,7 @@ def test_retry_until_bus_appears(kernel, network, manager):
     manager.spawn(
         ProcessSpec("mbus", constant_work(0.5), lambda p: BusBroker(p, network, "mbus:7000"))
     )
-    kernel.call_after(2.0, manager.start, "mbus")
+    kernel.schedule_after(2.0, manager.start, "mbus")
     kernel.run(until=5.0)
     assert client.connected
 

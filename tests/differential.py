@@ -335,7 +335,7 @@ def _polling_redial(self: Network, client_name, address, interval, callback) -> 
     """``Network.redial`` as the four dial loops scheduled their next
     attempt before tickets: a timer, whatever the reason for the refusal —
     so a loop facing an unbound address polls it once per ``interval``."""
-    self.kernel.call_after(interval, callback)
+    self.kernel.schedule_after(interval, callback)
 
 
 @contextmanager

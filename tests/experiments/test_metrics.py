@@ -41,7 +41,7 @@ def test_uptime_tracker_counts_uptime_and_failures(kernel, manager):
     t0 = kernel.now
     kernel.run(until=t0 + 10.0)
     manager.fail("a")
-    kernel.call_after(5.0, manager.restart, ["a"])
+    kernel.schedule_after(5.0, manager.restart, ["a"])
     kernel.run(until=t0 + 30.0)
     tracker.finalize()
     assert tracker.failures_of("a") == 1
@@ -60,10 +60,10 @@ def test_uptime_tracker_system_view(kernel, manager):
     tracker = UptimeTracker(manager, ["a", "b"])
     t0 = kernel.now
     manager.fail("a")
-    kernel.call_after(2.0, manager.restart, ["a"])
+    kernel.schedule_after(2.0, manager.restart, ["a"])
     kernel.run(until=t0 + 10.0)
     manager.fail("b")
-    kernel.call_after(1.0, manager.restart, ["b"])
+    kernel.schedule_after(1.0, manager.restart, ["b"])
     kernel.run(until=t0 + 20.0)
     tracker.finalize()
     assert tracker.system_outages == 2
@@ -80,7 +80,7 @@ def test_uptime_tracker_overlapping_outages_counted_once(kernel, manager):
     t0 = kernel.now
     manager.fail("a")
     manager.fail("b")  # overlapping with a's outage
-    kernel.call_after(3.0, manager.restart, ["a", "b"])
+    kernel.schedule_after(3.0, manager.restart, ["a", "b"])
     kernel.run(until=t0 + 10.0)
     tracker.finalize()
     assert tracker.system_outages == 1

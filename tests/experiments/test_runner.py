@@ -328,8 +328,54 @@ def test_cache_key_ignores_environment(monkeypatch):
 
 def test_unknown_cell_kind_rejected():
     cell = CampaignCell(kind="nonsense", tree="II", seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ExperimentError, match="kind='nonsense'"):
         run_campaign([cell])
+
+
+class _Ran(Exception):
+    """A cell reached its kind's ``run``, where its station boots."""
+
+
+def _refuse_runs(monkeypatch):
+    def refuse(*args):
+        raise _Ran()
+
+    for kind, row in KINDS.items():
+        monkeypatch.setitem(KINDS, kind, dataclasses.replace(row, run=refuse))
+
+
+#: Cell specs no run can use, each with the field its error must name.
+MALFORMED = [
+    (dict(kind="nope", tree="V"), "kind='nope'"),
+    (dict(kind="recovery", tree="VII", component="rtu", trials=1), "tree='VII'"),
+    (dict(kind="chaos", tree="V", scenario="no-such-scenario", trials=1), "scenario='no-such-scenario'"),
+    (dict(kind="recovery", tree="II", component="rtu", trials=-3), "trials=-3"),
+    (dict(kind="recovery", tree="II", component="rtu", trials=0), "trials=0"),
+    (dict(kind="chaos", tree="V", scenario="storm", trials=0), "trials=0"),
+    (dict(kind="workload", tree="V", failure_kind="crash", trials=-1), "trials=-1"),
+    (dict(kind="recovery", tree="II", component="rtu", trials=1, supervisor="none"), "supervisor='none'"),
+    (dict(kind="chaos", tree="V", scenario="storm", trials=1, supervisor="bogus"), "supervisor='bogus'"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, field", MALFORMED, ids=[f"{fields['kind']} {field}" for fields, field in MALFORMED]
+)
+def test_a_malformed_cell_spec_names_its_field_before_any_station_boots(
+    fields, field, monkeypatch
+):
+    _refuse_runs(monkeypatch)
+    with pytest.raises(ExperimentError, match=field):
+        execute_cell(CampaignCell(seed=1, **fields))
+
+
+def test_an_ad_hoc_tree_label_still_resolves(monkeypatch):
+    """``trees=`` maps a label no builder knows; the cell passes the spec
+    checks and reaches its station."""
+    _refuse_runs(monkeypatch)
+    cell = CampaignCell(kind="recovery", tree="VII", component="rtu", trials=1, seed=1)
+    with pytest.raises(_Ran):
+        execute_cell(cell, trees={"VII": tree_ii()})
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +496,7 @@ def test_a_malformed_cell_fails_before_any_cell_runs(tmp_path, monkeypatch, cach
     cache_dir = str(tmp_path) if cached else None
     good = CampaignCell(kind="recovery", tree="II", component="rtu", trials=1, seed=5)
     nonsense = CampaignCell(kind="nonsense", tree="II", seed=1)
-    with pytest.raises(ValueError, match="nonsense"):
+    with pytest.raises(ExperimentError, match="nonsense"):
         run_campaign([good, nonsense], cache_dir=cache_dir)
     fleet = CampaignCell(kind="fleet", tree="V", seed=1, fleet_size=2, component="rtu")
     with pytest.raises(ExperimentError, match="component='rtu'.*'fleet'"):

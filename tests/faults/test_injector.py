@@ -95,7 +95,7 @@ def test_steady_state_injects_at_configured_rate(kernel, manager):
     SteadyStateInjector(injector, {"s": Deterministic(10.0)})
     # Repair loop: restart whenever it fails.
     manager.subscribe(
-        lambda p, e: kernel.call_soon(manager.restart, ["s"]) if e == "down:SIGKILL" else None
+        lambda p, e: kernel.schedule_after(0.0, manager.restart, ["s"]) if e == "down:SIGKILL" else None
     )
     kernel.run(until=kernel.now + 100.0)
     # ~10s up + ~0.5s restart per cycle over 100s -> ~9 failures.
@@ -135,7 +135,7 @@ def test_exponential_steady_mttf_converges(kernel, manager):
     injector = FaultInjector(kernel, manager)
     SteadyStateInjector(injector, {"s": Exponential(50.0)})
     manager.subscribe(
-        lambda p, e: kernel.call_soon(manager.restart, ["s"]) if e == "down:SIGKILL" else None
+        lambda p, e: kernel.schedule_after(0.0, manager.restart, ["s"]) if e == "down:SIGKILL" else None
     )
     kernel.run(until=kernel.now + 20000.0)
     count = len(injector.history)

@@ -69,7 +69,7 @@ def test_shared_mode_late_joiner_slows_existing(kernel):
     pool = StartupContention(kernel, coefficient=0.5, mode="shared")
     done, make = complete_recorder(kernel)
     pool.begin("first", 4.0, make("first"))
-    kernel.call_after(2.0, pool.begin, "second", 4.0, make("second"))
+    kernel.schedule_after(2.0, pool.begin, "second", 4.0, make("second"))
     kernel.run()
     results = dict(done)
     # first: 2.0 done solo; remaining 2.0 at rate 2/3 -> finishes at 5.0.
@@ -82,7 +82,7 @@ def test_abort_prevents_completion(kernel):
     pool = StartupContention(kernel, coefficient=0.0, mode="batch")
     done, make = complete_recorder(kernel)
     pool.begin("a", 5.0, make("a"))
-    kernel.call_after(1.0, pool.abort, "a")
+    kernel.schedule_after(1.0, pool.abort, "a")
     kernel.run()
     assert done == []
     assert not pool.is_starting("a")
@@ -93,7 +93,7 @@ def test_abort_speeds_up_survivors_shared(kernel):
     done, make = complete_recorder(kernel)
     pool.begin("a", 4.0, make("a"))
     pool.begin("b", 4.0, make("b"))
-    kernel.call_after(2.0, pool.abort, "b")
+    kernel.schedule_after(2.0, pool.abort, "b")
     kernel.run()
     # a: 2s at rate 1/2 (1.0 banked), then 3.0 remaining solo -> 5.0.
     assert dict(done)["a"] == pytest.approx(5.0)
@@ -147,4 +147,36 @@ def test_active_count_tracks(kernel):
     pool.begin("b", 2.0, lambda: None)
     assert pool.active_count == 2
     kernel.run()
+    assert pool.active_count == 0
+
+
+def test_a_stale_completion_does_not_finish_a_restarted_startup(kernel):
+    """Abort ``a`` and begin it again inside the first startup's window:
+    the first completion (due at 5.0) holds a stale ticket and returns, so
+    only the second startup's own completion finishes ``a``."""
+    pool = StartupContention(kernel, coefficient=0.0, mode="batch")
+    done, make = complete_recorder(kernel)
+    pool.begin("a", 5.0, make("a"))
+    kernel.schedule_after(1.0, pool.abort, "a")
+    kernel.schedule_after(2.0, pool.begin, "a", 10.0, make("a"))
+    kernel.run(until=11.0)
+    assert done == [] and pool.is_starting("a")
+    kernel.run()
+    assert done == [("a", 12.0)]
+    assert not pool.is_starting("a")
+
+
+def test_shared_mode_membership_changes_complete_each_startup_once(kernel):
+    """Three startups, two joins: every join re-times the others, leaving
+    their earlier completions in the queue with stale tickets.  Each
+    ``on_complete`` fires exactly once, at the instant the cancelling pool
+    produced (c: 1.0 work from t=2 at rate 1/2 → 4.0; a and b then share
+    rate 2/3 and finish together at 6.0)."""
+    pool = StartupContention(kernel, coefficient=0.5, mode="shared")
+    done, make = complete_recorder(kernel)
+    pool.begin("a", 4.0, make("a"))
+    kernel.schedule_after(1.0, pool.begin, "b", 3.0, make("b"))
+    kernel.schedule_after(2.0, pool.begin, "c", 1.0, make("c"))
+    kernel.run()
+    assert done == [("c", 4.0), ("a", 6.0), ("b", 6.0)]
     assert pool.active_count == 0

@@ -47,7 +47,7 @@ def test_sigterm_stops_gracefully(kernel, manager):
 def test_kill_while_starting_aborts_startup(kernel, manager):
     process = spawn_simple(manager, "p", work=10.0)
     manager.start("p")
-    kernel.call_after(1.0, manager.kill, "p")
+    kernel.schedule_after(1.0, manager.kill, "p")
     kernel.run()
     assert process.state is ProcessState.FAILED
     assert process.start_count == 0  # never became ready

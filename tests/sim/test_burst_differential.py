@@ -3,17 +3,16 @@
 The kernel's slab queue batches same-timestamp events into shared bucket
 entries and appends to the queue tail without touching the heap.  The
 contract those optimizations must preserve is simple: *all events at one
-SimTime fire in scheduling (FIFO) order, cancelled events are skipped, and
-events scheduled at the current instant from inside the burst run after
-everything already queued there* — exactly what a naive one-event-per-
-heap-entry scheduler would do.
+SimTime fire in scheduling (FIFO) order, and events scheduled at the
+current instant from inside the burst run after everything already queued
+there* — exactly what a naive one-event-per-heap-entry scheduler would do.
 
 These tests build a randomized plan of thousands of same-instant events —
-plain records, cancellable records, cancellers that shoot later events
-mid-burst, spawners that extend the burst while it is draining, plus a
-layer of pre-run cancellations — and execute it twice: once on the real
-kernel, once on an unbatched pure-Python reference dispatcher.  The
-observed firing orders must be identical element-for-element.
+records with arguments, argument-free records (a bare-callable payload),
+and spawners that extend the burst while it is draining — and execute it
+twice: once on the real kernel, once on an unbatched pure-Python reference
+dispatcher.  The observed firing orders must be identical
+element-for-element.
 """
 
 import random
@@ -24,74 +23,35 @@ BURST_AT = 1.0
 
 
 def _make_plan(rng: random.Random, n: int):
-    """A reproducible plan: ``(kind, cancel_target_index)`` per event.
-
-    Kinds: ``plain`` (handle-free ``schedule_at``), ``handled``
-    (cancellable ``call_at``), ``cancel`` (cancels a later handled event
-    mid-burst), ``spawn`` (schedules one more same-instant event while
-    the burst is draining).
-    """
-    kinds = []
+    """A reproducible plan, one kind per event: ``plain`` (a ``(callback,
+    args)`` payload), ``bare`` (a no-argument callable) or ``spawn``
+    (schedules one more same-instant event while the burst is draining)."""
+    plan = []
     for _ in range(n):
         r = rng.random()
-        if r < 0.08:
-            kinds.append("cancel")
-        elif r < 0.14:
-            kinds.append("spawn")
-        elif r < 0.55:
-            kinds.append("handled")
-        else:
-            kinds.append("plain")
-    plan = []
-    for i, kind in enumerate(kinds):
-        target = None
-        if kind == "cancel":
-            later = [j for j in range(i + 1, n) if kinds[j] == "handled"]
-            target = rng.choice(later) if later else None
-        plan.append((kind, target))
+        plan.append("spawn" if r < 0.14 else "bare" if r < 0.55 else "plain")
     return plan
 
 
-def _pre_cancels(plan):
-    """Every 13th handled event is cancelled before the run starts."""
-    handled = [i for i, (kind, _) in enumerate(plan) if kind == "handled"]
-    return handled[::13]
-
-
-def _reference_order(plan, pre_cancel):
+def _reference_order(plan):
     """Unbatched model: a flat list walked in scheduling order."""
-    events = [
-        {"kind": kind, "target": target, "label": i, "cancelled": False}
-        for i, (kind, target) in enumerate(plan)
-    ]
-    for idx in pre_cancel:
-        events[idx]["cancelled"] = True
+    events = list(enumerate(plan))
     order = []
     next_label = len(plan)
     i = 0
     while i < len(events):
-        event = events[i]
+        label, kind = events[i]
         i += 1
-        if event["cancelled"]:
-            continue
-        order.append(event["label"])
-        if event["kind"] == "cancel" and event["target"] is not None:
-            # Cancelling an already-fired event is a no-op: the walk has
-            # passed it, so the mark never takes effect — same as
-            # EventHandle.cancel() after the fire.
-            events[event["target"]]["cancelled"] = True
-        elif event["kind"] == "spawn":
-            events.append(
-                {"kind": "plain", "target": None, "label": next_label, "cancelled": False}
-            )
+        order.append(label)
+        if kind == "spawn":
+            events.append((next_label, "plain"))
             next_label += 1
     return order
 
 
-def _kernel_order(plan, pre_cancel):
+def _kernel_order(plan):
     kernel = Kernel(seed=99)
     order = []
-    handles = {}
     next_label = [len(plan)]
 
     def record(label):
@@ -103,48 +63,39 @@ def _kernel_order(plan, pre_cancel):
         next_label[0] += 1
         kernel.schedule_at(BURST_AT, record, new_label)
 
-    def cancel(label, target):
-        order.append(label)
-        if target is not None:
-            handles[target].cancel()
-
-    for i, (kind, target) in enumerate(plan):
-        if kind == "handled":
-            handles[i] = kernel.call_at(BURST_AT, record, i)
-        elif kind == "plain":
+    for i, kind in enumerate(plan):
+        if kind == "plain":
             kernel.schedule_at(BURST_AT, record, i)
-        elif kind == "cancel":
-            kernel.schedule_at(BURST_AT, cancel, i, target)
+        elif kind == "bare":
+            kernel.schedule_at(BURST_AT, lambda label=i: order.append(label))
         else:
             kernel.schedule_at(BURST_AT, spawn, i)
-    for idx in pre_cancel:
-        handles[idx].cancel()
     kernel.run()
+    assert kernel.pending_events == 0
     return order
 
 
 def test_large_same_instant_burst_matches_unbatched_reference():
     plan = _make_plan(random.Random(2002), 3000)
-    pre_cancel = _pre_cancels(plan)
-    assert len(pre_cancel) > 20  # the stress is real: plenty of dead events
-    assert _kernel_order(plan, pre_cancel) == _reference_order(plan, pre_cancel)
+    assert plan.count("spawn") > 300  # the stress is real: the burst grows
+    assert _kernel_order(plan) == _reference_order(plan)
 
 
 def test_burst_differential_across_seeds():
     for seed in (0, 1, 7, 1234):
         plan = _make_plan(random.Random(seed), 1000)
-        pre_cancel = _pre_cancels(plan)
-        kernel_order = _kernel_order(plan, pre_cancel)
-        reference = _reference_order(plan, pre_cancel)
-        assert kernel_order == reference, f"divergence for plan seed {seed}"
+        assert _kernel_order(plan) == _reference_order(plan), (
+            f"divergence for plan seed {seed}"
+        )
 
 
 def test_burst_interleaved_with_timers():
     """Same-instant bursts riding between interval-timer firings keep FIFO.
 
-    A repeating timer re-arms in place (same slab entry) while bursts
-    land around it; within any one timestamp the timer firing and the
-    burst events must still interleave purely by scheduling order.
+    The ``schedule_interval`` shim re-arms itself through ``schedule_after``
+    while bursts land around it; within any one timestamp the timer firing
+    and the burst events must still interleave purely by scheduling order.
+    The shim returns no handle, so ``run(until=...)`` bounds it.
     """
     kernel = Kernel(seed=5)
     order = []
@@ -155,13 +106,13 @@ def test_burst_interleaved_with_timers():
         for i in range(25):
             kernel.schedule_at(when, order.append, f"burst-{i}")
 
-    handle = kernel.schedule_interval(0.001, tick)
+    assert kernel.schedule_interval(0.001, tick) is None
     # until sits strictly between the 10th burst (~0.0105) and the 11th
     # tick (0.011), clear of float rounding on either side.
     kernel.run(until=0.0107)
-    handle.cancel()
     expected = []
     for _ in range(10):
         expected.append("tick")
         expected.extend(f"burst-{i}" for i in range(25))
     assert order == expected
+    assert kernel.pending_events == 1  # the 11th tick, armed

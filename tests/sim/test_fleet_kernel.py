@@ -50,7 +50,7 @@ class GossipShell(FleetShell):
         self.to_ground = to_ground
         self.log = []
         self._rng = kernel.rngs.stream("gossip")
-        kernel.call_after(self._rng.uniform(0.1, 1.0), self._tick)
+        kernel.schedule_after(self._rng.uniform(0.1, 1.0), self._tick)
 
     def _tick(self) -> None:
         peer = self._rng.randrange(self.size)
@@ -63,7 +63,7 @@ class GossipShell(FleetShell):
             )
         if self.to_ground and self._rng.random() < 0.3:
             self.post(GROUND_ID, "report", (len(self.log),))
-        self.kernel.call_after(self._rng.uniform(0.2, 1.5), self._tick)
+        self.kernel.schedule_after(self._rng.uniform(0.2, 1.5), self._tick)
 
     def apply(self, message: FleetMessage) -> None:
         self.log.append((self.kernel.now, message.src, message.seq, message.data))

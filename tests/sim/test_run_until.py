@@ -104,12 +104,6 @@ def test_drained_queue_leaves_the_clock_at_the_last_event(kernel):
     assert kernel.now == 2.0
 
 
-def test_cancelled_leftovers_count_as_drained(kernel):
-    kernel.call_at(20.0, lambda: None).cancel()
-    assert kernel.run_until(lambda: False, until=9.0) is False
-    assert kernel.now == 0.0
-
-
 def test_timeout_executes_nothing_past_until_and_stops_the_clock_there(kernel):
     fired = []
     kernel.schedule_at(1.0, fired.append, "in")

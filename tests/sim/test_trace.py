@@ -7,7 +7,7 @@ from repro.types import Severity
 
 
 def test_emit_uses_clock_time(kernel):
-    kernel.call_after(3.0, kernel.trace.emit, "src", "thing")
+    kernel.schedule_after(3.0, kernel.trace.emit, "src", "thing")
     kernel.run()
     assert kernel.trace.records[0].time == 3.0
 

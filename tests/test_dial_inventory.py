@@ -4,7 +4,7 @@ A component that keeps trying until its peer is up calls ``Network.dial``
 for the attempt and ``Network.redial`` for the next one; while nothing is
 bound to the address, ``redial`` parks a ticket instead of arming a timer
 (DESIGN.md §10, "Dialling: park, don't poll").  A fifth hand-rolled loop —
-``except ConnectionRefusedError_`` plus ``call_after(interval, self._retry)``
+``except ConnectionRefusedError_`` plus ``schedule_after(interval, self._retry)``
 — would poll a dead address at 4 Hz for as long as the peer is down, which
 on a month-scale availability run was a quarter of all kernel events.  It
 shows up here as a failing inventory, and the events a joint ``[fedr,
@@ -25,7 +25,7 @@ from tests.differential import REFERENCES
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
-_TIMERS = {"call_after", "call_at", "call_soon", "schedule_after", "schedule_at"}
+_TIMERS = {"schedule_after", "schedule_at"}
 
 
 def _walk_sources():

@@ -117,9 +117,9 @@ def test_parked_dial_connects_on_the_pollers_grid(
 
     def scenario(kernel, network):
         server = Server(network)
-        kernel.call_at(refused_at + outage, server.up)
+        kernel.schedule_at(refused_at + outage, server.up)
         dialler = Dialler(network, interval=interval)
-        kernel.call_at(refused_at, dialler.start)
+        kernel.schedule_at(refused_at, dialler.start)
         kernel.run()
         return dialler
 
@@ -136,11 +136,11 @@ def test_parked_dial_connects_on_the_pollers_grid(
 def test_listener_closed_again_before_the_tick_parks_from_there():
     def scenario(kernel, network):
         server = Server(network)
-        kernel.call_at(1.30, server.up)
-        kernel.call_at(1.32, server.down)  # the grid's next tick is 1.5
-        kernel.call_at(4.10, server.up)
+        kernel.schedule_at(1.30, server.up)
+        kernel.schedule_at(1.32, server.down)  # the grid's next tick is 1.5
+        kernel.schedule_at(4.10, server.up)
         dialler = Dialler(network)
-        kernel.call_at(0.0, dialler.start)
+        kernel.schedule_at(0.0, dialler.start)
         kernel.run()
         return dialler
 
@@ -159,10 +159,10 @@ def test_two_loops_from_one_client_keep_their_own_phases():
 
     def scenario(kernel, network):
         server = Server(network)
-        kernel.call_at(2.05, server.up)
+        kernel.schedule_at(2.05, server.up)
         dialler = Dialler(network)
-        kernel.call_at(0.0, dialler.start)
-        kernel.call_at(0.9, dialler.attempt)  # a second chain, phase 0.15
+        kernel.schedule_at(0.0, dialler.start)
+        kernel.schedule_at(0.9, dialler.attempt)  # a second chain, phase 0.15
         kernel.run()
         return dialler
 
@@ -181,13 +181,13 @@ def test_two_loops_from_one_client_keep_their_own_phases():
 def test_kill_drops_the_clients_tickets():
     def scenario(kernel, network):
         server = Server(network)
-        kernel.call_at(3.1, server.up)
+        kernel.schedule_at(3.1, server.up)
         dialler = Dialler(network)
         other = Dialler(network, name="other")
-        kernel.call_at(0.0, dialler.start)
-        kernel.call_at(0.05, other.start)
-        kernel.call_at(1.0, dialler.kill)
-        kernel.call_at(2.2, dialler.start)  # the restarted incarnation
+        kernel.schedule_at(0.0, dialler.start)
+        kernel.schedule_at(0.05, other.start)
+        kernel.schedule_at(1.0, dialler.kill)
+        kernel.schedule_at(2.2, dialler.start)  # the restarted incarnation
         kernel.run()
         dialler.other = other
         return dialler
