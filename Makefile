@@ -23,10 +23,14 @@ lint:
 # Two fast chaos campaigns with live invariant checking; nonzero exit on
 # any invariant violation.  Flapping kills REC mid-recovery on a
 # strategy-less station, so the crash-only supervision plane (REC rebuilt
-# by FD, episodes reconciled, stale plans fenced) runs on every push.
+# by FD, episodes reconciled, stale plans fenced) runs on every push.  The
+# flapping run writes its event trace, and `repro explain` replays it into
+# episodes; nonzero exit on a trace it cannot read.
 chaos-smoke:
-	$(PYTHON) -m repro.cli chaos --scenario cascade --scenario flapping \
-		--tree V --trials 1 --seed 7
+	$(PYTHON) -m repro.cli chaos --scenario cascade --tree V --trials 1 --seed 7
+	$(PYTHON) -m repro.cli chaos --scenario flapping --tree V --trials 1 \
+		--seed 7 --trace-out chaos-smoke.jsonl
+	$(PYTHON) -m repro.cli explain chaos-smoke.jsonl
 
 # The lossy-network campaign: the fault fabric, the adaptive detector,
 # and the detection-accuracy invariants, end to end.

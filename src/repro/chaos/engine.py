@@ -5,7 +5,8 @@ station, arms the scenario's correlation groups, then per trial: waits for
 quiescence, replays the scenario plan's timed injections, runs out the
 plan's horizon, and drains the wreckage.  An
 :class:`~repro.chaos.invariants.InvariantChecker` rides the event stream
-for the whole run; its episode tracker doubles as the MTTR sample source.
+for the whole run; its episode tracker is the cell's one fold from events
+to episodes, the source of both the MTTR samples and the phase table.
 
 Everything that feeds the returned :class:`ChaosResult` is derived from the
 simulation clock and kernel-seeded RNG streams, so a (tree, scenario, seed)
@@ -28,6 +29,7 @@ from repro.mercury.config import PAPER_CONFIG, StationConfig
 from repro.mercury.station import MercuryStation, OracleSpec
 from repro.obs import events as ev
 from repro.obs.sinks import MetricsSink, PhaseSnapshot, Sink
+from repro.obs.spans import phase_snapshot
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.scenarios import Injection, NetOp, Scenario, StoreOp, get_scenario
 from repro.faults.store_faults import StoreFaultModel
@@ -386,5 +388,5 @@ def run_chaos(
         supervisor_restarts=metrics.count(ev.SUPERVISOR_RESTARTED),
         records_quarantined=metrics.count(ev.STORE_RECORD_QUARANTINED),
         violations=checker.violation_payloads(),
-        phases=metrics.phase_snapshot(),
+        phases=phase_snapshot(checker.tracker.episodes),
     )

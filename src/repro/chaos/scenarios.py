@@ -48,6 +48,11 @@ The catalogue covers the four adversarial shapes the chaos engine ships:
     stale pre-crash plans must be fenced, FD's watchdog restarts REC
     crash-only, and the fresh incarnation reconciles half-done episodes
     and rebuilds the oracle's estimates from the store.
+``blind``, ``hung-fd``, ``hung-rec``
+    Double faults in the recovery plane: the bus and REC die at one
+    instant, or one supervisor hangs, and a station fault follows; the
+    surviving supervisor must rebuild its peer and the pair recover the
+    station.
 
 Scenarios targeting components a given tree generation does not run (fd/rec
 under the abstract supervisor, fedrcom after the split) degrade gracefully:
@@ -504,6 +509,38 @@ def _build_rogue_oracle_crash(
     )
 
 
+def _build_blind(rng: random.Random, components: Tuple[str, ...]) -> ScenarioPlan:
+    first = rng.uniform(5.0, 10.0)
+    # The bus and REC die at one instant: FD must restart REC while every
+    # bus component is unreachable, and the rebuilt pair must then cure a
+    # station fault.
+    return ScenarioPlan(
+        injections=(
+            Injection(at=first, component="mbus"),
+            Injection(at=first, component="rec", kind="flap"),
+            Injection(at=first + rng.uniform(25.0, 30.0), component="rtu"),
+        ),
+        horizon=120.0,
+    )
+
+
+def _hung_supervisor(supervisor: str) -> PlanBuilder:
+    def build(rng: random.Random, components: Tuple[str, ...]) -> ScenarioPlan:
+        first = rng.uniform(5.0, 10.0)
+        # A hung supervisor answers nothing and judges nothing: its peer
+        # must restart it, and the fresh incarnation cure the ses fault
+        # that lands while it is hung.
+        return ScenarioPlan(
+            injections=(
+                Injection(at=first, component=supervisor, kind="hang"),
+                Injection(at=first + rng.uniform(4.0, 6.0), component="ses"),
+            ),
+            horizon=120.0,
+        )
+
+    return build
+
+
 SCENARIOS: Dict[str, Scenario] = {
     scenario.name: scenario
     for scenario in (
@@ -574,6 +611,13 @@ SCENARIOS: Dict[str, Scenario] = {
             uses_store=True,
             default_strategy="microreboot",
         ),
+        Scenario(
+            "blind",
+            "the bus and REC die at one instant, then a station fault",
+            _build_blind,
+        ),
+        Scenario("hung-fd", "FD hangs while a station fault is pending", _hung_supervisor("fd")),
+        Scenario("hung-rec", "REC hangs while a station fault is pending", _hung_supervisor("rec")),
     )
 }
 

@@ -15,6 +15,7 @@ Usage::
     python -m repro.cli detection-ablation --tree V
     python -m repro.cli fleet --size 8 --horizon 120 --wave-interval 60 --shards 2
     python -m repro.cli trace run.jsonl --source rec --limit 20
+    python -m repro.cli explain run.jsonl
 
 Every subcommand prints the same paper-layout tables the benches produce;
 the CLI is a thin veneer over :mod:`repro.experiments`.  Campaign-style
@@ -38,7 +39,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.model import mercury_system_model, optimize_tree
 from repro.core.recovery_strategies import strategy_names
@@ -437,6 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None,
         help="print at most the first N matching events",
     )
+
+    explain = subparsers.add_parser(
+        "explain",
+        help="replay a JSONL event trace into recovery episodes, each with "
+        "its phase latencies and narrative",
+        parents=[common],
+    )
+    explain.add_argument("path", help="JSONL trace file written by --trace-out")
 
     return parser
 
@@ -870,40 +879,92 @@ def cmd_detection_ablation(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.sinks import read_jsonl
+def _read_trace_file(path: str, consume: Callable[[Iterator[Any]], None]) -> int:
+    """Hand ``path``'s records (:func:`repro.sim.trace.read_trace`) to
+    ``consume``; exit status 2 for a file that cannot be read or is not a
+    trace, 0 otherwise."""
+    from repro.sim.trace import read_trace
 
     try:
-        records = read_jsonl(args.path)
+        consume(read_trace(path))
+    except OSError as error:
+        print(f"error: cannot read trace {path!r}: {error}", file=sys.stderr)
+        return 2
+    except ValueError as error:
+        print(f"error: malformed trace {path!r}: {error}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
+    def show(records: Iterator[Any]) -> None:
         shown = 0
         for record in records:
-            if args.kind and record.get("kind") not in args.kind:
+            if args.kind and record.kind not in args.kind:
                 continue
-            if args.source and record.get("source") not in args.source:
+            if args.source and record.source not in args.source:
                 continue
-            time = float(record.get("t", 0.0))
-            if args.since is not None and time < args.since:
+            if args.since is not None and record.time < args.since:
                 continue
-            if args.until is not None and time > args.until:
+            if args.until is not None and record.time > args.until:
                 continue
-            payload = " ".join(
-                f"{k}={v!r}" for k, v in sorted(record.get("data", {}).items())
-            )
-            severity = record.get("severity", "info")
-            line = (
-                f"[{time:12.6f}] {severity:7} {record.get('source', ''):18} "
-                f"{record.get('kind', '')} {payload}"
-            )
-            print(line.rstrip())
+            print(record.format())
             shown += 1
             if args.limit is not None and shown >= args.limit:
                 break
-    except OSError as error:
-        print(f"error: cannot read trace {args.path!r}: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"error: malformed trace {args.path!r}: {error}", file=sys.stderr)
-        return 2
+
+    return _read_trace_file(args.path, show)
+
+
+def _subjects(data: Mapping[str, Any]) -> set:
+    """The components and cells a record's payload names."""
+    names = {data.get(key) for key in ("component", "name", "target", "cell")}
+    names.update(data.get("components", ()))
+    return names
+
+
+def cmd_explain(args: argparse.Namespace) -> int:
+    from bisect import bisect_left, bisect_right
+
+    from repro.obs import events as ev
+    from repro.obs.spans import PHASES, EpisodeTracker
+
+    records: List[Any] = []
+    code = _read_trace_file(args.path, records.extend)
+    if code:
+        return code
+    tracker = EpisodeTracker()
+    ends: List[float] = []  # ends[i]: when tracker.episodes[i] completed
+    for record in records:
+        tracker.accept(record)
+        ends += [record.time] * (len(tracker.episodes) - len(ends))
+    last = records[-1].time if records else 0.0
+    tracker.flush()
+    ends += [last] * (len(tracker.episodes) - len(ends))
+    still_open = tracker.open_episodes()
+    print(f"{args.path}: {len(records)} records, {len(ends) + len(still_open)} episodes ({len(still_open)} open)")
+    times = [record.time for record in records]
+    for episode, end in [*zip(tracker.episodes, ends), *((e, None) for e in still_open)]:
+        watchdog = episode.kind == "watchdog"
+        what = "watchdog" if watchdog else f"failure {episode.failure_id} ({episode.failure_kind})"
+        print(f"\n{episode.component}: {what}, cells {', '.join(episode.cells) or '-'}, "
+              f"restarts {episode.restarts}, detected via {episode.detected_via or '-'}")
+        latencies = (episode.detection_latency, episode.decision_latency,
+                     episode.restart_duration, episode.total_recovery)
+        print("  " + "  ".join(f"{phase} " + ("-" if value is None else f"{value:.3f}s")
+                               for phase, value in zip(PHASES, latencies)))
+        start = episode.decided_at if watchdog else episode.injected_at
+        # The window closes at the recovery end or the episode's close, not
+        # at whichever later record happened to finalize it.
+        bounds = [t for t in (episode.recovery_end, episode.closed_at) if t is not None]
+        stop = max(bounds) if bounds else last if end is None else end
+        names = {episode.component, *episode.cure_set, *episode.cells}
+        for record in records[bisect_left(times, start):bisect_right(times, stop)]:
+            phrase = ev.REGISTRY.narrative_for(record.kind, record.data)
+            if phrase is not None and names & _subjects(record.data):
+                print(f"  t=+{record.time - start:8.3f}s  {phrase}")
+        if end is None:
+            print("  open at end of trace")
     return 0
 
 
@@ -1020,6 +1081,7 @@ COMMANDS = {
     "detection-ablation": cmd_detection_ablation,
     "fleet": cmd_fleet,
     "trace": cmd_trace,
+    "explain": cmd_explain,
 }
 
 

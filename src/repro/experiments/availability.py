@@ -38,7 +38,8 @@ from repro.mercury.passes import PassAccountant
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import uses_split_components
 from repro.obs import events as ev
-from repro.obs.sinks import PhaseSink, PhaseSnapshot, SummaryStat
+from repro.obs.sinks import PhaseSnapshot, SummaryStat
+from repro.obs.spans import EpisodeTracker, phase_snapshot
 
 YEAR_MINUTES = 365.0 * 24.0 * 60.0
 
@@ -228,8 +229,8 @@ def measure_availability(
     arrived = dict(steady.arrivals)
     aging = station.aging
     aged_out = aging.aged_out_count if aging is not None else 0
-    phases = PhaseSink()
-    station.kernel.trace.add_sink(phases)
+    episodes = EpisodeTracker()
+    station.kernel.trace.add_sink(episodes)
     rejuvenation = (
         _Rejuvenation(station, windows, rejuvenation_period_s) if rejuvenation_period_s else None
     )
@@ -238,7 +239,7 @@ def measure_availability(
     tracker = UptimeTracker(station.manager, station.station_components)
     station.run_for(horizon_s)
     tracker.finalize()
-    phases.close()
+    episodes.flush()
     for sink in sinks:
         sink.close()
     outages = tracker.system_outages
@@ -252,7 +253,7 @@ def measure_availability(
         total_downtime_s=tracker.system_downtime,
         mean_outage_s=mean_outage,
         component_mttr={name: tracker.observed_mttr(name) for name in components},
-        phase_breakdown=phases.phase_snapshot(),
+        phase_breakdown=phase_snapshot(episodes.episodes),
         component_uptime_s={name: tracker.component_uptime(name) for name in components},
         component_failures={name: tracker.failures_of(name) for name in components},
         arrivals={name: count - arrived[name] for name, count in steady.arrivals.items()},

@@ -30,7 +30,8 @@ from repro.experiments.metrics import RecoveryStats
 from repro.experiments.snapshot import station_shape, warmed_station
 from repro.mercury.config import PAPER_CONFIG, StationConfig
 from repro.mercury.station import MercuryStation
-from repro.obs.sinks import PhaseSink, PhaseSnapshot, Sink, SummaryStat
+from repro.obs.sinks import PhaseSnapshot, Sink, SummaryStat
+from repro.obs.spans import EpisodeTracker, phase_snapshot
 
 
 @dataclass
@@ -97,8 +98,8 @@ def measure_recovery(
     failures appear as the pbcom column, not as fedr noise); the
     steady-state availability cell keeps aging on.
 
-    Per-phase latencies (detection / decision / restart) are accumulated by
-    a :class:`~repro.obs.sinks.PhaseSink` fed live from the trace — spans
+    Per-phase latencies (detection / decision / restart) come from an
+    :class:`~repro.obs.spans.EpisodeTracker` fed live from the trace — spans
     are built as events arrive, never re-scanned from the ring buffer —
     and land in :attr:`RecoveryResult.phases`.  Record retention is off,
     so on its own the cell builds only the records the phase table reads.
@@ -145,8 +146,8 @@ def measure_recovery(
     if not aging and station.aging is not None:
         station.aging.enabled = False
     station.kernel.trace.enabled = False
-    phases = PhaseSink()
-    station.kernel.trace.add_sink(phases)
+    tracker = EpisodeTracker()
+    station.kernel.trace.add_sink(tracker)
     for sink in sinks or ():
         station.kernel.trace.add_sink(sink)
     phase_rng = station.kernel.rngs.stream("experiment.injection_phase")
@@ -172,8 +173,8 @@ def measure_recovery(
         # a fresh failure inside the window would read as "the restart did
         # not cure" and trigger a spurious escalation.
         station.run_for(config.observation_window + 1.0)
-    phases.close()
-    result.phases = phases.phase_snapshot()
+    tracker.flush()
+    result.phases = phase_snapshot(tracker.episodes)
     return result
 
 

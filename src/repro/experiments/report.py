@@ -60,12 +60,13 @@ def format_phase_breakdown(
     """Render a per-component recovery-phase table from a phase snapshot.
 
     ``phases`` is the ``{component: {phase: SummaryStat.to_dict()}}`` shape
-    produced by :meth:`repro.obs.sinks.MetricsSink.phase_snapshot` and
+    produced by :func:`repro.obs.spans.phase_snapshot` and
     carried on recovery/availability results.  One row per component:
     mean detection, decision, and restart latency plus the mean total and
     episode count.
     """
-    from repro.obs.sinks import MetricsSink, SummaryStat
+    from repro.obs.sinks import SummaryStat
+    from repro.obs.spans import PHASES
 
     names = list(components) if components is not None else sorted(phases)
     rows: List[List[object]] = []
@@ -76,13 +77,13 @@ def format_phase_breakdown(
             for phase, payload in slot.items()
         }
         row: List[object] = [name]
-        for phase in MetricsSink.PHASES:
+        for phase in PHASES:
             stat = stats.get(phase)
             row.append(stat.mean if stat is not None and stat.n else None)
         total = stats.get("total") or stats.get("restart")
         row.append(total.n if total is not None else 0)
         rows.append(row)
-    headers = ["component"] + [f"{p} (s)" for p in MetricsSink.PHASES] + ["episodes"]
+    headers = ["component"] + [f"{p} (s)" for p in PHASES] + ["episodes"]
     return format_table(headers, rows, title=title)
 
 

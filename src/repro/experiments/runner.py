@@ -313,7 +313,7 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "scenario", "tree"),
         run=_run_chaos,
         decode=_decode_chaos,
-        version=3,
+        version=4,
     ),
     "workload": Kind(
         reads=("strategy", "failure_kind", "trials", "supervisor", "request_rate"),
@@ -354,17 +354,13 @@ def kind_of(cell: CampaignCell) -> Kind:
     return row
 
 
-def execute_cell(
-    cell: CampaignCell,
-    config: StationConfig = PAPER_CONFIG,
-    trees: Optional[Mapping[str, RestartTree]] = None,
-) -> Payload:
-    """Run one cell to completion and return a JSON-serializable payload.
-
-    This is the worker entry point — it must stay a module-level function
-    so ``ProcessPoolExecutor`` can pickle it by reference.  A read field
-    holding a value no run can use is rejected before any station boots.
-    """
+def _checked(
+    cell: CampaignCell, trees: Optional[Mapping[str, RestartTree]]
+) -> Tuple[Kind, RestartTree]:
+    """The cell's kind and tree: :func:`kind_of`, then a read field holding
+    a value no run can use (a scenario or supervisor that does not exist,
+    ``trials`` below the kind's floor) and a tree that does not exist are
+    rejected — all before any station boots."""
     row = kind_of(cell)
     # A workload cell's trials are its injected failures: 0 is steady traffic.
     fewest = 0 if cell.kind == "workload" else 1
@@ -377,7 +373,22 @@ def execute_cell(
 
         if cell.scenario not in SCENARIOS:
             raise ExperimentError(f"cell sets scenario={cell.scenario!r}, which is not in SCENARIOS")
-    return row.run(cell, _resolve_tree(cell.tree, trees), config)
+    return row, _resolve_tree(cell.tree, trees)
+
+
+def execute_cell(
+    cell: CampaignCell,
+    config: StationConfig = PAPER_CONFIG,
+    trees: Optional[Mapping[str, RestartTree]] = None,
+) -> Payload:
+    """Run one cell to completion and return a JSON-serializable payload.
+
+    This is the worker entry point — it must stay a module-level function
+    so ``ProcessPoolExecutor`` can pickle it by reference.  A malformed
+    cell is rejected (:func:`_checked`) before any station boots.
+    """
+    row, tree = _checked(cell, trees)
+    return row.run(cell, tree, config)
 
 
 # ----------------------------------------------------------------------
@@ -485,7 +496,7 @@ def run_campaign(
     keys: List[Optional[str]] = [None] * len(cells)
     todo: List[int] = []
     for index, cell in enumerate(cells):
-        kind_of(cell)  # a malformed spec fails here, before any cell runs
+        _checked(cell, trees)  # a malformed cell fails here, before any runs
         if cache_dir is not None:
             tree = trees.get(cell.tree) if trees else None
             keys[index] = cache_key(cell, config, tree)

@@ -6,9 +6,11 @@ scraping into a first-class pipeline:
 * :mod:`repro.obs.events` — every event kind the system emits, declared
   once with its expected payload (optionally validated at emit time);
 * :mod:`repro.obs.spans` — :class:`RecoveryEpisode` spans with per-phase
-  durations, built incrementally as events arrive;
+  durations, built incrementally as events arrive by the one fold from
+  events to episodes, :class:`EpisodeTracker`;
 * :mod:`repro.obs.sinks` — pluggable destinations for the event stream:
-  in-memory ring, streaming JSONL, and mergeable aggregated metrics.
+  in-memory ring, streaming JSONL, counters by kind, and the mergeable
+  accumulators the per-phase table is made of.
 
 The shared :class:`~repro.sim.trace.Trace` is the emit front-end; sinks
 attach to it via ``trace.add_sink(...)``.
@@ -26,7 +28,6 @@ from repro.obs.sinks import (
     CallbackSink,
     JsonlSink,
     MetricsSink,
-    PhaseSink,
     PhaseSnapshot,
     RingSink,
     Sink,
@@ -34,7 +35,7 @@ from repro.obs.sinks import (
     merge_phase_snapshots,
     read_jsonl,
 )
-from repro.obs.spans import EpisodeTracker, RecoveryEpisode, episodes_from_trace
+from repro.obs.spans import EpisodeTracker, RecoveryEpisode
 
 __all__ = [
     "REGISTRY",
@@ -47,7 +48,6 @@ __all__ = [
     "RingSink",
     "CallbackSink",
     "JsonlSink",
-    "PhaseSink",
     "MetricsSink",
     "SummaryStat",
     "PhaseSnapshot",
@@ -55,5 +55,4 @@ __all__ = [
     "read_jsonl",
     "EpisodeTracker",
     "RecoveryEpisode",
-    "episodes_from_trace",
 ]

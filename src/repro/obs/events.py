@@ -2,11 +2,12 @@
 
 Before this module existed, ~45 free-string ``kind`` values were scattered
 through the detector, recoverer, process manager, fault injectors, bus, and
-Mercury components, and every consumer (timeline rendering, metrics,
+Mercury components, and every consumer (episode narratives, metrics,
 reports) re-derived meaning from raw strings.  Here each kind is declared
 exactly once as an :class:`EventSpec` — with its layer, expected payload
-keys, the recovery-episode *phase* it marks (if any), and an optional
-narrative formatter — and emit sites reference the registered constant:
+keys and an optional narrative formatter — and emit sites reference the
+registered constant.  Which kinds mark which recovery phase is the
+episode fold's business (:class:`repro.obs.spans.EpisodeTracker`):
 
 >>> from repro.obs import events as ev
 >>> ev.FAILURE_DETECTED
@@ -58,12 +59,9 @@ class EventSpec:
     optional:
         Payload keys that may be present.  Extra keys beyond
         ``required | optional`` are rejected only when ``strict`` is set.
-    phase:
-        The recovery-episode phase this event marks, if any: one of
-        ``"inject"``, ``"detect"``, ``"decide"``, ``"restart"``,
-        ``"ready"``, ``"cure"``, ``"close"``.
     narrative:
-        Optional formatter turning a record payload into a timeline line.
+        Optional formatter turning a record payload into one line of
+        ``repro explain``'s episode narrative.
     strict:
         When True, validation also rejects payload keys outside the
         declared schema (kinds with open-ended payloads leave this off).
@@ -74,7 +72,6 @@ class EventSpec:
     description: str = ""
     required: FrozenSet[str] = frozenset()
     optional: FrozenSet[str] = frozenset()
-    phase: Optional[str] = None
     narrative: Optional[NarrativeFn] = field(default=None, compare=False)
     strict: bool = True
 
@@ -92,7 +89,6 @@ class EventRegistry:
         description: str = "",
         required: tuple = (),
         optional: tuple = (),
-        phase: Optional[str] = None,
         narrative: Optional[NarrativeFn] = None,
         strict: bool = True,
     ) -> str:
@@ -105,7 +101,6 @@ class EventRegistry:
             description=description,
             required=frozenset(required),
             optional=frozenset(optional),
-            phase=phase,
             narrative=narrative,
             strict=strict,
         )
@@ -121,14 +116,6 @@ class EventRegistry:
     def is_registered(self, kind: str) -> bool:
         """Whether ``kind`` has been declared."""
         return kind in self._specs
-
-    def kinds(self) -> List[str]:
-        """All declared kinds, in declaration order."""
-        return list(self._specs)
-
-    def specs(self) -> List[EventSpec]:
-        """All declared specs, in declaration order."""
-        return list(self._specs.values())
 
     def by_layer(self, layer: str) -> List[EventSpec]:
         """Specs owned by one layer, in declaration order."""
@@ -197,14 +184,12 @@ PROCESS_START = REGISTRY.register(
     "process_start", "proc",
     "A process began its startup work.",
     required=("name", "work"),
-    phase="restart",
     narrative=lambda d: f"{d['name']} starting (work {d.get('work')}s)",
 )
 PROCESS_READY = REGISTRY.register(
     "process_ready", "proc",
     "A process finished starting and is functionally ready.",
     required=("name",),
-    phase="ready",
     narrative=lambda d: f"{d['name']} functionally ready",
 )
 PROCESS_FAILED = REGISTRY.register(
@@ -293,7 +278,6 @@ DETECTION = REGISTRY.register(
     "The supervisor declared a component failed (canonical detect mark).",
     required=("component",),
     optional=("via",),
-    phase="detect",
     narrative=lambda d: f"FD detected {d['component']}",
 )
 DETECTION_RETRACTED = REGISTRY.register(
@@ -366,7 +350,6 @@ RESTART_ORDERED = REGISTRY.register(
     "The supervisor ordered a restart of one cell's component group.",
     required=("cell", "components"),
     optional=("trigger", "procedure", "oracle_cell", "strategy"),
-    phase="decide",
     narrative=lambda d: (
         f"restart ordered: {d['cell']} (components: {_components_list(d)}; "
         f"trigger: {d.get('trigger')})"
@@ -382,14 +365,12 @@ RESTART_COMPLETE = REGISTRY.register(
     "restart_complete", "recovery",
     "Every member of a restart batch has been functionally ready.",
     required=("components",), optional=("cell",),
-    phase="restart",
     narrative=lambda d: f"restart complete: {d.get('cell')}",
 )
 EPISODE_CLOSED = REGISTRY.register(
     "episode_closed", "recovery",
     "The post-restart observation window expired with the cure holding.",
     required=("component",),
-    phase="close",
     narrative=lambda d: f"episode closed for {d['component']} (cure held)",
 )
 REPORT_RETRACTED = REGISTRY.register(
@@ -416,7 +397,6 @@ STRATEGY_PLANNED = REGISTRY.register(
     "A non-default recovery strategy planned its first step.",
     required=("cell", "strategy"),
     optional=("batch", "expecting", "trigger"),
-    phase="decide",
     narrative=lambda d: (
         f"strategy {d['strategy']} planned for {d['cell']} "
         f"(expecting: {'+'.join(d.get('expecting', ()))})"
@@ -436,7 +416,6 @@ STRATEGY_VERIFIED = REGISTRY.register(
     "the action's time attributed to the plan/execute/verify phases.",
     required=("cell", "strategy"),
     optional=("plan_s", "execute_s", "verify_s", "rounds"),
-    phase="restart",
     narrative=lambda d: (
         f"strategy {d['strategy']} verified on {d['cell']} "
         f"(execute {d.get('execute_s')}s, verify {d.get('verify_s')}s)"
@@ -451,7 +430,6 @@ FAILURE_INJECTED = REGISTRY.register(
     "failure_injected", "faults",
     "A failure was injected into its manifest component.",
     required=("component", "failure_id", "cure_set", "failure_kind"),
-    phase="inject",
     narrative=lambda d: (
         f"failure injected in {d['component']} "
         f"(cure set: {'+'.join(d.get('cure_set', ()))})"
@@ -461,7 +439,6 @@ FAILURE_CURED = REGISTRY.register(
     "failure_cured", "faults",
     "A restart covering the minimal cure set completed; the failure is gone.",
     required=("component", "failure_id"), optional=("failure_kind",),
-    phase="cure",
     narrative=lambda d: f"failure in {d['component']} cured",
 )
 FAILURE_REMANIFESTED = REGISTRY.register(
@@ -643,7 +620,6 @@ STRATEGY_FALLBACK = REGISTRY.register(
     "A store-dependent recovery strategy found the store unavailable "
     "within the timeout ladder and fell back to a plain cold restart.",
     required=("cell", "strategy", "fallback"), optional=("reason", "waited"),
-    phase="decide",
     narrative=lambda d: (
         f"{d['strategy']} fell back to {d['fallback']} for cell {d['cell']}"
     ),

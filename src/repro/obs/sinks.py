@@ -9,15 +9,15 @@ measurement stops being post-hoc log scraping:
   behaviour, now one sink among several);
 * :class:`JsonlSink` — streams records to a JSON-lines file as they happen,
   so month-long runs can be inspected without retaining anything in memory
-  (``repro trace`` reads these files back);
-* :class:`PhaseSink` — keeps no records at all: through an embedded
-  :class:`~repro.obs.spans.EpisodeTracker` it folds completed recovery
-  episodes into per-(component, phase) duration aggregates, and reads only
-  the kinds the tracker dispatches on;
-* :class:`MetricsSink` — that table plus event counters by kind and by
-  source, so it reads every kind.  Snapshots are plain JSON and merge
-  associatively, which is what lets the parallel campaign runner combine
-  sinks from worker processes into one campaign-wide breakdown.
+  (``repro trace`` and ``repro explain`` read these files back);
+* :class:`MetricsSink` — event counters by kind, so it reads every kind.
+
+The other sink is :class:`~repro.obs.spans.EpisodeTracker`, the one fold
+from events to recovery episodes.  Its per-phase table
+(:func:`~repro.obs.spans.phase_snapshot`) is made of the
+:class:`SummaryStat` accumulators below: plain JSON that merges
+associatively, which is what lets the parallel campaign runner combine
+cells from worker processes into one campaign-wide breakdown.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from collections import deque
+from collections import Counter, deque
 from typing import (
     Any,
     Callable,
@@ -40,7 +40,6 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.spans import RecoveryEpisode
     from repro.sim.trace import TraceRecord
 
 
@@ -248,124 +247,20 @@ def merge_phase_snapshots(*snapshots: PhaseSnapshot) -> PhaseSnapshot:
     }
 
 
-class PhaseSink(Sink):
-    """Per-(component, phase) durations of completed recovery episodes.
+class MetricsSink(Sink):
+    """Event counters by kind: counts every emit, so it reads every kind.
 
-    Keyed by component and phase as the campaign runner expects.  The sink
-    retains no records and reads only the kinds its embedded
-    :class:`~repro.obs.spans.EpisodeTracker` dispatches on; its whole state
-    is the :class:`SummaryStat` table, which snapshots to JSON and merges
-    across parallel campaign cells.
+    Episodes and their phase table come from an
+    :class:`~repro.obs.spans.EpisodeTracker`, not from here.
     """
-
-    #: The phases reported for every completed episode, in display order.
-    PHASES = ("detection", "decision", "restart", "total")
 
     def __init__(self) -> None:
-        from repro.obs.spans import EpisodeTracker
-
-        self.tracker: Optional[EpisodeTracker] = EpisodeTracker(
-            on_complete=self._on_episode
-        )
-        self.kinds = EpisodeTracker.kinds
-        self._phase_stats: Dict[str, Dict[str, SummaryStat]] = {}
-
-    def accept(self, record: "TraceRecord") -> None:
-        self.tracker.accept(record)
-
-    def close(self) -> None:
-        """Finalize cured-but-unconfirmed episodes into the phase table."""
-        if self.tracker is not None:
-            self.tracker.flush()
-
-    def _on_episode(self, episode: "RecoveryEpisode") -> None:
-        slot = self._phase_stats.get(episode.component)
-        if slot is None:
-            slot = self._phase_stats[episode.component] = {}
-        # The episode's phase properties, with the recovery end read once.
-        injected, detected = episode.injected_at, episode.detected_at
-        decided, end = episode.decided_at, episode.recovery_end
-        for phase, start, stop in (
-            ("detection", injected, detected),
-            ("decision", detected, decided),
-            ("restart", decided, end),
-            ("total", injected, end),
-        ):
-            if start is None or stop is None:
-                continue
-            stat = slot.get(phase)
-            if stat is None:
-                stat = slot[phase] = SummaryStat()
-            stat.add(stop - start)
-
-    def phase_stats(self, component: str) -> Dict[str, SummaryStat]:
-        """Per-phase duration accumulators for one component."""
-        return dict(self._phase_stats.get(component, {}))
-
-    def phase_snapshot(self) -> PhaseSnapshot:
-        """JSON-safe component → phase → accumulator snapshot."""
-        return {
-            component: {phase: stat.to_dict() for phase, stat in phases.items()}
-            for component, phases in self._phase_stats.items()
-        }
-
-
-class MetricsSink(PhaseSink):
-    """Streaming aggregation: the phase table plus event counters.
-
-    The counters count every emit by kind and by (source, kind), so this
-    sink reads every kind; both halves snapshot to JSON and merge across
-    parallel campaign cells.
-    """
-
-    def __init__(self, track_episodes: bool = True) -> None:
-        super().__init__()
-        self.kinds = None
-        if not track_episodes:
-            self.tracker = None
         #: Events seen, by kind.
-        self.counters: Dict[str, int] = {}
-        #: Events seen, by (source, kind) — who emits what.
-        self.source_counters: Dict[tuple, int] = {}
-
-    # -- record intake ---------------------------------------------------
+        self.counters: Counter = Counter()
 
     def accept(self, record: "TraceRecord") -> None:
-        kind = record.kind
-        self.counters[kind] = self.counters.get(kind, 0) + 1
-        key = (record.source, kind)
-        self.source_counters[key] = self.source_counters.get(key, 0) + 1
-        if self.tracker is not None:
-            self.tracker.accept(record)
-
-    # -- results ---------------------------------------------------------
+        self.counters[record.kind] += 1
 
     def count(self, kind: str) -> int:
         """Events of ``kind`` seen so far."""
-        return self.counters.get(kind, 0)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Full JSON-safe state: counters plus the phase table."""
-        return {
-            "counters": dict(self.counters),
-            "phases": self.phase_snapshot(),
-        }
-
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold another sink's :meth:`snapshot` into this one."""
-        for kind, count in snapshot.get("counters", {}).items():
-            self.counters[kind] = self.counters.get(kind, 0) + count
-        merged = merge_phase_snapshots(self.phase_snapshot(), snapshot.get("phases", {}))
-        self._phase_stats = {
-            component: {
-                phase: SummaryStat.from_dict(payload)
-                for phase, payload in phases.items()
-            }
-            for component, phases in merged.items()
-        }
-
-    def merge(self, other: "MetricsSink") -> None:
-        """Fold another sink's aggregates into this one."""
-        self.merge_snapshot(other.snapshot())
-        for key, count in other.source_counters.items():
-            self.source_counters[key] = self.source_counters.get(key, 0) + count
+        return self.counters[kind]

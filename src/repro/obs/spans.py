@@ -45,10 +45,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, TYPE_CHECKING
 
 from repro.obs import events as ev
+from repro.obs.sinks import PhaseSnapshot, SummaryStat
 from repro.types import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.trace import Trace, TraceRecord
+    from repro.sim.trace import TraceRecord
 
 
 @dataclass(slots=True)
@@ -152,18 +153,18 @@ class RecoveryEpisode:
 class EpisodeTracker:
     """Folds the live event stream into :class:`RecoveryEpisode` spans.
 
-    Usable directly as a trace sink (``trace.add_sink(tracker)``) or
-    embedded in a :class:`~repro.obs.sinks.PhaseSink`.  Completed
-    episodes land in :attr:`episodes` (and fire ``on_complete``); episodes
-    still in flight are visible via :meth:`open_episodes`.
+    The one fold from events to episodes: a trace sink
+    (``trace.add_sink(tracker)``) on a live run, or fed a finished
+    ``--trace-out`` file by ``repro explain``.  Completed episodes land in
+    :attr:`episodes` (and fire ``on_complete``); :func:`phase_snapshot`
+    turns them into the per-phase table; episodes still in flight are
+    visible via :meth:`open_episodes`.
     """
 
     #: Event kind → the method that folds it in.
     _HANDLERS = {
         ev.FAILURE_INJECTED: "_on_injected",
         ev.DETECTION: "_on_detection",
-        ev.DETECTION_FALSE_POSITIVE: "_on_false_positive",
-        ev.DETECTION_RETRACTED: "_on_retraction",
         ev.RESTART_ORDERED: "_on_restart_ordered",
         ev.RESTART_REKICK: "_on_rekick",
         ev.PROCESS_READY: "_on_ready",
@@ -174,7 +175,6 @@ class EpisodeTracker:
         ev.OPERATOR_ESCALATION: "_on_escalation",
         ev.REC_RESTART: "_on_rec_restart",
         ev.FD_RESTART: "_on_fd_restart",
-        ev.PROACTIVE_RESTART: "_on_proactive",
     }
     #: The sink-protocol declaration of interest (see ``Sink.kinds``): the
     #: tracker reads exactly the kinds it dispatches on.  One set for every
@@ -195,11 +195,6 @@ class EpisodeTracker:
         self._by_component: Dict[str, Dict[int, RecoveryEpisode]] = defaultdict(dict)
         #: FD/REC watchdog spans in flight, keyed by restarted component.
         self._watchdogs: Dict[str, RecoveryEpisode] = {}
-        #: Rejuvenation rounds observed (not tracked as episodes).
-        self.proactive_restarts = 0
-        #: Detection-accuracy tallies (ground-truth FPs and retractions).
-        self.false_positives = 0
-        self.retractions = 0
         self._dispatch = {
             kind: getattr(self, handler) for kind, handler in self._HANDLERS.items()
         }
@@ -282,12 +277,6 @@ class EpisodeTracker:
         if candidates:
             # Re-detection after a re-manifestation or an overlapping miss.
             min(candidates, key=lambda e: e.injected_at or 0.0).redetections += 1
-
-    def _on_false_positive(self, time: SimTime, data: Dict[str, Any]) -> None:
-        self.false_positives += 1
-
-    def _on_retraction(self, time: SimTime, data: Dict[str, Any]) -> None:
-        self.retractions += 1
 
     def _on_restart_ordered(self, time: SimTime, data: Dict[str, Any]) -> None:
         components = data.get("components", ())
@@ -374,18 +363,32 @@ class EpisodeTracker:
     def _on_fd_restart(self, time: SimTime, data: Dict[str, Any]) -> None:
         self._watchdog(time, data.get("target", "fd"))
 
-    def _on_proactive(self, time: SimTime, data: Dict[str, Any]) -> None:
-        self.proactive_restarts += 1
+
+#: The phases reported for every completed episode, in display order.
+PHASES = ("detection", "decision", "restart", "total")
 
 
-def episodes_from_trace(trace: "Trace") -> EpisodeTracker:
-    """Replay a retained trace through a fresh tracker (post-hoc analysis).
+def phase_snapshot(episodes: Iterable[RecoveryEpisode]) -> PhaseSnapshot:
+    """Per-(component, phase) durations of ``episodes``, JSON-safe.
 
-    Live pipelines should attach the tracker as a sink instead; this
-    helper exists for tools that only have a finished trace in hand.
+    ``{component: {phase: SummaryStat.to_dict()}}``, folded in the order
+    given — a tracker's :attr:`~EpisodeTracker.episodes` is completion
+    order — so the table merges across campaign cells
+    (:func:`~repro.obs.sinks.merge_phase_snapshots`).  A phase whose
+    boundaries the episode never reached is left out.
     """
-    tracker = EpisodeTracker()
-    for record in trace.records:
-        tracker.accept(record)
-    tracker.flush()
-    return tracker
+    table: Dict[str, Dict[str, SummaryStat]] = {}
+    for episode in episodes:
+        slot = table.setdefault(episode.component, {})
+        # The episode's phase properties, with the recovery end read once.
+        injected, detected = episode.injected_at, episode.detected_at
+        decided, end = episode.decided_at, episode.recovery_end
+        for phase, start, stop in zip(
+            PHASES, (injected, detected, decided, injected), (detected, decided, end, end)
+        ):
+            if start is not None and stop is not None:
+                slot.setdefault(phase, SummaryStat()).add(stop - start)
+    return {
+        component: {phase: stat.to_dict() for phase, stat in phases.items()}
+        for component, phases in table.items()
+    }

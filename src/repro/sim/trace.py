@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional
 
 from repro.obs import events as _events
-from repro.obs.sinks import RingSink, Sink
+from repro.obs.sinks import RingSink, Sink, read_jsonl
 from repro.types import Severity, SimTime
 
 
@@ -71,6 +71,29 @@ class TraceRecord(NamedTuple):
 
 #: How :meth:`Trace.emit` builds a record: one allocation, no keyword parsing.
 _new_record = tuple.__new__
+
+
+def read_trace(path: str) -> Iterator[TraceRecord]:
+    """Yield the records of a :class:`~repro.obs.sinks.JsonlSink` file, in
+    file order: the one reader behind ``repro trace`` and ``repro explain``.
+
+    Raises ``OSError`` when the file cannot be read and ``ValueError`` for
+    a line that is not a record.
+    """
+    for row in read_jsonl(path):
+        if not (
+            isinstance(row, dict)
+            and isinstance(row.get("t", 0.0), (int, float))
+            and isinstance(row.get("data", {}), dict)
+        ):
+            raise ValueError(f"not a trace record: {row!r}")
+        yield _new_record(TraceRecord, (
+            float(row.get("t", 0.0)),
+            row.get("source", ""),
+            row.get("kind", ""),
+            Severity(row.get("severity", "info")),
+            row.get("data", {}),
+        ))
 
 
 class Trace:

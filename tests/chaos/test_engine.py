@@ -6,6 +6,7 @@ import pytest
 
 from repro.chaos.engine import ChaosResult, run_chaos
 from repro.chaos.scenarios import Injection, Scenario, ScenarioPlan
+from repro.errors import ExperimentError
 from repro.experiments.runner import run_suite
 from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.trees import TREE_BUILDERS
@@ -185,3 +186,41 @@ def test_old_payloads_without_accuracy_counters_still_load():
         payload.pop(key)
     clone = ChaosResult.from_payload(payload)
     assert clone.false_positives == 0 and clone.net_dropped == 0
+
+
+# ----------------------------------------------------------------------
+# double faults in the recovery plane
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("scenario", ["blind", "hung-fd", "hung-rec"])
+def test_double_faults_in_the_recovery_plane_recover_on_every_tree(scenario):
+    for label, build in TREE_BUILDERS.items():
+        result = run_chaos(build(), scenario, trials=1, seed=3)
+        assert (result.skipped, result.operator_interventions) == (0, 0), label
+        assert result.ok and result.episodes >= result.injected, label
+
+
+def _build_decapitate(rng, components):
+    first = rng.uniform(5.0, 10.0)
+    return ScenarioPlan(
+        injections=(
+            Injection(at=first, component="fd", kind="flap"),
+            Injection(at=first, component="rec", kind="flap"),
+            Injection(at=first + rng.uniform(25.0, 30.0), component="rtu"),
+        ),
+        horizon=120.0,
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ExperimentError,
+    reason="FD and REC killed at one instant: nobody restarts either (ROADMAP 13(b))",
+)
+def test_decapitate_quiesces_on_every_tree():
+    decapitate = Scenario(
+        "decapitate", "FD and REC killed at one instant, then a station fault",
+        _build_decapitate,
+    )
+    for build in TREE_BUILDERS.values():
+        assert run_chaos(build(), decapitate, trials=1, seed=3).ok

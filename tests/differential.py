@@ -495,6 +495,8 @@ REFERENCES: Dict[str, Reference] = {
         exclusions={
             "flapping": "kills FD: REC's watchdog fires, and the heartbeat and "
             "the ping loop restart FD at different instants",
+            "hung-fd": "hangs FD: REC's watchdog fires, and the heartbeat and "
+            "the ping loop restart FD at different instants",
         },
     ),
     "per-request-timers": Reference(

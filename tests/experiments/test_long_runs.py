@@ -112,28 +112,29 @@ def test_availability_phase_breakdown():
 
 @pytest.mark.parametrize("label", ["I", "II", "III", "IV", "V"])
 def test_availability_is_the_same_whoever_else_listens(label):
-    """On its own the run attaches a phases-only sink, so its disabled
-    trace builds only the episode tracker's kinds; a read-everything sink
-    beside it (``MetricsSink`` — the sink the run itself used to attach —
-    or the determinism gate's JSONL stream) brings every record back.  The
-    result must not notice."""
+    """On its own the run attaches an episode tracker, so its disabled
+    trace builds only the tracker's kinds; a read-everything sink beside it
+    (``MetricsSink`` or the determinism gate's JSONL stream) brings every
+    record back.  The result must not notice."""
     import io
 
     from repro.obs.sinks import JsonlSink
+    from repro.obs.spans import EpisodeTracker, phase_snapshot
 
     alone = measure_availability(TREE_BUILDERS[label](), horizon_s=DAY / 2, seed=77)
     everything = MetricsSink()
+    episodes = EpisodeTracker()
     stream = io.StringIO()
     watched = measure_availability(
         TREE_BUILDERS[label](),
         horizon_s=DAY / 2,
         seed=77,
-        sinks=[everything, JsonlSink(stream)],
+        sinks=[everything, episodes, JsonlSink(stream)],
     )
     assert dataclasses.asdict(alone) == dataclasses.asdict(watched)
     assert alone.outages > 0 and alone.phase_breakdown
-    # measure_availability closed it, which flushed its tracker.
-    assert alone.phase_breakdown == everything.phase_snapshot()
+    # measure_availability closed it, which flushed the tracker.
+    assert alone.phase_breakdown == phase_snapshot(episodes.episodes)
     # The neighbours really saw the kinds nobody else reads.
     assert everything.count("process_start") > 0
     assert stream.getvalue().count("\n") == sum(everything.counters.values())

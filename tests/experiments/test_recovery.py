@@ -101,7 +101,7 @@ def test_cell_builds_only_what_its_phase_table_reads(built):
 def test_extra_sinks_receive_the_run():
     from repro.obs.sinks import MetricsSink
 
-    extra = MetricsSink(track_episodes=False)
+    extra = MetricsSink()
     measure_recovery(tree_ii(), "rtu", trials=2, seed=71, sinks=[extra])
     assert extra.count("failure_injected") == 2
     assert extra.count("process_ready") >= 2

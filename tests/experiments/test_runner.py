@@ -369,6 +369,22 @@ def test_a_malformed_cell_spec_names_its_field_before_any_station_boots(
         execute_cell(CampaignCell(seed=1, **fields))
 
 
+@pytest.mark.parametrize(
+    "fields, field", MALFORMED, ids=[f"{fields['kind']} {field}" for fields, field in MALFORMED]
+)
+def test_a_campaign_checks_every_cell_before_the_first_runs(fields, field, monkeypatch):
+    """The bad cell comes second: the campaign refuses it before running
+    the good one."""
+    ran = []
+    monkeypatch.setattr(
+        "repro.experiments.runner.execute_cell", lambda cell, *args: ran.append(cell)
+    )
+    good = CampaignCell(kind="recovery", tree="II", component="rtu", trials=1, seed=5)
+    with pytest.raises(ExperimentError, match=field):
+        run_campaign([good, CampaignCell(seed=1, **fields)])
+    assert ran == []
+
+
 def test_an_ad_hoc_tree_label_still_resolves(monkeypatch):
     """``trees=`` maps a label no builder knows; the cell passes the spec
     checks and reaches its station."""
@@ -415,6 +431,14 @@ SEED_IDENTITIES = {
 }
 
 
+#: What a bare ``CampaignCell(kind, tree="V", seed=1)`` of each kind needs
+#: set to pass the campaign's value checks.
+RUNNABLE = {
+    "recovery": dict(component="rtu", trials=1),
+    "chaos": dict(scenario="storm", trials=1),
+}
+
+
 def _bare_keys():
     return {
         kind: cache_key(CampaignCell(kind=kind, tree="V", seed=1), PAPER_CONFIG)
@@ -458,12 +482,14 @@ def test_kind_row_contract(kind, monkeypatch, tmp_path):
     assert plan_cell(kind, 5, **fields).seed == campaign_seed(5, *parts)
 
     # A cache the parent commit wrote (one global "version": 11) is never a
-    # hit, whatever number this kind's own version reaches.
+    # hit, whatever number this kind's own version reaches.  The campaign
+    # runs a well-formed cell: a bare one fails its value checks first.
+    runnable = dataclasses.replace(base, **RUNNABLE.get(kind, {}))
     monkeypatch.setitem(KINDS, kind, dataclasses.replace(row, version=11))
     legacy = json.dumps(
         {
             "version": 11,
-            "cell": dataclasses.asdict(base),
+            "cell": dataclasses.asdict(runnable),
             "config": config_fingerprint(PAPER_CONFIG),
             "tree": base.tree,
         },
@@ -472,11 +498,11 @@ def test_kind_row_contract(kind, monkeypatch, tmp_path):
     )
     legacy_key = hashlib.sha256(legacy.encode("utf-8")).hexdigest()
     with open(tmp_path / f"{legacy_key}.json", "w") as fh:
-        json.dump({"cell": dataclasses.asdict(base), "result": {"stale": True}}, fh)
+        json.dump({"cell": dataclasses.asdict(runnable), "result": {"stale": True}}, fh)
     monkeypatch.setattr(
         "repro.experiments.runner.execute_cell", lambda *args: {"fresh": True}
     )
-    assert run_campaign([base], cache_dir=str(tmp_path)) == [{"fresh": True}]
+    assert run_campaign([runnable], cache_dir=str(tmp_path)) == [{"fresh": True}]
 
     # Bumping this kind's version moves its keys and nobody else's.
     before = _bare_keys()

@@ -11,12 +11,12 @@ from repro.obs.sinks import (
     CallbackSink,
     JsonlSink,
     MetricsSink,
-    PhaseSink,
     RingSink,
     SummaryStat,
     merge_phase_snapshots,
     read_jsonl,
 )
+from repro.obs.spans import EpisodeTracker, phase_snapshot
 from repro.sim.trace import Trace, TraceRecord
 from repro.types import Severity
 
@@ -181,80 +181,39 @@ def episode_records(component="rtu", failure_id=1, base=100.0):
 
 
 def test_metrics_sink_counters_and_phases():
-    sink = MetricsSink()
+    """One stream, two sinks: the metrics sink counts kinds, the episode
+    tracker folds the same records into the phase table."""
+    sink, tracker = MetricsSink(), EpisodeTracker()
     for record in episode_records():
         sink.accept(record)
+        tracker.accept(record)
     assert sink.count(ev.DETECTION) == 1
-    assert sink.source_counters[("rec", ev.RESTART_ORDERED)] == 1
-    stats = sink.phase_stats("rtu")
-    assert stats["detection"].mean == 1.0
-    assert stats["decision"].mean == 0.5
-    assert stats["restart"].mean == 4.5
-    assert stats["total"].mean == 6.0
-
-
-def test_metrics_sink_snapshot_merge_matches_single_pass():
-    serial = MetricsSink()
-    for record in episode_records(failure_id=1, base=100.0):
-        serial.accept(record)
-    for record in episode_records(failure_id=2, base=300.0):
-        serial.accept(record)
-
-    worker_a, worker_b = MetricsSink(), MetricsSink()
-    for record in episode_records(failure_id=1, base=100.0):
-        worker_a.accept(record)
-    for record in episode_records(failure_id=2, base=300.0):
-        worker_b.accept(record)
-    worker_a.merge(worker_b)
-
-    assert worker_a.counters == serial.counters
-    assert worker_a.phase_snapshot() == serial.phase_snapshot()
-    assert worker_a.source_counters == serial.source_counters
+    assert sink.count(ev.RESTART_ORDERED) == 1
+    stats = phase_snapshot(tracker.episodes)["rtu"]
+    assert stats["detection"]["total"] == 1.0
+    assert stats["decision"]["total"] == 0.5
+    assert stats["restart"]["total"] == 4.5
+    assert stats["total"]["total"] == 6.0
 
 
 def test_metrics_sink_without_episode_tracking():
-    sink = MetricsSink(track_episodes=False)
+    sink = MetricsSink()
     for record in episode_records():
         sink.accept(record)
-    assert sink.tracker is None
     assert sink.count(ev.FAILURE_INJECTED) == 1
-    assert sink.phase_snapshot() == {}
-
-
-def test_phase_sink_is_the_metrics_sinks_phase_table():
-    phases, metrics = PhaseSink(), MetricsSink()
-    records = episode_records() + episode_records("ses", failure_id=2, base=300.0)
-    records.insert(3, rec(103.0, ev.BUS_CONNECTED, source="rtu"))  # unread kind
-    for record in records:
-        phases.accept(record)
-        metrics.accept(record)
-    assert phases.phase_snapshot() == metrics.phase_snapshot()
-    assert phases.phase_stats("ses")["total"].mean == 6.0
-    assert not hasattr(phases, "counters")
-
-
-def test_phase_sink_close_flushes_cured_but_unconfirmed_episodes():
-    """A run can end between ``failure_cured`` and ``restart_complete``;
-    closing the sink counts that episode, as the tracker's flush does."""
-    phases = PhaseSink()
-    for record in episode_records()[:4]:  # inject, detect, order, cure
-        phases.accept(record)
-    assert phases.phase_snapshot() == {}
-    phases.close()
-    assert phases.phase_stats("rtu")["total"].mean == 6.0
-    MetricsSink(track_episodes=False).close()  # nothing to flush
+    assert sink.counters == {
+        ev.FAILURE_INJECTED: 1, ev.DETECTION: 1, ev.RESTART_ORDERED: 1,
+        ev.FAILURE_CURED: 1, ev.PROCESS_READY: 1, ev.RESTART_COMPLETE: 1,
+    }
+    assert not hasattr(sink, "tracker")
 
 
 def test_sinks_declare_what_they_read():
-    from repro.obs.spans import EpisodeTracker
-
     tracker = EpisodeTracker()
     assert tracker.kinds == frozenset(tracker._dispatch)
-    assert PhaseSink().kinds == tracker.kinds
     assert ev.PROCESS_READY in tracker.kinds and ev.BUS_CONNECTED not in tracker.kinds
     # Everything that consumes or counts the whole stream reads every kind.
-    for sink in (RingSink(), CallbackSink(print), JsonlSink(io.StringIO()),
-                 MetricsSink(), MetricsSink(track_episodes=False)):
+    for sink in (RingSink(), CallbackSink(print), JsonlSink(io.StringIO()), MetricsSink()):
         assert sink.kinds is None
 
 
@@ -272,4 +231,4 @@ def test_metrics_sink_on_disabled_trace():
         trace.emit(record.source, record.kind, severity=Severity.INFO,
                    time=record.time, **record.data)
     assert trace.records == []  # nothing retained
-    assert sink.phase_stats("rtu")["total"].n == 1
+    assert sink.count(ev.FAILURE_INJECTED) == 1

@@ -9,8 +9,9 @@
 import pytest
 
 from repro.obs import events as ev
-from repro.obs.spans import EpisodeTracker, episodes_from_trace
-from repro.sim.trace import Trace, TraceRecord
+from repro.obs.sinks import JsonlSink, MetricsSink
+from repro.obs.spans import EpisodeTracker, phase_snapshot
+from repro.sim.trace import Trace, TraceRecord, read_trace
 
 
 def feed(tracker, *events):
@@ -363,9 +364,12 @@ def test_duplicate_watchdog_kick_tracked_once():
 
 
 def test_proactive_restarts_counted_not_spanned():
-    tracker = EpisodeTracker()
+    """A rejuvenation round is counted by kind, never made an episode."""
+    tracker, metrics = EpisodeTracker(), MetricsSink()
     feed(tracker, (5.0, ev.PROACTIVE_RESTART, {"cell": "R_rtu"}))
-    assert tracker.proactive_restarts == 1
+    feed(metrics, (5.0, ev.PROACTIVE_RESTART, {"cell": "R_rtu"}))
+    assert ev.PROACTIVE_RESTART not in tracker.kinds
+    assert metrics.count(ev.PROACTIVE_RESTART) == 1
     assert tracker.episodes == []
     assert not tracker.open_episodes()
 
@@ -375,18 +379,42 @@ def test_proactive_restarts_counted_not_spanned():
 # ----------------------------------------------------------------------
 
 
-def test_episodes_from_trace_replays_retained_records():
-    trace = Trace()
-    trace.emit("faults", ev.FAILURE_INJECTED, time=0.0, component="rtu",
-               failure_id=1, cure_set=["rtu"], failure_kind="crash")
-    trace.emit("fd", ev.DETECTION, time=1.0, component="rtu")
-    trace.emit("rec", ev.RESTART_ORDERED, time=1.5, cell="R_rtu",
-               components=["rtu"], trigger="rtu")
-    trace.emit("faults", ev.FAILURE_CURED, time=6.0, component="rtu",
+def test_phase_snapshot_counts_a_flushed_episode():
+    """A run can end between ``failure_cured`` and ``restart_complete``;
+    the tracker's flush completes that episode, so the phase table counts
+    it."""
+    tracker = EpisodeTracker()
+    feed(tracker, injected(0.0, "rtu", 1), detected(1.0, "rtu"),
+         ordered(1.5, "R_rtu", ["rtu"], "rtu"), cured(6.0, "rtu", 1))
+    assert phase_snapshot(tracker.episodes) == {}
+    tracker.flush()
+    total = phase_snapshot(tracker.episodes)["rtu"]["total"]
+    assert (total["n"], total["total"]) == (1, 6.0)
+
+
+def test_replayed_jsonl_trace_matches_the_live_tracker(tmp_path):
+    """``read_trace`` gives back records a fresh tracker folds into the
+    episodes the live one built (tuples come back as lists, floats exact)."""
+    path = str(tmp_path / "run.jsonl")
+    trace, live = Trace(), EpisodeTracker()
+    trace.add_sink(live)
+    trace.add_sink(JsonlSink(path))
+    trace.emit("faults", ev.FAILURE_INJECTED, time=0.1, component="rtu",
+               failure_id=1, cure_set=("rtu",), failure_kind="crash")
+    trace.emit("fd", ev.DETECTION, time=1.3, component="rtu", via="ping")
+    trace.emit("rec", ev.RESTART_ORDERED, time=1.7, cell="R_rtu",
+               components=("rtu",), trigger="rtu")
+    trace.emit("faults", ev.FAILURE_CURED, time=6.2, component="rtu",
                failure_id=1)
-    tracker = episodes_from_trace(trace)
-    (episode,) = tracker.episodes
-    assert episode.total_recovery == pytest.approx(6.0)
+    for sink in trace.sinks:
+        sink.close()
+    replayed = EpisodeTracker()
+    for record in read_trace(path):
+        replayed.accept(record)
+    replayed.flush()
+    (episode,) = replayed.episodes
+    assert replayed.episodes == live.episodes
+    assert episode.total_recovery == pytest.approx(6.1)
 
 
 def test_live_tracker_matches_replay_on_real_run():

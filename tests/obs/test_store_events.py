@@ -36,7 +36,6 @@ def test_supervision_plane_kinds_registered():
     ):
         assert ev.REGISTRY.is_registered(kind)
         assert ev.REGISTRY.get(kind).layer == "recovery"
-    assert ev.REGISTRY.get(ev.STRATEGY_FALLBACK).phase == "decide"
 
 
 def test_store_payloads_validate_as_emitted():

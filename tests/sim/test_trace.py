@@ -229,7 +229,7 @@ def test_forwarders_validate_kinds_nobody_reads(kernel, manager, built):
     from repro.core.recovery_engine import RecoveryEngine
     from repro.core.tree import RestartTree, cell
     from repro.obs import events as ev
-    from repro.obs.sinks import PhaseSink
+    from repro.obs.spans import EpisodeTracker
 
     from tests.conftest import spawn_simple
 
@@ -240,7 +240,7 @@ def test_forwarders_validate_kinds_nobody_reads(kernel, manager, built):
     )
     trace = kernel.trace
     trace.enabled = False
-    trace.add_sink(PhaseSink())
+    trace.add_sink(EpisodeTracker())
     unread = (ev.REPLAY_WINDOW, ev.DECISION_IGNORE)
     assert not any(trace.wants(kind) for kind in unread)
     behavior.trace(ev.REPLAY_WINDOW, component="a")  # unchecked and unbuilt

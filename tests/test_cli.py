@@ -340,6 +340,42 @@ def test_trace_subcommand_missing_file(tmp_path, capsys):
     assert "nope.jsonl" in capsys.readouterr().err
 
 
+def test_explain_marks_an_episode_still_open_at_the_end(tmp_path, capsys):
+    from repro.obs import events as ev
+    from repro.obs.sinks import JsonlSink
+    from repro.sim.trace import Trace
+
+    path = str(tmp_path / "cut.jsonl")
+    trace = Trace()
+    sink = trace.add_sink(JsonlSink(path))
+    trace.emit("faults", ev.FAILURE_INJECTED, time=2.0, component="rtu",
+               failure_id=4, cure_set=("rtu",), failure_kind="hang")
+    trace.emit("fd", ev.DETECTION, time=2.5, component="rtu", via="probe")
+    trace.emit("fd", ev.DETECTION, time=2.5, component="ses", via="ping")
+    sink.close()
+    assert main(["explain", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "",
+        "rtu: failure 4 (hang), cells -, restarts 0, detected via probe",
+        "  detection 0.500s  decision -  restart -  total -",
+        "  t=+   0.000s  failure injected in rtu (cure set: rtu)",
+        "  t=+   0.500s  FD detected rtu",
+        "  open at end of trace",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text", ["not json\n", "[1, 2]\n", '{"t": 1.0, "data": 3}\n', '{"t": null}\n']
+)
+def test_explain_refuses_a_malformed_or_missing_trace(tmp_path, capsys, text):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    assert main(["explain", str(path)]) == 2
+    assert "malformed trace" in capsys.readouterr().err
+    assert main(["explain", str(tmp_path / "nope.jsonl")]) == 2
+    assert "cannot read trace" in capsys.readouterr().err
+
+
 def test_availability_phases_flag(capsys):
     code = main(["availability", "--days", "0.5", "--tree", "V", "--phases"])
     assert code == 0

@@ -24,9 +24,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Unreached modules, each with its owner.  This is the to-do list of
 #: ROADMAP item 5(a): a module leaves when its item wires it in.
-ISLAND_MODULES = {
-    "repro.experiments.timeline": "item 5(a): the seed of `repro explain`",
-}
+ISLAND_MODULES = {}
 
 #: Where a reference to a public name may live (tests do not count: a name
 #: only tests use is test-side API and says so below).
@@ -47,7 +45,6 @@ ISLAND_NAMES = {
     "repro.obs.events.set_validation": "test-side API: REPRO_OBS_VALIDATE without the environment",
     "repro.obs.events.validation_enabled": "test-side API: reads the switch set_validation sets",
     "repro.obs.sinks.CallbackSink": "test-side API: four test suites watch a trace with it",
-    "repro.obs.spans.episodes_from_trace": "item 5(a): `repro explain` rebuilds episodes from a captured trace with it",
 }
 
 
