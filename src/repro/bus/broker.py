@@ -153,7 +153,7 @@ class BusBroker(Behavior):
         if kind == "command" and verb == "attach":
             self._attach(sender, endpoint)
         elif target != self.name:
-            self._forward(target, raw)
+            self._forward(target, raw, kind == "ping" or kind == "ping-reply")
         elif kind == "ping":
             self._reply_ping(sender, seq)
         else:
@@ -170,17 +170,23 @@ class BusBroker(Behavior):
     def _reply_ping(self, requester: str, seq: int) -> None:
         # Template-serialized reply: only ``seq`` varies between pings from
         # the same requester (byte-identical to the generic serializer).
-        self._forward(requester, encode_ping_wire("ping-reply", self.name, requester, seq))
+        self._forward(
+            requester, encode_ping_wire("ping-reply", self.name, requester, seq), True
+        )
 
-    def _forward(self, target: Optional[str], raw: str) -> None:
-        """Send the original wire string to the endpoint attached as ``target``."""
+    def _forward(self, target: Optional[str], raw: str, ping: bool = False) -> None:
+        """Send the original wire string to the endpoint attached as ``target``;
+        a ``ping`` (request or reply) goes at the base latency, undrawn."""
         endpoint = self._clients.get(target) if target else None
         if endpoint is None or not endpoint.open:
             self.dropped += 1
             self.trace(ev.BUS_UNROUTABLE, target=target)
             return
         try:
-            endpoint.send(raw)
+            if ping:
+                endpoint.send_base(raw)
+            else:
+                endpoint.send(raw)
             self.routed += 1
         except ChannelClosedError:
             self.dropped += 1

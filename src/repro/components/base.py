@@ -223,16 +223,7 @@ class BusAttachedBehavior(Behavior):
         if env is not None and env.kind == "ping":
             # Liveness pings dominate bus traffic; answer straight from the
             # envelope — no request or reply message is ever built.
-            # Byte-identical to send(PingReply(...)), including the zombie
-            # gate (a zombie's liveness thread still answers pings).
-            endpoint = self._endpoint
-            if endpoint is not None and endpoint.open:
-                try:
-                    endpoint.send(
-                        encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
-                    )
-                except ChannelClosedError:
-                    pass
+            self._answer_ping(env.sender, env.seq)
             return
         if self._session_store is not None and not self._replaying:
             # Bus-client tap: log real work for checkpoint-replay recovery.
@@ -256,7 +247,7 @@ class BusAttachedBehavior(Behavior):
             if env.kind == "ping":
                 # A schema-valid ping only the parser could judge (entities,
                 # children); vouched ones were answered above.
-                self.send(PingReply(sender=self.name, target=env.sender, seq=env.seq))
+                self._answer_ping(env.sender, env.seq)
                 return
         if self.process.degraded_mode == "zombie":
             return  # real work silently dropped — only e2e probes see this
@@ -267,6 +258,17 @@ class BusAttachedBehavior(Behavior):
             self._reply_probe(message)
             return
         self.on_message(message)
+
+    def _answer_ping(self, requester: str, seq: int) -> None:
+        """Reply to a liveness ping at the base latency, undrawn: the wire
+        ``send(PingReply(...))`` would encode, and its zombie gate (a
+        zombie's liveness thread still answers pings)."""
+        endpoint = self._endpoint
+        if endpoint is not None and endpoint.open:
+            try:
+                endpoint.send_base(encode_ping_wire("ping-reply", self.name, requester, seq))
+            except ChannelClosedError:
+                pass
 
     def _reply_probe(self, message: Message) -> None:
         """Answer an end-to-end probe through the worker path (zombie-gated

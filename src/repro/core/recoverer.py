@@ -163,7 +163,7 @@ class RecoveryModule(Behavior):
         if self._fd_endpoint is None or not self._fd_endpoint.open:
             return False
         try:
-            self._fd_endpoint.send(wire)
+            self._fd_endpoint.send_base(wire)
         except ChannelClosedError:
             return False
         return True

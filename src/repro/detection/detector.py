@@ -144,6 +144,9 @@ class FailureDetector(BusAttachedBehavior):
         self._seq = 0
         #: component -> (seq, sent_at) of the unanswered ping, if any.
         self._outstanding: Dict[str, Tuple[int, SimTime]] = {}
+        #: Adaptive policy: component -> (seq, sent_at) of its last ping
+        #: judged missing, whose reply may yet arrive late.
+        self._late: Dict[str, Tuple[int, SimTime]] = {}
         self._misses: Dict[str, int] = {}
         self._warmed: Set[str] = set()
         self._suspected: Set[str] = set()
@@ -183,6 +186,7 @@ class FailureDetector(BusAttachedBehavior):
 
     def on_start(self) -> None:
         self._outstanding = {}
+        self._late = {}
         self._misses = {name: 0 for name in self.monitored}
         self._warmed = set()
         self._suspected = set()
@@ -262,7 +266,7 @@ class FailureDetector(BusAttachedBehavior):
         if self._ctl is None or not self._ctl.open:
             return False
         try:
-            self._ctl.send(wire)
+            self._ctl.send_base(wire)
         except ChannelClosedError:
             return False
         return True
@@ -369,7 +373,7 @@ class FailureDetector(BusAttachedBehavior):
         ):
             return False
         try:
-            endpoint.send(encode_ping_wire("ping", self.name, component, seq))
+            endpoint.send_base(encode_ping_wire("ping", self.name, component, seq))
         except ChannelClosedError:
             return False
         return True
@@ -401,24 +405,39 @@ class FailureDetector(BusAttachedBehavior):
     def _on_ping_reply(self, component: str, seq: int) -> None:
         self._warmed.add(component)
         entry = self._outstanding.get(component)
-        if entry is not None and entry[0] == seq:
-            del self._outstanding[component]
-            if self.timeout_policy == "adaptive":
-                self._round_replied.add(component)
-                self._observe_rtt(self.kernel.now - entry[1])
-                self._observe_loss(0.0)
-                if self._partition_suspected:
-                    self._partition_suspected = False
-                    self.trace(ev.PARTITION_CLEARED, component=component)
-            self._misses[component] = 0
-            if (
-                component in self._suspected
-                and self._suspected_via.get(component) != "probe"
-            ):
-                self._suspected.discard(component)
-                self._suspected_via.pop(component, None)
-                self.trace(ev.COMPONENT_RECOVERED_OBSERVED, component=component)
-                self._maybe_retract(component, "ping")
+        if entry is None or entry[0] != seq:
+            late = self._late.get(component)
+            if late is not None and late[0] == seq:
+                # Adaptive only: the reply to a ping already judged missing.
+                # It is proof of life, of the fabric and an RTT sample all
+                # the same; dropping it would keep the estimator blind to
+                # exactly the delays that outlast the timeout, and let a
+                # slow component's misses run up to a declaration.
+                del self._late[component]
+                self._observe_rtt(self.kernel.now - late[1])
+                self._misses[component] = 0
+                self._clear_partition(component)
+            return
+        del self._outstanding[component]
+        if self.timeout_policy == "adaptive":
+            self._round_replied.add(component)
+            self._observe_rtt(self.kernel.now - entry[1])
+            self._observe_loss(0.0)
+            self._clear_partition(component)
+        self._misses[component] = 0
+        if (
+            component in self._suspected
+            and self._suspected_via.get(component) != "probe"
+        ):
+            self._suspected.discard(component)
+            self._suspected_via.pop(component, None)
+            self.trace(ev.COMPONENT_RECOVERED_OBSERVED, component=component)
+            self._maybe_retract(component, "ping")
+
+    def _clear_partition(self, component: str) -> None:
+        if self._partition_suspected:
+            self._partition_suspected = False
+            self.trace(ev.PARTITION_CLEARED, component=component)
 
     def _judge_round(
         self, rec_seq: Optional[int], pinged: List[Tuple[str, int]]
@@ -443,6 +462,8 @@ class FailureDetector(BusAttachedBehavior):
         if entry is None or entry[0] != seq:
             return  # answered (or superseded by a later ping)
         del self._outstanding[component]
+        if self.timeout_policy == "adaptive":
+            self._late[component] = entry  # a reply may still come
         if component in self._suppressed:
             return
         if (

@@ -296,7 +296,7 @@ KINDS: Dict[str, Kind] = {
         identity=("tree", "oracle", "component", "cure_set", "shard"),
         run=_run_recovery,
         decode=_decode_recovery,
-        version=2,
+        version=3,
     ),
     "availability": Kind(
         reads=("horizon_s", "oracle"),
@@ -313,14 +313,14 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "scenario", "tree"),
         run=_run_chaos,
         decode=_decode_chaos,
-        version=4,
+        version=5,
     ),
     "workload": Kind(
         reads=("strategy", "failure_kind", "trials", "supervisor", "request_rate"),
         identity=("kind", "strategy", "failure_kind", "tree"),
         run=_run_workload,
         decode=_decode_workload,
-        version=3,
+        version=4,
     ),
     "fleet": Kind(
         reads=(
@@ -330,7 +330,7 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "tree", "fleet_size", "wave_interval_s", "horizon_s"),
         run=_run_fleet,
         decode=_decode_fleet,
-        version=3,
+        version=4,
     ),
 }
 

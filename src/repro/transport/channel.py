@@ -16,6 +16,9 @@ from repro.errors import ChannelClosedError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.transport.network import Network
 
+#: The one-copy, no-spike plan of a fault-free hop.
+_NO_EXTRA = (0.0,)
+
 
 class Endpoint:
     """One half of a channel, held by one of the two communicating parties.
@@ -108,6 +111,39 @@ class Endpoint:
         sample = network.latency.sample
         for extra in copies:
             arrival = kernel.clock._now + sample() + extra
+            if arrival < receiver._last_arrival:
+                arrival = receiver._last_arrival
+            else:
+                receiver._last_arrival = arrival
+            kernel.schedule_at(arrival, receiver._deliver, message)
+
+    def send_base(self, message: Any) -> None:
+        """:meth:`send` at the latency model's ``base`` delay, drawing nothing.
+
+        The liveness protocol's path: FD's pings and their replies, and
+        everything on the FD↔REC control channel.  Their arrivals are a
+        pure function of the send instant, so a ping round's hops can be
+        computed rather than simulated (DESIGN.md §10, "Quiet rounds"), and
+        no ping moves another message's latency draw.  The FIFO clamp and
+        the fault fabric apply as in :meth:`send`.
+        """
+        channel = self._channel
+        if not self.open:
+            raise ChannelClosedError(f"{self.name!r} cannot send on closed channel {channel!r}")
+        receiver = self._peer
+        network = self._network
+        faults = network.faults
+        channel.messages_sent += 1
+        copies = _NO_EXTRA
+        if faults is not None and faults.active:
+            copies = faults.plan(self.name, receiver.name)
+            if copies is None:
+                channel.messages_lost += 1
+                return
+        kernel = network.kernel
+        base = network.latency.base
+        for extra in copies:
+            arrival = kernel.clock._now + base + extra
             if arrival < receiver._last_arrival:
                 arrival = receiver._last_arrival
             else:

@@ -1,9 +1,10 @@
-"""The inventory of a bus hop: three transport frames, and 53 events in two rounds.
+"""The inventory of a bus hop: its transport frames, and 53 events in two rounds.
 
 A delivered message costs exactly the Python frames under
-``repro/transport/`` that DESIGN.md §10's per-hop table lists
-(``Endpoint.send``, ``LatencyModel.sample``, ``Endpoint._deliver``), once
-each, and a healthy tree-V station with its application traffic silenced
+``repro/transport/`` that DESIGN.md §10's per-hop table lists, once each:
+a data hop ``Endpoint.send``, ``LatencyModel.sample`` and
+``Endpoint._deliver``, a ping hop ``Endpoint.send_base`` and
+``Endpoint._deliver``.  A healthy tree-V station with its application traffic silenced
 executes exactly the table's kernel events per two ping rounds (REC's FD
 deadline fires once per two rounds, so the count is stated over an even
 number of rounds).  A wrapper
@@ -33,33 +34,28 @@ ROUNDS = 10  # even: the table counts two rounds
 
 
 def _design_tables():
-    """``(frames, events per two rounds)`` as DESIGN.md §10 states them."""
+    """``(data-hop frames, ping-hop frames, events per two rounds)`` as
+    DESIGN.md §10 states them."""
     design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
     section = design.split("\n## 10.", 1)[1].split("\n## 11.", 1)[0]
-    frames = set()
+    frames = {"| hop frame": set(), "| ping hop frame": set()}
     parts = []
     total = None
     for line in section.splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
-        if line.startswith("| hop frame") and not cells[-1].startswith("gone"):
-            frames.update(re.findall(r"`(\w+\.\w+)`", cells[0]))
+        prefix = next((p for p in frames if line.startswith(p)), None)
+        if prefix is not None and not cells[-1].startswith("gone"):
+            frames[prefix].update(re.findall(r"`(\w+\.\w+)`", cells[0]))
         elif line.startswith("| round events"):
             parts.append(int(cells[1]))
         elif line.startswith("| round total"):
             total = int(re.match(r"\*\*(\d+)\*\*", cells[1]).group(1))
     assert total == sum(parts), "DESIGN.md §10: the per-round rows do not add up"
-    return frames, total
+    return frames["| hop frame"], frames["| ping hop frame"], total
 
 
-def test_a_hop_is_three_transport_frames_and_a_round_is_the_tables_events():
-    frames, events_per_two_rounds = _design_tables()
-    assert frames == {"Endpoint.send", "LatencyModel.sample", "Endpoint._deliver"}
-
-    # solution_period: ses's tracking loop is the station's only periodic
-    # application traffic; parked, every event left is the ping fabric's.
-    station = MercuryStation(tree=tree_v(), seed=3, solution_period=1e6)
-    station.boot()
-    station.run_for(4.5)  # past boot's stragglers, to mid-round
+def _frame_calls(run):
+    """Calls of each function under ``repro/transport/`` during ``run()``."""
     transport = os.path.join("repro", "transport", "")
     calls = collections.Counter()
 
@@ -67,20 +63,48 @@ def test_a_hop_is_three_transport_frames_and_a_round_is_the_tables_events():
         if event == "call" and transport in frame.f_code.co_filename:
             calls[frame.f_code.co_qualname] += 1
 
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_ping_hop_is_two_transport_frames_and_a_round_is_the_tables_events():
+    _, frames, events_per_two_rounds = _design_tables()
+    assert frames == {"Endpoint.send_base", "Endpoint._deliver"}
+
+    # solution_period: ses's tracking loop is the station's only periodic
+    # application traffic; parked, every event left is the ping fabric's.
+    station = MercuryStation(tree=tree_v(), seed=3, solution_period=1e6)
+    station.boot()
+    station.run_for(4.5)  # past boot's stragglers, to mid-round
     kernel = station.kernel
     period = station.fd.ping_period
     executed = kernel.events_executed
     delivered = _delivered(station)
-    sys.setprofile(profile)
-    try:
-        station.run_for(ROUNDS * period)
-    finally:
-        sys.setprofile(None)
+    calls = _frame_calls(lambda: station.run_for(ROUNDS * period))
     delivered = _delivered(station) - delivered
 
     assert delivered > 0
     assert calls == dict.fromkeys(frames, delivered)
     assert kernel.events_executed - executed == ROUNDS // 2 * events_per_two_rounds
+
+
+def test_a_data_hop_is_three_transport_frames():
+    frames, ping_frames, _ = _design_tables()
+    assert frames == {"Endpoint.send", "LatencyModel.sample", "Endpoint._deliver"}
+
+    # ses commands str and rtu every 2 s: data hops among the pings.
+    station = MercuryStation(tree=tree_v(), seed=3, solution_period=2.0)
+    station.boot()
+    station.run_for(4.5)
+    calls = _frame_calls(lambda: station.run_for(ROUNDS * station.fd.ping_period))
+
+    assert calls["Endpoint.send"] > 0 and calls["Endpoint.send_base"] > 0
+    assert calls["LatencyModel.sample"] == calls["Endpoint.send"]
+    assert set(calls) == frames | ping_frames
 
 
 def _delivered(station) -> int:
