@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep only events at or before this simulated time (s)",
     )
     trace.add_argument(
-        "--limit", type=int, default=None,
+        "--limit", type=_count, default=None,
         help="print at most the first N matching events",
     )
 
@@ -655,7 +655,7 @@ def cmd_availability(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     scenarios = args.scenario or sorted(SCENARIOS)
-    labels = args.tree or ["I", "II", "III", "IV", "V"]
+    labels = args.tree or list(TREE_BUILDERS)
     if args.trace_out:
         if len(scenarios) != 1 or len(labels) != 1:
             print(

@@ -151,6 +151,12 @@ class RecoveryModule(Behavior):
         endpoint.on_message(self._on_ctl_raw)
         endpoint.on_close(partial(self._on_ctl_close, endpoint))
         self._fd_heard_at = self.kernel.now
+        action = self.engine.action
+        if action is not None:
+            # A reconnecting FD (a restarted one, typically) never saw the
+            # order of the restart in flight; re-announce it, so that it
+            # suppresses what is meant to be down instead of reporting it.
+            self._announce(action.cell, tuple(sorted(action.batch)), "begin")
 
     def _on_ctl_close(self, endpoint: "Endpoint") -> None:
         if self._fd_endpoint is endpoint:

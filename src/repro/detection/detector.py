@@ -131,11 +131,11 @@ class FailureDetector(BusAttachedBehavior):
         #: keeps every judgement inside its own round (see
         #: :meth:`_current_timeout`).
         self._timeout_cap = 0.9 * ping_period
-        #: After this long since FD's own start, judge even components this
-        #: incarnation has never seen alive.  Bounds the blind spot where a
-        #: component fails, FD itself is then restarted, and the fresh FD —
-        #: protected by warm-up — would otherwise never report the still-dead
-        #: component.
+        #: Station boot only (FD's first start): for this long, judge no
+        #: component FD has not yet seen alive — components attach to the bus
+        #: at very different times while the station boots.  A restarted FD
+        #: judges at once; REC re-announces the restart it has in flight on
+        #: reconnect, so the fresh FD suppresses what is meant to be down.
         self.warmup_grace = warmup_grace
         self._started_at: SimTime = 0.0
 
@@ -221,7 +221,7 @@ class FailureDetector(BusAttachedBehavior):
                 skip=self._probe_skip,
             )
             self._prober.start()
-        self.kernel.schedule_after(self.ping_period, self._tick)
+        self.kernel.schedule_after(self.ping_period, self._tick, self.process.start_count)
 
     def on_kill(self) -> None:
         super().on_kill()
@@ -313,10 +313,12 @@ class FailureDetector(BusAttachedBehavior):
     # ping loop
     # ------------------------------------------------------------------
 
-    def _tick(self) -> None:
-        if not self._alive:
+    def _tick(self, incarnation: int) -> None:
+        # The incarnation fences a dead FD's ping loop: restarted before
+        # its next tick, it would otherwise run beside the new one.
+        if not self._alive or incarnation != self.process.start_count:
             return
-        self.kernel.schedule_after(self.ping_period, self._tick)
+        self.kernel.schedule_after(self.ping_period, self._tick, incarnation)
         if self.process.degraded_mode is not None:
             return
         if not self.connected:
@@ -466,15 +468,9 @@ class FailureDetector(BusAttachedBehavior):
             self._late[component] = entry  # a reply may still come
         if component in self._suppressed:
             return
-        if (
-            component not in self._warmed
-            and self.kernel.now - self._started_at < self.warmup_grace
-        ):
-            # Warm-up: never judge a component this FD incarnation has not
-            # yet seen alive — during boot, components attach to the bus at
-            # very different times, and reporting them would storm REC with
-            # spurious restarts.  The grace deadline bounds the blind spot:
-            # anything still silent long after FD's start is genuinely down.
+        if self._warming_up(component):
+            # Boot: reporting components that have not attached yet would
+            # storm REC with spurious restarts.
             return
         self._misses[component] = self._misses.get(component, 0) + 1
         if self.timeout_policy == "adaptive":
@@ -629,9 +625,18 @@ class FailureDetector(BusAttachedBehavior):
         return (
             component in self._suppressed
             or not self.connected
-            or component not in self._warmed
+            or self._warming_up(component)
             or self.bus_component in self._suspected
             or self._partition_suspected
+        )
+
+    def _warming_up(self, component: str) -> bool:
+        """Whether ``component`` is still inside the boot warm-up: FD's first
+        start, less than ``warmup_grace`` ago, and not yet seen alive."""
+        return (
+            component not in self._warmed
+            and self.process.start_count == 1
+            and self.kernel.now - self._started_at < self.warmup_grace
         )
 
     def _on_probe_suspect(self, component: str) -> None:

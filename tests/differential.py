@@ -141,15 +141,15 @@ def _stepping_reference():
         yield
 
 
-def _per_component_tick(self: FailureDetector) -> None:
+def _per_component_tick(self: FailureDetector, incarnation: int) -> None:
     """``FailureDetector._tick`` as it scheduled judgements before the
     round judge: *judge REC, then send, schedule that component's judge,
     send, schedule the next* — one kernel event for REC's ping and one per
     pinged component, each in its own heap entry.  Everything up to the
     ping loop is the product's, line for line."""
-    if not self._alive:
+    if not self._alive or incarnation != self.process.start_count:
         return
-    self.kernel.schedule_after(self.ping_period, self._tick)
+    self.kernel.schedule_after(self.ping_period, self._tick, incarnation)
     if self.process.degraded_mode is not None:
         return
     if not self.connected:

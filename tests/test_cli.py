@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.runner import PAPER_TABLE4, TABLE4_COLUMNS
+from repro.mercury.trees import TREE_BUILDERS
 
 
 def test_trees_renders_all(capsys):
@@ -335,6 +336,17 @@ def test_trace_subcommand_filters(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == ""
 
 
+def test_trace_limit_below_one_is_a_usage_error(tmp_path, capsys):
+    out_path = str(tmp_path / "run.jsonl")
+    main(["recovery", "--component", "rtu", "--trials", "1",
+          "--trace-out", out_path])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", out_path, "--limit", "0"])
+    assert excinfo.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+
+
 def test_trace_subcommand_missing_file(tmp_path, capsys):
     assert main(["trace", str(tmp_path / "nope.jsonl")]) == 2
     assert "nope.jsonl" in capsys.readouterr().err
@@ -392,6 +404,15 @@ def test_chaos_command(capsys):
     assert "Chaos campaigns" in out
     assert "cascade" in out
     assert "invariants: all OK" in out
+
+
+def test_chaos_runs_every_tree_by_default(capsys):
+    assert main(["chaos", "--scenario", "blind", "--trials", "1", "--seed", "7"]) == 0
+    header = capsys.readouterr().out.splitlines()[1]
+    assert [cell.strip() for cell in header.split("|")[1:]] == [
+        f"tree {label}" for label in TREE_BUILDERS
+    ]
+    assert "tree II'" in header
 
 
 def test_chaos_speedup_table_and_report(tmp_path, capsys):
