@@ -95,6 +95,7 @@ class BusBroker(Behavior):
         endpoint.on_close(partial(self._on_client_close, endpoint))
 
     def _on_client_close(self, endpoint: "Endpoint") -> None:
+        self.kernel.supervision.poke()
         for name in self._endpoints.pop(endpoint, ()):
             if self._clients.get(name) is endpoint:
                 del self._clients[name]
@@ -103,6 +104,7 @@ class BusBroker(Behavior):
     def _attach(self, client_name: str, endpoint: "Endpoint") -> None:
         # Last attach wins: a restarted client re-attaches over a new channel
         # while the broker may not yet have seen the old channel's close.
+        self.kernel.supervision.poke()
         old = self._clients.get(client_name)
         if old is not None and old is not endpoint:
             names = self._endpoints.get(old)
@@ -113,6 +115,12 @@ class BusBroker(Behavior):
         if client_name not in names:
             names.append(client_name)
         self.trace(ev.BUS_ATTACHED, client=client_name)
+
+    def attached(self, client: str) -> Optional["Endpoint"]:
+        """The open endpoint (broker side) that ``client`` is attached
+        through, if any."""
+        endpoint = self._clients.get(client)
+        return endpoint if endpoint is not None and endpoint.open else None
 
     # ------------------------------------------------------------------
     # routing

@@ -147,6 +147,7 @@ class RecoveryModule(Behavior):
     def _on_accept(self, endpoint: "Endpoint") -> None:
         # One live FD connection at a time; a reconnecting FD supersedes the
         # old channel (whose close may still be in flight).
+        self.kernel.supervision.poke()
         self._fd_endpoint = endpoint
         endpoint.on_message(self._on_ctl_raw)
         endpoint.on_close(partial(self._on_ctl_close, endpoint))
@@ -159,6 +160,7 @@ class RecoveryModule(Behavior):
             self._announce(action.cell, tuple(sorted(action.batch)), "begin")
 
     def _on_ctl_close(self, endpoint: "Endpoint") -> None:
+        self.kernel.supervision.poke()
         if self._fd_endpoint is endpoint:
             self._fd_endpoint = None
 
@@ -202,6 +204,7 @@ class RecoveryModule(Behavior):
                 encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
             )
             return
+        self.kernel.supervision.poke()
         message = parse_message(raw)
         handler = _CTL_DISPATCH.get(message.__class__)
         if handler is not None:
@@ -250,6 +253,8 @@ class RecoveryModule(Behavior):
         if not self.engine.alive or incarnation != self.process.start_count:
             return
         now = self.kernel.now
+        # FD's folded rounds (DESIGN.md §9) pinged REC all the same.
+        self._fd_heard_at = max(self._fd_heard_at, self.kernel.supervision.heard(now))
         if self._fd_deadline() <= now:
             # Silent for a whole grace.  The restart opens the next one.
             self._fd_heard_at = now

@@ -244,11 +244,13 @@ class FailureDetector(BusAttachedBehavior):
         if self._ctl is None:
             self._schedule_ctl_reconnect()
             return
+        self.kernel.supervision.poke()
         self._ctl.on_message(self._on_ctl_raw)
         self._ctl.on_close(self._on_ctl_close)
         self.trace(ev.CTL_CONNECTED)
 
     def _on_ctl_close(self) -> None:
+        self.kernel.supervision.poke()
         self._ctl = None
         if self._alive:
             self._schedule_ctl_reconnect()
@@ -281,6 +283,7 @@ class FailureDetector(BusAttachedBehavior):
         if env is not None and env.kind == "ping-reply":
             self._on_rec_reply(env.seq)
             return
+        self.kernel.supervision.poke()
         message = parse_message(raw)
         if isinstance(message, PingReply):
             self._on_rec_reply(message.seq)
@@ -317,6 +320,11 @@ class FailureDetector(BusAttachedBehavior):
         # The incarnation fences a dead FD's ping loop: restarted before
         # its next tick, it would otherwise run beside the new one.
         if not self._alive or incarnation != self.process.start_count:
+            return
+        if self._quiet():
+            self.kernel.supervision.fold(
+                self.kernel.now, self.ping_period, self.network.latency.base, self._wake
+            )
             return
         self.kernel.schedule_after(self.ping_period, self._tick, incarnation)
         if self.process.degraded_mode is not None:
@@ -362,6 +370,149 @@ class FailureDetector(BusAttachedBehavior):
             pinged.append((component, self._seq))
         if pinged or rec_seq is not None:
             self.kernel.schedule_after(timeout, self._judge_round, rec_seq, pinged)
+
+    # ------------------------------------------------------------------
+    # quiet rounds (DESIGN.md §9): folded, and caught up on at a poke
+    # ------------------------------------------------------------------
+
+    def _quiet(self) -> bool:
+        """Whether this round, and every later one until something pokes
+        the supervision clock, can change nothing: every ping FD would send
+        is answered well inside the timeout, so no miss, no report, no
+        restart.  The inputs that make rounds judge differently (the
+        adaptive policy, a fault fabric, the end-to-end prober) step every
+        round."""
+        if (
+            self.timeout_policy != "fixed"
+            or self._prober is not None
+            or self.process.degraded_mode is not None
+            or self._outstanding
+            or self._rec_outstanding is not None
+            or self._rec_misses
+            or self._rec_restart_inflight
+        ):
+            return False
+        faults = self.network.faults
+        if faults is not None and faults.active:
+            return False
+        endpoint, ctl = self._endpoint, self._ctl
+        if endpoint is None or not endpoint.open or ctl is None or not ctl.open:
+            return False
+        manager = self.manager
+        rec = manager.maybe_get(self.rec_name)
+        if (
+            rec is None
+            or not rec.is_running
+            or rec.degraded_mode is not None
+            or rec.behavior._fd_endpoint is not ctl.peer
+        ):
+            return False
+        bus = manager.maybe_get(self.bus_component)
+        if bus is None or not bus.is_running or bus.degraded_mode is not None:
+            return False
+        broker = bus.behavior
+        if broker.attached(self.name) is not endpoint.peer:
+            return False
+        for component in self.monitored:
+            if component in self._suppressed:
+                continue
+            if (
+                self._misses.get(component)
+                or component in self._suspected
+                or component not in self._warmed
+            ):
+                return False
+            if component == self.bus_component:
+                continue
+            process = manager.maybe_get(component)
+            if process is None or not process.is_running or process.degraded_mode is not None:
+                return False
+            attached = broker.attached(component)
+            if attached is None or attached.peer is not process.behavior._endpoint:
+                return False
+        return True
+
+    def _wake(self) -> None:
+        """The supervision clock's poke: catch up on the folded rounds as
+        stepping would have run them until now, then step again."""
+        kernel = self.kernel
+        rounds, tick, next_tick = kernel.supervision.unfold(kernel.now)
+        pinged = [c for c in self.monitored if c not in self._suppressed]
+        # Every folded round but the last is over: its pings were answered
+        # and only their sequence numbers remain.
+        self._seq += len(pinged) * (rounds - 1)
+        self._rec_seq += rounds - 1
+        self._replay_round(tick, pinged)
+        kernel.schedule_at(next_tick, self._tick, self.process.start_count)
+
+    def _replay_round(self, tick: SimTime, pinged: List[str]) -> None:
+        """The round begun at ``tick``, as stepping has run it until now.
+
+        A ping hop takes the base latency, so each path's hops fall on
+        ``tick + b``, ``+ 2b``, … : the hops before now have happened (their
+        only trace is FD's sequence numbers and REC's heartbeat, which the
+        clock answers for), and the one in flight on each path is queued
+        for its instant, to the endpoint it was sent to.  From there the
+        real code carries the round — including whatever the poke is about
+        to break — and its judge runs at ``tick + timeout``, as stepping
+        scheduled it.  A hop due exactly now is still in flight: the poke
+        comes first, as an event scheduled before the round began does.
+        """
+        kernel = self.kernel
+        now = kernel.now
+        base = self.network.latency.base
+        hops = [tick + base]
+        for _ in range(3):
+            hops.append(hops[-1] + base)
+        name = self.name
+        endpoint, ctl = self._endpoint, self._ctl
+        broker = self.manager.get(self.bus_component).behavior
+        pending = False
+
+        self._rec_seq += 1
+        rec_seq = self._rec_seq
+        rec_path = (
+            (ctl.peer, encode_ping_wire("ping", name, self.rec_name, rec_seq)),
+            (ctl, encode_ping_wire("ping-reply", self.rec_name, name, rec_seq)),
+        )
+        if self._queue_in_flight(hops, rec_path, now):
+            self._rec_outstanding = rec_seq
+            pending = True
+
+        judged = []
+        for component in pinged:
+            self._seq += 1
+            seq = self._seq
+            ping = encode_ping_wire("ping", name, component, seq)
+            reply = encode_ping_wire("ping-reply", component, name, seq)
+            if component == self.bus_component:
+                path = ((endpoint.peer, ping), (endpoint, reply))
+            else:
+                attached = broker.attached(component)
+                path = (
+                    (endpoint.peer, ping),
+                    (attached.peer, ping),
+                    (attached, reply),
+                    (endpoint, reply),
+                )
+            if self._queue_in_flight(hops, path, now):
+                self._outstanding[component] = (seq, tick)
+                pending = True
+            judged.append((component, seq))
+        if pending:
+            kernel.schedule_at(
+                tick + self._current_timeout(), self._judge_round, rec_seq, judged
+            )
+
+    def _queue_in_flight(self, hops, path, now: SimTime) -> bool:
+        """Queue the delivery of ``path``'s hop in flight at ``now`` (its
+        ``(receiver, wire)`` pairs in order, the i-th arriving at
+        ``hops[i]``); whether one was."""
+        for arrival, (receiver, wire) in zip(hops, path):
+            if arrival >= now:
+                self.kernel.schedule_at(arrival, receiver._deliver, wire)
+                return True
+        return False
 
     def _send_ping_wire(self, component: str, seq: int) -> bool:
         """Send one liveness ping, byte-identical to

@@ -184,6 +184,7 @@ class SimProcess:
             ProcessState.STOPPED,
         ):
             raise InvalidTransitionError(self.name, self.state.value, "starting")
+        self.manager.kernel.supervision.poke()
         self.state = ProcessState.STARTING
         self.last_batch = batch
         self.last_hint = hint
@@ -201,6 +202,7 @@ class SimProcess:
     def _on_start_complete(self) -> None:
         if self.state is not ProcessState.STARTING:
             return  # killed while starting; contention already aborted
+        self.manager.kernel.supervision.poke()
         self.state = ProcessState.RUNNING
         self.failure = None
         self.degraded_mode = None
@@ -231,6 +233,8 @@ class SimProcess:
             return False  # hang dominates: a hung process can't get worse
         if self.degraded_mode == mode:
             return False
+        # Not a lifecycle transition, but a folded FD round could see it.
+        self.manager.kernel.supervision.poke()
         self.degraded_mode = mode
         self.degrade_count += 1
         self.failure = failure
@@ -250,6 +254,7 @@ class SimProcess:
         """Terminate the process (manager-internal; see manager.kill/fail)."""
         if self.state in (ProcessState.FAILED, ProcessState.STOPPED, ProcessState.NEW):
             return
+        self.manager.kernel.supervision.poke()
         was_starting = self.state is ProcessState.STARTING
         if was_starting:
             self.manager.contention.abort(self.name)

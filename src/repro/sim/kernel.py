@@ -3,7 +3,9 @@
 The kernel owns the :class:`~repro.sim.clock.Clock`, a binary heap of slab
 entries, the shared :class:`~repro.sim.trace.Trace`, and the
 :class:`~repro.sim.rng.RngRegistry`.  All higher layers (transport,
-processes, bus, detector, recoverer) are built from these four primitives.
+processes, bus, detector, recoverer) are built from these four primitives,
+plus the :class:`~repro.sim.supervision.SupervisionClock` that wakes a
+failure detector folding its quiet rounds.
 
 One scheduling primitive
 ------------------------
@@ -55,6 +57,7 @@ from typing import Any, Callable, List, Optional
 from repro.errors import KernelStoppedError, SimulationError
 from repro.sim.clock import Clock
 from repro.sim.rng import RngRegistry
+from repro.sim.supervision import SupervisionClock
 from repro.sim.trace import Trace
 from repro.types import SimTime
 
@@ -111,6 +114,8 @@ class Kernel:
         self._live = 0
         #: Number of callbacks executed so far (diagnostics / benchmarks).
         self.events_executed = 0
+        #: What wakes a failure detector that folds its quiet rounds.
+        self.supervision = SupervisionClock()
 
     # ------------------------------------------------------------------
     # time

@@ -1,0 +1,122 @@
+"""The supervision clock: the one wake source of folded failure-detector rounds.
+
+FD pings every monitored component once a round.  While every ping is
+answered and nothing on the station changes, a round sees nothing: no
+miss, no report, no restart.  FD then *folds* its rounds (DESIGN.md §9,
+"Quiet rounds"): it stays on its grid but executes none of them, and
+sleeps on this clock.  Whatever could make a round see something pokes the
+clock first — a process start, ready, kill or fail-slow degradation, a bus
+attach or detach, the fault fabric arming or disarming, the FD↔REC control
+channel opening, closing or carrying anything but a ping — and the poke
+wakes FD *before* the change lands, so that FD catches up on its folded
+rounds exactly as far as stepping would have run them by that instant.
+
+The clock is not a lifecycle listener: ``ProcessManager.degrade`` notifies
+no listener by design, so that the abstract supervisor stays blind to
+fail-slow faults, and yet it pokes the clock.
+
+The clock also answers for the folded rounds' heartbeats.  FD's round ping
+is REC's heartbeat from FD, and REC's FD deadline reads :meth:`heard` for
+the instant FD's last folded ping reached it.  Grid ticks are computed by
+repeated addition, as a chain of timers computes them.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional, Tuple
+
+from repro.types import SimTime
+
+_NEVER = float("-inf")
+_FOREVER = float("inf")
+
+
+class SupervisionClock:
+    """Pokes wake the folded FD; :meth:`heard` answers for its rounds."""
+
+    __slots__ = (
+        "_wake", "_period", "_hop", "_prev", "_last", "_next", "_rounds",
+        "_end", "_heard",
+    )
+
+    def __init__(self) -> None:
+        #: The sleeping FD's catch-up (a bound method), while it folds.
+        self._wake: Optional[Callable[[], None]] = None
+        self._period = 0.0
+        self._hop = 0.0
+        #: The fold's grid: the two latest ticks counted and the next one.
+        self._prev = _NEVER
+        self._last = _NEVER
+        self._next = _FOREVER
+        #: Ticks counted since the fold began, its first included.
+        self._rounds = 0
+        #: When the fold ended (``inf`` while it lasts).
+        self._end = _NEVER
+        #: Heartbeat arrivals of earlier folds.
+        self._heard = _NEVER
+
+    @property
+    def folded(self) -> bool:
+        """Whether an FD sleeps on the clock."""
+        return self._wake is not None
+
+    def fold(
+        self, tick: SimTime, period: SimTime, hop: SimTime, wake: Callable[[], None]
+    ) -> None:
+        """Fold the rounds on ``tick``'s grid, ``tick``'s own included, until
+        the next poke calls ``wake``.  ``hop`` is one ping hop's delay."""
+        self._heard = self._heard_before(self._end)
+        self._wake = wake
+        self._period = period
+        self._hop = hop
+        self._prev = _NEVER
+        self._last = tick
+        self._next = tick + period
+        self._rounds = 1
+        self._end = _FOREVER
+
+    def poke(self) -> None:
+        """Something a round could see is about to change: wake the FD."""
+        wake = self._wake
+        if wake is not None:
+            self._wake = None
+            wake()
+
+    def unfold(self, now: SimTime) -> Tuple[int, SimTime, SimTime]:
+        """End the fold at ``now``: ``(rounds, last, next)`` — the rounds
+        begun before ``now`` (a tick *at* ``now`` has not begun: the poke
+        comes first), the last of their ticks, and the next tick."""
+        self._count(now)
+        self._end = now
+        return self._rounds, self._last, self._next
+
+    def heard(self, now: SimTime) -> SimTime:
+        """When a folded round's ping last reached REC before ``now``
+        (``-inf`` if none did)."""
+        return self._heard_before(min(now, self._end))
+
+    def _heard_before(self, limit: SimTime) -> SimTime:
+        self._count(limit)
+        hop = self._hop
+        if self._last + hop < limit:
+            return max(self._heard, self._last + hop)
+        if self._prev + hop < limit:
+            return max(self._heard, self._prev + hop)
+        return self._heard
+
+    def _count(self, limit: SimTime) -> None:
+        tick = self._next
+        if tick < limit:
+            period = self._period
+            last = self._last
+            prev = self._prev
+            rounds = self._rounds
+            while tick < limit:
+                prev = last
+                last = tick
+                tick += period
+                rounds += 1
+            self._prev = prev
+            self._last = last
+            self._next = tick
+            self._rounds = rounds

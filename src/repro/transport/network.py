@@ -182,6 +182,7 @@ class NetworkFaultModel:
     # ------------------------------------------------------------------
 
     def _refresh_active(self) -> None:
+        self.kernel.supervision.poke()  # a folded FD round cannot see faults
         self.active = bool(
             self._profiles or self._partitions or self._default is not None
         )

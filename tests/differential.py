@@ -9,7 +9,7 @@ product.events_executed`` as a formula over the two sides' counts), its
 ``check`` (what the counts must show besides: that the reference ran its
 old code and the product saved what it claims to), the ``condition`` both
 sides run under, its ``exclusions`` (chaos scenarios it does not hold on)
-and its ``idle`` cases (nothing to act on: both sides count nothing), each
+and its ``idle`` cases (nothing to act on: both sides count the same), each
 with a reason.
 
 :func:`compare` runs one ``Case`` both ways and asserts equal values, equal
@@ -39,7 +39,9 @@ from repro.mercury.trees import tree_v
 from repro.obs import events as ev
 from repro.obs.sinks import JsonlSink
 from repro.sim.kernel import Kernel
+from repro.sim.supervision import SupervisionClock
 from repro.transport import network as network_module
+from repro.transport.channel import Endpoint
 from repro.transport.network import Network
 from repro.types import Severity
 from repro.workload.plane import SERVICE_VERBS, WorkloadPlane
@@ -326,6 +328,55 @@ def _zero_jitter():
         yield
 
 
+@contextmanager
+def _every_round_reference():
+    """No round is quiet: FD steps every round, as it did before it folded
+    the rounds that can see nothing, and the supervision clock's pokes
+    find nobody to wake.  Build and boot the station inside the context."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FailureDetector, "_quiet", lambda self: False)
+        yield
+
+
+@contextmanager
+def _round_counts():
+    """Count, under either side, FD's round timers (``_tick``,
+    ``_judge_round``), the ping hops delivered (every ``Endpoint._deliver``
+    of a ping or ping reply) and the folds begun."""
+    counts = collections.Counter()
+    tick, judge = FailureDetector._tick, FailureDetector._judge_round
+    deliver, fold = Endpoint._deliver, SupervisionClock.fold
+
+    def counted(real, key):
+        def method(self, *args):
+            counts[key] += 1
+            return real(self, *args)
+
+        return method
+
+    def counted_deliver(self, message):
+        envelope = decode_envelope(message)
+        if envelope is not None and envelope.kind in ("ping", "ping-reply"):
+            counts["hops"] += 1
+        return deliver(self, message)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FailureDetector, "_tick", counted(tick, "timers"))
+        patch.setattr(FailureDetector, "_judge_round", counted(judge, "timers"))
+        patch.setattr(Endpoint, "_deliver", counted_deliver)
+        patch.setattr(SupervisionClock, "fold", counted(fold, "folds"))
+        yield counts
+
+
+def _folded_rounds_gap(folded, stepped):
+    return stepped["timers"] + stepped["hops"] - folded["timers"] - folded["hops"]
+
+
+def _rounds_folded(kernel, folded, stepped):
+    assert stepped["folds"] == 0 and folded["folds"] > 0
+    assert _folded_rounds_gap(folded, stepped) > 0  # rounds really were folded
+
+
 def _watchdog_never_fired(kernel, heartbeat, watchdog):
     assert not kernel.trace.filter(kind=ev.FD_RESTART)
     assert heartbeat["deadlines"] > 0 and watchdog["hops"] > 0
@@ -477,6 +528,8 @@ REFERENCES: Dict[str, Reference] = {
         ),
         gap=lambda folded, reference: folded["judges"] - folded["rounds"],
         check=_judges_folded,
+        # The old loop is the old ``_tick``: it folds no quiet round.
+        condition=_every_round_reference,
     ),
     "polling-dials": Reference(
         _polling_dial_reference,
@@ -497,6 +550,17 @@ REFERENCES: Dict[str, Reference] = {
             "the ping loop restart FD at different instants",
             "hung-fd": "hangs FD: REC's watchdog fires, and the heartbeat and "
             "the ping loop restart FD at different instants",
+        },
+    ),
+    "every-round": Reference(
+        _every_round_reference,
+        counter=_round_counts,
+        gap=_folded_rounds_gap,
+        check=_rounds_folded,
+        idle={
+            "lossy": "the adaptive policy steps every round",
+            "partition": "the adaptive policy steps every round",
+            "zombie-fleet": "the adaptive policy and the prober step every round",
         },
     ),
     "per-request-timers": Reference(
@@ -552,7 +616,7 @@ def compare(name: str, case: Case) -> None:
     assert jsonl == ref_jsonl and jsonl
     assert not product.violations and not ref.violations
     if case.name in reference.idle:
-        assert not counts and not ref_counts
+        assert counts == ref_counts
     else:
         reference.check(product.kernel, counts, ref_counts)
     assert (

@@ -37,7 +37,9 @@ def _station_with_a_wire_in_flight():
     raise AssertionError("no vouched wire was ever queued")
 
 
-def _next_seconds(station, seconds=5.0):
+def _next_seconds(station, seconds=60.0):
+    # A minute: a healthy station folds its quiet ping rounds, so it runs
+    # a few events a second, mostly ses's tracking traffic.
     first = len(station.kernel.trace.records)
     executed = station.kernel.events_executed
     station.kernel.run(until=station.kernel.now + seconds)

@@ -4,10 +4,12 @@ A delivered message costs exactly the Python frames under
 ``repro/transport/`` that DESIGN.md §10's per-hop table lists, once each:
 a data hop ``Endpoint.send``, ``LatencyModel.sample`` and
 ``Endpoint._deliver``, a ping hop ``Endpoint.send_base`` and
-``Endpoint._deliver``.  A healthy tree-V station with its application traffic silenced
+``Endpoint._deliver``.  A healthy tree-V station with its application
+traffic silenced, stepping every ping round (``REFERENCES["every-round"]``),
 executes exactly the table's kernel events per two ping rounds (REC's FD
 deadline fires once per two rounds, so the count is stated over an even
-number of rounds).  A wrapper
+number of rounds), and the same station as it runs, folding its quiet
+rounds, executes the table's folded count.  A wrapper
 someone adds to the send or deliver path later, or a timer added to the
 ping fabric, then shows up here as a failing count — and gets added to the
 table on purpose — rather than as a slow drift in ``fleet-waves``.
@@ -27,6 +29,7 @@ import sys
 from repro.experiments import availability
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_v
+from tests.differential import REFERENCES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,13 +37,13 @@ ROUNDS = 10  # even: the table counts two rounds
 
 
 def _design_tables():
-    """``(data-hop frames, ping-hop frames, events per two rounds)`` as
-    DESIGN.md §10 states them."""
+    """``(data-hop frames, ping-hop frames, events per two stepped rounds,
+    events per two folded rounds)`` as DESIGN.md §10 states them."""
     design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
     section = design.split("\n## 10.", 1)[1].split("\n## 11.", 1)[0]
     frames = {"| hop frame": set(), "| ping hop frame": set()}
     parts = []
-    total = None
+    total = folded = None
     for line in section.splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         prefix = next((p for p in frames if line.startswith(p)), None)
@@ -50,8 +53,10 @@ def _design_tables():
             parts.append(int(cells[1]))
         elif line.startswith("| round total"):
             total = int(re.match(r"\*\*(\d+)\*\*", cells[1]).group(1))
+        elif line.startswith("| folded round total"):
+            folded = int(re.match(r"\*\*(\d+)\*\*", cells[1]).group(1))
     assert total == sum(parts), "DESIGN.md §10: the per-round rows do not add up"
-    return frames["| hop frame"], frames["| ping hop frame"], total
+    return frames["| hop frame"], frames["| ping hop frame"], total, folded
 
 
 def _frame_calls(run):
@@ -71,20 +76,26 @@ def _frame_calls(run):
     return calls
 
 
-def test_a_ping_hop_is_two_transport_frames_and_a_round_is_the_tables_events():
-    _, frames, events_per_two_rounds = _design_tables()
-    assert frames == {"Endpoint.send_base", "Endpoint._deliver"}
-
+def _silent_station():
     # solution_period: ses's tracking loop is the station's only periodic
     # application traffic; parked, every event left is the ping fabric's.
     station = MercuryStation(tree=tree_v(), seed=3, solution_period=1e6)
     station.boot()
     station.run_for(4.5)  # past boot's stragglers, to mid-round
-    kernel = station.kernel
-    period = station.fd.ping_period
-    executed = kernel.events_executed
-    delivered = _delivered(station)
-    calls = _frame_calls(lambda: station.run_for(ROUNDS * period))
+    return station
+
+
+def test_a_ping_hop_is_two_transport_frames_and_a_round_is_the_tables_events():
+    _, frames, events_per_two_rounds, _ = _design_tables()
+    assert frames == {"Endpoint.send_base", "Endpoint._deliver"}
+
+    with REFERENCES["every-round"].patch():
+        station = _silent_station()
+        kernel = station.kernel
+        period = station.fd.ping_period
+        executed = kernel.events_executed
+        delivered = _delivered(station)
+        calls = _frame_calls(lambda: station.run_for(ROUNDS * period))
     delivered = _delivered(station) - delivered
 
     assert delivered > 0
@@ -92,15 +103,27 @@ def test_a_ping_hop_is_two_transport_frames_and_a_round_is_the_tables_events():
     assert kernel.events_executed - executed == ROUNDS // 2 * events_per_two_rounds
 
 
+def test_a_folded_station_executes_the_tables_folded_events():
+    *_, folded_per_two_rounds = _design_tables()
+    station = _silent_station()
+    kernel = station.kernel
+    executed = kernel.events_executed
+    calls = _frame_calls(lambda: station.run_for(ROUNDS * station.fd.ping_period))
+    assert kernel.supervision.folded
+    assert calls == {}  # no hop at all
+    assert kernel.events_executed - executed == ROUNDS // 2 * folded_per_two_rounds
+
+
 def test_a_data_hop_is_three_transport_frames():
-    frames, ping_frames, _ = _design_tables()
+    frames, ping_frames, *_ = _design_tables()
     assert frames == {"Endpoint.send", "LatencyModel.sample", "Endpoint._deliver"}
 
     # ses commands str and rtu every 2 s: data hops among the pings.
-    station = MercuryStation(tree=tree_v(), seed=3, solution_period=2.0)
-    station.boot()
-    station.run_for(4.5)
-    calls = _frame_calls(lambda: station.run_for(ROUNDS * station.fd.ping_period))
+    with REFERENCES["every-round"].patch():
+        station = MercuryStation(tree=tree_v(), seed=3, solution_period=2.0)
+        station.boot()
+        station.run_for(4.5)
+        calls = _frame_calls(lambda: station.run_for(ROUNDS * station.fd.ping_period))
 
     assert calls["Endpoint.send"] > 0 and calls["Endpoint.send_base"] > 0
     assert calls["LatencyModel.sample"] == calls["Endpoint.send"]
