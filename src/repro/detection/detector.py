@@ -21,7 +21,13 @@ Detection mechanics:
   FD knows just this one move).  The same ping is FD's heartbeat to REC,
   whose deadline restarts a silent FD;
 * a degraded (hung or zombie) FD does nothing on its round: no pings, no
-  judgements, no reports and no heartbeat, so REC's deadline restarts it.
+  judgements, no reports and no heartbeat, so REC's deadline restarts it;
+* a round that can see nothing — every ping would be answered, and
+  nothing on the station is changing — is *folded*: FD keeps its grid but
+  executes no such round, and sleeps on the kernel's supervision clock
+  until something that a round could see is about to change; it then
+  catches up, replaying the round in flight at that instant exactly as
+  stepping would have run it (DESIGN.md §9, "Quiet rounds").
 
 Hardening against lossy networks and fail-slow components
 ---------------------------------------------------------
@@ -323,7 +329,10 @@ class FailureDetector(BusAttachedBehavior):
             return
         if self._quiet():
             self.kernel.supervision.fold(
-                self.kernel.now, self.ping_period, self.network.latency.base, self._wake
+                self.kernel.now,
+                self.ping_period,
+                self.network.latency.base,
+                self._catch_up,
             )
             return
         self.kernel.schedule_after(self.ping_period, self._tick, incarnation)
@@ -432,7 +441,7 @@ class FailureDetector(BusAttachedBehavior):
                 return False
         return True
 
-    def _wake(self) -> None:
+    def _catch_up(self) -> None:
         """The supervision clock's poke: catch up on the folded rounds as
         stepping would have run them until now, then step again."""
         kernel = self.kernel
