@@ -14,10 +14,12 @@ round's ping to the victim is lost in flight and judged a miss at
 round later.
 """
 
+import random
+
 import pytest
 
 from repro.mercury.station import MercuryStation
-from repro.mercury.trees import tree_v
+from repro.mercury.trees import TREE_BUILDERS, tree_v
 from repro.obs import events as ev
 from repro.procmgr.process import SimProcess
 from tests.differential import Case, Run, compare
@@ -103,6 +105,33 @@ def test_a_fail_slow_fault_inside_a_folded_round(mode, offset):
 
     compare("every-round", Case(f"{mode} rtu at tick+{offset}", run))
     assert folded_at_fault == [True, False]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_faults_near_grid_ticks_agree_with_stepping(seed):
+    """Three crashes or hangs, each within 1.2 ms after a grid tick of a
+    random tree's station, some landing mid-recovery: the fixed offsets
+    above at random points in between."""
+
+    def run(jsonl):
+        rng = random.Random(seed)
+        tree = rng.choice(sorted(TREE_BUILDERS))
+        station = MercuryStation(
+            tree=TREE_BUILDERS[tree](), seed=seed, trace_capacity=100_000
+        )
+        station.kernel.trace.add_sink(jsonl)
+        station.boot()
+        for _ in range(3):
+            when = _grid_tick_ahead(station, rng.uniform(2.0, 7.0)) + rng.uniform(0.0, 0.0012)
+            target = rng.choice(station.manager.names)
+            kind = rng.choice(["crash", "crash", "hang"])
+            station.kernel.schedule_at(when, station.injector.inject_simple, target, kind)
+            station.run_for(when - station.kernel.now + rng.uniform(0.5, 20.0))
+        station.run_for(120.0)
+        counts = sorted((p.name, p.start_count) for p in station.manager.processes())
+        return Run(station.kernel, (tree, counts, len(station.injector.active_failures)))
+
+    compare("every-round", Case(f"faults near ticks, seed {seed}", run))
 
 
 def test_the_clock_is_not_a_lifecycle_listener(monkeypatch):
