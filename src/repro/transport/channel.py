@@ -123,7 +123,7 @@ class Endpoint:
         The liveness protocol's path: FD's pings and their replies, and
         everything on the FD↔REC control channel.  Their arrivals are a
         pure function of the send instant, so a ping round's hops can be
-        computed rather than simulated (DESIGN.md §10, "Quiet rounds"), and
+        computed rather than simulated (DESIGN.md §9, "Quiet rounds"), and
         no ping moves another message's latency draw.  The FIFO clamp and
         the fault fabric apply as in :meth:`send`.
         """

@@ -225,3 +225,43 @@ def test_slotted_channel_survives_structural_copy(roundtrip):
     assert finished["counters"] == (2, 2)
     assert original[3].inbox == ["first"]  # the clone's run touched nothing here
     assert _finish(original) == finished  # same instants too
+
+
+def test_send_base_arrives_at_the_base_delay_and_draws_nothing(kernel, network):
+    client, server = connected_pair(network)
+    arrivals = []
+    server.on_message(lambda message: arrivals.append((message, kernel.now)))
+    stream = kernel.rngs.stream("transport.latency")
+    state = stream.getstate()
+    kernel.run(until=1.0)
+    client.send_base("ping")
+    kernel.run()
+    assert arrivals == [("ping", 1.0 + network.latency.base)]
+    assert stream.getstate() == state  # no latency draw
+
+
+def test_send_base_keeps_fifo_behind_a_jittered_send(kernel, network):
+    """A ping sent after a data message never overtakes it: it is clamped
+    to the data message's (later) arrival."""
+    client, server = connected_pair(network)
+    arrivals = []
+    server.on_message(lambda message: arrivals.append((message, kernel.now)))
+    client.send("data")
+    client.send_base("ping")
+    kernel.run()
+    assert [message for message, _ in arrivals] == ["data", "ping"]
+    assert arrivals[1][1] == arrivals[0][1] >= network.latency.base
+
+
+def test_send_base_goes_through_the_fault_fabric():
+    from repro.transport.network import NetworkFaultModel
+
+    kernel = Kernel(seed=1)
+    network = Network(kernel, faults=NetworkFaultModel(kernel))
+    client, server = connected_pair(network)
+    inbox = []
+    server.on_message(inbox.append)
+    network.faults.partition("client", "srv", 10.0)
+    client.send_base("lost")
+    kernel.run(until=5.0)
+    assert inbox == [] and network.faults.partition_blocked == 1
