@@ -338,36 +338,6 @@ def _every_round_reference():
         yield
 
 
-@contextmanager
-def _round_counts():
-    """Count, under either side, FD's round timers (``_tick``,
-    ``_judge_round``), the ping hops delivered (every ``Endpoint._deliver``
-    of a ping or ping reply) and the folds begun."""
-    counts = collections.Counter()
-    tick, judge = FailureDetector._tick, FailureDetector._judge_round
-    deliver, fold = Endpoint._deliver, SupervisionClock.fold
-
-    def counted(real, key):
-        def method(self, *args):
-            counts[key] += 1
-            return real(self, *args)
-
-        return method
-
-    def counted_deliver(self, message):
-        envelope = decode_envelope(message)
-        if envelope is not None and envelope.kind in ("ping", "ping-reply"):
-            counts["hops"] += 1
-        return deliver(self, message)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FailureDetector, "_tick", counted(tick, "timers"))
-        patch.setattr(FailureDetector, "_judge_round", counted(judge, "timers"))
-        patch.setattr(Endpoint, "_deliver", counted_deliver)
-        patch.setattr(SupervisionClock, "fold", counted(fold, "folds"))
-        yield counts
-
-
 def _folded_rounds_gap(folded, stepped):
     return stepped["timers"] + stepped["hops"] - folded["timers"] - folded["hops"]
 
@@ -500,6 +470,31 @@ def _calls(**methods):
             yield counts
 
     return counter
+
+
+@contextmanager
+def _round_counts():
+    """Count, under either side, FD's round timers (``_tick``,
+    ``_judge_round``), the folds begun and the ping hops delivered (every
+    ``Endpoint._deliver`` of a ping or a ping reply)."""
+    deliver = Endpoint._deliver
+
+    with _timers_and_folds() as counts, pytest.MonkeyPatch.context() as patch:
+
+        def counted_deliver(self, message):
+            envelope = decode_envelope(message)
+            if envelope is not None and envelope.kind in ("ping", "ping-reply"):
+                counts["hops"] += 1
+            return deliver(self, message)
+
+        patch.setattr(Endpoint, "_deliver", counted_deliver)
+        yield counts
+
+
+_timers_and_folds = _calls(
+    timers=(FailureDetector, "_tick", "_judge_round"),
+    folds=(SupervisionClock, "fold"),
+)
 
 
 @dataclass(frozen=True)
