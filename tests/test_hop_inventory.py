@@ -29,6 +29,7 @@ import sys
 from repro.experiments import availability
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import tree_v
+from repro.transport.channel import Channel
 from tests.differential import REFERENCES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -85,18 +86,21 @@ def _silent_station():
     return station
 
 
-def test_a_ping_hop_is_two_transport_frames_and_a_round_is_the_tables_events():
+def test_a_ping_hop_is_two_transport_frames_and_a_round_is_the_tables_events(
+    monkeypatch,
+):
     _, frames, events_per_two_rounds, _ = _design_tables()
     assert frames == {"Endpoint.send_base", "Endpoint._deliver"}
 
+    channels = _recording_channels(monkeypatch)
     with REFERENCES["every-round"].patch():
         station = _silent_station()
         kernel = station.kernel
         period = station.fd.ping_period
         executed = kernel.events_executed
-        delivered = _delivered(station)
+        delivered = _delivered(channels)
         calls = _frame_calls(lambda: station.run_for(ROUNDS * period))
-    delivered = _delivered(station) - delivered
+    delivered = _delivered(channels) - delivered
 
     assert delivered > 0
     assert calls == dict.fromkeys(frames, delivered)
@@ -114,31 +118,47 @@ def test_a_folded_station_executes_the_tables_folded_events():
     assert kernel.events_executed - executed == ROUNDS // 2 * folded_per_two_rounds
 
 
-def test_a_data_hop_is_three_transport_frames():
+def test_a_data_hop_is_three_transport_frames(monkeypatch):
     frames, ping_frames, *_ = _design_tables()
     assert frames == {"Endpoint.send", "LatencyModel.sample", "Endpoint._deliver"}
 
+    channels = _recording_channels(monkeypatch)
     # ses commands str and rtu every 2 s: data hops among the pings.
     with REFERENCES["every-round"].patch():
         station = MercuryStation(tree=tree_v(), seed=3, solution_period=2.0)
         station.boot()
         station.run_for(4.5)
+        delivered = _delivered(channels)
         calls = _frame_calls(lambda: station.run_for(ROUNDS * station.fd.ping_period))
+    delivered = _delivered(channels) - delivered
 
     assert calls["Endpoint.send"] > 0 and calls["Endpoint.send_base"] > 0
     assert calls["LatencyModel.sample"] == calls["Endpoint.send"]
+    # A healthy station drops nothing: one send and one delivery a hop.
+    assert (
+        calls["Endpoint._deliver"]
+        == delivered
+        == calls["Endpoint.send"] + calls["Endpoint.send_base"]
+    )
     assert set(calls) == frames | ping_frames
 
 
-def _delivered(station) -> int:
-    """Messages delivered so far on the channels a healthy station keeps
-    open: every component's bus connection, and FD's control channel."""
-    endpoints = [station.fd._ctl] + [
-        process.behavior._endpoint
-        for process in station.manager.processes()
-        if getattr(process.behavior, "_endpoint", None) is not None
-    ]
-    return sum(endpoint._channel.messages_delivered for endpoint in endpoints)
+def _recording_channels(monkeypatch):
+    """Every channel opened from now on, as it opens: the messages they
+    deliver are every message the station delivers."""
+    opened = []
+    init = Channel.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        opened.append(self)
+
+    monkeypatch.setattr(Channel, "__init__", recording)
+    return opened
+
+
+def _delivered(channels) -> int:
+    return sum(channel.messages_delivered for channel in channels)
 
 
 #: Kernel events of the determinism gate's availability run (tree V, 4 h,
