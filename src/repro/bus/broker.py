@@ -40,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.transport.channel import Endpoint
     from repro.transport.network import Network
 
+#: The liveness protocol's kinds: routed at the base latency, undrawn, so a
+#: ping round's hops are a pure function of its send instant (DESIGN.md §9).
+_LIVENESS_KINDS = frozenset(("ping", "ping-reply"))
+
 
 class BusBroker(Behavior):
     """Routes XML command messages between attached clients."""
@@ -161,7 +165,7 @@ class BusBroker(Behavior):
         if kind == "command" and verb == "attach":
             self._attach(sender, endpoint)
         elif target != self.name:
-            self._forward(target, raw, kind == "ping" or kind == "ping-reply")
+            self._forward(target, raw, kind)
         elif kind == "ping":
             self._reply_ping(sender, seq)
         else:
@@ -179,19 +183,22 @@ class BusBroker(Behavior):
         # Template-serialized reply: only ``seq`` varies between pings from
         # the same requester (byte-identical to the generic serializer).
         self._forward(
-            requester, encode_ping_wire("ping-reply", self.name, requester, seq), True
+            requester,
+            encode_ping_wire("ping-reply", self.name, requester, seq),
+            "ping-reply",
         )
 
-    def _forward(self, target: Optional[str], raw: str, ping: bool = False) -> None:
-        """Send the original wire string to the endpoint attached as ``target``;
-        a ``ping`` (request or reply) goes at the base latency, undrawn."""
+    def _forward(self, target: Optional[str], raw: str, kind: str) -> None:
+        """Send the original wire string, a ``kind`` message, to the endpoint
+        attached as ``target``; a liveness ping or its reply goes at the base
+        latency, undrawn (``Endpoint.send_base``)."""
         endpoint = self._clients.get(target) if target else None
         if endpoint is None or not endpoint.open:
             self.dropped += 1
             self.trace(ev.BUS_UNROUTABLE, target=target)
             return
         try:
-            if ping:
+            if kind in _LIVENESS_KINDS:
                 endpoint.send_base(raw)
             else:
                 endpoint.send(raw)

@@ -128,6 +128,11 @@ class BusAttachedBehavior(Behavior):
         """Whether a live bus connection exists right now."""
         return self._endpoint is not None and self._endpoint.open
 
+    @property
+    def endpoint(self) -> Optional["Endpoint"]:
+        """This side of the bus connection, if one is held."""
+        return self._endpoint
+
     def _try_connect(self) -> None:
         self._reconnect_pending = False
         if not self._alive or self.connected:

@@ -144,6 +144,11 @@ class RecoveryModule(Behavior):
     # control channel
     # ------------------------------------------------------------------
 
+    @property
+    def fd_endpoint(self) -> Optional["Endpoint"]:
+        """REC's side of the control channel to FD, if one is held."""
+        return self._fd_endpoint
+
     def _on_accept(self, endpoint: "Endpoint") -> None:
         # One live FD connection at a time; a reconnecting FD supersedes the
         # old channel (whose close may still be in flight).

@@ -242,6 +242,11 @@ class FailureDetector(BusAttachedBehavior):
     # control channel to REC
     # ------------------------------------------------------------------
 
+    @property
+    def ctl(self) -> Optional["Endpoint"]:
+        """FD's side of the control channel to REC, if one is held."""
+        return self._ctl
+
     def _connect_ctl(self) -> None:
         self._ctl_pending = False
         if not self._alive or (self._ctl is not None and self._ctl.open):
@@ -413,7 +418,7 @@ class FailureDetector(BusAttachedBehavior):
             rec is None
             or not rec.is_running
             or rec.degraded_mode is not None
-            or rec.behavior._fd_endpoint is not ctl.peer
+            or rec.behavior.fd_endpoint is not ctl.peer
         ):
             return False
         bus = manager.maybe_get(self.bus_component)
@@ -437,7 +442,7 @@ class FailureDetector(BusAttachedBehavior):
             if process is None or not process.is_running or process.degraded_mode is not None:
                 return False
             attached = broker.attached(component)
-            if attached is None or attached.peer is not process.behavior._endpoint:
+            if attached is None or attached.peer is not process.behavior.endpoint:
                 return False
         return True
 

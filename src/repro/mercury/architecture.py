@@ -27,7 +27,7 @@ def describe_connections(station: "MercuryStation") -> List[str]:
     if station.fd is not None:
         if station.fd.connected:
             edges.append("fd <-XML-> mbus (liveness pings)")
-        if station.fd._ctl is not None and station.fd._ctl.open:
+        if station.fd.ctl is not None and station.fd.ctl.open:
             edges.append("fd <-TCP-> rec (dedicated control channel)")
     fedr = station.manager.maybe_get("fedr")
     if fedr is not None and fedr.behavior is not None and fedr.behavior.pbcom_connected:

@@ -85,6 +85,10 @@ class Endpoint:
         collapses back-to-back sends onto the *same* arrival instant, which
         the kernel batches into one queue entry (the tail bucket) — a burst
         of N sends costs one heap push, not N.
+
+        :meth:`send_base` repeats this body with a fixed delay, inline
+        rather than through a shared helper so neither hop pays a frame
+        (DESIGN.md §10's per-hop table): change the two together.
         """
         channel = self._channel
         if not self.open:
@@ -125,7 +129,8 @@ class Endpoint:
         pure function of the send instant, so a ping round's hops can be
         computed rather than simulated (DESIGN.md §9, "Quiet rounds"), and
         no ping moves another message's latency draw.  The FIFO clamp and
-        the fault fabric apply as in :meth:`send`.
+        the fault fabric apply as in :meth:`send`, whose body this repeats
+        but for the delay: change the two together.
         """
         channel = self._channel
         if not self.open:
