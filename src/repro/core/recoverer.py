@@ -247,19 +247,33 @@ class RecoveryModule(Behavior):
 
     def _arm_fd_deadline(self) -> None:
         # Never cancelled: a deadline that finds FD heard from since it
-        # was armed just re-arms from the newer stamp, so a
-        # healthy station pays one event every ``fd_grace`` seconds.
-        # The incarnation fences a dead REC's deadline.
+        # was armed re-arms from the newer stamp, or, while FD folds its
+        # quiet rounds, sleeps on the supervision clock until the poke
+        # that ends the fold (DESIGN.md §9), so a healthy folded station
+        # pays no event at all.  The incarnation fences a dead REC's
+        # deadline.
         self.kernel.schedule_at(
             self._fd_deadline(), self._check_fd_deadline, self.process.start_count
         )
+
+    def _wake_fd_deadline(self) -> None:
+        # The poke that ended FD's fold, after FD's catch-up: the folded
+        # heartbeats stop here at the latest, so re-arm from the last one.
+        self._fd_heard_at = max(
+            self._fd_heard_at, self.kernel.supervision.heard(self.kernel.now)
+        )
+        self._arm_fd_deadline()
 
     def _check_fd_deadline(self, incarnation: int) -> None:
         if not self.engine.alive or incarnation != self.process.start_count:
             return
         now = self.kernel.now
+        supervision = self.kernel.supervision
         # FD's folded rounds (DESIGN.md §9) pinged REC all the same.
-        self._fd_heard_at = max(self._fd_heard_at, self.kernel.supervision.heard(now))
+        self._fd_heard_at = max(self._fd_heard_at, supervision.heard(now))
+        if supervision.folded and self._fd_deadline() > now:
+            supervision.sleep(self._wake_fd_deadline)
+            return
         if self._fd_deadline() <= now:
             # Silent for a whole grace.  The restart opens the next one.
             self._fd_heard_at = now

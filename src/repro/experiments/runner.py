@@ -330,7 +330,7 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "tree", "fleet_size", "wave_interval_s", "horizon_s"),
         run=_run_fleet,
         decode=_decode_fleet,
-        version=4,
+        version=5,
     ),
 }
 

@@ -15,8 +15,8 @@ episode fold's business (:class:`repro.obs.spans.EpisodeTracker`):
 >>> ev.REGISTRY.get(ev.FAILURE_DETECTED).layer
 'detection'
 
-Validation is opt-in (``REPRO_OBS_VALIDATE=1`` or
-:func:`set_validation`): when enabled, :class:`~repro.sim.trace.Trace`
+Validation is opt-in (:func:`set_validation`; the test suite turns it on
+for every test): when enabled, :class:`~repro.sim.trace.Trace`
 checks every emitted record against the registry — unknown kinds and
 missing required payload keys raise :class:`ObsValidationError`.  When
 disabled (the default) there is zero per-emit overhead beyond one
@@ -25,7 +25,6 @@ attribute check, preserving the hot-loop fast path.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
 
@@ -153,7 +152,7 @@ REGISTRY = EventRegistry()
 # validation mode (debug switch)
 # ----------------------------------------------------------------------
 
-_validation_enabled = os.environ.get("REPRO_OBS_VALIDATE", "") not in ("", "0")
+_validation_enabled = False
 
 
 def validation_enabled() -> bool:

@@ -19,6 +19,14 @@ The clock also answers for the folded rounds' heartbeats.  FD's round ping
 is REC's heartbeat from FD, and REC's FD deadline reads :meth:`heard` for
 the instant FD's last folded ping reached it.  Grid ticks are computed by
 repeated addition, as a chain of timers computes them.
+
+REC's FD watchdog sleeps on the fold as well: a deadline check that finds
+FD folded and heard from lately arms no further check but parks one
+callback with :meth:`sleep`, which a poke runs right after FD's catch-up.
+A deadline can only expire once FD's heartbeats stop, and nothing stops
+them without poking first, so the watchdog re-arms from FD's last
+heartbeat in time for the check that would restart FD.  It is one more
+slot, not a listener list: a station has one REC.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ class SupervisionClock:
 
     __slots__ = (
         "_wake", "_period", "_hop", "_prev", "_last", "_next", "_rounds",
-        "_end", "_heard",
+        "_end", "_heard", "_watchdog",
     )
 
     def __init__(self) -> None:
@@ -54,6 +62,9 @@ class SupervisionClock:
         self._end = _NEVER
         #: Heartbeat arrivals of earlier folds.
         self._heard = _NEVER
+        #: The sleeping FD watchdog's re-arm (a bound method), run after
+        #: ``_wake`` at the poke that ends the fold.
+        self._watchdog: Optional[Callable[[], None]] = None
 
     @property
     def folded(self) -> bool:
@@ -75,12 +86,22 @@ class SupervisionClock:
         self._rounds = 1
         self._end = _FOREVER
 
+    def sleep(self, watchdog: Callable[[], None]) -> None:
+        """Park ``watchdog`` on the fold: the next poke calls it once FD has
+        caught up.  Only while :attr:`folded`."""
+        self._watchdog = watchdog
+
     def poke(self) -> None:
-        """Something a round could see is about to change: wake the FD."""
+        """Something a round could see is about to change: wake the FD,
+        then the watchdog sleeping on it."""
         wake = self._wake
         if wake is not None:
             self._wake = None
             wake()
+            watchdog = self._watchdog
+            if watchdog is not None:
+                self._watchdog = None
+                watchdog()
 
     def unfold(self, now: SimTime) -> Tuple[int, SimTime, SimTime]:
         """End the fold at ``now``: ``(rounds, last, next)`` — the rounds

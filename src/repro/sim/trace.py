@@ -210,7 +210,7 @@ class Trace:
         Returns ``None`` without building a record when the trace is
         disabled and no attached sink declared ``kind`` — the zero-cost
         path for hot loops.  With validation on
-        (:func:`repro.obs.events.set_validation` or ``REPRO_OBS_VALIDATE=1``),
+        (:func:`repro.obs.events.set_validation`),
         the kind and payload are checked against the event registry first,
         whoever is or is not listening.
         """

@@ -4,10 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs import events
 from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network
+
+
+@pytest.fixture(autouse=True)
+def validated_emits(request):
+    """Every test validates every emit against the event registry
+    (``events.set_validation``), whether anything listens to it or not.  A
+    test opts out by name in its module's ``UNVALIDATED`` mapping (test
+    name → reason): it then runs with validation off, as the product does."""
+    opted_out = request.node.originalname in getattr(request.module, "UNVALIDATED", {})
+    before = events.validation_enabled()
+    events.set_validation(not opted_out)
+    yield
+    events.set_validation(before)
 
 
 @pytest.fixture

@@ -2,8 +2,11 @@
 
 REC keeps no ping loop of its own: it stamps every control-channel message
 from FD and holds one deadline at ``heard + max(fd_grace, fd_ping_period) +
-fd_ping_timeout``.
-These tests pin the instant it restarts a dead FD, that runs which never
+fd_ping_timeout``, which sleeps on the supervision clock while FD folds
+its quiet rounds (DESIGN.md §9; the fold's edges are pinned in
+``tests/detection/test_quiet_rounds.py``).
+These tests pin the instant it restarts a dead FD, that a REC restarted
+while it sleeps keeps one deadline chain, that runs which never
 need it are byte-identical to REC's old ping loop
 (``REFERENCES["rec-pings-fd"]`` in ``tests/differential.py``, on every
 chaos scenario but ``flapping`` in
@@ -114,24 +117,29 @@ def test_dead_fd_is_restarted_a_patience_after_its_last_heartbeat(phase, period)
 
 
 def test_a_restarted_rec_keeps_one_deadline():
-    """REC restarted faster than its pending deadline: the dead
-    incarnation's deadline fires into the new one and must not start a
-    second chain — a healthy station goes on paying one deadline event
-    per two rounds."""
+    """REC restarted while it sleeps on FD's fold: the kill's poke wakes the
+    dying incarnation, whose re-armed deadline then fires into the new one
+    and must not start a second chain.  With FD stepping every round from
+    the restart on, a healthy station pays one deadline event per two
+    rounds, not two."""
     with REFERENCES["rec-pings-fd"].counter() as calls:
         station = MercuryStation(tree=tree_v(), seed=3, solution_period=1e6)
         station.boot()
-        station.run_for(4.5)
-        calls.clear()
-        while not calls["deadlines"]:  # to just after a deadline: the next is ~2 s off
-            station.kernel.step()
-        station.manager.restart(["rec"])
         station.run_for(10.0)
-        assert station.manager.get("rec").start_count == 2
-        assert not station.trace.filter(kind=ev.FD_RESTART)
-        assert not station.trace.filter(kind=ev.REC_RESTART)
+        clock = station.kernel.supervision
+        assert clock.folded and clock._watchdog == station.rec._wake_fd_deadline
         calls.clear()
         station.run_for(10 * station.fd.ping_period)
+        assert not calls["deadlines"]  # asleep
+        with REFERENCES["every-round"].patch():
+            station.manager.restart(["rec"])
+            assert not clock.folded and clock._watchdog is None
+            station.run_for(10.0)
+            assert station.manager.get("rec").start_count == 2
+            assert not station.trace.filter(kind=ev.FD_RESTART)
+            assert not station.trace.filter(kind=ev.REC_RESTART)
+            calls.clear()
+            station.run_for(10 * station.fd.ping_period)
     assert calls["deadlines"] == 5
 
 

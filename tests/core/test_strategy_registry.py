@@ -395,7 +395,7 @@ def test_supervisor_uses_per_cell_strategy(rig):
     failure = injector.inject_simple("db")
     deadline = kernel.now + 60.0
     while kernel.now < deadline and injector.is_active(failure.failure_id):
-        kernel.step()
+        assert kernel.step()
     assert not injector.is_active(failure.failure_id)
     recovery = kernel.now - failure.injected_at
     assert recovery < 5.0  # checkpoint: ~0.7 detect + 3.0, not 30.0
@@ -410,7 +410,7 @@ def test_escalation_falls_back_to_cold_parent(rig):
     failure = injector.inject_joint("db", ["db", "web"])
     deadline = kernel.now + 120.0
     while kernel.now < deadline and injector.is_active(failure.failure_id):
-        kernel.step()
+        assert kernel.step()
     assert not injector.is_active(failure.failure_id)
     ordered = [r.data["cell"] for r in kernel.trace.filter(kind="restart_ordered")]
     assert ordered == ["R_db", "root"]

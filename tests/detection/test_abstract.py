@@ -103,7 +103,7 @@ def test_concurrent_failures_serialized(kernel, manager, rig):
     while kernel.now < deadline and (
         injector.active_failures or not manager.all_running()
     ):
-        kernel.step()
+        assert kernel.step()
     assert not injector.active_failures
     assert manager.all_running()
     ordered = [r.data["cell"] for r in kernel.trace.filter(kind="restart_ordered")]
@@ -134,7 +134,7 @@ def test_member_refailing_during_batch_does_not_wedge(kernel, manager):
     while kernel.now < deadline and (
         injector.active_failures or not manager.all_running()
     ):
-        kernel.step()
+        assert kernel.step()
     assert not injector.active_failures
     assert manager.all_running()
 
@@ -162,6 +162,6 @@ def test_rekick_watchdog_recovers_member_killed_mid_start(kernel, manager):
     manager.kill("x")
     deadline = kernel.now + 120.0
     while kernel.now < deadline and not manager.all_running():
-        kernel.step()
+        assert kernel.step()
     assert manager.all_running()
     assert kernel.trace.first("restart_rekick") is not None

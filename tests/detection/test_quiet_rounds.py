@@ -6,7 +6,8 @@ The reference is ``REFERENCES["every-round"]`` (``tests/differential.py``):
 no round folds.  Each rig runs both ways through the one ``compare`` —
 equal values (MTTR, or the station state a fail-slow fault leaves),
 ``kernel.now``, trace records and JSONL, and event counts apart by exactly
-the folded rounds' hops and timers.
+the folded rounds' hops and timers and the deadline checks REC saved by
+sleeping on the fold.
 
 The sharpest edge is a kill inside a folded round's hops: stepping, the
 round's ping to the victim is lost in flight and judged a miss at
@@ -14,10 +15,12 @@ round's ping to the victim is lost in flight and judged a miss at
 round later.
 """
 
+import pickle
 import random
 
 import pytest
 
+from repro.experiments.snapshot import fork
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import TREE_BUILDERS, tree_v
 from repro.obs import events as ev
@@ -134,6 +137,92 @@ def test_faults_near_grid_ticks_agree_with_stepping(seed):
     compare("every-round", Case(f"faults near ticks, seed {seed}", run))
 
 
+def _rec_asleep(station):
+    """Whether REC's FD watchdog sleeps on the supervision clock."""
+    clock = station.kernel.supervision
+    return clock.folded and clock._watchdog == station.rec._wake_fd_deadline
+
+
+def _fault_fd(station, mode, when):
+    """``mode`` FD at ``when``; returns whether REC slept through to the
+    fault, and the instant REC restarted FD, from the fault."""
+    asleep = []
+
+    def fire():
+        asleep.append(_rec_asleep(station))
+        station.injector.inject_simple("fd", kind=mode)
+
+    station.kernel.schedule_at(when, fire)
+    station.run_for(when - station.kernel.now + 10.0)
+    (restart,) = station.trace.filter(kind=ev.FD_RESTART)
+    return asleep[0], restart.time - when
+
+
+@pytest.mark.parametrize("mode", ["crash", "hang", "zombie"])
+@pytest.mark.parametrize("offset", [0.0, 2 * BASE, 0.5])
+def test_an_fd_fault_mid_fold_is_restarted_at_the_stepping_instant(mode, offset):
+    """A dead, hung or zombie FD sends REC no heartbeat.  REC slept on the
+    fold; the fault's poke wakes it after FD's catch-up, and its deadline
+    restarts FD exactly when the deadline chain of stepped rounds does."""
+    asleep = []
+
+    def run(jsonl):
+        station = _booted(solution_period=1e6)
+        station.kernel.trace.add_sink(jsonl)
+        slept, restarted = _fault_fd(station, mode, _grid_tick_ahead(station) + offset)
+        asleep.append(slept)
+        return Run(station.kernel, (restarted, station.manager.get("fd").start_count))
+
+    compare("every-round", Case(f"{mode} fd at tick+{offset}", run))
+    assert asleep == [True, False]
+
+
+@pytest.mark.parametrize("poke", ["bare", "rtu crash"])
+def test_rec_sleeps_again_after_a_poke_and_misses_no_wake(poke):
+    """A poke wakes FD and REC; FD folds again, and so does REC's next
+    deadline check.  A hang of FD after that still wakes REC in time to
+    restart FD at the stepping instant."""
+    asleep = []
+
+    def run(jsonl):
+        station = _booted(solution_period=1e6)
+        station.kernel.trace.add_sink(jsonl)
+        when = _grid_tick_ahead(station) + 0.3
+        if poke == "bare":
+            station.kernel.schedule_at(when, station.kernel.supervision.poke)
+        else:
+            station.kernel.schedule_at(when, station.injector.inject_simple, "rtu")
+        station.run_for(when - station.kernel.now + 30.0)
+        slept, restarted = _fault_fd(station, "hang", _grid_tick_ahead(station) + 0.3)
+        asleep.append(slept)
+        return Run(station.kernel, restarted)
+
+    compare("every-round", Case(f"{poke} poke, then hang fd", run))
+    assert asleep == [True, False]
+
+
+@pytest.mark.parametrize("copy", ["fork", "template blob"])
+def test_a_copy_of_a_sleeping_station_wakes_its_own_rec(copy):
+    """The sleeping watchdog is a bound method, so a station forked or
+    stored while REC sleeps carries it to its own REC: a fault in the copy
+    wakes the copy's REC, which restarts the copy's FD, and the original
+    sleeps on; the same fault in the original then runs identically."""
+    template = _booted(solution_period=1e6)
+    template.run_for(10.0)
+    assert _rec_asleep(template)
+    heard = template.rec._fd_heard_at
+    station = fork(template) if copy == "fork" else pickle.loads(pickle.dumps(template))
+    assert _rec_asleep(station)
+    when = _grid_tick_ahead(station) + 0.3
+
+    restarted = _fault_fd(station, "hang", when)
+    assert station.rec._fd_heard_at > heard
+    assert _rec_asleep(template) and template.rec._fd_heard_at == heard
+    assert not template.trace.filter(kind=ev.FD_RESTART)
+    assert restarted[0]  # the copy's REC slept until the hang
+    assert _fault_fd(template, "hang", when) == restarted
+
+
 def test_the_clock_is_not_a_lifecycle_listener(monkeypatch):
     """A degradation pokes the supervision clock, yet an abstract-supervisor
     station — no FD to wake — still never observes it: nothing restarts the
@@ -163,37 +252,19 @@ def test_the_clock_is_not_a_lifecycle_listener(monkeypatch):
     assert not station.trace.filter(kind=ev.RESTART_ORDERED)
 
 
-def test_a_healthy_station_folds_every_round_after_boot(monkeypatch):
+def test_a_healthy_station_folds_every_round_after_boot():
     """Ten minutes of a healthy tree-V station with its application traffic
-    parked: not one ping round runs, and every kernel event is REC's FD
-    deadline, which re-arms from FD's folded heartbeats and never fires."""
-    from repro.core.recoverer import RecoveryModule
-    from repro.detection.detector import FailureDetector
-
-    calls = {"deadline": 0, "tick": 0}
-    check, tick = RecoveryModule._check_fd_deadline, FailureDetector._tick
-
-    def counted_check(self, incarnation):
-        calls["deadline"] += 1
-        check(self, incarnation)
-
-    def counted_tick(self, incarnation):
-        calls["tick"] += 1
-        tick(self, incarnation)
-
-    monkeypatch.setattr(RecoveryModule, "_check_fd_deadline", counted_check)
-    monkeypatch.setattr(FailureDetector, "_tick", counted_tick)
+    parked: not one kernel event runs.  No ping round runs, and REC's FD
+    deadline sleeps on the supervision clock instead of re-arming from FD's
+    folded heartbeats every two rounds."""
     station = MercuryStation(tree=tree_v(), seed=5, solution_period=1e6)
     station.boot()
     station.run_for(10.0)
-    calls.update(deadline=0, tick=0)
     kernel = station.kernel
     executed = kernel.events_executed
     assert kernel.supervision.folded
     station.run_for(600.0)
 
-    assert kernel.supervision.folded
-    assert calls["tick"] == 0
-    assert kernel.events_executed - executed == calls["deadline"]
-    assert 290 <= calls["deadline"] <= 310  # one per two rounds
+    assert _rec_asleep(station)
+    assert kernel.events_executed == executed
     assert not station.trace.filter(kind=ev.FD_RESTART)

@@ -130,7 +130,7 @@ def _stepping_run_until(self: Kernel, predicate, until=None) -> bool:
             if self.now < until:
                 self.clock.advance_to(until)
             return False
-        self.step()
+        assert self.step()
     return True
 
 
@@ -339,7 +339,9 @@ def _every_round_reference():
 
 
 def _folded_rounds_gap(folded, stepped):
-    return stepped["timers"] + stepped["hops"] - folded["timers"] - folded["hops"]
+    # The folded rounds' FD timers and hops, and the deadline checks REC
+    # saved sleeping on the fold.
+    return sum(stepped[k] - folded[k] for k in ("timers", "hops", "deadlines"))
 
 
 def _rounds_folded(kernel, folded, stepped):
@@ -480,8 +482,9 @@ def _calls(**methods):
 @contextmanager
 def _round_counts():
     """Count, under either side, FD's round timers (``_tick``,
-    ``_judge_round``), the folds begun and the ping hops delivered (every
-    ``Endpoint._deliver`` of a ping or a ping reply)."""
+    ``_judge_round``), REC's FD deadline checks, the folds begun and the
+    ping hops delivered (every ``Endpoint._deliver`` of a ping or a ping
+    reply)."""
     deliver = Endpoint._deliver
 
     with _timers_and_folds() as counts, pytest.MonkeyPatch.context() as patch:
@@ -498,6 +501,7 @@ def _round_counts():
 
 _timers_and_folds = _calls(
     timers=(FailureDetector, "_tick", "_judge_round"),
+    deadlines=(RecoveryModule, "_check_fd_deadline"),
     folds=(SupervisionClock, "fold"),
 )
 
@@ -545,6 +549,8 @@ REFERENCES: Dict[str, Reference] = {
     "rec-pings-fd": Reference(
         _rec_pings_fd_reference,
         counter=_calls(deadlines=(RecoveryModule, "_check_fd_deadline")),
+        # The heartbeat side's executed deadline checks: none while REC
+        # sleeps on FD's fold, so the checks it saved asleep count too.
         gap=lambda heartbeat, watchdog: (
             watchdog["timers"] + watchdog["hops"] - heartbeat["deadlines"]
         ),

@@ -318,7 +318,6 @@ def test_cache_key_ignores_environment(monkeypatch):
     for name, value in [
         ("REPRO_FLEET_SHARDS", "4"),
         ("REPRO_FLEET_JOBS", "4"),
-        ("REPRO_OBS_VALIDATE", "1"),
         ("REPRO_BENCH_CACHE", "/nonexistent"),
         ("REPRO_NOT_A_KNOB", "anything"),
     ]:

@@ -94,7 +94,7 @@ def test_rec_killed_mid_recovery_fences_stale_plan():
     deadline = station.kernel.now + 60.0
     while not station.trace.filter(kind="restart_ordered"):
         assert station.kernel.now < deadline
-        station.kernel.step()
+        assert station.kernel.step()
     # Shoot REC while its plan is mid-flight — late enough that the rtu
     # restart completes at the manager level while REC is down, so the
     # fresh incarnation reconciles the episode to observing and orders

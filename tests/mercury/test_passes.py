@@ -91,7 +91,7 @@ def test_ses_tracks_only_inside_the_window():
     grew_at = []
     while station.kernel.now < window.end + 30.0:
         sent = ses.solutions_sent
-        station.kernel.step()
+        assert station.kernel.step()
         if ses.solutions_sent != sent:
             grew_at.append(station.kernel.now)
     assert grew_at and all(window.contains(now) for now in grew_at)

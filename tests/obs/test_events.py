@@ -9,19 +9,15 @@ from repro.obs import events as ev
 from repro.obs.events import (
     EventRegistry,
     ObsValidationError,
-    set_validation,
     validation_enabled,
 )
 from repro.sim.trace import Trace
 
 
-@pytest.fixture
-def validation():
-    """Enable schema validation for the test, restoring the prior state."""
-    before = validation_enabled()
-    set_validation(True)
-    yield
-    set_validation(before)
+#: Validation is on for every test (``tests/conftest.py``) but these.
+UNVALIDATED = {
+    "test_emit_skips_validation_by_default": "the product's default: off",
+}
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +93,8 @@ def test_narratives():
 # ----------------------------------------------------------------------
 
 
-def test_emit_validates_when_enabled(validation):
+def test_emit_validates_when_enabled():
+    assert validation_enabled()
     trace = Trace()
     with pytest.raises(ObsValidationError):
         trace.emit("test", "no_such_kind", time=0.0)
@@ -113,7 +110,7 @@ def test_emit_skips_validation_by_default():
     assert trace.emit("test", "free_form_kind", time=0.0) is not None
 
 
-def test_real_simulation_passes_validation(validation):
+def test_real_simulation_passes_validation():
     """Every event a real recovery run emits satisfies its declared schema."""
     from repro.experiments.recovery import measure_recovery
     from repro.mercury.trees import tree_v

@@ -5,6 +5,35 @@ import pytest
 from repro.sim.trace import Trace, TraceRecord
 from repro.types import Severity
 
+#: The tests that run with validation off (``tests/conftest.py``): most
+#: exercise the trace's own mechanics with made-up kinds ("evt", "kept", …)
+#: that no layer declares; two turn validation on themselves, after an emit
+#: that must go unchecked.
+UNVALIDATED = {
+    **dict.fromkeys(
+        (
+            "test_emit_uses_clock_time",
+            "test_emit_without_clock_requires_time",
+            "test_filter_by_kind_and_source",
+            "test_filter_by_payload",
+            "test_filter_by_time_window",
+            "test_first_and_last",
+            "test_sink_sees_records_live",
+            "test_capacity_ring_buffer",
+            "test_capacity_still_feeds_sinks",
+            "test_disabled_trace_retains_nothing",
+            "test_sinks_receive_records_even_while_disabled",
+            "test_remove_sink_stops_delivery",
+            "test_kinds_is_a_promise_not_a_filter",
+            "test_format_renders_fields",
+            "test_dump_limits_lines",
+        ),
+        "emits made-up kinds",
+    ),
+    "test_validation_runs_before_the_interest_filter": "switches validation on itself",
+    "test_forwarders_validate_kinds_nobody_reads": "switches validation on itself",
+}
+
 
 def test_emit_uses_clock_time(kernel):
     kernel.schedule_after(3.0, kernel.trace.emit, "src", "thing")
@@ -199,7 +228,7 @@ def test_kinds_is_a_promise_not_a_filter(kernel):
 
 
 def test_validation_runs_before_the_interest_filter(kernel):
-    """``REPRO_OBS_VALIDATE=1`` checks every emit site, listened to or not."""
+    """Validation checks every emit site, listened to or not."""
     from repro.obs import events as ev
     from repro.obs.spans import EpisodeTracker
 

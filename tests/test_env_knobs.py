@@ -2,7 +2,10 @@
 
 Every knob is a second way to run the system, so adding one is a deliberate
 edit in two places: the code that reads it and the README table that says
-who does.  This test holds the two together.
+who does.  This test holds the two together, and holds the Makefile and CI
+to setting only knobs the code reads: a knob the code stops reading (as
+``REPRO_OBS_VALIDATE`` did, for ``repro.obs.events.set_validation``, which
+the test suite's own fixture calls) goes from both.
 """
 
 import pathlib
@@ -16,6 +19,7 @@ READERS = ("src", "tools", "benchmarks")
 
 _LITERAL = re.compile(r"""["'](REPRO_[A-Z_]+)["']""")
 _TABLE_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|", re.MULTILINE)
+_ASSIGNED = re.compile(r"\b(REPRO_[A-Z_]+)=")
 
 
 def knobs_read():
@@ -34,3 +38,11 @@ def test_readme_table_lists_exactly_the_knobs_read():
     documented = _TABLE_ROW.findall((ROOT / "README.md").read_text(encoding="utf-8"))
     assert len(documented) == len(set(documented))
     assert set(documented) == knobs_read()
+
+
+def test_make_and_ci_set_only_knobs_the_code_reads():
+    files = [ROOT / "Makefile", *sorted((ROOT / ".github" / "workflows").glob("*.yml"))]
+    assigned = {
+        name for path in files for name in _ASSIGNED.findall(path.read_text(encoding="utf-8"))
+    }
+    assert assigned and assigned <= knobs_read()

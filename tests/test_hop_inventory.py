@@ -9,7 +9,8 @@ traffic silenced, stepping every ping round (``REFERENCES["every-round"]``),
 executes exactly the table's kernel events per two ping rounds (REC's FD
 deadline fires once per two rounds, so the count is stated over an even
 number of rounds), and the same station as it runs, folding its quiet
-rounds, executes the table's folded count.  A wrapper
+rounds while REC's FD deadline sleeps on the fold, executes the table's
+folded count: none.  A wrapper
 someone adds to the send or deliver path later, or a timer added to the
 ping fabric, then shows up here as a failing count — and gets added to the
 table on purpose — rather than as a slow drift in ``fleet-waves``.

@@ -42,7 +42,7 @@ ISLAND_NAMES = {
     "repro.faults.distributions.Weibull": "library API: the aging lifetime of DESIGN.md section 3; no station config selects it",
     "repro.faults.failure.known_failure_kinds": "test-side API: reads the failure-kind table",
     "repro.faults.failure.register_failure_kind": "library API: the extension point Failure's own error message names",
-    "repro.obs.events.set_validation": "test-side API: REPRO_OBS_VALIDATE without the environment",
+    "repro.obs.events.set_validation": "test-side API: tests/conftest.py validates every emit with it",
     "repro.obs.events.validation_enabled": "test-side API: reads the switch set_validation sets",
     "repro.obs.sinks.CallbackSink": "test-side API: four test suites watch a trace with it",
 }
