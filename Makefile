@@ -31,6 +31,7 @@ chaos-smoke:
 	$(PYTHON) -m repro.cli chaos --scenario flapping --tree V --trials 1 \
 		--seed 7 --trace-out chaos-smoke.jsonl
 	$(PYTHON) -m repro.cli explain chaos-smoke.jsonl
+	$(PYTHON) -m repro.cli detection-ablation --tree V --drop 0.15 --seed 7 --jobs 2
 
 # The lossy-network campaign: the fault fabric, the adaptive detector,
 # and the detection-accuracy invariants, end to end.
@@ -48,10 +49,11 @@ strategy-smoke:
 # One fast sharded fleet campaign (independent + correlated waves) with
 # per-station invariant checking; nonzero exit on any violation.  Shards
 # and process fan-out are bit-identical, so the sharded smoke run stands
-# in for every execution layout.
+# in for every execution layout.  With --shards 2, --jobs 2 fans each
+# fleet's shards over two worker processes.
 fleet-smoke:
-	REPRO_FLEET_JOBS=2 $(PYTHON) -m repro.cli fleet --size 8 --horizon 120 \
-		--wave-interval 0 --wave-interval 60 --shards 2 --seed 7
+	$(PYTHON) -m repro.cli fleet --size 8 --horizon 120 \
+		--wave-interval 0 --wave-interval 60 --shards 2 --jobs 2 --seed 7
 
 # One fast user-traffic matrix: the classic baseline vs restart vs
 # microreboot under crashes on tree III, with live goodput / user-loss

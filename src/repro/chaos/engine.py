@@ -28,7 +28,7 @@ from repro.faults.correlation import CorrelationGroup
 from repro.mercury.config import PAPER_CONFIG, StationConfig
 from repro.mercury.station import MercuryStation, OracleSpec
 from repro.obs import events as ev
-from repro.obs.sinks import MetricsSink, PhaseSnapshot, Sink
+from repro.obs.sinks import MetricsSink, PhaseSnapshot, Sink, SummaryStat
 from repro.obs.spans import phase_snapshot
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.scenarios import Injection, NetOp, Scenario, StoreOp, get_scenario
@@ -75,6 +75,15 @@ class ChaosResult:
     def stats(self) -> RecoveryStats:
         """Aggregate MTTR statistics over the completed episodes."""
         return RecoveryStats.from_samples(self.mttr_samples)
+
+    def phase(self, name: str) -> SummaryStat:
+        """One phase's durations (:data:`~repro.obs.spans.PHASES`) over
+        every component's episodes."""
+        stat = SummaryStat()
+        for phases in self.phases.values():
+            if name in phases:
+                stat.merge(SummaryStat.from_dict(phases[name]))
+        return stat
 
     @property
     def ok(self) -> bool:
@@ -208,12 +217,16 @@ def run_chaos(
     quiesce_timeout: float = 600.0,
     snapshot: bool = True,
     strategy: Optional[str] = None,
+    drop: float = 0.0,
 ) -> ChaosResult:
     """Run ``trials`` episodes of ``scenario`` against one tree.
 
     Each trial rebuilds the plan from the scenario's dedicated RNG stream,
     so trials vary their timings while the whole run stays a pure function
-    of ``seed``.  The station keeps its aging/resync couplings armed —
+    of ``seed``.  A nonzero ``drop`` degrades every link from each trial's
+    start until its drain (that share of messages lost, and as many
+    delayed by 0.05–0.35 s); only a scenario that ``uses_network`` has the
+    fabric for it.  The station keeps its aging/resync couplings armed —
     chaos wants the correlated machinery live, unlike the isolated Table 2
     recovery measurements.
 
@@ -224,6 +237,11 @@ def run_chaos(
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
+    if drop and not scenario.uses_network:
+        raise ExperimentError(
+            f"drop={drop!r} needs a network fault fabric; scenario "
+            f"{scenario.name!r} does not declare uses_network"
+        )
     if scenario.station_overrides:
         config = config.with_overrides(**dict(scenario.station_overrides))
     if strategy is None and scenario.default_strategy is not None:
@@ -306,6 +324,10 @@ def run_chaos(
                 group.induce_probability = spec.induce_probability
                 group.induced_delay = spec.induced_delay
 
+        if drop:
+            station.network.faults.degrade(
+                drop=drop, spike_probability=drop, spike_seconds=(0.05, 0.35)
+            )
         base = station.kernel.now
         # One merged timeline: fabric and store operations interleave with
         # injections in plan order (ops first at equal instants, so a

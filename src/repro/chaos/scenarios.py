@@ -53,6 +53,14 @@ The catalogue covers the four adversarial shapes the chaos engine ships:
     instant, or one supervisor hangs, and a station fault follows; the
     surviving supervisor must rebuild its peer and the pair recover the
     station.
+``detection``
+    The detection-accuracy ablation's schedule: three crashes over
+    rtu/ses/str, 12–18 s apart, then a 40 s tail.  It scripts no fabric
+    operation itself: a cell's ``drop`` degrades every link for the whole
+    trial (``repro detection-ablation`` sweeps it), and the timeout policy
+    is the station config's, never overridden here.  The restart budget is
+    lifted far up, because at high drop the fixed policy restarts almost
+    continuously, and the ablation measures the detector, not the budget.
 
 Scenarios targeting components a given tree generation does not run (fd/rec
 under the abstract supervisor, fedrcom after the split) degrade gracefully:
@@ -541,6 +549,15 @@ def _hung_supervisor(supervisor: str) -> PlanBuilder:
     return build
 
 
+def _build_detection(rng: random.Random, components: Tuple[str, ...]) -> ScenarioPlan:
+    at = 0.0
+    injections = []
+    for target in ("rtu", "ses", "str"):
+        at += rng.uniform(12.0, 18.0)
+        injections.append(Injection(at=at, component=target))
+    return ScenarioPlan(injections=tuple(injections), horizon=at + 40.0)
+
+
 SCENARIOS: Dict[str, Scenario] = {
     scenario.name: scenario
     for scenario in (
@@ -569,8 +586,8 @@ SCENARIOS: Dict[str, Scenario] = {
             "real crashes under a dropping, spiky, duplicating network",
             _build_lossy,
             # The scenario stresses the detector; a residual false positive
-            # must not dribble into budget give-ups (that is the ablation
-            # bench's subject, measured, not a chaos invariant).
+            # must not dribble into budget give-ups (that is what the
+            # ``detection`` scenario measures, not a chaos invariant).
             station_overrides=(
                 ("timeout_policy", "adaptive"),
                 ("restart_budget", 50),
@@ -618,6 +635,13 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
         Scenario("hung-fd", "FD hangs while a station fault is pending", _hung_supervisor("fd")),
         Scenario("hung-rec", "REC hangs while a station fault is pending", _hung_supervisor("rec")),
+        Scenario(
+            "detection",
+            "three crashes under a cell-wide drop rate (the detection ablation)",
+            _build_detection,
+            station_overrides=(("restart_budget", 10_000),),
+            uses_network=True,
+        ),
     )
 }
 

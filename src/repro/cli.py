@@ -20,11 +20,13 @@ Usage::
 Every subcommand prints the same paper-layout tables the benches produce;
 the CLI is a thin veneer over :mod:`repro.experiments`.  Campaign-style
 subcommands (``table2``, ``table4``, ``availability``, ``passes``,
-``chaos``, ``strategy-compare``, ``workload``, ``fleet``) plan their
+``chaos``, ``strategy-compare``, ``workload``, ``detection-ablation``,
+``fleet``) plan their
 cells from the runner's ``KINDS`` table and honour ``--jobs N`` to fan
 cells across worker processes and ``--cache-dir`` to reuse the
 content-addressed result cache — results are bit-identical for any jobs
-value.  ``availability`` and ``passes`` are two views of the same cells.
+value.  ``availability`` and ``passes`` are two views of the same cells;
+``detection-ablation`` is a view of ``detection`` chaos cells.
 ``table4`` also prints the paper's Table 4 (``PAPER_TABLE4``, the values
 the reproduction suite asserts against) and the analytic model's, and
 ``optimize`` runs its §7 tree search (:mod:`repro.analysis.model`; no
@@ -62,6 +64,7 @@ from repro.experiments.workload import (
     FAILURE_KINDS,
     format_workload_report,
 )
+from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.trees import TREE_BUILDERS
 
 
@@ -106,7 +109,7 @@ def _campaign_tail(
         for violation in result.violations
     ]
     _print_violations(violations)
-    if args.report:
+    if getattr(args, "report", None):
         _write_report(
             args.report,
             {label(point, ""): result.to_payload() for point, result in suite.items()},
@@ -368,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="reply-timeout policy (repeatable; default: both)",
     )
     ablation.add_argument(
-        "--failures", type=_count, default=3,
-        help="crashes injected per cell under loss (default: 3)",
+        "--trials", type=_count, default=1,
+        help="trials per cell, three crashes each (default: 1)",
     )
 
     fleet = subparsers.add_parser(
@@ -398,9 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="wave-coupled uplink drop probability (default: 0.2)",
     )
     fleet.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="kernel shards per fleet (default: REPRO_FLEET_SHARDS or 1; "
-        "results are bit-identical for any value)",
+        "--shards", type=_count, default=1, metavar="N",
+        help="kernel shards per fleet (default: 1); with N > 1, --jobs fans "
+        "each fleet's shards over worker processes instead of fanning the "
+        "cells (results are bit-identical for any layout)",
     )
     fleet.add_argument(
         "--request-rate", type=_non_negative, default=0.0, metavar="SESSIONS_PER_S",
@@ -832,33 +836,41 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_detection_ablation(args: argparse.Namespace) -> int:
-    from repro.experiments.detection_ablation import run_detection_ablation
-
     label = args.tree or "V"
-    drop_rates = tuple(args.drop) if args.drop else (0.0, 0.05, 0.15)
-    policies = tuple(args.policy) if args.policy else ("fixed", "adaptive")
-    results = run_detection_ablation(
-        TREE_BUILDERS[label](),
-        drop_rates=drop_rates,
-        policies=policies,
-        failures=args.failures,
-        seed=args.seed,
-    )
+    drops = args.drop or [0.0, 0.05, 0.15]
+    policies = args.policy or ["fixed", "adaptive"]
+    # The policy is a station setting, so each is its own suite; a policy's
+    # cells share their seed with the other's, drop for drop.
+    cells = {}
+    for policy in policies:
+        suite = run_suite(
+            "chaos",
+            {"drop": drops},
+            scenario="detection",
+            tree=label,
+            trials=args.trials,
+            seed=args.seed,
+            config=PAPER_CONFIG.with_overrides(timeout_policy=policy),
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+        )
+        for (drop,), cell in suite.items():
+            cells[(drop, policy)] = cell
     rows: List[List[object]] = []
-    for drop in drop_rates:
+    for drop in drops:
         for policy in policies:
-            cell = results[(drop, policy)]
+            cell = cells[(drop, policy)]
+            detection = cell.phase("detection")
             rows.append(
                 [
                     f"{drop:.2f}",
                     policy,
                     cell.false_positives,
                     cell.retractions,
-                    cell.detections,
-                    f"{cell.mean_detection_latency:.3f}"
-                    if cell.detections else "—",
-                    cell.late_detections,
-                    f"{cell.mttr.mean:.3f}" if cell.mttr_samples else "—",
+                    detection.n,
+                    f"{detection.mean:.3f}" if detection.n else "—",
+                    f"{detection.maximum:.3f}" if detection.n else "—",
+                    f"{cell.stats.mean:.3f}" if cell.mttr_samples else "—",
                     cell.escalations,
                     cell.operator_interventions,
                 ]
@@ -867,16 +879,19 @@ def cmd_detection_ablation(args: argparse.Namespace) -> int:
         format_table(
             [
                 "drop", "policy", "FP", "retracted", "detected",
-                "mean det (s)", "late", "mean MTTR (s)", "escal", "operator",
+                "mean det (s)", "max det (s)", "mean MTTR (s)", "escal", "operator",
             ],
             rows,
             title=(
                 f"Detection accuracy vs MTTR, tree {label}, "
-                f"{args.failures} failure(s)/cell"
+                f"{args.trials} trial(s)/cell, 3 crashes each"
             ),
         )
     )
-    return 0
+    print()
+    return _campaign_tail(
+        args, cells, lambda point, tree: f"{point[1]}/{tree}{label}/drop {point[0]:g}"
+    )
 
 
 def _read_trace_file(path: str, consume: Callable[[Iterator[Any]], None]) -> int:
@@ -995,30 +1010,18 @@ def cmd_passes(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     sizes = args.size or [16, 64]
     intervals = args.wave_interval if args.wave_interval is not None else [0.0, 150.0]
-    # Sharding is an execution knob (bit-identical results), threaded
-    # through the environment so it can never enter a cell spec — and put
-    # back afterwards, so a later ``main()`` in this process does not
-    # inherit this call's layout.
-    prior = os.environ.get("REPRO_FLEET_SHARDS")
-    if args.shards is not None:
-        os.environ["REPRO_FLEET_SHARDS"] = str(args.shards)
-    try:
-        suite = run_suite(
-            "fleet",
-            {"fleet_size": sizes, "wave_interval_s": intervals},
-            tree=args.tree or "V",
-            horizon_s=args.horizon,
-            seed=args.seed,
-            wave_drop=args.wave_drop,
-            request_rate=args.request_rate,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-        )
-    finally:
-        if prior is not None:
-            os.environ["REPRO_FLEET_SHARDS"] = prior
-        elif args.shards is not None:
-            del os.environ["REPRO_FLEET_SHARDS"]
+    suite = run_suite(
+        "fleet",
+        {"fleet_size": sizes, "wave_interval_s": intervals},
+        tree=args.tree or "V",
+        horizon_s=args.horizon,
+        seed=args.seed,
+        wave_drop=args.wave_drop,
+        request_rate=args.request_rate,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        shards=args.shards,
+    )
     with_effects = args.request_rate > 0
     rows = []
     for size in sizes:

@@ -73,8 +73,7 @@ class AbstractSupervisor:
         self.reply_timeout = reply_timeout
         self.observation_window = observation_window
         #: The supervisor's own crash-only lifecycle (:meth:`restart`) is
-        #: driven by whoever calls it (a :class:`SupervisorWatchdog` or a
-        #: test); the engine is the same one REC runs.
+        #: driven by whoever calls it; the engine is the same one REC runs.
         self.engine = RecoveryEngine(
             kernel,
             manager,
@@ -91,9 +90,9 @@ class AbstractSupervisor:
         self._rng = kernel.rngs.stream("abstract_supervisor.detection")
         self.detections = 0
         #: The supervisor itself is a restartable node: ``crash``/``hang``
-        #: take it down; a :class:`SupervisorWatchdog` (or a test) calls
-        #: :meth:`restart`.  Counts restarts, and stamps pending
-        #: detections so a dead incarnation's are dropped.
+        #: take it down and :meth:`restart` brings it back.  Counts
+        #: restarts, and stamps pending detections so a dead incarnation's
+        #: are dropped.
         self.restart_count = 0
         self.engine.start()
         manager.subscribe(self._on_lifecycle)
@@ -104,7 +103,7 @@ class AbstractSupervisor:
 
     @property
     def responsive(self) -> bool:
-        """Heartbeat view: does the supervisor still answer its watchdog?"""
+        """Is the supervisor alive and judging (not crashed or hung)?"""
         return self.engine.alive
 
     def crash(self) -> None:
@@ -163,48 +162,3 @@ class AbstractSupervisor:
         self.detections += 1
         self.kernel.trace.emit("supervisor", ev.DETECTION, component=component)
         self.engine.report_failure(component)
-
-
-class SupervisorWatchdog:
-    """The lightweight tier above the supervisor (recursive restartability).
-
-    A plain heartbeat: every ``period`` it checks the supervisor's
-    ``responsive`` flag; after ``grace`` seconds of silence it restarts
-    the supervisor crash-only via :meth:`AbstractSupervisor.restart`.
-    Deliberately trivial — the paper's recursion has to bottom out in
-    something simple enough to trust (the hardware watchdog analogue).
-    """
-
-    def __init__(
-        self,
-        kernel: "Kernel",
-        supervisor: AbstractSupervisor,
-        period: SimTime = 1.0,
-        grace: SimTime = 2.0,
-    ) -> None:
-        if period <= 0.0:
-            raise ValueError(f"period must be positive: {period!r}")
-        self.kernel = kernel
-        self.supervisor = supervisor
-        self.period = period
-        self.grace = grace
-        self.restarts = 0
-        self._misses = 0
-        self._armed = True
-        kernel.schedule_after(period, self._tick)
-
-    def stop(self) -> None:
-        self._armed = False
-
-    def _tick(self) -> None:
-        if not self._armed:
-            return
-        if self.supervisor.responsive:
-            self._misses = 0
-        else:
-            self._misses += 1
-            if self._misses * self.period >= self.grace:
-                self._misses = 0
-                self.restarts += 1
-                self.supervisor.restart()
-        self.kernel.schedule_after(self.period, self._tick)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -603,47 +602,23 @@ class FleetResult:
 # ----------------------------------------------------------------------
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return max(1, int(os.environ.get(name, str(default))))
-    except ValueError:
-        return default
-
-
-def fleet_jobs(default: int = 1) -> int:
-    """Worker-process count for in-cell shard fan-out.
-
-    An environment switch (``REPRO_FLEET_JOBS``) rather than a cell field:
-    cell specs must stay pure result identities, and parallelism is
-    bit-identical by construction, so it must never enter a cache key.
-    """
-    return _env_int("REPRO_FLEET_JOBS", default)
-
-
-def fleet_shards(default: int = 1) -> int:
-    """Shard count for fleet cells (``REPRO_FLEET_SHARDS``); same
-    execution-knob status as :func:`fleet_jobs` — never in a cache key."""
-    return _env_int("REPRO_FLEET_SHARDS", default)
-
-
 def run_fleet_cell(
     spec: FleetSpec,
     config: StationConfig = PAPER_CONFIG,
     shards: int = 1,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     snapshot: bool = True,
 ) -> FleetResult:
     """Run one fleet to its horizon; bit-identical for any ``shards``/``jobs``.
 
-    ``jobs`` > 1 (default: ``REPRO_FLEET_JOBS``) fans one worker process
-    per shard; the epoch barrier is ``spec.ground_latency``.
+    ``jobs`` > 1 fans one worker process per shard; the epoch barrier is
+    ``spec.ground_latency``.
     """
     from repro.mercury.trees import TREE_BUILDERS
 
     if spec.size < 1:
         raise ExperimentError(f"fleet size must be >= 1, got {spec.size!r}")
     tree = TREE_BUILDERS[spec.tree]()
-    jobs = fleet_jobs() if jobs is None else max(1, jobs)
     parallel = jobs > 1 and shards > 1
     builder = _StationBuild(spec, config)
     shape = _fleet_shape(spec, config)

@@ -31,7 +31,10 @@ Cells large enough to dominate wall-clock can additionally be split into
 **seed shards** (``shard_size``): each shard is an independent station with
 its own derived seed, and the merged sample list is the concatenation in
 shard order.  The shard decomposition is part of the campaign spec — serial
-and parallel runs of the same spec agree exactly.
+and parallel runs of the same spec agree exactly.  A fleet cell can also be
+laid out over kernel shards and worker processes (:class:`Layout`); that
+layout is bit-identical by construction, so it is an argument of the run,
+never a field of the cell.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.tree import RestartTree
 from repro.errors import ExperimentError
@@ -120,6 +123,18 @@ class CampaignCell:
     #: Offered user-traffic load in sessions/s: arms the workload plane of
     #: a "workload" cell, and of each station of a "fleet" cell, when > 0.
     request_rate: float = 0.0
+    #: Message drop rate a "chaos" cell applies to every link for each
+    #: whole trial (its scenario must declare ``uses_network``).
+    drop: float = 0.0
+
+
+class Layout(NamedTuple):
+    """How one cell runs, never what it computes: a fleet's kernel shards
+    and the worker processes they fan over (bit-identical for any values,
+    so never part of a cell or its cache key).  Other kinds ignore it."""
+
+    shards: int = 1
+    jobs: int = 1
 
 
 def _resolve_tree(label: str, trees: Optional[Mapping[str, RestartTree]]) -> RestartTree:
@@ -140,7 +155,9 @@ def _resolve_tree(label: str, trees: Optional[Mapping[str, RestartTree]]) -> Res
 # ----------------------------------------------------------------------
 
 
-def _run_recovery(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
+def _run_recovery(
+    cell: CampaignCell, tree: RestartTree, config: StationConfig, layout: Layout
+) -> Payload:
     result = measure_recovery(
         tree,
         cell.component,
@@ -176,7 +193,9 @@ def _decode_recovery(payload: Payload) -> RecoveryResult:
     )
 
 
-def _run_availability(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
+def _run_availability(
+    cell: CampaignCell, tree: RestartTree, config: StationConfig, layout: Layout
+) -> Payload:
     availability = measure_availability(
         tree, horizon_s=cell.horizon_s, seed=cell.seed, config=config, oracle=cell.oracle
     )
@@ -192,7 +211,9 @@ def _decode_availability(payload: Payload) -> AvailabilityResult:
 # another kind never needs them: their imports stay inside the functions.
 
 
-def _run_chaos(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
+def _run_chaos(
+    cell: CampaignCell, tree: RestartTree, config: StationConfig, layout: Layout
+) -> Payload:
     from repro.chaos.engine import run_chaos
 
     return run_chaos(
@@ -205,6 +226,7 @@ def _run_chaos(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> 
         config=config,
         supervisor=cell.supervisor,
         strategy=cell.strategy or None,
+        drop=cell.drop,
     ).to_payload()
 
 
@@ -214,7 +236,9 @@ def _decode_chaos(payload: Payload) -> "ChaosResult":
     return ChaosResult.from_payload(payload)
 
 
-def _run_workload(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
+def _run_workload(
+    cell: CampaignCell, tree: RestartTree, config: StationConfig, layout: Layout
+) -> Payload:
     from repro.experiments.workload import run_workload_cell
     from repro.workload.generator import WorkloadSpec
 
@@ -237,12 +261,11 @@ def _decode_workload(payload: Payload) -> "WorkloadCellResult":
     return WorkloadCellResult.from_payload(payload)
 
 
-def _run_fleet(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> Payload:
-    from repro.experiments.fleet import FleetSpec, fleet_shards, run_fleet_cell
+def _run_fleet(
+    cell: CampaignCell, tree: RestartTree, config: StationConfig, layout: Layout
+) -> Payload:
+    from repro.experiments.fleet import FleetSpec, run_fleet_cell
 
-    # Shard count and process fan-out are execution knobs
-    # (``REPRO_FLEET_SHARDS``/``REPRO_FLEET_JOBS``, bit-identical results):
-    # they are not cell fields, so they can never split the cache.
     return run_fleet_cell(
         FleetSpec(
             tree=cell.tree,
@@ -255,7 +278,8 @@ def _run_fleet(cell: CampaignCell, tree: RestartTree, config: StationConfig) -> 
             request_rate=cell.request_rate,
         ),
         config=config,
-        shards=fleet_shards(),
+        shards=layout.shards,
+        jobs=layout.jobs,
     ).to_payload()
 
 
@@ -274,8 +298,8 @@ class Kind:
     reads: Tuple[str, ...]
     #: The cell fields :func:`plan_cell` hashes into the cell seed, in order.
     identity: Tuple[str, ...]
-    #: ``run(cell, tree, config)``: one cell to its payload.
-    run: Callable[[CampaignCell, RestartTree, StationConfig], Payload]
+    #: ``run(cell, tree, config, layout)``: one cell to its payload.
+    run: Callable[[CampaignCell, RestartTree, StationConfig, Layout], Payload]
     #: A payload back to the kind's result object.
     decode: Callable[[Payload], Any]
     #: Bump when this kind's payload layout or semantics change in a way
@@ -308,12 +332,12 @@ KINDS: Dict[str, Kind] = {
     "chaos": Kind(
         reads=(
             "scenario", "trials", "oracle", "oracle_error_rate", "supervisor",
-            "strategy",
+            "strategy", "drop",
         ),
         identity=("kind", "scenario", "tree"),
         run=_run_chaos,
         decode=_decode_chaos,
-        version=5,
+        version=6,
     ),
     "workload": Kind(
         reads=("strategy", "failure_kind", "trials", "supervisor", "request_rate"),
@@ -359,8 +383,9 @@ def _checked(
 ) -> Tuple[Kind, RestartTree]:
     """The cell's kind and tree: :func:`kind_of`, then a read field holding
     a value no run can use (a scenario or supervisor that does not exist,
-    ``trials`` below the kind's floor) and a tree that does not exist are
-    rejected — all before any station boots."""
+    ``trials`` below the kind's floor, a ``drop`` that is no probability or
+    falls on a scenario without a network fabric) and a tree that does not
+    exist are rejected — all before any station boots."""
     row = kind_of(cell)
     # A workload cell's trials are its injected failures: 0 is steady traffic.
     fewest = 0 if cell.kind == "workload" else 1
@@ -373,6 +398,13 @@ def _checked(
 
         if cell.scenario not in SCENARIOS:
             raise ExperimentError(f"cell sets scenario={cell.scenario!r}, which is not in SCENARIOS")
+        if not 0.0 <= cell.drop <= 1.0:
+            raise ExperimentError(f"cell sets drop={cell.drop!r}; a drop rate is in [0, 1]")
+        if cell.drop > 0 and not SCENARIOS[cell.scenario].uses_network:
+            raise ExperimentError(
+                f"cell sets drop={cell.drop!r}, but scenario {cell.scenario!r} "
+                f"does not declare uses_network"
+            )
     return row, _resolve_tree(cell.tree, trees)
 
 
@@ -380,6 +412,7 @@ def execute_cell(
     cell: CampaignCell,
     config: StationConfig = PAPER_CONFIG,
     trees: Optional[Mapping[str, RestartTree]] = None,
+    layout: Layout = Layout(),
 ) -> Payload:
     """Run one cell to completion and return a JSON-serializable payload.
 
@@ -388,7 +421,7 @@ def execute_cell(
     cell is rejected (:func:`_checked`) before any station boots.
     """
     row, tree = _checked(cell, trees)
-    return row.run(cell, tree, config)
+    return row.run(cell, tree, config, layout)
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +514,7 @@ def run_campaign(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     trees: Optional[Mapping[str, RestartTree]] = None,
+    shards: int = 1,
 ) -> List[Payload]:
     """Execute every cell, returning payloads in planning order.
 
@@ -489,9 +523,16 @@ def run_campaign(
     ``cells``, and each payload is a pure function of its cell spec, so
     the two modes are bit-identical.  With ``cache_dir``, cells whose key
     is already on disk are not recomputed.
+
+    ``shards > 1`` lays each fleet cell out over that many kernel shards,
+    and the ``jobs`` processes go to one cell's shards instead of to the
+    cells, which then run one after another: a pool's workers are daemonic
+    and cannot fan out in turn.
     """
     if jobs <= 0:
         jobs = os.cpu_count() or 1
+    if shards < 1:
+        raise ExperimentError(f"shards={shards!r}; a fleet runs on at least one kernel shard")
     results: List[Optional[Payload]] = [None] * len(cells)
     keys: List[Optional[str]] = [None] * len(cells)
     todo: List[int] = []
@@ -513,7 +554,11 @@ def run_campaign(
         if cache_dir is not None:
             _cache_write(cache_dir, keys[index], cells[index], result)
 
-    if jobs <= 1 or len(todo) <= 1:
+    if shards > 1:
+        layout = Layout(shards=shards, jobs=jobs)
+        for index in todo:
+            finished(index, execute_cell(cells[index], config, trees, layout))
+    elif jobs <= 1 or len(todo) <= 1:
         for index in todo:
             finished(index, execute_cell(cells[index], config, trees))
     else:
@@ -559,6 +604,7 @@ def run_suite(
     config: StationConfig = PAPER_CONFIG,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
+    shards: int = 1,
     **fixed: Any,
 ) -> Dict[Tuple[Any, ...], Any]:
     """One campaign of ``kind``: a cell per point of ``axes``.
@@ -566,10 +612,13 @@ def run_suite(
     ``axes`` maps cell-field names to the values to sweep; ``fixed`` sets
     fields shared by every cell.  Returns ``{point: result}`` with the
     point's values in ``axes`` order and the result decoded by the kind.
+    ``shards`` lays fleet cells out (:func:`run_campaign`).
     """
     points = list(itertools.product(*axes.values()))
     cells = [plan_cell(kind, seed, **fixed, **dict(zip(axes, point))) for point in points]
-    payloads = run_campaign(cells, config=config, jobs=jobs, cache_dir=cache_dir)
+    payloads = run_campaign(
+        cells, config=config, jobs=jobs, cache_dir=cache_dir, shards=shards
+    )
     decode = KINDS[kind].decode
     return {point: decode(payload) for point, payload in zip(points, payloads)}
 

@@ -22,7 +22,7 @@ def test_catalogue_names():
         "cascade", "storm", "flapping", "mixed",
         "lossy", "partition", "zombie-fleet",
         "store-outage", "rogue-oracle-crash",
-        "blind", "hung-fd", "hung-rec",
+        "blind", "hung-fd", "hung-rec", "detection",
     }
     for name, scenario in SCENARIOS.items():
         assert scenario.name == name

@@ -6,7 +6,7 @@ holds the same gate for *real Mercury stations* — full fault injectors,
 supervisors, and network fabrics — and pins the experiment semantics on
 top: waves really correlate failures across stations, the post-horizon
 drain leaves invariants clean, session-loss accounting follows the
-link-break rule, and the campaign cache key ignores execution knobs.
+link-break rule, and the campaign cache ignores the execution layout.
 """
 
 import pytest
@@ -14,14 +14,13 @@ import pytest
 from repro.experiments.fleet import (
     FleetResult,
     FleetSpec,
-    fleet_jobs,
-    fleet_shards,
     resolve_wave_component,
     run_fleet_cell,
     station_seed,
 )
-from repro.experiments.runner import CampaignCell, cache_key, run_suite
-from repro.mercury.config import PAPER_CONFIG
+from repro.errors import ExperimentError
+from repro.experiments import runner
+from repro.experiments.runner import run_suite
 from repro.experiments.snapshot import clear_templates
 from repro.experiments.template_store import STORE
 
@@ -146,39 +145,38 @@ def test_aggregates_on_an_empty_fleet_are_well_defined():
 
 
 # ----------------------------------------------------------------------
-# execution knobs stay out of result identity
+# the execution layout stays out of result identity
 # ----------------------------------------------------------------------
 
 
-def test_env_knobs_parse_defensively(monkeypatch):
-    monkeypatch.delenv("REPRO_FLEET_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_FLEET_SHARDS", raising=False)
-    assert fleet_jobs() == 1 and fleet_shards() == 1
-    monkeypatch.setenv("REPRO_FLEET_JOBS", "4")
-    monkeypatch.setenv("REPRO_FLEET_SHARDS", "8")
-    assert fleet_jobs() == 4 and fleet_shards() == 8
-    monkeypatch.setenv("REPRO_FLEET_JOBS", "0")
-    assert fleet_jobs() == 1  # floored
-    monkeypatch.setenv("REPRO_FLEET_SHARDS", "many")
-    assert fleet_shards() == 1  # unparsable: default
+@pytest.mark.parametrize("shards", [0, -1])
+def test_layout_arguments_are_checked(shards):
+    with pytest.raises(ExperimentError, match=f"shards={shards}"):
+        run_suite("fleet", {"fleet_size": [2]}, tree="V", horizon_s=30.0, shards=shards)
 
 
-def test_campaign_cache_key_ignores_shard_and_job_knobs(monkeypatch):
-    cell = CampaignCell(
-        kind="fleet",
+def test_campaign_cache_key_ignores_shard_and_job_knobs(tmp_path, monkeypatch):
+    """A campaign laid out over shards and in-cell workers writes the cache
+    entries an unsharded one reads: the layout never enters a cell."""
+    kwargs = dict(
+        axes={"wave_interval_s": (0.0, 60.0)},
         tree="V",
-        seed=21,
-        horizon_s=120.0,
         fleet_size=4,
-        wave_interval_s=60.0,
+        horizon_s=60.0,
         wave_drop=0.3,
+        seed=21,
+        cache_dir=str(tmp_path),
     )
-    monkeypatch.delenv("REPRO_FLEET_SHARDS", raising=False)
-    monkeypatch.delenv("REPRO_FLEET_JOBS", raising=False)
-    base = cache_key(cell, PAPER_CONFIG)
-    monkeypatch.setenv("REPRO_FLEET_SHARDS", "8")
-    monkeypatch.setenv("REPRO_FLEET_JOBS", "4")
-    assert cache_key(cell, PAPER_CONFIG) == base
+    sharded = run_suite("fleet", shards=2, jobs=2, **kwargs)
+    assert len(list(tmp_path.iterdir())) == 2
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cached cell ran again")
+
+    monkeypatch.setattr(runner, "execute_cell", no_run)
+    replay = run_suite("fleet", **kwargs)
+    for key in sharded:
+        assert replay[key].to_payload() == sharded[key].to_payload()
 
 
 def test_fleet_campaign_caches_and_replays_byte_identically(tmp_path):

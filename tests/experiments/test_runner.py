@@ -299,8 +299,8 @@ def test_a_campaign_that_dies_keeps_the_cells_it_finished(tmp_path, monkeypatch,
 
 
 def test_cache_key_ignores_environment(monkeypatch):
-    """``cache_key`` reads no environment: execution knobs (and any other
-    ``REPRO_*`` value) can never split or alias the result cache."""
+    """``cache_key`` reads no environment: no ``REPRO_*`` value can split
+    or alias the result cache."""
     cells = [
         CampaignCell(kind="chaos", tree="V", seed=42, scenario="storm", trials=1),
         CampaignCell(
@@ -316,8 +316,6 @@ def test_cache_key_ignores_environment(monkeypatch):
         monkeypatch.delenv(name)
     clean = [cache_key(cell, PAPER_CONFIG) for cell in cells]
     for name, value in [
-        ("REPRO_FLEET_SHARDS", "4"),
-        ("REPRO_FLEET_JOBS", "4"),
         ("REPRO_BENCH_CACHE", "/nonexistent"),
         ("REPRO_NOT_A_KNOB", "anything"),
     ]:
@@ -354,6 +352,10 @@ MALFORMED = [
     (dict(kind="workload", tree="V", failure_kind="crash", trials=-1), "trials=-1"),
     (dict(kind="recovery", tree="II", component="rtu", trials=1, supervisor="none"), "supervisor='none'"),
     (dict(kind="chaos", tree="V", scenario="storm", trials=1, supervisor="bogus"), "supervisor='bogus'"),
+    (dict(kind="chaos", tree="V", scenario="detection", trials=1, drop=1.5), "drop=1.5"),
+    (dict(kind="chaos", tree="V", scenario="detection", trials=1, drop=-0.1), "drop=-0.1"),
+    # Only a scenario that declares the fault fabric can lose messages.
+    (dict(kind="chaos", tree="V", scenario="storm", trials=1, drop=0.1), "drop=0.1"),
 ]
 
 
@@ -405,7 +407,7 @@ CHANGED = {
     "trial_timeout": 100.0, "aging": True, "horizon_s": 60.0,
     "scenario": "storm", "strategy": "restart", "failure_kind": "hang",
     "fleet_size": 3, "wave_interval_s": 30.0, "wave_drop": 0.1,
-    "request_rate": 2.0,
+    "request_rate": 2.0, "drop": 0.1,
 }
 
 #: The literal seed identity of each kind: the fields a cell is planned

@@ -18,7 +18,7 @@ import pytest
 from repro.core.oracle import NaiveOracle
 from repro.core.policy import RestartPolicy
 from repro.core.recovery_strategies import StrategyMap
-from repro.detection.abstract import AbstractSupervisor, SupervisorWatchdog
+from repro.detection.abstract import AbstractSupervisor
 from repro.errors import ExperimentError
 from repro.faults.injector import FaultInjector
 from repro.mercury.config import PAPER_CONFIG, ComponentTiming
@@ -139,11 +139,11 @@ def _site_notify_down(jsonl):
 def _site_engine_start(jsonl):
     """A supervisor shot mid-action: only its restart makes it idle again."""
     kernel, _, injector, _, supervisor = _abstract_rig(jsonl)
-    SupervisorWatchdog(kernel, supervisor, period=1.0, grace=2.0)
     injector.inject_simple("a")
     while not supervisor.engine.busy:
         assert kernel.step()
     supervisor.crash()
+    kernel.schedule_after(2.0, supervisor.restart)
     idle = kernel.run_until(lambda: not supervisor.engine.busy, kernel.now + 60.0)
     assert supervisor.restart_count == 1
     return kernel, idle

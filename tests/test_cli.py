@@ -155,7 +155,7 @@ def test_non_positive_days_rejected(command, days, capsys):
         (["chaos"], "--trials"),
         (["strategy-compare"], "--trials"),
         (["workload"], "--failures"),
-        (["detection-ablation"], "--failures"),
+        (["detection-ablation"], "--trials"),
         (["fleet"], "--size"),
     ],
 )
@@ -472,12 +472,36 @@ def test_chaos_rejects_unknown_scenario():
 def test_detection_ablation_command(capsys):
     code = main([
         "detection-ablation", "--tree", "V",
-        "--drop", "0.0", "--drop", "0.15", "--failures", "2", "--seed", "3",
+        "--drop", "0.0", "--drop", "0.15", "--trials", "2", "--seed", "3",
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "Detection accuracy vs MTTR" in out
     assert "fixed" in out and "adaptive" in out
+    assert "max det (s)" in out
+    assert "invariants: all OK" in out
+
+
+def test_detection_ablation_fans_out_and_caches(tmp_path, capsys, monkeypatch):
+    """The ablation is chaos cells: ``--jobs 2`` prints the bytes ``--jobs
+    1`` does, and a re-run reads every cell from ``--cache-dir``."""
+    from repro.experiments import runner
+
+    cache = tmp_path / "cache"
+    argv = ["detection-ablation", "--tree", "V", "--drop", "0.0", "--drop", "0.15",
+            "--seed", "7"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--jobs", "2", "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out == serial
+    assert len(list(cache.iterdir())) == 4  # 2 drops x 2 policies
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cached cell ran again")
+
+    monkeypatch.setattr(runner, "execute_cell", no_run)
+    assert main(argv + ["--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out == serial
 
 
 def test_chaos_command_knows_new_scenarios(capsys):
@@ -568,15 +592,27 @@ def test_fleet_request_rate_columns(capsys):
 
 
 def test_fleet_shards_flag_does_not_outlive_the_call(capsys, monkeypatch):
-    """``--shards`` travels through ``REPRO_FLEET_SHARDS``; it used to stay
-    set, so the next ``main()`` in the process inherited this call's layout."""
+    """``--shards`` (and ``--jobs`` with it) is an argument of the run: it
+    reaches the fleet cell, sets no environment variable, and a sharded
+    call prints what an unsharded one does."""
+    from repro.experiments import fleet
+
+    layouts = []
+    real = fleet.run_fleet_cell
+
+    def spy(spec, **kwargs):
+        layouts.append((kwargs["shards"], kwargs["jobs"]))
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(fleet, "run_fleet_cell", spy)
     args = [
         "fleet", "--size", "2", "--horizon", "30", "--wave-interval", "0",
-        "--seed", "7", "--shards", "2",
+        "--seed", "7",
     ]
-    monkeypatch.delenv("REPRO_FLEET_SHARDS", raising=False)
+    environ = dict(os.environ)
+    assert main(args + ["--shards", "2", "--jobs", "2"]) == 0
+    sharded = capsys.readouterr().out
+    assert dict(os.environ) == environ
     assert main(args) == 0
-    assert "REPRO_FLEET_SHARDS" not in os.environ
-    monkeypatch.setenv("REPRO_FLEET_SHARDS", "3")
-    assert main(args) == 0
-    assert os.environ["REPRO_FLEET_SHARDS"] == "3"
+    assert capsys.readouterr().out == sharded
+    assert layouts == [(2, 2), (1, 1)]

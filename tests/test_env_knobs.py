@@ -1,11 +1,11 @@
-"""The inventory of ``REPRO_*`` environment knobs.
+"""No ``REPRO_*`` environment knob: the system runs one way.
 
-Every knob is a second way to run the system, so adding one is a deliberate
-edit in two places: the code that reads it and the README table that says
-who does.  This test holds the two together, and holds the Makefile and CI
-to setting only knobs the code reads: a knob the code stops reading (as
-``REPRO_OBS_VALIDATE`` did, for ``repro.obs.events.set_validation``, which
-the test suite's own fixture calls) goes from both.
+A knob is a second way to run the system, invisible in every call site.
+The last ones (the fleet layout, now ``repro fleet --shards``/``--jobs``
+and ``run_suite(..., shards=, jobs=)`` arguments; event validation, now
+``repro.obs.events.set_validation``) became arguments.  This test keeps
+it so: the code reads no knob, the README documents none, and the
+Makefile and CI set none.
 """
 
 import pathlib
@@ -13,7 +13,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: Where a knob may be read.  ``bench/`` is the frozen repo benchmark: it
+#: Where a knob could be read.  ``bench/`` is the frozen repo benchmark: it
 #: scrubs every ``REPRO_*`` variable and reads none.
 READERS = ("src", "tools", "benchmarks")
 
@@ -36,8 +36,8 @@ def knobs_read():
 
 def test_readme_table_lists_exactly_the_knobs_read():
     documented = _TABLE_ROW.findall((ROOT / "README.md").read_text(encoding="utf-8"))
-    assert len(documented) == len(set(documented))
-    assert set(documented) == knobs_read()
+    assert documented == []
+    assert knobs_read() == set()
 
 
 def test_make_and_ci_set_only_knobs_the_code_reads():
@@ -45,4 +45,4 @@ def test_make_and_ci_set_only_knobs_the_code_reads():
     assigned = {
         name for path in files for name in _ASSIGNED.findall(path.read_text(encoding="utf-8"))
     }
-    assert assigned and assigned <= knobs_read()
+    assert assigned == set()

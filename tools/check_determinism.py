@@ -9,10 +9,12 @@ clock, iterates an unordered set into an RNG, or keys a schedule off
 ``id()``.  This gate catches that class of regression in seconds.  Each
 leg runs one cell more than once and byte-compares what came out:
 
-* **same-seed traces** — three chaos cells on tree V (``cascade``; ``lossy``:
+* **same-seed traces** — four chaos cells on tree V (``cascade``; ``lossy``:
   the network fault fabric's per-link RNG streams plus the adaptive
-  detector; ``store-outage``: session-store crash/hang windows, torn and
-  corrupt writes, strategy fallback) and one 4 h steady-state availability
+  detector; ``detection`` at 15 % drop under the fixed policy: the
+  cell-wide degrade and the false positives it fires; ``store-outage``:
+  session-store crash/hang windows, torn and corrupt writes, strategy
+  fallback) and one 4 h steady-state availability
   run with 30-minute rejuvenation, each run twice with the same seed,
   comparing the full JSONL event traces and the result payloads (the
   availability run must hold a whole pass and a proactive restart, so ses's
@@ -61,10 +63,12 @@ from repro.chaos.engine import run_chaos
 from repro.experiments.availability import measure_availability
 from repro.experiments.runner import KINDS, execute_cell, plan_cell, run_campaign
 from repro.experiments.snapshot import clear_templates
+from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.trees import TREE_BUILDERS
 from repro.obs.sinks import JsonlSink, Sink
 
 CHAOS_SEED = 42
+DETECTION_DROP = 0.15
 AVAILABILITY_SEED = 7
 AVAILABILITY_HORIZON_S = 4.0 * 3600.0
 REJUVENATION_PERIOD_S = 1800.0
@@ -160,6 +164,10 @@ def _holds_a_pass_and_a_rejuvenation(payload: str) -> bool:
     return result["passes"] >= 1 and result["proactive_restarts"] >= 1
 
 
+def _fires_false_positives(payload: str) -> bool:
+    return json.loads(payload)["false_positives"] > 0
+
+
 #: The same-seed trace leg: (name, what it is, the run, what it must cover).
 #: ses tracks only inside pass windows, so an availability run without a
 #: whole pass would never compare its tracking traffic.  The availability
@@ -168,6 +176,17 @@ def _holds_a_pass_and_a_rejuvenation(payload: str) -> bool:
 TRACE_SCENARIOS = [
     ("chaos", "cascade on tree V, seed %d" % CHAOS_SEED, _chaos_run("cascade"), None),
     ("chaos-lossy", "lossy on tree V, seed %d" % CHAOS_SEED, _chaos_run("lossy"), None),
+    (
+        "chaos-detection",
+        "detection on tree V, %.0f%% drop, fixed policy, seed %d"
+        % (100 * DETECTION_DROP, CHAOS_SEED),
+        _chaos_run(
+            "detection",
+            drop=DETECTION_DROP,
+            config=PAPER_CONFIG.with_overrides(timeout_policy="fixed"),
+        ),
+        ("the fixed detector's false positives", _fires_false_positives),
+    ),
     (
         "store",
         "store-outage on tree V, seed %d" % CHAOS_SEED,
