@@ -19,7 +19,6 @@ from repro.experiments.fleet import (
     station_seed,
 )
 from repro.errors import ExperimentError
-from repro.experiments import runner
 from repro.experiments.runner import run_suite
 from repro.experiments.snapshot import clear_templates
 from repro.experiments.template_store import STORE
@@ -170,10 +169,10 @@ def test_campaign_cache_key_ignores_shard_and_job_knobs(tmp_path, monkeypatch):
     sharded = run_suite("fleet", shards=2, jobs=2, **kwargs)
     assert len(list(tmp_path.iterdir())) == 2
 
-    def no_run(*args, **kwargs):
+    def no_run(*_):
         raise AssertionError("a cached cell ran again")
 
-    monkeypatch.setattr(runner, "execute_cell", no_run)
+    monkeypatch.setattr("repro.experiments.runner.execute_cell", no_run)
     replay = run_suite("fleet", **kwargs)
     for key in sharded:
         assert replay[key].to_payload() == sharded[key].to_payload()
