@@ -260,11 +260,14 @@ class StationShell(FleetShell):
         shell_id: int,
         spec: FleetSpec,
         config: StationConfig,
+        shape: str,
         snapshot: bool = True,
     ) -> None:
+        # ``shape`` is ``_fleet_shape(spec, config)``: the factory computes
+        # it once for every shell it builds.
         builder = _StationBuild(spec, config)
         station = warmed_station(
-            _fleet_shape(spec, config),
+            shape,
             builder.build,
             builder.warm,
             station_seed(spec.seed, shell_id),
@@ -511,8 +514,9 @@ class _ShardFactory:
             from repro.experiments.template_store import STORE
 
             STORE.install(self.blobs)
+        shape = _fleet_shape(self.spec, self.config)
         return [
-            StationShell(shell_id, self.spec, self.config, self.snapshot)
+            StationShell(shell_id, self.spec, self.config, shape, self.snapshot)
             for shell_id in ids
         ]
 

@@ -13,10 +13,21 @@ parallel discrete-event problem.  This module solves it the classic way
   one-way latency is bounded below by ``epoch`` seconds.  That bound is
   the *lookahead*: a message sent at ``t`` arrives at ``t + latency >=
   t + epoch``, so no member can affect another within the same epoch.
-* The :class:`FleetKernel` therefore advances every member independently
+* The :class:`FleetKernel` therefore advances each member independently
   to the next barrier ``k * epoch``, then exchanges the accumulated
   messages — sorted by the canonical ``(send_time, src, seq)`` key — and
   schedules each on its destination kernel.
+* The *event horizon* rule: at a barrier, a member runs only if its
+  earliest queued event (:meth:`~repro.sim.kernel.Kernel.peek_next_time`)
+  is at or before the barrier.  A member with nothing due is skipped and
+  its clock lags at its last event until it has work or the run ends;
+  that is safe because nothing outside one of its own events reads its
+  clock (posts are made inside events, and a delivery lands at or after
+  the barrier it was collected at).  Before ``finalize`` every member is
+  brought to the run's end, so results read the same clock as if it had
+  been advanced at every barrier.  Each shard keeps a heap of its
+  members' earliest event times, so an idle member costs a barrier
+  nothing.
 
 Because a member's inputs are exactly (its seed, the canonically-ordered
 inbound message list), the grouping of members into shards and the choice
@@ -28,11 +39,14 @@ for serial vs fanned-out execution**.  The differential suite in
 
 Process fan-out keeps one long-lived worker per shard (members are built
 in the worker from their pure spec — stations never cross the pickle
-boundary) and ships only :class:`FleetMessage` batches per epoch.
+boundary) and ships only :class:`FleetMessage` batches per epoch.  The
+serial run, every worker and the coordinator step through the same
+:class:`_Shard`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import multiprocessing as mp
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -95,7 +109,11 @@ class FleetShell:
         data: Sequence[Any] = (),
         latency: Optional[float] = None,
     ) -> None:
-        """Queue a message to member ``dst``; collected at the next barrier."""
+        """Queue a message to member ``dst``; collected at the next barrier.
+
+        Call it from inside one of this shell's events: the fleet drains a
+        shell's outbox only at the barriers where it ran.
+        """
         lat = self.min_latency if latency is None else latency
         if lat < self.min_latency:
             raise SimulationError(
@@ -159,8 +177,8 @@ def _deliver(shell: FleetShell, message: FleetMessage) -> None:
     """Schedule one inbound message on its destination kernel.
 
     The epoch-barrier invariant guarantees ``arrival >= kernel.now`` here
-    (the destination has only simulated up to the barrier the message was
-    collected at).
+    (the destination has simulated at most up to the barrier the message
+    was collected at, and a skipped one lags behind it).
     """
     shell.kernel.schedule_at(message.send_time + message.latency, shell.apply, message)
 
@@ -180,38 +198,96 @@ def _check_aligned(shells: Sequence[FleetShell], start: float) -> None:
             )
 
 
+class _Shard:
+    """A block of shells stepped barrier to barrier.
+
+    The one step loop of a fleet: the serial run, every shard worker and
+    the coordinator all go through :meth:`step` and :meth:`close`.
+    """
+
+    __slots__ = ("shells", "by_id", "skipped", "_next")
+
+    def __init__(self, shells: Sequence[FleetShell], start: float) -> None:
+        _check_aligned(shells, start)
+        self.shells = sorted(shells, key=lambda shell: shell.shell_id)
+        self.by_id = {shell.shell_id: shell for shell in self.shells}
+        #: Shell-epochs that ran nothing because no event was due.
+        self.skipped = 0
+        #: Heap of ``(time, shell_id)``: for every shell with a queued
+        #: event, an entry at its earliest one (duplicates allowed).  An
+        #: entry is pushed when a shell is built, after it runs and when a
+        #: message is delivered to it — the only ways events enter its queue.
+        self._next: List[Tuple[float, int]] = []
+        for shell in self.shells:
+            self._push(shell)
+
+    def _push(self, shell: FleetShell) -> None:
+        due = shell.kernel.peek_next_time()
+        if due is not None:
+            heapq.heappush(self._next, (due, shell.shell_id))
+
+    def step(self, barrier: float, inbound: Sequence[FleetMessage]) -> List[FleetMessage]:
+        """Deliver ``inbound``, run each shell with an event due by
+        ``barrier`` up to it, and return what they posted.
+
+        A shell with nothing due is not run: its clock stays at its last
+        event, which nothing outside its own events reads (posts are made
+        inside events, and a delivery lands at or after the barrier).
+        """
+        by_id = self.by_id
+        queue = self._next
+        for message in inbound:
+            _deliver(by_id[message.dst], message)
+            heapq.heappush(queue, (message.arrival, message.dst))
+        due = set()
+        while queue and queue[0][0] <= barrier:
+            due.add(heapq.heappop(queue)[1])
+        self.skipped += len(self.shells) - len(due)
+        outbox: List[FleetMessage] = []
+        for shell_id in sorted(due):
+            shell = by_id[shell_id]
+            shell.kernel.run(until=barrier)
+            self._push(shell)
+            outbox.extend(shell.drain())
+        return outbox
+
+    def close(self, end: float) -> "_Closed":
+        """Bring every clock to ``end``, then finalize and collect results."""
+        results: Dict[int, Dict[str, Any]] = {}
+        events = 0
+        for shell in self.shells:
+            shell.kernel.run(until=end)
+            shell.finalize()
+            results[shell.shell_id] = shell.result()
+            events += shell.kernel.events_executed
+        return _Closed(results, events, self.skipped)
+
+
+class _Closed(NamedTuple):
+    """What a closed shard hands back (crosses the worker pipe)."""
+
+    results: Dict[int, Dict[str, Any]]
+    events_executed: int
+    skipped: int
+
+
 def _shard_worker(
     conn, factory: ShardFactory, ids: Tuple[int, ...], start: float
 ) -> None:
     """Long-lived per-shard worker: build once, step per epoch command.
 
-    Protocol (parent drives): ``("epoch", barrier, inbound)`` → run every
-    shell to the barrier, reply with the drained outboxes;
-    ``("finish",)`` → finalize, reply with ``{id: result}``.
+    Protocol (parent drives): ``("epoch", barrier, inbound)`` → step the
+    shard, reply with its outbox; ``("finish", end)`` → close the shard,
+    reply with its :class:`_Closed`.
     """
-    shells = factory(ids)
-    _check_aligned(shells, start)
-    by_id = {shell.shell_id: shell for shell in shells}
-    order = sorted(by_id)
     try:
+        shard = _Shard(factory(ids), start)
         while True:
             command = conn.recv()
             if command[0] == "epoch":
-                barrier, inbound = command[1], command[2]
-                for message in inbound:
-                    _deliver(by_id[message.dst], message)
-                outbox: List[FleetMessage] = []
-                for shell_id in order:
-                    by_id[shell_id].kernel.run(until=barrier)
-                for shell_id in order:
-                    outbox.extend(by_id[shell_id].drain())
-                conn.send(outbox)
+                conn.send(shard.step(command[1], command[2]))
             elif command[0] == "finish":
-                results: Dict[int, Dict[str, Any]] = {}
-                for shell_id in order:
-                    by_id[shell_id].finalize()
-                    results[shell_id] = by_id[shell_id].result()
-                conn.send(results)
+                conn.send(shard.close(command[1]))
                 return
             else:  # pragma: no cover - protocol guard
                 raise SimulationError(f"unknown fleet worker command {command[0]!r}")
@@ -257,6 +333,18 @@ class FleetKernel:
         #: Total events executed across every member kernel (diagnostics;
         #: the per-member counts also ride in the result payloads).
         self.events_executed = 0
+        #: Shell-epochs (coordinator included) that ran nothing because the
+        #: shell had no event due by the barrier (diagnostics).
+        self.epochs_skipped = 0
+        #: Destination index of every shell id: the shard blocks in order,
+        #: then the coordinator.
+        self._membership = {
+            shell_id: index
+            for index, block in enumerate(self.blocks)
+            for shell_id in block
+        }
+        if coordinator is not None:
+            self._membership.setdefault(coordinator.shell_id, len(self.blocks))
 
     # ------------------------------------------------------------------
     # epoch schedule
@@ -277,27 +365,18 @@ class FleetKernel:
             barriers.append(barrier)
             k += 1
 
-    def _route(
-        self, outbox: List[FleetMessage]
-    ) -> Tuple[List[List[FleetMessage]], List[FleetMessage]]:
-        """Canonically sort one epoch's messages and split per shard."""
+    def _route(self, outbox: List[FleetMessage]) -> List[List[FleetMessage]]:
+        """Canonically sort one epoch's messages and split them per
+        destination: one list per shard block, then one for the coordinator."""
         outbox.sort(key=lambda m: (m.send_time, m.src, m.seq))
-        per_block: List[List[FleetMessage]] = [[] for _ in self.blocks]
-        membership = {
-            shell_id: index
-            for index, block in enumerate(self.blocks)
-            for shell_id in block
-        }
-        for_coordinator: List[FleetMessage] = []
+        routed: List[List[FleetMessage]] = [[] for _ in range(len(self.blocks) + 1)]
+        membership = self._membership
         for message in outbox:
             index = membership.get(message.dst)
-            if index is not None:
-                per_block[index].append(message)
-            elif self.coordinator is not None and message.dst == self.coordinator.shell_id:
-                for_coordinator.append(message)
-            else:
+            if index is None:
                 raise SimulationError(f"message to unknown fleet member {message.dst!r}")
-        return per_block, for_coordinator
+            routed[index].append(message)
+        return routed
 
     # ------------------------------------------------------------------
     # run loop
@@ -306,45 +385,14 @@ class FleetKernel:
     def run(self, horizon: float, parallel: bool = False) -> Dict[int, Dict[str, Any]]:
         """Simulate ``horizon`` seconds past ``start``; returns
         ``{shell_id: result payload}``."""
-        if self.coordinator is not None:
-            _check_aligned([self.coordinator], self.start)
+        coordinator = (
+            [] if self.coordinator is None else [_Shard([self.coordinator], self.start)]
+        )
         barriers = self._barriers(horizon)
-        if parallel and len(self.blocks) > 1:
-            self._run_parallel(barriers)
-        else:
-            self._run_serial(barriers)
-        if self.coordinator is not None:
-            self.coordinator.finalize()
-            self.results[self.coordinator.shell_id] = self.coordinator.result()
-            self.events_executed += self.coordinator.kernel.events_executed
-        return self.results
-
-    def _run_serial(self, barriers: List[float]) -> None:
-        shards = [self.factory(block) for block in self.blocks]
-        for shard in shards:
-            shard.sort(key=lambda shell: shell.shell_id)
-            _check_aligned(shard, self.start)
-        by_id = {shell.shell_id: shell for shard in shards for shell in shard}
-        pending: List[List[FleetMessage]] = [[] for _ in self.blocks]
-        coordinator_pending: List[FleetMessage] = []
-        for barrier in barriers:
-            outbox: List[FleetMessage] = []
-            for index, shard in enumerate(shards):
-                for message in pending[index]:
-                    _deliver(by_id[message.dst], message)
-                for shell in shard:
-                    shell.kernel.run(until=barrier)
-                for shell in shard:
-                    outbox.extend(shell.drain())
-            outbox.extend(self._step_coordinator(barrier, coordinator_pending))
-            pending, coordinator_pending = self._route(outbox)
-        for shard in shards:
-            for shell in shard:
-                shell.finalize()
-                self.results[shell.shell_id] = shell.result()
-                self.events_executed += shell.kernel.events_executed
-
-    def _run_parallel(self, barriers: List[float]) -> None:
+        if not (parallel and len(self.blocks) > 1):
+            shards = [_Shard(self.factory(block), self.start) for block in self.blocks]
+            self._exchange(barriers, [], shards + coordinator)
+            return self.results
         context = mp.get_context()
         connections = []
         processes = []
@@ -360,24 +408,7 @@ class FleetKernel:
                 child_conn.close()
                 connections.append(parent_conn)
                 processes.append(process)
-            pending: List[List[FleetMessage]] = [[] for _ in self.blocks]
-            coordinator_pending: List[FleetMessage] = []
-            for barrier in barriers:
-                for conn, inbound in zip(connections, pending):
-                    conn.send(("epoch", barrier, inbound))
-                outbox = list(
-                    self._step_coordinator(barrier, coordinator_pending)
-                )
-                for conn in connections:
-                    outbox.extend(conn.recv())
-                pending, coordinator_pending = self._route(outbox)
-            for conn in connections:
-                conn.send(("finish",))
-            for conn in connections:
-                shard_results = conn.recv()
-                for shell_id, payload in shard_results.items():
-                    self.results[shell_id] = payload
-                    self.events_executed += payload.get("events_executed", 0)
+            self._exchange(barriers, connections, coordinator)
         except (EOFError, BrokenPipeError) as error:
             raise SimulationError(f"fleet shard worker died: {error!r}") from error
         finally:
@@ -387,17 +418,31 @@ class FleetKernel:
                 process.join(timeout=30)
                 if process.is_alive():  # pragma: no cover - hung worker guard
                     process.terminate()
+        return self.results
 
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
+    def _exchange(self, barriers: List[float], workers: List, local: List[_Shard]) -> None:
+        """Step every shard from barrier to barrier, then close them all.
 
-    def _step_coordinator(
-        self, barrier: float, inbound: List[FleetMessage]
-    ) -> List[FleetMessage]:
-        if self.coordinator is None:
-            return []
-        for message in inbound:
-            _deliver(self.coordinator, message)
-        self.coordinator.kernel.run(until=barrier)
-        return self.coordinator.drain()
+        ``workers`` (pipes to :func:`_shard_worker` processes) and ``local``
+        together are the routing targets, in :meth:`_route`'s order.  The
+        workers start each epoch first, so the local shards (the
+        coordinator, or every block of a serial run) step while they do.
+        """
+        pending: List[List[FleetMessage]] = [[] for _ in range(len(workers) + len(local))]
+        for barrier in barriers:
+            for conn, inbound in zip(workers, pending):
+                conn.send(("epoch", barrier, inbound))
+            outbox: List[FleetMessage] = []
+            for shard, inbound in zip(local, pending[len(workers):]):
+                outbox.extend(shard.step(barrier, inbound))
+            for conn in workers:
+                outbox.extend(conn.recv())
+            pending = self._route(outbox)
+        end = barriers[-1]
+        for conn in workers:
+            conn.send(("finish", end))
+        closing = [shard.close(end) for shard in local]
+        for closed in [conn.recv() for conn in workers] + closing:
+            self.results.update(closed.results)
+            self.events_executed += closed.events_executed
+            self.epochs_skipped += closed.skipped

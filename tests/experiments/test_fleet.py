@@ -11,6 +11,7 @@ link-break rule, and the campaign cache ignores the execution layout.
 
 import pytest
 
+from repro.experiments import fleet as fleet_cells
 from repro.experiments.fleet import (
     FleetResult,
     FleetSpec,
@@ -72,6 +73,22 @@ def test_snapshot_mode_cannot_change_a_fleet_result():
     STORE.clear()
     fresh = _payload(SMALL, shards=1, snapshot=False)
     assert fresh == restored
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_a_fleet_computes_its_station_shape_once_per_factory_call(shards, monkeypatch):
+    calls = []
+    shape = fleet_cells._fleet_shape
+
+    def counted(spec, config):
+        calls.append(spec)
+        return shape(spec, config)
+
+    monkeypatch.setattr(fleet_cells, "_fleet_shape", counted)
+    spec = FleetSpec(tree="V", size=6, horizon_s=5.0, drain_s=0.0, seed=3)
+    run_fleet_cell(spec, shards=shards)
+    # One for the parent's template, one per shard the factory builds.
+    assert len(calls) == 1 + shards
 
 
 # ----------------------------------------------------------------------

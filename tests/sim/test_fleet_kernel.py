@@ -35,6 +35,10 @@ from repro.sim.rng import derive_seed
 class GossipShell(FleetShell):
     """Posts to random peers on its own streams; logs everything inbound."""
 
+    #: Seconds between two ticks, drawn uniformly.
+    gap = (0.2, 1.5)
+    kernel_class = Kernel
+
     def __init__(
         self,
         shell_id: int,
@@ -44,7 +48,9 @@ class GossipShell(FleetShell):
         start: float = 0.0,
         to_ground: bool = False,
     ) -> None:
-        kernel = Kernel(seed=derive_seed(seed, f"gossip:{shell_id}"), start_time=start)
+        kernel = self.kernel_class(
+            seed=derive_seed(seed, f"gossip:{shell_id}"), start_time=start
+        )
         super().__init__(shell_id, kernel, epoch)
         self.size = size
         self.to_ground = to_ground
@@ -63,7 +69,7 @@ class GossipShell(FleetShell):
             )
         if self.to_ground and self._rng.random() < 0.3:
             self.post(GROUND_ID, "report", (len(self.log),))
-        self.kernel.schedule_after(self._rng.uniform(0.2, 1.5), self._tick)
+        self.kernel.schedule_after(self._rng.uniform(*self.gap), self._tick)
 
     def apply(self, message: FleetMessage) -> None:
         self.log.append((self.kernel.now, message.src, message.seq, message.data))
@@ -78,8 +84,58 @@ class GossipShell(FleetShell):
         }
 
 
+class CountingKernel(Kernel):
+    """Counts its ``run(until=...)`` calls: with an event due by ``until``,
+    and with nothing due."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.due_runs = 0
+        self.idle_runs = 0
+
+    def run(self, until=None, max_events=None):
+        due = self.peek_next_time()
+        if due is not None and due <= until:
+            self.due_runs += 1
+        else:
+            self.idle_runs += 1
+        super().run(until, max_events)
+
+
+class SparseShell(GossipShell):
+    """Ticks every 4-12 s, so it is idle for most 1 s epochs; records the
+    clock it finalizes at and how its kernel was run."""
+
+    gap = (4.0, 12.0)
+    kernel_class = CountingKernel
+
+    last_event = None
+
+    def _tick(self):
+        self.last_event = self.kernel.now
+        super()._tick()
+
+    def apply(self, message):
+        self.last_event = self.kernel.now
+        super().apply(message)
+
+    def finalize(self):
+        self.finalized_at = self.kernel.now
+
+    def result(self):
+        return {
+            **super().result(),
+            "last_event": self.last_event,
+            "finalized_at": self.finalized_at,
+            "due_runs": self.kernel.due_runs,
+            "idle_runs": self.kernel.idle_runs,
+        }
+
+
 class GossipFactory:
     """Pure, picklable shard factory over :class:`GossipShell`."""
+
+    shell_class = GossipShell
 
     def __init__(self, size, epoch, seed, start=0.0, to_ground=False):
         self.size = size
@@ -90,11 +146,15 @@ class GossipFactory:
 
     def __call__(self, ids):
         return [
-            GossipShell(
+            self.shell_class(
                 shell_id, self.size, self.epoch, self.seed, self.start, self.to_ground
             )
             for shell_id in ids
         ]
+
+
+class SparseFactory(GossipFactory):
+    shell_class = SparseShell
 
 
 class CollectorShell(FleetShell):
@@ -118,19 +178,18 @@ class CollectorShell(FleetShell):
         }
 
 
-def run_gossip(
+def gossip_fleet(
     size=12,
     shards=1,
-    parallel=False,
-    horizon=20.0,
     epoch=1.0,
     seed=3,
     start=0.0,
     coordinator=False,
+    factory_class=GossipFactory,
 ):
-    factory = GossipFactory(size, epoch, seed, start, to_ground=coordinator)
+    factory = factory_class(size, epoch, seed, start, to_ground=coordinator)
     coord = CollectorShell(epoch, seed, start) if coordinator else None
-    fleet = FleetKernel(
+    return FleetKernel(
         epoch=epoch,
         factory=factory,
         shell_ids=range(size),
@@ -138,7 +197,10 @@ def run_gossip(
         coordinator=coord,
         start=start,
     )
-    return fleet.run(horizon, parallel=parallel)
+
+
+def run_gossip(horizon=20.0, parallel=False, **fleet):
+    return gossip_fleet(**fleet).run(horizon, parallel=parallel)
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +233,86 @@ def test_shard_grouping_does_not_leak_into_results():
     a = run_gossip(size=9, shards=2)
     b = run_gossip(size=9, shards=4)
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# event horizon: idle members are not run
+# ----------------------------------------------------------------------
+
+
+def run_every_barrier(fleet, horizon):
+    """The stepping the event horizon replaced: every shell runs to every
+    barrier, in one block.  Builds fresh shells from ``fleet``'s factory
+    and coordinator, so ``fleet`` itself must not have run."""
+    shells = list(fleet.factory(tuple(i for block in fleet.blocks for i in block)))
+    if fleet.coordinator is not None:
+        shells.append(fleet.coordinator)
+    by_id = {shell.shell_id: shell for shell in shells}
+    pending = []
+    for barrier in fleet._barriers(horizon):
+        for message in pending:
+            shell = by_id[message.dst]
+            shell.kernel.schedule_at(message.arrival, shell.apply, message)
+        outbox = []
+        for shell in shells:
+            shell.kernel.run(until=barrier)
+            outbox.extend(shell.drain())
+        pending = sorted(outbox, key=lambda m: (m.send_time, m.src, m.seq))
+    results = {}
+    for shell in shells:
+        shell.finalize()
+        results[shell.shell_id] = shell.result()
+    return results
+
+
+def _without_run_counts(results):
+    return {
+        shell_id: {k: v for k, v in payload.items() if k not in ("due_runs", "idle_runs")}
+        for shell_id, payload in results.items()
+    }
+
+
+SPARSE = dict(size=9, epoch=1.0, seed=5, start=40.0, factory_class=SparseFactory)
+
+
+@pytest.mark.parametrize(
+    "layout", [dict(shards=1), dict(shards=3, parallel=True)], ids=["serial", "3x3"]
+)
+def test_sparse_fleet_matches_stepping_every_member_to_every_barrier(layout):
+    layout = dict(layout)
+    parallel = layout.pop("parallel", False)
+    reference = run_every_barrier(gossip_fleet(coordinator=True, **SPARSE), 60.0)
+    fleet = gossip_fleet(coordinator=True, **SPARSE, **layout)
+    results = fleet.run(60.0, parallel=parallel)
+    assert _without_run_counts(results) == _without_run_counts(reference)
+    assert sum(payload["received"] for payload in results.values()) > 10
+    # Most member-epochs had nothing due: the skip path really ran.
+    assert fleet.epochs_skipped > 9 * 60 // 2
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "3x3"])
+def test_a_member_runs_only_at_barriers_where_it_has_a_due_event(parallel):
+    fleet = gossip_fleet(shards=3, **SPARSE)
+    results = fleet.run(60.0, parallel=parallel)
+    barriers = len(fleet._barriers(60.0))
+    for payload in results.values():
+        # The one run with nothing due is the close to the run's end.
+        assert payload["idle_runs"] == 1
+        assert 0 < payload["due_runs"] < barriers
+    assert fleet.epochs_skipped == sum(
+        barriers - payload["due_runs"] for payload in results.values()
+    )
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "3x3"])
+def test_every_member_finalizes_at_the_runs_end(parallel):
+    fleet = gossip_fleet(shards=3, **SPARSE)
+    end = SPARSE["start"] + 60.0
+    results = fleet.run(60.0, parallel=parallel)
+    assert [p["finalized_at"] for p in results.values()] == [end] * SPARSE["size"]
+    # Members idle through the last epoch were not run at the last barrier:
+    # only the close brought their clocks to the end.
+    assert any(p["last_event"] <= end - SPARSE["epoch"] for p in results.values())
 
 
 # ----------------------------------------------------------------------

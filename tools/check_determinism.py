@@ -33,10 +33,13 @@ leg runs one cell more than once and byte-compares what came out:
   III) from the warmed-station template and from a fresh boot, comparing
   the full payloads (user-effects ledger, MTTR samples, per-phase blame,
   session ledger), once under user traffic and once without;
-* **fleet** — one correlated-wave fleet cell with live user traffic run
-  four ways — one shard, three shards, three shards fanned over worker
-  processes, and fresh-booted stations — comparing the full payloads, which
-  embed every station's event-stream digest and user-effects ledger.
+* **fleet** — one correlated-wave fleet cell run four ways — one shard,
+  three shards, three shards fanned over worker processes, and
+  fresh-booted stations — comparing the full payloads, which embed every
+  station's event-stream digest and user-effects ledger; once with live
+  user traffic and once without, where most stations have nothing due at
+  most barriers and the fleet kernel skips them (the leg prints how many
+  member-epochs each layout skipped).
 
 What the gate does not run: a mode against its own twin.  The bus has one
 receive path and stations one boot path; their references (the full
@@ -306,39 +309,59 @@ def check_workload_fresh_boot(workdir: str) -> bool:
 
 def check_fleet(workdir: str) -> bool:
     """Shard count, process fan-out and boot path are all invisible in a
-    fleet's results."""
+    fleet's results, with every station busy and with most stations idle."""
+    from unittest import mock
+
+    from repro.experiments import fleet as fleet_cells
     from repro.experiments.fleet import FleetSpec, run_fleet_cell
     from repro.experiments.template_store import STORE
+    from repro.sim.fleet import FleetKernel
 
-    print("determinism: fleet (8 stations, waves, user traffic, seed %d) ..." % CHAOS_SEED)
-    spec = FleetSpec(
-        tree="V",
-        size=8,
-        horizon_s=120.0,
-        seed=CHAOS_SEED,
-        wave_interval_s=60.0,
-        wave_drop=0.3,
+    skipped: List[str] = []
+
+    class Counted(FleetKernel):
+        """Reports how many member-epochs the event horizon skipped."""
+
+        def run(self, horizon, parallel=False):
+            results = super().run(horizon, parallel)
+            epochs = len(self._barriers(horizon)) * len(results)
+            skipped.append(f"{self.epochs_skipped}/{epochs}")
+            return results
+
+    waves = dict(tree="V", size=8, horizon_s=120.0, seed=CHAOS_SEED, wave_interval_s=60.0, wave_drop=0.3)
+    specs = [
         # Live user traffic on every station: the workload plane's events
         # feed the per-station digests, so shard-layout independence of
         # the user-effects ledger is part of this leg's bit-identity.
-        request_rate=4.0,
-    )
+        ("user traffic", FleetSpec(request_rate=4.0, **waves)),
+        # No traffic: a healthy station has nothing due at most barriers,
+        # so the event horizon skips most member-epochs.
+        ("idle", FleetSpec(request_rate=0.0, **waves)),
+    ]
     layouts = [
         ("1 shard", dict(shards=1)),
         ("3 shards", dict(shards=3)),
         ("3 shards x 3 jobs", dict(shards=3, jobs=3)),
         ("fresh boot", dict(shards=1, snapshot=False)),
     ]
-    payloads = []
-    for _, kwargs in layouts:
+    ok = True
+    for name, spec in specs:
+        print("determinism: fleet, %s (8 stations, waves, seed %d) ..." % (name, CHAOS_SEED))
+        payloads = []
+        skipped.clear()
+        with mock.patch.object(fleet_cells, "FleetKernel", Counted):
+            for _, kwargs in layouts:
+                clear_templates()
+                STORE.clear()
+                payloads.append(_dump(run_fleet_cell(spec, **kwargs).to_payload()))
         clear_templates()
         STORE.clear()
-        payloads.append(_dump(run_fleet_cell(spec, **kwargs).to_payload()))
-    clear_templates()
-    STORE.clear()
-    ok = True
-    for (label, _), payload in zip(layouts[1:], payloads[1:]):
-        ok = _same("fleet", f"{label} == {layouts[0][0]}", payloads[0], payload) and ok
+        print(
+            "  member-epochs skipped: "
+            + ", ".join(f"{label} {count}" for (label, _), count in zip(layouts, skipped))
+        )
+        for (label, _), payload in zip(layouts[1:], payloads[1:]):
+            ok = _same(f"fleet {name}", f"{label} == {layouts[0][0]}", payloads[0], payload) and ok
     return ok
 
 
