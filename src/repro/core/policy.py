@@ -197,6 +197,12 @@ class RestartPolicy:
                 self._restart_times.setdefault(component, deque()).append(now)
                 episode.state = "restarting"
 
+    def restart_rekicked(self, component: str, now: SimTime) -> None:
+        """Count a re-kick of ``component`` (it died before its restart
+        completed) against its restart budget, episode or not: it failed
+        on its own, not as collateral."""
+        self._restart_times.setdefault(component, deque()).append(now)
+
     def restart_completed(self, batch: FrozenSet[str], now: SimTime) -> None:
         """Notify that every process in ``batch`` is RUNNING again."""
         for component in batch:

@@ -71,7 +71,6 @@ class RecoveryModule(Behavior):
         fd_ping_period: SimTime = 1.0,
         fd_ping_timeout: SimTime = 0.5,
         fd_grace: SimTime = 2.0,
-        restart_timeout: SimTime = 90.0,
         strategies: Optional[StrategyMap] = None,
         session_store=None,
     ) -> None:
@@ -91,7 +90,6 @@ class RecoveryModule(Behavior):
             policy,
             name=process.name,
             observation_window=observation_window,
-            restart_timeout=restart_timeout,
             strategies=strategies,
             session_store=session_store,
             announce=self._announce,
@@ -133,12 +131,12 @@ class RecoveryModule(Behavior):
             self._fd_endpoint = None
 
     def _on_lifecycle(self, process: "SimProcess", event: str) -> None:
-        if event != "ready" or not self.engine.alive:
+        if not self.engine.alive:
             return
-        if process.name == self.fd_name:
+        if event == "ready" and process.name == self.fd_name:
             self._fd_restart_inflight = False
             self._fd_heard_at = self.kernel.now
-        self.engine.member_ready(process.name)
+        self.engine.on_lifecycle(process.name, event)
 
     # ------------------------------------------------------------------
     # control channel

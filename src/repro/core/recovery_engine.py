@@ -3,11 +3,13 @@
 One small supervisor decides, restarts, observes and escalates.  The
 engine owns that whole loop — the single restart action in flight, the
 queue of reports behind it, plan→execute→verify driving of the strategy
-registry, the re-kick watchdog, observation expiry, oracle checkpoints,
-and the crash-only rebuild of a fresh incarnation — and knows nothing
-about how failures reach it or how restarts are announced.  Two front
-ends feed it :meth:`~RecoveryEngine.report_failure`,
-:meth:`~RecoveryEngine.member_ready` and
+registry, re-kicking a gate member that dies before its step completes,
+observation expiry, oracle checkpoints, and the crash-only rebuild of a
+fresh incarnation — and knows nothing about how failures reach it or how
+restarts are announced.  Two front ends feed it
+:meth:`~RecoveryEngine.report_failure`,
+:meth:`~RecoveryEngine.on_lifecycle` (their process-manager listeners'
+ready and down events, while the supervisor is alive) and
 :meth:`~RecoveryEngine.request_restart`:
 
 * :class:`~repro.core.recoverer.RecoveryModule` — the FD↔REC control
@@ -61,9 +63,24 @@ class _Action:
     #: for — the batch for ``restart``, a subset for microreboot/bisect.
     plan: RecoveryPlan
     #: Gate members that completed their restart.  The step finishes when
-    #: each has been ready *once* — gating on "all currently running"
-    #: would deadlock if a member fails again while a slower one starts.
+    #: each has been ready since it last went down; one that dies before
+    #: the step completes leaves the set and is re-kicked at once.
     ready: Set[str] = field(default_factory=set)
+    #: Gate members this step has re-kicked once already.
+    rekicked: Set[str] = field(default_factory=set)
+    #: Gate members that died again after their re-kick: a failure this
+    #: step does not cure.  The step completes without them and leaves them
+    #: to the detector, whose report escalates.
+    abandoned: Set[str] = field(default_factory=set)
+    #: Whether the current step's gate has been started (false while a
+    #: deferred execute waits out its decision delay, and during the
+    #: strategy's own kills).
+    started: bool = False
+
+    @property
+    def gate_done(self) -> bool:
+        """Every gate member is ready or abandoned."""
+        return self.ready | self.abandoned >= self.plan.gate
 
 
 class RecoveryEngine:
@@ -77,7 +94,6 @@ class RecoveryEngine:
         *,
         name: str,
         observation_window: SimTime,
-        restart_timeout: SimTime,
         strategies: Optional[StrategyMap] = None,
         session_store=None,
         announce: Optional[Callable[[str, Tuple[str, ...], str], None]] = None,
@@ -88,10 +104,6 @@ class RecoveryEngine:
         #: Trace source, and the ``supervisor=`` of ``supervisor_restarted``.
         self.name = name
         self.observation_window = observation_window
-        #: A restart action not complete after this long has lost a member
-        #: (e.g. killed mid-startup by a concurrent fault); the watchdog
-        #: re-kicks terminal members so the action cannot wedge.
-        self.restart_timeout = restart_timeout
         #: Per-cell/per-failure-kind strategies: what pushing a cell's
         #: button does (§7 recursive recovery).  ``None`` is the classic
         #: restart-only configuration: the default strategy is forced, the
@@ -214,12 +226,18 @@ class RecoveryEngine:
     def expects_down(self, name: str) -> bool:
         """Whether ``name`` being down is our own restart's fallout.
 
-        True for a member of the in-flight batch not yet ready; a member
-        that came back and failed anew is a real failure.  Both front ends
-        filter their reports through this.
+        True for a member of the in-flight batch not yet ready (or being
+        re-kicked); a member that came back and failed anew after its step
+        completed, or that this step abandoned, is a real failure.  Both
+        front ends filter their reports through this.
         """
         action = self.action
-        return action is not None and name in action.batch and name not in action.ready
+        return (
+            action is not None
+            and name in action.batch
+            and name not in action.ready
+            and name not in action.abandoned
+        )
 
     def report_failure(self, component: str) -> None:
         """``component`` was declared failed: act now, or after the action
@@ -235,14 +253,40 @@ class RecoveryEngine:
             self._pending = deque(n for n in self._pending if n != component)
             self._emit(ev.REPORT_RETRACTED, component=component)
 
-    def member_ready(self, name: str) -> None:
-        """A process finished starting; the step completes on its last one."""
+    def on_lifecycle(self, name: str, event: str) -> None:
+        """A process became ready or went down (both front ends' one feed).
+
+        A ready gate member counts toward its step, which completes on the
+        last one.  A gate member that goes down after its step started and
+        before the step completes leaves ``action.ready`` and is re-kicked
+        at once, under the same batch, and the re-kick counts against its
+        restart budget.  One that dies again after its re-kick is
+        abandoned: the step completes without it, and the detector's report
+        escalates as for any failure a restart did not cure.  So a member
+        that dies on every start costs one re-kick per step, never a spin.
+        """
         action = self.action
         if action is None or name not in action.plan.gate:
             return
-        action.ready.add(name)
-        if action.ready >= action.plan.gate:
-            self._step_completed(action)
+        if event == "ready":
+            action.ready.add(name)
+            if action.gate_done:
+                self._step_completed(action)
+            return
+        if not action.started or action.gate_done:
+            return
+        action.ready.discard(name)
+        if name in action.rekicked:
+            action.abandoned.add(name)
+            if action.gate_done:
+                self._step_completed(action)
+            return
+        action.rekicked.add(name)
+        self.policy.restart_rekicked(name, self.kernel.now)
+        # Once every listener has seen the death: cause, then effect.
+        self.kernel.schedule_after(
+            0.0, self._rekick, self._generation, self._action_seq, name
+        )
 
     def request_restart(self, cell_id: str, reason: str = "") -> bool:
         """Execute a proactive restart of ``cell_id`` (rejuvenation).
@@ -366,7 +410,7 @@ class RecoveryEngine:
         if self.announce is not None:
             self.announce(cell_id, batch, "begin")
         self.policy.restart_began(plan.batch, self.kernel.now)
-        self._arm_watchdog()
+        self._action_seq += 1  # a new step: supersede the last one's callbacks
         if plan.decision_delay > 0.0:
             # The ladder's timeout cost of discovering the outage delays
             # the kill itself; suppression/budget are already in place, so
@@ -378,17 +422,14 @@ class RecoveryEngine:
                 self._action_seq,
             )
         else:
-            chosen.execute(ctx, plan)
+            self._execute(self.action)
 
-    def _arm_watchdog(self) -> None:
-        """New step: supersede the last step's callbacks, arm this one's."""
-        self._action_seq += 1
-        self.kernel.schedule_after(
-            self.restart_timeout,
-            self._check_restart_progress,
-            self._generation,
-            self._action_seq,
-        )
+    def _execute(self, action: _Action) -> None:
+        """Start the current step's gate.  The strategy's own kills are no
+        deaths to re-kick: the step counts as started once it returns."""
+        action.started = False
+        action.strategy.execute(action.ctx, action.plan)
+        action.started = True
 
     # ------------------------------------------------------------------
     # scheduled plan callbacks (all fenced)
@@ -422,27 +463,16 @@ class RecoveryEngine:
         """Run a plan whose decision was delayed by the store's ladder."""
         action = self._guarded(generation, action_seq)
         if action is not None:
-            action.strategy.execute(action.ctx, action.plan)
+            self._execute(action)
 
-    def _check_restart_progress(self, generation: int, action_seq: int) -> None:
-        """Watchdog: re-kick gate members that died during the restart."""
+    def _rekick(self, generation: int, action_seq: int, name: str) -> None:
+        """Restart a gate member that died before its step completed."""
         action = self._guarded(generation, action_seq)
-        if action is None:
+        if action is None or not self.manager.get(name).state.is_terminal:
             return
-        gate = action.plan.gate
-        stragglers = tuple(
-            name
-            for name in sorted(gate - action.ready)
-            if self.manager.get(name).state.is_terminal
-        )
-        if stragglers:
-            # Cause before effect: the re-kick is traced before its starts.
-            self._emit(ev.RESTART_REKICK, severity=Severity.WARNING, components=stragglers)
-        for name in stragglers:
-            self.manager.start(name, batch=gate)
-        self.kernel.schedule_after(
-            self.restart_timeout, self._check_restart_progress, generation, action_seq
-        )
+        # Cause before effect: the re-kick is traced before its start.
+        self._emit(ev.RESTART_REKICK, severity=Severity.WARNING, components=(name,))
+        self.manager.start(name, batch=action.plan.gate)
 
     def _step_completed(self, action: _Action) -> None:
         """Every gate member is ready: verify now or after a delay."""
@@ -470,14 +500,16 @@ class RecoveryEngine:
         action.ctx.rounds += 1
         action.plan = follow
         action.ready = set()
+        action.rekicked = set()
+        action.abandoned = set()
         self._emit(
             ev.BISECT_PROBE,
             cell=action.cell,
             components=tuple(sorted(follow.gate)),
             round=action.ctx.rounds,
         )
-        self._arm_watchdog()
-        action.strategy.execute(action.ctx, follow)
+        self._action_seq += 1
+        self._execute(action)
 
     # ------------------------------------------------------------------
     # completion, observation, drain
@@ -486,7 +518,7 @@ class RecoveryEngine:
     def _finish_restart(self, action: _Action) -> None:
         self.action = None
         self.kernel.wake()  # idle: supervisor_idle() waiters re-read
-        self._action_seq += 1  # invalidate the progress watchdog
+        self._action_seq += 1  # invalidate the step's callbacks
         now = self.kernel.now
         ctx = action.ctx
         if action.strategy.name != "restart":

@@ -61,7 +61,6 @@ class AbstractSupervisor:
         ping_period: SimTime = 1.0,
         reply_timeout: SimTime = 0.2,
         observation_window: SimTime = 3.0,
-        restart_timeout: SimTime = 90.0,
         strategies: Optional[StrategyMap] = None,
         session_store=None,
     ) -> None:
@@ -80,7 +79,6 @@ class AbstractSupervisor:
             policy,
             name="supervisor",
             observation_window=observation_window,
-            restart_timeout=restart_timeout,
             strategies=strategies,
             session_store=session_store,
         )
@@ -142,11 +140,11 @@ class AbstractSupervisor:
         if not self.engine.alive:
             return  # a dead supervisor observes nothing
         name = process.name
-        if event == "ready":
-            self.engine.member_ready(name)
-        elif event.startswith("down:") and name in self.monitored:
+        self.engine.on_lifecycle(name, event)
+        if event.startswith("down:") and name in self.monitored:
             # A member that completed its restart and then failed anew
-            # (fresh fault or re-manifestation) is detected normally.
+            # (fresh fault or re-manifestation) is detected normally; one
+            # the engine is re-kicking is not.
             if not self.engine.expects_down(name):
                 self._schedule_declare(name)
 

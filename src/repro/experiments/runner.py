@@ -327,7 +327,7 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "tree", "horizon_s"),
         run=_run_availability,
         decode=_decode_availability,
-        version=3,
+        version=4,
     ),
     "chaos": Kind(
         reads=(
@@ -337,7 +337,7 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "scenario", "tree"),
         run=_run_chaos,
         decode=_decode_chaos,
-        version=6,
+        version=7,
     ),
     "workload": Kind(
         reads=("strategy", "failure_kind", "trials", "supervisor", "request_rate"),
@@ -354,7 +354,7 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "tree", "fleet_size", "wave_interval_s", "horizon_s"),
         run=_run_fleet,
         decode=_decode_fleet,
-        version=5,
+        version=6,
     ),
 }
 

@@ -356,9 +356,9 @@ RESTART_ORDERED = REGISTRY.register(
 )
 RESTART_REKICK = REGISTRY.register(
     "restart_rekick", "recovery",
-    "The restart watchdog re-kicked batch members killed mid-restart.",
+    "The engine re-started a batch member that died before its restart step completed.",
     required=("components",),
-    narrative=lambda d: f"restart watchdog re-kicked {_components_list(d)}",
+    narrative=lambda d: f"re-kicked {_components_list(d)}, dead before its restart completed",
 )
 RESTART_COMPLETE = REGISTRY.register(
     "restart_complete", "recovery",

@@ -191,8 +191,9 @@ def test_both_fd_and_rec_down_is_unrecoverable(station):
 
 def test_rec_serves_a_report_about_a_member_that_failed_anew(station):
     """REC filters reports through the engine's ``expects_down``: a batch
-    member that already came back and then failed again is a real
-    failure, queued behind the action and decided at its drain."""
+    member that came back and failed again is re-kicked under the batch;
+    one that fails again after its re-kick is a real failure, queued
+    behind the action and decided at its drain."""
     station.injector.inject_joint("ses", ["ses", "str"])
     engine = station.rec.engine
     while engine.action is None or not engine.action.ready:
@@ -201,6 +202,12 @@ def test_rec_serves_a_report_about_a_member_that_failed_anew(station):
     assert action.batch == frozenset({"ses", "str"}) and action.ready == {"str"}
     assert engine.expects_down("ses") and not engine.expects_down("str")
     station.manager.fail("str")
+    assert engine.expects_down("str")  # the engine re-kicks it at once
+    while station.manager.get("str").state is not ProcessState.STARTING:
+        assert station.kernel.step()
+    station.manager.kill("str")
+    assert engine.action is action and "str" in action.abandoned
+    assert not engine.expects_down("str")
     report = FailureReport(
         sender="fd", target="rec", failed_components=("str",),
         detected_at=station.kernel.now,

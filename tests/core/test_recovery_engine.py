@@ -1,7 +1,7 @@
 """Direct tests for the RecoveryEngine — no transport, no detector.
 
-The test *is* the front end: it forwards process-manager ``ready`` events
-to :meth:`RecoveryEngine.member_ready`, declares failures by calling
+The test *is* the front end: it forwards process-manager lifecycle events
+to :meth:`RecoveryEngine.on_lifecycle`, declares failures by calling
 :meth:`RecoveryEngine.report_failure`, and reads what the engine did off
 the kernel trace (source ``"engine"``).  Everything the two supervisors
 share is pinned here once; their own suites keep only what is theirs (ctl
@@ -34,7 +34,7 @@ def _tree():
 
 
 class Rig:
-    """Three processes, an injector, and an engine with a bare ready feed."""
+    """Three processes, an injector, and an engine with a bare lifecycle feed."""
 
     def __init__(self, kernel, manager, *, oracle=None, work=1.0, **engine_kwargs):
         self.kernel, self.manager = kernel, manager
@@ -44,7 +44,6 @@ class Rig:
         kernel.run()
         self.injector = FaultInjector(kernel, manager)
         self.policy = RestartPolicy(_tree(), oracle or PerfectOracle(manager))
-        engine_kwargs.setdefault("restart_timeout", 30.0)
         self.announced = []
         self.engine = RecoveryEngine(
             kernel, manager, self.policy, name="engine",
@@ -54,8 +53,7 @@ class Rig:
         manager.subscribe(self._on_lifecycle)
 
     def _on_lifecycle(self, process, event):
-        if event == "ready":
-            self.engine.member_ready(process.name)
+        self.engine.on_lifecycle(process.name, event)
 
     def _announce(self, cell_id, batch, reason):
         self.announced.append((reason, cell_id, batch))
@@ -115,44 +113,62 @@ def test_dialect_selects_the_golden_pinned_extras(kernel, rig):
 # ----------------------------------------------------------------------
 
 
+def _kill_while_starting(kernel, rig, name):
+    """Fail ``name``, and kill it again while its restart is starting: a
+    re-kick is queued for this instant under the current step."""
+    rig.fail(name)
+    kernel.run(until=kernel.now + 0.5)
+    assert rig.manager.get(name).state is ProcessState.STARTING
+    rig.manager.kill(name)
+
+
 def test_stale_generation_with_current_seq_is_fenced(kernel, rig):
-    rig.fail("a")
-    ordered_at = kernel.now
+    _kill_while_starting(kernel, rig, "a")
+    killed_at = kernel.now
     rig.engine.stop()
-    kernel.run(until=ordered_at + 5.0)  # "a" restarts underneath; nobody watches
-    rig.engine.new_incarnation()
+    rig.engine.new_incarnation()  # "a" is down: its episode is dropped
     restarted = rig.kinds("supervisor_restarted")[0].data
     assert restarted["supervisor"] == "engine" and restarted["generation"] == 2
-    assert (restarted["reconciled"], restarted["dropped"]) == (1, 0)
-    kernel.run(until=ordered_at + 40.0)
-    # The dead incarnation's watchdog is still the latest step (seq
+    assert (restarted["reconciled"], restarted["dropped"]) == (0, 1)
+    kernel.run(until=killed_at + 5.0)
+    # The dead incarnation's re-kick is still the latest step (seq
     # matches) but its author is gone: fenced, and it re-kicks nothing.
     fenced = rig.kinds("plan_fenced")
-    assert len(fenced) == 1 and fenced[0].time == pytest.approx(ordered_at + 30.0)
+    assert len(fenced) == 1 and fenced[0].time == killed_at
     assert fenced[0].severity is Severity.WARNING
     assert fenced[0].data == {"generation": 2, "stale_generation": 1}
     assert not rig.kinds("restart_rekick") and rig.cells() == ["R_a"]
-    assert not rig.policy.open_episodes()  # reconciled, observed, closed
+    assert not rig.manager.get("a").is_running
 
 
 def test_superseded_seq_is_silent_even_with_a_stale_generation(kernel, rig):
-    rig.fail("a")
-    ordered_at = kernel.now
+    _kill_while_starting(kernel, rig, "a")
     rig.engine.stop()
     rig.engine.new_incarnation()  # "a" still down: its episode is dropped
     assert rig.kinds("supervisor_restarted")[0].data["dropped"] == 1
     rig.engine.report_failure("a")  # the detector's re-report: a new step
-    kernel.run(until=ordered_at + 40.0)
-    # Seq is checked first: the old watchdog was superseded, so it dies
+    kernel.run(until=kernel.now + 5.0)
+    # Seq is checked first: the old re-kick was superseded, so it dies
     # silently although its generation is stale too.
-    assert not rig.kinds("plan_fenced")
+    assert not rig.kinds("plan_fenced") and not rig.kinds("restart_rekick")
     assert rig.cells() == ["R_a", "R_a"]
+    assert rig.manager.all_running()
 
 
 def test_finished_action_invalidates_its_watchdog_silently(kernel, rig):
     rig.fail("a")
     kernel.run(until=kernel.now + 40.0)
     assert not rig.kinds("plan_fenced") and not rig.kinds("restart_rekick")
+
+
+def test_a_death_after_the_action_finished_is_not_rekicked(kernel, rig):
+    rig.fail("a")
+    kernel.run(until=kernel.now + 1.5)
+    assert not rig.engine.busy
+    rig.manager.kill("a")  # a fresh failure: the detector's to report
+    kernel.run(until=kernel.now + 5.0)
+    assert not rig.kinds("plan_fenced") and not rig.kinds("restart_rekick")
+    assert not rig.manager.get("a").is_running
 
 
 def test_dead_engine_refuses_proactive_restart(kernel, rig):
@@ -238,20 +254,62 @@ def test_deferred_execute_of_a_dead_incarnation_is_fenced(kernel, manager):
     assert manager.get("a").start_count == 1  # the stale plan never ran
 
 
-def test_watchdog_rekicks_terminal_stragglers(kernel, manager):
-    rig = Rig(kernel, manager, work=5.0, restart_timeout=10.0)
+def test_member_killed_while_starting_is_rekicked_at_once(kernel, manager):
+    rig = Rig(kernel, manager, work=5.0)
     rig.fail("b", cure_set=["b", "c"])  # R_bc: both restart, 5 s each
     kernel.run(until=kernel.now + 2.0)
     assert manager.get("c").state is ProcessState.STARTING
     manager.kill("c")  # only an external actor can kill a starting process
+    killed_at = kernel.now
+    assert rig.engine.expects_down("c")  # the engine's own, not a report
     kernel.run(until=kernel.now + 30.0)
     rekicks = rig.kinds("restart_rekick")
-    assert [r.data["components"] for r in rekicks] == [("c",)]
+    assert [(r.time, r.data["components"]) for r in rekicks] == [(killed_at, ("c",))]
+    completed = rig.kinds("restart_complete")
+    assert completed[0].time < killed_at + 6.0  # one batch startup, no timeout
+    assert manager.all_running() and not rig.engine.busy
+    # The re-kick counts against c's budget like an ordered restart.
+    assert rig.policy.restarts_in_window("c", kernel.now) == 1
+
+
+def test_ready_member_that_dies_mid_batch_leaves_ready_and_is_rekicked(kernel, manager):
+    rig = Rig(kernel, manager, work=5.0)
+    spawn_simple(manager, "slow", work=20.0)
+    manager.start("slow")
+    kernel.run(until=kernel.now + 20.0)
+    rig.policy.replace_tree(RestartTree(cell("root", children=[
+        cell("R_pair", ["a", "slow"]), cell("R_b", ["b"]), cell("R_c", ["c"]),
+    ]), name="rig"))
+    rig.fail("a")  # R_pair: a is back after 5 s, slow after 20 s
+    kernel.run(until=kernel.now + 8.0)
+    assert "a" in rig.engine.action.ready
+    rig.manager.kill("a")
+    killed_at = kernel.now
+    assert "a" not in rig.engine.action.ready and rig.engine.expects_down("a")
+    kernel.run(until=kernel.now + 30.0)
+    assert [r.time for r in rig.kinds("restart_rekick")] == [killed_at]
     assert manager.all_running() and not rig.engine.busy
 
 
+def test_member_that_dies_again_after_its_rekick_is_abandoned(kernel, manager):
+    """One re-kick per step: the second death is a failure this step does
+    not cure, so the step completes and leaves it to the detector."""
+    rig = Rig(kernel, manager, work=5.0)
+    rig.fail("b", cure_set=["b", "c"])
+    for _ in range(2):
+        kernel.run(until=kernel.now + 1.0)
+        assert manager.get("c").state is ProcessState.STARTING
+        manager.kill("c")
+    assert "c" in rig.engine.action.abandoned
+    assert not rig.engine.expects_down("c")  # the detector may report it now
+    kernel.run(until=kernel.now + 30.0)
+    assert len(rig.kinds("restart_rekick")) == 1
+    assert not rig.engine.busy and not manager.get("c").is_running
+    assert manager.get("b").is_running
+
+
 def test_rekick_dialect_warns_before_the_start(kernel, manager):
-    rig = Rig(kernel, manager, work=5.0, restart_timeout=10.0)
+    rig = Rig(kernel, manager, work=5.0)
     rig.fail("a")
     kernel.run(until=kernel.now + 2.0)
     manager.kill("a")
@@ -259,8 +317,9 @@ def test_rekick_dialect_warns_before_the_start(kernel, manager):
     rekick = rig.kinds("restart_rekick")[0]
     assert rekick.severity is Severity.WARNING
     records = list(kernel.trace.filter(since=rekick.time, until=rekick.time))
-    starts = [r for r in records if r.source != "engine"]
-    assert starts and records.index(rekick) < records.index(starts[0])
+    # The death, then the re-kick, then its start: all at one instant now.
+    kinds = [r.kind for r in records]
+    assert kinds == ["process_failed", "restart_rekick", "process_start"]
 
 
 def test_verify_ladder_widens_until_the_joint_failure_is_cured(kernel, manager):

@@ -139,7 +139,7 @@ def test_member_refailing_during_batch_does_not_wedge(kernel, manager):
     assert manager.all_running()
 
 
-def test_rekick_watchdog_recovers_member_killed_mid_start(kernel, manager):
+def test_member_killed_mid_start_is_rekicked_at_once(kernel, manager):
     tree = RestartTree(
         cell("root", children=[cell("R_pair", ["x", "slow"])]),
     )
@@ -149,9 +149,7 @@ def test_rekick_watchdog_recovers_member_killed_mid_start(kernel, manager):
     kernel.run()
     injector = FaultInjector(kernel, manager)
     policy = RestartPolicy(tree, PerfectOracle(manager))
-    AbstractSupervisor(
-        kernel, manager, policy, monitored=["x", "slow"], restart_timeout=30.0
-    )
+    AbstractSupervisor(kernel, manager, policy, monitored=["x", "slow"])
     injector.inject_simple("x")  # restarts both; slow takes 20s
     kernel.run(until=kernel.now + 3.0)
     # Kill x *while it is starting* inside the in-flight batch (only an
@@ -160,8 +158,45 @@ def test_rekick_watchdog_recovers_member_killed_mid_start(kernel, manager):
 
     assert manager.get("x").state is ProcessState.STARTING
     manager.kill("x")
+    killed_at = kernel.now
     deadline = kernel.now + 120.0
     while kernel.now < deadline and not manager.all_running():
         assert kernel.step()
     assert manager.all_running()
-    assert kernel.trace.first("restart_rekick") is not None
+    rekick = kernel.trace.first("restart_rekick")
+    assert rekick.time == killed_at and rekick.data["components"] == ("x",)
+    # Done when slow is: no timeout waited out on top of its startup.
+    assert kernel.now < killed_at + 20.0
+
+
+def test_member_that_dies_on_every_start_does_not_spin(kernel, manager):
+    """One re-kick per step, counted against the budget; the second death
+    is left to the detector, whose reports climb the tree to a give-up."""
+    from repro.types import ProcessState
+
+    tree = RestartTree(cell("root", children=[cell("R_pair", ["x", "slow"])]))
+    spawn_simple(manager, "x", work=2.0)
+    spawn_simple(manager, "slow", work=10.0)
+    manager.start_all()
+    kernel.run()
+    injector = FaultInjector(kernel, manager)
+    policy = RestartPolicy(tree, PerfectOracle(manager))
+    supervisor = AbstractSupervisor(kernel, manager, policy, monitored=["x", "slow"])
+
+    def kill_x_while_starting():
+        if manager.get("x").state is ProcessState.STARTING:
+            manager.kill("x")
+        kernel.schedule_after(0.5, kill_x_while_starting)
+
+    kill_x_while_starting()
+    injector.inject_simple("x")
+    kernel.run(until=kernel.now + 150.0)  # inside the 300 s budget window
+    cells = [r.data["cell"] for r in kernel.trace.filter(kind="restart_ordered")]
+    assert cells == ["R_pair", "root"]  # escalated once, then gave up
+    assert [r.data["components"] for r in kernel.trace.filter(kind="restart_rekick")] == [
+        ("x",), ("x",),
+    ]
+    assert kernel.trace.filter(kind="operator_escalation")
+    assert not supervisor.engine.busy
+    # Two ordered restarts and two re-kicks of x, all on its budget.
+    assert policy.restarts_in_window("x", kernel.now) == 4

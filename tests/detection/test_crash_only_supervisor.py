@@ -5,8 +5,9 @@ brings a crashed/hung supervisor back, the fresh incarnation reconciles
 half-done episodes against observable process state, rescans for deaths
 it never observed — and the generation guard fences any pre-crash
 recovery plan callback so a stale plan can never execute after its author
-restarted.  Each test restarts the supervisor ``GRACE`` seconds after it
-went down, as a heartbeat tier above it would.  What the engine does on its own (oracle persist and
+restarted.  The tests restart the supervisor ``GRACE`` seconds after it
+went down, as a heartbeat tier above it would, except the fencing test,
+which needs it back within the instant.  What the engine does on its own (oracle persist and
 rebuild, store-outage fallback, guard order) is pinned without a front end
 in ``tests/core/test_recovery_engine.py``.
 """
@@ -94,22 +95,27 @@ def test_hung_supervisor_misses_death_until_rescan(kernel, manager):
 def test_stale_plan_fenced_after_supervisor_restart(kernel, manager):
     """The ISSUE-pinned regression: a recovery-plan callback authored
     before the supervisor's crash must fence, not execute."""
-    injector, supervisor, _ = _rig(kernel, manager, restart_timeout=5.0)
+    injector, supervisor, _ = _rig(kernel, manager)
     injector.inject_simple("a")
     while not _kinds(kernel, "restart_ordered"):
         assert kernel.step(), "no restart ever ordered"
-    ordered_at = kernel.now
-    _down(kernel, supervisor, supervisor.crash)
-    kernel.run(until=ordered_at + 20.0)
+    kernel.run(until=kernel.now + 0.5)
+    manager.kill("a")  # killed while starting: a re-kick is queued
+    killed_at = kernel.now
+    # Down and back within the instant, before the re-kick runs.
+    supervisor.crash()
+    supervisor.restart()
+    kernel.run(until=killed_at + 20.0)
     assert supervisor.restart_count == 1
     fenced = _kinds(kernel, "plan_fenced")
-    assert fenced, "stale restart watchdog was never fenced"
+    assert fenced, "the stale re-kick was never fenced"
+    assert fenced[0].time == killed_at
     assert fenced[0].data["stale_generation"] == 1
     assert fenced[0].data["generation"] == 2
-    # The stale callback fenced instead of re-kicking: exactly one order,
-    # and the manager-level restart still completed underneath.
-    assert len(_kinds(kernel, "restart_ordered")) == 1
+    # The stale callback fenced instead of re-kicking; the fresh
+    # incarnation's rescan re-declared the dead member and ordered anew.
     assert not _kinds(kernel, "restart_rekick")
+    assert len(_kinds(kernel, "restart_ordered")) == 2
     assert manager.all_running()
 
 

@@ -265,7 +265,7 @@ def test_forwarders_validate_kinds_nobody_reads(kernel, manager, built):
     behavior = Behavior(spawn_simple(manager, "a"))
     engine = RecoveryEngine(
         kernel, manager, RestartPolicy(RestartTree(cell("R_a", ["a"])), PerfectOracle(manager)),
-        name="engine", observation_window=1.0, restart_timeout=1.0,
+        name="engine", observation_window=1.0,
     )
     trace = kernel.trace
     trace.enabled = False

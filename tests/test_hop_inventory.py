@@ -163,10 +163,9 @@ def _delivered(channels) -> int:
 
 
 #: Kernel events of the determinism gate's availability run (tree V, 4 h,
-#: seed 7): two passes, Opal from ~2 400 s and Sapphire from ~8 280 s.  ses
-#: commanding str and rtu between them (an always-in-view satellite) makes
-#: it 536.
-AVAILABILITY_RUN_EVENTS = 391
+#: seed 7): two passes, Opal from ~2 400 s and Sapphire from ~8 280 s, and
+#: 33 restart actions.
+AVAILABILITY_RUN_EVENTS = 358
 
 
 def test_an_availability_run_tracks_only_the_passes_in_view(monkeypatch):
