@@ -282,7 +282,6 @@ class RecoveryEngine:
                 self._step_completed(action)
             return
         action.rekicked.add(name)
-        self.policy.restart_rekicked(name, self.kernel.now)
         # Once every listener has seen the death: cause, then effect.
         self.kernel.schedule_after(
             0.0, self._rekick, self._generation, self._action_seq, name
@@ -470,6 +469,7 @@ class RecoveryEngine:
         action = self._guarded(generation, action_seq)
         if action is None or not self.manager.get(name).state.is_terminal:
             return
+        self.policy.restart_rekicked(name, self.kernel.now)
         # Cause before effect: the re-kick is traced before its start.
         self._emit(ev.RESTART_REKICK, severity=Severity.WARNING, components=(name,))
         self.manager.start(name, batch=action.plan.gate)
