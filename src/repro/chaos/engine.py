@@ -149,10 +149,11 @@ def _fire(
     """Inject one planned fault; False when the station cannot host it.
 
     Targets are looked up in the process manager, not the tree: the
-    flapping scenario shoots the FD/REC supervisor pair, which exists only
-    under the full supervisor and is never a tree component.  Joint cure
-    sets, by contrast, are satisfied by tree restart batches, so all their
-    members must be station components.
+    supervisor scenarios shoot FD or REC, which every chaos station runs
+    but no tree contains, and a target this tree generation does not run
+    (``fedrcom`` after the split, ``fedr`` before it) is skipped.  Joint
+    cure sets, by contrast, are satisfied by tree restart batches, so all
+    their members must be station components.
     """
     if station.manager.maybe_get(injection.component) is None:
         return False
@@ -211,7 +212,6 @@ def run_chaos(
     oracle: OracleSpec = "perfect",
     oracle_error_rate: float = 0.3,
     config: StationConfig = PAPER_CONFIG,
-    supervisor: str = "full",
     sinks: Sequence[Sink] = (),
     max_restart_duration: float = 180.0,
     quiesce_timeout: float = 600.0,
@@ -256,7 +256,6 @@ def run_chaos(
             seed=boot_seed,
             oracle=oracle,
             oracle_error_rate=oracle_error_rate,
-            supervisor=supervisor,
             trace_capacity=50_000,
             net_faults=scenario.uses_network,
             strategy=strategy,
@@ -267,10 +266,11 @@ def run_chaos(
     else:
         oracle_part = f"instance:{type(oracle).__name__}"
         snapshot = False
+    # The shape names the supervisor: it feeds every boot seed.
     shape_params = dict(
         oracle=oracle_part,
         oracle_error_rate=oracle_error_rate,
-        supervisor=supervisor,
+        supervisor="full",
         net_faults=scenario.uses_network,
     )
     if strategy is not None:

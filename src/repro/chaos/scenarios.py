@@ -62,9 +62,9 @@ The catalogue covers the four adversarial shapes the chaos engine ships:
     lifted far up, because at high drop the fixed policy restarts almost
     continuously, and the ablation measures the detector, not the budget.
 
-Scenarios targeting components a given tree generation does not run (fd/rec
-under the abstract supervisor, fedrcom after the split) degrade gracefully:
-the engine counts those injections as *skipped* rather than failing.
+Scenarios targeting components a given tree generation does not run
+(fedrcom after the split, fedr and pbcom before it) degrade gracefully: the
+engine counts those injections as *skipped* rather than failing.
 """
 
 from __future__ import annotations

@@ -10,10 +10,12 @@ when it misses application-level liveness pings):
   recovery special case.
 
 * :class:`~repro.detection.abstract.AbstractSupervisor` — a collapsed
-  FD+REC with *sampled* detection latency and direct policy invocation, for
-  long-horizon availability experiments where simulating every ping would
-  dominate run time.  Its detection-latency distribution matches the full
-  FD's (uniform ping phase + reply timeout), which the test suite checks.
+  FD+REC with *sampled* detection latency and direct policy invocation, the
+  front end of §8's steady-state availability cell and nothing else, where
+  simulating every ping would dominate run time.  It has no crash-only
+  lifecycle of its own.  Its detection-latency distribution matches the
+  full FD's (uniform ping phase + reply timeout), which the test suite
+  checks.
 """
 
 from repro.detection.abstract import AbstractSupervisor

@@ -1,4 +1,4 @@
-"""Collapsed FD+REC for long-horizon experiments.
+"""Collapsed FD+REC: the front end of the steady-state availability cell.
 
 Simulating every liveness ping costs ~10 events per component-second; a
 one-month availability run would spend almost all its time routing pings
@@ -19,6 +19,11 @@ Because the engine and policy are shared with the full stack,
 recovery-time distributions agree between the two supervisors (validated
 by a dedicated test), so availability numbers from this fast path are
 faithful.
+
+**Scope: §8's availability cell only.**  The supervisor has no lifecycle
+of its own — it is never crashed, hung or restarted, so its engine runs
+one incarnation for the whole cell.  Supervisor faults, chaos scenarios
+and the workload plane run on the full FD+REC stack.
 
 **Precondition: no network faults.**  The abstract supervisor never routes
 a ping, so it cannot observe message loss, delay spikes, partitions, or a
@@ -71,8 +76,7 @@ class AbstractSupervisor:
         self.ping_period = ping_period
         self.reply_timeout = reply_timeout
         self.observation_window = observation_window
-        #: The supervisor's own crash-only lifecycle (:meth:`restart`) is
-        #: driven by whoever calls it; the engine is the same one REC runs.
+        #: The same engine REC runs, started once and never stopped.
         self.engine = RecoveryEngine(
             kernel,
             manager,
@@ -87,58 +91,14 @@ class AbstractSupervisor:
         self.request_restart = self.engine.request_restart
         self._rng = kernel.rngs.stream("abstract_supervisor.detection")
         self.detections = 0
-        #: The supervisor itself is a restartable node: ``crash``/``hang``
-        #: take it down and :meth:`restart` brings it back.  Counts
-        #: restarts, and stamps pending detections so a dead incarnation's
-        #: are dropped.
-        self.restart_count = 0
         self.engine.start()
         manager.subscribe(self._on_lifecycle)
-
-    # ------------------------------------------------------------------
-    # crash-only lifecycle (the supervisor as a restartable node)
-    # ------------------------------------------------------------------
-
-    @property
-    def responsive(self) -> bool:
-        """Is the supervisor alive and judging (not crashed or hung)?"""
-        return self.engine.alive
-
-    def crash(self) -> None:
-        """The supervisor process dies: all in-flight plans are lost."""
-        self.engine.stop()
-
-    def hang(self) -> None:
-        """The supervisor wedges: alive to the OS, dead to the system."""
-        self.engine.stop()
-
-    def restart(self) -> None:
-        """Crash-only restart: rebuild the world view, trust nothing stale.
-
-        The engine's fresh incarnation reconciles the policy, re-arms
-        observation expiries and rebuilds the oracle (as a restarted REC
-        does); then the monitored set is rescanned for components that
-        died while the supervisor was down — their death events went
-        unobserved — and each is declared after a fresh sampled latency.
-        """
-        self.restart_count += 1
-        self.engine.new_incarnation()
-        for name in sorted(self.monitored):
-            process = self.manager.maybe_get(name)
-            if process is not None and not process.is_running:
-                self._schedule_declare(name)
 
     # ------------------------------------------------------------------
     # detection
     # ------------------------------------------------------------------
 
-    def _schedule_declare(self, name: str) -> None:
-        delay = self._rng.uniform(0.0, self.ping_period) + self.reply_timeout
-        self.kernel.schedule_after(delay, self._declare, self.restart_count, name)
-
     def _on_lifecycle(self, process: "SimProcess", event: str) -> None:
-        if not self.engine.alive:
-            return  # a dead supervisor observes nothing
         name = process.name
         self.engine.on_lifecycle(name, event)
         if event.startswith("down:") and name in self.monitored:
@@ -146,13 +106,10 @@ class AbstractSupervisor:
             # (fresh fault or re-manifestation) is detected normally; one
             # the engine is re-kicking is not.
             if not self.engine.expects_down(name):
-                self._schedule_declare(name)
+                delay = self._rng.uniform(0.0, self.ping_period) + self.reply_timeout
+                self.kernel.schedule_after(delay, self._declare, name)
 
-    def _declare(self, incarnation: int, component: str) -> None:
-        if not self.engine.alive or incarnation != self.restart_count:
-            # A dead incarnation's pending detection; the restart rescan
-            # re-declares anything genuinely still down.
-            return
+    def _declare(self, component: str) -> None:
         if self.manager.get(component).is_running:
             return  # came back before we would have noticed
         if self.engine.expects_down(component):

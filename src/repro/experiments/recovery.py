@@ -186,7 +186,6 @@ def measure_recovery_row(
     oracle: str = "perfect",
     oracle_error_rate: float = 0.3,
     config: StationConfig = PAPER_CONFIG,
-    supervisor: str = "full",
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     shard_size: Optional[int] = None,
@@ -212,7 +211,6 @@ def measure_recovery_row(
         seed=seed,
         oracle_error_rate=oracle_error_rate,
         config=config,
-        supervisor=supervisor,
         jobs=jobs,
         cache_dir=cache_dir,
         shard_size=shard_size,

@@ -102,7 +102,6 @@ class CampaignCell:
     oracle_error_rate: float = 0.3
     oracle_too_high_rate: float = 0.0
     cure_set: Optional[Tuple[str, ...]] = None
-    supervisor: str = "full"
     trial_timeout: float = 300.0
     aging: bool = False
     horizon_s: float = 0.0
@@ -168,7 +167,6 @@ def _run_recovery(
         oracle_too_high_rate=cell.oracle_too_high_rate,
         cure_set=cell.cure_set,
         config=config,
-        supervisor=cell.supervisor,
         trial_timeout=cell.trial_timeout,
         aging=cell.aging,
     )
@@ -224,7 +222,6 @@ def _run_chaos(
         oracle=cell.oracle,
         oracle_error_rate=cell.oracle_error_rate,
         config=config,
-        supervisor=cell.supervisor,
         strategy=cell.strategy or None,
         drop=cell.drop,
     ).to_payload()
@@ -250,7 +247,6 @@ def _run_workload(
         failures=cell.trials,
         seed=cell.seed,
         config=config,
-        supervisor=cell.supervisor,
         spec=WorkloadSpec(session_rate=cell.request_rate) if cell.request_rate > 0 else None,
     ).to_payload()
 
@@ -314,8 +310,7 @@ KINDS: Dict[str, Kind] = {
     "recovery": Kind(
         reads=(
             "component", "trials", "shard", "oracle", "oracle_error_rate",
-            "oracle_too_high_rate", "cure_set", "supervisor", "trial_timeout",
-            "aging",
+            "oracle_too_high_rate", "cure_set", "trial_timeout", "aging",
         ),
         identity=("tree", "oracle", "component", "cure_set", "shard"),
         run=_run_recovery,
@@ -331,8 +326,8 @@ KINDS: Dict[str, Kind] = {
     ),
     "chaos": Kind(
         reads=(
-            "scenario", "trials", "oracle", "oracle_error_rate", "supervisor",
-            "strategy", "drop",
+            "scenario", "trials", "oracle", "oracle_error_rate", "strategy",
+            "drop",
         ),
         identity=("kind", "scenario", "tree"),
         run=_run_chaos,
@@ -340,7 +335,7 @@ KINDS: Dict[str, Kind] = {
         version=7,
     ),
     "workload": Kind(
-        reads=("strategy", "failure_kind", "trials", "supervisor", "request_rate"),
+        reads=("strategy", "failure_kind", "trials", "request_rate"),
         identity=("kind", "strategy", "failure_kind", "tree"),
         run=_run_workload,
         decode=_decode_workload,
@@ -382,7 +377,7 @@ def _checked(
     cell: CampaignCell, trees: Optional[Mapping[str, RestartTree]]
 ) -> Tuple[Kind, RestartTree]:
     """The cell's kind and tree: :func:`kind_of`, then a read field holding
-    a value no run can use (a scenario or supervisor that does not exist,
+    a value no run can use (a scenario that does not exist,
     ``trials`` below the kind's floor, a ``drop`` that is no probability or
     falls on a scenario without a network fabric) and a tree that does not
     exist are rejected — all before any station boots."""
@@ -391,8 +386,6 @@ def _checked(
     fewest = 0 if cell.kind == "workload" else 1
     if "trials" in row.reads and cell.trials < fewest:
         raise ExperimentError(f"cell sets trials={cell.trials!r}; kind {cell.kind!r} needs at least {fewest}")
-    if "supervisor" in row.reads and cell.supervisor not in ("full", "abstract"):
-        raise ExperimentError(f"cell sets supervisor={cell.supervisor!r}; a campaign runs 'full' or 'abstract'")
     if "scenario" in row.reads:
         from repro.chaos.scenarios import SCENARIOS
 
@@ -715,7 +708,6 @@ def run_recovery_matrix(
     seed: int = 0,
     oracle_error_rate: float = 0.3,
     config: StationConfig = PAPER_CONFIG,
-    supervisor: str = "full",
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     shard_size: Optional[int] = None,
@@ -748,7 +740,6 @@ def run_recovery_matrix(
                 oracle=oracle,
                 oracle_error_rate=oracle_error_rate,
                 cure_set=tuple(cure) if cure else None,
-                supervisor=supervisor,
             )
             plan.append(((tree_label, oracle, component), cells))
     flat = [cell for _, group in plan for cell in group]

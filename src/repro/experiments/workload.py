@@ -147,7 +147,6 @@ def run_workload_cell(
     failures: int = 3,
     seed: int = 0,
     config: StationConfig = PAPER_CONFIG,
-    supervisor: str = "full",
     spec: Optional[WorkloadSpec] = None,
     warmup_s: float = 5.0,
     cooldown_s: float = 5.0,
@@ -185,12 +184,12 @@ def run_workload_cell(
             config=config,
             seed=boot_seed,
             oracle="perfect",
-            supervisor=supervisor,
             trace_capacity=50_000,
             strategy=strategy or None,
         )
 
-    shape_params: Dict[str, Any] = dict(oracle="perfect", supervisor=supervisor)
+    # The shape names the supervisor: it feeds every boot seed.
+    shape_params: Dict[str, Any] = dict(oracle="perfect", supervisor="full")
     if strategy:
         shape_params["strategy"] = strategy
     shape = station_shape("workload", tree, config, **shape_params)

@@ -170,8 +170,9 @@ class MercuryStation:
             ``oracle_error_rate``), or any :class:`Oracle` instance.
         supervisor:
             ``"full"`` for the FD+REC process pair, ``"abstract"`` for the
-            collapsed fast-path supervisor, ``"none"`` for experiments that
-            drive recovery by hand.
+            collapsed fast-path supervisor of the steady-state availability
+            cell (:mod:`repro.detection.abstract`); any other value is
+            refused.
         strategy / strategies:
             Recovery-strategy selection (see
             :mod:`repro.core.recovery_strategies`).  ``strategy`` names a
@@ -280,7 +281,6 @@ class MercuryStation:
             budget=config.restart_budget,
             budget_window=config.restart_budget_window,
         )
-        self.supervisor_kind = supervisor
         self.fd: Optional[FailureDetector] = None
         self.rec: Optional[RecoveryModule] = None
         self.abstract_supervisor: Optional[AbstractSupervisor] = None
@@ -298,7 +298,7 @@ class MercuryStation:
                 strategies=self.strategies,
                 session_store=self.session_store,
             )
-        elif supervisor != "none":
+        else:
             raise ExperimentError(f"unknown supervisor kind {supervisor!r}")
 
         self.steady: Optional[SteadyStateInjector] = None
@@ -535,8 +535,7 @@ class MercuryStation:
 
     def supervisor_idle(self) -> bool:
         """Whether no restart action is currently in flight."""
-        supervisor = self.rec or self.abstract_supervisor
-        return supervisor is None or not supervisor.engine.busy
+        return not (self.rec or self.abstract_supervisor).engine.busy
 
     @property
     def trace(self):

@@ -1,7 +1,8 @@
 """The `restart` strategy is bit-identical to the pre-refactor recoverer.
 
 ``tests/core/golden_restart_traces.json`` holds one chaos trial per
-(scenario, tree, supervisor) cell at seed 42, recording the SHA-256 of the
+(scenario, tree) cell at seed 42, keyed ``scenario|tree|full`` (every
+chaos cell runs the full FD+REC supervisor), recording the SHA-256 of the
 full JSONL event trace plus the MTTR samples and episode counters.  These
 tests re-run every golden cell through today's strategy-aware recoverer
 (with no strategy configured — the default path every pre-existing caller
@@ -12,7 +13,7 @@ The golden file is regenerated only when a change *intends* to move
 traces, and then only for the cells it names::
 
     PYTHONPATH=src python -m tests.core.test_restart_bit_identity \
-        --recapture "flapping|V|full" "cascade|V|abstract"
+        --recapture "flapping|V|full" "cascade|III|full"
 
 Both the test and the recapture run a cell through :func:`_run_cell`, so
 what is captured is exactly what is checked.
@@ -37,7 +38,7 @@ with open(_GOLDEN_PATH, "r", encoding="utf-8") as _fh:
 
 def _run_cell(key):
     """Run one golden cell; return the record the JSON file keeps for it."""
-    scenario, tree_label, supervisor = key.split("|")
+    scenario, tree_label, _full = key.split("|")
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "trace.jsonl")
         result = run_chaos(
@@ -46,7 +47,6 @@ def _run_cell(key):
             trials=_GOLDEN["trials"],
             seed=_GOLDEN["seed"],
             sinks=[JsonlSink(path)],
-            supervisor=supervisor,
         )
         with open(path, "rb") as fh:
             sha = hashlib.sha256(fh.read()).hexdigest()

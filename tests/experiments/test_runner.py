@@ -7,8 +7,10 @@ whether a result came from a live worker or the on-disk cache.
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
+import pathlib
 from collections.abc import Mapping
 
 import pytest
@@ -159,7 +161,6 @@ def test_cache_invalidated_by_every_spec_field(tmp_path):
         {"oracle": "faulty"},
         {"component": "mbus"},
         {"shard": 1},
-        {"supervisor": "abstract"},
     ):
         assert cache_key(dataclasses.replace(cell, **change), PAPER_CONFIG) != base
     assert cache_key(cell, PAPER_CONFIG.with_overrides(reply_timeout=0.3)) != base
@@ -350,8 +351,6 @@ MALFORMED = [
     (dict(kind="recovery", tree="II", component="rtu", trials=0), "trials=0"),
     (dict(kind="chaos", tree="V", scenario="storm", trials=0), "trials=0"),
     (dict(kind="workload", tree="V", failure_kind="crash", trials=-1), "trials=-1"),
-    (dict(kind="recovery", tree="II", component="rtu", trials=1, supervisor="none"), "supervisor='none'"),
-    (dict(kind="chaos", tree="V", scenario="storm", trials=1, supervisor="bogus"), "supervisor='bogus'"),
     (dict(kind="chaos", tree="V", scenario="detection", trials=1, drop=1.5), "drop=1.5"),
     (dict(kind="chaos", tree="V", scenario="detection", trials=1, drop=-0.1), "drop=-0.1"),
     # Only a scenario that declares the fault fabric can lose messages.
@@ -403,7 +402,7 @@ def test_an_ad_hoc_tree_label_still_resolves(monkeypatch):
 CHANGED = {
     "component": "rtu", "trials": 7, "shard": 2, "oracle": "faulty",
     "oracle_error_rate": 0.5, "oracle_too_high_rate": 0.1,
-    "cure_set": ("fedr", "pbcom"), "supervisor": "abstract",
+    "cure_set": ("fedr", "pbcom"),
     "trial_timeout": 100.0, "aging": True, "horizon_s": 60.0,
     "scenario": "storm", "strategy": "restart", "failure_kind": "hang",
     "fleet_size": 3, "wave_interval_s": 30.0, "wave_drop": 0.1,
@@ -444,6 +443,28 @@ def _bare_keys():
     return {
         kind: cache_key(CampaignCell(kind=kind, tree="V", seed=1), PAPER_CONFIG)
         for kind in KINDS
+    }
+
+
+def _design_kinds_table():
+    """``{kind: (reads, identity, version)}`` from DESIGN.md's table of kinds."""
+    design = pathlib.Path(__file__).resolve().parents[2] / "DESIGN.md"
+    lines = design.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| kind | fields read"))
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        kind, reads, identity, _result, version = (
+            cell.strip().strip("`") for cell in line.strip("|").split("|")[:5]
+        )
+        table[kind] = (tuple(reads.split()), tuple(identity.split()), int(version))
+    return table
+
+
+def test_the_design_kinds_table_is_the_runner_s():
+    """DESIGN.md's table of kinds is read by people choosing a cell's
+    fields and bumping versions; it must say what ``KINDS`` says."""
+    assert _design_kinds_table() == {
+        kind: (row.reads, row.identity, row.version) for kind, row in KINDS.items()
     }
 
 

@@ -137,15 +137,15 @@ def _site_notify_down(jsonl):
 
 
 def _site_engine_start(jsonl):
-    """A supervisor shot mid-action: only its restart makes it idle again."""
-    kernel, _, injector, _, supervisor = _abstract_rig(jsonl)
-    injector.inject_simple("a")
-    while not supervisor.engine.busy:
-        assert kernel.step()
-    supervisor.crash()
-    kernel.schedule_after(2.0, supervisor.restart)
-    idle = kernel.run_until(lambda: not supervisor.engine.busy, kernel.now + 60.0)
-    assert supervisor.restart_count == 1
+    """An engine shot mid-action: only its new incarnation makes it idle."""
+    rig = _engine_rig(jsonl)
+    rig.fail("a")
+    assert rig.engine.busy
+    rig.engine.stop()
+    kernel = rig.kernel
+    kernel.schedule_after(2.0, rig.engine.new_incarnation)
+    idle = kernel.run_until(lambda: not rig.engine.busy, kernel.now + 60.0)
+    assert len(rig.kinds("supervisor_restarted")) == 1
     return kernel, idle
 
 

@@ -37,26 +37,15 @@ def test_unknown_oracle_rejected():
 
 
 def test_unknown_supervisor_rejected():
-    with pytest.raises(ExperimentError):
-        MercuryStation(tree=tree_v(), seed=1, supervisor="none-of-the-above")
+    for kind in ("none", "none-of-the-above"):
+        with pytest.raises(ExperimentError, match="unknown supervisor kind"):
+            MercuryStation(tree=tree_v(), seed=1, supervisor=kind)
 
 
 def test_oracle_instance_accepted():
     oracle = LearningOracle()
     station = MercuryStation(tree=tree_v(), seed=1, oracle=oracle)
     assert station.oracle is oracle
-
-
-def test_supervisor_none_leaves_recovery_to_caller():
-    station = MercuryStation(tree=tree_v(), seed=1, supervisor="none")
-    station.manager.start_all(station.station_components)
-    station.kernel.run(until=60.0)
-    failure = station.injector.inject_simple("rtu")
-    station.run_for(30.0)
-    assert station.injector.is_active(failure.failure_id)  # nobody recovers
-    station.manager.restart(["rtu"])
-    station.run_for(30.0)
-    assert not station.injector.is_active(failure.failure_id)
 
 
 def test_abstract_supervisor_recovery():
