@@ -4,9 +4,11 @@ The test *is* the front end: it forwards process-manager lifecycle events
 to :meth:`RecoveryEngine.on_lifecycle`, declares failures by calling
 :meth:`RecoveryEngine.report_failure`, and reads what the engine did off
 the kernel trace (source ``"engine"``).  Everything the two supervisors
-share is pinned here once, the crash-only incarnations included (only
-REC's front end stops and restarts its engine); their own suites keep only
-what is theirs (ctl wire, FD watchdog, sampled latency).
+share is pinned here once; the crash-only lifecycle a front end drives
+with ``stop()``/``new_incarnation()`` (only REC's does) is pinned on this
+rig in ``tests/detection/test_crash_only_supervisor.py``.  The two
+supervisors' own suites keep only what is theirs (ctl wire, FD watchdog,
+sampled latency).
 """
 
 import pytest
@@ -178,32 +180,12 @@ def test_dead_engine_refuses_proactive_restart(kernel, rig):
     a rejuvenation round it can never finish."""
     rig.engine.stop()
     assert rig.engine.request_restart("R_a", "rejuvenation") is False
-    kernel.run(until=kernel.now + 5.0)
     assert not rig.cells() and rig.manager.all_running()
-    assert rig.manager.get("a").start_count == 1
-    rig.engine.new_incarnation()
+    rig.engine.start()
     assert rig.engine.request_restart("no-such-cell") is False
     assert rig.engine.request_restart("R_a", "rejuvenation") is True
     assert rig.engine.request_restart("R_bc") is False  # busy: never queued
     assert rig.kinds("restart_ordered")[0].data["trigger"] == "rejuvenation"
-
-
-def test_new_incarnation_reconciles_an_open_episode_to_observing(kernel, rig):
-    """The engine dies mid-restart and comes back two seconds later; the
-    member restarted meanwhile, so its wedged episode observes and closes."""
-    failure = rig.fail("a")
-    assert rig.engine.busy
-    stopped_at = kernel.now
-    rig.engine.stop()
-    kernel.schedule_after(2.0, rig.engine.new_incarnation)
-    kernel.run(until=stopped_at + 30.0)
-    restarted = rig.kinds("supervisor_restarted")
-    assert len(restarted) == 1 and restarted[0].time == stopped_at + 2.0
-    assert restarted[0].data["generation"] == 2
-    assert (restarted[0].data["reconciled"], restarted[0].data["dropped"]) == (1, 0)
-    assert not rig.injector.is_active(failure.failure_id)
-    assert not rig.policy.open_episodes() and not rig.engine.busy
-    assert rig.cells() == ["R_a"] and rig.manager.all_running()
 
 
 # ----------------------------------------------------------------------
