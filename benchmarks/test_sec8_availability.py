@@ -50,6 +50,10 @@ def test_sec8():
 
     print_banner(f"Section 8: availability over {DAYS} simulated days per tree")
     print(
+        "supervisor: the abstract surrogate (repro.detection.abstract), which\n"
+        "declares a death after a sampled latency, not the FD+REC of Tables 2-4"
+    )
+    print(
         format_table(
             ["tree", "availability", "analytic (series)", "outages",
              "mean outage (s)", "annual downtime (min)"],

@@ -19,11 +19,16 @@ transport around it.  It:
   every round, so that ping is REC's heartbeat: one handle-free deadline
   checks it, no ping of REC's own.
 
-REC is itself a supervised process: killing it drops all in-flight episode
-state.  A restarted REC rebuilds crash-only (the engine's
-``new_incarnation``): it reconciles the half-done episodes against the
-processes it can see, fences the dead incarnation's callbacks, and leaves
-whatever is genuinely still down to FD's re-reports.
+REC is itself a supervised process, but not all of its memory dies with
+it: the :class:`~repro.core.policy.RestartPolicy` belongs to the station
+(``MercuryStation`` builds one and hands it to every REC incarnation), so
+the episodes, each one's escalation position and the restart-budget
+history survive REC's death.  What a restarted REC rebuilds crash-only
+(the engine's ``new_incarnation``) is the rest: it reconciles the episodes
+that were half done — a member running moves to ``observing``, one still
+down is dropped for FD to re-report — fences the dead incarnation's
+callbacks, and rebuilds the learning oracle from the session store, the
+only state it restores rather than inherits.
 """
 
 from __future__ import annotations
@@ -197,9 +202,9 @@ class RecoveryModule(Behavior):
         if not self.engine.alive or self.process.degraded_mode == "hang":
             return
         self._fd_heard_at = self.kernel.now
-        # FD's round ping dominates this channel and rides the templated
-        # wire form, so the generic parser only sees failure reports and the
-        # odd control verb — and those dispatch O(1) on the message class
+        # FD's round ping dominates this channel and is answered from the
+        # envelope; failure reports and the odd control verb are decoded
+        # from their wire's memo, and dispatch O(1) on the message class
         # instead of walking an isinstance chain.
         env = decode_envelope(raw)
         if env is not None and env.kind == "ping":

@@ -287,9 +287,9 @@ class FailureDetector(BusAttachedBehavior):
     def _on_ctl_raw(self, raw: str) -> None:
         if not self._alive:
             return
-        # REC's replies to the round ping dominate this channel and ride the
-        # templated wire form, so the generic parser only sees restart
-        # orders and the odd control verb.
+        # REC's replies to the round ping dominate this channel and are
+        # consumed from the envelope; restart orders and the odd control
+        # verb are decoded from their wire's memo.
         env = decode_envelope(raw)
         if env is not None and env.kind == "ping-reply":
             self._on_rec_reply(env.seq)
@@ -471,6 +471,7 @@ class FailureDetector(BusAttachedBehavior):
         to break — and its judge runs at ``tick + timeout``, as stepping
         scheduled it.  A hop due exactly now is still in flight: the poke
         comes first, as an event scheduled before the round began does.
+        A round whose last hop has landed leaves only its sequence numbers.
         """
         kernel = self.kernel
         now = kernel.now
@@ -478,6 +479,10 @@ class FailureDetector(BusAttachedBehavior):
         hops = [tick + base]
         for _ in range(3):
             hops.append(hops[-1] + base)
+        if hops[-1] < now:
+            self._rec_seq += 1
+            self._seq += len(pinged)
+            return
         name = self.name
         endpoint, ctl = self._endpoint, self._ctl
         broker = self.manager.get(self.bus_component).behavior

@@ -16,7 +16,8 @@ This package provides:
 * :mod:`repro.xmlcmd.commands` — the typed message schema (ping, ping reply,
   commands, telemetry, failure reports) used on the bus;
 * :mod:`repro.xmlcmd.fastpath` — the wire-level codec (templated ping and
-  command encode that vouches for its own clean output, one envelope
+  command encode that vouches for its own clean output, failure-report and
+  restart-order encode vouched with the message itself, one envelope
   decode per hop for routing and delivery, regex-level ping and command
   decode of plain text), bit-compatible with the full parse/serialize
   pipeline, which remains the fallback and the test oracle (DESIGN.md §8).
@@ -27,9 +28,10 @@ liveness argument: a ping reply proves the component can *parse, dispatch and
 serialize* application-level messages, not merely that its process exists.
 A component whose process is alive but whose dispatcher is wedged fails the
 XML ping, and FD correctly declares it failed.  What every hop carries is
-still that XML text; a wire this process's own encoder wrote without
-escaping anything also carries the five routing fields it was written from,
-so a hop re-reads only text it has reason to doubt (DESIGN.md §8).
+still that XML text; a wire this process's own encoder vouched for also
+carries the five routing fields it was written from (and a failure report or
+restart order the message itself), so a hop re-reads only text it has reason
+to doubt (DESIGN.md §8).
 """
 
 from repro.xmlcmd.commands import (

@@ -12,14 +12,15 @@ never equals a ``PingReply``, an ``Envelope`` or a bare tuple with the same
 fields, whichever operand is on the left.  The hash is the tuple's, which
 equal messages share.
 
-Pings and commands — everything FD's liveness loop and the user-traffic
-plane put on the bus — are encoded and decoded at the wire level by
+Pings, commands and the FD↔REC control kinds — everything FD's liveness
+loop, the user-traffic plane and recovery put on the wire — are encoded by
 :mod:`repro.xmlcmd.fastpath` without building an element tree, and a wire
-that came out of the encoder clean (a :class:`~repro.xmlcmd.fastpath.Wire`)
-is decoded from the encoder's memo without reading its text.  The generic
-pipeline (``to_element`` → ``serialize_xml``, ``parse_xml`` →
-``message_from_element``) carries the other kinds, every non-canonical
-spelling, and is the oracle the codec tests compare against
+that came out of the encoder vouched (a
+:class:`~repro.xmlcmd.fastpath.Wire`) is decoded from the encoder's memo
+without reading its text.  The generic pipeline (``to_element`` →
+``serialize_xml``, ``parse_xml`` → ``message_from_element``) carries
+telemetry, every wire the encoders would not vouch for, every
+non-canonical spelling, and is the oracle the codec tests compare against
 (:func:`parse_message_full`).
 
 Wire format examples::
@@ -44,7 +45,9 @@ from repro.xmlcmd.fastpath import (
     Wire,
     command_params,
     encode_command_wire,
+    encode_order_wire,
     encode_ping_wire,
+    encode_report_wire,
     split_command_wire,
     split_ping_wire,
 )
@@ -245,8 +248,12 @@ def encode_message(message: Message) -> str:
     Pings and commands — liveness traffic and every user request/reply —
     are written from cached start-tag templates
     (:func:`repro.xmlcmd.fastpath.encode_ping_wire` /
-    :func:`~repro.xmlcmd.fastpath.encode_command_wire`); their output is
-    byte-identical to the generic element serialization below.
+    :func:`~repro.xmlcmd.fastpath.encode_command_wire`), failure reports
+    and restart orders straight from their fields
+    (:func:`~repro.xmlcmd.fastpath.encode_report_wire` /
+    :func:`~repro.xmlcmd.fastpath.encode_order_wire`); their output is
+    byte-identical to the generic element serialization below, which
+    writes whatever those refuse.
     """
     cls = message.__class__
     if cls is CommandMessage:
@@ -257,7 +264,26 @@ def encode_message(message: Message) -> str:
         return encode_ping_wire("ping", message.sender, message.target, message.seq)
     if cls is PingReply:
         return encode_ping_wire("ping-reply", message.sender, message.target, message.seq)
-    return serialize_xml(message.to_element())
+    if cls is FailureReport:
+        wire = encode_report_wire(
+            message.sender,
+            message.target,
+            message.failed_components,
+            message.detected_at,
+            message,
+        )
+    elif cls is RestartOrder:
+        wire = encode_order_wire(
+            message.sender,
+            message.target,
+            message.cell_id,
+            message.components,
+            message.reason,
+            message,
+        )
+    else:
+        wire = None
+    return serialize_xml(message.to_element()) if wire is None else wire
 
 
 def _require(element: Element, attr: str) -> str:
@@ -284,7 +310,8 @@ def parse_message(text: str) -> Message:
     :class:`~repro.errors.CommandSchemaError` for schema violations.
 
     A :class:`~repro.xmlcmd.fastpath.Wire` is rebuilt from its encoder's
-    memo without reading the text.  Canonical pings and commands in plain
+    memo without reading the text (a failure report's or restart order's
+    memo is the message itself).  Canonical pings and commands in plain
     text are decoded at the wire level
     (:func:`repro.xmlcmd.fastpath.split_ping_wire` /
     :func:`~repro.xmlcmd.fastpath.split_command_wire`); everything else —
@@ -294,15 +321,16 @@ def parse_message(text: str) -> Message:
     """
     if text.__class__ is Wire:
         kind, sender, target, verb, seq = text.envelope
+        memo = text.memo
         if kind == "command":
             # A copy: what the receiver does to its params must not reach
             # the next delivery of the same wire (a duplicate, a replay).
+            return _new_message(CommandMessage, (sender, target, verb, memo.copy()))
+        if memo is None:
             return _new_message(
-                CommandMessage, (sender, target, verb, text.params.copy())
+                PingRequest if kind == "ping" else PingReply, (sender, target, seq)
             )
-        return _new_message(
-            PingRequest if kind == "ping" else PingReply, (sender, target, seq)
-        )
+        return memo
     ping = split_ping_wire(text)
     if ping is not None:
         kind, sender, target, seq = ping

@@ -19,12 +19,19 @@ Encode (byte-identical to ``serialize_xml(message.to_element())``):
   a value holding ``&``, ``<`` or ``>`` is escaped.  Every user request and
   reply is a command.
 
-Both return a :class:`Wire` — the same text, carrying the
+* :func:`encode_report_wire` / :func:`encode_order_wire` — the FD↔REC
+  control kinds, ``failure-report`` and ``restart-order``, written straight
+  from their fields.
+
+The first two return a :class:`Wire` — the same text, carrying the
 :class:`Envelope` (and params) the decoders below would recover from it —
 whenever no field needed escaping, which is exactly when those decoders
-would vouch for the text anyway.  :func:`decode_envelope` is the receive
-sites' one call per message: it reads that memo, and scans text only when
-handed a plain string.
+would vouch for the text anyway.  The control encoders vouch with the
+message itself as the memo whenever the full parser would hand back an
+equal message, escaped fields included: no scanner below reads their
+children, so the parser is the only decoder they are held equal to.
+:func:`decode_envelope` is the receive sites' one call per message: it
+reads that memo, and scans text only when handed a plain string.
 
 Decode (canonical spelling only — the serializer's own output):
 
@@ -39,8 +46,11 @@ Decode (canonical spelling only — the serializer's own output):
 * :func:`scan_envelope` — the routing fields (``type``/``from``/``to``/
   ``verb``/``seq``) of a canonical command or of a childless ping /
   telemetry start tag in any spelling, for broker routing and receiver-side
-  vouching.  ``failure-report`` / ``restart-order`` always fall back: their
-  validity depends on children.
+  vouching.  ``failure-report`` / ``restart-order`` text always falls back:
+  its validity depends on children.  In a station only text from outside
+  reaches it: every kind a station sends comes out of its encoder as a
+  :class:`Wire` (no station name needs escaping, and no component sends
+  telemetry).
 
 The differential tests in ``tests/bus/test_fastpath_differential.py`` and
 ``tests/xmlcmd/test_fastpath.py`` enforce the either-identical-or-refuse
@@ -169,31 +179,34 @@ def scan_envelope(raw: str) -> Optional[Envelope]:
 class Wire(str):
     """Wire text that remembers what its encoder wrote.
 
-    ``envelope`` is what :func:`scan_envelope` returns for this text and
-    ``params`` what :func:`command_params` returns (``None`` for a ping);
-    the encoders build one only for text those scanners accept, so reading
-    the memo and scanning the text are interchangeable.  It is a ``str`` in
-    every other respect — compared, hashed, sliced, logged and serialized
-    as its text — and as immutable: nobody writes the slots after
-    :func:`vouch`, and a receiver is handed a copy of ``params``.
+    For a ping or a command, ``envelope`` is what :func:`scan_envelope`
+    returns for this text and ``memo`` what :func:`command_params` returns
+    (``None`` for a ping); those encoders build one only for text the
+    scanners accept, so reading the memo and scanning the text are
+    interchangeable.  For a ``failure-report`` or ``restart-order``, which
+    no scanner reads, ``envelope`` is ``envelope_of`` the message and
+    ``memo`` the message itself: what the full parser returns for the text.
+    It is a ``str`` in every other respect — compared, hashed, sliced,
+    logged and serialized as its text — and as immutable: nobody writes the
+    slots after :func:`vouch`, a receiver is handed a copy of a command's
+    params, and a control message is an immutable tuple of ``str`` and
+    ``float``.
     """
 
-    __slots__ = ("envelope", "params")
+    __slots__ = ("envelope", "memo")
 
     def __reduce__(self):
-        return vouch, (str(self), self.envelope, self.params)
+        return vouch, (str(self), self.envelope, self.memo)
 
     def __deepcopy__(self, memo: dict) -> "Wire":
         return self
 
 
-def vouch(
-    text: str, envelope: "Envelope", params: Optional[Dict[str, str]] = None
-) -> Wire:
+def vouch(text: str, envelope: "Envelope", memo: object = None) -> Wire:
     """The one place a :class:`Wire` is built."""
     wire = Wire(text)
     wire.envelope = envelope
-    wire.params = params
+    wire.memo = memo
     return wire
 
 
@@ -347,6 +360,79 @@ def encode_command_wire(
     parts.append("</msg>")
     text = "".join(parts)
     return vouch(text, envelope, decoded) if clean else text
+
+
+def encode_report_wire(
+    sender: str, target: str, failed: tuple, detected_at: float, memo: object
+) -> Optional[str]:
+    """Serialize a failure report, byte-identical to the canonical form,
+    vouched with ``memo`` (the message).
+
+    ``None`` — the caller serializes the element tree — unless the full
+    parser would return a message equal to ``memo``: a non-empty ``tuple``
+    of ``str`` components and a ``detected_at`` that is a ``float`` proper
+    and not NaN (``repr`` of anything else reads back as another value or
+    not at all).
+    """
+    if (
+        failed.__class__ is not tuple
+        or not failed
+        or detected_at.__class__ is not float
+        or detected_at != detected_at
+        or sender.__class__ is not str
+        or target.__class__ is not str
+        or not all(name.__class__ is str for name in failed)
+    ):
+        return None
+    children = "".join(
+        [f'<failed component="{escape_attr(name)}"/>' for name in failed]
+    )
+    return vouch(
+        f'<msg type="failure-report" from="{escape_attr(sender)}"'
+        f' to="{escape_attr(target)}" detected-at="{detected_at!r}">'
+        f"{children}</msg>",
+        Envelope("failure-report", sender, target, None, None),
+        memo,
+    )
+
+
+def encode_order_wire(
+    sender: str,
+    target: str,
+    cell: str,
+    components: tuple,
+    reason: str,
+    memo: object,
+) -> Optional[str]:
+    """Serialize a restart order, byte-identical to the canonical form
+    (self-closing when it names no component), vouched with ``memo`` (the
+    message).
+
+    ``None`` — the caller serializes the element tree — unless every field
+    is a ``str`` proper and ``components`` a ``tuple`` of them.
+    """
+    if (
+        components.__class__ is not tuple
+        or sender.__class__ is not str
+        or target.__class__ is not str
+        or cell.__class__ is not str
+        or reason.__class__ is not str
+        or not all(name.__class__ is str for name in components)
+    ):
+        return None
+    start = (
+        f'<msg type="restart-order" from="{escape_attr(sender)}"'
+        f' to="{escape_attr(target)}" cell="{escape_attr(cell)}"'
+        f' reason="{escape_attr(reason)}"'
+    )
+    if components:
+        children = "".join(
+            [f'<component name="{escape_attr(name)}"/>' for name in components]
+        )
+        text = f"{start}>{children}</msg>"
+    else:
+        text = start + "/>"
+    return vouch(text, Envelope("restart-order", sender, target, None, None), memo)
 
 
 # ----------------------------------------------------------------------

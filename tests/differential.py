@@ -109,7 +109,7 @@ def _full_parse_reference():
         # ``parse_message`` and ``received_message`` below), so nothing
         # answers from an encoder's memo: the reference decodes *text* end
         # to end.
-        patch.setattr(fastpath, "vouch", lambda text, envelope, params=None: text)
+        patch.setattr(fastpath, "vouch", lambda text, envelope, memo=None: text)
         patch.setattr("repro.xmlcmd.commands.Wire", _NoWire)
         for site in _REFUSING_SITES:
             patch.setattr(site, lambda raw: None)

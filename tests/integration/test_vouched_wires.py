@@ -8,12 +8,16 @@ and asserts what the codec's unit tests cannot: that the *station* behaves
 the same afterwards.
 """
 
+import collections
 import copy
 import pickle
+
+import pytest
 
 from repro.bus.broker import BusBroker
 from repro.bus.client import BusClient
 from repro.components.base import BusAttachedBehavior
+from repro.experiments.runner import execute_cell, plan_cell
 from repro.experiments.snapshot import fork
 from repro.mercury.session_store import SessionStore
 from repro.mercury.station import MercuryStation
@@ -22,6 +26,7 @@ from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network, NetworkFaultModel
+from repro.xmlcmd import commands
 from repro.xmlcmd.commands import CommandMessage, encode_message
 from repro.xmlcmd.fastpath import Wire
 
@@ -119,7 +124,7 @@ def test_session_store_log_replays_the_wire_it_was_given():
     for each in (store, *clones):
         first, second = each.replay_log("svc")
         assert type(first) is Wire and first == wire
-        assert (first.envelope, first.params) == (wire.envelope, wire.params)
+        assert (first.envelope, first.memo) == (wire.envelope, wire.memo)
         assert type(second) is str
 
 
@@ -140,3 +145,32 @@ def test_replay_window_refeeds_logged_wires_through_the_receive_path():
     # The live delivery, then the replayed one (the behavior object outlives
     # its process's incarnations).
     assert process.behavior.seen == [{"req": "7"}] * 2
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        plan_cell("recovery", 7, tree="V", component="rtu", trials=2),
+        plan_cell(
+            "workload", 7, tree="V", trials=1, strategy="restart",
+            failure_kind="crash", request_rate=20.0,
+        ),
+    ],
+    ids=lambda cell: cell.kind,
+)
+def test_a_faulted_cell_never_builds_or_reads_an_element_tree(monkeypatch, cell):
+    """Every message a station sends — the FD↔REC failure reports and
+    restart orders included — leaves its encoder as a ``Wire`` and is
+    decoded from the memo: the element pipeline never runs."""
+    calls = collections.Counter()
+    for name in ("parse_xml", "serialize_xml", "encode_report_wire", "encode_order_wire"):
+        real = getattr(commands, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(commands, name, counted)
+    execute_cell(cell)
+    assert calls["encode_report_wire"] > 0 and calls["encode_order_wire"] > 0
+    assert calls["parse_xml"] == calls["serialize_xml"] == 0

@@ -489,7 +489,7 @@ def test_ping_wire_is_vouched_iff_clean_and_memo_equals_scan(kind, sender, targe
         text = str(wire)
         assert wire.envelope == scan_envelope(text) == decode_envelope(text)
         assert wire.envelope == envelope_of(parse_message_full(text))
-        assert wire.params is None
+        assert wire.memo is None
         assert parse_message(wire) == parse_message(text) == parse_message_full(text)
 
 
@@ -512,9 +512,79 @@ def test_command_wire_is_vouched_iff_clean_and_memo_equals_scan(
         text = str(wire)
         assert wire.envelope == scan_envelope(text) == decode_envelope(text)
         assert wire.envelope == envelope_of(parse_message_full(text))
-        assert wire.params == command_params(text)
-        assert list(wire.params) == list(command_params(text))  # same order
+        assert wire.memo == command_params(text)
+        assert list(wire.memo) == list(command_params(text))  # same order
         assert parse_message(wire) == parse_message(text) == parse_message_full(text)
+
+
+#: Component lists as FD and REC pass them, and the empty one a restart
+#: order may carry and a failure report may not.
+_names = st.lists(_wire_text, max_size=3).map(tuple)
+
+#: ``detected_at`` as FD passes it (``kernel.now``, a ``float``) and as a
+#: caller could: an ``int`` formats into text the parser reads as a float.
+_stamps = st.one_of(
+    st.floats(allow_nan=False), st.integers(min_value=-(10**20), max_value=10**20)
+)
+
+
+@given(sender=_wire_text, target=_wire_text, failed=_names, detected_at=_stamps)
+@settings(max_examples=200, deadline=None)
+def test_failure_report_is_vouched_iff_the_parser_returns_it(
+    sender, target, failed, detected_at
+):
+    message = FailureReport(sender, target, failed, detected_at)
+    wire = encode_message(message)
+    text = str(wire)
+    assert text == serialize_xml(message.to_element())
+    vouched = bool(failed) and type(detected_at) is float
+    assert (wire.__class__ is Wire) == vouched
+    if vouched:
+        assert wire.memo is message
+        assert wire.envelope == envelope_of(message) == decode_envelope(wire)
+        assert parse_message(wire) == parse_message_full(text) == message
+
+
+@given(
+    sender=_wire_text,
+    target=_wire_text,
+    cell=_wire_text,
+    components=_names,
+    reason=_wire_text,
+)
+@settings(max_examples=200, deadline=None)
+def test_restart_order_is_vouched_and_the_parser_returns_it(
+    sender, target, cell, components, reason
+):
+    message = RestartOrder(sender, target, cell, components, reason)
+    wire = encode_message(message)
+    text = str(wire)
+    assert text == serialize_xml(message.to_element())
+    assert wire.__class__ is Wire and wire.memo is message
+    assert wire.envelope == envelope_of(message) == decode_envelope(wire)
+    assert parse_message(wire) == parse_message_full(text) == message
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        FailureReport("fd", "rec", (), 1.5),  # the parser refuses it
+        FailureReport("fd", "rec", ("ses",), 2),  # reads back as 2.0
+        FailureReport("fd", "rec", ("ses",), float("nan")),  # equal to nothing
+        FailureReport("fd", "rec", ["ses"], 1.5),  # reads back as a tuple
+        FailureReport("fd", "rec", (_Name("ses"),), 1.5),
+        RestartOrder("rec", "fd", "R_ses", ["ses"], "begin"),
+        RestartOrder("rec", "fd", _Name("R_ses"), ("ses",), "begin"),
+    ],
+    ids=repr,
+)
+def test_a_control_message_the_parser_would_not_return_stays_plain_text(message):
+    wire = encode_message(message)
+    assert type(wire) is str and wire == serialize_xml(message.to_element())
 
 
 def test_unclean_or_foreign_fields_stay_plain_text():
@@ -562,6 +632,8 @@ VOUCHED = [
     encode_message(CommandMessage("a", "mbus", "attach")),
     encode_message(SVC_REPLY),
     encode_message(CommandMessage("a", "b", "v", {"flag": "", "pad": " x "})),
+    encode_message(FailureReport("fd", "rec", ("ses", "str"), 12.125)),
+    encode_message(RestartOrder("rec", "fd", "R_ses_str", (), "complete")),
 ]
 
 
@@ -574,7 +646,7 @@ def test_wire_copies_and_pickles_with_its_memo(wire):
         assert type(clone) is Wire
         assert str(clone) == str(wire)
         assert clone.envelope == wire.envelope and type(clone.envelope) is Envelope
-        assert clone.params == wire.params
+        assert clone.memo == wire.memo
     assert not hasattr(wire, "__dict__")
 
 
@@ -601,7 +673,7 @@ def test_each_decode_of_a_wire_gets_its_own_params():
     first.params["req"] = "tampered"
     first.params.clear()
     assert parse_message(wire) == SVC_REPLY
-    assert wire.params == SVC_REPLY.params
+    assert wire.memo == SVC_REPLY.params
 
 
 def test_decode_envelope_scans_plain_text():
