@@ -6,7 +6,7 @@ supervisor pair.  This package throws those workloads at the simulated
 station and checks, live off the event stream, that the recovery machinery
 keeps its promises no matter what.
 
-* :mod:`repro.chaos.scenarios` — composable, seed-reproducible
+* :mod:`repro.chaos.scenarios` — seed-reproducible
   :class:`~repro.chaos.scenarios.Scenario` objects (the adversarial
   schedules);
 * :mod:`repro.chaos.invariants` — the

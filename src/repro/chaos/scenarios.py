@@ -1,4 +1,4 @@
-"""Adversarial fault schedules as composable, seed-reproducible objects.
+"""Adversarial fault schedules as seed-reproducible objects.
 
 A :class:`Scenario` is a *recipe*; calling :meth:`Scenario.build` with a
 named RNG stream and the station's component list produces a concrete
@@ -69,7 +69,6 @@ engine counts those injections as *skipped* rather than failing.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -176,7 +175,7 @@ PlanBuilder = Callable[[random.Random, Tuple[str, ...]], ScenarioPlan]
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, composable chaos recipe.
+    """A named chaos recipe.
 
     ``station_overrides`` are :class:`~repro.mercury.config.StationConfig`
     field overrides the engine applies before building the station (e.g.
@@ -236,84 +235,6 @@ class Scenario:
             net_ops=net_ops,
             store_ops=store_ops,
         )
-
-
-def compose(name: str, scenarios: Sequence[Scenario], gap: float = 20.0) -> Scenario:
-    """Sequence several scenarios into one (each offset past the previous).
-
-    Child plans are built from child-derived RNGs in order, so composition
-    is itself seed-reproducible; groups are the union (first occurrence
-    wins on duplicates).
-    """
-    if not scenarios:
-        raise ValueError("compose needs at least one scenario")
-
-    def build(rng: random.Random, components: Tuple[str, ...]) -> ScenarioPlan:
-        injections = []
-        groups = []
-        net_ops = []
-        store_ops = []
-        seen_groups = set()
-        offset = 0.0
-        for scenario in scenarios:
-            child_rng = random.Random(rng.random())
-            plan = scenario.build(child_rng, components)
-            for injection in plan.injections:
-                injections.append(
-                    Injection(
-                        at=offset + injection.at,
-                        component=injection.component,
-                        cure_set=injection.cure_set,
-                        kind=injection.kind,
-                    )
-                )
-            for op in plan.net_ops:
-                net_ops.append(dataclasses.replace(op, at=offset + op.at))
-            for op in plan.store_ops:
-                store_ops.append(dataclasses.replace(op, at=offset + op.at))
-            for group in plan.groups:
-                if group.members not in seen_groups:
-                    seen_groups.add(group.members)
-                    groups.append(group)
-            offset += plan.horizon + gap
-        return ScenarioPlan(
-            injections=tuple(injections),
-            groups=tuple(groups),
-            horizon=offset,
-            net_ops=tuple(net_ops),
-            store_ops=tuple(store_ops),
-        )
-
-    # Overrides union with first occurrence winning (like groups) — children
-    # are sequenced, and the station is built once for the whole composition.
-    overrides = []
-    seen_keys = set()
-    for scenario in scenarios:
-        for key, value in scenario.station_overrides:
-            if key not in seen_keys:
-                seen_keys.add(key)
-                overrides.append((key, value))
-    store_faults = []
-    seen_fault_keys = set()
-    default_strategy = None
-    for scenario in scenarios:
-        for key, value in scenario.store_faults:
-            if key not in seen_fault_keys:
-                seen_fault_keys.add(key)
-                store_faults.append((key, value))
-        if default_strategy is None and scenario.default_strategy is not None:
-            default_strategy = scenario.default_strategy
-    description = " then ".join(s.name for s in scenarios)
-    return Scenario(
-        name=name,
-        description=f"composition: {description}",
-        builder=build,
-        station_overrides=tuple(overrides),
-        uses_network=any(s.uses_network for s in scenarios),
-        uses_store=any(s.uses_store for s in scenarios),
-        default_strategy=default_strategy,
-        store_faults=tuple(store_faults),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -119,10 +119,6 @@ class RestartPolicy:
             if episode.state not in ("closed", "abandoned")
         ]
 
-    def replace_tree(self, tree: RestartTree) -> None:
-        """Swap the restart tree (online tree evolution)."""
-        self.tree = tree
-
     # ------------------------------------------------------------------
     # decision entry points
     # ------------------------------------------------------------------

@@ -217,9 +217,6 @@ class RecoveryStrategy(ABC):
         """
         return None
 
-    def describe(self) -> str:
-        return self.name
-
 
 class RestartStrategy(RecoveryStrategy):
     """The paper's mechanism: cold-start the cell's whole restart group."""
@@ -464,24 +461,6 @@ class StrategyMap:
         self._kinds: Dict[str, str] = dict(kinds or {})
         self._cell_kinds: Dict[Tuple[str, str], str] = dict(cell_kinds or {})
 
-    def assign(
-        self,
-        strategy: str,
-        cell_id: Optional[str] = None,
-        failure_kind: Optional[str] = None,
-    ) -> "StrategyMap":
-        """Add an override (chainable).  With neither key, set the default."""
-        get_strategy(strategy)
-        if cell_id is not None and failure_kind is not None:
-            self._cell_kinds[(cell_id, failure_kind)] = strategy
-        elif cell_id is not None:
-            self._cells[cell_id] = strategy
-        elif failure_kind is not None:
-            self._kinds[failure_kind] = strategy
-        else:
-            self._default = strategy
-        return self
-
     def select(
         self,
         cell_id: str,
@@ -503,13 +482,3 @@ class StrategyMap:
         if oracle_hint is not None:
             return oracle_hint
         return RestartStrategy.name
-
-    def describe(self) -> str:
-        parts = [f"default={self._default or RestartStrategy.name}"]
-        for cell, name in sorted(self._cells.items()):
-            parts.append(f"{cell}={name}")
-        for kind, name in sorted(self._kinds.items()):
-            parts.append(f"kind:{kind}={name}")
-        for (cell, kind), name in sorted(self._cell_kinds.items()):
-            parts.append(f"{cell}/{kind}={name}")
-        return ", ".join(parts)

@@ -263,23 +263,13 @@ class RestartTree:
         raise TreeError("root must cover all components")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    # structural equality & validation
+    # structural equality
     # ------------------------------------------------------------------
 
     def structurally_equal(self, other: "RestartTree") -> bool:
         """Whether the trees have identical shape, cell ids and component
         attachments (the tree's name and history are not compared)."""
         return _cells_equal(self.root, other.root)
-
-    def validate_complete(self, expected_components: Iterable[str]) -> None:
-        """Assert the tree covers exactly the expected component set."""
-        expected = frozenset(expected_components)
-        if expected != self.components:
-            missing = sorted(expected - self.components)
-            extra = sorted(self.components - expected)
-            raise TreeError(
-                f"tree {self.name!r} coverage mismatch: missing={missing}, extra={extra}"
-            )
 
     def with_name(self, name: str, note: Optional[str] = None) -> "RestartTree":
         """Copy of this tree with a new name (and optional history entry)."""

@@ -88,21 +88,3 @@ class CurabilityProfile:
                 return FailureDescriptor(component, cure, at, kind)
         # Floating-point tail: fall through to the last alternative.
         return FailureDescriptor(component, alternatives[-1][1], at, kind)
-
-    def f_value(self, cure_set: Iterable[str]) -> float:
-        """Aggregate ``f`` for a cure set: P(minimal cure set == cure_set).
-
-        Computed across all manifest components weighted uniformly, this is
-        the quantity the transformation guidance in §4 reasons about for the
-        pair heuristics (``f_A``, ``f_B``, ``f_AB``).
-        """
-        wanted = frozenset(cure_set)
-        if not self._alternatives:
-            return 0.0
-        weight = 1.0 / len(self._alternatives)
-        total = 0.0
-        for alternatives in self._alternatives.values():
-            for probability, cure in alternatives:
-                if cure == wanted:
-                    total += weight * probability
-        return total

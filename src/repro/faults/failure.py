@@ -43,24 +43,7 @@ CRASH_KINDS = frozenset(
 #: it.  The injector degrades the process instead of killing it.
 FAIL_SLOW_KINDS = frozenset({"hang", "zombie"})
 
-_known_kinds = set(CRASH_KINDS | FAIL_SLOW_KINDS)
-
-
-def known_failure_kinds() -> FrozenSet[str]:
-    """The currently declared failure kinds."""
-    return frozenset(_known_kinds)
-
-
-def register_failure_kind(kind: str) -> str:
-    """Declare an additional failure kind (for experiment extensions).
-
-    Descriptor construction validates against the declared set so a typo'd
-    kind fails loudly instead of silently matching no injector branch.
-    """
-    if not kind or not isinstance(kind, str):
-        raise ValueError(f"failure kind must be a non-empty string, got {kind!r}")
-    _known_kinds.add(kind)
-    return kind
+_known_kinds = CRASH_KINDS | FAIL_SLOW_KINDS
 
 
 @dataclass(frozen=True)
@@ -80,8 +63,7 @@ class FailureDescriptor:
         Simulated time of (first) injection.
     kind:
         One of the declared failure kinds (:data:`CRASH_KINDS` |
-        :data:`FAIL_SLOW_KINDS`, or anything added via
-        :func:`register_failure_kind`).  Crash kinds kill the process;
+        :data:`FAIL_SLOW_KINDS`).  Crash kinds kill the process;
         fail-slow kinds (``"hang"``, ``"zombie"``) degrade it in place.
     induced_by:
         For correlation-induced failures, the id of the provoking failure.
@@ -103,7 +85,7 @@ class FailureDescriptor:
         if self.kind not in _known_kinds:
             raise ValueError(
                 f"unknown failure kind {self.kind!r}; declared kinds are "
-                f"{sorted(_known_kinds)} (extend via register_failure_kind)"
+                f"{sorted(_known_kinds)}"
             )
 
     def is_cured_by(self, restarted: FrozenSet[str]) -> bool:

@@ -116,10 +116,6 @@ class Antenna:
         self.last_pointed_at = self.kernel.now
         self.point_count += 1
 
-    def is_tracking(self, now: SimTime, staleness: SimTime = 5.0) -> bool:
-        """Whether the antenna received a pointing update recently."""
-        return self.last_pointed_at is not None and now - self.last_pointed_at <= staleness
-
 
 class GroundStationHardware:
     """Bundle of the station's hardware, shared by the components."""

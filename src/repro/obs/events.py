@@ -26,7 +26,7 @@ attribute check, preserving the hot-loop fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional
 
 from repro.errors import SimulationError
 
@@ -115,10 +115,6 @@ class EventRegistry:
     def is_registered(self, kind: str) -> bool:
         """Whether ``kind`` has been declared."""
         return kind in self._specs
-
-    def by_layer(self, layer: str) -> List[EventSpec]:
-        """Specs owned by one layer, in declaration order."""
-        return [spec for spec in self._specs.values() if spec.layer == layer]
 
     def validate(self, kind: str, data: Mapping[str, Any]) -> None:
         """Check one emitted event against its declared schema."""

@@ -169,11 +169,6 @@ class Trace:
         self._refresh_wanted()
         return sink
 
-    def remove_sink(self, sink: Sink) -> None:
-        """Detach a previously attached sink."""
-        self._sinks.remove(sink)
-        self._refresh_wanted()
-
     def _refresh_wanted(self) -> None:
         wanted: FrozenSet[str] = frozenset()
         for sink in self._sinks:

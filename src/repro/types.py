@@ -8,16 +8,9 @@ pulling in any machinery.
 from __future__ import annotations
 
 import enum
-from typing import NewType
 
 #: Simulated time, in seconds since the start of the simulation.
 SimTime = float
-
-#: Name of a software component (e.g. ``"mbus"``, ``"fedr"``).
-ComponentName = NewType("ComponentName", str)
-
-#: Identifier of a restart cell in a restart tree (e.g. ``"R_ses_str"``).
-CellId = NewType("CellId", str)
 
 
 class Severity(enum.Enum):

@@ -105,11 +105,6 @@ class UserEffects:
         return self.requests_ok / self.elapsed_s if self.elapsed_s else 0.0
 
     @property
-    def offered_rps(self) -> float:
-        """Requests issued per simulated second (open-loop offered load)."""
-        return self.requests_offered / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
     def session_loss_ratio(self) -> float:
         """Fraction of started sessions that died mid-chain."""
         return (

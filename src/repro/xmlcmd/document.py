@@ -77,11 +77,6 @@ class Element:
         """All direct children with the given tag."""
         return [child for child in self.children if child.tag == tag]
 
-    def child_text(self, tag: str, default: str = "") -> str:
-        """Text content of the first child with the given tag."""
-        child = self.find(tag)
-        return child.text if child is not None else default
-
     def iter(self) -> Iterator["Element"]:
         """Depth-first iteration over this element and all descendants."""
         yield self

@@ -198,7 +198,7 @@ def parse_xml(text: str) -> Element:
     trailing content after the document element.
 
     >>> doc = parse_xml('<msg type="ping"><from>fd</from></msg>')
-    >>> doc.tag, doc.get('type'), doc.child_text('from')
+    >>> doc.tag, doc.get('type'), doc.find('from').text
     ('msg', 'ping', 'fd')
     """
     pos = _skip_misc(text, 0)

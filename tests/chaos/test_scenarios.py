@@ -9,7 +9,6 @@ from repro.chaos.scenarios import (
     Injection,
     Scenario,
     ScenarioPlan,
-    compose,
     get_scenario,
 )
 
@@ -92,29 +91,6 @@ def test_build_rejects_negative_times():
         bad.build(random.Random(1), SPLIT)
 
 
-def test_compose_offsets_and_dedupes():
-    combo = compose("combo", [SCENARIOS["cascade"], SCENARIOS["cascade"]], gap=20.0)
-    plan = combo.build(random.Random(3), SPLIT)
-    single = SCENARIOS["cascade"].build(random.Random(3), SPLIT)
-    assert len(plan.injections) == 2 * len(single.injections)
-    # Second copy's injections all land after the first copy's horizon.
-    second_half = plan.injections[len(single.injections) :]
-    assert all(i.at >= single.horizon + 20.0 for i in second_half)
-    # The shared-fate group appears once, not twice.
-    assert len(plan.groups) == 1
-    assert plan.horizon == 2 * (single.horizon + 20.0)
-
-
-def test_compose_is_deterministic():
-    combo = compose("combo", [SCENARIOS["storm"], SCENARIOS["mixed"]])
-    assert combo.build(random.Random(5), SPLIT) == combo.build(random.Random(5), SPLIT)
-
-
-def test_compose_rejects_empty():
-    with pytest.raises(ValueError):
-        compose("empty", [])
-
-
 # ----------------------------------------------------------------------
 # network ops (the lossy fault fabric riding on scenario plans)
 # ----------------------------------------------------------------------
@@ -167,14 +143,3 @@ def test_zombie_fleet_is_pure_fail_slow():
     assert not SCENARIOS["zombie-fleet"].uses_network
     kinds = {injection.kind for injection in plan.injections}
     assert kinds <= {"hang", "zombie"}
-
-
-def test_compose_offsets_net_ops_and_unions_overrides():
-    combo = compose("net-combo", [SCENARIOS["lossy"], SCENARIOS["lossy"]], gap=10.0)
-    assert combo.uses_network
-    assert dict(combo.station_overrides)["timeout_policy"] == "adaptive"
-    plan = combo.build(random.Random(4), SPLIT)
-    single = SCENARIOS["lossy"].build(random.Random(4), SPLIT)
-    assert len(plan.net_ops) == 2 * len(single.net_ops)
-    second_half = plan.net_ops[len(single.net_ops):]
-    assert all(op.at >= single.horizon + 10.0 for op in second_half)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.oracle import LearningOracle, NaiveOracle
 from repro.core.policy import RestartPolicy
-from repro.mercury.trees import tree_ii, tree_iii
+from repro.mercury.trees import tree_iii
 
 
 def make_policy(tree=None, oracle=None, **kw):
@@ -160,13 +160,6 @@ def test_learning_oracle_gets_outcomes():
     assert estimates["R_fedr_pbcom"] == 1.0
     # Next time the oracle jumps straight to the joint cell.
     assert policy.report_failure("pbcom", now=60.0).cell_id == "R_fedr_pbcom"
-
-
-def test_replace_tree_swaps_structure():
-    policy = make_policy(tree_ii())
-    assert policy.report_failure("fedrcom", now=0.0).cell_id == "R_fedrcom"
-    policy.replace_tree(tree_iii())
-    assert policy.report_failure("pbcom", now=1.0).cell_id == "R_pbcom"
 
 
 def test_invalid_budget_rejected():

@@ -39,14 +39,14 @@ def _tree():
 class Rig:
     """Three processes, an injector, and an engine with a bare lifecycle feed."""
 
-    def __init__(self, kernel, manager, *, oracle=None, work=1.0, **engine_kwargs):
+    def __init__(self, kernel, manager, *, oracle=None, work=1.0, tree=None, **engine_kwargs):
         self.kernel, self.manager = kernel, manager
         for name in ("a", "b", "c"):
             spawn_simple(manager, name, work=work)
         manager.start_all()
         kernel.run()
         self.injector = FaultInjector(kernel, manager)
-        self.policy = RestartPolicy(_tree(), oracle or PerfectOracle(manager))
+        self.policy = RestartPolicy(tree or _tree(), oracle or PerfectOracle(manager))
         self.announced = []
         self.engine = RecoveryEngine(
             kernel, manager, self.policy, name="engine",
@@ -277,13 +277,13 @@ def test_member_killed_while_starting_is_rekicked_at_once(kernel, manager):
 
 
 def test_ready_member_that_dies_mid_batch_leaves_ready_and_is_rekicked(kernel, manager):
-    rig = Rig(kernel, manager, work=5.0)
+    pair = RestartTree(cell("root", children=[
+        cell("R_pair", ["a", "slow"]), cell("R_b", ["b"]), cell("R_c", ["c"]),
+    ]), name="rig")
+    rig = Rig(kernel, manager, work=5.0, tree=pair)
     spawn_simple(manager, "slow", work=20.0)
     manager.start("slow")
     kernel.run(until=kernel.now + 20.0)
-    rig.policy.replace_tree(RestartTree(cell("root", children=[
-        cell("R_pair", ["a", "slow"]), cell("R_b", ["b"]), cell("R_c", ["c"]),
-    ]), name="rig"))
     rig.fail("a")  # R_pair: a is back after 5 s, slow after 20 s
     kernel.run(until=kernel.now + 8.0)
     assert "a" in rig.engine.action.ready

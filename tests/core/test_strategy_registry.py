@@ -300,21 +300,6 @@ def test_strategy_map_rejects_typos_at_construction():
         StrategyMap(default="restrat")
     with pytest.raises(KeyError, match="unknown recovery strategy"):
         StrategyMap(cells={"R_a": "microboot"})
-    with pytest.raises(KeyError, match="unknown recovery strategy"):
-        StrategyMap().assign("bogus", cell_id="R_a")
-
-
-def test_strategy_map_assign_is_chainable():
-    sm = (
-        StrategyMap()
-        .assign("microreboot")
-        .assign("bisect", failure_kind="zombie")
-        .assign("restart", cell_id="R_a", failure_kind="crash")
-    )
-    assert sm.select("R_b", "crash") == "microreboot"
-    assert sm.select("R_b", "zombie") == "bisect"
-    assert sm.select("R_a", "crash") == "restart"
-    assert "default=microreboot" in sm.describe()
 
 
 # ----------------------------------------------------------------------

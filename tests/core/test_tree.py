@@ -139,14 +139,6 @@ def test_structural_equality(figure2):
     assert not figure2.structurally_equal(different)
 
 
-def test_validate_complete(figure2):
-    figure2.validate_complete(["A", "B", "C"])
-    with pytest.raises(TreeError):
-        figure2.validate_complete(["A", "B"])
-    with pytest.raises(TreeError):
-        figure2.validate_complete(["A", "B", "C", "D"])
-
-
 def test_with_name_records_history(figure2):
     renamed = figure2.with_name("fig2-v2", note="renamed for test")
     assert renamed.name == "fig2-v2"

@@ -58,17 +58,6 @@ def test_components_listing():
     assert profile.components() == ["a", "b"]
 
 
-def test_f_value_aggregation():
-    profile = (
-        CurabilityProfile()
-        .set_alternatives("fedr", [(0.9, ["fedr"]), (0.1, ["fedr", "pbcom"])])
-        .set_alternatives("pbcom", [(0.5, ["pbcom"]), (0.5, ["fedr", "pbcom"])])
-    )
-    assert profile.f_value(["fedr", "pbcom"]) == pytest.approx(0.5 * 0.1 + 0.5 * 0.5)
-    assert profile.f_value(["fedr"]) == pytest.approx(0.45)
-    assert profile.f_value(["ghost"]) == 0.0
-
-
 @given(
     p=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(0, 2**16),

@@ -64,26 +64,3 @@ def test_unknown_kind_rejected():
 def test_fail_slow_kinds_accepted():
     assert FailureDescriptor.simple("rtu", at=0.0, kind="hang").kind == "hang"
     assert FailureDescriptor.simple("rtu", at=0.0, kind="zombie").kind == "zombie"
-
-
-def test_register_failure_kind_extends_the_set():
-    from repro.faults.failure import known_failure_kinds, register_failure_kind
-
-    assert "brownout" not in known_failure_kinds()
-    register_failure_kind("brownout")
-    try:
-        assert FailureDescriptor.simple("rtu", at=0.0, kind="brownout").kind == (
-            "brownout"
-        )
-    finally:
-        # Leave the declared set as we found it for other tests.
-        from repro.faults import failure as failure_module
-
-        failure_module._known_kinds.discard("brownout")
-
-
-def test_register_failure_kind_rejects_empty():
-    from repro.faults.failure import register_failure_kind
-
-    with pytest.raises(ValueError):
-        register_failure_kind("")

@@ -83,15 +83,6 @@ def test_antenna_rejects_out_of_range(kernel):
         antenna.point(0.0, 95.0, by="str")
 
 
-def test_antenna_tracking_staleness(kernel):
-    antenna = Antenna(kernel)
-    assert not antenna.is_tracking(kernel.now)
-    antenna.point(10.0, 10.0, by="str")
-    assert antenna.is_tracking(kernel.now)
-    assert antenna.is_tracking(kernel.now + 4.0)
-    assert not antenna.is_tracking(kernel.now + 6.0)
-
-
 def test_hardware_bundle(kernel):
     hardware = GroundStationHardware(kernel)
     assert hardware.serial.holder is None

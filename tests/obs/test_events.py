@@ -50,12 +50,6 @@ def test_duplicate_declaration_rejected():
         registry.register("x", "test")
 
 
-def test_by_layer_partitions_declaration_order():
-    faults = ev.REGISTRY.by_layer("faults")
-    assert [s.kind for s in faults][:2] == [ev.FAILURE_INJECTED, ev.FAILURE_CURED]
-    assert all(s.layer == "faults" for s in faults)
-
-
 def test_validate_missing_required_key():
     with pytest.raises(ObsValidationError, match="missing required"):
         ev.REGISTRY.validate(ev.DETECTION, {})

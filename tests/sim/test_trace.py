@@ -23,7 +23,6 @@ UNVALIDATED = {
             "test_capacity_still_feeds_sinks",
             "test_disabled_trace_retains_nothing",
             "test_sinks_receive_records_even_while_disabled",
-            "test_remove_sink_stops_delivery",
             "test_kinds_is_a_promise_not_a_filter",
             "test_format_renders_fields",
             "test_dump_limits_lines",
@@ -145,19 +144,6 @@ def test_sinks_receive_records_even_while_disabled(kernel):
     assert len(trace.records) == 1  # ring still skipped while disabled
 
 
-def test_remove_sink_stops_delivery(kernel):
-    from repro.obs.sinks import CallbackSink
-
-    trace = kernel.trace
-    seen = []
-    sink = trace.add_sink(CallbackSink(seen.append))
-    trace.emit("s", "evt", n=1)
-    trace.remove_sink(sink)
-    trace.emit("s", "evt", n=2)
-    assert [r.data["n"] for r in seen] == [1]
-    assert trace.sinks == []
-
-
 # ----------------------------------------------------------------------
 # declared interest: a disabled trace builds a record only for a sink that
 # asked for its kind
@@ -195,14 +181,6 @@ def test_a_sink_that_reads_everything_restores_full_delivery(kernel, built):
     trace.emit("procmgr", ev.PROCESS_READY, name="fedr")
     assert [r.kind for r in seen] == [ev.BUS_CONNECTED, ev.PROCESS_READY]
     assert len(built) == 2
-    trace.remove_sink(everything)  # narrows to the tracker's kinds again
-    assert trace.emit("fedr", ev.BUS_CONNECTED) is None
-    assert trace.emit("procmgr", ev.PROCESS_READY, name="fedr") is not None
-    assert len(seen) == 2 and len(built) == 3
-    for sink in trace.sinks:
-        trace.remove_sink(sink)  # no sinks: the empty set, nothing is built
-    assert trace.emit("procmgr", ev.PROCESS_READY, name="fedr") is None
-    assert len(built) == 3
 
 
 def test_kinds_is_a_promise_not_a_filter(kernel):

@@ -3,10 +3,11 @@ front door reaches.
 
 Only code that runs all the time can be relied on, so a module is either
 reached by import from ``repro.cli`` or listed below with the roadmap item
-that owns wiring it in; a public top-level class or function is either
-referenced outside its own definition or listed with who uses it.  Adding
-an island is a deliberate edit here, not a side effect of leaving code
-behind.
+that owns wiring it in; a public name (a top-level class, function or
+assigned name such as a constant, or a method or property of a top-level
+class) is either referenced outside its own definition or listed with the
+reason it stays.  Adding an island is a deliberate edit here, not a side
+effect of leaving code behind.
 
 The graph is static and follows what a statement names, not what importing
 a package executes: ``from repro.pkg import Name`` is an edge to the module
@@ -22,8 +23,9 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: Unreached modules, each with its owner.  This is the to-do list of
-#: ROADMAP item 5(a): a module leaves when its item wires it in.
+#: Unreached modules, each with its owner.  DESIGN.md's inventory rule
+#: (section 6) keeps this empty: a module no front door reaches is wired in
+#: or deleted, and ROADMAP item 32 owns any that appear.
 ISLAND_MODULES = {}
 
 #: Where a reference to a public name may live (tests do not count: a name
@@ -31,19 +33,38 @@ ISLAND_MODULES = {}
 REFERENCE_DIRS = ("src", "bench", "benchmarks", "examples", "tools")
 
 #: Public names nothing in REFERENCE_DIRS mentions outside their definition,
-#: each with who uses it.  "tests only" is a candidate for the next deletion.
+#: each with the reason it stays.  Whoever adds an entry writes its reason:
+#: "test-side API" is a name a test reads product state through (deleting it
+#: would weaken that test or move product code into it); "reference" is an
+#: analytic reference or model output a test or document checks against.
 ISLAND_NAMES = {
-    "repro.chaos.scenarios.compose": "test-side API: tests/chaos builds its composed scenarios with it",
+    "repro.analysis.model.SystemModel.probability_failure_free": "reference: the section 5.2 P(failure-free pass) that DESIGN.md's analysis row names",
+    "repro.core.policy.RestartPolicy.restarts_in_window": "test-side API: how the engine and policy tests read a component's restart budget",
+    "repro.core.tree.RestartTree.structurally_equal": "test-side API: how the tree and snapshot tests compare a tree's shape",
+    "repro.experiments.availability.AvailabilityResult.phase_summary": "test-side API: test_long_runs reads an availability cell's phase table through it",
+    "repro.experiments.metrics.UptimeTracker.component_downtime": "test-side API: a figure test_metrics' differential compares",
+    "repro.experiments.metrics.UptimeTracker.observed_mttf": "test-side API: a figure test_metrics' differential compares",
+    "repro.experiments.recovery.RecoveryResult.phase_summary": "test-side API: test_recovery checks the phase table against the sampled totals through it",
     "repro.experiments.snapshot.template_count": "test-side API: how tests see a template hit or miss",
     "repro.experiments.template_store.install_blobs": "test-side API: the picklable pool initializer of the store tests",
-    "repro.faults.distributions.Deterministic": "library API: a fixed lifetime, the distribution tests' reference",
-    "repro.faults.distributions.LogNormal": "library API: DESIGN.md section 3 lists it; no station config selects it",
-    "repro.faults.distributions.Weibull": "library API: the aging lifetime of DESIGN.md section 3; no station config selects it",
-    "repro.faults.failure.known_failure_kinds": "test-side API: reads the failure-kind table",
-    "repro.faults.failure.register_failure_kind": "library API: the extension point Failure's own error message names",
+    "repro.faults.distributions.Deterministic": "reference: a fixed lifetime, the distribution and injector tests' reference",
+    "repro.faults.distributions.LogNormal": "reference: a lifetime DESIGN.md section 3 lists; no station config selects it",
+    "repro.faults.distributions.Weibull": "reference: the aging lifetime of DESIGN.md section 3; no station config selects it",
+    "repro.faults.store_faults.StoreFaultModel.down_mode": "test-side API: how the store-fault tests read which outage is live",
+    "repro.mercury.orbit.Satellite.expected_passes_per_day": "reference: the orbit tests' analytic pass rate",
+    "repro.mercury.trees.SPLIT_COMPONENTS": "reference: the split generation's component set, twin of UNSPLIT_COMPONENTS",
+    "repro.obs.events.EventRegistry.is_registered": "test-side API: how the event tests ask whether a kind is declared",
     "repro.obs.events.set_validation": "test-side API: tests/conftest.py validates every emit with it",
     "repro.obs.events.validation_enabled": "test-side API: reads the switch set_validation sets",
     "repro.obs.sinks.CallbackSink": "test-side API: four test suites watch a trace with it",
+    "repro.procmgr.contention.StartupContention.active_count": "test-side API: how the contention tests count concurrent starts",
+    "repro.procmgr.contention.StartupContention.is_starting": "test-side API: how the contention tests see a start in the pool",
+    "repro.sim.kernel.Kernel.stopped": "test-side API: the stepping reference in tests/differential.py reads it",
+    "repro.transport.network.Network.dials_parked": "test-side API: how tests count parked dials, which hold no kernel event",
+    "repro.transport.network.Network.is_bound": "test-side API: how tests see an address is listening",
+    "repro.transport.network.NetworkFaultModel.heal": "reference: part of the fault alphabet of test_flat_transport_property's model",
+    "repro.transport.network.NetworkFaultModel.restore": "reference: part of the fault alphabet of test_flat_transport_property's model",
+    "repro.workload.plane.WorkloadPlane.in_flight": "test-side API: how tests count requests, whose deadlines hold no kernel event",
 }
 
 
@@ -117,11 +138,31 @@ def _identifiers(tree, skip_import_names=False):
     return counts
 
 
+def _definitions(tree):
+    """``(dotted name within the module, name, defining node)`` for each
+    top-level class, function and assigned name of a module, and each method
+    and property of its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    yield f"{node.name}.{member.name}", member.name, member
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield name.id, name.id, node
+
+
 def unreferenced_names(root, package, reference_dirs):
-    """Public top-level classes and functions of ``package``'s non-``__init__``
-    modules that nothing under ``reference_dirs`` names outside the
-    definition itself, as sorted dotted names.  An ``__init__`` re-export is
-    not a reference; a use elsewhere in the defining module is."""
+    """Public names of ``package``'s non-``__init__`` modules (see
+    :func:`_definitions`) that nothing under ``reference_dirs`` names
+    outside the definition itself, as sorted dotted names.  Dunder and
+    ``_``-prefixed names are not checked.  An ``__init__`` re-export is not a
+    reference; a use elsewhere in the defining module is."""
     used = collections.Counter()
     for top in reference_dirs:
         for path in (root / top).rglob("*.py"):
@@ -129,13 +170,11 @@ def unreferenced_names(root, package, reference_dirs):
             used += _identifiers(tree, skip_import_names=path.name == "__init__.py")
     modules, packages = parse_package(root / "src", package)
     return sorted(
-        f"{module}.{node.name}"
+        f"{module}.{dotted}"
         for module, tree in modules.items()
         if module not in packages
-        for node in tree.body
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-        and not node.name.startswith("_")
-        and used[node.name] <= _identifiers(node)[node.name]
+        for dotted, name, node in _definitions(tree)
+        if not name.startswith("_") and used[name] <= _identifiers(node)[name]
     )
 
 
@@ -147,7 +186,7 @@ def test_every_public_name_is_referenced_or_listed():
     islands = [
         name
         for name in unreferenced_names(ROOT, "repro", REFERENCE_DIRS)
-        if name.rpartition(".")[0] not in ISLAND_MODULES
+        if not any(name.startswith(f"{module}.") for module in ISLAND_MODULES)
     ]
     assert islands == sorted(ISLAND_NAMES)
 
@@ -171,11 +210,42 @@ def test_an_island_in_a_synthetic_package_is_reported(tmp_path):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("from pkg.used import helper\nfrom pkg.island import Lonely\n")
     (package / "cli.py").write_text("def main():\n    from pkg import helper\n    return helper()\n")
-    (package / "used.py").write_text("def helper():\n    return 1\n\ndef spare():\n    return spare\n")
+    (package / "used.py").write_text(
+        "LIMIT = 3\n"
+        "SPARE_LIMIT = LIMIT\n"
+        "_PRIVATE = 4\n"
+        "\n"
+        "def helper():\n"
+        "    return Tool().run() + Tool().size\n"
+        "\n"
+        "def spare():\n"
+        "    return spare\n"
+        "\n"
+        "class Tool:\n"
+        "    def __init__(self):\n"
+        "        self.n = LIMIT\n"
+        "\n"
+        "    def run(self):\n"
+        "        return self.n\n"
+        "\n"
+        "    def idle(self):\n"
+        "        return self.idle\n"
+        "\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "\n"
+        "    @property\n"
+        "    def weight(self):\n"
+        "        return 2\n"
+    )
     (package / "island.py").write_text("class Lonely:\n    pass\n")
     assert unreached_modules(tmp_path / "src", "pkg", "pkg.cli") == ["pkg.island"]
     assert unreferenced_names(tmp_path, "pkg", ("src",)) == [
         "pkg.cli.main",
         "pkg.island.Lonely",
+        "pkg.used.SPARE_LIMIT",
+        "pkg.used.Tool.idle",
+        "pkg.used.Tool.weight",
         "pkg.used.spare",
     ]
