@@ -17,9 +17,8 @@ from repro.xmlcmd.commands import (
     CommandMessage,
     Message,
     encode_message,
-    received_message,
+    parse_message,
 )
-from repro.xmlcmd.fastpath import decode_envelope
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
@@ -134,10 +133,10 @@ class BusClient:
         self._handlers.append(handler)
 
     def _on_raw(self, raw: str) -> None:
-        # A wire the decoder refuses takes the full parse, so malformed
-        # traffic is dropped at delivery.
+        # A ``Wire`` decodes from its memo, plain text through the parser,
+        # so malformed traffic is dropped at delivery.
         try:
-            message = received_message(raw, decode_envelope(raw))
+            message = parse_message(raw)
         except XmlError:
             return
         if self.retain_messages:

@@ -27,7 +27,7 @@ from repro.xmlcmd.commands import (
     PingReply,
     encode_message,
     envelope_of,
-    received_message,
+    parse_message,
 )
 from repro.xmlcmd.fastpath import Envelope, decode_envelope, encode_ping_wire
 
@@ -243,7 +243,7 @@ class BusAttachedBehavior(Behavior):
         try:
             # A vouched wire cannot raise here: the full parser is
             # guaranteed to accept it.
-            message = received_message(raw, env)
+            message = parse_message(raw)
         except XmlError as error:
             self.trace(ev.BAD_MESSAGE, severity=Severity.WARNING, error=str(error))
             return

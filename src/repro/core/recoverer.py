@@ -219,8 +219,8 @@ class RecoveryModule(Behavior):
             handler(self, message)
 
     def _on_ctl_ping(self, message: PingRequest) -> None:
-        # Non-canonical wire forms miss the templated split above but mean
-        # the same thing.
+        # A ping only the parser could judge (entities, children) misses
+        # the envelope above but means the same thing.
         self._ctl_send(PingReply(sender=self.name, target=message.sender, seq=message.seq))
 
     def _on_ctl_failure_report(self, message: FailureReport) -> None:

@@ -566,8 +566,8 @@ class FailureDetector(BusAttachedBehavior):
 
     def on_message(self, message: Message) -> None:
         if isinstance(message, PingReply):
-            # Non-canonical wire forms (different spacing/attribute order)
-            # miss the fast path above but mean the same thing.
+            # A ping reply only the parser could judge (entities,
+            # children) misses the envelope above but means the same thing.
             self._on_ping_reply(message.sender, message.seq)
             return
         info = probe_reply_info(message)

@@ -18,8 +18,8 @@ This package provides:
 * :mod:`repro.xmlcmd.fastpath` — the wire-level codec (templated ping and
   command encode that vouches for its own clean output, failure-report and
   restart-order encode vouched with the message itself, one envelope
-  decode per hop for routing and delivery, regex-level ping and command
-  decode of plain text), bit-compatible with the full parse/serialize
+  decode per hop for routing and delivery, and the envelope scan that
+  routes plain text), bit-compatible with the full parse/serialize
   pipeline, which remains the fallback and the test oracle (DESIGN.md §8).
 
 The point of carrying real (parsed, validated) XML through the simulated

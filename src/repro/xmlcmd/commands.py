@@ -4,8 +4,8 @@ Every message on the software bus (and on the dedicated FD↔REC channel) is
 one of the ``NamedTuple`` classes below, serialized as a ``<msg type="...">``
 document.  ``parse_message`` is the single entry point for decoding; it
 validates the schema and raises :class:`~repro.errors.CommandSchemaError` on
-violations, so components never dispatch on malformed input.
-:func:`received_message` is the receive sites' door to it.
+violations, so components never dispatch on malformed input.  Every
+receive site decodes through it.
 
 A message is immutable and compares *class-strictly*: a ``PingRequest``
 never equals a ``PingReply``, an ``Envelope`` or a bare tuple with the same
@@ -19,9 +19,9 @@ that came out of the encoder vouched (a
 :class:`~repro.xmlcmd.fastpath.Wire`) is decoded from the encoder's memo
 without reading its text.  The generic pipeline (``to_element`` →
 ``serialize_xml``, ``parse_xml`` → ``message_from_element``) carries
-telemetry, every wire the encoders would not vouch for, every
-non-canonical spelling, and is the oracle the codec tests compare against
-(:func:`parse_message_full`).
+telemetry, every wire the encoders would not vouch for and all other
+plain text — the only decoder for text from outside the station — and is
+the oracle the codec tests compare against (:func:`parse_message_full`).
 
 Wire format examples::
 
@@ -36,20 +36,17 @@ Wire format examples::
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, NamedTuple, Optional, Union, get_args
+from typing import Dict, NamedTuple, Union, get_args
 
 from repro.errors import CommandSchemaError
 from repro.xmlcmd.document import Element
 from repro.xmlcmd.fastpath import (
     Envelope,
     Wire,
-    command_params,
     encode_command_wire,
     encode_order_wire,
     encode_ping_wire,
     encode_report_wire,
-    split_command_wire,
-    split_ping_wire,
 )
 from repro.xmlcmd.parser import parse_xml
 from repro.xmlcmd.serializer import serialize_xml
@@ -311,13 +308,9 @@ def parse_message(text: str) -> Message:
 
     A :class:`~repro.xmlcmd.fastpath.Wire` is rebuilt from its encoder's
     memo without reading the text (a failure report's or restart order's
-    memo is the message itself).  Canonical pings and commands in plain
-    text are decoded at the wire level
-    (:func:`repro.xmlcmd.fastpath.split_ping_wire` /
-    :func:`~repro.xmlcmd.fastpath.split_command_wire`); everything else —
-    including schema-valid messages in a non-canonical spelling — goes
-    through :func:`parse_message_full` with identical results (equality is
-    enforced by the shared round-trip property tests).
+    memo is the message itself); plain text goes through
+    :func:`parse_message_full`.  The two agree on every wire the encoders
+    vouch for (enforced by the shared round-trip property tests).
     """
     if text.__class__ is Wire:
         kind, sender, target, verb, seq = text.envelope
@@ -331,33 +324,7 @@ def parse_message(text: str) -> Message:
                 PingRequest if kind == "ping" else PingReply, (sender, target, seq)
             )
         return memo
-    ping = split_ping_wire(text)
-    if ping is not None:
-        kind, sender, target, seq = ping
-        return _new_message(
-            PingRequest if kind == "ping" else PingReply, (sender, target, seq)
-        )
-    command = split_command_wire(text)
-    if command is not None:
-        return _new_message(CommandMessage, command)
     return parse_message_full(text)
-
-
-def received_message(raw: str, envelope: Optional[Envelope]) -> Message:
-    """The message a receive site delivers, given what
-    :func:`~repro.xmlcmd.fastpath.decode_envelope` made of ``raw``.
-
-    A command the scan vouched for in plain text is built from that
-    envelope plus one ``findall`` for its params; everything else — a
-    ``Wire``, which answers from its memo, or a wire the decoder refused —
-    goes through :func:`parse_message`, whose errors reach the caller.
-    """
-    if envelope is None or envelope.kind != "command" or raw.__class__ is Wire:
-        return parse_message(raw)
-    return _new_message(
-        CommandMessage,
-        (envelope.sender, envelope.target, envelope.verb, command_params(raw)),
-    )
 
 
 def parse_message_full(text: str) -> Message:

@@ -1,9 +1,9 @@
 """Wire-level codec for the XML command language: strings in, tuples out.
 
 Nothing here builds an :class:`~repro.xmlcmd.document.Element` or knows a
-message class; the typed layer (:mod:`repro.xmlcmd.commands`) dispatches to
-these functions first and keeps the element pipeline as the fallback.  Every
-function either produces exactly what the full pipeline
+message class; the typed layer (:mod:`repro.xmlcmd.commands`) reads a
+:class:`Wire`'s memo first and keeps the element pipeline for everything
+else.  Every function either produces exactly what the full pipeline
 (:func:`~repro.xmlcmd.parser.parse_xml` +
 :func:`~repro.xmlcmd.serializer.serialize_xml`) would, or returns ``None``
 so the caller takes the full pipeline and gets identical behavior —
@@ -24,33 +24,28 @@ Encode (byte-identical to ``serialize_xml(message.to_element())``):
   from their fields.
 
 The first two return a :class:`Wire` — the same text, carrying the
-:class:`Envelope` (and params) the decoders below would recover from it —
-whenever no field needed escaping, which is exactly when those decoders
-would vouch for the text anyway.  The control encoders vouch with the
-message itself as the memo whenever the full parser would hand back an
-equal message, escaped fields included: no scanner below reads their
+:class:`Envelope` (and params) :func:`scan_envelope` and the parser would
+recover from it — whenever no field needed escaping, which is exactly when
+the scan would vouch for the text anyway.  The control encoders vouch with
+the message itself as the memo whenever the full parser would hand back an
+equal message, escaped fields included: the scan does not read their
 children, so the parser is the only decoder they are held equal to.
 :func:`decode_envelope` is the receive sites' one call per message: it
 reads that memo, and scans text only when handed a plain string.
 
-Decode (canonical spelling only — the serializer's own output):
+Decode (text from outside the station only: every kind a station sends
+comes out of its encoder as a :class:`Wire` — no station name needs
+escaping, and no component sends telemetry):
 
-* :func:`split_ping_wire` — a memoized prefix cache maps the constant
-  ``<msg type="ping..." from="..." to="..." seq="`` head straight to its
-  triple: one ``find``, one dict hit, one ``int()``.
-* :func:`split_command_wire` — one anchored match of the whole canonical
-  command plus one ``findall`` for the params.  The same regex is the only
-  command recogniser: :func:`scan_envelope` tries it first, so a command in
-  any other spelling (reordered attributes, single quotes, whitespace,
-  entities, foreign children) is refused by both and judged by the parser.
 * :func:`scan_envelope` — the routing fields (``type``/``from``/``to``/
   ``verb``/``seq``) of a canonical command or of a childless ping /
   telemetry start tag in any spelling, for broker routing and receiver-side
-  vouching.  ``failure-report`` / ``restart-order`` text always falls back:
-  its validity depends on children.  In a station only text from outside
-  reaches it: every kind a station sends comes out of its encoder as a
-  :class:`Wire` (no station name needs escaping, and no component sends
-  telemetry).
+  vouching.  One anchored regex for the whole canonical command is the
+  only command recogniser: a command in any other spelling (reordered
+  attributes, single quotes, whitespace, entities, foreign children) is
+  refused and judged by the parser.  ``failure-report`` /
+  ``restart-order`` text always falls back: its validity depends on
+  children.
 
 The differential tests in ``tests/bus/test_fastpath_differential.py`` and
 ``tests/xmlcmd/test_fastpath.py`` enforce the either-identical-or-refuse
@@ -91,10 +86,6 @@ _COMMAND_RE = re.compile(
     r'<msg type="command" from="([^"&<]*)" to="([^"&<]*)" verb="([^"&<]*)"'
     r'(?:/>|>(?:<param name="[^"&<>]*"(?:/>|>[^&<>]*</param>))*</msg>)\Z'
 )
-# One canonical ``<param>``, with its name and (possibly absent) text
-# captured.  Run over a wire ``_COMMAND_RE`` accepted it finds exactly the
-# children: the start tag cannot contain ``<``.
-_PARAM_RE = re.compile(r'<param name="([^"&<>]*)"(?:/>|>([^&<>]*)</param>)')
 
 
 class Envelope(NamedTuple):
@@ -180,12 +171,13 @@ class Wire(str):
     """Wire text that remembers what its encoder wrote.
 
     For a ping or a command, ``envelope`` is what :func:`scan_envelope`
-    returns for this text and ``memo`` what :func:`command_params` returns
-    (``None`` for a ping); those encoders build one only for text the
-    scanners accept, so reading the memo and scanning the text are
-    interchangeable.  For a ``failure-report`` or ``restart-order``, which
-    no scanner reads, ``envelope`` is ``envelope_of`` the message and
-    ``memo`` the message itself: what the full parser returns for the text.
+    returns for this text and ``memo`` the params the parser reads from it,
+    in document order (``None`` for a ping); those encoders build one only
+    for text the scan accepts, so reading the memo and decoding the text
+    are interchangeable.  For a ``failure-report`` or ``restart-order``,
+    whose children the scan does not read, ``envelope`` is ``envelope_of``
+    the message and ``memo`` the message itself: what the full parser
+    returns for the text.
     It is a ``str`` in every other respect — compared, hashed, sliced,
     logged and serialized as its text — and as immutable: nobody writes the
     slots after :func:`vouch`, a receiver is handed a copy of a command's
@@ -214,14 +206,11 @@ def decode_envelope(raw: str) -> Optional[Envelope]:
     """Routing fields of one received message, or ``None`` when only the
     full parser may judge it.
 
-    A :class:`Wire` answers from its memo; plain text is scanned — the
-    memoized ping split first, then :func:`scan_envelope`.
+    A :class:`Wire` answers from its memo; plain text is judged by
+    :func:`scan_envelope`.
     """
     if raw.__class__ is Wire:
         return raw.envelope
-    ping = split_ping_wire(raw)
-    if ping is not None:
-        return _new_envelope(Envelope, (ping[0], ping[1], ping[2], None, ping[3]))
     return scan_envelope(raw)
 
 
@@ -246,7 +235,8 @@ def encode_ping_wire(kind: str, sender: str, target: str, seq: int) -> str:
 
     Vouched (a :class:`Wire`) when the start tag is clean and ``seq`` is an
     ``int`` proper: a ``bool`` or ``str`` seq formats into text
-    :func:`split_ping_wire` would refuse or read back as another type.
+    :func:`scan_envelope` and the parser would refuse or read back as
+    another type.
     """
     key = (kind, sender, target)
     hit = _encode_prefixes.get(key)
@@ -439,6 +429,10 @@ def encode_order_wire(
 # memoized ping decode
 # ----------------------------------------------------------------------
 
+# No receive site calls this: only the benchmark's ``xmlcmd.ping_codec_ns``
+# timing does, so it stays until ROADMAP item 1(b) re-points that timing
+# and deletes it.
+
 # Canonical head of a serializer-produced ping, up to and including the
 # ``seq="`` opener.  The value classes exclude quote/&/< so a matching
 # prefix needs no entity decoding and cannot hide a fake ``seq=``.
@@ -476,30 +470,3 @@ def split_ping_wire(raw: str) -> Optional[Tuple[str, str, str, int]]:
     except ValueError:
         return None
     return hit[0], hit[1], hit[2], seq
-
-
-# ----------------------------------------------------------------------
-# command decode
-# ----------------------------------------------------------------------
-
-
-def command_params(raw: str) -> Dict[str, str]:
-    """The params of a wire :func:`scan_envelope` vouched for as a command.
-
-    Values are stripped of XML whitespace and a repeated name keeps its
-    last value, exactly as the parser and schema layer do.
-    """
-    return {name: value.strip(_WS) for name, value in _PARAM_RE.findall(raw)}
-
-
-def split_command_wire(raw: str) -> Optional[Tuple[str, str, str, Dict[str, str]]]:
-    """Decode a canonical command to ``(sender, target, verb, params)``.
-
-    Returns ``None`` for anything that is not *exactly* the serializer's
-    spelling; the full parser handles those identically (just slower).
-    """
-    m = _COMMAND_RE.match(raw)
-    if m is None:
-        return None
-    sender, target, verb = m.groups()
-    return sender, target, verb, command_params(raw)

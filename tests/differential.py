@@ -78,11 +78,10 @@ def recording(module, name: str, on_build: Callable[[Any], None] = lambda built:
 #: which sends every inbound message to ``parse_message`` at delivery — the
 #: eager receive path the decoder replaced.  (A zombie broker recognises
 #: its own pings with the same call, so degraded brokers are outside the
-#: reference, as they were outside the differential contract before.)
-_REFUSING_SITES = (
-    "repro.bus.broker.decode_envelope",
-    "repro.bus.client.decode_envelope",
-)
+#: reference, as they were outside the differential contract before.)  The
+#: standalone client calls no decoder: it hands every wire to
+#: ``parse_message``, which under the reference is the parser.
+_REFUSING_SITES = ("repro.bus.broker.decode_envelope",)
 
 
 def _vouch_pings_only(raw):
@@ -106,9 +105,9 @@ def _full_parse_reference():
     with pytest.MonkeyPatch.context() as patch:
         # Encoders hand out plain text, and a ``Wire`` encoded before the
         # reference was entered is read as text too (``str(raw)`` above,
-        # ``parse_message`` and ``received_message`` below), so nothing
-        # answers from an encoder's memo: the reference decodes *text* end
-        # to end.
+        # ``parse_message`` below), so nothing answers from an encoder's
+        # memo: the reference decodes *text* end to end, with the scan and
+        # the parser.
         patch.setattr(fastpath, "vouch", lambda text, envelope, memo=None: text)
         patch.setattr("repro.xmlcmd.commands.Wire", _NoWire)
         for site in _REFUSING_SITES:

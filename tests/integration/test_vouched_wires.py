@@ -26,7 +26,7 @@ from repro.procmgr.manager import ProcessManager
 from repro.procmgr.process import ProcessSpec, constant_work
 from repro.sim.kernel import Kernel
 from repro.transport.network import Network, NetworkFaultModel
-from repro.xmlcmd import commands
+from repro.xmlcmd import commands, fastpath
 from repro.xmlcmd.commands import CommandMessage, encode_message
 from repro.xmlcmd.fastpath import Wire
 
@@ -155,22 +155,29 @@ def test_replay_window_refeeds_logged_wires_through_the_receive_path():
             "workload", 7, tree="V", trials=1, strategy="restart",
             failure_kind="crash", request_rate=20.0,
         ),
+        plan_cell("chaos", 7, tree="V", scenario="mixed", trials=1),
     ],
     ids=lambda cell: cell.kind,
 )
 def test_a_faulted_cell_never_builds_or_reads_an_element_tree(monkeypatch, cell):
     """Every message a station sends — the FD↔REC failure reports and
     restart orders included — leaves its encoder as a ``Wire`` and is
-    decoded from the memo: the element pipeline never runs."""
+    decoded from the memo: the element pipeline never runs, and no receive
+    site is handed plain text for the envelope scan."""
     calls = collections.Counter()
-    for name in ("parse_xml", "serialize_xml", "encode_report_wire", "encode_order_wire"):
-        real = getattr(commands, name)
+    counted_names = {
+        commands: ("parse_xml", "serialize_xml", "encode_report_wire", "encode_order_wire"),
+        fastpath: ("scan_envelope",),
+    }
+    for module, names in counted_names.items():
+        for name in names:
+            real = getattr(module, name)
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
 
-        monkeypatch.setattr(commands, name, counted)
+            monkeypatch.setattr(module, name, counted)
     execute_cell(cell)
     assert calls["encode_report_wire"] > 0 and calls["encode_order_wire"] > 0
-    assert calls["parse_xml"] == calls["serialize_xml"] == 0
+    assert calls["parse_xml"] == calls["serialize_xml"] == calls["scan_envelope"] == 0

@@ -7,7 +7,9 @@ that owns wiring it in; a public name (a top-level class, function or
 assigned name such as a constant, or a method or property of a top-level
 class) is either referenced outside its own definition or listed with the
 reason it stays.  Adding an island is a deliberate edit here, not a side
-effect of leaving code behind.
+effect of leaving code behind.  The frozen benchmark (``bench/``) counts as
+a reference, so a public name only it uses is listed apart, with the
+roadmap item or reason that keeps it.
 
 The graph is static and follows what a statement names, not what importing
 a package executes: ``from repro.pkg import Name`` is an edge to the module
@@ -65,6 +67,19 @@ ISLAND_NAMES = {
     "repro.transport.network.NetworkFaultModel.heal": "reference: part of the fault alphabet of test_flat_transport_property's model",
     "repro.transport.network.NetworkFaultModel.restore": "reference: part of the fault alphabet of test_flat_transport_property's model",
     "repro.workload.plane.WorkloadPlane.in_flight": "test-side API: how tests count requests, whose deadlines hold no kernel event",
+}
+
+
+#: Public names only ``bench/`` mentions outside their definition, each with
+#: the reason it stays: the product does not run them, and ``bench/`` is
+#: changed only together with the benchmark it defines.
+BENCH_ONLY_NAMES = {
+    "repro.experiments.template_store.SharedTemplateStore.shapes": "name clash: bench/workloads.py's local shapes dicts count as a use; only the template-store tests call the method",
+    "repro.mercury.session_store.SessionStore.load_session": "bench: mercury.session_store.load_us times it; the product restores sessions through has_session and mark_restored",
+    "repro.procmgr.process.constant_work": "bench: the bus timings build their broker process with it; tests build their rigs with it",
+    "repro.sim.kernel.Kernel.schedule_interval": "bench: sim.kernel.dispatch_ns re-arms through this shim; ROADMAP item 1(c) re-points that timing and deletes it",
+    "repro.transport.network.Network.connections_established": "bench: the transport.connections ledger count reads it",
+    "repro.xmlcmd.fastpath.split_ping_wire": "bench: xmlcmd.ping_codec_ns times it; no receive site calls it, and ROADMAP item 1(b) re-points that timing and deletes it",
 }
 
 
@@ -189,6 +204,16 @@ def test_every_public_name_is_referenced_or_listed():
         if not any(name.startswith(f"{module}.") for module in ISLAND_MODULES)
     ]
     assert islands == sorted(ISLAND_NAMES)
+
+
+def test_every_bench_only_name_is_listed():
+    """A name only the benchmark references passes the island check unseen:
+    listed here, each one's reason is on record."""
+    without_bench = tuple(top for top in REFERENCE_DIRS if top != "bench")
+    bench_only = set(unreferenced_names(ROOT, "repro", without_bench)) - set(
+        unreferenced_names(ROOT, "repro", REFERENCE_DIRS)
+    )
+    assert sorted(bench_only) == sorted(BENCH_ONLY_NAMES)
 
 
 def test_core_does_not_import_mercury():

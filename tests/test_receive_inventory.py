@@ -1,12 +1,13 @@
-"""The inventory of bus receive sites: six, one decoder call per message each.
+"""The inventory of bus receive sites: five, one decoder call per message each.
 
 Every inbound wire is judged by one ``decode_envelope`` call where it is
 received — a slot read when the wire carries its encoder's memo, a text
 scan otherwise — and by nothing else: no receive site calls a text scanner
-(``split_ping_wire``, ``scan_envelope``, ``command_params``,
-``split_command_wire``) of its own.  The next receive site is added to this
-list and to DESIGN.md §8's per-hop table on purpose rather than by copying a
-``split``-then-``scan`` pair.
+(``scan_envelope``, ``split_ping_wire``) of its own.  The standalone
+``BusClient`` routes nothing, so it calls no decoder: ``parse_message``
+reads a wire's memo or parses its text.  The next receive site is added to
+this list and to DESIGN.md §8's per-hop table on purpose rather than by
+copying a scan.
 """
 
 import ast
@@ -41,17 +42,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 DECODER = "decode_envelope"
-TEXT_SCANNERS = {
-    "split_ping_wire",
-    "scan_envelope",
-    "command_params",
-    "split_command_wire",
-}
+TEXT_SCANNERS = {"scan_envelope", "split_ping_wire"}
 
 #: Receive site -> the file that defines it.
 RECEIVE_SITES = {
     "BusBroker._on_raw": "bus/broker.py",
-    "BusClient._on_raw": "bus/client.py",
     "BusAttachedBehavior._on_raw": "components/base.py",
     "FailureDetector._on_raw": "detection/detector.py",
     "FailureDetector._on_ctl_raw": "detection/detector.py",
@@ -127,7 +122,7 @@ def test_a_live_station_decodes_once_per_delivery():
 def test_a_live_station_delivers_schema_messages_themselves():
     """What reaches ``on_message`` and ``BusClient`` handlers is the decoded
     message: its ``type()`` is one of the six schema classes, whichever
-    decoder judged the wire — memo, vouched plain text or the parser."""
+    decoder judged the wire — the memo or the parser."""
     schema = set(typing.get_args(Message))
     delivered = {"on_message": collections.Counter(), "handler": collections.Counter()}
 
@@ -159,7 +154,8 @@ def test_a_live_station_delivers_schema_messages_themselves():
         RestartOrder("ops", "ses", "R_str", ("str",), "begin"),
     ):
         ops.send(message)
-    # A command as plain text: decoded from the envelope the scan vouched.
+    # A command as plain text: routed on the scan's envelope, decoded by
+    # the parser.
     ops._endpoint.send(str(encode_message(CommandMessage("ops", "ses", "sync"))))
     station.kernel.run(until=station.kernel.now + 2.0)
     assert plane.effects.requests_ok > 0

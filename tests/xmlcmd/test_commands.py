@@ -18,9 +18,7 @@ from repro.xmlcmd.commands import (
     encode_message,
     envelope_of,
     parse_message,
-    received_message,
 )
-from repro.xmlcmd.fastpath import decode_envelope
 
 
 def roundtrip(message):
@@ -171,13 +169,13 @@ def test_lazy_message_copies_and_pickles(message, touched, vouched, clone):
     if not vouched:
         raw = str(raw)
     if touched:
-        decoded = received_message(raw, decode_envelope(raw))
+        decoded = parse_message(raw)
         twin = clone(decoded)
         assert twin is not decoded and decoded == message
     else:
         wire = clone(raw)
         assert wire == raw and type(wire) is type(raw)
-        twin = received_message(wire, decode_envelope(wire))
+        twin = parse_message(wire)
     assert type(twin) is type(message) and twin == message
 
 
