@@ -10,13 +10,20 @@ cell used to pay it.  This module makes boot a per-*shape* cost instead:
   supervisor kind, fault-model switches (:func:`station_shape`).
 * The first cell of a shape builds a **template**: a station constructed
   with the shape-derived :func:`boot_seed` and warmed by the experiment's
-  own boot procedure.  Later cells restore a structural :func:`fork` of
-  the template: the object graph ``copy.deepcopy`` would build, with the
+  own boot procedure.  Cells restore a structural :func:`fork` of the
+  template: the object graph ``copy.deepcopy`` would build, with the
   object layout a boot builds (the station graph was scrubbed of closure
-  captures and ``id()``-keyed maps so the copy is exact).  The benchmark
-  ledger (``bench/run.py --trace 1``) prices a tree-V restore at
-  ``experiments.snapshot.restore_ms`` ≈ 0.7 against
-  ``mercury.station.boot_ms`` ≈ 2.6 for a fresh boot.
+  captures and ``id()``-keyed maps so the copy is exact).
+* The template never changes, so its fork is walked once.  The first
+  restore records the walk as a flat :class:`_Plan` (bare instances to
+  create, then fills and calls in the walk's post-order, every source an
+  index into one slot array), and every later restore replays it: no type
+  dispatch, memo or recipe lookup, and no Mersenne state copied for a
+  registry stream the rebase reseeds anyway.  The benchmark's isolated
+  timing prices a tree-V restore, rebase included, at
+  ``experiments.snapshot.restore_ms`` ≈ 0.33 (≈ 0.7 as a fork walk)
+  against ``mercury.station.boot_ms`` ≈ 2.0–2.3 for a fresh boot (2-CPU
+  container, CPython 3.11).
 * Each restored station is then re-rooted onto the cell's own seed with
   :meth:`~repro.sim.rng.RngRegistry.rebase`, so from the warm point on its
   randomness is a pure function of the cell seed — exactly as if the cell
@@ -44,12 +51,13 @@ import hashlib
 import json
 import types
 import weakref
-from typing import Any, Callable, Dict, Tuple, Union
+from typing import Any, Callable, Dict, NamedTuple, Set, Tuple, Union
 
 from repro.core.tree import RestartTree
+from repro.errors import ExperimentError
 from repro.mercury.config import StationConfig
 from repro.mercury.station import MercuryStation
-from repro.sim.rng import derive_seed
+from repro.sim.rng import _Stream, derive_seed
 
 
 def config_fingerprint(config: StationConfig) -> str:
@@ -164,9 +172,35 @@ def fork(original: Any) -> Any:
     key that names a data descriptor on the class would run the
     descriptor instead, so that key alone goes through the dict.
     """
+    return _walk(original)[0]
+
+
+#: Step kinds of a recorded walk and of a :class:`_Plan`.  ``_FILL`` and
+#: ``_HOOK`` occur only in a recording; the plan has the other six.
+_ATTRS, _DICT, _LIST, _TUPLE, _CALL, _DO, _FILL, _HOOK = range(8)
+
+
+def _walk(original: Any) -> Tuple[Any, Dict[int, Any], list, list]:
+    """The fork's walk: the copy, its memo, the copies it made bare
+    (``cls.__new__(cls)``, ``{}``, ``[]``) in walk order, and its steps.
+
+    A step is noted when its copy is complete, so steps come in post-order.
+    Each is ``(kind, copy, names, sources)``: a dict's keys then values, a
+    list's or a new tuple's items, a call's function then arguments (a
+    bound method built, a reduce call, a reduce's state, item and key
+    steps).  A plain instance is noted as ``(_FILL, original, copy,
+    recipe)`` and a ``__deepcopy__`` hook's new result as ``(_HOOK,
+    original, copy, entries it added to the memo besides its own)``; both
+    are resolved by :func:`_compile`, which turns the steps into a
+    :class:`_Plan`.
+    """
     memo: Dict[int, Any] = {}
     keep: list = []
     memo[id(memo)] = keep
+    created: list = []
+    steps: list = []
+    create = created.append
+    step = steps.append
     atomic = _ATOMIC
     recipes = _RECIPES
     new_attr = object.__setattr__
@@ -181,15 +215,19 @@ def fork(original: Any) -> Any:
             return y
         if cls is dict:
             y = memo[key] = {}
+            create(y)
             for k, v in x.items():
                 y[k if type(k) in atomic else copy(k)] = (
                     v if type(v) in atomic else copy(v)
                 )
+            step((_DICT, y, None, [*y, *y.values()]))
         elif cls is list:
             y = memo[key] = []
+            create(y)
             append = y.append
             for v in x:
                 append(v if type(v) in atomic else copy(v))
+            step((_LIST, y, None, tuple(y)))
         elif cls is tuple:
             y = [v if type(v) in atomic else copy(v) for v in x]
             if key in memo:  # reached again through one of its items
@@ -198,6 +236,7 @@ def fork(original: Any) -> Any:
                 for a, b in zip(x, y):
                     if a is not b:
                         y = tuple(y)
+                        step((_TUPLE, y, None, y))
                         break
                 else:
                     y = x
@@ -208,6 +247,7 @@ def fork(original: Any) -> Any:
             if recipe:
                 has_dict, slots, descriptors = recipe
                 y = memo[key] = cls.__new__(cls)
+                create(y)
                 if has_dict and not descriptors:
                     for k, v in x.__dict__.items():
                         new_attr(y, k, v if type(v) in atomic else copy(v))
@@ -225,13 +265,21 @@ def fork(original: Any) -> Any:
                     except AttributeError:
                         continue
                     setattr(y, name, v if type(v) in atomic else copy(v))
+                step((_FILL, x, y, recipe))
             elif cls is types.MethodType:
                 y = cls(x.__func__, copy(x.__self__))
+                step((_CALL, y, None, (cls, y.__func__, y.__self__)))
             elif issubclass(cls, type):
                 return x
             else:
                 hook = getattr(x, "__deepcopy__", None)
-                y = hook(memo) if hook is not None else reduce(x, cls, key)
+                if hook is None:
+                    y = reduce(x, cls, key)
+                else:
+                    size = len(memo)
+                    y = hook(memo)
+                    if y is not x:
+                        step((_HOOK, x, y, len(memo) - size - (key in memo)))
         if y is not x:
             memo[key] = y
             keep.append(x)
@@ -244,30 +292,231 @@ def fork(original: Any) -> Any:
         if isinstance(rv, str):
             return x
         func, args, state, listiter, dictiter = (rv + (None,) * 3)[:5]
-        y = memo[key] = func(*[copy(arg) for arg in args])
+        args = [copy(arg) for arg in args]
+        y = memo[key] = func(*args)
+        step((_CALL, y, None, (func, *args)))
         if state is not None:
             state = copy(state)
-            if hasattr(y, "__setstate__"):
-                y.__setstate__(state)
-            else:
-                slotstate = None
-                if isinstance(state, tuple) and len(state) == 2:
-                    state, slotstate = state
-                if state is not None:
-                    y.__dict__.update(state)
-                if slotstate is not None:
-                    for name, value in slotstate.items():
-                        setattr(y, name, value)
+            _set_state(y, state)
+            step((_DO, None, None, (_set_state, y, state)))
         if listiter is not None:
+            items = [_append_items, y]
             for item in listiter:
-                y.append(copy(item))
+                item = copy(item)
+                y.append(item)
+                items.append(item)
+            step((_DO, None, None, items))
         if dictiter is not None:
+            pairs = [_set_items, y]
             for k, v in dictiter:
                 k = copy(k)
-                y[k] = copy(v)
+                v = copy(v)
+                y[k] = v
+                pairs += (k, v)
+            step((_DO, None, None, pairs))
         return y
 
-    return copy(original)
+    return copy(original), memo, created, steps
+
+
+def _set_state(y: Any, state: Any) -> None:
+    """``copy._reconstruct``'s state step."""
+    if hasattr(y, "__setstate__"):
+        y.__setstate__(state)
+        return
+    slotstate = None
+    if isinstance(state, tuple) and len(state) == 2:
+        state, slotstate = state
+    if state is not None:
+        y.__dict__.update(state)
+    if slotstate is not None:
+        for name, value in slotstate.items():
+            setattr(y, name, value)
+
+
+def _append_items(y: Any, *items: Any) -> None:
+    """``copy._reconstruct``'s list-items step."""
+    for item in items:
+        y.append(item)
+
+
+def _set_items(y: Any, *pairs: Any) -> None:
+    """``copy._reconstruct``'s dict-items step: keys and values alternate."""
+    pairs = iter(pairs)
+    for k in pairs:
+        y[k] = next(pairs)
+
+
+def _set_in_dict(y: Any, name: str, value: Any) -> None:
+    # A key that names a data descriptor on the class (see :func:`fork`).
+    y.__dict__[name] = value
+
+
+def _hook_copy(x: Any) -> Any:
+    """A ``__deepcopy__`` hook's copy, replayed: the hook took nothing
+    from the memo when it was recorded (see :func:`_compile`)."""
+    return x.__deepcopy__({})
+
+
+class _Plan(NamedTuple):
+    """A recorded fork of one template, replayed by :func:`_replay`.
+
+    Replay fills one slot array: ``consts`` (what the copy shares with the
+    template: atomic values, kept tuples, objects a hook returns as
+    themselves), then one bare ``cls.__new__(cls)`` per ``creates`` entry,
+    then one slot per producing step (``_TUPLE``, ``_CALL``).  Every source
+    a step names is an index into that array.
+
+    Fills run in the walk's post-order, each after its whole subtree,
+    where the fork sets each attribute or item as soon as its value is
+    copied.  The two differ only for a reduce call, ``__setstate__`` or
+    hash that reads a copy still being filled further up a cycle, where
+    deepcopy too hands over a half-built object; the snapshot tests hold
+    every benchmarked station shape's replay to deepcopy's graph.
+    """
+
+    consts: Tuple[Any, ...]
+    creates: Tuple[type, ...]
+    steps: Tuple[tuple, ...]
+    root: int
+
+
+def _compile(root: Any, memo: Dict[int, Any], created: list, steps: list,
+             streams: Set[int]) -> _Plan:
+    """Turn a recorded walk into a :class:`_Plan`.
+
+    Registry streams (``streams``: the ids of the template registry's
+    ``_Stream`` values) become bare creates: the restore's
+    ``rngs.rebase`` seeds every one of them, so their state is not
+    copied.  A ``_Stream`` outside the registry, a hook that copies
+    through the memo, or a step that would read a slot before it is made
+    cannot be replayed, and raises :class:`~repro.errors.ExperimentError`.
+    """
+    atomic = _ATOMIC
+
+    def held(v: Any) -> Any:  # what the copy holds where the original holds v
+        return v if type(v) in atomic else memo.get(id(v), v)
+
+    creates = [type(y) for y in created]
+    made = {id(y): n for n, y in enumerate(created)}
+    body = []
+    for entry in steps:
+        kind = entry[0]
+        if kind == _FILL:
+            _, x, y, (has_dict, slots, descriptors) = entry
+            # Builtin ``setattr`` is the fork's ``object.__setattr__`` here,
+            # and faster, unless the class defines its own ``__setattr__``.
+            generic = type(y).__setattr__ is object.__setattr__
+            names, values = [], []
+            for k, v in x.__dict__.items() if has_dict else ():
+                if k in descriptors:
+                    setter = _set_in_dict
+                elif generic:
+                    names.append(k)
+                    values.append(held(v))
+                    continue
+                else:
+                    setter = object.__setattr__
+                if names:
+                    body.append((_ATTRS, y, tuple(names), values))
+                    names, values = [], []
+                body.append((_DO, None, None, (setter, y, k, held(v))))
+            for name in slots:  # the fork sets slots with ``setattr`` too
+                if hasattr(x, name):
+                    names.append(name)
+                    values.append(held(getattr(x, name)))
+            if names:
+                body.append((_ATTRS, y, tuple(names), values))
+        elif kind == _HOOK:
+            _, x, y, borrowed = entry
+            if type(x) is _Stream:
+                if id(x) not in streams:
+                    raise ExperimentError(
+                        "a random stream outside the station's registry is "
+                        "reachable from the template; rebase would not seed it"
+                    )
+                made[id(y)] = len(creates)
+                creates.append(_Stream)
+            elif borrowed:
+                raise ExperimentError(
+                    f"{type(x).__qualname__}.__deepcopy__ copies through the "
+                    "memo; a recorded fork cannot replay it"
+                )
+            else:
+                body.append((_CALL, y, None, (_hook_copy, x)))
+        else:
+            body.append(entry)
+
+    # Number the slots: a source that is no copy is a constant; a step's
+    # result is -1 until its step is reached.
+    index = dict.fromkeys(made, -1)
+    index.update((id(e[1]), -1) for e in body if e[0] == _TUPLE or e[0] == _CALL)
+    consts: list = []
+    for entry in body:
+        for v in entry[3]:
+            if id(v) not in index:
+                index[id(v)] = len(consts)
+                consts.append(v)
+    base = len(consts)
+    for key, n in made.items():
+        index[key] = base + n
+    ready = base + len(creates)
+    names_seen: Dict[tuple, tuple] = {}
+    plan = []
+    for kind, target, names, values in body:
+        srcs = tuple([index[id(v)] for v in values])
+        if srcs and min(srcs) < 0:
+            raise ExperimentError("a recorded fork step reads a slot before it is made")
+        if kind == _TUPLE:
+            plan.append((kind, srcs))
+        elif kind == _CALL or kind == _DO:
+            plan.append((kind, srcs[0], srcs[1:]))
+        elif kind == _DICT:
+            half = len(srcs) // 2
+            plan.append((kind, index[id(target)], srcs[:half], srcs[half:]))
+        elif kind == _LIST:
+            plan.append((kind, index[id(target)], srcs))
+        else:
+            names = names_seen.setdefault(names, names)
+            plan.append((kind, index[id(target)], names, srcs))
+        if kind == _TUPLE or kind == _CALL:
+            index[id(target)] = ready
+            ready += 1
+    return _Plan(tuple(consts), tuple(creates), tuple(plan), index[id(root)])
+
+
+def _replay(plan: _Plan) -> Any:
+    """Run a recorded fork: the same objects, filled in the same order,
+    without walking the template."""
+    slots = list(plan.consts)
+    slots += [cls.__new__(cls) for cls in plan.creates]
+    get = slots.__getitem__
+    produce = slots.append
+    for step in plan.steps:
+        kind = step[0]
+        if kind == _ATTRS:
+            y = slots[step[1]]
+            for name, n in zip(step[2], step[3]):
+                setattr(y, name, slots[n])
+        elif kind == _LIST:
+            slots[step[1]].extend(map(get, step[2]))
+        elif kind == _DICT:
+            slots[step[1]].update(zip(map(get, step[2]), map(get, step[3])))
+        elif kind == _CALL:
+            produce(slots[step[1]](*map(get, step[2])))
+        elif kind == _TUPLE:
+            produce(tuple(map(get, step[1])))
+        else:  # _DO
+            slots[step[1]](*map(get, step[2]))
+    return slots[plan.root]
+
+
+def _record(template: MercuryStation) -> Tuple[MercuryStation, _Plan]:
+    """Fork ``template`` (the first restore of its shape) and compile the
+    walk into the plan every later restore replays."""
+    station, memo, created, steps = _walk(template)
+    streams = {id(s) for s in template.kernel.rngs._streams.values()}
+    return station, _compile(station, memo, created, steps, streams)
 
 
 #: Per-process template cache.  Worker processes each grow their own from
@@ -275,11 +524,15 @@ def fork(original: Any) -> Any:
 #: boundary and parallel runs stay bit-identical to serial ones.
 _TEMPLATES: Dict[str, MercuryStation] = {}
 
+#: Beside each template, the plan its first restore recorded.
+_PLANS: Dict[str, _Plan] = {}
+
 
 def clear_templates() -> None:
-    """Drop every cached template (tests; long-lived drivers with many
-    one-off shapes)."""
+    """Drop every cached template and plan (tests; long-lived callers with
+    many one-off shapes)."""
     _TEMPLATES.clear()
+    _PLANS.clear()
 
 
 def template_count() -> int:
@@ -295,8 +548,8 @@ def warm_template(
     """The live warmed template for ``shape`` — built (or unpickled from a
     published blob) on first use, cached per process after that.
 
-    Callers must not mutate the returned station; restore a :func:`fork`
-    via :func:`warmed_station` instead.  Exposed so drivers can read
+    Callers must not mutate the returned station; restore a copy via
+    :func:`warmed_station` instead.  Exposed so callers can read
     template facts (e.g. the fleet anchors its epoch schedule on the
     template's warm-point clock) without paying a restore.
     """
@@ -334,6 +587,16 @@ def publish_template(
     STORE.publish(shape, warm_template(shape, build, warm))
 
 
+def _restore(shape: str, template: MercuryStation) -> MercuryStation:
+    """A copy of the shape's template: its first restore forks it and
+    records the plan, every later one replays the plan."""
+    plan = _PLANS.get(shape)
+    if plan is not None:
+        return _replay(plan)
+    station, _PLANS[shape] = _record(template)
+    return station
+
+
 def warmed_station(
     shape: str,
     build: Callable[[int], MercuryStation],
@@ -349,14 +612,14 @@ def warmed_station(
     attached (sinks hold open files and observers that must not leak
     between cells; attach them to the returned station instead).
 
-    The first call per shape boots a template and later calls :func:`fork`
-    it; with ``snapshot=False`` the call builds and warms afresh.  Both
-    paths boot under :func:`boot_seed` and end with
-    ``rngs.rebase(cell_seed)``, so the returned station is bit-identical
-    either way.
+    The first call per shape boots a template and forks it, recording the
+    fork as a plan; later calls replay the plan.  With ``snapshot=False``
+    the call builds and warms afresh.  All paths boot under
+    :func:`boot_seed` and end with ``rngs.rebase(cell_seed)``, so the
+    returned station is bit-identical either way.
     """
     if snapshot:
-        station = fork(warm_template(shape, build, warm))
+        station = _restore(shape, warm_template(shape, build, warm))
     else:
         station = build(boot_seed(shape))
         warm(station)

@@ -12,9 +12,11 @@ This store makes boot a per-shape cost per *campaign*:
 * Workers **install** the blob table (shipped through the pool/worker
   spawn arguments, or inherited for free on fork) and **fetch** lazily:
   the first restore of a shape unpickles the blob into a live template,
-  and every restore forks that live template as usual.  A blob is never
-  restored per cell: ``pickle.loads`` per station is slower than the fork
-  and heavier in memory (DESIGN.md §10).
+  and every restore copies that live template as usual (the first forks
+  it and records the plan, the rest replay the plan).  A blob is never
+  restored per cell: ``pickle.loads`` plus the rebase takes ≈ 1.0–1.3 ms
+  per tree-V station against ≈ 0.3–0.4 ms for a replay, and leaves every
+  instance with a materialized ``__dict__`` (DESIGN.md §10).
 
 Correctness lean: an unpickled template must be behaviourally identical
 to a locally built one.  Stations were scrubbed of closure captures for

@@ -31,11 +31,14 @@ class _Stream(random.Random):
 
     A structural copy (the snapshot fork, or ``copy.deepcopy``) of a
     plain ``random.Random`` reconstructs it through ``__reduce_ex__`` and
-    then walks the 625-word Mersenne state tuple element by element;
-    across a registry's dozen streams that walk is the single largest
-    cost of snapshotting a warmed station.  The state tuple is immutable
-    integers, so handing it straight to ``setstate`` on a fresh instance
-    is exact and avoids the walk entirely.
+    then walks the 625-word Mersenne state tuple element by element.  The
+    state tuple is immutable integers, so handing it straight to
+    ``setstate`` on a fresh instance is exact and avoids the walk.
+
+    A warmed-station restore copies no stream state at all: its recorded
+    plan creates each registry stream bare (``_Stream.__new__``) and the
+    restore's :meth:`RngRegistry.rebase` seeds every one, so the clone
+    here serves the fork itself (a shape's first restore) and deepcopy.
     """
 
     def __deepcopy__(self, memo: dict) -> "_Stream":

@@ -46,7 +46,7 @@ from repro.core.transformations import (
     promote_component,
     replace_component,
 )
-from repro.errors import TransformationError
+from repro.errors import ExperimentError, TransformationError
 from repro.experiments.runner import CampaignCell, cache_key
 from repro.experiments.fleet import DigestSink, FleetSpec, _StationBuild
 from repro.experiments.template_store import SharedTemplateStore
@@ -471,7 +471,9 @@ def test_a_forked_station_has_the_object_layout_of_a_booted_one(name):
     sys.version_info[:2] != (3, 11), reason="CPython 3.11's inline-values layout"
 )
 def test_the_layout_walk_sees_what_deepcopy_does_to_a_station(monkeypatch):
-    monkeypatch.setattr(snapshot_module, "fork", copy.deepcopy)
+    monkeypatch.setattr(
+        snapshot_module, "_restore", lambda shape, template: copy.deepcopy(template)
+    )
     _, mismatched = _layout_mismatches(*_restored_and_booted("recovery"))
     assert mismatched == {"MercuryStation": 1}  # the walk stops at the root
 
@@ -489,6 +491,8 @@ def _edges(obj):
         return [obj.func, *obj.args, *obj.keywords.values()]
     if isinstance(obj, type) or not cls.__module__.startswith("repro."):
         return []
+    if cls is _Stream:  # its state belongs to the seed: compared apart
+        return []
     held = list(vars(obj).values()) if hasattr(obj, "__dict__") else []
     return held + [
         getattr(obj, name) for name in copyreg._slotnames(cls) if hasattr(obj, name)
@@ -503,7 +507,14 @@ def test_the_fork_aliases_exactly_as_deepcopy_does():
     template = build(11)
     warm(template)
     forked, deep = fork(template), copy.deepcopy(template)
-    copies, stack, shared = {}, [(template, forked, deep)], 0
+    copies, shared = _walk_in_step(template, forked, deep)
+    assert len(copies) > 500 and shared > 100
+
+
+def _walk_in_step(template, a, b):
+    """Walk ``template`` and two copies of it in step, asserting they alias
+    alike; return (the copies by original id, objects shared with it)."""
+    copies, stack, shared = {}, [(template, a, b)], 0
     while stack:
         original, a, b = stack.pop()
         if id(original) in copies:
@@ -518,7 +529,66 @@ def test_the_fork_aliases_exactly_as_deepcopy_does():
         stack.extend(zip(*held))
     pairs = {(id(a), id(b)) for a, b in copies.values()}
     assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
-    assert len(copies) > 500 and shared > 100
+    return copies, shared
+
+
+# ----------------------------------------------------------------------
+# the recorded plan: the fork's walk, replayed per restore
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_a_replayed_station_is_a_rebased_deepcopy_with_a_booted_layout(name):
+    build, warm = SHAPES[name]
+    shape = station_shape(f"plan-{name}", tree_v(), PAPER_CONFIG)
+    template = warm_template(shape, build, warm)
+    warmed_station(shape, build, warm, 4, snapshot=True)  # records the plan
+    replayed = warmed_station(shape, build, warm, 5, snapshot=True)
+    booted = warmed_station(shape, build, warm, 5, snapshot=False)
+    compared, mismatched = _layout_mismatches(replayed, booted)
+    assert compared > 250 and not mismatched
+    deep = copy.deepcopy(template)
+    deep.kernel.rngs.rebase(5)
+    copies, shared = _walk_in_step(template, replayed, deep)
+    assert len(copies) > 400 and shared > 100
+    streams = replayed.kernel.rngs._streams
+    assert len(streams) > 10
+    for stream_name, stream in deep.kernel.rngs._streams.items():
+        assert streams[stream_name].getstate() == stream.getstate()
+
+
+def test_a_stream_outside_the_registry_is_refused_at_record_time():
+    build = SHAPES["recovery"][0]
+    shape = station_shape("stray-stream", tree_v(), PAPER_CONFIG)
+
+    def warm(station):
+        station.boot()
+        station.stray = [_Stream(3)]  # a rebase would never seed it
+
+    with pytest.raises(ExperimentError, match="registry"):
+        warmed_station(shape, build, warm, 1, snapshot=True)
+
+
+def test_ten_restores_record_once_and_leave_the_template_as_it_was(monkeypatch):
+    build, warm = SHAPES["fleet-member"]
+    shape = station_shape("ten-restores", tree_v(), PAPER_CONFIG)
+    recorded = []
+
+    def record(template):
+        recorded.append(template)
+        return real_record(template)
+
+    real_record = snapshot_module._record
+    monkeypatch.setattr(snapshot_module, "_record", record)
+    template = warm_template(shape, build, warm)
+    before = (template.kernel.now, template.kernel.events_executed)
+    for seed in range(10):
+        station = warmed_station(shape, build, warm, seed, snapshot=True)
+        station.run_until_recovered(station.injector.inject_simple("rtu"))
+        assert station.kernel.events_executed > before[1]
+    assert recorded == [template]
+    assert (template.kernel.now, template.kernel.events_executed) == before
+    assert real_record(template)[1] == snapshot_module._PLANS[shape]
 
 
 def test_immutable_objects_come_back_as_themselves_and_state_is_cloned():

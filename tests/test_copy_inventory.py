@@ -1,10 +1,14 @@
-"""The inventory of station copiers: one, :func:`repro.experiments.snapshot.fork`.
+"""The inventory of station copiers: one, the recorded plan of
+:mod:`repro.experiments.snapshot`.
 
-``copy.deepcopy`` rebuilds an instance through ``y.__dict__.update(state)``,
-which on CPython 3.11+ leaves every copy with a materialized ``__dict__``,
-so every attribute read on a restored station took the slow path (DESIGN.md
-§10, "Warmed-station snapshot/fork").  The fork copies the same graph and
-keeps a fresh boot's layout.  No module under ``src/repro`` calls
+A shape's first restore walks its template with the fork
+(:func:`repro.experiments.snapshot.fork`) and records the walk as a plan;
+every later restore replays that plan.  ``copy.deepcopy`` rebuilds an
+instance through ``y.__dict__.update(state)``, which on CPython 3.11+
+leaves every copy with a materialized ``__dict__``, so every attribute read
+on a restored station took the slow path (DESIGN.md §10, "Warmed-station
+snapshot/fork").  The fork and its plan copy the same graph and keep a
+fresh boot's layout.  No module under ``src/repro`` calls
 ``copy.deepcopy``, under any import spelling, so a second copier cannot
 come back by accident.  ``__deepcopy__`` hooks stay: the fork honours
 them.  Tests may still call ``deepcopy`` as a reference.

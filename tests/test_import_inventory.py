@@ -74,10 +74,12 @@ ISLAND_NAMES = {
 #: the reason it stays: the product does not run them, and ``bench/`` is
 #: changed only together with the benchmark it defines.
 BENCH_ONLY_NAMES = {
+    "repro.experiments.snapshot.fork": "name clash: bench/workloads.py's local fork wrapper counts as a use; a restore records the same walk through _record, and tests copy stations and parts of them with fork",
     "repro.experiments.template_store.SharedTemplateStore.shapes": "name clash: bench/workloads.py's local shapes dicts count as a use; only the template-store tests call the method",
     "repro.mercury.session_store.SessionStore.load_session": "bench: mercury.session_store.load_us times it; the product restores sessions through has_session and mark_restored",
     "repro.procmgr.process.constant_work": "bench: the bus timings build their broker process with it; tests build their rigs with it",
     "repro.sim.kernel.Kernel.schedule_interval": "bench: sim.kernel.dispatch_ns re-arms through this shim; ROADMAP item 1(c) re-points that timing and deletes it",
+    "repro.sim.rng.RngRegistry.fork": "name clash: bench/workloads.py's local fork wrapper counts as a use; only test_rng calls the method",
     "repro.transport.network.Network.connections_established": "bench: the transport.connections ledger count reads it",
     "repro.xmlcmd.fastpath.split_ping_wire": "bench: xmlcmd.ping_codec_ns times it; no receive site calls it, and ROADMAP item 1(b) re-points that timing and deletes it",
 }

@@ -222,8 +222,8 @@ def check_same_seed_traces(workdir: str) -> bool:
 def check_snapshot_fork(workdir: str) -> bool:
     """Restored cells must equal fresh-boot cells: a storm campaign (FD/REC
     station) and an availability run (abstract supervisor), each through
-    the warmed-station template (boot once, fork + RNG rebase per cell) and
-    with ``snapshot=False`` (full boot per cell)."""
+    the warmed-station template (boot once, a replayed fork + RNG rebase
+    per cell) and with ``snapshot=False`` (full boot per cell)."""
     pairs = [
         ("snapshot-fork", "storm on tree V, seed %d" % CHAOS_SEED, _chaos_run, ("storm",)),
         (
