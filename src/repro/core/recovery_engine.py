@@ -21,8 +21,8 @@ Both get the same engine: one crash-only plane, one trace dialect, one
 report filter (:meth:`~RecoveryEngine.expects_down`).
 
 Hooks handed to the engine are bound methods, never closures: the warmed-
-station snapshot deep-copies (and the template store pickles) the whole
-station, and a closure would keep pointing at the template's kernel.
+station snapshot copies the whole station, and a closure would keep
+pointing at the template's kernel.
 """
 
 from __future__ import annotations

@@ -18,10 +18,9 @@ One module per experiment family, mirroring the paper's evaluation:
 * :mod:`repro.experiments.fleet` — fleet-scale campaigns on the sharded
   :mod:`repro.sim.fleet` kernel: availability, MTTR, and session loss vs
   fleet size under correlated ground-segment fault waves;
-* :mod:`repro.experiments.snapshot` /
-  :mod:`repro.experiments.template_store` — warmed-station templates
-  (a replayed fork + RNG rebase per cell) shared across worker processes as
-  pickle-once blobs.
+* :mod:`repro.experiments.snapshot` — warmed-station templates (a replayed
+  fork + RNG rebase per cell), one per shape per process: built once, or
+  inherited across a fork.
 """
 
 from repro.experiments.metrics import RecoveryStats, UptimeTracker

@@ -19,10 +19,10 @@ segment.  This module builds that experiment on
   and/or an uplink degrade through the PR 5 network fabric).  Stations
   report recoveries back — bidirectional cross-shard traffic.
 * Stations restore from the warmed-station snapshot template
-  (:mod:`repro.experiments.snapshot`), shared across worker processes via
-  the pickle-once :mod:`~repro.experiments.template_store` — per-station
-  setup is a replayed fork + RNG rebase, amortizing one boot over the
-  fleet.
+  (:mod:`repro.experiments.snapshot`) — per-station setup is a replayed
+  fork + RNG rebase, amortizing one boot over the fleet.  A forked worker
+  inherits the parent's warmed template; any other worker boots its own
+  under the shape's boot seed, bit-identical either way.
 
 Per-station payloads carry an event-stream digest, so the bit-identity
 contract (shard counts, serial vs parallel) is checkable byte-for-byte.
@@ -39,7 +39,6 @@ from repro.chaos.invariants import InvariantChecker
 from repro.errors import ExperimentError
 from repro.experiments.metrics import UptimeTracker
 from repro.experiments.snapshot import (
-    publish_template,
     station_shape,
     warm_template,
     warmed_station,
@@ -489,32 +488,18 @@ class GroundShell(FleetShell):
 
 
 class _ShardFactory:
-    """Builds a shard's station shells in whatever process runs them.
+    """Builds a shard's station shells in whatever process runs them."""
 
-    Carries the pickle-once template blob table: installing it before the
-    first ``warmed_station`` call means a worker's first restore unpickles
-    the parent's warmed image instead of re-booting.
-    """
-
-    __slots__ = ("spec", "config", "blobs", "snapshot")
+    __slots__ = ("spec", "config", "snapshot")
 
     def __init__(
-        self,
-        spec: FleetSpec,
-        config: StationConfig,
-        blobs: Optional[Dict[str, bytes]] = None,
-        snapshot: bool = True,
+        self, spec: FleetSpec, config: StationConfig, snapshot: bool = True
     ) -> None:
         self.spec = spec
         self.config = config
-        self.blobs = blobs
         self.snapshot = snapshot
 
     def __call__(self, ids: Tuple[int, ...]) -> List[FleetShell]:
-        if self.blobs:
-            from repro.experiments.template_store import STORE
-
-            STORE.install(self.blobs)
         shape = _fleet_shape(self.spec, self.config)
         return [
             StationShell(shell_id, self.spec, self.config, shape, self.snapshot)
@@ -633,14 +618,7 @@ def run_fleet_cell(
     # template is warmed here even for snapshot-off differential runs —
     # those stations still boot fresh; only the clock is read.
     start = warm_template(shape, builder.build, builder.warm).kernel.now
-    # Fanned-out workers unpickle the parent's template instead of booting.
-    blobs: Optional[Dict[str, bytes]] = None
-    if parallel and snapshot:
-        from repro.experiments.template_store import STORE
-
-        publish_template(shape, builder.build, builder.warm)
-        blobs = {shape: STORE.blobs()[shape]}
-    factory = _ShardFactory(spec, config, blobs, snapshot)
+    factory = _ShardFactory(spec, config, snapshot)
     ground = GroundShell(spec, tree.components, start)
     fleet = FleetKernel(
         epoch=spec.ground_latency,

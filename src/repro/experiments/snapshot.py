@@ -545,8 +545,8 @@ def warm_template(
     build: Callable[[int], MercuryStation],
     warm: Callable[[MercuryStation], None],
 ) -> MercuryStation:
-    """The live warmed template for ``shape`` — built (or unpickled from a
-    published blob) on first use, cached per process after that.
+    """The live warmed template for ``shape`` — built under the shape's
+    :func:`boot_seed` and warmed on first use, cached per process after that.
 
     Callers must not mutate the returned station; restore a copy via
     :func:`warmed_station` instead.  Exposed so callers can read
@@ -555,36 +555,10 @@ def warm_template(
     """
     template = _TEMPLATES.get(shape)
     if template is None:
-        # Shared-store hit: another process already paid the boot and
-        # published the warmed image; one unpickle replaces it.  The
-        # store is a pure amortization — blob-restored templates are
-        # bit-identical to built ones (test_template_store.py).
-        from repro.experiments.template_store import STORE
-
-        template = STORE.fetch(shape)
-        if template is None:
-            template = build(boot_seed(shape))
-            warm(template)
+        template = build(boot_seed(shape))
+        warm(template)
         _TEMPLATES[shape] = template
     return template
-
-
-def publish_template(
-    shape: str,
-    build: Callable[[int], MercuryStation],
-    warm: Callable[[MercuryStation], None],
-) -> None:
-    """Warm the shape's template and publish it to the shared store.
-
-    Campaign parents call this *before* process fan-out so workers restore
-    from the pickle-once blob instead of each paying a boot.  Idempotent:
-    an already-published shape costs one dict lookup.
-    """
-    from repro.experiments.template_store import STORE
-
-    if STORE.has(shape):
-        return
-    STORE.publish(shape, warm_template(shape, build, warm))
 
 
 def _restore(shape: str, template: MercuryStation) -> MercuryStation:

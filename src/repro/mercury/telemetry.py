@@ -18,14 +18,11 @@ The model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.mercury.orbit import PassWindow
 from repro.types import SimTime
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.sinks import SummaryStat
 
 
 @dataclass
@@ -189,18 +186,3 @@ class DownlinkSummary:
     def whole_passes_lost(self) -> int:
         """Passes that delivered essentially nothing."""
         return sum(1 for outcome in self.outcomes if outcome.whole_pass_lost)
-
-    def stat(self, metric: str) -> "SummaryStat":
-        """Mergeable per-pass aggregate of one outcome metric.
-
-        ``metric`` is a :class:`PassOutcome` attribute or property name
-        (``"outage_seconds"``, ``"loss_fraction"``, ...).  Returns a
-        :class:`repro.obs.sinks.SummaryStat`, so parallel campaign arms can
-        combine their per-pass distributions exactly like recovery phases.
-        """
-        from repro.obs.sinks import SummaryStat
-
-        stat = SummaryStat()
-        for outcome in self.outcomes:
-            stat.add(float(getattr(outcome, metric)))
-        return stat

@@ -212,7 +212,7 @@ class Kernel:
     def step(self) -> bool:
         """Execute the next pending event; return False if queue is empty.
 
-        The single-step/debug API and the engine of the ``max_events`` run.
+        The single-step/debug API.
         Waiting for a condition is :meth:`run_until`'s job: a step-and-poll
         loop pays this method's per-item bucket re-push plus one predicate
         read per event.
@@ -241,8 +241,8 @@ class Kernel:
             payload()
         return True
 
-    def run(self, until: Optional[SimTime] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or ``max_events``.
+    def run(self, until: Optional[SimTime] = None) -> None:
+        """Run until the queue drains or ``until`` is reached.
 
         When ``until`` is given the clock is advanced exactly to ``until``
         (unless the kernel was stopped) so successive ``run(until=...)``
@@ -251,9 +251,6 @@ class Kernel:
         """
         if self._running:
             raise SimulationError("kernel.run() is not reentrant")
-        if max_events is not None:
-            self._run_bounded(until, max_events)
-            return
         self._dispatch(until)
         if until is not None and not self._stopped and self.clock._now < until:
             self.clock.advance_to(until)
@@ -363,27 +360,6 @@ class Kernel:
         finally:
             self.events_executed += executed
             self._live -= executed
-            self._running = False
-
-    def _run_bounded(self, until: Optional[SimTime], max_events: int) -> None:
-        """The ``max_events``-limited run loop (rare; driven by tests and
-        debugging harnesses), built on :meth:`step` for exact per-event
-        accounting."""
-        self._running = True
-        try:
-            executed = 0
-            while executed < max_events and not self._stopped:
-                next_time = self.peek_next_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                if not self.step():
-                    break
-                executed += 1
-            if until is not None and not self._stopped and self.clock._now < until:
-                self.clock.advance_to(until)
-        finally:
             self._running = False
 
     def stop(self) -> None:

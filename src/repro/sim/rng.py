@@ -95,14 +95,5 @@ class RngRegistry:
         for name, stream in self._streams.items():
             stream.seed(derive_seed(self._seed, name))
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Create a child registry whose root seed is derived from ``name``.
-
-        Used by the experiment harness to give each of the N trials its own
-        independent randomness while remaining a pure function of
-        ``(root seed, trial index)``.
-        """
-        return RngRegistry(derive_seed(self._seed, f"fork:{name}"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(seed={self._seed}, streams={sorted(self._streams)})"

@@ -9,6 +9,8 @@ drain leaves invariants clean, session-loss accounting follows the
 link-break rule, and the campaign cache ignores the execution layout.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.experiments import fleet as fleet_cells
@@ -22,16 +24,14 @@ from repro.experiments.fleet import (
 from repro.errors import ExperimentError
 from repro.experiments.runner import run_suite
 from repro.experiments.snapshot import clear_templates
-from repro.experiments.template_store import STORE
+from repro.sim import fleet as fleet_kernel
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_templates()
-    STORE.clear()
     yield
     clear_templates()
-    STORE.clear()
 
 
 SMALL = FleetSpec(
@@ -61,16 +61,21 @@ def test_shard_count_cannot_change_a_fleet_result():
     assert _payload(SMALL, shards=4) == one
 
 
-def test_process_fanout_cannot_change_a_fleet_result():
+def test_process_fanout_cannot_change_a_fleet_result(monkeypatch):
     serial = _payload(SMALL, shards=2, jobs=1)
     fanned = _payload(SMALL, shards=2, jobs=2)
     assert fanned == serial
+    # Spawned workers inherit no template: each boots its own under the
+    # shape's boot seed and must still match the serial run.
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(fleet_kernel.mp, "get_context", lambda *args: spawn)
+    spawned = _payload(SMALL, shards=2, jobs=2)
+    assert spawned == serial
 
 
 def test_snapshot_mode_cannot_change_a_fleet_result():
     restored = _payload(SMALL, shards=1)
     clear_templates()
-    STORE.clear()
     fresh = _payload(SMALL, shards=1, snapshot=False)
     assert fresh == restored
 

@@ -93,13 +93,13 @@ class CountingKernel(Kernel):
         self.due_runs = 0
         self.idle_runs = 0
 
-    def run(self, until=None, max_events=None):
+    def run(self, until=None):
         due = self.peek_next_time()
         if due is not None and due <= until:
             self.due_runs += 1
         else:
             self.idle_runs += 1
-        super().run(until, max_events)
+        super().run(until)
 
 
 class SparseShell(GossipShell):

@@ -1,4 +1,4 @@
-"""Tests for named random streams: independence, stability, forking."""
+"""Tests for named random streams: independence, stability, seed derivation."""
 
 from repro.sim.rng import RngRegistry, derive_seed
 
@@ -42,17 +42,3 @@ def test_derive_seed_is_deterministic():
     assert derive_seed(1, "name") == derive_seed(1, "name")
     assert derive_seed(1, "name") != derive_seed(2, "name")
     assert derive_seed(1, "a") != derive_seed(1, "b")
-
-
-def test_fork_creates_independent_child():
-    parent = RngRegistry(seed=5)
-    child_a = parent.fork("trial-0")
-    child_b = parent.fork("trial-1")
-    assert child_a.seed != child_b.seed
-    assert child_a.stream("x").random() != child_b.stream("x").random()
-
-
-def test_fork_is_reproducible():
-    a = RngRegistry(seed=5).fork("trial-0").stream("x").random()
-    b = RngRegistry(seed=5).fork("trial-0").stream("x").random()
-    assert a == b

@@ -1,12 +1,11 @@
 """The inventory of step-and-poll loops: none under ``src/repro``, and
 none under ``tests/`` that can spin.
 
-``Kernel.step()`` is the single-step/debug API and the engine of the
-``max_events`` run.  A wait written as ``while not done(): kernel.step()``
-pays the slow dispatch path plus one predicate read per event; the next
-wait is a ``Kernel.run_until`` call with a wake site at each transition it
-reads (DESIGN.md §10 has the table), on purpose rather than by copying a
-loop.
+``Kernel.step()`` is the single-step/debug API.  A wait written as
+``while not done(): kernel.step()`` pays the slow dispatch path plus one
+predicate read per event; the next wait is a ``Kernel.run_until`` call with
+a wake site at each transition it reads (DESIGN.md §10 has the table), on
+purpose rather than by copying a loop.
 
 Tests still step on purpose, to stop between two events.  ``step()``
 returns False once the queue is empty, and it never advances the clock

@@ -33,10 +33,12 @@ leg runs one cell more than once and byte-compares what came out:
   III) from the warmed-station template and from a fresh boot, comparing
   the full payloads (user-effects ledger, MTTR samples, per-phase blame,
   session ledger), once under user traffic and once without;
-* **fleet** — one correlated-wave fleet cell run four ways — one shard,
-  three shards, three shards fanned over worker processes, and
-  fresh-booted stations — comparing the full payloads, which embed every
-  station's event-stream digest and user-effects ledger; once with live
+* **fleet** — one correlated-wave fleet cell run five ways — one shard,
+  three shards, three shards fanned over worker processes started the
+  platform's way (forked on Linux: they inherit the parent's warmed
+  template) and again spawned (they boot their own), and fresh-booted
+  stations — comparing the full payloads, which embed every station's
+  event-stream digest and user-effects ledger; once with live
   user traffic and once without, where most stations have nothing due at
   most barriers and the fleet kernel skips them (the leg prints how many
   member-epochs each layout skipped).
@@ -310,11 +312,12 @@ def check_workload_fresh_boot(workdir: str) -> bool:
 def check_fleet(workdir: str) -> bool:
     """Shard count, process fan-out and boot path are all invisible in a
     fleet's results, with every station busy and with most stations idle."""
+    import multiprocessing
     from unittest import mock
 
     from repro.experiments import fleet as fleet_cells
     from repro.experiments.fleet import FleetSpec, run_fleet_cell
-    from repro.experiments.template_store import STORE
+    from repro.sim import fleet as fleet_kernel
     from repro.sim.fleet import FleetKernel
 
     skipped: List[str] = []
@@ -338,29 +341,33 @@ def check_fleet(workdir: str) -> bool:
         # so the event horizon skips most member-epochs.
         ("idle", FleetSpec(request_rate=0.0, **waves)),
     ]
+    # The last field is the worker start method (None: the platform's).
     layouts = [
-        ("1 shard", dict(shards=1)),
-        ("3 shards", dict(shards=3)),
-        ("3 shards x 3 jobs", dict(shards=3, jobs=3)),
-        ("fresh boot", dict(shards=1, snapshot=False)),
+        ("1 shard", dict(shards=1), None),
+        ("3 shards", dict(shards=3), None),
+        ("3 shards x 3 jobs", dict(shards=3, jobs=3), None),
+        ("3 shards x 3 jobs (spawn)", dict(shards=3, jobs=3), "spawn"),
+        ("fresh boot", dict(shards=1, snapshot=False), None),
     ]
+    get_context = multiprocessing.get_context
     ok = True
     for name, spec in specs:
         print("determinism: fleet, %s (8 stations, waves, seed %d) ..." % (name, CHAOS_SEED))
         payloads = []
         skipped.clear()
         with mock.patch.object(fleet_cells, "FleetKernel", Counted):
-            for _, kwargs in layouts:
+            for _, kwargs, start in layouts:
                 clear_templates()
-                STORE.clear()
-                payloads.append(_dump(run_fleet_cell(spec, **kwargs).to_payload()))
+                with mock.patch.object(
+                    fleet_kernel.mp, "get_context", lambda *args: get_context(start)
+                ):
+                    payloads.append(_dump(run_fleet_cell(spec, **kwargs).to_payload()))
         clear_templates()
-        STORE.clear()
         print(
             "  member-epochs skipped: "
-            + ", ".join(f"{label} {count}" for (label, _), count in zip(layouts, skipped))
+            + ", ".join(f"{label} {count}" for (label, *_), count in zip(layouts, skipped))
         )
-        for (label, _), payload in zip(layouts[1:], payloads[1:]):
+        for (label, *_), payload in zip(layouts[1:], payloads[1:]):
             ok = _same(f"fleet {name}", f"{label} == {layouts[0][0]}", payloads[0], payload) and ok
     return ok
 
