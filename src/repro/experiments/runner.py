@@ -332,14 +332,14 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "scenario", "tree"),
         run=_run_chaos,
         decode=_decode_chaos,
-        version=7,
+        version=8,
     ),
     "workload": Kind(
         reads=("strategy", "failure_kind", "trials", "request_rate"),
         identity=("kind", "strategy", "failure_kind", "tree"),
         run=_run_workload,
         decode=_decode_workload,
-        version=4,
+        version=5,
     ),
     "fleet": Kind(
         reads=(
@@ -349,7 +349,7 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "tree", "fleet_size", "wave_interval_s", "horizon_s"),
         run=_run_fleet,
         decode=_decode_fleet,
-        version=6,
+        version=7,
     ),
 }
 

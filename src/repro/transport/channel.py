@@ -28,7 +28,7 @@ class Endpoint:
     """
 
     __slots__ = ("_channel", "_network", "name", "open", "_on_message", "_on_close",
-                 "_peer", "_inbox_while_unset", "_last_arrival")
+                 "_peer", "_inbox_while_unset", "_last_arrival", "_link")
 
     def __init__(self, channel: "Channel", name: str) -> None:
         self._channel = channel
@@ -45,6 +45,10 @@ class Endpoint:
         #: FIFO clamp, stored on the endpoint itself so a channel survives
         #: structural copying (snapshot/fork) without identity-keyed state.
         self._last_arrival = 0.0
+        #: The latency stream of the link from this endpoint to its peer,
+        #: looked up on the first draw (:meth:`_open_link`): a direction that
+        #: never draws adds no stream for a restore's rebase to seed.
+        self._link = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -101,7 +105,8 @@ class Endpoint:
         if faults is None or not faults.active:
             # The fault-free hop: one draw, one clamp, one event.  Equal to
             # the loop below over ``copies=(0.0,)`` (``x + 0.0 == x``).
-            arrival = kernel.clock._now + network.latency.sample()
+            link = self._link or self._open_link()
+            arrival = kernel.clock._now + network.latency.sample(link)
             if arrival < receiver._last_arrival:
                 arrival = receiver._last_arrival
             else:
@@ -113,8 +118,9 @@ class Endpoint:
             channel.messages_lost += 1
             return  # dropped or partitioned: the sender never knows
         sample = network.latency.sample
+        link = self._link or self._open_link()
         for extra in copies:
-            arrival = kernel.clock._now + sample() + extra
+            arrival = kernel.clock._now + sample(link) + extra
             if arrival < receiver._last_arrival:
                 arrival = receiver._last_arrival
             else:
@@ -154,6 +160,11 @@ class Endpoint:
             else:
                 receiver._last_arrival = arrival
             kernel.schedule_at(arrival, receiver._deliver, message)
+
+    def _open_link(self) -> Any:
+        """Look up (and hold) the latency stream of this endpoint's link."""
+        self._link = self._network.link_stream(self.name, self._peer.name)
+        return self._link
 
     def close(self) -> None:
         """Close the whole channel; the peer's close handler is notified.
@@ -222,10 +233,13 @@ class Channel:
             endpoint._inbox_while_unset.clear()
             if endpoint is not initiator:
                 # Close notification crosses the network like data does,
-                # but is immune to the fault model: teardown is surfaced by
-                # the local OS (RST / broken pipe), not by lossy packets.
+                # on the link toward ``endpoint``, but is immune to the fault
+                # model: teardown is surfaced by the local OS (RST / broken
+                # pipe), not by lossy packets.
                 network = self._network
-                network.kernel.schedule_after(network.latency.sample(), endpoint._notify_close)
+                sender = endpoint._peer
+                link = sender._link or sender._open_link()
+                network.kernel.schedule_after(network.latency.sample(link), endpoint._notify_close)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.open else "closed"

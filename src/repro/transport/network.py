@@ -9,11 +9,14 @@ The ground station runs on one LAN, so the default latency is small and
 uniform; the model is pluggable so experiments can study how detection time
 (and therefore MTTR) degrades on a slower network (ablation bench).
 
+Every directed link draws its latency jitter from its own named RNG
+stream, ``transport.latency.<sender>~<receiver>`` (:meth:`Network.link_stream`).
+
 On top of the latency model sits an optional :class:`NetworkFaultModel`: a
 deterministic, per-link fabric of drops, delay spikes, duplication, and
-timed bidirectional partitions.  Every link draws from its own named RNG
-stream, so a chaos run that degrades the network replays bit-identically
-from its seed.
+timed bidirectional partitions.  Every link draws its faults from its own
+named RNG stream too, so a chaos run that degrades the network replays
+bit-identically from its seed.
 """
 
 from __future__ import annotations
@@ -37,42 +40,27 @@ class LatencyModel:
     The defaults (0.2 ms base, 0.1 ms jitter) approximate a quiet switched
     LAN — negligible against seconds-scale restarts, as in the paper.
 
-    A nonzero ``jitter`` requires an RNG: jitter is *sampled*, and sampling
-    without a named stream would silently degrade to the constant base
-    delay (and break seed-determinism if patched with a global RNG).
-    :class:`Network` wires its ``"transport.latency"`` stream into a model
-    that was built without one.
+    The model holds no randomness of its own: each directed link draws its
+    jitter from its own named stream, ``transport.latency.<sender>~<receiver>``
+    (the endpoint names; :class:`~repro.transport.channel.Endpoint` holds
+    the stream), so a message added or removed on one link moves no
+    arrival on any other, and a reconnect continues its link's stream.
     """
 
-    def __init__(
-        self,
-        base: SimTime = 0.0002,
-        jitter: SimTime = 0.0001,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, base: SimTime = 0.0002, jitter: SimTime = 0.0001) -> None:
         if base < 0 or jitter < 0:
             raise ValueError("latency parameters must be non-negative")
         self.base = base
         self.jitter = jitter
-        self._rng = rng
 
-    def bind_rng(self, rng: random.Random) -> None:
-        """Supply the RNG stream if the model was constructed without one."""
-        if self._rng is None:
-            self._rng = rng
-
-    def sample(self) -> SimTime:
-        """Draw the delay for one message."""
+    def sample(self, rng: random.Random) -> SimTime:
+        """Draw the delay for one message on the link whose stream is ``rng``
+        (no draw at all when there is no jitter)."""
         if self.jitter == 0:
             return self.base
-        if self._rng is None:
-            raise ValueError(
-                "LatencyModel has jitter > 0 but no RNG stream; pass rng= or "
-                "attach the model to a Network (which binds its named stream)"
-            )
         # uniform(0, j) is a + (b-a)*random() with a=0: algebraically and
         # bit-identically j*random(), minus a method call on the hot path.
-        return self.base + self.jitter * self._rng.random()
+        return self.base + self.jitter * rng.random()
 
 
 class LinkProfile:
@@ -393,12 +381,7 @@ class Network:
         faults: Optional[NetworkFaultModel] = None,
     ) -> None:
         self.kernel = kernel
-        self.latency = latency or LatencyModel(
-            rng=kernel.rngs.stream("transport.latency")
-        )
-        # A caller-supplied model with jitter but no RNG gets the named
-        # stream instead of silently (or loudly) failing to sample.
-        self.latency.bind_rng(kernel.rngs.stream("transport.latency"))
+        self.latency = latency or LatencyModel()
         #: Optional fault fabric; ``None`` means a perfectly quiet network.
         self.faults = faults
         self._listeners: Dict[str, Listener] = {}
@@ -443,6 +426,12 @@ class Network:
     def unbind(self, address: str) -> None:
         """Remove a listener binding (no-op if absent)."""
         self._listeners.pop(address, None)
+
+    def link_stream(self, sender: str, receiver: str) -> random.Random:
+        """The latency stream of the ``sender``→``receiver`` link, named by
+        the two endpoint names: every connection between them, a reconnect
+        included, continues the one stream."""
+        return self.kernel.rngs.stream(f"transport.latency.{sender}~{receiver}")
 
     def is_bound(self, address: str) -> bool:
         """Whether a listener is currently bound to ``address``."""

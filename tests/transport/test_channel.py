@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ChannelClosedError
 from repro.experiments.snapshot import fork
 from repro.sim.kernel import Kernel
+from repro.sim.rng import RngRegistry
 from repro.transport.network import Network
 
 
@@ -231,7 +232,7 @@ def test_send_base_arrives_at_the_base_delay_and_draws_nothing(kernel, network):
     client, server = connected_pair(network)
     arrivals = []
     server.on_message(lambda message: arrivals.append((message, kernel.now)))
-    stream = kernel.rngs.stream("transport.latency")
+    stream = network.link_stream("client", "srv:1")
     state = stream.getstate()
     kernel.run(until=1.0)
     client.send_base("ping")
@@ -265,3 +266,61 @@ def test_send_base_goes_through_the_fault_fabric():
     client.send_base("lost")
     kernel.run(until=5.0)
     assert inbox == [] and network.faults.partition_blocked == 1
+
+
+# ----------------------------------------------------------------------
+# one latency stream per directed link
+# ----------------------------------------------------------------------
+
+
+def _three_links(extra_on_a: bool):
+    """Two clients of one server, traffic both ways; with ``extra_on_a``
+    one more message rides link A (``a`` → ``srv:1``) mid-run.  Returns
+    every delivery instant per receiving link."""
+    kernel = Kernel(seed=7)
+    network = Network(kernel)
+    accepted = []
+    network.listen("srv:1", accepted.append)
+    a, b = network.connect("a", "srv:1"), network.connect("b", "srv:1")
+    a_srv, b_srv = accepted
+    seen = {}
+    for label, endpoint in (("a->srv", a_srv), ("b->srv", b_srv), ("srv->a", a), ("srv->b", b)):
+        endpoint.on_message(lambda message, label=label: seen.setdefault(label, []).append(kernel.now))
+    for round_ in range(20):
+        kernel.run(until=round_ * 0.01)
+        a.send("x")
+        b.send("y")
+        a_srv.send("z")
+        b_srv.send("w")
+        if extra_on_a and round_ == 5:
+            a.send("extra")
+    kernel.run()
+    return seen
+
+
+def test_an_extra_message_on_one_link_moves_no_arrival_on_any_other():
+    plain, extra = _three_links(False), _three_links(True)
+    assert len(extra["a->srv"]) == len(plain["a->srv"]) + 1
+    for label in ("b->srv", "srv->a", "srv->b"):
+        assert extra[label] == plain[label], label
+
+
+def test_a_reconnect_continues_its_links_stream(kernel, network):
+    """A restarted client's new connection draws on from where its link's
+    stream stopped: the same stream object, not a reseeded one."""
+    network.listen("srv:1", lambda endpoint: None)
+    first = network.connect("client", "srv:1")
+    first.send("one")
+    first.send("two")
+    kernel.run()
+    stream = first._link
+    first.close()
+    kernel.run()
+    second = network.connect("client", "srv:1")
+    second.send("three")
+    assert second._link is stream is network.link_stream("client", "srv:1")
+    mirror = RngRegistry(kernel.rngs.seed).stream("transport.latency.client~srv:1")
+    # Two sends, the close's notice to the server, and the third send.
+    for _ in range(4):
+        mirror.random()
+    assert stream.getstate() == mirror.getstate()

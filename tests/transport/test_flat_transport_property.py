@@ -10,9 +10,10 @@ step compares everything observable with :class:`Model` below — what the
 transport *means*, in twenty-odd lines:
 
 * per-direction FIFO, and the exact arrival instant of every message;
-* the number of ``transport.latency`` draws (the model mirrors the stream,
-  so one draw too many or too few shifts every later arrival and leaves
-  the two streams in different states);
+* the number of latency draws on each direction's own stream,
+  ``transport.latency.<sender>~<receiver>`` (the model mirrors the two
+  streams, so one draw too many or too few shifts every later arrival on
+  that direction and leaves the streams in different states);
 * ``messages_sent`` / ``messages_delivered`` / ``messages_lost``;
 * in-flight messages dropped on close, a send on a closed channel raising;
 * the pre-handler inbox flushed once and cleared on close;
@@ -39,13 +40,23 @@ from repro.transport.network import Network, NetworkFaultModel
 
 SEED = 99
 SIDES = ("client", "server")
+#: Each receiving side's link: the endpoint names, sender first.
+LINKS = {"server": ("client", "srv:1"), "client": ("srv:1", "client")}
+
+
+def _streams(rngs):
+    """Each receiving side's latency stream in ``rngs``."""
+    return {
+        side: rngs.stream("transport.latency.{}~{}".format(*link))
+        for side, link in LINKS.items()
+    }
 
 
 class Model:
     """What one connection does, with no kernel and no channel."""
 
     def __init__(self, latency):
-        self.rng = RngRegistry(SEED).stream("transport.latency")
+        self.rngs = _streams(RngRegistry(SEED))
         self.base, self.jitter = latency.base, latency.jitter
         self.open, self.sent, self.delivered, self.lost = True, 0, 0, 0
         self.flying = {side: [] for side in SIDES}  # receiver -> [(arrival, msg)]
@@ -62,7 +73,7 @@ class Model:
         if (self.partition_until is not None and now < self.partition_until) or profile[0]:
             self.lost += 1
             return
-        arrival = now + (self.base + self.jitter * self.rng.random()) + profile[1]
+        arrival = now + (self.base + self.jitter * self.rngs[receiver].random()) + profile[1]
         arrival = self.last_arrival[receiver] = max(arrival, self.last_arrival[receiver])
         self.flying[receiver].append((arrival, message))
 
@@ -81,10 +92,11 @@ class Model:
         self.received[side] += [(now, message) for message in self.inbox[side]]
         self.inbox[side] = []
 
-    def close(self):
+    def close(self, initiator):
         if self.open:
             self.open = False
-            self.rng.random()  # the one close notification crosses the network
+            # The one close notification crosses the link to the other side.
+            self.rngs["server" if initiator == "client" else "client"].random()
             self.flying = {side: [] for side in SIDES}
             self.inbox = {side: [] for side in SIDES}
 
@@ -158,7 +170,7 @@ def test_flat_transport_matches_the_reference_model(steps, with_faults):
             model.install(step[1], now)
         elif op == "close":
             ends[step[1]].close()
-            model.close()
+            model.close(step[1])
         elif faults is None:
             continue
         elif op == "degrade":
@@ -193,8 +205,9 @@ def test_flat_transport_matches_the_reference_model(steps, with_faults):
         if faults is not None:
             assert faults.active == _old_active_property(faults) == model.active()
 
-    # Every draw the transport made, the model made: same stream state.
-    assert kernel.rngs.stream("transport.latency").getstate() == model.rng.getstate()
+    # Every draw the transport made, the model made: same stream states.
+    for side, stream in _streams(kernel.rngs).items():
+        assert stream.getstate() == model.rngs[side].getstate()
     # Whatever was still flying lands, in order, at the instants predicted.
     kernel.run()
     model.advance(float("inf"))
@@ -228,7 +241,7 @@ _HOP_STEP = st.one_of(
 
 def _hop_run(make_faults, steps):
     """Everything a connection shows under ``steps``: arrivals, inboxes,
-    clamps, counters, and the latency stream's state."""
+    clamps, counters, and the latency streams' states."""
     kernel = Kernel(seed=SEED)
     network = Network(kernel, faults=make_faults(kernel))
     accepted = []
@@ -251,7 +264,7 @@ def _hop_run(make_faults, steps):
         {side: ends[side]._inbox_while_unset for side in SIDES},
         {side: ends[side]._last_arrival for side in SIDES},
         (channel.messages_sent, channel.messages_delivered, channel.messages_lost),
-        kernel.rngs.stream("transport.latency").getstate(),
+        {side: stream.getstate() for side, stream in _streams(kernel.rngs).items()},
     )
 
 

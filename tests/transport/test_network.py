@@ -50,15 +50,21 @@ def test_listener_counts_accepts(kernel, network):
 def test_latency_model_bounds():
     import random
 
-    model = LatencyModel(base=0.001, jitter=0.002, rng=random.Random(1))
-    samples = [model.sample() for _ in range(200)]
+    model = LatencyModel(base=0.001, jitter=0.002)
+    rng = random.Random(1)
+    samples = [model.sample(rng) for _ in range(200)]
     assert all(0.001 <= s <= 0.003 for s in samples)
     assert len(set(samples)) > 50
 
 
 def test_latency_zero_jitter_is_constant():
+    import random
+
     model = LatencyModel(base=0.005, jitter=0.0)
-    assert model.sample() == 0.005
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert model.sample(rng) == 0.005
+    assert rng.getstate() == state  # no draw
 
 
 def test_latency_negative_rejected():

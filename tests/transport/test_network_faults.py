@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConnectionRefusedError_
 from repro.sim.kernel import Kernel
 from repro.transport.network import (
-    LatencyModel,
     LinkProfile,
     Network,
     NetworkFaultModel,
@@ -45,18 +44,6 @@ def test_link_key_strips_ports_and_orders():
 def test_link_profile_validation(kwargs):
     with pytest.raises(ValueError):
         LinkProfile(**kwargs)
-
-
-def test_latency_model_jitter_without_rng_raises():
-    model = LatencyModel(base=0.001, jitter=0.002)  # no rng supplied
-    with pytest.raises(ValueError, match="no RNG stream"):
-        model.sample()
-
-
-def test_network_binds_stream_into_bare_latency_model(kernel):
-    model = LatencyModel(base=0.001, jitter=0.002)
-    Network(kernel, latency=model)
-    assert 0.001 <= model.sample() <= 0.003
 
 
 # ----------------------------------------------------------------------
