@@ -99,7 +99,8 @@ class BusBroker(Behavior):
         endpoint.on_close(partial(self._on_client_close, endpoint))
 
     def _on_client_close(self, endpoint: "Endpoint") -> None:
-        self.kernel.supervision.poke()
+        names = self._endpoints.get(endpoint, ())
+        self.kernel.supervision.poke(names[0] if len(names) == 1 else None)
         for name in self._endpoints.pop(endpoint, ()):
             if self._clients.get(name) is endpoint:
                 del self._clients[name]
@@ -108,7 +109,7 @@ class BusBroker(Behavior):
     def _attach(self, client_name: str, endpoint: "Endpoint") -> None:
         # Last attach wins: a restarted client re-attaches over a new channel
         # while the broker may not yet have seen the old channel's close.
-        self.kernel.supervision.poke()
+        self.kernel.supervision.poke(client_name)
         old = self._clients.get(client_name)
         if old is not None and old is not endpoint:
             names = self._endpoints.get(old)

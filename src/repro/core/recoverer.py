@@ -155,7 +155,7 @@ class RecoveryModule(Behavior):
     def _on_accept(self, endpoint: "Endpoint") -> None:
         # One live FD connection at a time; a reconnecting FD supersedes the
         # old channel (whose close may still be in flight).
-        self.kernel.supervision.poke()
+        self.kernel.supervision.poke(self.name)
         self._fd_endpoint = endpoint
         endpoint.on_message(self._on_ctl_raw)
         endpoint.on_close(partial(self._on_ctl_close, endpoint))
@@ -168,7 +168,7 @@ class RecoveryModule(Behavior):
             self._announce(action.cell, tuple(sorted(action.batch)), "begin")
 
     def _on_ctl_close(self, endpoint: "Endpoint") -> None:
-        self.kernel.supervision.poke()
+        self.kernel.supervision.poke(self.name)
         if self._fd_endpoint is endpoint:
             self._fd_endpoint = None
 
@@ -212,7 +212,7 @@ class RecoveryModule(Behavior):
                 encode_ping_wire("ping-reply", self.name, env.sender, env.seq)
             )
             return
-        self.kernel.supervision.poke()
+        self.kernel.supervision.poke(self.name)
         message = parse_message(raw)
         handler = _CTL_DISPATCH.get(message.__class__)
         if handler is not None:

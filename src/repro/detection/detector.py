@@ -255,13 +255,13 @@ class FailureDetector(BusAttachedBehavior):
         if self._ctl is None:
             self._schedule_ctl_reconnect()
             return
-        self.kernel.supervision.poke()
+        self.kernel.supervision.poke(self.name)
         self._ctl.on_message(self._on_ctl_raw)
         self._ctl.on_close(self._on_ctl_close)
         self.trace(ev.CTL_CONNECTED)
 
     def _on_ctl_close(self) -> None:
-        self.kernel.supervision.poke()
+        self.kernel.supervision.poke(self.name)
         self._ctl = None
         if self._alive:
             self._schedule_ctl_reconnect()
@@ -294,7 +294,7 @@ class FailureDetector(BusAttachedBehavior):
         if env is not None and env.kind == "ping-reply":
             self._on_rec_reply(env.seq)
             return
-        self.kernel.supervision.poke()
+        self.kernel.supervision.poke(self.name)
         message = parse_message(raw)
         if isinstance(message, PingReply):
             self._on_rec_reply(message.seq)

@@ -105,15 +105,22 @@ class Antenna:
         self.last_pointed_at: Optional[SimTime] = None
         self.point_count = 0
 
-    def point(self, azimuth_deg: float, elevation_deg: float, by: str) -> None:
-        """Slew to the commanded angles."""
+    def point(
+        self,
+        azimuth_deg: float,
+        elevation_deg: float,
+        by: str,
+        at: Optional[SimTime] = None,
+    ) -> None:
+        """Slew to the commanded angles, now or (a folded tracking loop's
+        catch-up) at the earlier instant ``at``."""
         if not -360.0 <= azimuth_deg <= 360.0 or not -5.0 <= elevation_deg <= 90.0:
             raise ComponentError(
                 f"pointing out of range: az={azimuth_deg!r}, el={elevation_deg!r}"
             )
         self.azimuth_deg = azimuth_deg
         self.elevation_deg = elevation_deg
-        self.last_pointed_at = self.kernel.now
+        self.last_pointed_at = self.kernel.now if at is None else at
         self.point_count += 1
 
 

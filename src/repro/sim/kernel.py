@@ -239,6 +239,7 @@ class Kernel:
             payload[0](*payload[1])
         else:
             payload()
+        self._settle()
         return True
 
     def run(self, until: Optional[SimTime] = None) -> None:
@@ -254,6 +255,7 @@ class Kernel:
         self._dispatch(until)
         if until is not None and not self._stopped and self.clock._now < until:
             self.clock.advance_to(until)
+        self._settle()
 
     def run_until(
         self, predicate: Callable[[], bool], until: Optional[SimTime] = None
@@ -275,6 +277,12 @@ class Kernel:
         """
         if self._running or self._armed:
             raise SimulationError("kernel.run_until() is not reentrant")
+        try:
+            return self._run_until(predicate, until)
+        finally:
+            self._settle()
+
+    def _run_until(self, predicate: Callable[[], bool], until: Optional[SimTime]) -> bool:
         self._armed = True
         try:
             while not predicate():
@@ -291,6 +299,13 @@ class Kernel:
         finally:
             self._armed = False
             self._halt = self._stopped
+
+    def _settle(self) -> None:
+        """Hand control back with every folded loop caught up to now, so
+        a caller reads the state stepping would have left (a stopped
+        kernel runs nothing more, so nothing is owed)."""
+        if not self._stopped:
+            self.supervision.settle()
 
     def wake(self) -> None:
         """Have an armed :meth:`run_until` re-read its predicate.

@@ -1,4 +1,4 @@
-"""The supervision clock: the one wake source of folded failure-detector rounds.
+"""The supervision clock: the one wake source of folded rounds and loops.
 
 FD pings every monitored component once a round.  While every ping is
 answered and nothing on the station changes, a round sees nothing: no
@@ -27,11 +27,20 @@ A deadline can only expire once FD's heartbeats stop, and nothing stops
 them without poking first, so the watchdog re-arms from FD's last
 heartbeat in time for the check that would restart FD.  It is one more
 slot, not a listener list: a station has one REC.
+
+An application loop folds on the clock too: ses's track/tune loop
+(:class:`~repro.mercury.components.ses_component.SesBehavior`) skips the
+solves whose every hop is known in advance and catches them up later.  It
+parks two callbacks and the components it rests on: ``unfold``, which a
+poke about one of those components (or about the station at large) runs
+after FD's catch-up and which ends the fold, and ``catch_up``, which
+:meth:`settle` runs and which leaves it folded.  The kernel settles before every return to its caller,
+so a station read between runs reads as stepping left it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, FrozenSet, Optional, Tuple
 
 from repro.types import SimTime
 
@@ -44,7 +53,8 @@ class SupervisionClock:
 
     __slots__ = (
         "_wake", "_period", "_hop", "_prev", "_last", "_next", "_rounds",
-        "_end", "_heard", "_watchdog",
+        "_end", "_heard", "_watchdog", "_loop_catch_up", "_loop_unfold",
+        "_loop_peers",
     )
 
     def __init__(self) -> None:
@@ -65,6 +75,12 @@ class SupervisionClock:
         #: The sleeping FD watchdog's re-arm (a bound method), run after
         #: ``_wake`` at the poke that ends the fold.
         self._watchdog: Optional[Callable[[], None]] = None
+        #: A folded application loop's catch-up (run by :meth:`settle`) and
+        #: its unfold (run by a poke), while it folds.
+        self._loop_catch_up: Optional[Callable[[], None]] = None
+        self._loop_unfold: Optional[Callable[[], None]] = None
+        #: The components whose pokes wake the folded loop.
+        self._loop_peers: FrozenSet[str] = frozenset()
 
     @property
     def folded(self) -> bool:
@@ -91,9 +107,23 @@ class SupervisionClock:
         caught up.  Only while :attr:`folded`."""
         self._watchdog = watchdog
 
-    def poke(self) -> None:
-        """Something a round could see is about to change: wake the FD,
-        then the watchdog sleeping on it."""
+    def fold_loop(
+        self,
+        catch_up: Optional[Callable[[], None]],
+        unfold: Optional[Callable[[], None]],
+        peers: FrozenSet[str] = frozenset(),
+    ) -> None:
+        """Park a folded application loop resting on the components
+        ``peers`` (``None``, ``None``: the loop ended its fold itself)."""
+        self._loop_catch_up = catch_up
+        self._loop_unfold = unfold
+        self._loop_peers = peers
+
+    def poke(self, component: Optional[str] = None) -> None:
+        """Something a round could see is about to change — about
+        ``component``'s process or bus attachment, or (``None``) about the
+        station at large: wake the FD, then the watchdog sleeping on it,
+        then a folded loop that rests on ``component``."""
         wake = self._wake
         if wake is not None:
             self._wake = None
@@ -102,6 +132,17 @@ class SupervisionClock:
             if watchdog is not None:
                 self._watchdog = None
                 watchdog()
+        unfold = self._loop_unfold
+        if unfold is not None and (component is None or component in self._loop_peers):
+            self._loop_catch_up = self._loop_unfold = None
+            unfold()
+
+    def settle(self) -> None:
+        """Have a folded loop catch up on what it skipped before now — its
+        counters, its links' draws, its hops in flight — and stay folded."""
+        catch_up = self._loop_catch_up
+        if catch_up is not None:
+            catch_up()
 
     def unfold(self, now: SimTime) -> Tuple[int, SimTime, SimTime]:
         """End the fold at ``now``: ``(rounds, last, next)`` — the rounds

@@ -19,6 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: The one-copy, no-spike plan of a fault-free hop.
 _NO_EXTRA = (0.0,)
 
+_NEVER = float("inf")
+
 
 class Endpoint:
     """One half of a channel, held by one of the two communicating parties.
@@ -28,7 +30,8 @@ class Endpoint:
     """
 
     __slots__ = ("_channel", "_network", "name", "open", "_on_message", "_on_close",
-                 "_peer", "_inbox_while_unset", "_last_arrival", "_link")
+                 "_peer", "_inbox_while_unset", "_last_arrival", "_link", "_settle",
+                 "_settle_at")
 
     def __init__(self, channel: "Channel", name: str) -> None:
         self._channel = channel
@@ -49,6 +52,11 @@ class Endpoint:
         #: looked up on the first draw (:meth:`_open_link`): a direction that
         #: never draws adds no stream for a restore's rebase to seed.
         self._link = None
+        #: The catch-up of a folded loop that owes this link hops (ses's
+        #: track/tune loop, DESIGN.md §9), run before a send here made at
+        #: or after ``_settle_at`` so the send draws and clamps after them.
+        self._settle: Optional[Callable[[], None]] = None
+        self._settle_at = _NEVER
 
     # ------------------------------------------------------------------
     # wiring
@@ -97,11 +105,13 @@ class Endpoint:
         channel = self._channel
         if not self.open:
             raise ChannelClosedError(f"{self.name!r} cannot send on closed channel {channel!r}")
-        receiver = self._peer
         network = self._network
+        kernel = network.kernel
+        if kernel.clock._now >= self._settle_at:
+            self._settle()
+        receiver = self._peer
         faults = network.faults
         channel.messages_sent += 1
-        kernel = network.kernel
         if faults is None or not faults.active:
             # The fault-free hop: one draw, one clamp, one event.  Equal to
             # the loop below over ``copies=(0.0,)`` (``x + 0.0 == x``).
@@ -141,8 +151,10 @@ class Endpoint:
         channel = self._channel
         if not self.open:
             raise ChannelClosedError(f"{self.name!r} cannot send on closed channel {channel!r}")
-        receiver = self._peer
         network = self._network
+        if network.kernel.clock._now >= self._settle_at:
+            self._settle()
+        receiver = self._peer
         faults = network.faults
         channel.messages_sent += 1
         copies = _NO_EXTRA
@@ -160,6 +172,19 @@ class Endpoint:
             else:
                 receiver._last_arrival = arrival
             kernel.schedule_at(arrival, receiver._deliver, message)
+
+    def _hop(self, at: float) -> float:
+        """The arrival of a fault-free :meth:`send` made at ``at``, with the
+        send's draw, FIFO clamp and count, but no delivery queued: a folded
+        loop's catch-up (DESIGN.md §9) replays its skipped sends with it."""
+        self._channel.messages_sent += 1
+        receiver = self._peer
+        arrival = at + self._network.latency.sample(self._link or self._open_link())
+        if arrival < receiver._last_arrival:
+            arrival = receiver._last_arrival
+        else:
+            receiver._last_arrival = arrival
+        return arrival
 
     def _open_link(self) -> Any:
         """Look up (and hold) the latency stream of this endpoint's link."""
@@ -238,6 +263,8 @@ class Channel:
                 # pipe), not by lossy packets.
                 network = self._network
                 sender = endpoint._peer
+                if sender._settle is not None:
+                    sender._settle()
                 link = sender._link or sender._open_link()
                 network.kernel.schedule_after(network.latency.sample(link), endpoint._notify_close)
 

@@ -35,6 +35,7 @@ from repro.chaos.scenarios import SCENARIOS
 from repro.core.recoverer import RecoveryModule
 from repro.detection.detector import FailureDetector
 from repro.experiments import workload as workload_cells
+from repro.mercury.components.ses_component import SesBehavior
 from repro.mercury.trees import tree_v
 from repro.obs import events as ev
 from repro.obs.sinks import JsonlSink
@@ -505,6 +506,56 @@ _timers_and_folds = _calls(
 )
 
 
+@contextmanager
+def _every_solve_reference():
+    """No solve folds: ses runs every tick of its track/tune loop, as it
+    did before it skipped the solves that change nothing but counters,
+    and the supervision clock's pokes and settles find no loop to wake."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SesBehavior, "_fold_loop", lambda self: None)
+        yield
+
+
+@contextmanager
+def _solve_counts():
+    """Count, under either side, ses's solve events, the folds begun and
+    the loop's hops delivered (every ``Endpoint._deliver`` of a ``track``
+    or ``tune``)."""
+    deliver = Endpoint._deliver
+
+    with _solves_and_folds() as counts, pytest.MonkeyPatch.context() as patch:
+
+        def counted_deliver(self, message):
+            envelope = decode_envelope(message)
+            if envelope is not None and envelope.verb in ("track", "tune"):
+                counts["hops"] += 1
+            return deliver(self, message)
+
+        patch.setattr(Endpoint, "_deliver", counted_deliver)
+        yield counts
+
+
+_solves_and_folds = _calls(
+    solves=(SesBehavior, "_solve"),
+    folds=(SesBehavior, "_fold"),
+)
+
+
+def _folded_solves_gap(folded, stepped):
+    # The skipped solves' events and their hops, less the fenced solves a
+    # poke left queued (each counts as a solve on the folding side).
+    return sum(stepped[k] - folded[k] for k in ("solves", "hops"))
+
+
+def _solves_folded(kernel, folded, stepped):
+    assert stepped["folds"] == 0 and folded["folds"] > 0
+    assert _folded_solves_gap(folded, stepped) > 0  # solves really were folded
+
+
+def _no_solve_folded(folded, stepped):
+    assert folded == stepped and folded["folds"] == stepped["folds"] == 0
+
+
 def _nothing_counted(product, reference):
     assert not product and not reference
 
@@ -573,6 +624,18 @@ REFERENCES: Dict[str, Reference] = {
             "zombie-fleet": "the adaptive policy and the prober step every round",
         },
         idle_check=_no_round_folded,
+    ),
+    "every-solve": Reference(
+        _every_solve_reference,
+        counter=_solve_counts,
+        gap=_folded_solves_gap,
+        check=_solves_folded,
+        idle={
+            scenario: "a strategy station's str logs every track in its "
+            "session store: no solve folds"
+            for scenario in ("store-outage", "rogue-oracle-crash")
+        },
+        idle_check=_no_solve_folded,
     ),
     "per-request-timers": Reference(
         _per_request_timers_reference,

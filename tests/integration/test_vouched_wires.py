@@ -43,8 +43,9 @@ def _station_with_a_wire_in_flight():
 
 
 def _next_seconds(station, seconds=60.0):
-    # A minute: a healthy station folds its quiet ping rounds, so it runs
-    # a few events a second, mostly ses's tracking traffic.
+    # A minute: a healthy station folds its quiet ping rounds and most of
+    # ses's solves, so it runs under one event a second, mostly the tunes
+    # rtu forwards to the radio (each traced).
     first = len(station.kernel.trace.records)
     executed = station.kernel.events_executed
     station.kernel.run(until=station.kernel.now + seconds)
@@ -62,7 +63,7 @@ def test_snapshot_fork_and_template_blob_carry_wires_in_flight():
     forked = fork(station)
     thawed = pickle.loads(blob)
     expected = _next_seconds(station)
-    assert expected[0] > 100
+    assert expected[0] > 0 and expected[1]  # events ran, and were traced
     assert _next_seconds(forked) == expected
     assert _next_seconds(thawed) == expected
 

@@ -18,7 +18,10 @@ table on purpose — rather than as a slow drift in ``fleet-waves``.
 The same holds for application traffic a station does not need: an
 availability run's ses tracks only the satellite in view, and the run's
 kernel-event count is pinned so tracking between passes cannot come back
-unnoticed.
+unnoticed; a recovery station's ses folds the solves that change nothing
+but counters (DESIGN.md §9, "Folded solves"), and the events of thirty
+solve periods, folded and stepped (``REFERENCES["every-solve"]``), are
+pinned beside it.
 """
 
 import collections
@@ -125,7 +128,7 @@ def test_a_data_hop_is_three_transport_frames(monkeypatch):
 
     channels = _recording_channels(monkeypatch)
     # ses commands str and rtu every 2 s: data hops among the pings.
-    with REFERENCES["every-round"].patch():
+    with REFERENCES["every-round"].patch(), REFERENCES["every-solve"].patch():
         station = MercuryStation(tree=tree_v(), seed=3, solution_period=2.0)
         station.boot()
         station.run_for(4.5)
@@ -183,3 +186,32 @@ def test_an_availability_run_tracks_only_the_passes_in_view(monkeypatch):
     # ses solves every 600 s there; one solve lands in each pass.
     assert station.manager.get("ses").behavior.solutions_sent == 2
     assert station.kernel.events_executed == AVAILABILITY_RUN_EVENTS
+
+
+#: Kernel events of a healthy tree-V station (seed 3; ses solving every
+#: 2 s, FD folding its quiet rounds) over thirty solve periods.  Stepped,
+#: each solve is five events (the solve, track and tune at mbus, track at
+#: str, tune at rtu), and each of the five refreshes rtu forwards adds
+#: three (radio-set-freq at mbus and at fedr, fedr's command at pbcom):
+#: 30 × 5 + 5 × 3.  Folded, only the eight solves whose tune rtu might
+#: forward run, and of those only the tune (the solve, the tune at mbus
+#: and at rtu), with the five forwards behind them: 8 × 3 + 5 × 3, plus
+#: the two solve events that begin a fold after a tune rtu dropped.
+LOOP_EVENTS = {"stepped": 165, "folded": 41}
+SOLVE_PERIODS = 30
+
+
+def _loop_events():
+    station = MercuryStation(tree=tree_v(), seed=3)
+    station.boot()
+    station.run_for(4.5)
+    kernel = station.kernel
+    executed = kernel.events_executed
+    station.run_for(SOLVE_PERIODS * station.manager.get("ses").behavior.solution_period)
+    return kernel.events_executed - executed
+
+
+def test_a_healthy_station_folds_its_tracking_loop():
+    with REFERENCES["every-solve"].patch():
+        stepped = _loop_events()
+    assert {"stepped": stepped, "folded": _loop_events()} == LOOP_EVENTS
