@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Callable, Dict, List
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -65,6 +65,8 @@ class RngRegistry:
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
+        #: Run at each rebase before any stream is reseeded (:meth:`on_rebase`).
+        self._on_rebase: List[Callable[[], None]] = []
 
     @property
     def seed(self) -> int:
@@ -79,6 +81,23 @@ class RngRegistry:
             self._streams[name] = stream
         return stream
 
+    def on_rebase(self, drop: Callable[[], None]) -> None:
+        """Have ``drop()`` run at each rebase, before any stream is reseeded.
+
+        An owner that looks its streams up on first use lets go of them
+        there (:meth:`forget`), and so pays for reseeding only the ones it
+        draws from again.  ``drop`` must be a bound method of the owner, so
+        that a structural copy of the registry calls its own owner's.
+        """
+        self._on_rebase.append(drop)
+
+    def forget(self, prefix: str) -> None:
+        """Drop every stream whose name starts with ``prefix``: the next
+        :meth:`stream` request for one makes it afresh from the current
+        seed, in the state a reseed would have left it in."""
+        for name in [name for name in self._streams if name.startswith(prefix)]:
+            del self._streams[name]
+
     def rebase(self, seed: int) -> None:
         """Re-root the registry on ``seed``, reseeding every existing stream.
 
@@ -92,6 +111,8 @@ class RngRegistry:
         own deterministic randomness by a rebase instead of a re-boot.
         """
         self._seed = int(seed)
+        for drop in self._on_rebase:
+            drop()
         for name, stream in self._streams.items():
             stream.seed(derive_seed(self._seed, name))
 

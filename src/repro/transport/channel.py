@@ -49,8 +49,9 @@ class Endpoint:
         #: structural copying (snapshot/fork) without identity-keyed state.
         self._last_arrival = 0.0
         #: The latency stream of the link from this endpoint to its peer,
-        #: looked up on the first draw (:meth:`_open_link`): a direction that
-        #: never draws adds no stream for a restore's rebase to seed.
+        #: looked up on the first draw (:meth:`_open_link`) and let go of at
+        #: a rebase: a direction that does not draw adds no stream for a
+        #: restore's rebase to seed.
         self._link = None
         #: The catch-up of a folded loop that owes this link hops (ses's
         #: track/tune loop, DESIGN.md §9), run before a send here made at
@@ -188,7 +189,7 @@ class Endpoint:
 
     def _open_link(self) -> Any:
         """Look up (and hold) the latency stream of this endpoint's link."""
-        self._link = self._network.link_stream(self.name, self._peer.name)
+        self._link = self._network._hold_link(self)
         return self._link
 
     def close(self) -> None:

@@ -33,6 +33,9 @@ from repro.types import Severity, SimTime
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.sim.kernel import Kernel
 
+#: The prefix of every link's latency stream name.
+_LINK_STREAMS = "transport.latency."
+
 
 class LatencyModel:
     """Per-message propagation delay: ``base + U(0, jitter)`` seconds.
@@ -382,6 +385,9 @@ class Network:
     ) -> None:
         self.kernel = kernel
         self.latency = latency or LatencyModel()
+        #: The open endpoints holding their link's latency stream.
+        self._link_holders: List[Endpoint] = []
+        kernel.rngs.on_rebase(self._drop_links)
         #: Optional fault fabric; ``None`` means a perfectly quiet network.
         self.faults = faults
         self._listeners: Dict[str, Listener] = {}
@@ -431,7 +437,23 @@ class Network:
         """The latency stream of the ``sender``→``receiver`` link, named by
         the two endpoint names: every connection between them, a reconnect
         included, continues the one stream."""
-        return self.kernel.rngs.stream(f"transport.latency.{sender}~{receiver}")
+        return self.kernel.rngs.stream(f"{_LINK_STREAMS}{sender}~{receiver}")
+
+    def _hold_link(self, endpoint: Endpoint) -> random.Random:
+        """``endpoint``'s link stream, for it to hold until the next rebase."""
+        self._link_holders = [held for held in self._link_holders if held.open]
+        self._link_holders.append(endpoint)
+        return self.link_stream(endpoint.name, endpoint.peer.name)
+
+    def _drop_links(self) -> None:
+        """A rebase: every link stream is let go of, and made afresh from
+        the new seed on its link's next draw, so a restored station pays
+        for reseeding only the links it draws on again (a warmed tree-V
+        station holds eleven)."""
+        for endpoint in self._link_holders:
+            endpoint._link = None
+        self._link_holders = []
+        self.kernel.rngs.forget(_LINK_STREAMS)
 
     def is_bound(self, address: str) -> bool:
         """Whether a listener is currently bound to ``address``."""

@@ -54,7 +54,9 @@ from repro.mercury.config import PAPER_CONFIG
 from repro.mercury.session_store import SessionStore, _Record
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import TREE_BUILDERS, tree_i, tree_ii, tree_iv, tree_v
-from repro.sim.rng import _Stream
+from repro.sim.rng import RngRegistry, _Stream
+from repro.transport.channel import Endpoint
+from repro.transport.network import Network
 from repro.xmlcmd.fastpath import Wire, encode_ping_wire
 
 
@@ -493,10 +495,24 @@ def _edges(obj):
         return []
     if cls is _Stream:  # its state belongs to the seed: compared apart
         return []
-    held = list(vars(obj).values()) if hasattr(obj, "__dict__") else []
-    return held + [
-        getattr(obj, name) for name in copyreg._slotnames(cls) if hasattr(obj, name)
+    # A rebase lets go of the link streams — the endpoints' ``_link``, the
+    # network's holders, the registry's ``transport.latency.*`` entries —
+    # and a link's next draw makes its stream afresh, so a rebased copy
+    # holds none of them: left out (the registry's streams are compared
+    # apart, by name and state).
+    if cls is RngRegistry:
+        return [obj._on_rebase] + [
+            part
+            for name, stream in obj._streams.items()
+            if not name.startswith("transport.latency.")
+            for part in (name, stream)
+        ]
+    held = [
+        value for name, value in (vars(obj).items() if hasattr(obj, "__dict__") else ())
+        if cls is not Network or name != "_link_holders"
     ]
+    slots = [name for name in copyreg._slotnames(cls) if cls is not Endpoint or name != "_link"]
+    return held + [getattr(obj, name) for name in slots if hasattr(obj, name)]
 
 
 def test_the_fork_aliases_exactly_as_deepcopy_does():
@@ -552,7 +568,7 @@ def test_a_replayed_station_is_a_rebased_deepcopy_with_a_booted_layout(name):
     copies, shared = _walk_in_step(template, replayed, deep)
     assert len(copies) > 400 and shared > 100
     streams = replayed.kernel.rngs._streams
-    assert len(streams) > 10
+    assert set(streams) == set(deep.kernel.rngs._streams) and len(streams) >= 10
     for stream_name, stream in deep.kernel.rngs._streams.items():
         assert streams[stream_name].getstate() == stream.getstate()
 

@@ -324,3 +324,19 @@ def test_a_reconnect_continues_its_links_stream(kernel, network):
     for _ in range(4):
         mirror.random()
     assert stream.getstate() == mirror.getstate()
+
+
+def test_a_rebase_lets_go_of_the_link_streams_and_the_next_draw_starts_afresh(kernel, network):
+    """A rebase reseeds no link stream: it drops them, and a link's next
+    draw makes its stream from the new seed, in the state a reseed would
+    have left it in."""
+    network.listen("srv:1", lambda endpoint: None)
+    client = network.connect("client", "srv:1")
+    client.send("before")
+    old = client._link
+    kernel.rngs.rebase(9)
+    assert client._link is None and "transport.latency.client~srv:1" not in kernel.rngs._streams
+    client.send("after")
+    fresh = RngRegistry(9).stream("transport.latency.client~srv:1")
+    fresh.random()
+    assert client._link is not old and client._link.getstate() == fresh.getstate()
