@@ -409,7 +409,9 @@ class FleetKernel:
                 connections.append(parent_conn)
                 processes.append(process)
             self._exchange(barriers, connections, coordinator)
-        except (EOFError, BrokenPipeError) as error:
+        except (EOFError, ConnectionError) as error:
+            # A worker that dies mid-exchange surfaces as EOF, a broken pipe
+            # or a reset (it exited with our message unread): all the same.
             raise SimulationError(f"fleet shard worker died: {error!r}") from error
         finally:
             for conn in connections:

@@ -12,10 +12,12 @@ barrier schedule, and routing to unknown members.
 """
 
 import hashlib
+import os
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import fleet as fleet_module
 from repro.sim.fleet import (
     GROUND_ID,
     FleetKernel,
@@ -407,3 +409,17 @@ def test_partition_ids_contiguous_and_balanced():
     assert partition_ids([], 2) == [()]
     with pytest.raises(SimulationError, match="shards must be >= 1"):
         partition_ids(range(4), 0)
+
+
+def _dies_before_replying(conn, factory, ids, start):
+    """A shard worker that exits with the parent's first command unread:
+    closing a socket with unread data resets the connection."""
+    conn.poll(30.0)
+    os._exit(1)
+
+
+def test_a_worker_that_dies_before_its_first_reply_is_named(monkeypatch):
+    monkeypatch.setattr(fleet_module, "_shard_worker", _dies_before_replying)
+    with pytest.raises(SimulationError, match="fleet shard worker died") as raised:
+        run_gossip(size=4, shards=2, horizon=5.0, parallel=True)
+    assert isinstance(raised.value.__cause__, ConnectionResetError)

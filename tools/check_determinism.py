@@ -19,11 +19,14 @@ leg runs one cell more than once and byte-compares what came out:
   comparing the full JSONL event traces and the result payloads (the
   availability run must hold a whole pass and a proactive restart, so ses's
   in-pass tracking and the rejuvenation round are among what is compared);
-* **snapshot-fork** — one storm campaign (FD/REC) and one availability
-  run (abstract supervisor) restored from the warmed-station template vs.
-  booted afresh (``snapshot=False``), traces and payloads: the
-  restore-vs-boot bit-identity contract that lets both share the result
-  cache, over both supervision front ends' object graphs;
+* **snapshot-fork** — one storm campaign (FD/REC), one Table 4 recovery
+  cell (tree V, ``fedr``, five trials: its template is warmed with ses's
+  track/tune loop folded, so the catch-up before the cell's rebase is
+  compared) and one availability run (abstract supervisor) restored from
+  the warmed-station template vs. booted afresh (``snapshot=False``),
+  traces and payloads: the restore-vs-boot bit-identity contract that
+  lets both share the result cache, over both supervision front ends'
+  object graphs;
 * **kinds** — one small sample cell per row of
   :data:`repro.experiments.runner.KINDS` (the gate refuses to run with a
   kind unsampled), each executed directly, again through a serial campaign
@@ -66,6 +69,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.chaos.engine import run_chaos
 from repro.experiments.availability import measure_availability
+from repro.experiments.recovery import measure_recovery
 from repro.experiments.runner import KINDS, execute_cell, plan_cell, run_campaign
 from repro.experiments.snapshot import clear_templates
 from repro.mercury.config import PAPER_CONFIG
@@ -149,6 +153,22 @@ def _chaos_run(scenario: str, **kwargs) -> TracedRun:
     return run
 
 
+def _recovery_run(component: str, **kwargs) -> TracedRun:
+    def run(sinks: Sequence[Sink]) -> str:
+        result = measure_recovery(
+            TREE_BUILDERS["V"](),
+            component,
+            trials=5,
+            seed=CHAOS_SEED,
+            oracle="faulty",
+            sinks=sinks,
+            **kwargs,
+        )
+        return _dump({**dataclasses.asdict(result), "cure_set": sorted(result.cure_set)})
+
+    return run
+
+
 def _availability_run(**kwargs) -> TracedRun:
     def run(sinks: Sequence[Sink]) -> str:
         result = measure_availability(
@@ -223,11 +243,18 @@ def check_same_seed_traces(workdir: str) -> bool:
 
 def check_snapshot_fork(workdir: str) -> bool:
     """Restored cells must equal fresh-boot cells: a storm campaign (FD/REC
-    station) and an availability run (abstract supervisor), each through
+    station), a Table 4 recovery cell (its template warmed with ses's loop
+    folded) and an availability run (abstract supervisor), each through
     the warmed-station template (boot once, a replayed fork + RNG rebase
     per cell) and with ``snapshot=False`` (full boot per cell)."""
     pairs = [
         ("snapshot-fork", "storm on tree V, seed %d" % CHAOS_SEED, _chaos_run, ("storm",)),
+        (
+            "snapshot-fork-recovery",
+            "Table 4 cell V/faulty fedr, 5 trials, seed %d" % CHAOS_SEED,
+            _recovery_run,
+            ("fedr",),
+        ),
         (
             "snapshot-fork-availability",
             "abstract supervisor, tree V, seed %d" % AVAILABILITY_SEED,
