@@ -145,7 +145,7 @@ class SesBehavior(BusAttachedBehavior):
             # Replies only flow while this incarnation is healthy — the
             # zombie/hang gates upstream drop the request, so a failed ses
             # is user-visible as client timeouts, not wrong answers.
-            self.kernel.supervision.settle()  # the ledger counts folded solves
+            self.kernel.supervision.settle(self.kernel.now)  # the ledger counts folded solves
             self.svc_requests += 1
             self._reply_service(message, "telemetry", "solutions", self.solutions_sent)
 
@@ -314,6 +314,9 @@ class SesBehavior(BusAttachedBehavior):
                 due[forward] = 0.0
         for link, at in due.items():
             link._settle_at = at
+        self.kernel.supervision.loop_due = min(
+            [tick] + [arrival for arrival, *_ in self._owed]
+        )
 
     def _end_fold(self) -> None:
         self._catch_up(True)  # nothing stays owed to a fold that has ended

@@ -305,7 +305,7 @@ class Kernel:
         a caller reads the state stepping would have left (a stopped
         kernel runs nothing more, so nothing is owed)."""
         if not self._stopped:
-            self.supervision.settle()
+            self.supervision.settle(self.clock._now)
 
     def wake(self) -> None:
         """Have an armed :meth:`run_until` re-read its predicate.

@@ -54,7 +54,7 @@ class SupervisionClock:
     __slots__ = (
         "_wake", "_period", "_hop", "_prev", "_last", "_next", "_rounds",
         "_end", "_heard", "_watchdog", "_loop_catch_up", "_loop_unfold",
-        "_loop_peers",
+        "_loop_peers", "loop_due",
     )
 
     def __init__(self) -> None:
@@ -81,6 +81,9 @@ class SupervisionClock:
         self._loop_unfold: Optional[Callable[[], None]] = None
         #: The components whose pokes wake the folded loop.
         self._loop_peers: FrozenSet[str] = frozenset()
+        #: The earliest instant at which a folded loop has anything to
+        #: catch up on (kept by the loop; ``inf`` while none folds).
+        self.loop_due = _FOREVER
 
     @property
     def folded(self) -> bool:
@@ -118,6 +121,8 @@ class SupervisionClock:
         self._loop_catch_up = catch_up
         self._loop_unfold = unfold
         self._loop_peers = peers
+        if catch_up is None:
+            self.loop_due = _FOREVER
 
     def poke(self, component: Optional[str] = None) -> None:
         """Something a round could see is about to change — about
@@ -135,14 +140,14 @@ class SupervisionClock:
         unfold = self._loop_unfold
         if unfold is not None and (component is None or component in self._loop_peers):
             self._loop_catch_up = self._loop_unfold = None
+            self.loop_due = _FOREVER
             unfold()
 
-    def settle(self) -> None:
-        """Have a folded loop catch up on what it skipped before now — its
-        counters, its links' draws, its hops in flight — and stay folded."""
-        catch_up = self._loop_catch_up
-        if catch_up is not None:
-            catch_up()
+    def settle(self, now: SimTime) -> None:
+        """Have a folded loop catch up on what it skipped before ``now`` —
+        its counters, its links' draws, its hops landed — and stay folded."""
+        if now > self.loop_due:
+            self._loop_catch_up()
 
     def unfold(self, now: SimTime) -> Tuple[int, SimTime, SimTime]:
         """End the fold at ``now``: ``(rounds, last, next)`` — the rounds
