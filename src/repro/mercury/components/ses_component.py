@@ -157,8 +157,8 @@ class SesBehavior(BusAttachedBehavior):
         if loop is not None:
             # The fold's last tick: catch up on what it skipped.  Nothing it
             # rests on has changed (a poke would have ended it), so the loop
-            # may fold on.
-            self._end_fold()
+            # folds on, its hooks left in place.
+            self._catch_up(True)
         else:
             loop = self._fold_loop()
         if loop is not None:
@@ -279,7 +279,7 @@ class SesBehavior(BusAttachedBehavior):
             return tick
         latency = self.network.latency
         reach = latency.base + latency.jitter  # a hop's longest delay
-        clamps = endpoint.peer._last_arrival, to_tuner.peer._last_arrival
+        clamps = endpoint._peer._last_arrival, to_tuner._peer._last_arrival
         while True:
             # The tune's latest arrival at rtu: two hops, each FIFO-clamped.
             latest = max(max(tick + reach, clamps[0]) + reach, clamps[1])
@@ -288,15 +288,18 @@ class SesBehavior(BusAttachedBehavior):
             tick += self.solution_period
 
     def _fold(self, loop: tuple, tick: SimTime, end: SimTime) -> None:
-        """Skip the solves from ``tick`` up to ``end``, whose is queued."""
-        self._folded = loop
+        """Skip the solves from ``tick`` up to ``end``, whose solve is queued
+        (hooking the loop's links and the supervision clock unless the loop
+        is folded already)."""
         self._fold_tick = tick
         self._fold_end = end
-        for endpoint in loop[:3]:
-            endpoint._settle = partial(self._catch_up, endpoint)
+        if self._folded is not loop:
+            self._folded = loop
+            for endpoint in loop[:3]:
+                endpoint._settle = partial(self._catch_up, endpoint)
+            peers = frozenset((self.name, loop[3].name, loop[4].name, loop[5].name))
+            self.kernel.supervision.fold_loop(self._catch_up, self._unfold, peers)
         self._arm()
-        peers = frozenset((self.name, loop[3].name, loop[4].name, loop[5].name))
-        self.kernel.supervision.fold_loop(self._catch_up, self._unfold, peers)
 
     def _arm(self) -> None:
         """Set when a send on each of the loop's links must first catch
@@ -305,18 +308,26 @@ class SesBehavior(BusAttachedBehavior):
         link; at once on the link an owed message is in flight on."""
         endpoint, to_tracker, to_tuner = self._folded[:3]
         tick = self._fold_tick if self._fold_tick < self._fold_end else _NEVER
-        due = {endpoint: tick, to_tracker: tick, to_tuner: tick}
+        own = track = tune = due = tick
         for arrival, forward, _, at_bus in self._owed:
-            if at_bus:
-                due[endpoint] = 0.0
-                due[forward] = min(due[forward], arrival)
-            else:
-                due[forward] = 0.0
-        for link, at in due.items():
-            link._settle_at = at
-        self.kernel.supervision.loop_due = min(
-            [tick] + [arrival for arrival, *_ in self._owed]
-        )
+            if arrival < due:
+                due = arrival
+            if not at_bus:
+                if forward is to_tracker:
+                    track = 0.0
+                else:
+                    tune = 0.0
+                continue
+            own = 0.0
+            if forward is to_tracker:
+                if arrival < track:
+                    track = arrival
+            elif arrival < tune:
+                tune = arrival
+        endpoint._settle_at = own
+        to_tracker._settle_at = track
+        to_tuner._settle_at = tune
+        self.kernel.supervision.loop_due = due
 
     def _end_fold(self) -> None:
         self._catch_up(True)  # nothing stays owed to a fold that has ended

@@ -34,7 +34,8 @@ solves whose every hop is known in advance and catches them up later.  It
 parks two callbacks and the components it rests on: ``unfold``, which a
 poke about one of those components (or about the station at large) runs
 after FD's catch-up and which ends the fold, and ``catch_up``, which
-:meth:`settle` runs and which leaves it folded.  The kernel settles before every return to its caller,
+:meth:`settle` runs once the loop's ``loop_due`` has passed and which
+leaves it folded.  The kernel settles before every return to its caller,
 so a station read between runs reads as stepping left it.
 """
 

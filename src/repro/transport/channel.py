@@ -264,7 +264,7 @@ class Channel:
                 # pipe), not by lossy packets.
                 network = self._network
                 sender = endpoint._peer
-                if sender._settle is not None:
+                if network.kernel.clock._now >= sender._settle_at:
                     sender._settle()
                 link = sender._link or sender._open_link()
                 network.kernel.schedule_after(network.latency.sample(link), endpoint._notify_close)

@@ -385,8 +385,10 @@ class Network:
     ) -> None:
         self.kernel = kernel
         self.latency = latency or LatencyModel()
-        #: The open endpoints holding their link's latency stream.
+        #: The endpoints holding their link's latency stream (closed ones
+        #: too, until the list outgrows ``_link_holders_cap`` and is pruned).
         self._link_holders: List[Endpoint] = []
+        self._link_holders_cap = 16
         kernel.rngs.on_rebase(self._drop_links)
         #: Optional fault fabric; ``None`` means a perfectly quiet network.
         self.faults = faults
@@ -440,10 +442,18 @@ class Network:
         return self.kernel.rngs.stream(f"{_LINK_STREAMS}{sender}~{receiver}")
 
     def _hold_link(self, endpoint: Endpoint) -> random.Random:
-        """``endpoint``'s link stream, for it to hold until the next rebase."""
-        self._link_holders = [held for held in self._link_holders if held.open]
-        self._link_holders.append(endpoint)
-        return self.link_stream(endpoint.name, endpoint.peer.name)
+        """``endpoint``'s link stream, for it to hold until the next rebase.
+
+        A long run opens thousands of connections between rebases,
+        so the holders are pruned of closed endpoints only when their list
+        has doubled since the last prune, not on every lookup.
+        """
+        holders = self._link_holders
+        if len(holders) >= self._link_holders_cap:
+            holders[:] = [held for held in holders if held.open]
+            self._link_holders_cap = 2 * len(holders) + 16
+        holders.append(endpoint)
+        return self.link_stream(endpoint.name, endpoint._peer.name)
 
     def _drop_links(self) -> None:
         """A rebase: every link stream is let go of, and made afresh from
