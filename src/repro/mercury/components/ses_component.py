@@ -329,18 +329,15 @@ class SesBehavior(BusAttachedBehavior):
         to_tuner._settle_at = tune
         self.kernel.supervision.loop_due = due
 
-    def _end_fold(self) -> None:
+    def _unfold(self) -> None:
+        """The supervision clock's poke: something the fold rests on is
+        about to change.  Catch up, and solve for real from the next tick."""
         self._catch_up(True)  # nothing stays owed to a fold that has ended
         for endpoint in self._folded[:3]:
             endpoint._settle = None
             endpoint._settle_at = _NEVER
         self._folded = None
         self.kernel.supervision.fold_loop(None, None)
-
-    def _unfold(self) -> None:
-        """The supervision clock's poke: something the fold rests on is
-        about to change.  Catch up, and solve for real from the next tick."""
-        self._end_fold()
         tick = self._fold_tick
         if tick != self._fold_end:
             # Fence off the queued solve; the next tick's replaces it.
