@@ -42,7 +42,6 @@ from repro.xmlcmd.commands import CommandMessage, Message, encode_message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mercury.session_store import SessionStore
-    from repro.procmgr.manager import ProcessManager
     from repro.procmgr.process import SimProcess
     from repro.transport.channel import Endpoint
     from repro.transport.network import Network
@@ -74,12 +73,8 @@ class SesBehavior(BusAttachedBehavior):
         tracker_name: str = "str",
         tuner_name: str = "rtu",
         session_store: Optional["SessionStore"] = None,
-        manager: Optional["ProcessManager"] = None,
     ) -> None:
         super().__init__(process, network, bus_address, session_store=session_store)
-        #: The station's processes, through which a fold checks its peers
-        #: (``None``: every solve runs).
-        self.manager = manager
         self._bus_name = bus_address.split(":", 1)[0]
         self.solution_period = solution_period
         self._solution_fn: SolutionFn = _default_solution
@@ -145,7 +140,9 @@ class SesBehavior(BusAttachedBehavior):
             # Replies only flow while this incarnation is healthy — the
             # zombie/hang gates upstream drop the request, so a failed ses
             # is user-visible as client timeouts, not wrong answers.
-            self.kernel.supervision.settle(self.kernel.now)  # the ledger counts folded solves
+            supervision = self.kernel.supervision
+            if self.kernel.clock._now > supervision.loop_due:
+                supervision.settle(self.kernel.clock._now)  # the ledger counts folded solves
             self.svc_requests += 1
             self._reply_service(message, "telemetry", "solutions", self.solutions_sent)
 
@@ -201,18 +198,17 @@ class SesBehavior(BusAttachedBehavior):
         rtu on every solve), no fault fabric is armed, and ses, mbus, str
         and rtu run undegraded and attached, with no session store for str
         to log the tracks in."""
-        manager = self.manager
         faults = self.network.faults
         endpoint = self._endpoint
         if (
-            manager is None
-            or self._solution_fn is not _default_solution
+            self._solution_fn is not _default_solution
             or self.process.degraded_mode is not None
             or (faults is not None and faults.active)
             or endpoint is None
             or not endpoint.open
         ):
             return None
+        manager = self.process.manager
         bus = manager.maybe_get(self._bus_name)
         tracker = manager.maybe_get(self.tracker_name)
         tuner = manager.maybe_get(self.tuner_name)

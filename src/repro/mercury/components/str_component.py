@@ -75,7 +75,9 @@ class StrBehavior(BusAttachedBehavior):
         if message.verb == "pass-schedule":
             # User-plane service endpoint: book antenna time.  The reply
             # carries the tracker's command ledger as its booking token.
-            self.kernel.supervision.settle(self.kernel.now)  # the ledger counts folded solves
+            supervision = self.kernel.supervision
+            if self.kernel.clock._now > supervision.loop_due:
+                supervision.settle(self.kernel.clock._now)  # the ledger counts folded solves
             self.svc_requests += 1
             self._reply_service(message, "schedule", "tracked", self.track_commands)
             return

@@ -335,7 +335,6 @@ class MercuryStation:
                 BUS_ADDRESS,
                 solution_period=self._solution_period,
                 session_store=self.session_store,
-                manager=self.manager,
             )
         if name == "str":
             return StrBehavior(

@@ -29,6 +29,7 @@ from repro.transport.network import Network, NetworkFaultModel
 from repro.xmlcmd import commands, fastpath
 from repro.xmlcmd.commands import CommandMessage, encode_message
 from repro.xmlcmd.fastpath import Wire
+from tests.differential import REFERENCES
 
 
 def _station_with_a_wire_in_flight():
@@ -44,8 +45,10 @@ def _station_with_a_wire_in_flight():
 
 def _next_seconds(station, seconds=60.0):
     # A minute: a healthy station folds its quiet ping rounds and most of
-    # ses's solves, so it runs under one event a second, mostly the tunes
-    # rtu forwards to the radio (each traced).
+    # ses's solves, so it runs under one event a second (41 per thirty
+    # solve periods, tests/test_hop_inventory.py), mostly the tunes rtu
+    # forwards to the radio (each traced); solving every period, it runs
+    # five events per solve.
     first = len(station.kernel.trace.records)
     executed = station.kernel.events_executed
     station.kernel.run(until=station.kernel.now + seconds)
@@ -58,14 +61,23 @@ def _next_seconds(station, seconds=60.0):
     )
 
 
-def test_snapshot_fork_and_template_blob_carry_wires_in_flight():
+def _assert_fork_and_blob_carry_wires_in_flight(least_events):
     station, blob = _station_with_a_wire_in_flight()
     forked = fork(station)
     thawed = pickle.loads(blob)
     expected = _next_seconds(station)
-    assert expected[0] > 0 and expected[1]  # events ran, and were traced
+    assert expected[0] >= least_events and expected[1]
     assert _next_seconds(forked) == expected
     assert _next_seconds(thawed) == expected
+
+
+def test_snapshot_fork_and_template_blob_carry_wires_in_flight():
+    _assert_fork_and_blob_carry_wires_in_flight(least_events=30)
+
+
+def test_fork_and_blob_carry_wires_in_flight_solving_every_period():
+    with REFERENCES["every-solve"].patch():
+        _assert_fork_and_blob_carry_wires_in_flight(least_events=100)
 
 
 class Scribbler(BusAttachedBehavior):
