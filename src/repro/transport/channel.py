@@ -49,9 +49,9 @@ class Endpoint:
         #: structural copying (snapshot/fork) without identity-keyed state.
         self._last_arrival = 0.0
         #: The latency stream of the link from this endpoint to its peer,
-        #: looked up on the first draw (:meth:`_open_link`) and let go of at
-        #: a rebase: a direction that does not draw adds no stream for a
-        #: restore's rebase to seed.
+        #: looked up on the first draw (:meth:`Network._hold_link`) and let
+        #: go of at a rebase: a direction that does not draw adds no stream
+        #: for a restore's rebase to seed.
         self._link = None
         #: The catch-up of a folded loop that owes this link hops (ses's
         #: track/tune loop, DESIGN.md §9), run before a send here made at
@@ -116,7 +116,7 @@ class Endpoint:
         if faults is None or not faults.active:
             # The fault-free hop: one draw, one clamp, one event.  Equal to
             # the loop below over ``copies=(0.0,)`` (``x + 0.0 == x``).
-            link = self._link or self._open_link()
+            link = self._link or network._hold_link(self)
             arrival = kernel.clock._now + network.latency.sample(link)
             if arrival < receiver._last_arrival:
                 arrival = receiver._last_arrival
@@ -129,7 +129,7 @@ class Endpoint:
             channel.messages_lost += 1
             return  # dropped or partitioned: the sender never knows
         sample = network.latency.sample
-        link = self._link or self._open_link()
+        link = self._link or network._hold_link(self)
         for extra in copies:
             arrival = kernel.clock._now + sample(link) + extra
             if arrival < receiver._last_arrival:
@@ -180,17 +180,13 @@ class Endpoint:
         loop's catch-up (DESIGN.md §9) replays its skipped sends with it."""
         self._channel.messages_sent += 1
         receiver = self._peer
-        arrival = at + self._network.latency.sample(self._link or self._open_link())
+        network = self._network
+        arrival = at + network.latency.sample(self._link or network._hold_link(self))
         if arrival < receiver._last_arrival:
             arrival = receiver._last_arrival
         else:
             receiver._last_arrival = arrival
         return arrival
-
-    def _open_link(self) -> Any:
-        """Look up (and hold) the latency stream of this endpoint's link."""
-        self._link = self._network._hold_link(self)
-        return self._link
 
     def close(self) -> None:
         """Close the whole channel; the peer's close handler is notified.
@@ -266,7 +262,7 @@ class Channel:
                 sender = endpoint._peer
                 if network.kernel.clock._now >= sender._settle_at:
                     sender._settle()
-                link = sender._link or sender._open_link()
+                link = sender._link or network._hold_link(sender)
                 network.kernel.schedule_after(network.latency.sample(link), endpoint._notify_close)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

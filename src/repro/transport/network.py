@@ -10,7 +10,7 @@ uniform; the model is pluggable so experiments can study how detection time
 (and therefore MTTR) degrades on a slower network (ablation bench).
 
 Every directed link draws its latency jitter from its own named RNG
-stream, ``transport.latency.<sender>~<receiver>`` (:meth:`Network.link_stream`).
+stream, ``transport.latency.<sender>~<receiver>`` (:meth:`Network._hold_link`).
 
 On top of the latency model sits an optional :class:`NetworkFaultModel`: a
 deterministic, per-link fabric of drops, delay spikes, duplication, and
@@ -435,25 +435,27 @@ class Network:
         """Remove a listener binding (no-op if absent)."""
         self._listeners.pop(address, None)
 
-    def link_stream(self, sender: str, receiver: str) -> random.Random:
-        """The latency stream of the ``sender``→``receiver`` link, named by
-        the two endpoint names: every connection between them, a reconnect
-        included, continues the one stream."""
-        return self.kernel.rngs.stream(f"{_LINK_STREAMS}{sender}~{receiver}")
-
     def _hold_link(self, endpoint: Endpoint) -> random.Random:
-        """``endpoint``'s link stream, for it to hold until the next rebase.
+        """Look up ``endpoint``'s link stream on its first draw, and have it
+        hold the stream until the next rebase.  The stream is named by the
+        two endpoint names, ``transport.latency.<sender>~<receiver>``, so
+        every connection between them, a reconnect included, continues it.
 
-        A long run opens thousands of connections between rebases,
-        so the holders are pruned of closed endpoints only when their list
-        has doubled since the last prune, not on every lookup.
+        A long run opens thousands of connections between rebases (a
+        five-day availability run ≈25 000 a pass, most drawing once or
+        twice), so the lookup is one call, and the holders are pruned of
+        closed endpoints only when their list has doubled since the last
+        prune, not on every lookup.
         """
         holders = self._link_holders
         if len(holders) >= self._link_holders_cap:
             holders[:] = [held for held in holders if held.open]
             self._link_holders_cap = 2 * len(holders) + 16
         holders.append(endpoint)
-        return self.link_stream(endpoint.name, endpoint._peer.name)
+        link = endpoint._link = self.kernel.rngs.stream(
+            _LINK_STREAMS + endpoint.name + "~" + endpoint._peer.name
+        )
+        return link
 
     def _drop_links(self) -> None:
         """A rebase: every link stream is let go of, and made afresh from

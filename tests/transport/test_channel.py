@@ -232,7 +232,7 @@ def test_send_base_arrives_at_the_base_delay_and_draws_nothing(kernel, network):
     client, server = connected_pair(network)
     arrivals = []
     server.on_message(lambda message: arrivals.append((message, kernel.now)))
-    stream = network.link_stream("client", "srv:1")
+    stream = kernel.rngs.stream("transport.latency.client~srv:1")
     state = stream.getstate()
     kernel.run(until=1.0)
     client.send_base("ping")
@@ -318,7 +318,7 @@ def test_a_reconnect_continues_its_links_stream(kernel, network):
     kernel.run()
     second = network.connect("client", "srv:1")
     second.send("three")
-    assert second._link is stream is network.link_stream("client", "srv:1")
+    assert second._link is stream is kernel.rngs.stream("transport.latency.client~srv:1")
     mirror = RngRegistry(kernel.rngs.seed).stream("transport.latency.client~srv:1")
     # Two sends, the close's notice to the server, and the third send.
     for _ in range(4):
