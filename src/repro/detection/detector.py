@@ -22,12 +22,17 @@ Detection mechanics:
   whose deadline restarts a silent FD;
 * a degraded (hung or zombie) FD does nothing on its round: no pings, no
   judgements, no reports and no heartbeat, so REC's deadline restarts it;
-* a round that can see nothing — every ping would be answered, and
-  nothing on the station is changing — is *folded*: FD keeps its grid but
-  executes no such round, and sleeps on the kernel's supervision clock
-  until something that a round could see is about to change; it then
-  catches up, replaying the round in flight at that instant exactly as
-  stepping would have run it (DESIGN.md §9, "Quiet rounds").
+* a ping whose answer is sure — its component is running, undegraded,
+  attached and answering, and nothing on the station is changing — is
+  *folded*: it takes its sequence number and is not sent.  A round whose
+  every ping is sure is folded whole, and so is a round FD spends off the
+  bus while REC restarts mbus (it can judge nothing but REC): FD keeps its
+  grid but executes no such round, and sleeps on the kernel's supervision
+  clock until something that a round could see is about to change.  A
+  round with pings in doubt steps only those.  Either way, a poke of the
+  clock catches FD up, replaying the folded pings in flight at that
+  instant as stepping would have run them (DESIGN.md §9, "Quiet
+  rounds").
 
 Hardening against lossy networks and fail-slow components
 ---------------------------------------------------------
@@ -181,6 +186,14 @@ class FailureDetector(BusAttachedBehavior):
         self._rec_outstanding: Optional[int] = None
         self._rec_misses = 0
         self._rec_restart_inflight = False
+        #: The first tick of the rounds folded whole, while they are.
+        self._folded_at: SimTime = 0.0
+        #: A stepped round's folded paths, ``(tick, [(component, seq)],
+        #: judged)`` with ``judged`` the round judge's list, until the next
+        #: poke replays them (:meth:`_replay_flight`).
+        self._flight: Optional[
+            Tuple[SimTime, List[Tuple[str, int]], List[Tuple[str, int]]]
+        ] = None
         self.reports_sent = 0
         #: Ground-truth accounting (cumulative across FD restarts).
         self.false_positives: Dict[str, int] = {}
@@ -332,7 +345,9 @@ class FailureDetector(BusAttachedBehavior):
         # its next tick, it would otherwise run beside the new one.
         if not self._alive or incarnation != self.process.start_count:
             return
-        if self._quiet():
+        doubt = self._doubt()
+        if doubt == ():
+            self._folded_at = self.kernel.now
             self.kernel.supervision.fold(
                 self.kernel.now,
                 self.ping_period,
@@ -365,12 +380,17 @@ class FailureDetector(BusAttachedBehavior):
         # Hot loop: one ping per monitored component per second, sent back
         # to back, and one judgement for the whole round.  Pings go straight
         # from the wire template (no PingRequest object — ``send`` would
-        # produce the identical bytes via ``encode_message``).
+        # produce the identical bytes via ``encode_message``).  A path not
+        # in doubt takes its sequence number and sends nothing.
         pinged = []
+        folded = []
         for component in self.monitored:
             if component in self._suppressed:
                 continue
             self._seq += 1
+            if doubt is not None and component not in doubt:
+                folded.append((component, self._seq))
+                continue
             self._outstanding[component] = (self._seq, now)
             if self._send_ping_wire(component, self._seq):
                 if adaptive:
@@ -384,18 +404,28 @@ class FailureDetector(BusAttachedBehavior):
             pinged.append((component, self._seq))
         if pinged or rec_seq is not None:
             self.kernel.schedule_after(timeout, self._judge_round, rec_seq, pinged)
+        if folded:
+            self._flight = (now, folded, pinged)
+            self.kernel.supervision.hold(self._replay_flight)
 
     # ------------------------------------------------------------------
-    # quiet rounds (DESIGN.md §9): folded, and caught up on at a poke
+    # folded paths and rounds (DESIGN.md §9): caught up on at a poke
     # ------------------------------------------------------------------
 
-    def _quiet(self) -> bool:
-        """Whether this round, and every later one until something pokes
-        the supervision clock, can change nothing: every ping FD would send
-        is answered well inside the timeout, so no miss, no report, no
-        restart.  The inputs that make rounds judge differently (the
-        adaptive policy, a fault fabric, the end-to-end prober) step every
-        round."""
+    def _doubt(self) -> Optional[Tuple[str, ...]]:
+        """The components whose ping this round must step: ``()`` when no
+        path is in doubt and the round, with every later one until
+        something pokes the supervision clock, is folded whole; ``None``
+        when every path steps.
+
+        A path is sure when its ping is answered well inside the timeout:
+        its component is running, undegraded, attached over its own current
+        connection, seen alive, with no miss and no suspicion open.  The
+        station-wide inputs gate the whole round: the adaptive policy, a
+        fault fabric and the end-to-end prober step every path, and so does
+        anything amiss with FD, REC, the control channel or the bus.  Off
+        the bus while REC restarts it, FD can judge nothing but REC: no ping
+        leaves, and the round is folded whole."""
         if (
             self.timeout_policy != "fixed"
             or self._prober is not None
@@ -405,13 +435,13 @@ class FailureDetector(BusAttachedBehavior):
             or self._rec_misses
             or self._rec_restart_inflight
         ):
-            return False
+            return None
         faults = self.network.faults
         if faults is not None and faults.active:
-            return False
-        endpoint, ctl = self._endpoint, self._ctl
-        if endpoint is None or not endpoint.open or ctl is None or not ctl.open:
-            return False
+            return None
+        ctl = self._ctl
+        if ctl is None or not ctl.open:
+            return None
         manager = self.manager
         rec = manager.maybe_get(self.rec_name)
         if (
@@ -420,13 +450,26 @@ class FailureDetector(BusAttachedBehavior):
             or rec.degraded_mode is not None
             or rec.behavior.fd_endpoint is not ctl.peer
         ):
-            return False
+            return None
+        endpoint = self._endpoint
+        if endpoint is None:
+            if self.bus_component in self._suppressed and not self.network.is_bound(
+                self.bus_address
+            ):
+                return ()
+            return None
         bus = manager.maybe_get(self.bus_component)
-        if bus is None or not bus.is_running or bus.degraded_mode is not None:
-            return False
+        if (
+            not endpoint.open
+            or bus is None
+            or not bus.is_running
+            or bus.degraded_mode is not None
+        ):
+            return None
         broker = bus.behavior
         if broker.attached(self.name) is not endpoint.peer:
-            return False
+            return None
+        doubt = []
         for component in self.monitored:
             if component in self._suppressed:
                 continue
@@ -435,16 +478,18 @@ class FailureDetector(BusAttachedBehavior):
                 or component in self._suspected
                 or component not in self._warmed
             ):
-                return False
+                doubt.append(component)
+                continue
             if component == self.bus_component:
                 continue
             process = manager.maybe_get(component)
             if process is None or not process.is_running or process.degraded_mode is not None:
-                return False
+                doubt.append(component)
+                continue
             attached = broker.attached(component)
             if attached is None or attached.peer is not process.behavior.endpoint:
-                return False
-        return True
+                doubt.append(component)
+        return tuple(doubt)
 
     def _catch_up(self) -> None:
         """The supervision clock's poke: catch up on the folded rounds as
@@ -452,15 +497,31 @@ class FailureDetector(BusAttachedBehavior):
         kernel = self.kernel
         rounds, tick, next_tick = kernel.supervision.unfold(kernel.now)
         pinged = [c for c in self.monitored if c not in self._suppressed]
+        on_bus = self._endpoint is not None
+        if not on_bus:
+            # Off the bus: each folded round's tick tried the bus first, and
+            # the refused dial parked a ticket that mbus's listen redeems.
+            at = self._folded_at
+            for _ in range(rounds):
+                self.network.park(
+                    self.name,
+                    self.bus_address,
+                    at + self.reconnect_interval,
+                    self.reconnect_interval,
+                    self._try_connect,
+                )
+                at += self.ping_period
         # Every folded round but the last is over: its pings were answered
-        # and only their sequence numbers remain.
+        # (or, off the bus, never sent) and only their sequence numbers
+        # remain.
         self._seq += len(pinged) * (rounds - 1)
         self._rec_seq += rounds - 1
-        self._replay_round(tick, pinged)
+        self._replay_round(tick, pinged, on_bus)
         kernel.schedule_at(next_tick, self._tick, self.process.start_count)
 
-    def _replay_round(self, tick: SimTime, pinged: List[str]) -> None:
-        """The round begun at ``tick``, as stepping has run it until now.
+    def _replay_round(self, tick: SimTime, pinged: List[str], on_bus: bool) -> None:
+        """The folded round begun at ``tick``, as stepping has run it until
+        now: REC's ping, and the pings to ``pinged`` if FD is ``on_bus``.
 
         A ping hop takes the base latency, so each path's hops fall on
         ``tick + b``, ``+ 2b``, … : the hops before now have happened (their
@@ -475,33 +536,71 @@ class FailureDetector(BusAttachedBehavior):
         """
         kernel = self.kernel
         now = kernel.now
-        base = self.network.latency.base
-        hops = [tick + base]
-        for _ in range(3):
-            hops.append(hops[-1] + base)
+        hops = self._hops(tick)
+        self._rec_seq += 1
         if hops[-1] < now:
-            self._rec_seq += 1
             self._seq += len(pinged)
             return
-        name = self.name
-        endpoint, ctl = self._endpoint, self._ctl
-        broker = self.manager.get(self.bus_component).behavior
-        pending = False
-
-        self._rec_seq += 1
         rec_seq = self._rec_seq
+        ctl = self._ctl
+        pending = False
         rec_path = (
-            (ctl.peer, encode_ping_wire("ping", name, self.rec_name, rec_seq)),
-            (ctl, encode_ping_wire("ping-reply", self.rec_name, name, rec_seq)),
+            (ctl.peer, encode_ping_wire("ping", self.name, self.rec_name, rec_seq)),
+            (ctl, encode_ping_wire("ping-reply", self.rec_name, self.name, rec_seq)),
         )
         if self._queue_in_flight(hops, rec_path, now):
             self._rec_outstanding = rec_seq
             pending = True
-
         judged = []
         for component in pinged:
             self._seq += 1
-            seq = self._seq
+            if on_bus:  # off it, the ping was refused at FD's end, unjudged
+                judged.append((component, self._seq))
+        if self._replay_paths(tick, hops, judged, now):
+            pending = True
+        if pending:
+            kernel.schedule_at(
+                tick + self._current_timeout(), self._judge_round, rec_seq, judged
+            )
+
+    def _replay_flight(self) -> None:
+        """The supervision clock's poke inside a stepped round: the paths
+        the round folded join it at their hops in flight (a replayed hop
+        lands after the stepped hops already queued for its instant), and
+        the round's one judge judges them in the order they were pinged."""
+        tick, folded, judged = self._flight
+        self._flight = None
+        now = self.kernel.now
+        hops = self._hops(tick)
+        if hops[-1] < now:
+            return
+        if self._replay_paths(tick, hops, folded, now):
+            judged.extend(path for path in folded if path[0] in self._outstanding)
+            judged.sort(key=lambda path: path[1])
+
+    def _hops(self, tick: SimTime) -> List[SimTime]:
+        """The arrival instants of a round's ping hops, as the sends
+        compute them: ``tick + b``, then ``+ b`` at each hop."""
+        base = self.network.latency.base
+        hops = [tick + base]
+        for _ in range(3):
+            hops.append(hops[-1] + base)
+        return hops
+
+    def _replay_paths(
+        self,
+        tick: SimTime,
+        hops: List[SimTime],
+        paths: List[Tuple[str, int]],
+        now: SimTime,
+    ) -> bool:
+        """Queue the hop in flight at ``now`` on each ``(component, seq)``
+        path pinged at ``tick``, its ping outstanding; whether any was."""
+        name = self.name
+        endpoint = self._endpoint
+        broker = self.manager.get(self.bus_component).behavior
+        pending = False
+        for component, seq in paths:
             ping = encode_ping_wire("ping", name, component, seq)
             reply = encode_ping_wire("ping-reply", component, name, seq)
             if component == self.bus_component:
@@ -517,11 +616,7 @@ class FailureDetector(BusAttachedBehavior):
             if self._queue_in_flight(hops, path, now):
                 self._outstanding[component] = (seq, tick)
                 pending = True
-            judged.append((component, seq))
-        if pending:
-            kernel.schedule_at(
-                tick + self._current_timeout(), self._judge_round, rec_seq, judged
-            )
+        return pending
 
     def _queue_in_flight(self, hops, path, now: SimTime) -> bool:
         """Queue the delivery of ``path``'s hop in flight at ``now`` (its

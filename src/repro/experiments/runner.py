@@ -349,7 +349,7 @@ KINDS: Dict[str, Kind] = {
         identity=("kind", "tree", "fleet_size", "wave_interval_s", "horizon_s"),
         run=_run_fleet,
         decode=_decode_fleet,
-        version=7,
+        version=8,
     ),
 }
 

@@ -4,12 +4,18 @@ FD pings every monitored component once a round.  While every ping is
 answered and nothing on the station changes, a round sees nothing: no
 miss, no report, no restart.  FD then *folds* its rounds (DESIGN.md §9,
 "Quiet rounds"): it stays on its grid but executes none of them, and
-sleeps on this clock.  Whatever could make a round see something pokes the
+sleeps on this clock.  So it does while it is off the bus during mbus's
+restart, when a round can judge only REC's heartbeat.  Whatever could make a round see something pokes the
 clock first — a process start, ready, kill or fail-slow degradation, a bus
 attach or detach, the fault fabric arming or disarming, the FD↔REC control
 channel opening, closing or carrying anything but a ping — and the poke
 wakes FD *before* the change lands, so that FD catches up on its folded
 rounds exactly as far as stepping would have run them by that instant.
+
+A round with pings in doubt steps them and folds only the sure ones; it
+*holds* their replay on the clock (:meth:`hold`), and the next poke runs
+it first, so that a poke inside the round's flight window finds its
+folded pings in flight as stepping sent them.
 
 The clock is not a lifecycle listener: ``ProcessManager.degrade`` notifies
 no listener by design, so that the abstract supervisor stays blind to
@@ -54,8 +60,8 @@ class SupervisionClock:
 
     __slots__ = (
         "_wake", "_period", "_hop", "_prev", "_last", "_next", "_rounds",
-        "_end", "_heard", "_watchdog", "_loop_catch_up", "_loop_unfold",
-        "_loop_peers", "loop_due",
+        "_end", "_heard", "_watchdog", "_flight", "_loop_catch_up",
+        "_loop_unfold", "_loop_peers", "loop_due",
     )
 
     def __init__(self) -> None:
@@ -76,6 +82,9 @@ class SupervisionClock:
         #: The sleeping FD watchdog's re-arm (a bound method), run after
         #: ``_wake`` at the poke that ends the fold.
         self._watchdog: Optional[Callable[[], None]] = None
+        #: A stepped round's replay of the paths it folded (a bound
+        #: method), run first by the next poke.
+        self._flight: Optional[Callable[[], None]] = None
         #: A folded application loop's catch-up (run by :meth:`settle`) and
         #: its unfold (run by a poke), while it folds.
         self._loop_catch_up: Optional[Callable[[], None]] = None
@@ -111,6 +120,11 @@ class SupervisionClock:
         caught up.  Only while :attr:`folded`."""
         self._watchdog = watchdog
 
+    def hold(self, flight: Callable[[], None]) -> None:
+        """Have the next poke call ``flight`` first: a stepped round folded
+        some of its paths, and their hops may be in flight."""
+        self._flight = flight
+
     def fold_loop(
         self,
         catch_up: Optional[Callable[[], None]],
@@ -129,7 +143,12 @@ class SupervisionClock:
         """Something a round could see is about to change — about
         ``component``'s process or bus attachment, or (``None``) about the
         station at large: wake the FD, then the watchdog sleeping on it,
-        then a folded loop that rests on ``component``."""
+        then a folded loop that rests on ``component``.  A stepped round's
+        folded paths are replayed before all of them."""
+        flight = self._flight
+        if flight is not None:
+            self._flight = None
+            flight()
         wake = self._wake
         if wake is not None:
             self._wake = None

@@ -535,9 +535,21 @@ class Network:
         ):
             self.kernel.schedule_after(interval, callback)
         else:
-            self._parked.setdefault(address, []).append(
-                (client_name, self.kernel.now + interval, interval, callback)
-            )
+            self.park(client_name, address, self.kernel.now + interval, interval, callback)
+
+    def park(
+        self,
+        client_name: str,
+        address: str,
+        tick: SimTime,
+        interval: SimTime,
+        callback: Callable[[], None],
+    ) -> None:
+        """Leave a dial loop's ticket on ``address``, unbound: its next
+        attempt is at ``tick``, then every ``interval`` (:meth:`redial`).
+        A folded round's catch-up parks the tickets its refused attempts
+        would have parked (DESIGN.md §9)."""
+        self._parked.setdefault(address, []).append((client_name, tick, interval, callback))
 
     def hang_up(self, client_name: str) -> None:
         """Drop every ticket ``client_name`` has parked (its process died).

@@ -330,11 +330,12 @@ def _zero_jitter():
 
 @contextmanager
 def _every_round_reference():
-    """No round is quiet: FD steps every round, as it did before it folded
-    the rounds that can see nothing, and the supervision clock's pokes
-    find nobody to wake.  Build and boot the station inside the context."""
+    """Every path is in doubt: FD steps every ping of every round, as it
+    did before it folded the paths and rounds that can see nothing, and the
+    supervision clock's pokes find nobody to wake.  Build and boot the
+    station inside the context."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FailureDetector, "_quiet", lambda self: False)
+        patch.setattr(FailureDetector, "_doubt", lambda self: None)
         yield
 
 

@@ -10,7 +10,8 @@ executes exactly the table's kernel events per two ping rounds (REC's FD
 deadline fires once per two rounds, so the count is stated over an even
 number of rounds), and the same station as it runs, folding its quiet
 rounds while REC's FD deadline sleeps on the fold, executes the table's
-folded count: none.  A wrapper
+folded count: none.  The round that detects a dead rtu steps only rtu's
+path as the station runs, and the table's detection rows pin both counts.  A wrapper
 someone adds to the send or deliver path later, or a timer added to the
 ping fabric, then shows up here as a failing count — and gets added to the
 table on purpose — rather than as a slow drift in ``fleet-waves``.
@@ -120,6 +121,51 @@ def test_a_folded_station_executes_the_tables_folded_events():
     assert kernel.supervision.folded
     assert calls == {}  # no hop at all
     assert kernel.events_executed - executed == ROUNDS // 2 * folded_per_two_rounds
+
+
+def _detection_round_table():
+    """``(events of a detection round with every path stepped, events of
+    the same round as it runs)`` as DESIGN.md §10 states them."""
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    section = design.split("\n## 10.", 1)[1].split("\n## 11.", 1)[0]
+    parts = []
+    totals = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| detection round events"):
+            parts.append(int(cells[1]))
+        elif line.startswith("| detection round total"):
+            key = "folded" if "as it runs" in cells[0] else "stepped"
+            totals[key] = int(re.match(r"\*\*(\d+)\*\*", cells[1]).group(1))
+    assert totals["stepped"] == sum(parts), "DESIGN.md §10: the detection rows do not add up"
+    return totals["stepped"], totals["folded"]
+
+
+def _detection_round_events():
+    """The kernel events of the round that detects rtu, dead half a period
+    before its tick, from the tick to the round's judge."""
+    station = _silent_station()
+    kernel = station.kernel
+    fd = station.fd
+    tick = fd._started_at + fd.ping_period
+    while tick < kernel.now + 2 * fd.ping_period:
+        tick += fd.ping_period
+    kernel.schedule_at(tick - 0.5, station.injector.inject_simple, "rtu")
+    kernel.run(until=tick - 1e-6)
+    executed = kernel.events_executed
+    kernel.run(until=tick + fd.reply_timeout)
+    return kernel.events_executed - executed
+
+
+def test_a_detection_round_steps_only_the_path_in_doubt():
+    """rtu is dead at the tick: stepping, the round pings every path; as
+    the station runs, the five answered paths take their sequence numbers
+    and send nothing, and only rtu's ping (dropped unroutable at mbus) and
+    REC's are simulated."""
+    stepped, folded = _detection_round_table()
+    with REFERENCES["every-round"].patch():
+        assert _detection_round_events() == stepped
+    assert _detection_round_events() == folded
 
 
 def test_a_data_hop_is_three_transport_frames(monkeypatch):

@@ -64,7 +64,6 @@ ISLAND_NAMES = {
     "repro.procmgr.contention.StartupContention.is_starting": "test-side API: how the contention tests see a start in the pool",
     "repro.sim.kernel.Kernel.stopped": "test-side API: the stepping reference in tests/differential.py reads it",
     "repro.transport.network.Network.dials_parked": "test-side API: how tests count parked dials, which hold no kernel event",
-    "repro.transport.network.Network.is_bound": "test-side API: how tests see an address is listening",
     "repro.transport.network.NetworkFaultModel.heal": "reference: part of the fault alphabet of test_flat_transport_property's model",
     "repro.transport.network.NetworkFaultModel.restore": "reference: part of the fault alphabet of test_flat_transport_property's model",
     "repro.workload.plane.WorkloadPlane.in_flight": "test-side API: how tests count requests, whose deadlines hold no kernel event",

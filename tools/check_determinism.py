@@ -19,10 +19,11 @@ leg runs one cell more than once and byte-compares what came out:
   comparing the full JSONL event traces and the result payloads (the
   availability run must hold a whole pass and a proactive restart, so ses's
   in-pass tracking and the rejuvenation round are among what is compared);
-* **snapshot-fork** — one storm campaign (FD/REC), one Table 4 recovery
-  cell (tree V, ``fedr``, five trials: its template is warmed with ses's
+* **snapshot-fork** — one storm campaign (FD/REC), three Table 4 recovery
+  cells of five trials (tree V, ``fedr``: its template is warmed with ses's
   track/tune loop folded, so the catch-up before the cell's rebase is
-  compared) and one availability run (abstract supervisor) restored from
+  compared; tree V, ``mbus``, and tree I, ``ses``: mbus's restart and the
+  root restart, whose rounds FD folds off the bus) and one availability run (abstract supervisor) restored from
   the warmed-station template vs. booted afresh (``snapshot=False``),
   traces and payloads: the restore-vs-boot bit-identity contract that
   lets both share the result cache, over both supervision front ends'
@@ -153,14 +154,16 @@ def _chaos_run(scenario: str, **kwargs) -> TracedRun:
     return run
 
 
-def _recovery_run(component: str, **kwargs) -> TracedRun:
+def _recovery_run(
+    component: str, tree: str = "V", oracle: str = "faulty", **kwargs
+) -> TracedRun:
     def run(sinks: Sequence[Sink]) -> str:
         result = measure_recovery(
-            TREE_BUILDERS["V"](),
+            TREE_BUILDERS[tree](),
             component,
             trials=5,
             seed=CHAOS_SEED,
-            oracle="faulty",
+            oracle=oracle,
             sinks=sinks,
             **kwargs,
         )
@@ -243,8 +246,8 @@ def check_same_seed_traces(workdir: str) -> bool:
 
 def check_snapshot_fork(workdir: str) -> bool:
     """Restored cells must equal fresh-boot cells: a storm campaign (FD/REC
-    station), a Table 4 recovery cell (its template warmed with ses's loop
-    folded) and an availability run (abstract supervisor), each through
+    station), three Table 4 recovery cells (templates warmed with ses's loop
+    folded; two with off-bus folds) and an availability run (abstract supervisor), each through
     the warmed-station template (boot once, a replayed fork + RNG rebase
     per cell) and with ``snapshot=False`` (full boot per cell)."""
     pairs = [
@@ -254,6 +257,20 @@ def check_snapshot_fork(workdir: str) -> bool:
             "Table 4 cell V/faulty fedr, 5 trials, seed %d" % CHAOS_SEED,
             _recovery_run,
             ("fedr",),
+        ),
+        # mbus's restart, and tree I's root restart, are the episodes in
+        # which FD folds the rounds it spends off the bus.
+        (
+            "snapshot-fork-recovery-mbus",
+            "Table 4 cell V/faulty mbus, 5 trials, seed %d" % CHAOS_SEED,
+            _recovery_run,
+            ("mbus",),
+        ),
+        (
+            "snapshot-fork-recovery-root",
+            "Table 4 cell I/perfect ses, 5 trials, seed %d" % CHAOS_SEED,
+            _recovery_run,
+            ("ses", "I", "perfect"),
         ),
         (
             "snapshot-fork-availability",
