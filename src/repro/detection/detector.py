@@ -574,8 +574,9 @@ class FailureDetector(BusAttachedBehavior):
         hops = self._hops(tick)
         if hops[-1] < now:
             return
-        if self._replay_paths(tick, hops, folded, now):
-            judged.extend(path for path in folded if path[0] in self._outstanding)
+        queued = self._replay_paths(tick, hops, folded, now)
+        if queued:
+            judged.extend(queued)
             judged.sort(key=lambda path: path[1])
 
     def _hops(self, tick: SimTime) -> List[SimTime]:
@@ -593,13 +594,13 @@ class FailureDetector(BusAttachedBehavior):
         hops: List[SimTime],
         paths: List[Tuple[str, int]],
         now: SimTime,
-    ) -> bool:
+    ) -> List[Tuple[str, int]]:
         """Queue the hop in flight at ``now`` on each ``(component, seq)``
-        path pinged at ``tick``, its ping outstanding; whether any was."""
+        path pinged at ``tick``, its ping outstanding; the paths queued."""
         name = self.name
         endpoint = self._endpoint
         broker = self.manager.get(self.bus_component).behavior
-        pending = False
+        queued = []
         for component, seq in paths:
             ping = encode_ping_wire("ping", name, component, seq)
             reply = encode_ping_wire("ping-reply", component, name, seq)
@@ -615,8 +616,8 @@ class FailureDetector(BusAttachedBehavior):
                 )
             if self._queue_in_flight(hops, path, now):
                 self._outstanding[component] = (seq, tick)
-                pending = True
-        return pending
+                queued.append((component, seq))
+        return queued
 
     def _queue_in_flight(self, hops, path, now: SimTime) -> bool:
         """Queue the delivery of ``path``'s hop in flight at ``now`` (its

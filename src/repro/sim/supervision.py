@@ -5,12 +5,13 @@ answered and nothing on the station changes, a round sees nothing: no
 miss, no report, no restart.  FD then *folds* its rounds (DESIGN.md §9,
 "Quiet rounds"): it stays on its grid but executes none of them, and
 sleeps on this clock.  So it does while it is off the bus during mbus's
-restart, when a round can judge only REC's heartbeat.  Whatever could make a round see something pokes the
-clock first — a process start, ready, kill or fail-slow degradation, a bus
-attach or detach, the fault fabric arming or disarming, the FD↔REC control
-channel opening, closing or carrying anything but a ping — and the poke
-wakes FD *before* the change lands, so that FD catches up on its folded
-rounds exactly as far as stepping would have run them by that instant.
+restart, when a round can judge only REC's heartbeat.  Whatever could make
+a round see something pokes the clock first — a process start, ready, kill
+or fail-slow degradation, a bus attach or detach, the fault fabric arming
+or disarming, the FD↔REC control channel opening, closing or carrying
+anything but a ping — and the poke wakes FD *before* the change lands, so
+that FD catches up on its folded rounds exactly as far as stepping would
+have run them by that instant.
 
 A round with pings in doubt steps them and folds only the sure ones; it
 *holds* their replay on the clock (:meth:`hold`), and the next poke runs

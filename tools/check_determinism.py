@@ -23,7 +23,8 @@ leg runs one cell more than once and byte-compares what came out:
   cells of five trials (tree V, ``fedr``: its template is warmed with ses's
   track/tune loop folded, so the catch-up before the cell's rebase is
   compared; tree V, ``mbus``, and tree I, ``ses``: mbus's restart and the
-  root restart, whose rounds FD folds off the bus) and one availability run (abstract supervisor) restored from
+  root restart, whose rounds FD folds off the bus) and one availability
+  run (abstract supervisor) restored from
   the warmed-station template vs. booted afresh (``snapshot=False``),
   traces and payloads: the restore-vs-boot bit-identity contract that
   lets both share the result cache, over both supervision front ends'
@@ -247,9 +248,10 @@ def check_same_seed_traces(workdir: str) -> bool:
 def check_snapshot_fork(workdir: str) -> bool:
     """Restored cells must equal fresh-boot cells: a storm campaign (FD/REC
     station), three Table 4 recovery cells (templates warmed with ses's loop
-    folded; two with off-bus folds) and an availability run (abstract supervisor), each through
-    the warmed-station template (boot once, a replayed fork + RNG rebase
-    per cell) and with ``snapshot=False`` (full boot per cell)."""
+    folded; two with off-bus folds) and an availability run (abstract
+    supervisor), each through the warmed-station template (boot once, a
+    replayed fork + RNG rebase per cell) and with ``snapshot=False`` (full
+    boot per cell)."""
     pairs = [
         ("snapshot-fork", "storm on tree V, seed %d" % CHAOS_SEED, _chaos_run, ("storm",)),
         (
