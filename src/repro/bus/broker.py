@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.components.base import Behavior
 from repro.errors import ChannelClosedError, XmlError
 from repro.obs import events as ev
-from repro.types import Severity
+from repro.types import Severity, SimTime
 from repro.xmlcmd.commands import envelope_of, parse_message
 from repro.xmlcmd.fastpath import decode_envelope, encode_ping_wire
 
@@ -195,8 +195,7 @@ class BusBroker(Behavior):
         latency, undrawn (``Endpoint.send_base``)."""
         endpoint = self._clients.get(target) if target else None
         if endpoint is None or not endpoint.open:
-            self.dropped += 1
-            self.trace(ev.BUS_UNROUTABLE, target=target)
+            self._unroutable(target)
             return
         try:
             if kind in _LIVENESS_KINDS:
@@ -206,3 +205,11 @@ class BusBroker(Behavior):
             self.routed += 1
         except ChannelClosedError:
             self.dropped += 1
+
+    def _unroutable(self, target: Optional[str], at: Optional[SimTime] = None) -> None:
+        """Drop a message for ``target``, attached nowhere, at ``at`` (a
+        folded loop's replayed forward) or now."""
+        self.dropped += 1
+        trace = self.kernel.trace
+        if trace.wants(ev.BUS_UNROUTABLE):
+            trace.emit(self.name, ev.BUS_UNROUTABLE, time=at, target=target)

@@ -68,7 +68,7 @@ from repro.components.base import BusAttachedBehavior
 from repro.components.health import EndToEndProber, probe_reply_info
 from repro.errors import ChannelClosedError
 from repro.obs import events as ev
-from repro.types import Severity, SimTime
+from repro.types import ProcessState, Severity, SimTime
 from repro.xmlcmd.commands import (
     CommandMessage,
     FailureReport,
@@ -83,6 +83,8 @@ from repro.xmlcmd.fastpath import decode_envelope, encode_ping_wire
 #: Control-channel verb asking REC to drop a queued report (see
 #: :meth:`FailureDetector._maybe_retract`).
 RETRACT_REPORT_VERB = "retract-report"
+
+_RUNNING = ProcessState.RUNNING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.procmgr.manager import ProcessManager
@@ -442,13 +444,15 @@ class FailureDetector(BusAttachedBehavior):
         ctl = self._ctl
         if ctl is None or not ctl.open:
             return None
-        manager = self.manager
-        rec = manager.maybe_get(self.rec_name)
+        # Plain reads of the manager's process table and the broker's
+        # client table: this runs at every tick of a round that may fold.
+        processes = self.manager._processes
+        rec = processes.get(self.rec_name)
         if (
             rec is None
-            or not rec.is_running
+            or rec.state is not _RUNNING
             or rec.degraded_mode is not None
-            or rec.behavior.fd_endpoint is not ctl.peer
+            or rec.behavior._fd_endpoint is not ctl._peer
         ):
             return None
         endpoint = self._endpoint
@@ -458,16 +462,17 @@ class FailureDetector(BusAttachedBehavior):
             ):
                 return ()
             return None
-        bus = manager.maybe_get(self.bus_component)
+        bus = processes.get(self.bus_component)
         if (
             not endpoint.open
             or bus is None
-            or not bus.is_running
+            or bus.state is not _RUNNING
             or bus.degraded_mode is not None
         ):
             return None
-        broker = bus.behavior
-        if broker.attached(self.name) is not endpoint.peer:
+        clients = bus.behavior._clients
+        own = clients.get(self.name)
+        if own is not endpoint._peer or not own.open:
             return None
         doubt = []
         for component in self.monitored:
@@ -482,12 +487,20 @@ class FailureDetector(BusAttachedBehavior):
                 continue
             if component == self.bus_component:
                 continue
-            process = manager.maybe_get(component)
-            if process is None or not process.is_running or process.degraded_mode is not None:
+            process = processes.get(component)
+            if (
+                process is None
+                or process.state is not _RUNNING
+                or process.degraded_mode is not None
+            ):
                 doubt.append(component)
                 continue
-            attached = broker.attached(component)
-            if attached is None or attached.peer is not process.behavior.endpoint:
+            attached = clients.get(component)
+            if (
+                attached is None
+                or not attached.open
+                or attached._peer is not process.behavior._endpoint
+            ):
                 doubt.append(component)
         return tuple(doubt)
 

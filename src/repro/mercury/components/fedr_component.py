@@ -102,6 +102,9 @@ class FedrBehavior(BusAttachedBehavior):
         self._pbcom_pending = False
         if not self._alive or self.pbcom_connected:
             return
+        # ses's folded loop may owe this link forwards that landed before
+        # now: they read the link down and set the frequency replayed below.
+        self.kernel.supervision.settle(self.kernel.clock._now)
         self._pbcom = self.network.dial(self.name, self.pbcom_address)
         if self._pbcom is None:
             self._schedule_pbcom_retry()
@@ -148,21 +151,34 @@ class FedrBehavior(BusAttachedBehavior):
         if frequency is None:
             self.trace(ev.BAD_RADIO_SET_FREQ, severity=Severity.WARNING)
             return
+        if self._take_frequency(frequency):
+            self._send_frequency(frequency)
+
+    def _take_frequency(self, frequency: str) -> bool:
+        """Keep a commanded ``frequency``: whether the pbcom link is up to
+        translate it (ses's folded loop replays its forwards through here)."""
         self._last_frequency = frequency
         if not self.pbcom_connected:
             self.dropped_while_disconnected += 1
-            return
-        self._send_frequency(frequency)
+            return False
+        return True
 
-    def _send_frequency(self, frequency: str) -> None:
+    def _send_frequency(self, frequency: str, at: Optional[SimTime] = None) -> Optional[SimTime]:
+        """Translate ``frequency`` onto the pbcom link, now, or (a folded
+        loop's replay) as sent at the earlier instant ``at``, returning that
+        replayed line's arrival at pbcom."""
         if not self.pbcom_connected:
-            return
+            return None
         assert self._pbcom is not None
-        try:
-            self._pbcom.send(f"FREQ {frequency}")
-        except ChannelClosedError:
-            self.dropped_while_disconnected += 1
-            return
+        arrival = None
+        if at is None:
+            try:
+                self._pbcom.send(freq_line(frequency))
+            except ChannelClosedError:
+                self.dropped_while_disconnected += 1
+                return None
+        else:
+            arrival = self._pbcom._hop(at)
         self.translated += 1
         if self._session_store is not None:
             # Checkpoint the tuned frequency so a replay restart resumes
@@ -170,9 +186,15 @@ class FedrBehavior(BusAttachedBehavior):
             try:
                 first = not self._session_store.has_checkpoint(self.name)
                 self._session_store.save_checkpoint(
-                    self.name, self.kernel.now, {"frequency": frequency}
+                    self.name, self.kernel.now if at is None else at, {"frequency": frequency}
                 )
             except StoreError:
-                return  # store down: this tune-up goes un-checkpointed
+                return arrival  # store down: this tune-up goes un-checkpointed
             if first:
                 self.trace(ev.CHECKPOINT_TAKEN, component=self.name)
+        return arrival
+
+
+def freq_line(frequency: str) -> str:
+    """The low-level radio command fedr sends pbcom for ``frequency``."""
+    return f"FREQ {frequency}"

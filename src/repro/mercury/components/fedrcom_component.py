@@ -13,12 +13,12 @@ out, no TCP hop in between.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.components.base import BusAttachedBehavior
 from repro.errors import ComponentError
 from repro.obs import events as ev
-from repro.types import Severity
+from repro.types import Severity, SimTime
 from repro.xmlcmd.commands import CommandMessage, Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,9 +71,12 @@ class FedrcomBehavior(BusAttachedBehavior):
         if message.verb != "radio-set-freq":
             return
         try:
-            frequency = float(message.params["frequency_hz"])
-            self.radio.tune(frequency, by=self.name)
+            self._apply_frequency(float(message.params["frequency_hz"]))
         except (KeyError, ValueError, ComponentError) as error:
             self.trace(ev.BAD_RADIO_COMMAND, severity=Severity.WARNING, error=str(error))
-            return
+
+    def _apply_frequency(self, frequency: float, at: Optional[SimTime] = None) -> None:
+        """Tune the radio to ``frequency``, now or (ses's folded loop
+        replaying a forward) at the earlier instant ``at``."""
+        self.radio.tune(frequency, by=self.name, at=at)
         self.commands_applied += 1

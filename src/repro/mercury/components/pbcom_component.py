@@ -25,7 +25,7 @@ from repro.components.base import BusAttachedBehavior
 from repro.errors import ComponentError
 from repro.faults.store_faults import StoreError
 from repro.obs import events as ev
-from repro.types import Severity
+from repro.types import Severity, SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mercury.hardware import Radio, SerialPort
@@ -129,13 +129,16 @@ class PbcomBehavior(BusAttachedBehavior):
         parts = str(raw).split()
         if len(parts) == 2 and parts[0] == "FREQ":
             try:
-                frequency = float(parts[1])
-                self.radio.tune(frequency, by=self.name)
+                self._apply_frequency(float(parts[1]))
             except (ValueError, ComponentError) as error:
                 self.trace(
                     ev.BAD_RADIO_COMMAND, severity=Severity.WARNING, error=str(error)
                 )
-                return
-            self.commands_applied += 1
         else:
             self.trace(ev.BAD_RADIO_COMMAND, severity=Severity.WARNING, raw=str(raw))
+
+    def _apply_frequency(self, frequency: float, at: Optional[SimTime] = None) -> None:
+        """Tune the radio to ``frequency``, now or (ses's folded loop
+        replaying a forward) at the earlier instant ``at``."""
+        self.radio.tune(frequency, by=self.name, at=at)
+        self.commands_applied += 1

@@ -8,11 +8,11 @@ to the radio proxy (``fedrcom`` in the unsplit station, ``fedr`` after the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.components.base import BusAttachedBehavior
 from repro.obs import events as ev
-from repro.types import Severity
+from repro.types import Severity, SimTime
 from repro.xmlcmd.commands import CommandMessage, Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,24 +50,36 @@ class RtuBehavior(BusAttachedBehavior):
         except (KeyError, ValueError):
             self.trace(ev.BAD_TUNE_COMMAND, severity=Severity.WARNING)
             return
+        text = self._take_tune(frequency, self.kernel.now)
+        if text is not None and self.send(self._radio_set_freq(text)):
+            self._forwarded(frequency, self.kernel.now)
+
+    def _take_tune(self, frequency: float, at: SimTime) -> Optional[str]:
+        """Count a tune arriving at ``at``: the frequency text to forward,
+        or ``None`` when rtu drops it.  Retuning to the same frequency
+        wastes the radio's settle time, so a change goes at once and an
+        unchanged value only as a refresh.  ses's folded loop replays its
+        skipped tunes through here at their own arrivals."""
         self.tune_commands += 1
-        # Retuning to the same frequency wastes the radio's settle time;
-        # forward changes immediately, unchanged values only as a refresh.
-        unchanged = frequency == self._last_frequency
-        fresh = self.kernel.now - self._last_forward_at < self.refresh_interval
-        if unchanged and fresh:
-            return
-        sent = self.send(
-            CommandMessage(
-                sender=self.name,
-                target=self.radio_proxy_name,
-                verb="radio-set-freq",
-                params={"frequency_hz": f"{frequency:.1f}"},
-            )
+        if (
+            frequency == self._last_frequency
+            and at - self._last_forward_at < self.refresh_interval
+        ):
+            return None
+        return f"{frequency:.1f}"
+
+    def _forwarded(self, frequency: float, at: SimTime) -> None:
+        """The forward of a tune taken at ``at`` left for the radio proxy."""
+        self._last_frequency = frequency
+        self._last_forward_at = at
+
+    def _radio_set_freq(self, text: str) -> CommandMessage:
+        return CommandMessage(
+            sender=self.name,
+            target=self.radio_proxy_name,
+            verb="radio-set-freq",
+            params={"frequency_hz": text},
         )
-        if sent:
-            self._last_frequency = frequency
-            self._last_forward_at = self.kernel.now
 
     def on_start(self) -> None:
         super().on_start()

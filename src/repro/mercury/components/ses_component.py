@@ -16,23 +16,26 @@ failure modes drive §4.3's group consolidation (the timing cost of the
 handshake is part of the calibrated startup work; the induced-failure
 behaviour is modelled by :class:`repro.faults.correlation.ResyncCoupling`).
 
-Between faults most solves change nothing anyone reads but counters: str
-slews the antenna, rtu drops an unchanged tune whose refresh is not due.
-ses *folds* those solves (DESIGN.md §9, "Folded solves"): it keeps its
-grid, queues only the next solve that rtu could forward, and catches the
-skipped ones up — counters, slew, broker and channel counts, and each
-link's latency draws — whenever something could read or disturb them: a
-poke of the supervision clock, any send on the loop's three links, a
-service request, or the kernel handing control back to its caller.  The
-solve still in flight at a catch-up is replayed hop by hop.
+Between faults every solve is known in advance: str slews the antenna,
+rtu drops an unchanged tune or forwards its 10 s refresh to the radio
+proxy.  ses *folds* them all (DESIGN.md §9, "Folded solves"): it keeps its
+grid, queues nothing, and replays the skipped solves hop by hop — counters,
+slew, routing, each link's latency draws, rtu's refresh decision at each
+tune's arrival and the forward behind it down to the radio — whenever
+something could read or disturb them: a poke of the supervision clock,
+any send on the loop's links, a trace record built, a service request,
+or the kernel handing control back to its caller.  What is still in
+flight at a catch-up is owed to the next one, or replayed as a real
+delivery when something is about to meet it.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.components.base import BusAttachedBehavior
+from repro.mercury.components.fedr_component import FedrBehavior, freq_line
 from repro.mercury.components.session_hooks import (
     _externalize_session,
     _handle_session_start,
@@ -41,12 +44,39 @@ from repro.types import SimTime
 from repro.xmlcmd.commands import CommandMessage, Message, encode_message
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.bus.broker import BusBroker
+    from repro.mercury.components.pbcom_component import PbcomBehavior
+    from repro.mercury.components.rtu_component import RtuBehavior
+    from repro.mercury.components.str_component import StrBehavior
     from repro.mercury.session_store import SessionStore
     from repro.procmgr.process import SimProcess
     from repro.transport.channel import Endpoint
     from repro.transport.network import Network
 
 _NEVER = float("inf")
+
+#: Where a folded hop is in flight, by the receiver it is bound for: mbus
+#: (a track or tune from ses), str, rtu, mbus (rtu's forward), the radio
+#: proxy, pbcom.  :meth:`SesBehavior._land` carries a hop on from each.
+_TRACK_AT_BUS, _TUNE_AT_BUS, _TRACK, _TUNE, _FREQ_AT_BUS, _FREQ_AT_PROXY, _FREQ_AT_PBCOM = (
+    range(7)
+)
+
+
+class _Loop(NamedTuple):
+    """What a fold rests on, fixed while it lasts: ses's endpoint, the
+    broker's endpoints to str and rtu, and the behaviors the hops reach —
+    the broker, str, rtu, the radio proxy (fedr, or fedrcom unsplit) and
+    pbcom (``None`` unsplit)."""
+
+    ses: "Endpoint"
+    to_tracker: "Endpoint"
+    to_tuner: "Endpoint"
+    bus: "BusBroker"
+    tracker: "StrBehavior"
+    tuner: "RtuBehavior"
+    proxy: Any
+    pbcom: Optional["PbcomBehavior"]
 
 #: Returns (azimuth_deg, elevation_deg, downlink_hz) or None when no
 #: satellite is in view.
@@ -87,14 +117,15 @@ class SesBehavior(BusAttachedBehavior):
         #: Whether this incarnation restored its sync session from the store
         #: (microreboot) instead of running the handshake.
         self._session_restored = False
-        #: While folded: the loop (:meth:`_fold_loop`), the first skipped
-        #: tick not yet caught up, and the tick of the queued real solve.
-        self._folded: Optional[tuple] = None
+        #: While folded: the loop (:meth:`_fold_loop`) and the first
+        #: skipped tick not yet caught up.
+        self._folded: Optional[_Loop] = None
         self._fold_tick = 0.0
-        self._fold_end = 0.0
-        #: Folded messages in flight at the last catch-up, owed to the next
-        #: one: ``(arrival, forward, solution, at_bus)`` (see :meth:`_land`).
+        #: Folded hops in flight at the last catch-up, owed to the next
+        #: one: ``(arrival, stage, via, value)`` (see :meth:`_land`).
         self._owed: list = []
+        #: The endpoints whose sends catch the fold up first (:meth:`_arm`).
+        self._hooked: List["Endpoint"] = []
 
     @property
     def solution_fn(self) -> SolutionFn:
@@ -150,16 +181,9 @@ class SesBehavior(BusAttachedBehavior):
         if not self._alive or epoch != self._loop_epoch:
             return
         now = self.kernel.now
-        loop = self._folded
+        loop = self._fold_loop()
         if loop is not None:
-            # The fold's last tick: catch up on what it skipped.  Nothing it
-            # rests on has changed (a poke would have ended it), so the loop
-            # folds on, its hooks left in place.
-            self._catch_up(True)
-        else:
-            loop = self._fold_loop()
-        if loop is not None:
-            self._fold_solve(loop, now, epoch)
+            self._fold(loop, now)
             return
         self.kernel.schedule_after(self.solution_period, self._solve, epoch)
         solution = self._solution_fn(now)
@@ -191,13 +215,13 @@ class SesBehavior(BusAttachedBehavior):
     # folded solves (DESIGN.md §9): skipped, and caught up on when read
     # ------------------------------------------------------------------
 
-    def _fold_loop(self) -> Optional[tuple]:
-        """The loop — ses's endpoint, the broker's endpoints to str and
-        rtu, the broker, str and rtu — if its solves may fold now: ses
-        tracks the always-in-view satellite (a pass's Doppler ramp retunes
-        rtu on every solve), no fault fabric is armed, and ses, mbus, str
-        and rtu run undegraded and attached, with no session store for str
-        to log the tracks in."""
+    def _fold_loop(self) -> Optional[_Loop]:
+        """The loop, if its solves may fold from now on: ses tracks the
+        always-in-view satellite (a pass's Doppler ramp retunes rtu on
+        every solve), no fault fabric is armed, ses, mbus, str and rtu run
+        undegraded and attached, each over its own current connection, and
+        neither the radio proxy nor pbcom is degraded; no component of the
+        loop has a session store to log its messages in."""
         faults = self.network.faults
         endpoint = self._endpoint
         if (
@@ -216,6 +240,19 @@ class SesBehavior(BusAttachedBehavior):
             if process is None or not process.is_running or process.degraded_mode is not None:
                 return None
         bus, tracker, tuner = bus.behavior, tracker.behavior, tuner.behavior
+        proxy = manager.maybe_get(tuner.radio_proxy_name)
+        if proxy is None:
+            return None
+        pbcom = None
+        radio = [proxy]
+        if isinstance(proxy.behavior, FedrBehavior):
+            pbcom = manager.maybe_get(proxy.behavior.pbcom_address.split(":", 1)[0])
+            if pbcom is None:
+                return None
+            radio.append(pbcom)
+        for process in radio:
+            if process.degraded_mode is not None or process.behavior._session_store is not None:
+                return None
         to_tracker = bus.attached(self.tracker_name)
         to_tuner = bus.attached(self.tuner_name)
         if (
@@ -227,202 +264,191 @@ class SesBehavior(BusAttachedBehavior):
             or to_tuner._peer is not tuner._endpoint
         ):
             return None
-        return endpoint, to_tracker, to_tuner, bus, tracker, tuner
+        return _Loop(
+            endpoint, to_tracker, to_tuner, bus, tracker, tuner, proxy.behavior,
+            None if pbcom is None else pbcom.behavior,
+        )
 
-    def _fold_solve(self, loop: tuple, now: SimTime, epoch: int) -> None:
-        """The solve now on a foldable loop, and the fold after it.
-
-        If rtu surely drops this tick's tune, this solve and the ones after
-        it fold, up to the first rtu might forward.  Otherwise the tune
-        goes for real and only the track folds: its first hop is drawn now,
-        as its send would be, and the rest is owed to the catch-up.  When
-        rtu surely forwards the tune (a new frequency, or a refresh due by
-        its earliest landing, two base hops away), the ticks after it fold
-        too, judged from that landing.
-        """
-        tuner = loop[5]
-        azimuth, elevation, frequency = self._solution_fn(now)
-        last = tuner._last_forward_at
-        base = self.network.latency.base
-        landing = (now + base) + base  # the tune's earliest landing at rtu
-        retune = float(f"{frequency:.1f}") != tuner._last_frequency
-        if not retune:
-            end = self._horizon(loop, now, last)
-            if end > now:
-                self._fold(loop, now, end)
-                self.kernel.schedule_at(end, self._solve, epoch)
-                return
-        nxt = now + self.solution_period
-        if retune or landing - last >= tuner.refresh_interval:
-            end = self._horizon(loop, nxt, landing)
-        else:
-            end = nxt
-        self.kernel.schedule_at(end, self._solve, epoch)
-        track = loop[0]._hop(now)
-        self.send(self._tune(frequency))
-        self.solutions_sent += 1
-        self._owed.append((track, loop[1], (azimuth, elevation, frequency), True))
-        self._fold(loop, nxt, end)
-
-    def _horizon(self, loop: tuple, tick: SimTime, last: SimTime) -> SimTime:
-        """The first tick from ``tick`` on whose tune rtu might forward, its
-        last forward having landed at ``last`` or later: every solve before
-        it sends str a track and rtu a tune it drops, the refresh not yet
-        due by the tune's latest possible arrival."""
-        endpoint, _, to_tuner, _, _, tuner = loop
-        refresh = tuner.refresh_interval
-        if refresh == float("inf"):
-            return tick
-        latency = self.network.latency
-        reach = latency.base + latency.jitter  # a hop's longest delay
-        clamps = endpoint._peer._last_arrival, to_tuner._peer._last_arrival
-        while True:
-            # The tune's latest arrival at rtu: two hops, each FIFO-clamped.
-            latest = max(max(tick + reach, clamps[0]) + reach, clamps[1])
-            if latest - last >= refresh:
-                return tick
-            tick += self.solution_period
-
-    def _fold(self, loop: tuple, tick: SimTime, end: SimTime) -> None:
-        """Skip the solves from ``tick`` up to ``end``, whose solve is queued
-        (hooking the loop's links and the supervision clock unless the loop
-        is folded already)."""
+    def _fold(self, loop: _Loop, tick: SimTime) -> None:
+        """Skip the solves from ``tick`` on, until a poke ends the fold."""
         self._fold_tick = tick
-        self._fold_end = end
-        if self._folded is not loop:
-            self._folded = loop
-            for endpoint in loop[:3]:
-                endpoint._settle = partial(self._catch_up, endpoint)
-            peers = frozenset((self.name, loop[3].name, loop[4].name, loop[5].name))
-            self.kernel.supervision.fold_loop(self._catch_up, self._unfold, peers)
+        self._folded = loop
+        self.kernel.supervision.fold_loop(self._catch_up, self._poked)
         self._arm()
 
     def _arm(self) -> None:
-        """Set when a send on each of the loop's links must first catch
-        up: from the next skipped tick on (its hops draw first), and from
-        the landing at mbus of an owed message to be forwarded on that
-        link; at once on the link an owed message is in flight on."""
-        endpoint, to_tracker, to_tuner = self._folded[:3]
-        tick = self._fold_tick if self._fold_tick < self._fold_end else _NEVER
-        own = track = tune = due = tick
-        for arrival, forward, _, at_bus in self._owed:
+        """Hook the loop's links — ses→mbus, mbus→str, mbus→rtu, rtu→mbus,
+        mbus→proxy and fedr→pbcom, each as now connected — so that a send
+        on one first catches up: at once on a link a folded hop is in
+        flight on, else from the earliest instant a folded hop may be sent
+        (the next skipped tick, or an owed hop's landing)."""
+        loop = self._folded
+        due = self._fold_tick
+        busy = []
+        for arrival, _, via, _ in self._owed:
             if arrival < due:
                 due = arrival
-            if not at_bus:
-                if forward is to_tracker:
-                    track = 0.0
-                else:
-                    tune = 0.0
-                continue
-            own = 0.0
-            if forward is to_tracker:
-                if arrival < track:
-                    track = arrival
-            elif arrival < tune:
-                tune = arrival
-        endpoint._settle_at = own
-        to_tracker._settle_at = track
-        to_tuner._settle_at = tune
+            busy.append(via)
+        links = [loop.ses, loop.to_tracker, loop.to_tuner, loop.to_tuner._peer]
+        proxy = loop.proxy
+        to_proxy = loop.bus._clients.get(proxy.name)
+        if to_proxy is not None:
+            links.append(to_proxy)
+        if proxy._endpoint is not None:
+            # The broker's side of the proxy's own connection: about to
+            # be attached when the poke is the proxy's attach.
+            links.append(proxy._endpoint._peer)
+        if loop.pbcom is not None and proxy._pbcom is not None:
+            links.append(proxy._pbcom)
+        for link in self._hooked:
+            if link not in links:
+                link._settle = None
+                link._settle_at = _NEVER
+        for link in links:
+            if link._settle is None:
+                link._settle = partial(self._catch_up, link)
+            link._settle_at = 0.0 if link in busy else due
+        self._hooked = links
         self.kernel.supervision.loop_due = due
 
+    def _poked(self, component: Optional[str]) -> None:
+        """The supervision clock's poke: something about ``component`` (or,
+        ``None``, about the station at large) is about to change.  A poke
+        about ses, mbus, str or rtu ends the fold; one about the radio
+        proxy or pbcom meets the hops in flight and re-hooks the links,
+        and the loop folds on."""
+        loop = self._folded
+        if component is None or component in (
+            self.name, loop.bus.name, loop.tracker.name, loop.tuner.name
+        ):
+            self._unfold()
+        elif component == loop.proxy.name or (
+            loop.pbcom is not None and component == loop.pbcom.name
+        ):
+            self._catch_up(True)
+
     def _unfold(self) -> None:
-        """The supervision clock's poke: something the fold rests on is
-        about to change.  Catch up, and solve for real from the next tick."""
+        """End the fold: catch up, and solve for real from the next tick."""
         self._catch_up(True)  # nothing stays owed to a fold that has ended
-        for endpoint in self._folded[:3]:
-            endpoint._settle = None
-            endpoint._settle_at = _NEVER
+        for link in self._hooked:
+            link._settle = None
+            link._settle_at = _NEVER
+        self._hooked = []
         self._folded = None
         self.kernel.supervision.fold_loop(None, None)
-        tick = self._fold_tick
-        if tick != self._fold_end:
-            # Fence off the queued solve; the next tick's replaces it.
-            self._loop_epoch += 1
-            self.kernel.schedule_at(tick, self._solve, self._loop_epoch)
+        self.kernel.schedule_at(self._fold_tick, self._solve, self._loop_epoch)
 
     def _catch_up(self, wake: Any = None) -> None:
         """Apply what the fold skipped that has landed by now, as stepping
-        has: the owed messages first, then every skipped solve begun
-        before now.  What is still in flight stays owed, unless ``wake``
-        is about to meet it: ``True`` (a poke, or the fold's end) meets
-        everything; an endpoint about to send meets what will reach its
-        receiver — ses's endpoint the messages bound for mbus, a broker
-        endpoint the messages it is to carry.  Those go to the kernel as
+        has: the owed hops first, then every skipped solve begun before
+        now.  What is still in flight stays owed, unless ``wake`` is about
+        to meet it: ``True`` (a poke) meets everything; an endpoint about
+        to send meets the hops in flight on it.  Those go to the kernel as
         real deliveries, and the real code carries them on."""
         now = self.kernel.clock._now
-        tick, end, period = self._fold_tick, self._fold_end, self.solution_period
-        due = tick < now and tick < end
-        if not due and not self._owed:
-            return
-        owed, self._owed = self._owed, []
-        for arrival, forward, solution, at_bus in owed:
-            self._land(arrival, forward, solution, at_bus, now, wake)
-        if due:
-            endpoint, to_tracker, to_tuner = self._folded[:3]
-            solution_fn = self._solution_fn
-            while tick < now and tick < end:
-                solution = solution_fn(tick)
-                self.solutions_sent += 1
-                self._land(endpoint._hop(tick), to_tracker, solution, True, now, wake)
-                self._land(endpoint._hop(tick), to_tuner, solution, True, now, wake)
-                tick += period
-            self._fold_tick = tick
+        tick = self._fold_tick
+        if tick < now or self._owed:
+            # The replay's records carry their own instants and settle
+            # nothing; ``_arm`` sets ``loop_due`` again.
+            self.kernel.supervision.loop_due = _NEVER
+            owed, self._owed = self._owed, []
+            for arrival, stage, via, value in owed:
+                self._land(arrival, stage, via, value, now, wake)
+            if tick < now:
+                endpoint = self._folded.ses
+                solution_fn, period = self._solution_fn, self.solution_period
+                while tick < now:
+                    solution = solution_fn(tick)
+                    self.solutions_sent += 1
+                    self._land(endpoint._hop(tick), _TRACK_AT_BUS, endpoint, solution, now, wake)
+                    self._land(endpoint._hop(tick), _TUNE_AT_BUS, endpoint, solution, now, wake)
+                    tick += period
+                self._fold_tick = tick
         self._arm()
 
     def _land(
         self,
         arrival: SimTime,
-        forward: "Endpoint",
-        solution: tuple,
-        at_bus: bool,
+        stage: int,
+        via: "Endpoint",
+        value: Any,
         now: SimTime,
         wake: Any,
     ) -> None:
-        """A folded track or tune arriving at ``arrival`` — at mbus to be
-        forwarded on ``forward`` if ``at_bus``, else at ``forward``'s peer
-        — carried as stepping has carried it until now.
+        """A folded hop sent on ``via``, arriving at ``arrival`` at the
+        receiver ``stage`` names, carried as stepping has carried it until
+        now; ``value`` is the solution (a track or tune) or the frequency
+        text (rtu's forward).
 
-        Each hop draws on its own link at its sender's instant
-        (``Endpoint._hop``).  A hop that landed before now is applied here:
-        the broker routes it, str slews, rtu counts a tune it drops.  The
-        one in flight is owed, or, if ``wake`` meets it (see
+        Each hop that landed before now is applied by its receiver's own
+        rule at its arrival — the broker routes it, str slews, rtu takes
+        the tune and forwards a refresh due by then, the broker drops a
+        forward to a proxy attached nowhere, fedr translates it or drops
+        it with pbcom down, fedrcom or pbcom tunes the radio — and the next
+        hop is drawn on its own link at that instant (``Endpoint._hop``).
+        The hop in flight is owed, or, if ``wake`` meets it (see
         :meth:`_catch_up`), queued for its instant to the endpoint it was
         sent to.  A hop due exactly now is still in flight: the poke comes
         first, as in FD's fold.
         """
-        endpoint, to_tracker, _, bus, tracker, tuner = self._folded
-        if at_bus:
-            if arrival >= now:
-                if wake is True or wake is endpoint:
-                    self._deliver_owed(arrival, endpoint._peer, forward, solution)
-                else:
-                    self._owed.append((arrival, forward, solution, True))
+        loop = self._folded
+        while arrival < now:
+            via._channel.messages_delivered += 1
+            if stage == _TRACK_AT_BUS or stage == _TUNE_AT_BUS:
+                loop.bus.routed += 1
+                via = loop.to_tracker if stage == _TRACK_AT_BUS else loop.to_tuner
+                stage += _TRACK - _TRACK_AT_BUS
+                arrival = via._hop(arrival)
+            elif stage == _TRACK:
+                tracker = loop.tracker
+                tracker.antenna.point(
+                    float(f"{value[0]:.3f}"), float(f"{value[1]:.3f}"), tracker.name, arrival
+                )
+                tracker.track_commands += 1
                 return
-            endpoint._channel.messages_delivered += 1
-            bus.routed += 1
-            arrival = forward._hop(arrival)
-        if arrival >= now:
-            if wake is True or wake is forward:
-                self._deliver_owed(arrival, forward._peer, forward, solution)
+            elif stage == _TUNE:
+                tuner = loop.tuner
+                frequency = float(f"{value[2]:.1f}")
+                value = tuner._take_tune(frequency, arrival)
+                if value is None:
+                    return
+                via = loop.to_tuner._peer
+                tuner._forwarded(frequency, arrival)
+                stage = _FREQ_AT_BUS
+                arrival = via._hop(arrival)
+            elif stage == _FREQ_AT_BUS:
+                bus = loop.bus
+                via = bus.attached(loop.proxy.name)
+                if via is None:
+                    bus._unroutable(loop.proxy.name, arrival)
+                    return
+                bus.routed += 1
+                stage = _FREQ_AT_PROXY
+                arrival = via._hop(arrival)
+            elif stage == _FREQ_AT_PROXY:
+                proxy = loop.proxy
+                if loop.pbcom is None:
+                    proxy._apply_frequency(float(value), arrival)
+                    return
+                if not proxy._take_frequency(value):
+                    return
+                via = proxy._pbcom
+                stage = _FREQ_AT_PBCOM
+                arrival = proxy._send_frequency(value, arrival)
             else:
-                self._owed.append((arrival, forward, solution, False))
-            return
-        forward._channel.messages_delivered += 1
-        if forward is to_tracker:
-            azimuth, elevation = solution[0], solution[1]
-            tracker.antenna.point(
-                float(f"{azimuth:.3f}"), float(f"{elevation:.3f}"), tracker.name, arrival
-            )
-            tracker.track_commands += 1
+                loop.pbcom._apply_frequency(float(value), arrival)
+                return
+        if wake is True or wake is via:
+            self.kernel.schedule_at(arrival, via._peer._deliver, self._wire(stage, value))
         else:
-            tuner.tune_commands += 1
+            self._owed.append((arrival, stage, via, value))
 
-    def _deliver_owed(
-        self, arrival: SimTime, receiver: "Endpoint", forward: "Endpoint", solution: tuple
-    ) -> None:
-        message = (
-            self._track(solution[0], solution[1])
-            if forward is self._folded[1]
-            else self._tune(solution[2])
-        )
-        self.kernel.schedule_at(arrival, receiver._deliver, encode_message(message))
+    def _wire(self, stage: int, value: Any) -> str:
+        """The wire of a folded hop, as its sender sent it."""
+        if stage == _TRACK_AT_BUS or stage == _TRACK:
+            return encode_message(self._track(value[0], value[1]))
+        if stage == _TUNE_AT_BUS or stage == _TUNE:
+            return encode_message(self._tune(value[2]))
+        if stage == _FREQ_AT_PBCOM:
+            return freq_line(value)
+        return encode_message(self._folded.tuner._radio_set_freq(value))

@@ -80,14 +80,15 @@ class Radio:
         if self.negotiated_by == component:
             self.negotiated_by = None
 
-    def tune(self, frequency_hz: float, by: str) -> None:
-        """Tune to a downlink frequency (rtu does this during a pass)."""
+    def tune(self, frequency_hz: float, by: str, at: Optional[SimTime] = None) -> None:
+        """Tune to a downlink frequency (rtu does this during a pass), now
+        or (a folded tracking loop's catch-up) at the earlier instant ``at``."""
         if frequency_hz <= 0:
             raise ComponentError(f"invalid frequency {frequency_hz!r}")
         self.frequency_hz = frequency_hz
-        self.tuned_at = self.kernel.now
+        self.tuned_at = self.kernel.now if at is None else at
         self.tune_count += 1
-        self.kernel.trace.emit("hw.radio", ev.RADIO_TUNED, hz=frequency_hz, by=by)
+        self.kernel.trace.emit("hw.radio", ev.RADIO_TUNED, time=at, hz=frequency_hz, by=by)
 
     @property
     def ready(self) -> bool:

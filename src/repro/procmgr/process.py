@@ -233,8 +233,10 @@ class SimProcess:
             return False  # hang dominates: a hung process can't get worse
         if self.degraded_mode == mode:
             return False
-        # Not a lifecycle transition, but a folded FD round could see it.
-        self.manager.kernel.supervision.poke(self.name)
+        # Not a lifecycle transition, but a folded FD round could see it;
+        # and a folded loop replays no fail-slow receiver, so the poke is
+        # about the station at large: it ends such a fold.
+        self.manager.kernel.supervision.poke()
         self.degraded_mode = mode
         self.degrade_count += 1
         self.failure = failure

@@ -91,7 +91,11 @@ class Kernel:
     ) -> None:
         self.clock = Clock(start_time)
         self.rngs = RngRegistry(seed)
-        self.trace = Trace(clock=self.clock, capacity=trace_capacity)
+        #: What wakes a failure detector that folds its quiet rounds.
+        self.supervision = SupervisionClock()
+        self.trace = Trace(
+            clock=self.clock, capacity=trace_capacity, supervision=self.supervision
+        )
         #: The slab-entry heap (see module docstring for the layout).
         self._queue: List[list] = []
         self._seq = 0
@@ -114,8 +118,6 @@ class Kernel:
         self._live = 0
         #: Number of callbacks executed so far (diagnostics / benchmarks).
         self.events_executed = 0
-        #: What wakes a failure detector that folds its quiet rounds.
-        self.supervision = SupervisionClock()
 
     # ------------------------------------------------------------------
     # time

@@ -36,19 +36,20 @@ heartbeat in time for the check that would restart FD.  It is one more
 slot, not a listener list: a station has one REC.
 
 An application loop folds on the clock too: ses's track/tune loop
-(:class:`~repro.mercury.components.ses_component.SesBehavior`) skips the
-solves whose every hop is known in advance and catches them up later.  It
-parks two callbacks and the components it rests on: ``unfold``, which a
-poke about one of those components (or about the station at large) runs
-after FD's catch-up and which ends the fold, and ``catch_up``, which
-:meth:`settle` runs once the loop's ``loop_due`` has passed and which
-leaves it folded.  The kernel settles before every return to its caller,
-so a station read between runs reads as stepping left it.
+(:class:`~repro.mercury.components.ses_component.SesBehavior`) skips its
+solves and replays them, hop by hop, later.  It parks two callbacks:
+``poked``, which every poke runs after FD's catch-up with the poke's
+subject (the loop decides whether that ends its fold or only catches it
+up), and ``catch_up``, which :meth:`settle` runs once the loop's
+``loop_due`` has passed and which leaves it folded.  The kernel settles
+before every return to its caller, and the trace before it builds a
+record, so a station read between runs reads as stepping left it and
+every sink sees the replayed records at their own instants.
 """
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.types import SimTime
 
@@ -62,7 +63,7 @@ class SupervisionClock:
     __slots__ = (
         "_wake", "_period", "_hop", "_prev", "_last", "_next", "_rounds",
         "_end", "_heard", "_watchdog", "_flight", "_loop_catch_up",
-        "_loop_unfold", "_loop_peers", "loop_due",
+        "_loop_poked", "loop_due",
     )
 
     def __init__(self) -> None:
@@ -87,11 +88,9 @@ class SupervisionClock:
         #: method), run first by the next poke.
         self._flight: Optional[Callable[[], None]] = None
         #: A folded application loop's catch-up (run by :meth:`settle`) and
-        #: its unfold (run by a poke), while it folds.
+        #: its poke handler (run by every poke), while it folds.
         self._loop_catch_up: Optional[Callable[[], None]] = None
-        self._loop_unfold: Optional[Callable[[], None]] = None
-        #: The components whose pokes wake the folded loop.
-        self._loop_peers: FrozenSet[str] = frozenset()
+        self._loop_poked: Optional[Callable[[Optional[str]], None]] = None
         #: The earliest instant at which a folded loop has anything to
         #: catch up on (kept by the loop; ``inf`` while none folds).
         self.loop_due = _FOREVER
@@ -129,14 +128,12 @@ class SupervisionClock:
     def fold_loop(
         self,
         catch_up: Optional[Callable[[], None]],
-        unfold: Optional[Callable[[], None]],
-        peers: FrozenSet[str] = frozenset(),
+        poked: Optional[Callable[[Optional[str]], None]],
     ) -> None:
-        """Park a folded application loop resting on the components
-        ``peers`` (``None``, ``None``: the loop ended its fold itself)."""
+        """Park a folded application loop (``None``, ``None``: the loop
+        ended its fold)."""
         self._loop_catch_up = catch_up
-        self._loop_unfold = unfold
-        self._loop_peers = peers
+        self._loop_poked = poked
         if catch_up is None:
             self.loop_due = _FOREVER
 
@@ -144,8 +141,8 @@ class SupervisionClock:
         """Something a round could see is about to change — about
         ``component``'s process or bus attachment, or (``None``) about the
         station at large: wake the FD, then the watchdog sleeping on it,
-        then a folded loop that rests on ``component``.  A stepped round's
-        folded paths are replayed before all of them."""
+        then a folded loop.  A stepped round's folded paths are replayed
+        before all of them."""
         flight = self._flight
         if flight is not None:
             self._flight = None
@@ -158,11 +155,9 @@ class SupervisionClock:
             if watchdog is not None:
                 self._watchdog = None
                 watchdog()
-        unfold = self._loop_unfold
-        if unfold is not None and (component is None or component in self._loop_peers):
-            self._loop_catch_up = self._loop_unfold = None
-            self.loop_due = _FOREVER
-            unfold()
+        poked = self._loop_poked
+        if poked is not None:
+            poked(component)
 
     def settle(self, now: SimTime) -> None:
         """Have a folded loop catch up on what it skipped before ``now`` —

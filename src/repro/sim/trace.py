@@ -118,7 +118,9 @@ class Trace:
     rely on: a record that is built goes to every sink.
     """
 
-    def __init__(self, clock: Any = None, capacity: Optional[int] = None) -> None:
+    def __init__(
+        self, clock: Any = None, capacity: Optional[int] = None, supervision: Any = None
+    ) -> None:
         """Create a trace.
 
         Parameters
@@ -130,8 +132,14 @@ class Trace:
             If given, keep only the most recent ``capacity`` records (a ring
             buffer for long availability runs where only aggregate metrics
             are extracted incrementally via sinks).
+        supervision:
+            The kernel's :class:`~repro.sim.supervision.SupervisionClock`:
+            a folded loop it holds is settled before a record is built or a
+            sink attached, so the loop's replayed records come first, at
+            their own instants, as stepping emitted them.
         """
         self._clock = clock
+        self._supervision = supervision
         self._ring = RingSink(capacity)
         self._sinks: List[Sink] = []
         #: Union of the attached sinks' declared kinds; ``None`` once any
@@ -165,6 +173,9 @@ class Trace:
 
     def add_sink(self, sink: Sink) -> Sink:
         """Attach a sink; while disabled, only its ``kinds`` are built for it."""
+        supervision = self._supervision
+        if supervision is not None:
+            supervision.settle(self._clock._now)  # records a folded loop owes from before now
         self._sinks.append(sink)
         self._refresh_wanted()
         return sink
@@ -220,6 +231,11 @@ class Trace:
             if self._clock is None:
                 raise ValueError("no clock attached; pass time= explicitly")
             time = self._clock.now
+            supervision = self._supervision
+            if supervision is not None and time > supervision.loop_due:
+                # A folded loop's replay emits with ``time=`` and no settle
+                # (it keeps ``loop_due`` at infinity while it runs).
+                supervision.settle(time)
         record = _new_record(TraceRecord, (time, source, kind, severity, data))
         if self.enabled:
             self._ring.accept(record)

@@ -352,6 +352,24 @@ def encode_command_wire(
     return vouch(text, envelope, decoded) if clean else text
 
 
+#: The control messages' start tags, up to ``detected-at="`` for a report
+#: (``(sender, target)``) and without its close for an order (``(sender,
+#: target, cell, reason)``), and their children's tags by component name:
+#: every name is escaped once, when it enters its cache.
+_report_starts: Dict[Tuple[str, str], str] = {}
+_order_starts: Dict[Tuple[str, str, str, str], str] = {}
+_failed_tags: Dict[str, str] = {}
+_component_tags: Dict[str, str] = {}
+
+
+def _remember(cache: Dict[Any, str], key: Any, text: str) -> str:
+    """Cache ``text`` under ``key``, rebuilding ``cache`` at the bound."""
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    cache[key] = text
+    return text
+
+
 def encode_report_wire(
     sender: str, target: str, failed: tuple, detected_at: float, memo: object
 ) -> Optional[str]:
@@ -374,13 +392,23 @@ def encode_report_wire(
         or not all(name.__class__ is str for name in failed)
     ):
         return None
+    key = (sender, target)
+    start = _report_starts.get(key) or _remember(
+        _report_starts,
+        key,
+        f'<msg type="failure-report" from="{escape_attr(sender)}"'
+        f' to="{escape_attr(target)}" detected-at="',
+    )
+    tags = _failed_tags
     children = "".join(
-        [f'<failed component="{escape_attr(name)}"/>' for name in failed]
+        [
+            tags.get(name)
+            or _remember(tags, name, f'<failed component="{escape_attr(name)}"/>')
+            for name in failed
+        ]
     )
     return vouch(
-        f'<msg type="failure-report" from="{escape_attr(sender)}"'
-        f' to="{escape_attr(target)}" detected-at="{detected_at!r}">'
-        f"{children}</msg>",
+        f'{start}{detected_at!r}">{children}</msg>',
         Envelope("failure-report", sender, target, None, None),
         memo,
     )
@@ -410,14 +438,22 @@ def encode_order_wire(
         or not all(name.__class__ is str for name in components)
     ):
         return None
-    start = (
+    key = (sender, target, cell, reason)
+    start = _order_starts.get(key) or _remember(
+        _order_starts,
+        key,
         f'<msg type="restart-order" from="{escape_attr(sender)}"'
         f' to="{escape_attr(target)}" cell="{escape_attr(cell)}"'
-        f' reason="{escape_attr(reason)}"'
+        f' reason="{escape_attr(reason)}"',
     )
     if components:
+        tags = _component_tags
         children = "".join(
-            [f'<component name="{escape_attr(name)}"/>' for name in components]
+            [
+                tags.get(name)
+                or _remember(tags, name, f'<component name="{escape_attr(name)}"/>')
+                for name in components
+            ]
         )
         text = f"{start}>{children}</msg>"
     else:

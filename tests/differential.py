@@ -509,9 +509,10 @@ _timers_and_folds = _calls(
 
 @contextmanager
 def _every_solve_reference():
-    """No solve folds: ses runs every tick of its track/tune loop, as it
-    did before it skipped the solves that change nothing but counters,
-    and the supervision clock's pokes and settles find no loop to wake."""
+    """No solve folds: ses runs every tick of its track/tune loop, and rtu
+    forwards each refresh, as they did before the loop was replayed at its
+    catch-ups; the supervision clock's pokes and settles, and the trace's,
+    find no loop to wake."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SesBehavior, "_fold_loop", lambda self: None)
         yield
@@ -520,15 +521,18 @@ def _every_solve_reference():
 @contextmanager
 def _solve_counts():
     """Count, under either side, ses's solve events, the folds begun and
-    the loop's hops delivered (every ``Endpoint._deliver`` of a ``track``
-    or ``tune``)."""
+    the loop's hops delivered (every ``Endpoint._deliver`` of a ``track``,
+    a ``tune``, rtu's ``radio-set-freq`` or fedr's ``FREQ`` line)."""
     deliver = Endpoint._deliver
 
     with _solves_and_folds() as counts, pytest.MonkeyPatch.context() as patch:
 
         def counted_deliver(self, message):
             envelope = decode_envelope(message)
-            if envelope is not None and envelope.verb in ("track", "tune"):
+            if envelope is None:
+                if message.startswith("FREQ "):
+                    counts["hops"] += 1
+            elif envelope.verb in _LOOP_VERBS:
                 counts["hops"] += 1
             return deliver(self, message)
 
@@ -542,9 +546,14 @@ _solves_and_folds = _calls(
 )
 
 
+#: The verbs of the track/tune loop's bus hops: ses's two and rtu's forward.
+_LOOP_VERBS = frozenset(("track", "tune", "radio-set-freq"))
+
+
 def _folded_solves_gap(folded, stepped):
-    # The skipped solves' events and their hops, less the fenced solves a
-    # poke left queued (each counts as a solve on the folding side).
+    # The skipped solves' events and every hop of their chains: the track
+    # and the tune at mbus and at str or rtu, and rtu's forwards at mbus,
+    # at the radio proxy and, on a split tree, at pbcom.
     return sum(stepped[k] - folded[k] for k in ("solves", "hops"))
 
 

@@ -19,10 +19,11 @@ table on purpose — rather than as a slow drift in ``fleet-waves``.
 The same holds for application traffic a station does not need: an
 availability run's ses tracks only the satellite in view, and the run's
 kernel-event count is pinned so tracking between passes cannot come back
-unnoticed; a recovery station's ses folds the solves that change nothing
-but counters (DESIGN.md §9, "Folded solves"), and the events of thirty
-solve periods, folded and stepped (``REFERENCES["every-solve"]``), are
-pinned beside it.
+unnoticed; a recovery station's ses folds every solve of its track/tune
+loop and replays it, refreshes to the radio included (DESIGN.md §9,
+"Folded solves"), and the events of thirty solve periods on trees V and
+II, folded and stepped (``REFERENCES["every-solve"]``), are pinned beside
+it.
 """
 
 import collections
@@ -31,9 +32,11 @@ import pathlib
 import re
 import sys
 
+import pytest
+
 from repro.experiments import availability
 from repro.mercury.station import MercuryStation
-from repro.mercury.trees import tree_v
+from repro.mercury.trees import TREE_BUILDERS, tree_v
 from repro.transport.channel import Channel
 from tests.differential import REFERENCES
 
@@ -234,21 +237,24 @@ def test_an_availability_run_tracks_only_the_passes_in_view(monkeypatch):
     assert station.kernel.events_executed == AVAILABILITY_RUN_EVENTS
 
 
-#: Kernel events of a healthy tree-V station (seed 3; ses solving every
-#: 2 s, FD folding its quiet rounds) over thirty solve periods.  Stepped,
-#: each solve is five events (the solve, track and tune at mbus, track at
-#: str, tune at rtu), and each of the five refreshes rtu forwards adds
-#: three (radio-set-freq at mbus and at fedr, fedr's command at pbcom):
-#: 30 × 5 + 5 × 3.  Folded, only the eight solves whose tune rtu might
-#: forward run, and of those only the tune (the solve, the tune at mbus
-#: and at rtu), with the five forwards behind them: 8 × 3 + 5 × 3, plus
-#: the two solve events that begin a fold after a tune rtu dropped.
-LOOP_EVENTS = {"stepped": 165, "folded": 41}
+#: Kernel events of a healthy station (seed 3; ses solving every 2 s, FD
+#: folding its quiet rounds) over thirty solve periods.  Stepped, each
+#: solve is five events (the solve, track and tune at mbus, track at str,
+#: tune at rtu), and each of the five refreshes rtu forwards adds its
+#: chain: on tree V three (radio-set-freq at mbus and at fedr, fedr's
+#: command at pbcom), 30 × 5 + 5 × 3; on tree II two (radio-set-freq at
+#: mbus and at fedrcom), 30 × 5 + 5 × 2.  Folded, nothing: every solve and
+#: every hop of its chain is replayed at the catch-up the kernel makes
+#: before it returns.
+LOOP_EVENTS = {
+    "V": {"stepped": 165, "folded": 0},
+    "II": {"stepped": 160, "folded": 0},
+}
 SOLVE_PERIODS = 30
 
 
-def _loop_events():
-    station = MercuryStation(tree=tree_v(), seed=3)
+def _loop_events(tree):
+    station = MercuryStation(tree=TREE_BUILDERS[tree](), seed=3)
     station.boot()
     station.run_for(4.5)
     kernel = station.kernel
@@ -257,7 +263,8 @@ def _loop_events():
     return kernel.events_executed - executed
 
 
-def test_a_healthy_station_folds_its_tracking_loop():
+@pytest.mark.parametrize("tree", sorted(LOOP_EVENTS))
+def test_a_healthy_station_folds_its_tracking_loop(tree):
     with REFERENCES["every-solve"].patch():
-        stepped = _loop_events()
-    assert {"stepped": stepped, "folded": _loop_events()} == LOOP_EVENTS
+        stepped = _loop_events(tree)
+    assert {"stepped": stepped, "folded": _loop_events(tree)} == LOOP_EVENTS[tree]

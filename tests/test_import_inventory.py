@@ -74,7 +74,6 @@ ISLAND_NAMES = {
 #: the reason it stays: the product does not run them, and ``bench/`` is
 #: changed only together with the benchmark it defines.
 BENCH_ONLY_NAMES = {
-    "repro.experiments.snapshot.fork": "name clash: bench/workloads.py's local fork wrapper counts as a use; a restore records the same walk through _record, and tests copy stations and parts of them with fork",
     "repro.mercury.session_store.SessionStore.load_session": "bench: mercury.session_store.load_us times it; the product restores sessions through has_session and mark_restored",
     "repro.procmgr.process.constant_work": "bench: the bus timings build their broker process with it; tests build their rigs with it",
     "repro.sim.kernel.Kernel.schedule_interval": "bench: sim.kernel.dispatch_ns re-arms through this shim; ROADMAP item 1(c) re-points that timing and deletes it",

@@ -589,6 +589,37 @@ def test_restart_order_is_vouched_and_the_parser_returns_it(
     assert parse_message(wire) == parse_message_full(text) == message
 
 
+def test_control_wires_escape_their_cached_tags_like_the_serializer():
+    """Report and order start tags and child tags are cached per name, each
+    escaped once: names holding ``&``, ``"`` and ``<`` stay byte-identical
+    to the serializer, from a cold cache, a warm one and one rebuilt at the
+    bound."""
+    names = ("a&b", 'q"t', "<lt>", 'all&"<')
+    messages = [
+        FailureReport(names[0], names[1], names, 1.5),
+        FailureReport("fd", "rec", (names[2],), 2.5),
+        RestartOrder(names[2], names[3], names[0], names, names[1]),
+        RestartOrder("rec", "fd", "R&D", (), "<begin>"),
+    ]
+    for _ in range(2):  # cold, then from the caches
+        for message in messages:
+            assert str(encode_message(message)) == serialize_xml(message.to_element())
+    for i in range(fastpath._CACHE_LIMIT + 50):
+        message = FailureReport(f"s{i}&", "rec", (f'"c{i}"',), 0.5)
+        assert str(encode_message(message)) == serialize_xml(message.to_element())
+        order = RestartOrder("rec", "fd", f"<R{i}>", (f"c{i}&",), "begin")
+        assert str(encode_message(order)) == serialize_xml(order.to_element())
+    for cache in (
+        fastpath._report_starts,
+        fastpath._order_starts,
+        fastpath._failed_tags,
+        fastpath._component_tags,
+    ):
+        assert 0 < len(cache) <= fastpath._CACHE_LIMIT
+    for message in messages:  # re-derived after the rebuilds
+        assert str(encode_message(message)) == serialize_xml(message.to_element())
+
+
 class _Name(str):
     pass
 

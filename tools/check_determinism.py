@@ -23,9 +23,11 @@ leg runs one cell more than once and byte-compares what came out:
   cells of five trials (tree V, ``fedr``: its template is warmed with ses's
   track/tune loop folded, so the catch-up before the cell's rebase is
   compared; tree V, ``mbus``, and tree I, ``ses``: mbus's restart and the
-  root restart, whose rounds FD folds off the bus) and one availability
-  run (abstract supervisor) restored from
-  the warmed-station template vs. booted afresh (``snapshot=False``),
+  root restart, whose rounds FD folds off the bus), two cells whose
+  templates are frozen while a refresh forward of the folded loop is in
+  flight to the radio proxy (tree II ``fedrcom``, tree III ``pbcom``) and
+  one availability run (abstract supervisor) restored from the
+  warmed-station template vs. booted afresh (``snapshot=False``),
   traces and payloads: the restore-vs-boot bit-identity contract that
   lets both share the result cache, over both supervision front ends'
   object graphs;
@@ -73,8 +75,10 @@ from repro.chaos.engine import run_chaos
 from repro.experiments.availability import measure_availability
 from repro.experiments.recovery import measure_recovery
 from repro.experiments.runner import KINDS, execute_cell, plan_cell, run_campaign
-from repro.experiments.snapshot import clear_templates
+from repro.experiments.snapshot import clear_templates, fork, warmed_station
+from repro.mercury.components.ses_component import _FREQ_AT_PROXY
 from repro.mercury.config import PAPER_CONFIG
+from repro.mercury.station import MercuryStation
 from repro.mercury.trees import TREE_BUILDERS
 from repro.obs.sinks import JsonlSink, Sink
 
@@ -137,7 +141,11 @@ def _traced_pair(
     payloads: List[str] = []
     for index, run in enumerate((run_a, run_b), start=1):
         paths.append(os.path.join(workdir, f"{name}-{index}.jsonl"))
-        payloads.append(run([JsonlSink(paths[-1])]))
+        sink = JsonlSink(paths[-1])
+        try:
+            payloads.append(run([sink]))
+        finally:
+            sink.close()  # flushed here, not when the collector frees the station
     ok = _compare_traces(name, *paths)
     if covers is not None and not covers[1](payloads[0]):
         print(f"FAIL {name}: the run does not cover {covers[0]}")
@@ -169,6 +177,55 @@ def _recovery_run(
             **kwargs,
         )
         return _dump({**dataclasses.asdict(result), "cure_set": sorted(result.cure_set)})
+
+    return run
+
+
+def _owed_forward_run(tree: str, component: str, snapshot: bool) -> TracedRun:
+    """Three recoveries of ``component`` on a tree-``tree`` station whose
+    template is frozen while a refresh rtu forwards to the radio proxy is
+    still in flight from ses's folded loop (owed to the next catch-up),
+    so that hop is carried through the fork and the cell's rebase."""
+    shape = f"determinism-owed-forward-{tree}"
+
+    def build(seed: int) -> MercuryStation:
+        return MercuryStation(tree=TREE_BUILDERS[tree](), seed=seed)
+
+    def warm(station: MercuryStation) -> None:
+        station.boot()
+        ses = station.manager.get("ses").behavior
+        tuner = station.manager.get("rtu").behavior
+        # A probe finds the next forward the folded loop replays; the
+        # station then creeps up on it until the forward is in flight to
+        # the proxy.
+        probe = fork(station)
+        probe_ses = probe.manager.get("ses").behavior
+        probe_tuner = probe.manager.get("rtu").behavior
+        last = probe_tuner._last_forward_at
+        while probe_ses._folded is None or probe_tuner._last_forward_at == last:
+            last = probe_tuner._last_forward_at
+            probe.run_for(1.0)
+        station.run_for(probe_tuner._last_forward_at - station.kernel.now)
+        step = station.network.latency.base / 4
+        while not any(stage == _FREQ_AT_PROXY for _, stage, _, _ in ses._owed):
+            station.run_for(step)
+        assert tuner._last_forward_at == probe_tuner._last_forward_at
+
+    def run(sinks: Sequence[Sink]) -> str:
+        station = warmed_station(shape, build, warm, CHAOS_SEED, snapshot)
+        for sink in sinks:
+            station.kernel.trace.add_sink(sink)
+        mttrs = []
+        for _ in range(3):
+            failure = station.injector.inject_simple(component)
+            mttrs.append(station.run_until_recovered(failure, timeout=120.0))
+            station.run_for(15.0)  # folding again, past a refresh
+        radio = station.hardware.radio
+        return _dump({
+            "mttr": mttrs,
+            "radio": [radio.frequency_hz, radio.tuned_at, radio.tune_count],
+            "events": station.kernel.events_executed,
+        })
 
     return run
 
@@ -248,7 +305,8 @@ def check_same_seed_traces(workdir: str) -> bool:
 def check_snapshot_fork(workdir: str) -> bool:
     """Restored cells must equal fresh-boot cells: a storm campaign (FD/REC
     station), three Table 4 recovery cells (templates warmed with ses's loop
-    folded; two with off-bus folds) and an availability run (abstract
+    folded; two with off-bus folds), two cells frozen with a refresh
+    forward of the folded loop in flight and an availability run (abstract
     supervisor), each through the warmed-station template (boot once, a
     replayed fork + RNG rebase per cell) and with ``snapshot=False`` (full
     boot per cell)."""
@@ -273,6 +331,20 @@ def check_snapshot_fork(workdir: str) -> bool:
             "Table 4 cell I/perfect ses, 5 trials, seed %d" % CHAOS_SEED,
             _recovery_run,
             ("ses", "I", "perfect"),
+        ),
+        # Templates frozen with a refresh forward of ses's folded loop in
+        # flight to the radio proxy: fedrcom unsplit, fedr and pbcom split.
+        (
+            "snapshot-fork-owed-forward-fedrcom",
+            "tree II, fedrcom, a forward owed at the warm point, seed %d" % CHAOS_SEED,
+            _owed_forward_run,
+            ("II", "fedrcom"),
+        ),
+        (
+            "snapshot-fork-owed-forward-pbcom",
+            "tree III, pbcom, a forward owed at the warm point, seed %d" % CHAOS_SEED,
+            _owed_forward_run,
+            ("III", "pbcom"),
         ),
         (
             "snapshot-fork-availability",
