@@ -32,8 +32,6 @@ import pathlib
 import re
 import sys
 
-import pytest
-
 from repro.experiments import availability
 from repro.mercury.station import MercuryStation
 from repro.mercury.trees import TREE_BUILDERS, tree_v
@@ -263,8 +261,15 @@ def _loop_events(tree):
     return kernel.events_executed - executed
 
 
-@pytest.mark.parametrize("tree", sorted(LOOP_EVENTS))
-def test_a_healthy_station_folds_its_tracking_loop(tree):
+def _assert_tracking_loop_folds(tree):
     with REFERENCES["every-solve"].patch():
         stepped = _loop_events(tree)
     assert {"stepped": stepped, "folded": _loop_events(tree)} == LOOP_EVENTS[tree]
+
+
+def test_a_healthy_station_folds_its_tracking_loop():
+    _assert_tracking_loop_folds("V")
+
+
+def test_a_healthy_tree_ii_station_folds_its_tracking_loop():
+    _assert_tracking_loop_folds("II")
